@@ -976,6 +976,40 @@ class LazyDynamicMatcher:
             total += float(weights[task_id])
         return total
 
+    def is_valid_matching(self) -> bool:
+        """Check mutual consistency, liveness and edge feasibility.
+
+        Every matched task must be eligible (hence live), its worker
+        live, matched back to it and on the task's row; no worker may
+        claim a task that does not claim it back.
+        """
+        pairs = self.matching()
+        owners = sum(
+            1 for worker_id in range(self.num_workers)
+            if self.task_of(worker_id) is not None
+        )
+        if not len(pairs) == owners == self._num_matched:
+            return False
+        eligible = (
+            self._task_eligible if self._impl is None else self._task_eligible_arr
+        )
+        for task_id, worker_id in pairs.items():
+            if not eligible[task_id] or not self.is_worker_live(worker_id):
+                return False
+            if self.task_of(worker_id) != task_id:
+                return False
+            if self._impl is None:
+                row = self._rows[task_id]
+            else:
+                row = []
+                edge = int(self._fhead[task_id])
+                while edge != -1:
+                    row.append(int(self._fworker[edge]))
+                    edge = int(self._fnext[edge])
+            if worker_id not in row:
+                return False
+        return True
+
     # ------------------------------------------------------------------
     # growth (numba family)
     # ------------------------------------------------------------------

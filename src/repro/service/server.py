@@ -68,6 +68,7 @@ from repro.simulation.streaming import (
     Settlement,
     build_universe,
     resolve_demand_grids,
+    use_live_plane,
 )
 from repro.utils.shm import ShmArena
 
@@ -138,18 +139,13 @@ class ServiceConfig:
             raise ValueError("slo_ms must be positive when given")
         if not 0.0 < self.degrade_fraction <= 1.0:
             raise ValueError("degrade_fraction must be in (0, 1]")
-        if self.incremental and self.max_degree is not None:
-            raise ValueError(
-                "incremental sessions are exact; drop max_degree or pass "
-                "incremental=False"
-            )
+        # Raises when the live plane is forced under a cap.
+        use_live_plane(self.max_degree, self.incremental)
 
     @property
     def resolved_incremental(self) -> bool:
-        """The backend the sessions will actually run."""
-        if self.incremental is None:
-            return self.max_degree is None
-        return bool(self.incremental)
+        """The backend the sessions will actually run (:func:`use_live_plane`)."""
+        return use_live_plane(self.max_degree, self.incremental)
 
 
 class LatencySeries:

@@ -382,6 +382,32 @@ def build_universe(
     return instance, task_arrivals, worker_arrivals
 
 
+def use_live_plane(
+    max_degree: Optional[int], incremental: Optional[bool] = None
+) -> bool:
+    """The dynamic-matcher backend rule every dispatch path shares.
+
+    ``True`` selects the live adjacency plane
+    (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
+    :class:`~repro.matching.incremental.LazyDynamicMatcher`), ``False``
+    the universe :class:`DynamicMatcher`.  ``incremental=None`` resolves
+    to the live plane exactly when that is float-free: no ``max_degree``
+    (the cap is a whole-universe rule — nearest live-*or-future* workers
+    — which the live plane cannot reproduce).  Forcing the live plane
+    under a cap is refused.  :class:`DispatchSession`, the service config
+    and :class:`DynamicStreamingEngine` all decide through this function.
+    """
+    if incremental is None:
+        return max_degree is None
+    if incremental and max_degree is not None:
+        raise ValueError(
+            "the live adjacency plane is exact (the universe max_degree cap "
+            "does not commute with arrival order); drop max_degree or pass "
+            "incremental=False"
+        )
+    return bool(incremental)
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -699,8 +725,7 @@ class DynamicStreamingEngine(StreamingEngine):
     window it arrives (match-or-lose-forever), this engine keeps accepted
     tasks *tentatively* matched across windows until their deadline, and
     applies every population change as a *delta* to a single maintained
-    maximum-weight matching
-    (:class:`~repro.matching.incremental.DynamicMatcher`):
+    maximum-weight matching:
 
     * an accepted task **inserts** (possibly evicting a lower-priority
       tentative task from its transversal-matroid circuit);
@@ -715,10 +740,22 @@ class DynamicStreamingEngine(StreamingEngine):
     engine is a per-window re-solve whose cost scales with the churn
     delta, not the standing population.
 
+    **Backend rule** (:func:`use_live_plane`, shared with
+    :class:`DispatchSession`): with ``resolve="delta"`` and no
+    ``max_degree`` the matching lives on the live adjacency plane
+    (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
+    :class:`~repro.matching.incremental.LazyDynamicMatcher`), so an
+    arrival costs its live neighbourhood and no universe graph is built.
+    A capped run keeps the universe
+    :class:`~repro.matching.incremental.DynamicMatcher` (the cap is a
+    whole-universe rule), and so does ``resolve="rewindow"`` (it is the
+    re-solve baseline).  Both backends produce bit-identical floats.
+
     Args:
         stream: The arrival stream.  **Must be re-iterable** (a collection
-            or factory callable): the engine pre-scans the events once to
-            build the universe adjacency, then streams them again.
+            or factory callable): the engine pre-scans the events once
+            into position-aligned entity lists (plus the universe
+            adjacency on the universe backend), then streams them again.
         seed: Accept/reject RNG seed, derived as in the base engine.
         window: Dispatch window length in period units.
         task_lifetime: Default number of period units an accepted task
@@ -730,7 +767,8 @@ class DynamicStreamingEngine(StreamingEngine):
             dispatched window — the baseline the delta mode is benchmarked
             against.  Both modes settle deadlines/departures identically.
         max_degree: Optional per-task adjacency cap on the *universe*
-            graph (nearest live-or-future workers).
+            graph (nearest live-or-future workers); selects the universe
+            backend.
         track_memory / keep_details: As in the base engine.
 
     Feedback semantics: the pricing strategy observes a task as "served"
@@ -772,22 +810,11 @@ class DynamicStreamingEngine(StreamingEngine):
         self.resolve = resolve
 
     # ------------------------------------------------------------------
-    # universe graph
-    # ------------------------------------------------------------------
-    def _universe(self) -> Tuple[PeriodInstance, List[float], List[float]]:
-        """Pre-scan the stream into one all-time instance.
-
-        Delegates to the module-level :func:`build_universe` (shared with
-        the event-at-a-time session and the service front end).
-        """
-        return build_universe(self.stream, max_degree=self.max_degree)
-
-    # ------------------------------------------------------------------
     # settlement (deadlines + departures, one global time order)
     # ------------------------------------------------------------------
     @staticmethod
     def _settle(
-        matcher: DynamicMatcher,
+        matcher: Union[DynamicMatcher, _LiveSessionMatcher],
         deadlines: List[Tuple[float, int]],
         departures: List[Tuple[float, int]],
         live_weights: Dict[int, float],
@@ -849,7 +876,7 @@ class DynamicStreamingEngine(StreamingEngine):
     def _post_window_hook(
         self,
         widx: int,
-        matcher: DynamicMatcher,
+        matcher: Union[DynamicMatcher, _LiveSessionMatcher],
         live_weights: Dict[int, float],
         live_workers: set,
         universe: PeriodInstance,
@@ -880,9 +907,34 @@ class DynamicStreamingEngine(StreamingEngine):
             matching_backend="matroid",
         )
 
-        universe, _task_arrivals, _ = self._universe()
+        live_plane = self.resolve == "delta" and use_live_plane(self.max_degree)
+        # The live plane never reads the universe graph: it stays a lazy
+        # proxy, built only if a test seam touches ``universe.graph``.
+        universe, _task_arrivals, _ = build_universe(
+            self.stream, max_degree=self.max_degree, build_graph=not live_plane
+        )
         num_tasks = len(universe.tasks)
-        matcher = DynamicMatcher(universe.graph, [0.0] * num_tasks)
+        if live_plane:
+            # Why the floats stay bit-identical to the universe matcher
+            # although accepted tasks enter in (-weight, position) order,
+            # so lazy task slots are not universe positions:
+            # * the priority key breaks weight ties by slot, and equal-
+            #   weight tasks of one window get their slots in position
+            #   order (later windows get later slots and positions), so
+            #   (-weight, slot) and (-weight, position) order tasks alike;
+            # * task rows list workers in arrival order on both backends
+            #   (worker slots are allocated in arrival order), so every
+            #   augmenting DFS visits identically;
+            # * only the transpose (worker -> task) rows are ordered by
+            #   slot rather than position, and the reach step keeps the
+            #   unmatched candidate with the lowest (-weight, id) key —
+            #   ids are unique, so that order cannot change which task
+            #   joins, and the path to it is a forward DFS.
+            matcher: Union[DynamicMatcher, _LiveSessionMatcher] = _LiveSessionMatcher(
+                self.stream.grid, self.stream.metric, universe.tasks, universe.workers
+            )
+        else:
+            matcher = DynamicMatcher(universe.graph, [0.0] * num_tasks)
 
         live_weights: Dict[int, float] = {}
         live_workers: set = set()
@@ -1080,14 +1132,17 @@ class _LiveSessionMatcher:
     only — per-arrival cost tracks the live neighbourhood, not the
     stream horizon, which is the whole point of the incremental session.
 
-    Exposes exactly the methods :class:`DispatchSession` calls on the
-    universe :class:`DynamicMatcher` (``insert_worker`` / ``insert_task``
-    / ``insert_task_greedy`` / ``is_task_matched`` / ``commit_task`` /
-    ``remove_task`` / ``remove_worker``), with identical positional
-    semantics — the lazy matcher's repairs are bit-identical to the
-    universe delta repairs over the same arrival sequence (the fuzzed
-    contract of ``tests/matching/test_lazy_dynamic.py``), so a session
-    on this backend reproduces the universe session's floats.
+    Exposes exactly the methods :class:`DispatchSession` and
+    :class:`DynamicStreamingEngine` call on the universe
+    :class:`DynamicMatcher` (``insert_worker`` / ``insert_task`` /
+    ``insert_task_greedy`` / ``is_task_matched`` / ``task_of`` /
+    ``commit_task`` / ``remove_task`` / ``remove_worker``, plus the
+    ``total_weight`` / ``is_valid_matching`` views the per-window gates
+    read), with identical positional semantics — the lazy matcher's
+    repairs are bit-identical to the universe delta repairs over the same
+    arrival sequence (the fuzzed contract of
+    ``tests/matching/test_lazy_dynamic.py``), so a session on this
+    backend reproduces the universe session's floats.
     """
 
     def __init__(
@@ -1104,6 +1159,7 @@ class _LiveSessionMatcher:
         self._tasks = tasks
         self._workers = workers
         self._task_slot: Dict[int, int] = {}
+        self._task_pos: List[int] = []
         self._worker_slot: Dict[int, int] = {}
         self._worker_pos: Dict[int, int] = {}
 
@@ -1141,6 +1197,7 @@ class _LiveSessionMatcher:
         lazy_id, matched = self.lazy.new_task(row, weight, greedy=greedy)
         self._guard(slot, lazy_id, "task")
         self._task_slot[task_pos] = slot
+        self._task_pos.append(task_pos)
         return matched
 
     def insert_task(self, task_pos: int, weight: float) -> bool:
@@ -1150,7 +1207,21 @@ class _LiveSessionMatcher:
         return self._insert(task_pos, weight, greedy=True)
 
     def is_task_matched(self, task_pos: int) -> bool:
-        return self.lazy.worker_of(self._task_slot[task_pos]) is not None
+        # Never inserted (a rejected quote), committed or expired: not
+        # matched, as for the universe matcher.
+        slot = self._task_slot.get(task_pos)
+        return slot is not None and self.lazy.worker_of(slot) is not None
+
+    def task_of(self, worker_pos: int) -> Optional[int]:
+        slot = self._worker_slot.get(worker_pos)
+        task_slot = None if slot is None else self.lazy.task_of(slot)
+        return None if task_slot is None else self._task_pos[task_slot]
+
+    def total_weight(self) -> float:
+        return self.lazy.total_weight()
+
+    def is_valid_matching(self) -> bool:
+        return self.lazy.is_valid_matching()
 
     def commit_task(self, task_pos: int) -> int:
         slot = self._task_slot.pop(task_pos)
@@ -1213,7 +1284,8 @@ class DispatchSession:
             ``None`` (default) resolves to ``True`` exactly when it is
             float-free to do so: no universe supplied and no
             ``max_degree`` (the cap is a whole-universe rule the live
-            plane cannot reproduce).  Both backends produce bit-identical
+            plane cannot reproduce; :func:`use_live_plane`, the rule the
+            windowed engine shares).  Both backends produce bit-identical
             quotes, matches and settlements for the same stream — the
             differential contract of
             ``tests/simulation/test_streaming_service.py``.
@@ -1245,15 +1317,9 @@ class DispatchSession:
                 "cannot quote single events; choose a grid-state strategy "
                 "(BaseP, SDR, SDE, CappedUCB) for event-at-a-time dispatch"
             )
-        if incremental is None:
-            incremental = universe is None and max_degree is None
-        elif incremental and max_degree is not None:
-            raise ValueError(
-                "the incremental session backend is exact (the universe "
-                "max_degree cap does not commute with arrival order); drop "
-                "max_degree or pass incremental=False"
-            )
-        self.incremental = bool(incremental)
+        if incremental is None and universe is not None:
+            incremental = False  # a supplied universe pins its own matcher
+        self.incremental = use_live_plane(max_degree, incremental)
         self.stream = stream
         self.strategy = strategy
         self.seed = int(seed)
@@ -1731,6 +1797,7 @@ __all__ = [
     "build_universe",
     "resolve_demand_grids",
     "stream_to_workload",
+    "use_live_plane",
     "window_index",
     "workload_to_stream",
 ]

@@ -5,9 +5,11 @@ each arrival brings its candidate row off the incremental adjacency
 plane, the matcher evolves **bit-identical** matched state to a
 :class:`DynamicMatcher` built over the full universe graph and driven
 with the same operation sequence — same pairs after every operation,
-same committed workers, same ``repr``-equal totals.  The warm
-(transpose-free, insert-only-pruning) mode must in turn equal a cold
-matroid-style re-solve of every epoch.
+same committed workers, same ``repr``-equal totals.  That holds too for
+the positional session facade when tasks enter out of arrival order, in
+window batches sorted ``(-weight, position)`` as the windowed engine
+inserts them.  The warm (transpose-free, insert-only-pruning) mode must
+in turn equal a cold matroid-style re-solve of every epoch.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph, CSRGraph, build_graph_from_arrays
 from repro.matching.incremental import DynamicMatcher, LazyDynamicMatcher
+from repro.simulation.streaming import _LiveSessionMatcher
+from repro.spatial.geometry import Point
 from repro.spatial.grid import Grid
 from repro.spatial.index import IncrementalAdjacencyIndex
 
@@ -120,6 +125,98 @@ def test_lazy_matcher_replays_universe_matcher_bitwise(seed):
         assert repr(lazy.total_weight()) == repr(uni.total_weight()), f"step {steps}"
 
     assert steps > 50  # the interleaving actually exercised the matchers
+
+
+#: Window weights drawn from a small set, so ties within and across
+#: windows are the rule; zero inserts a live but ineligible task.
+_TIED_WEIGHTS = (0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_session_facade_replays_universe_matcher_out_of_arrival_order(seed):
+    """Window batches inserted ``(-weight, position)``, gated every op.
+
+    Each window settles (commits, expiries, departures), lets workers
+    arrive in position order, then inserts its task batch sorted by
+    weight with forced ties — the windowed engine's order, under which
+    the facade's lazy task slots are not positions.  After every
+    operation both matchers hold the same pairs (by position) and a
+    ``repr``-equal total.
+    """
+    rng = np.random.default_rng(seed)
+    num_tasks, num_workers = 48, 36
+    tx, ty, wx, wy, wr, _, graph = _universe(rng, num_tasks, num_workers)
+    tasks = [
+        Task(
+            task_id=pos,
+            period=0,
+            origin=Point(float(x), float(y)),
+            destination=Point(float(x), float(y)),
+            valuation=1.0,
+        )
+        for pos, (x, y) in enumerate(zip(tx, ty))
+    ]
+    workers = [
+        Worker(
+            worker_id=pos,
+            period=0,
+            location=Point(float(x), float(y)),
+            radius=float(r),
+        )
+        for pos, (x, y, r) in enumerate(zip(wx, wy, wr))
+    ]
+    uni = DynamicMatcher(graph, [0.0] * num_tasks)
+    live = _LiveSessionMatcher(GRID, "euclidean", tasks, workers)
+
+    ops = 0
+
+    def gate():
+        nonlocal ops
+        ops += 1
+        for pos in range(num_workers):
+            assert live.task_of(pos) == uni.task_of(pos), f"op {ops}"
+        for pos in range(num_tasks):
+            assert live.is_task_matched(pos) == uni.is_task_matched(pos), f"op {ops}"
+        assert repr(live.total_weight()) == repr(uni.total_weight()), f"op {ops}"
+        assert live.is_valid_matching()
+
+    next_task = next_worker = 0
+    live_tasks: set = set()
+    live_workers: set = set()
+    while next_task < num_tasks or live_tasks:
+        for pos in sorted(live_tasks):
+            if rng.random() < 0.25:
+                if uni.is_task_matched(pos):
+                    worker_pos = uni.commit_task(pos)
+                    assert live.commit_task(pos) == worker_pos
+                    live_workers.discard(worker_pos)
+                else:
+                    uni.remove_task(pos)
+                    live.remove_task(pos)
+                live_tasks.discard(pos)
+                gate()
+        for pos in sorted(live_workers):
+            if rng.random() < 0.1:
+                uni.remove_worker(pos)
+                live.remove_worker(pos)
+                live_workers.discard(pos)
+                gate()
+        for _ in range(min(int(rng.integers(0, 5)), num_workers - next_worker)):
+            pos, next_worker = next_worker, next_worker + 1
+            uni.insert_worker(pos)
+            live.insert_worker(pos)
+            live_workers.add(pos)
+            gate()
+        batch = range(next_task, min(next_task + int(rng.integers(2, 8)), num_tasks))
+        next_task = batch.stop
+        weights = {pos: float(rng.choice(_TIED_WEIGHTS)) for pos in batch}
+        for pos in sorted(batch, key=lambda pos: (-weights[pos], pos)):
+            weight = weights[pos]
+            assert live.insert_task(pos, weight) == uni.insert_task(pos, weight)
+            live_tasks.add(pos)
+            gate()
+
+    assert ops > 100  # the windows actually exercised both matchers
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -7,9 +7,10 @@ Two concerns live here:
   one window, the one whose *closed left* edge it sits on);
 * ``DynamicStreamingEngine`` — the differential gate (the maintained
   matching equals a batch ``matroid`` re-solve over the engine's own
-  live population after every dispatched window), deadline/departure
-  settlement semantics, and a fixed-seed delta-vs-rewindow regression
-  pin.
+  live population after every dispatched window, on both backends of
+  the shared rule), deadline/departure settlement semantics, a
+  fixed-seed delta-vs-rewindow regression pin, and golden pins of the
+  windowed-delta results on ``churn_city`` and sparse ``city_scale``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,19 @@ import pytest
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph, CSRGraph
 from repro.matching.weighted import max_weight_matching
-from repro.pricing.registry import create_strategy
+from repro.matching.incremental import DynamicMatcher
+from repro.pricing.registry import calibrated_kwargs, create_strategy
+from repro.simulation.scenarios import get_scenario
 from repro.simulation.streaming import (
     ArrivalStream,
     DynamicStreamingEngine,
+    StreamingEngine,
     TaskArrival,
     WorkerArrival,
+    _LiveSessionMatcher,
+    build_universe,
     stream_to_workload,
+    use_live_plane,
     window_index,
     workload_to_stream,
 )
@@ -158,8 +165,10 @@ class _GatedEngine(DynamicStreamingEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.windows_checked = 0
+        self.backends = set()
 
     def _post_window_hook(self, widx, matcher, live_weights, live_workers, universe):
+        self.backends.add(type(matcher))
         assert matcher.is_valid_matching()
         csr = universe.graph.csr()
         task_idx = np.repeat(np.arange(csr.num_tasks), np.diff(csr.indptr))
@@ -192,20 +201,26 @@ class _GatedEngine(DynamicStreamingEngine):
 
 
 class TestDifferentialGate:
+    @pytest.mark.parametrize("max_degree", [None, 2])
     @pytest.mark.parametrize("resolve", ["delta", "rewindow"])
     def test_maintained_matching_equals_batch_resolve_every_window(
-        self, resolve, tiny_workload, tiny_calibration
+        self, resolve, max_degree, tiny_workload, tiny_calibration
     ):
         engine = _GatedEngine(
             workload_to_stream(tiny_workload),
             seed=3,
             task_lifetime=3.0,
             resolve=resolve,
+            max_degree=max_degree,
         )
         result = engine.run(
             _strategy("BaseP", tiny_calibration, tiny_workload.price_bounds)
         )
         assert engine.windows_checked > 0
+        # Both branches of the shared backend rule are gated: the live
+        # plane only for uncapped delta runs, the universe matcher else.
+        live = resolve == "delta" and use_live_plane(max_degree)
+        assert engine.backends == {_LiveSessionMatcher if live else DynamicMatcher}
         assert result.metrics.total_tasks == tiny_workload.total_tasks
         assert result.metrics.total_revenue > 0
         assert 0 < result.metrics.served_tasks <= result.metrics.accepted_tasks
@@ -300,3 +315,95 @@ class TestRewindowRegression:
         assert results["delta"].total_revenue == results["rewindow"].total_revenue
         assert results["delta"].served_tasks == results["rewindow"].served_tasks
         assert results["delta"].accepted_tasks == results["rewindow"].accepted_tasks
+
+
+class TestLiveSessionMatcher:
+    """The positional facade over the live plane, against the universe
+    :class:`DynamicMatcher` it stands in for."""
+
+    @staticmethod
+    def _pair(tiny_workload):
+        stream = _manual_stream(
+            tiny_workload,
+            [
+                WorkerArrival(time=0.0, worker=_worker(1)),
+                TaskArrival(time=0.5, task=_task(1)),
+                TaskArrival(time=0.6, task=_task(2)),
+                TaskArrival(time=0.7, task=_task(3)),
+            ],
+        )
+        universe, _, _ = build_universe(stream)
+        live = _LiveSessionMatcher(
+            stream.grid, stream.metric, universe.tasks, universe.workers
+        )
+        return live, DynamicMatcher(universe.graph, [0.0] * len(universe.tasks))
+
+    def test_unknown_committed_and_expired_tasks_are_not_matched(self, tiny_workload):
+        # Regression: the facade raised KeyError for any position it did
+        # not hold; the universe matcher answers False for all of them.
+        for matcher in self._pair(tiny_workload):
+            assert not matcher.is_task_matched(0)  # never inserted
+            matcher.insert_worker(0)
+            assert matcher.insert_task(0, 3.0)
+            assert not matcher.insert_task(1, 1.0)
+            assert matcher.commit_task(0) == 0
+            assert not matcher.is_task_matched(0)  # committed
+            matcher.remove_task(1)
+            assert not matcher.is_task_matched(1)  # expired
+            assert not matcher.is_task_matched(2)  # rejected quote
+
+    def test_task_of_total_weight_and_validity_agree(self, tiny_workload):
+        live, universe = self._pair(tiny_workload)
+        for matcher in (live, universe):
+            assert matcher.task_of(0) is None  # not yet arrived
+            matcher.insert_worker(0)
+            assert matcher.task_of(0) is None
+            # Out of arrival order: position 2 enters before position 1,
+            # and evicts nothing; position 1 outbids it on weight.
+            assert matcher.insert_task(2, 1.5)
+            assert matcher.insert_task(1, 2.5)
+        assert live.task_of(0) == universe.task_of(0) == 1
+        assert repr(live.total_weight()) == repr(universe.total_weight()) == "2.5"
+        assert live.is_valid_matching() and universe.is_valid_matching()
+        assert live.commit_task(1) == universe.commit_task(1) == 0
+        assert live.task_of(0) is None and universe.task_of(0) is None
+        assert live.total_weight() == universe.total_weight() == 0.0
+
+
+#: Windowed-delta results recorded on the universe-matcher backend, before
+#: the uncapped engine moved to the live adjacency plane: the two
+#: backends must agree to the last bit.
+_GOLDEN = [
+    ("churn_city", 3, {"scale": 0.5, "num_periods": 20},
+     "10159.218858627453", 96, 305),
+    ("churn_city", 11, {"scale": 0.5, "num_periods": 20},
+     "9449.98508472151", 102, 302),
+    ("city_scale", 0,
+     {"num_periods": 10, "tasks_per_period": 40, "workers_per_period": 30},
+     "2364.787328031044", 233, 284),
+    ("city_scale", 5,
+     {"num_periods": 10, "tasks_per_period": 40, "workers_per_period": 30},
+     "2349.6181380462367", 236, 293),
+]
+
+
+class TestGoldenPins:
+    @pytest.mark.parametrize(
+        "scenario, seed, params, revenue, served, accepted",
+        _GOLDEN,
+        ids=[f"{name}-{seed}" for name, seed, *_ in _GOLDEN],
+    )
+    def test_windowed_delta_results_are_pinned(
+        self, scenario, seed, params, revenue, served, accepted
+    ):
+        stream = get_scenario(scenario).stream(seed=seed, **params)
+        calibration = StreamingEngine(stream, seed=seed).calibrate_base_price()
+        engine = DynamicStreamingEngine(
+            stream, seed=seed, window=1.0, task_lifetime=4.0, resolve="delta"
+        )
+        metrics = engine.run(
+            create_strategy("BaseP", **calibrated_kwargs("BaseP", calibration))
+        ).metrics
+        assert repr(metrics.total_revenue) == revenue
+        assert metrics.served_tasks == served
+        assert metrics.accepted_tasks == accepted
