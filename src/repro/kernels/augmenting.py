@@ -8,15 +8,23 @@ caller keeps everything float-bearing — weight validation, ordering and
 the total accumulation — so both kernel families feed the exact same
 arithmetic and the results are bit-identical, not merely equivalent.
 
-The pure-Python implementation is the loop that previously lived inline
-in ``task_weighted_matching`` (same stamp-visited DFS, same saturation
-pruning, same hint fast path), moved here verbatim; the numba twin in
-:mod:`repro.kernels._numba_impl` replicates its visiting order exactly.
+The pure-Python implementation is the stamp-visited augmenting-path DFS
+with saturation pruning and the hint fast path.  One ``mark`` list holds
+both kinds of skip: a worker visited by the current search carries its
+stamp, a saturated ("dead") worker a sentinel above every stamp, so the
+per-entry test is ``mark[w] >= stamp``.  Each DFS level keeps an
+iterator over its task's row (rows are sliced once per call), which
+resumes exactly where that level left off.  Rows are scanned in the same
+order, the same workers are skipped and the saturation rule is unchanged,
+so the search visits workers in the order of the classic recursive DFS
+and ``match_task`` is identical element for element — the numba twin in
+:mod:`repro.kernels._numba_impl` replicates that visiting order exactly.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -56,56 +64,52 @@ def _matroid_python(csr, order: Sequence[int], hints: Dict[int, int]) -> List[in
     indices = csr.indices_list
     match_task: List[int] = [UNMATCHED] * csr.num_tasks
     match_worker: List[int] = [UNMATCHED] * csr.num_workers
-    visited: List[int] = [0] * csr.num_workers
+    rows = [indices[lo:hi] for lo, hi in zip(indptr, islice(indptr, 1, None))]
+    # mark[w] is the stamp of the last search that visited w, or ``dead``.
     # Saturation pruning: when an augmentation fails, every worker its DFS
     # visited lies in a frozen alternating component — all of them are
     # matched and their owners' neighbourhoods stay inside the component,
     # so no later augmenting path can succeed (or even usefully pass)
     # through them.  Marking them dead turns the classic O(|R| * |E|)
     # worst case into near-O(|E|) amortised on saturated instances while
-    # provably returning the exact same matching.
-    dead = bytearray(csr.num_workers)
+    # provably returning the exact same matching.  ``dead`` exceeds every
+    # stamp, so "visited by this search or dead" is one comparison.
+    mark: List[int] = [0] * csr.num_workers
+    dead = len(order) + 1
     stamp = 0
 
     def augment(start: int) -> bool:
         # Iterative DFS replicating the classic recursive augmenting-path
-        # search (same worker visiting order, hence the same matching).
+        # search: one row iterator per level resumes exactly where that
+        # level left off, so workers are visited in the same order and
+        # the matching is the same.  The worker level i chose is the one
+        # matched to the task at level i + 1, so the path is read back
+        # from match_task when it is flipped.
         tasks_stack = [start]
-        ptrs = [indptr[start]]
-        chosen = [UNMATCHED]
+        iters = [iter(rows[start])]
         touched: List[int] = []
-        while tasks_stack:
-            depth = len(tasks_stack) - 1
-            task_pos = tasks_stack[depth]
-            ptr = ptrs[depth]
-            end = indptr[task_pos + 1]
-            descended = False
-            while ptr < end:
-                worker_pos = indices[ptr]
-                ptr += 1
-                if dead[worker_pos] or visited[worker_pos] == stamp:
+        while iters:
+            for worker_pos in iters[-1]:
+                if mark[worker_pos] >= stamp:
                     continue
-                visited[worker_pos] = stamp
+                mark[worker_pos] = stamp
                 touched.append(worker_pos)
-                ptrs[depth] = ptr
-                chosen[depth] = worker_pos
                 owner = match_worker[worker_pos]
                 if owner == UNMATCHED:
-                    for i in range(depth + 1):
-                        match_task[tasks_stack[i]] = chosen[i]
-                        match_worker[chosen[i]] = tasks_stack[i]
+                    for task_pos in reversed(tasks_stack):
+                        previous = match_task[task_pos]
+                        match_task[task_pos] = worker_pos
+                        match_worker[worker_pos] = task_pos
+                        worker_pos = previous
                     return True
                 tasks_stack.append(owner)
-                ptrs.append(indptr[owner])
-                chosen.append(UNMATCHED)
-                descended = True
+                iters.append(iter(rows[owner]))
                 break
-            if not descended:
+            else:
                 tasks_stack.pop()
-                ptrs.pop()
-                chosen.pop()
+                iters.pop()
         for worker_pos in touched:
-            dead[worker_pos] = 1
+            mark[worker_pos] = dead
         return False
 
     for task_pos in order:

@@ -50,7 +50,12 @@ from repro.spatial.geometry import (
     resolve_metric,
 )
 from repro.spatial.grid import Grid
-from repro.spatial.index import GridBuckets, GridSpatialIndex, cap_edges_per_center
+from repro.spatial.index import (
+    GridBuckets,
+    GridSpatialIndex,
+    cap_edges_per_center,
+    checked_degree_cap,
+)
 
 
 # eq=False: ndarray fields would make a generated __eq__ raise; the view
@@ -410,30 +415,6 @@ def force_loop_builder() -> Iterator[None]:
         _FORCE_LOOP_BUILDER = previous
 
 
-def _cap_edge_arrays(
-    task_idx: np.ndarray,
-    worker_idx: np.ndarray,
-    distances: np.ndarray,
-    num_tasks: int,
-    max_degree: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Keep the ``max_degree`` nearest workers per task (vectorised).
-
-    Ties on distance break by ascending worker position, so the kept set
-    is deterministic and identical to the scalar capping rule.  Inputs
-    may arrive in any order (the selection keys order them fully);
-    outputs are in canonical ascending ``(task, worker)`` order.
-
-    One implementation shared with the incremental adjacency plane:
-    delegates to :func:`repro.spatial.index.cap_edges_per_center`, so
-    batch-built and incrementally-built capped rows agree bit for bit
-    wherever the same selection keys are used.
-    """
-    return cap_edges_per_center(
-        task_idx, worker_idx, distances, num_tasks, max_degree
-    )
-
-
 def _cap_adjacency(
     graph: BipartiteGraph,
     metric_fn: DistanceMetric,
@@ -482,6 +463,7 @@ def build_graph_from_arrays(
     only stores them); :func:`_build_vectorized` extracts the same arrays
     from objects first.  Empty sides short-circuit to an edgeless graph.
     """
+    max_degree = checked_degree_cap(max_degree)
     num_tasks = len(tasks)
     num_workers = len(workers)
     if not num_tasks or not num_workers:
@@ -497,8 +479,8 @@ def build_graph_from_arrays(
     if max_degree is not None and task_idx.size:
         # The cap's ranking sort orders edges fully on its own, so the
         # canonical sort only runs over the surviving <= K-per-task set.
-        task_idx, worker_idx = _cap_edge_arrays(
-            task_idx, worker_idx, distances, num_tasks, int(max_degree)
+        task_idx, worker_idx = cap_edges_per_center(
+            task_idx, worker_idx, distances, num_tasks, max_degree
         )
     else:
         # Canonical CSR order: ascending (task, worker).
@@ -579,9 +561,7 @@ def build_bipartite_graph(
         per task when ``max_degree`` is given).  Both builder paths
         produce the identical graph, which the property tests fuzz.
     """
-    if max_degree is not None and max_degree < 1:
-        raise ValueError("max_degree must be a positive integer when given")
-
+    max_degree = checked_degree_cap(max_degree)
     task_list = list(tasks)
     worker_list = list(workers)
     vector_ok = (
@@ -626,7 +606,7 @@ def build_bipartite_graph(
     for adjacency in graph.worker_neighbors:
         adjacency.sort()
     if max_degree is not None:
-        _cap_adjacency(graph, metric_fn, int(max_degree))
+        _cap_adjacency(graph, metric_fn, max_degree)
     return graph
 
 

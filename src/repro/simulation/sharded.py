@@ -83,7 +83,7 @@ from repro.simulation.pipeline import (
     PeriodPipeline,
 )
 from repro.spatial.grid import GridTiling
-from repro.spatial.index import IncrementalAdjacencyIndex
+from repro.spatial.index import IncrementalAdjacencyIndex, checked_degree_cap
 from repro.utils.rng import derive_seed
 
 #: Workload types the engine consumes interchangeably.
@@ -291,7 +291,8 @@ class ShardedEngine:
             module docstring.
         max_degree: Optional per-task adjacency cap (nearest workers
             only), applied to shard-local instances *and* the halo
-            reconciliation instance.  ``None`` keeps the exact graphs.
+            reconciliation instance.  ``None`` keeps the exact graphs;
+            a cap below one raises :class:`ValueError`.
         warm_start: Seed each period's shard matchings with hints from
             the previous period's matchings restricted to still-present
             workers; per-period weight-preserving (see
@@ -357,7 +358,7 @@ class ShardedEngine:
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.shard_jobs = int(shard_jobs)
-        self.max_degree = None if max_degree is None else int(max_degree)
+        self.max_degree = checked_degree_cap(max_degree)
         self.warm_start = bool(warm_start)
         self.dynamic = bool(dynamic)
         if columnar is None:

@@ -260,6 +260,19 @@ def _batched_circle_query(
     )
 
 
+def checked_degree_cap(max_degree: Optional[int]) -> Optional[int]:
+    """``max_degree`` as an ``int`` (``None`` passes); a cap below one raises.
+
+    A zero cap would keep no edge at all and silently zero a run, so
+    every entry point that takes a degree cap rejects it up front.
+    """
+    if max_degree is None:
+        return None
+    if max_degree < 1:
+        raise ValueError("max_degree must be a positive integer when given")
+    return int(max_degree)
+
+
 def cap_edges_per_center(
     center_idx: np.ndarray,
     point_idx: np.ndarray,
@@ -274,24 +287,44 @@ def cap_edges_per_center(
     arrive in any order (the selection keys order them fully); outputs
     are in canonical ascending ``(center, point)`` order.  Doing the
     ranking sort on the raw arrays and the canonical sort on the *capped*
-    set keeps the expensive three-key lexsort to one pass over the full
+    set keeps the expensive three-key sort to one pass over the full
     edge list.
+
+    Both sorts are chains of stable ``argsort`` passes, least significant
+    key first — the order ``np.lexsort`` gives — over index keys cast to
+    the narrowest unsigned type that holds them: numpy radix-sorts 8- and
+    16-bit keys, so the usual small shard rows sort in linear time, and
+    wider keys cost what ``lexsort`` does.
 
     This is the degree-cap rule of the batch graph builder
     (:func:`repro.matching.bipartite.build_graph_from_arrays` delegates
     here) and of :class:`IncrementalAdjacencyIndex` — one implementation,
     so capped rows agree bit-for-bit wherever the same keys are used.
     """
-    order = np.lexsort((point_idx, distances, center_idx))
+    centers = _narrow(center_idx)
+    points = _narrow(point_idx)
+    order = _stable_order(points, distances, centers)
     sorted_centers = center_idx[order]
     counts = np.bincount(sorted_centers, minlength=num_centers)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
     rank = np.arange(sorted_centers.size, dtype=np.int64) - starts
     keep = order[rank < max_degree]
-    kept_centers = center_idx[keep]
-    kept_points = point_idx[keep]
-    canonical = np.lexsort((kept_points, kept_centers))
-    return kept_centers[canonical], kept_points[canonical]
+    canonical = _stable_order(points[keep], centers[keep])
+    keep = keep[canonical]
+    return center_idx[keep], point_idx[keep]
+
+
+def _narrow(idx: np.ndarray) -> np.ndarray:
+    """Non-negative index keys in the narrowest unsigned type holding them."""
+    return idx.astype(np.min_scalar_type(int(idx.max(initial=0))), copy=False)
+
+
+def _stable_order(*keys: np.ndarray) -> np.ndarray:
+    """``np.lexsort(keys)`` as chained stable argsorts (last key primary)."""
+    order = np.argsort(keys[0], kind="stable")
+    for key in keys[1:]:
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
 
 
 class GridBuckets:
@@ -751,7 +784,7 @@ class IncrementalAdjacencyIndex:
         track_tasks: bool = True,
     ) -> None:
         self._metric = metric
-        self._max_degree = None if max_degree is None else int(max_degree)
+        self._max_degree = checked_degree_cap(max_degree)
         self._workers = DynamicGridBuckets(grid, track_radii=True)
         self._tasks = DynamicGridBuckets(grid) if track_tasks else None
 
@@ -1029,4 +1062,5 @@ __all__ = [
     "GridSpatialIndex",
     "IncrementalAdjacencyIndex",
     "cap_edges_per_center",
+    "checked_degree_cap",
 ]

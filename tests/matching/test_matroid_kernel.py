@@ -1,0 +1,186 @@
+"""Element-for-element parity of the matroid kernel with its oracle.
+
+:func:`repro.kernels.augmenting.matroid_augment` promises more than a
+maximum-weight matching: with the visiting order of the classic
+recursive augmenting-path DFS it returns one *specific* pairing, and
+that pairing is observable downstream (halo reconciliation on the
+sharded engine reuses the workers it leaves free).  The oracle below is
+the earlier two-array implementation of the kernel (a ``visited`` stamp
+list plus a ``dead`` bytearray, index pointers into ``indptr``), kept
+verbatim but for its name as a test-only reference.  Hypothesis draws CSR graphs with
+heavily overlapping rows, saturated instances (more tasks than workers),
+equal weights and warm-start hints, and the returned ``match_task``
+lists must be equal — the pairing, not only the weight.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from typing import Dict, List, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kernels import dispatch
+from repro.kernels.augmenting import _matroid_python, matroid_augment
+from repro.matching.bipartite import CSRGraph
+from repro.matching.maximum_matching import UNMATCHED
+from repro.matching.weighted import eligible_order
+
+
+def _oracle_matroid(csr, order: Sequence[int], hints: Dict[int, int]) -> List[int]:
+    indptr = csr.indptr_list
+    indices = csr.indices_list
+    match_task: List[int] = [UNMATCHED] * csr.num_tasks
+    match_worker: List[int] = [UNMATCHED] * csr.num_workers
+    visited: List[int] = [0] * csr.num_workers
+    # Saturation pruning: when an augmentation fails, every worker its DFS
+    # visited lies in a frozen alternating component — all of them are
+    # matched and their owners' neighbourhoods stay inside the component,
+    # so no later augmenting path can succeed (or even usefully pass)
+    # through them.  Marking them dead turns the classic O(|R| * |E|)
+    # worst case into near-O(|E|) amortised on saturated instances while
+    # provably returning the exact same matching.
+    dead = bytearray(csr.num_workers)
+    stamp = 0
+
+    def augment(start: int) -> bool:
+        # Iterative DFS replicating the classic recursive augmenting-path
+        # search (same worker visiting order, hence the same matching).
+        tasks_stack = [start]
+        ptrs = [indptr[start]]
+        chosen = [UNMATCHED]
+        touched: List[int] = []
+        while tasks_stack:
+            depth = len(tasks_stack) - 1
+            task_pos = tasks_stack[depth]
+            ptr = ptrs[depth]
+            end = indptr[task_pos + 1]
+            descended = False
+            while ptr < end:
+                worker_pos = indices[ptr]
+                ptr += 1
+                if dead[worker_pos] or visited[worker_pos] == stamp:
+                    continue
+                visited[worker_pos] = stamp
+                touched.append(worker_pos)
+                ptrs[depth] = ptr
+                chosen[depth] = worker_pos
+                owner = match_worker[worker_pos]
+                if owner == UNMATCHED:
+                    for i in range(depth + 1):
+                        match_task[tasks_stack[i]] = chosen[i]
+                        match_worker[chosen[i]] = tasks_stack[i]
+                    return True
+                tasks_stack.append(owner)
+                ptrs.append(indptr[owner])
+                chosen.append(UNMATCHED)
+                descended = True
+                break
+            if not descended:
+                tasks_stack.pop()
+                ptrs.pop()
+                chosen.pop()
+        for worker_pos in touched:
+            dead[worker_pos] = 1
+        return False
+
+    for task_pos in order:
+        if hints:
+            hinted = hints.get(task_pos, UNMATCHED)
+            if hinted != UNMATCHED and match_worker[hinted] == UNMATCHED:
+                # A free adjacent worker is itself an augmenting path of
+                # length one, so the cold-start greedy would also keep
+                # this task — taking the hint changes the certificate,
+                # never the matched set or the weight.
+                lo, hi = indptr[task_pos], indptr[task_pos + 1]
+                at = bisect_left(indices, hinted, lo, hi)
+                if at < hi and indices[at] == hinted:
+                    match_task[task_pos] = hinted
+                    match_worker[hinted] = task_pos
+                    continue
+        stamp += 1
+        augment(task_pos)
+
+    return match_task
+
+
+@st.composite
+def instances(draw):
+    """A CSR graph, a canonical task order and warm-start hints.
+
+    Rows are drawn from a small pool of shared worker sets (perturbed per
+    task), so many rows overlap heavily and DFS searches revisit the same
+    workers; the task count may exceed the worker count, so later
+    searches fail and saturation pruning kicks in.  Weights come from a
+    handful of values, so ties are common; a few tasks are ineligible.
+    """
+    num_workers = draw(st.integers(min_value=1, max_value=12))
+    num_tasks = draw(st.integers(min_value=1, max_value=24))
+    workers = st.integers(min_value=0, max_value=num_workers - 1)
+    pool = draw(st.lists(st.sets(workers, max_size=num_workers), min_size=1, max_size=4))
+    rows = []
+    for _ in range(num_tasks):
+        base = set(pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))])
+        base |= draw(st.sets(workers, max_size=2))
+        base -= draw(st.sets(workers, max_size=2))
+        rows.append(sorted(base))
+    csr = CSRGraph.from_adjacency(rows, num_workers)
+    weights = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.5, 2.5, 4.0]),
+            min_size=num_tasks,
+            max_size=num_tasks,
+        )
+    )
+    allowed = [pos for pos in range(num_tasks) if draw(st.booleans()) or pos % 3]
+    _, order = eligible_order(num_tasks, weights, allowed)
+    hints: Dict[int, int] = {}
+    if draw(st.booleans()):
+        # Validated hints map a task to one worker and a worker to one
+        # task; some hinted workers are adjacent, some are not.
+        free = list(range(num_workers))
+        for task_pos in draw(st.sets(st.integers(0, num_tasks - 1), max_size=num_tasks)):
+            if not free:
+                break
+            worker_pos = free.pop(draw(st.integers(0, len(free) - 1)))
+            hints[task_pos] = worker_pos
+    return csr, list(order), hints
+
+
+@pytest.fixture(autouse=True)
+def _python_kernels():
+    previous = dispatch.kernel_mode()
+    dispatch.set_kernel_mode("python")
+    try:
+        yield
+    finally:
+        dispatch.set_kernel_mode(previous)
+
+
+class TestMatroidKernelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(instances())
+    def test_match_task_equals_oracle(self, instance):
+        csr, order, hints = instance
+        expected = _oracle_matroid(csr, order, hints)
+        assert matroid_augment(csr, order, hints) == expected
+
+    def test_saturated_overlapping_instance(self):
+        """Forty tasks on eight workers, every row a shifted window."""
+        rows = [sorted({(t + k) % 8 for k in range(5)}) for t in range(40)]
+        csr = CSRGraph.from_adjacency(rows, 8)
+        order = list(range(40))
+        result = _matroid_python(csr, order, {})
+        assert result == _oracle_matroid(csr, order, {})
+        assert sum(w != UNMATCHED for w in result) == 8
+
+    def test_pairing_follows_the_recursive_dfs(self):
+        """Task 1 takes worker 0 and pushes task 0 on to worker 1.
+
+        A search that tried free workers first would keep ``[0, 1]``:
+        same size, same weight, different pairing.
+        """
+        csr = CSRGraph.from_adjacency([[0, 1], [0, 1]], 2)
+        assert matroid_augment(csr, [0, 1], {}) == [1, 0]

@@ -20,6 +20,7 @@ from repro.matching.bipartite import (
     BipartiteGraph,
     CSRGraph,
     build_bipartite_graph,
+    build_graph_from_arrays,
     force_loop_builder,
 )
 from repro.spatial.geometry import Point
@@ -181,6 +182,19 @@ class TestCSRBackedGraph:
     def test_max_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             build_bipartite_graph([], [], max_degree=0)
+
+    @pytest.mark.parametrize("max_degree", [0, -1])
+    def test_array_builder_rejects_non_positive_cap(self, max_degree):
+        # The columnar engines build through this entry point; a zero cap
+        # used to yield edgeless graphs and a silent zero-revenue run.
+        tasks = [Task(task_id=0, period=0, origin=Point(1, 1), destination=Point(2, 2))]
+        workers = [Worker(worker_id=0, period=0, location=Point(1, 1), radius=5.0)]
+        one = np.ones(1)
+        with pytest.raises(ValueError, match="max_degree"):
+            build_graph_from_arrays(
+                tasks, workers, one, one, one, one, 5.0 * one, "euclidean",
+                Grid.square(10.0, 2), max_degree=max_degree,
+            )
 
     def test_force_loop_builder_is_scoped(self):
         tasks = [Task(task_id=0, period=0, origin=Point(1, 1), destination=Point(2, 2))]

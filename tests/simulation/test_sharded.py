@@ -171,6 +171,43 @@ class TestShardedTolerance:
         assert 0 < result.metrics.served_tasks <= result.metrics.accepted_tasks
 
 
+class TestHaloPairingGoldenPins:
+    """Pinned totals of a multi-shard, capped, halo-reconciled run.
+
+    With several shards and a halo the matroid kernel's *pairing* (not
+    just its weight) decides which workers are left for the halo pass,
+    so these totals move if the kernel's visiting order does — which the
+    one-shard ``run_reference`` gate cannot see.  Values recorded before
+    the kernel's mark-array rewrite; both engine paths must keep them.
+    """
+
+    PINS = {
+        1: ("25042.365018089662", 2446, 3694),
+        4: ("24454.923985959205", 2353, 3743),
+    }
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_city_scale_halo_run_is_pinned(self, seed, columnar):
+        workload = get_scenario("city_scale").chunked(
+            scale=0.02, seed=seed, tasks_per_period=600, workers_per_period=300
+        )
+        engine = ShardedEngine(
+            workload,
+            num_shards=8,
+            halo=1,
+            max_degree=16,
+            matching_backend="matroid",
+            seed=seed,
+            columnar=columnar,
+        )
+        metrics = engine.run(create_strategy("BaseP", base_price=2.0)).metrics
+        revenue, served, accepted = self.PINS[seed]
+        assert repr(metrics.total_revenue) == revenue
+        assert metrics.served_tasks == served
+        assert metrics.accepted_tasks == accepted
+
+
 class TestChunkedWorkloads:
     def test_chunked_run_equals_materialised_run(self):
         chunked = get_scenario("city_scale").chunked(scale=0.005, seed=2)
@@ -283,3 +320,11 @@ class TestValidation:
     def test_negative_halo_rejected(self, tiny_workload):
         with pytest.raises(ValueError):
             ShardedEngine(tiny_workload, num_shards=2, halo=-1)
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
+    def test_non_positive_degree_cap_rejected(self, columnar):
+        # A zero cap used to build edgeless columnar graphs and end the
+        # run with revenue 0.0 instead of an error.
+        chunked = get_scenario("city_scale").chunked(scale=0.005, seed=2)
+        with pytest.raises(ValueError, match="max_degree"):
+            ShardedEngine(chunked, num_shards=4, max_degree=0, columnar=columnar)

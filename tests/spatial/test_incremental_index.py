@@ -231,3 +231,8 @@ class TestSlotSemantics:
             index.insert_tasks([1.0], [1.0])
         with pytest.raises(ValueError, match="track_tasks"):
             index.worker_rows([])
+
+    @pytest.mark.parametrize("max_degree", [0, -3])
+    def test_non_positive_degree_cap_rejected(self, max_degree):
+        with pytest.raises(ValueError, match="max_degree"):
+            IncrementalAdjacencyIndex(Grid.square(10.0, 2), max_degree=max_degree)
