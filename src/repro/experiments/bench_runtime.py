@@ -44,7 +44,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.host import host_fingerprint
-from repro.kernels import active_kernel_mode, warmup as warmup_kernels
 from repro.pricing.registry import create_strategy
 from repro.simulation.config import ChunkedWorkload
 from repro.simulation.scenarios import get_scenario
@@ -227,8 +226,6 @@ def measure_runtime_throughput(
         )
     scenario = get_scenario("city_scale")
     params = {} if num_periods is None else {"num_periods": num_periods}
-    # Pay any (cached) JIT compilation before the first timed region.
-    warmup_kernels()
     results: List[RuntimeBenchPoint] = []
     periods_by_config: Dict[str, List[float]] = {}
     for name in configs:
@@ -312,7 +309,6 @@ def measure_runtime_throughput(
         "shards": int(shards),
         "halo": int(halo),
         "max_degree": max_degree,
-        "kernels": active_kernel_mode(),
         "baseline_config": baseline.config,
         "total_tasks": baseline.total_tasks,
         "results": [asdict(point) for point in results],
@@ -359,7 +355,6 @@ def measure_multicore_scaling(
         raise ValueError("multi-core scaling needs num_shards >= 2")
     scenario = get_scenario("city_scale")
     params = {} if num_periods is None else {"num_periods": num_periods}
-    warmup_kernels()
     results: List[Dict[str, object]] = []
     for jobs in core_counts:
         jobs = int(jobs)
@@ -405,7 +400,6 @@ def measure_multicore_scaling(
         "shards": int(shards),
         "halo": 0,
         "max_degree": max_degree,
-        "kernels": active_kernel_mode(),
         "effective_cores": effective_cpu_count(),
         "total_tasks": single["total_tasks"],
         "results": results,

@@ -35,13 +35,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.report import format_table, format_winner_summary
 from repro.experiments.sweeps import run_sweep
-from repro.kernels import (
-    KERNEL_MODES,
-    active_kernel_mode,
-    numba_available,
-    numba_version,
-    set_kernel_mode,
-)
 from repro.matching.registry import available_backends
 from repro.pricing.registry import available_strategies, calibrated_kwargs
 from repro.simulation.engine import SimulationEngine
@@ -55,19 +48,11 @@ import repro.matching.weighted  # noqa: F401
 
 def _registry_epilog() -> str:
     """The ``--help`` epilog, sourced from the live registries."""
-    numba_state = (
-        f"numba {numba_version()} installed"
-        if numba_available()
-        else "numba not installed; auto falls back to python"
-    )
     return "\n".join(
         [
             "registered pricing strategies: " + ", ".join(available_strategies()),
             "registered matching backends:  " + ", ".join(available_backends()),
             "registered scenarios:          " + ", ".join(available_scenarios()),
-            "kernel modes (--kernels):      "
-            + ", ".join(KERNEL_MODES)
-            + f" ({numba_state})",
         ]
     )
 
@@ -197,15 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="matching backend for the realized matching (default matroid)",
     )
     parser.add_argument(
-        "--kernels",
-        choices=list(KERNEL_MODES),
-        default="auto",
-        help="implementation family for the scalar hot loops: auto "
-        "(default) uses the numba-compiled kernels when numba is "
-        "installed and the bit-identical pure-Python fallback otherwise; "
-        "numba requires the compiled kernels; python pins the fallback",
-    )
-    parser.add_argument(
         "--metrics",
         nargs="+",
         default=None,
@@ -238,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_banner() -> str:
-    """The effective kernel family for run banners, e.g. ``numba (0.60.0)``."""
-    mode = active_kernel_mode()
-    return f"numba ({numba_version()})" if mode == "numba" else mode
-
-
 def _parse_values(raw_values: Optional[Sequence[str]]) -> Optional[List[float]]:
     if raw_values is None:
         return None
@@ -266,10 +236,7 @@ def _run_figure(args: argparse.Namespace) -> int:
     )
     print(f"# {spec.title}")
     print(f"# expectation: {spec.expectation}")
-    print(
-        f"# scale = {scale}, seed = {args.seed}, "
-        f"kernels = {_kernel_banner()}"
-    )
+    print(f"# scale = {scale}, seed = {args.seed}")
     result = run_sweep(sweep, jobs=args.jobs)
     for metric in args.metrics or ["revenue", "time", "memory"]:
         print()
@@ -334,8 +301,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
     print(f"# workload: {workload.description}")
     print(
         f"# mode = {mode}, scale = {scale:g}, seed = {args.seed}, "
-        f"backend = {backend}, kernels = {_kernel_banner()}, "
-        f"base price = {calibration.base_price:.3f}"
+        f"backend = {backend}, base price = {calibration.base_price:.3f}"
     )
     if use_chunked:
         # Chunk factories are process-local (unpicklable closures), so the
@@ -430,6 +396,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--figure and --scenario are mutually exclusive")
     if args.streaming and args.scenario is None:
         parser.error("--streaming requires --scenario")
+    if args.scale is not None and not args.scale > 0:
+        parser.error("--scale must be positive")
     if args.window is not None and not args.streaming:
         parser.error("--window requires --streaming")
     if args.window is not None and args.window <= 0:
@@ -485,10 +453,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--warm-start requires --scenario")
     if args.profile is not None and args.profile < 1:
         parser.error("--profile must be a positive integer")
-    try:
-        set_kernel_mode(args.kernels)
-    except RuntimeError as error:  # --kernels numba without numba installed
-        parser.error(str(error))
 
     if args.scenario is not None:
         runner = _run_scenario

@@ -1,59 +1,20 @@
-"""Compiled kernel layer for the remaining scalar hot loops.
+"""The scalar hot loops of the matching layer, in plain Python and numpy.
 
-Three inner loops dominate the single-core profile once the data plane is
-columnar (see ``docs/performance.md``): the matroid backend's
-augmenting-path search over CSR, the ``vgreedy`` round loop, and the
-sharded engine's halo-reconciliation candidate scans.  This package holds
-**two interchangeable implementations** of each:
+Once the data plane is columnar (see ``docs/performance.md``) a handful
+of inner loops dominate the single-core profile, and each lives here as
+one function with one implementation:
 
-* a ``numba``-compiled version (:mod:`repro.kernels._numba_impl`,
-  imported lazily and only when numba is actually installed), and
-* the pure-Python/numpy fallback — the exact code that shipped before
-  this layer existed, kept verbatim so hosts without numba lose speed,
-  never behavior.
+* :func:`repro.kernels.augmenting.matroid_augment` — the exact
+  ``matroid`` backend's augmenting-path search over CSR;
+* :func:`repro.kernels.vgreedy.vgreedy_rounds` — the ``vgreedy`` round
+  loop;
+* :func:`repro.kernels.halo.halo_task_candidates` /
+  :func:`repro.kernels.halo.halo_residual_workers` — the sharded
+  engine's halo-reconciliation scans;
+* :func:`repro.kernels.dynamic.dynamic_augment` /
+  :func:`repro.kernels.dynamic.dynamic_reach` — the delete/repair loops
+  of :class:`repro.matching.incremental.DynamicMatcher`.
 
-Which one runs is a process-wide *kernel mode* managed by
-:mod:`repro.kernels.dispatch`:
-
-* ``auto`` (default) — numba when importable, fallback otherwise;
-* ``numba`` — require the compiled kernels (refuse to run without them);
-* ``python`` — pin the fallback (what CI's default job does, so the
-  fallback path cannot rot).
-
-The mode is set through :func:`set_kernel_mode` (the CLI's ``--kernels``
-flag and the benchmark tools call it) or the ``REPRO_KERNELS``
-environment variable, which worker processes of the process-per-shard
-engine inherit — a spawn-started shard worker resolves the same mode as
-its parent.  Every kernel pair is **bit-identical** by construction (the
-compiled loops replicate the fallback's visiting order exactly), which
-``tests/matching/test_kernel_parity.py`` fuzzes across all matching
-backends.
-
-Call :func:`warmup` once before a timed region or inside a worker
-process: it triggers (cached) JIT compilation of every kernel outside
-the measured loop, so per-process warmup cost never pollutes a
-benchmark.  With ``NUMBA_CACHE_DIR`` set (CI caches it between runs) the
-warmup is a disk load, not a compile.
+Every one is pure index selection: weight validation, ordering and the
+float accumulation stay in the callers.
 """
-
-from repro.kernels.dispatch import (
-    KERNEL_MODES,
-    active_kernel_mode,
-    kernel_mode,
-    numba_available,
-    numba_version,
-    set_kernel_mode,
-    use_numba,
-    warmup,
-)
-
-__all__ = [
-    "KERNEL_MODES",
-    "active_kernel_mode",
-    "kernel_mode",
-    "numba_available",
-    "numba_version",
-    "set_kernel_mode",
-    "use_numba",
-    "warmup",
-]

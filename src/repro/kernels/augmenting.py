@@ -1,15 +1,14 @@
-"""Matroid-greedy augmenting-path kernel (compiled + fallback).
+"""Matroid-greedy augmenting-path kernel.
 
 :func:`matroid_augment` is the inner loop of the exact ``matroid``
 matching backend (:func:`repro.matching.weighted.task_weighted_matching`):
 given the CSR view, the canonical weight-ordered task sequence and the
 validated warm-start hints, it produces the per-task match array.  The
 caller keeps everything float-bearing — weight validation, ordering and
-the total accumulation — so both kernel families feed the exact same
-arithmetic and the results are bit-identical, not merely equivalent.
+the total accumulation.
 
-The pure-Python implementation is the stamp-visited augmenting-path DFS
-with saturation pruning and the hint fast path.  One ``mark`` list holds
+The implementation is the stamp-visited augmenting-path DFS with
+saturation pruning and the hint fast path.  One ``mark`` list holds
 both kinds of skip: a worker visited by the current search carries its
 stamp, a saturated ("dead") worker a sentinel above every stamp, so the
 per-entry test is ``mark[w] >= stamp``.  Each DFS level keeps an
@@ -17,8 +16,9 @@ iterator over its task's row (rows are sliced once per call), which
 resumes exactly where that level left off.  Rows are scanned in the same
 order, the same workers are skipped and the saturation rule is unchanged,
 so the search visits workers in the order of the classic recursive DFS
-and ``match_task`` is identical element for element — the numba twin in
-:mod:`repro.kernels._numba_impl` replicates that visiting order exactly.
+and ``match_task`` is identical element for element
+(``tests/matching/test_matroid_kernel.py`` pins it to an oracle copy of
+that search).
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from bisect import bisect_left
 from itertools import islice
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.kernels.dispatch import numba_module, use_numba
 from repro.matching.maximum_matching import UNMATCHED
-
-_NO_HINTS = np.zeros(0, dtype=np.int64)
 
 
 def matroid_augment(
@@ -51,15 +46,8 @@ def matroid_augment(
 
     Returns:
         ``match_task`` as a plain list: ``match_task[t]`` is the matched
-        worker position or :data:`UNMATCHED`.  Identical across kernel
-        families (fuzzed by ``tests/matching/test_kernel_parity.py``).
+        worker position or :data:`UNMATCHED`.
     """
-    if use_numba():
-        return _matroid_numba(csr, order, hints)
-    return _matroid_python(csr, order, hints)
-
-
-def _matroid_python(csr, order: Sequence[int], hints: Dict[int, int]) -> List[int]:
     indptr = csr.indptr_list
     indices = csr.indices_list
     match_task: List[int] = [UNMATCHED] * csr.num_tasks
@@ -130,26 +118,6 @@ def _matroid_python(csr, order: Sequence[int], hints: Dict[int, int]) -> List[in
         augment(task_pos)
 
     return match_task
-
-
-def _matroid_numba(csr, order: Sequence[int], hints: Dict[int, int]) -> List[int]:
-    impl = numba_module()
-    if hints:
-        hint_arr = np.full(csr.num_tasks, UNMATCHED, dtype=np.int64)
-        for task_pos, worker_pos in hints.items():
-            hint_arr[task_pos] = worker_pos
-    else:
-        hint_arr = _NO_HINTS
-    match_task = impl.matroid_augment(
-        csr.indptr,
-        csr.indices,
-        csr.num_workers,
-        np.asarray(order, dtype=np.int64),
-        hint_arr,
-    )
-    # Plain-int list, so downstream dict building and weight accumulation
-    # run the exact code path the Python kernel feeds.
-    return match_task.tolist()
 
 
 __all__ = ["matroid_augment"]

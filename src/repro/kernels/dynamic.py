@@ -1,12 +1,12 @@
-"""Delete/repair kernels for the fully dynamic matcher (compiled + fallback).
+"""Delete/repair kernels for the fully dynamic matcher.
 
 :class:`repro.matching.incremental.DynamicMatcher` maintains the
 lexicographically-maximal matched task set under arbitrary insertions and
 deletions.  Its two inner loops live here:
 
 ``dynamic_augment``
-    The augmenting-path DFS, like :func:`incremental_augment` but with the
-    two changes deletions force.  Saturation pruning (the ``dead`` marks)
+    The augmenting-path DFS of the insert-only matcher, with the two
+    changes deletions force.  Saturation pruning (the ``dead`` marks)
     is unsound once the matching can shrink, so workers are filtered by a
     ``worker_live`` mask instead; and a *failed* search must report every
     worker it visited — their matched owners, plus the start task, are
@@ -21,22 +21,14 @@ deletions.  Its two inner loops live here:
     them so the repair can absorb the highest-priority one.
 
 Both kernels are pure index selection — every float comparison and
-accumulation stays in the matcher's wrapper code — and the numba twins in
-:mod:`repro.kernels._numba_impl` replicate the visiting order of the
-fallbacks here exactly (fuzzed by ``tests/matching/test_kernel_parity.py``),
-so matcher state evolves bit-identically under either family.
-
-Unlike the insert-only matcher, the dynamic matcher keeps ndarray state
-under both families: the deletion bookkeeping (live masks, transpose CSR)
-is array-shaped anyway, and a single state layout keeps the parity
-contract checkable by direct array comparison.
+accumulation stays in the matcher's wrapper code.  Unlike the insert-only
+matcher, the dynamic matcher keeps ndarray state: its deletion
+bookkeeping (live masks, transpose CSR) is array-shaped anyway.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.kernels.dispatch import numba_module, use_numba
 
 UNMATCHED = -1
 
@@ -59,45 +51,6 @@ def dynamic_augment(
     ``path_workers``) on success, or ``-(n_visited + 1)`` on failure with
     the visited workers, in visit order, in ``visited_out[:n_visited]``.
     """
-    if use_numba():
-        return numba_module().dynamic_augment(
-            indptr,
-            indices,
-            match_worker,
-            worker_live,
-            visited,
-            stamp,
-            start,
-            path_tasks,
-            path_workers,
-            visited_out,
-        )
-    return _dynamic_augment_python(
-        indptr,
-        indices,
-        match_worker,
-        worker_live,
-        visited,
-        stamp,
-        start,
-        path_tasks,
-        path_workers,
-        visited_out,
-    )
-
-
-def _dynamic_augment_python(
-    indptr,
-    indices,
-    match_worker,
-    worker_live,
-    visited,
-    stamp,
-    start,
-    path_tasks,
-    path_workers,
-    visited_out,
-) -> int:
     tasks_stack = [int(start)]
     iters = [int(indptr[start])]
     chosen = [UNMATCHED]
@@ -156,45 +109,6 @@ def dynamic_reach(
     tasks with positive weight (matched tasks are always eligible — only
     eligible tasks get matched).
     """
-    if use_numba():
-        return numba_module().dynamic_reach(
-            windptr,
-            windices,
-            match_task,
-            task_eligible,
-            task_visited,
-            worker_visited,
-            stamp,
-            start_worker,
-            queue,
-            out_tasks,
-        )
-    return _dynamic_reach_python(
-        windptr,
-        windices,
-        match_task,
-        task_eligible,
-        task_visited,
-        worker_visited,
-        stamp,
-        start_worker,
-        queue,
-        out_tasks,
-    )
-
-
-def _dynamic_reach_python(
-    windptr,
-    windices,
-    match_task,
-    task_eligible,
-    task_visited,
-    worker_visited,
-    stamp,
-    start_worker,
-    queue,
-    out_tasks,
-) -> int:
     head = 0
     tail = 0
     queue[tail] = start_worker
@@ -220,224 +134,4 @@ def _dynamic_reach_python(
     return count
 
 
-def dynamic_augment_lazy(
-    fhead: np.ndarray,
-    fnext: np.ndarray,
-    fworker: np.ndarray,
-    match_worker: np.ndarray,
-    worker_live: np.ndarray,
-    dead_era: np.ndarray,
-    era: int,
-    visited: np.ndarray,
-    stamp: int,
-    start: int,
-    path_tasks: np.ndarray,
-    path_workers: np.ndarray,
-    visited_out: np.ndarray,
-) -> int:
-    """:func:`dynamic_augment` over linked task rows instead of a CSR.
-
-    The lazy matcher appends edges one arrival at a time, so task rows
-    live in a linked edge pool (``fhead[task]`` → first edge id or ``-1``;
-    ``fnext`` / ``fworker`` per edge) with tail appends keeping traversal
-    order equal to worker arrival order — the same order a universe CSR
-    row yields once non-live workers are skipped, which is what makes the
-    lazy matcher's state evolution bit-identical to the universe one.
-
-    ``dead_era[worker] == era`` skips workers proven unreachable-to-free
-    by an earlier *failed* search in the current insert-only era (the
-    saturation pruning of the insert-only matcher, re-armed between
-    eras); callers that interleave deletions simply never mark dead, and
-    every mutation that could unsound the marks bumps the era.  Note a
-    failed search therefore reports only the *non-dead* visited workers —
-    eviction-style callers must not prune.
-
-    Returns the path length (written deepest-first) on success, or
-    ``-(n_visited + 1)`` on failure with ``visited_out[:n_visited]``
-    filled in visit order.
-    """
-    if use_numba():
-        return numba_module().dynamic_augment_lazy(
-            fhead,
-            fnext,
-            fworker,
-            match_worker,
-            worker_live,
-            dead_era,
-            era,
-            visited,
-            stamp,
-            start,
-            path_tasks,
-            path_workers,
-            visited_out,
-        )
-    return _dynamic_augment_lazy_python(
-        fhead,
-        fnext,
-        fworker,
-        match_worker,
-        worker_live,
-        dead_era,
-        era,
-        visited,
-        stamp,
-        start,
-        path_tasks,
-        path_workers,
-        visited_out,
-    )
-
-
-def _dynamic_augment_lazy_python(
-    fhead,
-    fnext,
-    fworker,
-    match_worker,
-    worker_live,
-    dead_era,
-    era,
-    visited,
-    stamp,
-    start,
-    path_tasks,
-    path_workers,
-    visited_out,
-) -> int:
-    tasks_stack = [int(start)]
-    iters = [int(fhead[start])]
-    chosen = [UNMATCHED]
-    n_visited = 0
-    while tasks_stack:
-        depth = len(tasks_stack) - 1
-        edge = iters[depth]
-        descended = False
-        while edge != -1:
-            worker_pos = int(fworker[edge])
-            edge = int(fnext[edge])
-            if (
-                worker_live[worker_pos] == 0
-                or visited[worker_pos] == stamp
-                or dead_era[worker_pos] == era
-            ):
-                continue
-            visited[worker_pos] = stamp
-            visited_out[n_visited] = worker_pos
-            n_visited += 1
-            iters[depth] = edge
-            chosen[depth] = worker_pos
-            owner = int(match_worker[worker_pos])
-            if owner == UNMATCHED:
-                length = depth + 1
-                for level in range(length):
-                    path_tasks[level] = tasks_stack[depth - level]
-                    path_workers[level] = chosen[depth - level]
-                return length
-            tasks_stack.append(owner)
-            iters.append(int(fhead[owner]))
-            chosen.append(UNMATCHED)
-            descended = True
-            break
-        if not descended:
-            tasks_stack.pop()
-            iters.pop()
-            chosen.pop()
-    return -(n_visited + 1)
-
-
-def dynamic_reach_lazy(
-    whead: np.ndarray,
-    wnext: np.ndarray,
-    wtask: np.ndarray,
-    match_task: np.ndarray,
-    task_eligible: np.ndarray,
-    task_visited: np.ndarray,
-    worker_visited: np.ndarray,
-    stamp: int,
-    start_worker: int,
-    queue: np.ndarray,
-    out_tasks: np.ndarray,
-) -> int:
-    """:func:`dynamic_reach` over linked worker→task transpose rows.
-
-    ``whead[worker]`` → first transpose edge id or ``-1``; ``wnext`` /
-    ``wtask`` per edge, tail-appended at task arrival so each row is
-    ascending in task position — the universe transpose order restricted
-    to the tasks actually realised.  Returns the candidate count with
-    ``out_tasks[:count]`` filled in BFS visit order.
-    """
-    if use_numba():
-        return numba_module().dynamic_reach_lazy(
-            whead,
-            wnext,
-            wtask,
-            match_task,
-            task_eligible,
-            task_visited,
-            worker_visited,
-            stamp,
-            start_worker,
-            queue,
-            out_tasks,
-        )
-    return _dynamic_reach_lazy_python(
-        whead,
-        wnext,
-        wtask,
-        match_task,
-        task_eligible,
-        task_visited,
-        worker_visited,
-        stamp,
-        start_worker,
-        queue,
-        out_tasks,
-    )
-
-
-def _dynamic_reach_lazy_python(
-    whead,
-    wnext,
-    wtask,
-    match_task,
-    task_eligible,
-    task_visited,
-    worker_visited,
-    stamp,
-    start_worker,
-    queue,
-    out_tasks,
-) -> int:
-    head = 0
-    tail = 0
-    queue[tail] = start_worker
-    tail += 1
-    worker_visited[start_worker] = stamp
-    count = 0
-    while head < tail:
-        worker_pos = int(queue[head])
-        head += 1
-        edge = int(whead[worker_pos])
-        while edge != -1:
-            task_pos = int(wtask[edge])
-            edge = int(wnext[edge])
-            if task_eligible[task_pos] == 0 or task_visited[task_pos] == stamp:
-                continue
-            task_visited[task_pos] = stamp
-            matched = int(match_task[task_pos])
-            if matched == UNMATCHED:
-                out_tasks[count] = task_pos
-                count += 1
-            elif worker_visited[matched] != stamp:
-                worker_visited[matched] = stamp
-                queue[tail] = matched
-                tail += 1
-    return count
-
-
-__all__ = [
-    "dynamic_augment",
-    "dynamic_augment_lazy",
-    "dynamic_reach",
-    "dynamic_reach_lazy",
-]
+__all__ = ["dynamic_augment", "dynamic_reach"]

@@ -1,15 +1,12 @@
-"""Halo-reconciliation selection kernels (compiled + fallback).
+"""Halo-reconciliation selection kernels.
 
 The sharded engine's halo pass (``ShardedEngine._reconcile_halo``) scans
 every dispatch twice per period: once for accepted-but-unmatched tasks in
 the boundary band (re-offer candidates) and once for still-free boundary
 workers (residual supply).  Both scans are pure position selection; the
-matching itself runs through the normal backends.  The numpy fallbacks
-here are the array expressions that previously lived inline in
-``_reconcile_halo``; the numba twins in
-:mod:`repro.kernels._numba_impl` do one flag-array pass each and return
-positions in the same ascending order, so the reconciliation instance —
-and hence its matching and revenue — is identical either way.
+matching itself runs through the normal backends.  Both return
+positions in ascending order, so the reconciliation instance is a
+deterministic function of the shard's dispatch.
 """
 
 from __future__ import annotations
@@ -17,10 +14,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-
-from repro.kernels.dispatch import numba_module, use_numba
-
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def halo_task_candidates(
@@ -40,27 +33,6 @@ def halo_task_candidates(
     Returns:
         ``int64`` positions in ``accepted_positions`` order.
     """
-    if use_numba():
-        matched = (
-            np.fromiter(matching.keys(), dtype=np.int64, count=len(matching))
-            if matching
-            else _EMPTY
-        )
-        return numba_module().halo_task_candidates(
-            np.ascontiguousarray(accepted_positions, dtype=np.int64),
-            matched,
-            np.ascontiguousarray(task_grids, dtype=np.int64),
-            boundary,
-        )
-    return _task_candidates_python(accepted_positions, matching, task_grids, boundary)
-
-
-def _task_candidates_python(
-    accepted_positions: np.ndarray,
-    matching: Dict[int, int],
-    task_grids: np.ndarray,
-    boundary: np.ndarray,
-) -> np.ndarray:
     candidates = accepted_positions
     if matching:
         matched = np.fromiter(matching.keys(), dtype=np.int64, count=len(matching))
@@ -81,25 +53,6 @@ def halo_residual_workers(
         worker_grids: 1-based grid index per worker position.
         boundary: Boolean halo-band mask over 0-based cell positions.
     """
-    if use_numba():
-        taken = (
-            np.fromiter(matching.values(), dtype=np.int64, count=len(matching))
-            if matching
-            else _EMPTY
-        )
-        return numba_module().halo_residual_workers(
-            taken,
-            np.ascontiguousarray(worker_grids, dtype=np.int64),
-            boundary,
-        )
-    return _residual_workers_python(matching, worker_grids, boundary)
-
-
-def _residual_workers_python(
-    matching: Dict[int, int],
-    worker_grids: np.ndarray,
-    boundary: np.ndarray,
-) -> np.ndarray:
     residual = boundary[worker_grids - 1]
     if matching:
         residual = residual.copy()

@@ -1,23 +1,16 @@
-"""Round-based greedy matching kernel (compiled + fallback).
+"""Round-based greedy matching kernel.
 
 :func:`vgreedy_rounds` is the proposal/commit loop of the approximate
 ``vgreedy`` backend (:func:`repro.matching.weighted.vectorized_greedy_matching`):
 given the eligible candidate edges it runs the rounds and returns the
 per-task match array.  Candidate preparation and the weight total stay in
-the caller, so both kernel families produce bit-identical results.
-
-The numpy implementation is the round loop that previously lived inline
-in ``vectorized_greedy_matching``, moved here verbatim; the numba twin in
-:mod:`repro.kernels._numba_impl` reformulates it with per-task cursors
-(no per-round array reallocation) but commits the exact same winners in
-the exact same rounds.
+the caller.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.dispatch import numba_module, use_numba
 from repro.matching.maximum_matching import UNMATCHED
 
 
@@ -41,27 +34,8 @@ def vgreedy_rounds(
 
     Returns:
         ``task_match``: matched worker position per task, or
-        :data:`UNMATCHED`.  Identical across kernel families (fuzzed by
-        ``tests/matching/test_kernel_parity.py``).
+        :data:`UNMATCHED`.
     """
-    if use_numba():
-        return numba_module().vgreedy_rounds(
-            np.ascontiguousarray(cand_t, dtype=np.int64),
-            np.ascontiguousarray(cand_w, dtype=np.int64),
-            np.ascontiguousarray(rank, dtype=np.int64),
-            num_tasks,
-            num_workers,
-        )
-    return _vgreedy_rounds_python(cand_t, cand_w, rank, num_tasks, num_workers)
-
-
-def _vgreedy_rounds_python(
-    cand_t: np.ndarray,
-    cand_w: np.ndarray,
-    rank: np.ndarray,
-    num_tasks: int,
-    num_workers: int,
-) -> np.ndarray:
     task_match = np.full(num_tasks, UNMATCHED, dtype=np.int64)
     worker_owner = np.full(num_workers, UNMATCHED, dtype=np.int64)
     sentinel = np.iinfo(np.int64).max

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.kernels.dispatch import numba_module, use_numba
 from repro.kernels.dynamic import dynamic_augment, dynamic_reach
 from repro.matching.bipartite import BipartiteGraph
 from repro.matching.maximum_matching import UNMATCHED
@@ -55,26 +54,12 @@ class IncrementalMatcher:
     ) -> None:
         self._graph = graph
         csr = graph.csr()
-        # The kernel family is fixed at construction (a matcher lives for
-        # one period or window).  The compiled path keeps the matching
-        # state in the int64 ndarrays the numba kernel walks in place;
-        # the Python path keeps plain lists, which the interpreted DFS
-        # indexes measurably faster than ndarrays.
-        self._impl = numba_module() if use_numba() else None
-        if self._impl is not None:
-            self._indptr = csr.indptr
-            self._indices = csr.indices
-            self._match_task = np.full(graph.num_tasks, UNMATCHED, dtype=np.int64)
-            self._match_worker = np.full(graph.num_workers, UNMATCHED, dtype=np.int64)
-            # Reusable output buffers for the kernel: an augmenting path
-            # visits each task at most once, bounding its length.
-            self._path_tasks = np.empty(graph.num_tasks + 1, dtype=np.int64)
-            self._path_workers = np.empty(graph.num_tasks + 1, dtype=np.int64)
-        else:
-            self._indptr = csr.indptr_list
-            self._indices = csr.indices_list
-            self._match_task = [UNMATCHED] * graph.num_tasks
-            self._match_worker = [UNMATCHED] * graph.num_workers
+        # Plain lists: the interpreted DFS indexes them measurably faster
+        # than ndarrays.
+        self._indptr = csr.indptr_list
+        self._indices = csr.indices_list
+        self._match_task = [UNMATCHED] * graph.num_tasks
+        self._match_worker = [UNMATCHED] * graph.num_workers
         # Task positions grouped by grid; taken from the caller when
         # available, otherwise computed lazily on first use.
         self._grid_tasks: Optional[Dict[int, List[int]]] = (
@@ -89,12 +74,8 @@ class IncrementalMatcher:
         # no later augmenting path can pass through them — the matching
         # only ever grows, which keeps the marking sound.  Mirrors the
         # batch matroid backend in :mod:`repro.matching.weighted`.
-        if self._impl is not None:
-            self._visited = np.zeros(graph.num_workers, dtype=np.int64)
-            self._dead = np.zeros(graph.num_workers, dtype=np.uint8)
-        else:
-            self._visited = [0] * graph.num_workers
-            self._dead = bytearray(graph.num_workers)
+        self._visited = [0] * graph.num_workers
+        self._dead = bytearray(graph.num_workers)
         self._stamp = 0
         # Check-then-commit cache: the MAPS planner probes
         # ``can_augment_grid(g)`` when proposing a supply increase and
@@ -267,30 +248,7 @@ class IncrementalMatcher:
         mark every visited worker as saturated (see ``__init__``), which
         keeps repeated infeasible queries — e.g. a saturated grid probed
         every period — near-linear instead of quadratic.
-
-        Under the numba kernel family the search runs as one compiled
-        call against the ndarray state (same visiting order, hence the
-        same path — fuzzed by ``tests/matching/test_kernel_parity.py``).
         """
-        if self._impl is not None:
-            self._stamp += 1
-            length = self._impl.incremental_augment(
-                self._indptr,
-                self._indices,
-                self._match_worker,
-                self._visited,
-                self._dead,
-                self._stamp,
-                start_task,
-                self._path_tasks,
-                self._path_workers,
-            )
-            if length < 0:
-                return None
-            return [
-                (int(self._path_tasks[level]), int(self._path_workers[level]))
-                for level in range(length)
-            ]
         indptr = self._indptr
         indices = self._indices
         match_worker = self._match_worker
@@ -409,10 +367,10 @@ class DynamicMatcher(IncrementalMatcher):
     each repair costs :math:`O(K)` per alternating step instead of
     re-solving the window (see ``docs/dynamic_matching.md``).
 
-    Unlike the insert-only base class the state is ndarray-shaped under
-    both kernel families, and the insert-only saturation pruning is
-    disabled: a failed search must report its full visited set (the
-    circuit), and deletions would invalidate the dead marks anyway.
+    Unlike the insert-only base class the state is ndarray-shaped, and
+    the insert-only saturation pruning is disabled: a failed search must
+    report its full visited set (the circuit), and deletions would
+    invalidate the dead marks anyway.
 
     Args:
         graph: Universe bipartite graph (CSR snapshotted, as for
@@ -436,8 +394,7 @@ class DynamicMatcher(IncrementalMatcher):
         self._indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
         # Worker→task transpose of the CSR, for the reverse alternating
         # BFS.  The stable argsort keeps each worker's task row in
-        # ascending task order, so the BFS visit order is deterministic
-        # and identical across kernel families.
+        # ascending task order, so the BFS visit order is deterministic.
         edge_tasks = np.repeat(
             np.arange(num_tasks, dtype=np.int64), np.diff(self._indptr)
         )
@@ -839,12 +796,9 @@ class LazyDynamicMatcher:
     cost what :func:`repro.matching.weighted.task_weighted_matching`'s
     batch solve costs, not more.
 
-    State lives in plain Python lists under the fallback kernel family
-    and in linked ndarrays under numba (kernels
-    :func:`~repro.kernels.dynamic.dynamic_augment_lazy` /
-    :func:`~repro.kernels.dynamic.dynamic_reach_lazy`); both families
-    visit in the same order, so matched state stays bit-identical across
-    families like every other matcher in this module.
+    State lives in plain Python lists (markedly faster to index than
+    ndarray scalars in the interpreted DFS/BFS): one worker row per task
+    and, with the transpose maintained, one task row per worker.
     """
 
     def __init__(
@@ -859,54 +813,17 @@ class LazyDynamicMatcher:
         self._stamp = 0
         self._num_matched = 0
         self._num_live_eligible = 0
-        self._impl = numba_module() if use_numba() else None
-        if self._impl is None:
-            # List-backed state: markedly faster to index than ndarray
-            # scalars in the pure-Python DFS/BFS (see IncrementalMatcher).
-            self._weights: List[float] = []
-            self._rows: List[List[int]] = []
-            self._task_live = bytearray()
-            self._task_eligible = bytearray()
-            self._match_task: List[int] = []
-            self._match_worker: List[int] = []
-            self._worker_live = bytearray()
-            self._visited: List[int] = []
-            self._dead_era: List[int] = []
-            self._task_visited: List[int] = []
-            self._wrows: List[List[int]] = []
-        else:
-            self._task_cap = 16
-            self._worker_cap = 16
-            self._edge_cap = 64
-            self._wedge_cap = 64
-            self._num_tasks = 0
-            self._num_workers = 0
-            self._num_edges = 0
-            self._num_wedges = 0
-            self._weights_arr = np.zeros(self._task_cap, dtype=np.float64)
-            self._fhead = np.full(self._task_cap, -1, dtype=np.int64)
-            self._ftail = np.full(self._task_cap, -1, dtype=np.int64)
-            self._task_live_arr = np.zeros(self._task_cap, dtype=np.uint8)
-            self._task_eligible_arr = np.zeros(self._task_cap, dtype=np.uint8)
-            self._match_task_arr = np.full(self._task_cap, UNMATCHED, dtype=np.int64)
-            self._task_visited_arr = np.zeros(self._task_cap, dtype=np.int64)
-            self._match_worker_arr = np.full(
-                self._worker_cap, UNMATCHED, dtype=np.int64
-            )
-            self._worker_live_arr = np.zeros(self._worker_cap, dtype=np.uint8)
-            self._visited_arr = np.zeros(self._worker_cap, dtype=np.int64)
-            self._dead_era_arr = np.full(self._worker_cap, -1, dtype=np.int64)
-            self._whead = np.full(self._worker_cap, -1, dtype=np.int64)
-            self._wtail = np.full(self._worker_cap, -1, dtype=np.int64)
-            self._fnext = np.empty(self._edge_cap, dtype=np.int64)
-            self._fworker = np.empty(self._edge_cap, dtype=np.int64)
-            self._wnext = np.empty(self._wedge_cap, dtype=np.int64)
-            self._wtask = np.empty(self._wedge_cap, dtype=np.int64)
-            self._path_tasks = np.empty(self._task_cap + 1, dtype=np.int64)
-            self._path_workers = np.empty(self._task_cap + 1, dtype=np.int64)
-            self._visited_out = np.empty(self._worker_cap, dtype=np.int64)
-            self._queue = np.empty(self._worker_cap, dtype=np.int64)
-            self._out_tasks = np.empty(self._task_cap, dtype=np.int64)
+        self._weights: List[float] = []
+        self._rows: List[List[int]] = []
+        self._task_live = bytearray()
+        self._task_eligible = bytearray()
+        self._match_task: List[int] = []
+        self._match_worker: List[int] = []
+        self._worker_live = bytearray()
+        self._visited: List[int] = []
+        self._dead_era: List[int] = []
+        self._task_visited: List[int] = []
+        self._wrows: List[List[int]] = []
 
     # ------------------------------------------------------------------
     # views
@@ -914,47 +831,40 @@ class LazyDynamicMatcher:
     @property
     def num_tasks(self) -> int:
         """Task ids allocated so far (not the live count)."""
-        return len(self._match_task) if self._impl is None else self._num_tasks
+        return len(self._match_task)
 
     @property
     def num_workers(self) -> int:
         """Worker ids allocated so far (not the live count)."""
-        return len(self._match_worker) if self._impl is None else self._num_workers
+        return len(self._match_worker)
 
     @property
     def num_matched(self) -> int:
         return self._num_matched
 
     def is_task_live(self, task_id: int) -> bool:
-        live = self._task_live if self._impl is None else self._task_live_arr
-        return bool(live[task_id])
+        return bool(self._task_live[task_id])
 
     def is_worker_live(self, worker_id: int) -> bool:
-        live = self._worker_live if self._impl is None else self._worker_live_arr
-        return bool(live[worker_id])
+        return bool(self._worker_live[worker_id])
 
     def weight_of(self, task_id: int) -> float:
-        weights = self._weights if self._impl is None else self._weights_arr
-        return float(weights[task_id])
+        return float(self._weights[task_id])
 
     def worker_of(self, task_id: int) -> Optional[int]:
-        match = self._match_task if self._impl is None else self._match_task_arr
-        worker_id = int(match[task_id])
+        worker_id = int(self._match_task[task_id])
         return None if worker_id == UNMATCHED else worker_id
 
     def task_of(self, worker_id: int) -> Optional[int]:
-        match = self._match_worker if self._impl is None else self._match_worker_arr
-        task_id = int(match[worker_id])
+        task_id = int(self._match_worker[worker_id])
         return None if task_id == UNMATCHED else task_id
 
     def matching(self) -> Dict[int, int]:
         """``{task_id: worker_id}`` in ascending task id order."""
-        match = self._match_task if self._impl is None else self._match_task_arr
         result: Dict[int, int] = {}
-        for task_id in range(self.num_tasks):
-            worker_id = int(match[task_id])
+        for task_id, worker_id in enumerate(self._match_task):
             if worker_id != UNMATCHED:
-                result[task_id] = worker_id
+                result[task_id] = int(worker_id)
         return result
 
     def total_weight(self) -> float:
@@ -963,12 +873,11 @@ class LazyDynamicMatcher:
         The same float sequence as :meth:`DynamicMatcher.total_weight`
         and the batch matroid solve: weight descending, id ascending.
         """
-        match = self._match_task if self._impl is None else self._match_task_arr
-        weights = self._weights if self._impl is None else self._weights_arr
+        weights = self._weights
         matched = [
             task_id
-            for task_id in range(self.num_tasks)
-            if int(match[task_id]) != UNMATCHED
+            for task_id, worker_id in enumerate(self._match_task)
+            if worker_id != UNMATCHED
         ]
         matched.sort(key=lambda task_id: (-float(weights[task_id]), task_id))
         total = 0.0
@@ -984,134 +893,28 @@ class LazyDynamicMatcher:
         claim a task that does not claim it back.
         """
         pairs = self.matching()
-        owners = sum(
-            1 for worker_id in range(self.num_workers)
-            if self.task_of(worker_id) is not None
-        )
+        owners = sum(1 for task_id in self._match_worker if task_id != UNMATCHED)
         if not len(pairs) == owners == self._num_matched:
             return False
-        eligible = (
-            self._task_eligible if self._impl is None else self._task_eligible_arr
-        )
         for task_id, worker_id in pairs.items():
-            if not eligible[task_id] or not self.is_worker_live(worker_id):
+            if not self._task_eligible[task_id] or not self.is_worker_live(worker_id):
                 return False
             if self.task_of(worker_id) != task_id:
                 return False
-            if self._impl is None:
-                row = self._rows[task_id]
-            else:
-                row = []
-                edge = int(self._fhead[task_id])
-                while edge != -1:
-                    row.append(int(self._fworker[edge]))
-                    edge = int(self._fnext[edge])
-            if worker_id not in row:
+            if worker_id not in self._rows[task_id]:
                 return False
         return True
 
     # ------------------------------------------------------------------
-    # growth (numba family)
-    # ------------------------------------------------------------------
-    def _grow_task_side(self, need: int) -> None:
-        if need <= self._task_cap:
-            return
-        new_cap = max(need, 2 * self._task_cap)
-
-        def grown(old: np.ndarray, fill) -> np.ndarray:
-            out = np.full(new_cap, fill, dtype=old.dtype) if fill is not None \
-                else np.empty(new_cap, dtype=old.dtype)
-            out[: old.shape[0]] = old
-            return out
-
-        self._weights_arr = grown(self._weights_arr, 0.0)
-        self._fhead = grown(self._fhead, -1)
-        self._ftail = grown(self._ftail, -1)
-        self._task_live_arr = grown(self._task_live_arr, 0)
-        self._task_eligible_arr = grown(self._task_eligible_arr, 0)
-        self._match_task_arr = grown(self._match_task_arr, UNMATCHED)
-        self._task_visited_arr = grown(self._task_visited_arr, 0)
-        self._path_tasks = np.empty(new_cap + 1, dtype=np.int64)
-        self._path_workers = np.empty(new_cap + 1, dtype=np.int64)
-        self._out_tasks = np.empty(new_cap, dtype=np.int64)
-        self._task_cap = new_cap
-
-    def _grow_worker_side(self, need: int) -> None:
-        if need <= self._worker_cap:
-            return
-        new_cap = max(need, 2 * self._worker_cap)
-
-        def grown(old: np.ndarray, fill) -> np.ndarray:
-            out = np.full(new_cap, fill, dtype=old.dtype)
-            out[: old.shape[0]] = old
-            return out
-
-        self._match_worker_arr = grown(self._match_worker_arr, UNMATCHED)
-        self._worker_live_arr = grown(self._worker_live_arr, 0)
-        self._visited_arr = grown(self._visited_arr, 0)
-        self._dead_era_arr = grown(self._dead_era_arr, -1)
-        self._whead = grown(self._whead, -1)
-        self._wtail = grown(self._wtail, -1)
-        self._visited_out = np.empty(new_cap, dtype=np.int64)
-        self._queue = np.empty(new_cap, dtype=np.int64)
-        self._worker_cap = new_cap
-
-    def _grow_edges(self, need: int) -> None:
-        if need <= self._edge_cap:
-            return
-        new_cap = max(need, 2 * self._edge_cap)
-        for name in ("_fnext", "_fworker"):
-            old = getattr(self, name)
-            out = np.empty(new_cap, dtype=np.int64)
-            out[: self._num_edges] = old[: self._num_edges]
-            setattr(self, name, out)
-        self._edge_cap = new_cap
-
-    def _grow_wedges(self, need: int) -> None:
-        if need <= self._wedge_cap:
-            return
-        new_cap = max(need, 2 * self._wedge_cap)
-        for name in ("_wnext", "_wtask"):
-            old = getattr(self, name)
-            out = np.empty(new_cap, dtype=np.int64)
-            out[: self._num_wedges] = old[: self._num_wedges]
-            setattr(self, name, out)
-        self._wedge_cap = new_cap
-
-    # ------------------------------------------------------------------
-    # search internals (family-specific)
+    # search internals
     # ------------------------------------------------------------------
     def _try_augment(self, start: int) -> Optional[List[int]]:
         """Augment from ``start``; ``None`` on success (path applied), else
         the visited workers in visit order."""
         self._stamp += 1
         stamp = self._stamp
-        if self._impl is not None:
-            length = self._impl.dynamic_augment_lazy(
-                self._fhead,
-                self._fnext,
-                self._fworker,
-                self._match_worker_arr,
-                self._worker_live_arr,
-                self._dead_era_arr,
-                self._era,
-                self._visited_arr,
-                stamp,
-                start,
-                self._path_tasks,
-                self._path_workers,
-                self._visited_out,
-            )
-            if length >= 0:
-                for level in range(length):
-                    task_id = int(self._path_tasks[level])
-                    worker_id = int(self._path_workers[level])
-                    self._match_task_arr[task_id] = worker_id
-                    self._match_worker_arr[worker_id] = task_id
-                return None
-            return [int(w) for w in self._visited_out[: -length - 1]]
-        # Inlined pure-Python DFS over list rows (same visit order as the
-        # kernel twins; per-op wrapper dispatch costs more than the DFS).
+        # Inlined DFS over list rows, in the visit order of the universe
+        # matcher's kernel (per-op wrapper dispatch costs more than the DFS).
         rows = self._rows
         match_task = self._match_task
         match_worker = self._match_worker
@@ -1164,21 +967,6 @@ class LazyDynamicMatcher:
         """Unmatched eligible tasks alternating-reachable from ``worker_id``."""
         self._stamp += 1
         stamp = self._stamp
-        if self._impl is not None:
-            count = self._impl.dynamic_reach_lazy(
-                self._whead,
-                self._wnext,
-                self._wtask,
-                self._match_task_arr,
-                self._task_eligible_arr,
-                self._task_visited_arr,
-                self._visited_arr,
-                stamp,
-                worker_id,
-                self._queue,
-                self._out_tasks,
-            )
-            return [int(t) for t in self._out_tasks[:count]]
         wrows = self._wrows
         match_task = self._match_task
         task_eligible = self._task_eligible
@@ -1203,44 +991,11 @@ class LazyDynamicMatcher:
                     queue.append(matched)
         return out
 
-    def _append_forward_edge(self, task_id: int, worker_id: int) -> None:
-        if self._impl is None:
-            self._rows[task_id].append(worker_id)
-            return
-        self._grow_edges(self._num_edges + 1)
-        edge = self._num_edges
-        self._num_edges = edge + 1
-        self._fworker[edge] = worker_id
-        self._fnext[edge] = -1
-        tail = int(self._ftail[task_id])
-        if tail == -1:
-            self._fhead[task_id] = edge
-        else:
-            self._fnext[tail] = edge
-        self._ftail[task_id] = edge
-
-    def _append_transpose_edge(self, worker_id: int, task_id: int) -> None:
-        if self._impl is None:
-            self._wrows[worker_id].append(task_id)
-            return
-        self._grow_wedges(self._num_wedges + 1)
-        edge = self._num_wedges
-        self._num_wedges = edge + 1
-        self._wtask[edge] = task_id
-        self._wnext[edge] = -1
-        tail = int(self._wtail[worker_id])
-        if tail == -1:
-            self._whead[worker_id] = edge
-        else:
-            self._wnext[tail] = edge
-        self._wtail[worker_id] = edge
-
     # ------------------------------------------------------------------
-    # repair internals (shared across families)
+    # repair internals
     # ------------------------------------------------------------------
     def _priority_key(self, task_id: int) -> Tuple[float, int]:
-        weights = self._weights if self._impl is None else self._weights_arr
-        return (-float(weights[task_id]), task_id)
+        return (-float(self._weights[task_id]), task_id)
 
     def _match_or_evict(self, task_id: int) -> bool:
         visited_seq = self._try_augment(task_id)
@@ -1252,15 +1007,13 @@ class LazyDynamicMatcher:
             # lowest-priority element of its own circuit, so nothing is
             # evicted and the visited (saturated) workers stay dead for
             # the rest of the era.
-            dead_era = self._dead_era if self._impl is None else self._dead_era_arr
+            dead_era = self._dead_era
             era = self._era
             for worker_id in visited_seq:
                 dead_era[worker_id] = era
             return False
-        match_task = self._match_task if self._impl is None else self._match_task_arr
-        match_worker = (
-            self._match_worker if self._impl is None else self._match_worker_arr
-        )
+        match_task = self._match_task
+        match_worker = self._match_worker
         evict = task_id
         evict_key = self._priority_key(task_id)
         for worker_id in visited_seq:
@@ -1328,28 +1081,18 @@ class LazyDynamicMatcher:
                 "reverse-BFS plane)"
             )
         self._era += 1
-        if self._impl is None:
-            worker_id = len(self._match_worker)
-            self._match_worker.append(UNMATCHED)
-            self._worker_live.append(1)
-            self._visited.append(0)
-            self._dead_era.append(-1)
-            self._wrows.append([])
-        else:
-            worker_id = self._num_workers
-            self._grow_worker_side(worker_id + 1)
-            self._num_workers = worker_id + 1
-            self._match_worker_arr[worker_id] = UNMATCHED
-            self._worker_live_arr[worker_id] = 1
-            self._visited_arr[worker_id] = 0
-            self._dead_era_arr[worker_id] = -1
-            self._whead[worker_id] = -1
-            self._wtail[worker_id] = -1
+        worker_id = len(self._match_worker)
+        self._match_worker.append(UNMATCHED)
+        self._worker_live.append(1)
+        self._visited.append(0)
+        self._dead_era.append(-1)
+        self._wrows.append([])
         if task_row:
+            rows = self._rows
             for task_id in task_row:
-                self._append_forward_edge(task_id, worker_id)
-                if self._maintain_transpose:
-                    self._append_transpose_edge(worker_id, task_id)
+                rows[task_id].append(worker_id)
+            if self._maintain_transpose:
+                self._wrows[worker_id].extend(task_row)
         absorbed = (
             self._absorb_free_worker(worker_id)
             if self._maintain_transpose and task_row
@@ -1384,100 +1127,48 @@ class LazyDynamicMatcher:
             ``(task_id, matched)``.
         """
         value = float(weight)
-        if self._impl is None:
-            task_id = len(self._match_task)
-            self._weights.append(value)
-            self._rows.append(list(row))
-            self._task_live.append(1)
-            self._task_eligible.append(0)
-            self._match_task.append(UNMATCHED)
-            self._task_visited.append(0)
-        else:
-            task_id = self._num_tasks
-            self._grow_task_side(task_id + 1)
-            self._num_tasks = task_id + 1
-            self._weights_arr[task_id] = value
-            self._task_live_arr[task_id] = 1
-            self._task_eligible_arr[task_id] = 0
-            self._match_task_arr[task_id] = UNMATCHED
-            self._task_visited_arr[task_id] = 0
-            self._fhead[task_id] = -1
-            self._ftail[task_id] = -1
-            count = len(row)
-            if count:
-                self._grow_edges(self._num_edges + count)
-                first = self._num_edges
-                self._num_edges = first + count
-                self._fworker[first : first + count] = row
-                self._fnext[first : first + count - 1] = np.arange(
-                    first + 1, first + count, dtype=np.int64
-                )
-                self._fnext[first + count - 1] = -1
-                self._fhead[task_id] = first
-                self._ftail[task_id] = first + count - 1
+        task_id = len(self._match_task)
+        self._weights.append(value)
+        self._rows.append(list(row))
+        self._task_live.append(1)
+        self._task_eligible.append(0)
+        self._match_task.append(UNMATCHED)
+        self._task_visited.append(0)
         if value <= 0.0:
             return task_id, False
-        if self._impl is None:
-            self._task_eligible[task_id] = 1
-        else:
-            self._task_eligible_arr[task_id] = 1
+        self._task_eligible[task_id] = 1
         self._num_live_eligible += 1
         if self._maintain_transpose:
+            wrows = self._wrows
             for worker_id in row:
-                self._append_transpose_edge(worker_id, task_id)
+                wrows[worker_id].append(task_id)
+        match_task = self._match_task
+        match_worker = self._match_worker
+        worker_live = self._worker_live
         if greedy:
-            match_worker = (
-                self._match_worker if self._impl is None else self._match_worker_arr
-            )
-            worker_live = (
-                self._worker_live if self._impl is None else self._worker_live_arr
-            )
             for worker_id in row:
                 candidate = int(worker_id)
                 if worker_live[candidate] and int(match_worker[candidate]) == UNMATCHED:
-                    match_task = (
-                        self._match_task if self._impl is None else self._match_task_arr
-                    )
                     match_task[task_id] = candidate
                     match_worker[candidate] = task_id
                     self._num_matched += 1
                     return task_id, True
             return task_id, False
-        if preferred_worker is not None and 0 <= preferred_worker < self.num_workers:
-            match_worker = (
-                self._match_worker if self._impl is None else self._match_worker_arr
-            )
-            worker_live = (
-                self._worker_live if self._impl is None else self._worker_live_arr
-            )
-            if (
-                worker_live[preferred_worker]
-                and int(match_worker[preferred_worker]) == UNMATCHED
-            ):
-                # Adjacency check on the (ascending) realised row — a
-                # live worker is adjacent iff it is in the lazy row.
-                if self._impl is None:
-                    task_row = self._rows[task_id]
-                    at = bisect_left(task_row, preferred_worker)
-                    adjacent = (
-                        at < len(task_row) and task_row[at] == preferred_worker
-                    )
-                else:
-                    adjacent = False
-                    edge = int(self._fhead[task_id])
-                    while edge != -1:
-                        if int(self._fworker[edge]) == preferred_worker:
-                            adjacent = True
-                            break
-                        edge = int(self._fnext[edge])
-                if adjacent:
-                    match_task = (
-                        self._match_task if self._impl is None else self._match_task_arr
-                    )
-                    match_task[task_id] = preferred_worker
-                    match_worker[preferred_worker] = task_id
-                    self._num_matched += 1
-                    return task_id, True
+        if (
+            preferred_worker is not None
+            and 0 <= preferred_worker < self.num_workers
+            and worker_live[preferred_worker]
+            and int(match_worker[preferred_worker]) == UNMATCHED
+        ):
+            # Adjacency check on the (ascending) realised row — a live
+            # worker is adjacent iff it is in the lazy row.
+            task_row = self._rows[task_id]
+            at = bisect_left(task_row, preferred_worker)
+            if at < len(task_row) and task_row[at] == preferred_worker:
+                match_task[task_id] = preferred_worker
+                match_worker[preferred_worker] = task_id
+                self._num_matched += 1
+                return task_id, True
         return task_id, self._match_or_evict(task_id)
 
     def remove_task(self, task_id: int) -> Optional[int]:
@@ -1486,19 +1177,14 @@ class LazyDynamicMatcher:
         Returns:
             The task id absorbed by the freed worker, or ``None``.
         """
-        task_live = self._task_live if self._impl is None else self._task_live_arr
-        if not task_live[task_id]:
+        if not self._task_live[task_id]:
             raise ValueError(f"task id {task_id} is not live")
-        task_eligible = (
-            self._task_eligible if self._impl is None else self._task_eligible_arr
-        )
-        match_task = self._match_task if self._impl is None else self._match_task_arr
-        task_live[task_id] = 0
-        if task_eligible[task_id]:
-            task_eligible[task_id] = 0
+        self._task_live[task_id] = 0
+        if self._task_eligible[task_id]:
+            self._task_eligible[task_id] = 0
             self._num_live_eligible -= 1
         self._era += 1
-        worker_id = int(match_task[task_id])
+        worker_id = int(self._match_task[task_id])
         if worker_id == UNMATCHED:
             return None
         if not self._maintain_transpose:
@@ -1507,11 +1193,8 @@ class LazyDynamicMatcher:
                 "(the freed worker's repair needs the reverse-BFS plane); "
                 "use commit_task or clear_tasks"
             )
-        match_worker = (
-            self._match_worker if self._impl is None else self._match_worker_arr
-        )
-        match_task[task_id] = UNMATCHED
-        match_worker[worker_id] = UNMATCHED
+        self._match_task[task_id] = UNMATCHED
+        self._match_worker[worker_id] = UNMATCHED
         self._num_matched -= 1
         return self._absorb_free_worker(worker_id)
 
@@ -1522,22 +1205,15 @@ class LazyDynamicMatcher:
             Whether the orphan (if any) was re-matched; ``True`` for free
             workers.
         """
-        worker_live = (
-            self._worker_live if self._impl is None else self._worker_live_arr
-        )
-        if not worker_live[worker_id]:
+        if not self._worker_live[worker_id]:
             raise ValueError(f"worker id {worker_id} is not live")
-        worker_live[worker_id] = 0
+        self._worker_live[worker_id] = 0
         self._era += 1
-        match_worker = (
-            self._match_worker if self._impl is None else self._match_worker_arr
-        )
-        task_id = int(match_worker[worker_id])
+        task_id = int(self._match_worker[worker_id])
         if task_id == UNMATCHED:
             return True
-        match_task = self._match_task if self._impl is None else self._match_task_arr
-        match_worker[worker_id] = UNMATCHED
-        match_task[task_id] = UNMATCHED
+        self._match_worker[worker_id] = UNMATCHED
+        self._match_task[task_id] = UNMATCHED
         self._num_matched -= 1
         return self._match_or_evict(task_id)
 
@@ -1547,25 +1223,14 @@ class LazyDynamicMatcher:
         Returns:
             The worker id that served the task.
         """
-        task_live = self._task_live if self._impl is None else self._task_live_arr
-        match_task = self._match_task if self._impl is None else self._match_task_arr
-        worker_id = int(match_task[task_id])
-        if not task_live[task_id] or worker_id == UNMATCHED:
+        worker_id = int(self._match_task[task_id])
+        if not self._task_live[task_id] or worker_id == UNMATCHED:
             raise ValueError(f"task id {task_id} is not live and matched")
-        task_eligible = (
-            self._task_eligible if self._impl is None else self._task_eligible_arr
-        )
-        match_worker = (
-            self._match_worker if self._impl is None else self._match_worker_arr
-        )
-        worker_live = (
-            self._worker_live if self._impl is None else self._worker_live_arr
-        )
-        task_live[task_id] = 0
-        task_eligible[task_id] = 0
-        worker_live[worker_id] = 0
-        match_task[task_id] = UNMATCHED
-        match_worker[worker_id] = UNMATCHED
+        self._task_live[task_id] = 0
+        self._task_eligible[task_id] = 0
+        self._worker_live[worker_id] = 0
+        self._match_task[task_id] = UNMATCHED
+        self._match_worker[worker_id] = UNMATCHED
         self._num_matched -= 1
         self._num_live_eligible -= 1
         self._era += 1
@@ -1580,26 +1245,16 @@ class LazyDynamicMatcher:
         """
         if self._maintain_transpose:
             raise ValueError("clear_tasks requires maintain_transpose=False")
-        match_worker = (
-            self._match_worker if self._impl is None else self._match_worker_arr
-        )
-        if self._impl is None:
-            for worker_id in self._match_task:
-                if worker_id != UNMATCHED:
-                    match_worker[worker_id] = UNMATCHED
-            self._weights = []
-            self._rows = []
-            self._task_live = bytearray()
-            self._task_eligible = bytearray()
-            self._match_task = []
-            self._task_visited = []
-        else:
-            for task_id in range(self._num_tasks):
-                worker_id = int(self._match_task_arr[task_id])
-                if worker_id != UNMATCHED:
-                    match_worker[worker_id] = UNMATCHED
-            self._num_tasks = 0
-            self._num_edges = 0
+        match_worker = self._match_worker
+        for worker_id in self._match_task:
+            if worker_id != UNMATCHED:
+                match_worker[worker_id] = UNMATCHED
+        self._weights = []
+        self._rows = []
+        self._task_live = bytearray()
+        self._task_eligible = bytearray()
+        self._match_task = []
+        self._task_visited = []
         self._num_matched = 0
         self._num_live_eligible = 0
         self._era += 1

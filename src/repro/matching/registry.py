@@ -45,17 +45,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-# Kernel-mode controls re-exported here because the registry is where
-# callers already select *which algorithm* runs; the kernel mode selects
-# *which implementation family* (numba-compiled vs pure-Python) executes
-# that algorithm's inner loops.  See :mod:`repro.kernels`.
-from repro.kernels.dispatch import (
-    KERNEL_MODES,
-    active_kernel_mode,
-    kernel_mode,
-    set_kernel_mode,
-)
-
 MatchingResult = Tuple[Dict[int, int], float]
 #: Signature every registered backend implements.
 MatchingBackend = Callable[..., MatchingResult]
@@ -108,8 +97,4 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "KERNEL_MODES",
-    "kernel_mode",
-    "set_kernel_mode",
-    "active_kernel_mode",
 ]

@@ -21,9 +21,7 @@ with per-task ``set`` allocations.  The DFS visits workers in exactly the
 order of the original recursive implementation, so the produced matching —
 not just its weight — is unchanged.  The scalar inner loops (the matroid
 augmenting-path search and the ``vgreedy`` round loop) live in
-:mod:`repro.kernels`, which swaps in numba-compiled twins when the active
-kernel mode selects them — bit-identical by construction, fuzzed by
-``tests/matching/test_kernel_parity.py``.
+:mod:`repro.kernels`.
 
 Backends are registered in :mod:`repro.matching.registry` (mirroring
 :mod:`repro.pricing.registry`) and selected by name through
@@ -152,10 +150,8 @@ def task_weighted_matching(
     weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
     hints = _validated_hints(csr.num_tasks, csr.num_workers, warm_start)
 
-    # The augmenting-path loop itself is the kernel (numba-compiled when
-    # the active kernel mode selects it, the historical pure-Python loop
-    # otherwise); everything float-bearing stays here, shared by both
-    # families, so the totals are bit-identical and not merely close.
+    # The augmenting-path loop itself is the kernel; everything
+    # float-bearing (ordering, the total) stays here.
     match_task = matroid_augment(csr, order, hints)
 
     weight_list = weights.tolist()
@@ -404,8 +400,7 @@ def vectorized_greedy_matching(
     cand_w = csr.indices[keep]
 
     # The round loop is the kernel; candidate preparation (above) and the
-    # weight total (below) are shared by both kernel families, so the
-    # matching and the revenue are bit-identical either way.
+    # weight total (below) stay here.
     task_match = vgreedy_rounds(cand_t, cand_w, rank, csr.num_tasks, csr.num_workers)
 
     matched = np.flatnonzero(task_match != UNMATCHED)

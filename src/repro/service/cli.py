@@ -192,6 +192,8 @@ def _replay(args: argparse.Namespace) -> int:
 def service_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_service_parser()
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
+    if not args.scale > 0:
+        parser.error("--scale must be positive")
     if args.command == "serve":
         return _serve(args)
     return _replay(args)

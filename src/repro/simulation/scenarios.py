@@ -188,6 +188,8 @@ class SyntheticScenario(Scenario):
     def bundle(
         self, scale: float = 1.0, seed: Optional[int] = None, **params: object
     ) -> WorkloadBundle:
+        if not scale > 0:
+            raise ValueError("scale must be positive")
         base = SyntheticConfig.paper_default()
         overrides = dict(
             num_workers=max(10, int(round(base.num_workers * scale))),

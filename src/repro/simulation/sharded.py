@@ -63,7 +63,6 @@ import numpy as np
 
 from repro.core.base_pricing import BasePricingConfig, BasePricingResult
 from repro.core.gdp import PeriodInstance
-from repro.kernels import warmup as warmup_kernels
 from repro.kernels.halo import halo_residual_workers, halo_task_candidates
 from repro.market.entities import Task, Worker
 from repro.matching.incremental import LazyDynamicMatcher
@@ -229,10 +228,6 @@ def _execute_shard_horizon_arena(
     """
     from repro.simulation.arena import WorkloadArena
 
-    # One (cached) JIT pass before any period runs: a worker's first
-    # dispatch must not pay compilation inside the measured horizon.  The
-    # kernel mode itself arrives via the inherited REPRO_KERNELS variable.
-    warmup_kernels()
     arena = WorkloadArena.attach(job.handle)
     try:
         workload = ChunkedWorkload(
@@ -1005,7 +1000,7 @@ class ShardedEngine:
             prices = dispatch.decision.prices
             distances = arrays.distances
             # Accepted-but-unmatched boundary tasks, ascending — selected
-            # by the halo kernel (compiled or numpy per the kernel mode).
+            # by the halo kernel.
             candidates = halo_task_candidates(
                 dispatch.decision.accepted_positions,
                 dispatch.matching,
@@ -1159,7 +1154,7 @@ class ShardedEngine:
                 try:
                     # Never start more processes than there are shards to
                     # run — an oversized shard_jobs would only fork idle
-                    # workers that still pay interpreter + JIT-warmup cost.
+                    # workers that still pay interpreter start-up cost.
                     pool_size = min(self.shard_jobs, self.num_shards)
                     with ProcessPoolExecutor(max_workers=pool_size) as executor:
                         results = list(

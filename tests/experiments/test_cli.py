@@ -48,6 +48,22 @@ class TestParser:
         for scenario in available_scenarios():
             assert scenario in epilog
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "synthetic", "--scale", "-1"],
+            ["--scenario", "synthetic", "--scale", "0"],
+            ["--scenario", "city_scale", "--scale", "0"],
+            ["--scenario", "synthetic", "--scale", "nan"],
+            ["--figure", "fig6-W", "--scale", "-1"],
+        ],
+    )
+    def test_non_positive_scale_is_a_clean_cli_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2  # argparse error, not a traceback
+        assert "--scale must be positive" in capsys.readouterr().err
+
     def test_figure_and_scenario_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             main(["--figure", "fig6-W", "--scenario", "synthetic"])
@@ -238,82 +254,6 @@ class TestScenarioExecution:
             raise AssertionError(f"no BaseP row in:\n{output}")
 
         assert revenue_row(batch_out) == revenue_row(stream_out)
-
-
-class TestKernelFlag:
-    """--kernels surfaces the compiled-kernel layer through the CLI."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_kernel_mode(self):
-        import os
-
-        from repro.kernels import dispatch
-
-        saved_mode = dispatch._mode
-        saved_env = os.environ.get(dispatch.ENV_VAR)
-        yield
-        dispatch._mode = saved_mode
-        if saved_env is None:
-            os.environ.pop(dispatch.ENV_VAR, None)
-        else:
-            os.environ[dispatch.ENV_VAR] = saved_env
-
-    def test_parser_default_is_auto(self):
-        args = build_parser().parse_args(["--figure", "fig6-W"])
-        assert args.kernels == "auto"
-
-    def test_unknown_kernel_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--scenario", "synthetic", "--kernels", "cuda"])
-
-    def test_epilog_lists_kernel_modes(self):
-        epilog = build_parser().epilog
-        assert "kernel modes (--kernels)" in epilog
-        for mode in ("auto", "numba", "python"):
-            assert mode in epilog
-
-    def test_forced_numba_without_numba_is_a_clean_cli_error(self, monkeypatch):
-        """--kernels numba on a numba-less host exits via argparse, not a
-        traceback."""
-        import sys as _sys
-
-        from repro.kernels import dispatch
-
-        monkeypatch.setitem(_sys.modules, "numba", None)
-        monkeypatch.delitem(_sys.modules, "repro.kernels._numba_impl", raising=False)
-        saved = (dispatch._mode, dispatch._numba_impl, dispatch._warned_forced_numba)
-        dispatch._reset_for_tests()
-        try:
-            with pytest.raises(SystemExit) as excinfo:
-                main(["--scenario", "synthetic", "--kernels", "numba"])
-            assert excinfo.value.code == 2  # argparse error, not a crash
-        finally:
-            (
-                dispatch._mode,
-                dispatch._numba_impl,
-                dispatch._warned_forced_numba,
-            ) = saved
-            monkeypatch.delitem(
-                _sys.modules, "repro.kernels._numba_impl", raising=False
-            )
-
-    def test_run_banner_reports_kernel_mode(self, capsys):
-        exit_code = main(
-            [
-                "--scenario",
-                "synthetic",
-                "--scale",
-                "0.004",
-                "--strategies",
-                "BaseP",
-                "--kernels",
-                "python",
-                "--no-memory-tracking",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "kernels = python" in output
 
 
 class TestServiceForwarding:

@@ -10,7 +10,9 @@ list plus a ``dead`` bytearray, index pointers into ``indptr``), kept
 verbatim but for its name as a test-only reference.  Hypothesis draws CSR graphs with
 heavily overlapping rows, saturated instances (more tasks than workers),
 equal weights and warm-start hints, and the returned ``match_task``
-lists must be equal — the pairing, not only the weight.
+lists must be equal — the pairing, not only the weight.  A second fuzz
+checks the backend end to end: the matroid total equals the dense exact
+solver's on random instances with mixed-sign weights and stale hints.
 """
 
 from __future__ import annotations
@@ -18,15 +20,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import dispatch
-from repro.kernels.augmenting import _matroid_python, matroid_augment
-from repro.matching.bipartite import CSRGraph
+from repro.kernels.augmenting import matroid_augment
+from repro.market.entities import Task, Worker
+from repro.matching.bipartite import BipartiteGraph, CSRGraph
 from repro.matching.maximum_matching import UNMATCHED
-from repro.matching.weighted import eligible_order
+from repro.matching.weighted import eligible_order, max_weight_matching
+from repro.spatial.geometry import Point
 
 
 def _oracle_matroid(csr, order: Sequence[int], hints: Dict[int, int]) -> List[int]:
@@ -149,16 +153,6 @@ def instances(draw):
     return csr, list(order), hints
 
 
-@pytest.fixture(autouse=True)
-def _python_kernels():
-    previous = dispatch.kernel_mode()
-    dispatch.set_kernel_mode("python")
-    try:
-        yield
-    finally:
-        dispatch.set_kernel_mode(previous)
-
-
 class TestMatroidKernelOracle:
     @settings(max_examples=300, deadline=None)
     @given(instances())
@@ -172,7 +166,7 @@ class TestMatroidKernelOracle:
         rows = [sorted({(t + k) % 8 for k in range(5)}) for t in range(40)]
         csr = CSRGraph.from_adjacency(rows, 8)
         order = list(range(40))
-        result = _matroid_python(csr, order, {})
+        result = matroid_augment(csr, order, {})
         assert result == _oracle_matroid(csr, order, {})
         assert sum(w != UNMATCHED for w in result) == 8
 
@@ -184,3 +178,77 @@ class TestMatroidKernelOracle:
         """
         csr = CSRGraph.from_adjacency([[0, 1], [0, 1]], 2)
         assert matroid_augment(csr, [0, 1], {}) == [1, 0]
+
+
+def _make_graph(num_tasks: int, num_workers: int, adjacency) -> BipartiteGraph:
+    tasks = [
+        Task(
+            task_id=pos,
+            period=0,
+            origin=Point(0.0, 0.0),
+            destination=Point(1.0, 0.0),
+            distance=1.0,
+            grid_index=1,
+        )
+        for pos in range(num_tasks)
+    ]
+    workers = [
+        Worker(worker_id=pos, period=0, location=Point(0.0, 0.0), radius=10.0)
+        for pos in range(num_workers)
+    ]
+    graph = BipartiteGraph(tasks=tasks, workers=workers)
+    for task_pos in range(num_tasks):
+        for worker_pos in range(num_workers):
+            if adjacency[task_pos, worker_pos]:
+                graph.add_edge(task_pos, worker_pos)
+    return graph
+
+
+@st.composite
+def matching_instances(draw):
+    """A random bipartite instance plus weights, subset and warm hints."""
+    num_tasks = draw(st.integers(min_value=1, max_value=10))
+    num_workers = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    density = draw(st.floats(min_value=0.1, max_value=0.9))
+    rng = np.random.default_rng(seed)
+    adjacency = rng.random((num_tasks, num_workers)) < density
+    graph = _make_graph(num_tasks, num_workers, adjacency)
+    # Mixed-sign weights with deliberate ties exercise the non-positive
+    # filter and the weight-order tiebreak.
+    weights = rng.choice([-1.0, 0.0, 0.5, 1.25, 2.0, 3.75], size=num_tasks).tolist()
+    if draw(st.booleans()):
+        allowed = sorted(
+            draw(
+                st.sets(
+                    st.integers(min_value=0, max_value=num_tasks - 1), max_size=num_tasks
+                )
+            )
+        )
+    else:
+        allowed = None
+    warm_start = None
+    if draw(st.booleans()):
+        # Arbitrary (possibly stale / non-adjacent) hints: validation must
+        # drop the bad ones before the kernel sees them.
+        warm_start = {
+            int(task_pos): int(rng.integers(0, num_workers))
+            for task_pos in rng.choice(
+                num_tasks, size=int(rng.integers(0, num_tasks + 1)), replace=False
+            )
+        }
+    return graph, weights, allowed, warm_start
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=matching_instances())
+def test_matroid_total_matches_dense_exact(instance):
+    """The kernelised matroid backend stays exact vs the dense solver."""
+    graph, weights, allowed, warm_start = instance
+    _matching, total = max_weight_matching(
+        graph, weights, allowed_tasks=allowed, backend="matroid", warm_start=warm_start
+    )
+    _dense, dense_total = max_weight_matching(
+        graph, weights, allowed_tasks=allowed, backend="scipy"
+    )
+    assert total == pytest.approx(dense_total, abs=1e-9)

@@ -17,10 +17,8 @@ the registered backends after every single step —
   tolerance — different accumulation order);
 * ``greedy`` / ``vgreedy``: heuristic totals never exceed the optimum.
 
-The machine also draws the kernel family (``python`` always, ``numba``
-when importable) and a ``--max-degree``-style cap on the universe
-adjacency, so the differential gate covers both implementation families
-and bounded-degree graphs.  Matched pairs are deliberately *not* part of
+The machine also draws a ``--max-degree``-style cap on the universe
+adjacency, so the differential gate covers bounded-degree graphs.  Matched pairs are deliberately *not* part of
 the per-step oracle: distinct maximum-weight matchings of the same task
 set exist, and which one the matcher holds depends on the operation
 path; the set and the total are the canonical quantities (the batch
@@ -48,7 +46,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.kernels import dispatch
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph
 from repro.matching.incremental import DynamicMatcher
@@ -58,8 +55,6 @@ from repro.spatial.geometry import Point
 #: Mixed-sign weights with deliberate ties: non-positive insertions must
 #: stay unmatchable, and ties exercise the position tiebreak.
 WEIGHT_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.25, 2.0, 3.75, 5.5])
-
-KERNEL_MODES = ["python"] + (["numba"] if dispatch.numba_available() else [])
 
 EXACT_BACKENDS = ("scipy", "hungarian")
 HEURISTIC_BACKENDS = ("greedy", "vgreedy")
@@ -123,11 +118,8 @@ class DynamicMatchingMachine(RuleBasedStateMachine):
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         density=st.floats(min_value=0.1, max_value=0.9),
         max_degree=st.sampled_from([None, 1, 2, 4]),
-        mode=st.sampled_from(KERNEL_MODES),
     )
-    def setup(self, num_tasks, num_workers, seed, density, max_degree, mode):
-        self._saved_mode = dispatch.kernel_mode()
-        dispatch.set_kernel_mode(mode)
+    def setup(self, num_tasks, num_workers, seed, density, max_degree):
         self.num_tasks = num_tasks
         self.num_workers = num_workers
         self.graph, self.adjacency = build_universe(
@@ -138,9 +130,6 @@ class DynamicMatchingMachine(RuleBasedStateMachine):
         self.live_tasks: Dict[int, Tuple[int, float]] = {}
         self.live_workers: Set[int] = set()
         self.clock = 0
-
-    def teardown(self):
-        dispatch.set_kernel_mode(self._saved_mode)
 
     # ------------------------------------------------------------------
     # rules: the five churn operations of the ISSUE

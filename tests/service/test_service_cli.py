@@ -32,6 +32,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_service_parser().parse_args(["serve", "--strategy", "MAPS"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--scale", "0"],
+            ["serve", "--scale", "nan"],
+            ["replay", "--port", "1", "--scale", "-1"],
+        ],
+    )
+    def test_non_positive_scale_is_a_clean_cli_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            service_main(argv)
+        assert excinfo.value.code == 2
+        assert "--scale must be positive" in capsys.readouterr().err
+
 
 class TestEndToEnd:
     def test_serve_once_and_replay(self, capsys):

@@ -67,6 +67,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_scenario(Nameless)
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_non_positive_scale_rejected(self, name, scale):
+        with pytest.raises(ValueError):
+            get_scenario(name).bundle(scale=scale, seed=0)
+
     def test_scenario_without_either_mode_fails_fast(self):
         """Implementing neither bundle() nor stream() raises a clear
         error instead of recursing bundle -> stream -> bundle."""

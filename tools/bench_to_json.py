@@ -56,12 +56,6 @@ from repro.experiments.bench_runtime import (  # noqa: E402
 )
 from repro.experiments.bench_service import measure_service_latency  # noqa: E402
 from repro.experiments.bench_sharded import measure_sharded_throughput  # noqa: E402
-from repro.kernels import (  # noqa: E402
-    KERNEL_MODES,
-    active_kernel_mode,
-    numba_version,
-    set_kernel_mode,
-)
 from repro.utils.affinity import effective_cpu_count  # noqa: E402
 
 DEFAULT_OUTPUTS = {
@@ -143,13 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "configuration (default 16)",
     )
     parser.add_argument(
-        "--kernels",
-        choices=list(KERNEL_MODES),
-        default="auto",
-        help="kernel implementation family for the scalar hot loops "
-        "(auto = numba when installed, else the pure-Python fallback)",
-    )
-    parser.add_argument(
         "--cores",
         type=int,
         nargs="+",
@@ -191,7 +178,6 @@ def load_trajectory(path: Path, benchmark_name: str) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     output = args.output or DEFAULT_OUTPUTS[args.benchmark]
-    set_kernel_mode(args.kernels)
     if args.cores and args.benchmark != "runtime":
         raise SystemExit("--cores only applies to --benchmark runtime")
     if args.benchmark == "dynamic":
@@ -201,8 +187,7 @@ def main(argv=None) -> int:
     else:
         scenario = "city_scale"
     print(
-        f"measuring {scenario} [{args.benchmark}] at scale {args.scale:g} "
-        f"(kernels = {active_kernel_mode()}) ..."
+        f"measuring {scenario} [{args.benchmark}] at scale {args.scale:g} ..."
     )
     if args.benchmark == "sharded":
         run = measure_sharded_throughput(
@@ -255,8 +240,6 @@ def main(argv=None) -> int:
         "effective_cores": effective_cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "kernels": active_kernel_mode(),
-        "numba": numba_version(),
     }
     run["created"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     # Attribution: which commit produced the point, and with what exact
