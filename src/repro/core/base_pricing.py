@@ -38,6 +38,12 @@ class ProbeOracle(Protocol):
     paper: "use the price p for h(p) times and observe the acceptance
     ratio").  Implementations may be backed by a simulator, by replayed
     historical logs, or by a fixed table in tests.
+
+    An oracle that answers faster in bulk may also define
+    ``prepare(grid_indices, prices)``: :func:`run_base_pricing` calls it
+    once with every grid and the whole candidate ladder before the first
+    :meth:`offer`, which must still return what it would have returned
+    without it.
     """
 
     def offer(self, grid_index: int, price: float, count: int) -> int:
@@ -175,6 +181,9 @@ def run_base_pricing(
     if not grid_indices:
         raise ValueError("grid_indices must be non-empty")
     config = config or BasePricingConfig()
+    prepare = getattr(oracle, "prepare", None)
+    if prepare is not None:
+        prepare(list(grid_indices), config.candidate_prices)
     reserve_prices: Dict[int, float] = {}
     estimators: Dict[int, GridAcceptanceEstimator] = {}
     total_probes = 0

@@ -46,6 +46,14 @@ from repro.simulation.sharded import ShardedEngine
 import repro.matching.weighted  # noqa: F401
 
 
+class _UsageError(Exception):
+    """Arguments that parse but describe an impossible run.
+
+    :func:`main` reports it through ``parser.error`` (one ``error:``
+    line, exit status 2) instead of a traceback.
+    """
+
+
 def _registry_epilog() -> str:
     """The ``--help`` epilog, sourced from the live registries."""
     return "\n".join(
@@ -264,6 +272,11 @@ def _run_scenario(args: argparse.Namespace) -> int:
         workload = scenario.chunked(scale=scale, seed=args.seed)
     else:
         workload = scenario.bundle(scale=scale, seed=args.seed)
+        if workload.total_tasks == 0:
+            raise _UsageError(
+                f"scenario {args.scenario!r} at --scale {scale:g} generates no "
+                "tasks; raise --scale"
+            )
     p_min, p_max = workload.price_bounds
 
     # Calibrate once (Algorithm 1 probes the same ground-truth acceptance
@@ -461,22 +474,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         parser.error("--figure or --scenario is required unless --list is given")
 
-    if args.profile is None:
-        return runner(args)
-
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
     try:
-        status = runner(args)
-    finally:
-        profiler.disable()
-        print()
-        print(f"# top {args.profile} hotspots (cumulative time)")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.profile)
-    return status
+        if args.profile is None:
+            return runner(args)
+
+        import cProfile
+        import pstats
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            status = runner(args)
+        finally:
+            profiler.disable()
+            print()
+            print(f"# top {args.profile} hotspots (cumulative time)")
+            pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.profile)
+        return status
+    except _UsageError as error:
+        parser.error(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() in tests

@@ -21,6 +21,7 @@ from repro.market.entities import Task, Worker
 from repro.market.valuation import (
     EmpiricalValuationDistribution,
     ExponentialValuation,
+    ParametricValuation,
     TruncatedNormalValuation,
     UniformValuation,
     ValuationDistribution,
@@ -41,6 +42,7 @@ __all__ = [
     "Task",
     "Worker",
     "ValuationDistribution",
+    "ParametricValuation",
     "TruncatedNormalValuation",
     "ExponentialValuation",
     "UniformValuation",

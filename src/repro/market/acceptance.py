@@ -17,12 +17,12 @@ implementations.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.market.entities import Task
-from repro.market.valuation import ValuationDistribution
+from repro.market.valuation import ParametricValuation, ValuationDistribution
 from repro.utils.rng import RandomState, bernoulli
 
 
@@ -149,6 +149,22 @@ class PerGridAcceptance:
     Falls back to a default model for grids without an explicit entry,
     which matches the synthetic generator where every grid shares the
     same family of distributions but possibly different parameters.
+
+    Two array methods evaluate many grids at once.  Both group the
+    requested positions by distribution family
+    (:class:`~repro.market.valuation.ParametricValuation` subclass),
+    stack each position's grid parameters into columns and make one
+    family call per group — for the shipped generators, where every grid
+    is a truncated normal, one scipy call in all:
+
+    * :meth:`valuation_quantiles` maps per-task uniforms through each
+      task's grid inverse CDF.  It is the generators' sampling contract:
+      draw one uniform per task in the order the per-task sampler drew
+      them, then map them in one call — the stream advances as before
+      and every valuation keeps its bits;
+    * :meth:`acceptance_ratios` evaluates ``S^g(p)`` for parallel
+      grid/price arrays (calibration evaluates every grid-price pair of
+      the ladder with it before probing).
     """
 
     def __init__(
@@ -160,6 +176,8 @@ class PerGridAcceptance:
         self._default = default
         if not self._models and self._default is None:
             raise ValueError("provide at least one model or a default")
+        # grid -> (family, (lower, upper, *params)) for the array methods.
+        self._family_rows: Dict[int, Tuple[Optional[type], Optional[Tuple[float, ...]]]] = {}
 
     def model_for(self, grid_index: int) -> AcceptanceModel:
         model = self._models.get(grid_index, self._default)
@@ -175,19 +193,94 @@ class PerGridAcceptance:
     ) -> np.ndarray:
         """Vectorised ``S^g(p)`` for parallel grid/price arrays.
 
-        Quoted prices are per *grid*, so a period's ``(grid, price)``
-        pairs collapse to a handful of unique combinations; this batches
-        the lookup into one scalar :meth:`acceptance_ratio` call per
-        unique pair (bit-identical per element, since the same scalar
-        function produces every value) instead of one per task.
+        Each element equals the scalar :meth:`acceptance_ratio` bit for
+        bit: parametric grids go through their family's array CDF, and
+        any other model answers one scalar call per unique
+        ``(grid, price)`` pair.
         """
-        grids = np.asarray(grid_indices, dtype=np.int64)
-        price_arr = np.asarray(prices, dtype=np.float64)
-        if grids.shape != price_arr.shape or grids.ndim != 1:
-            raise ValueError("grid_indices and prices must be 1-D and equal length")
-        if not grids.size:
-            return np.zeros(0, dtype=np.float64)
-        pairs = np.stack([grids.astype(np.float64), price_arr], axis=1)
+        grids, price_arr = _parallel_arrays(grid_indices, prices, "prices")
+        ratios = np.empty(grids.size, dtype=np.float64)
+        for family, positions, columns in self._by_family(grids):
+            if family is None:
+                ratios[positions] = self._scalar_ratios(grids[positions], price_arr[positions])
+            else:
+                cdf = family.cdf_of(price_arr[positions], *columns)
+                ratios[positions] = np.clip(1.0 - cdf, 0.0, 1.0)
+        return ratios
+
+    def valuation_quantiles(
+        self, grid_indices: Sequence[int], uniforms: Sequence[float]
+    ) -> np.ndarray:
+        """Each task's valuation: its uniform through its grid's inverse CDF.
+
+        Args:
+            grid_indices: Grid of each task.
+            uniforms: One ``uniform`` double per task, drawn in the order
+                a per-task sampler would have drawn them.
+
+        Raises:
+            TypeError: when a grid's model has no parametric valuation
+                distribution (nothing to invert).
+        """
+        grids, u = _parallel_arrays(grid_indices, uniforms, "uniforms")
+        valuations = np.empty(grids.size, dtype=np.float64)
+        for family, positions, columns in self._by_family(grids):
+            if family is None:
+                raise TypeError(
+                    "inverse-CDF sampling needs a parametric valuation "
+                    f"distribution in every grid; grids {sorted(set(grids[positions].tolist()))} "
+                    "have none"
+                )
+            # Columns are (lower, upper, *params); the inverse CDF takes params.
+            valuations[positions] = family.quantile_of(u[positions], *columns[2:])
+        return valuations
+
+    def _by_family(
+        self, grids: np.ndarray
+    ) -> Iterator[Tuple[Optional[type], np.ndarray, Optional[np.ndarray]]]:
+        """Group positions of ``grids`` by parametric family.
+
+        Yields ``(family, positions, columns)``: the family class (``None``
+        for models without a parametric distribution), the positions of
+        ``grids`` whose grid belongs to it, and for a family the
+        per-position parameter columns ``lower, upper, *params``.
+        """
+        unique, inverse = np.unique(grids, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        members: Dict[Optional[type], List[int]] = {}
+        rows: List[Optional[Tuple[float, ...]]] = []
+        for slot, grid_index in enumerate(unique.tolist()):
+            family, row = self._family_row(grid_index)
+            rows.append(row)
+            members.setdefault(family, []).append(slot)
+        for family, slots in members.items():
+            local = np.full(unique.size, -1, dtype=np.int64)
+            local[slots] = np.arange(len(slots))
+            per_position = local[inverse]
+            positions = np.flatnonzero(per_position >= 0)
+            if family is None:
+                yield None, positions, None
+                continue
+            table = np.array([rows[slot] for slot in slots], dtype=np.float64)
+            yield family, positions, table[per_position[positions]].T
+
+    def _family_row(self, grid_index: int) -> Tuple[Optional[type], Optional[Tuple[float, ...]]]:
+        cached = self._family_rows.get(grid_index)
+        if cached is None:
+            distribution = getattr(self.model_for(grid_index), "distribution", None)
+            if isinstance(distribution, ParametricValuation):
+                cached = (
+                    type(distribution),
+                    (distribution.lower, distribution.upper) + distribution.params,
+                )
+            else:
+                cached = (None, None)
+            self._family_rows[grid_index] = cached
+        return cached
+
+    def _scalar_ratios(self, grids: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """One scalar :meth:`acceptance_ratio` call per unique pair."""
+        pairs = np.stack([grids.astype(np.float64), prices], axis=1)
         unique_pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
         ratios = np.fromiter(
             (
@@ -201,9 +294,20 @@ class PerGridAcceptance:
 
     def set_model(self, grid_index: int, model: AcceptanceModel) -> None:
         self._models[grid_index] = model
+        self._family_rows.pop(grid_index, None)
 
     def grids(self) -> Sequence[int]:
         return tuple(self._models.keys())
+
+
+def _parallel_arrays(
+    grid_indices: Sequence[int], values: Sequence[float], name: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    grids = np.asarray(grid_indices, dtype=np.int64)
+    array = np.asarray(values, dtype=np.float64)
+    if grids.shape != array.shape or grids.ndim != 1:
+        raise ValueError(f"grid_indices and {name} must be 1-D and equal length")
+    return grids, array
 
 
 __all__ = [

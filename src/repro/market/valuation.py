@@ -11,24 +11,36 @@ Appendix D repeats the experiment with an exponential distribution.
 
 Every distribution exposes:
 
-* ``cdf(p)`` — ``F(p) = Pr[v <= p]``;
+* ``cdf(p)`` — ``F(p) = Pr[v <= p]``; a float for a scalar price, an
+  array for an array of prices;
 * ``acceptance_ratio(p)`` — ``S(p) = Pr[v > p]`` (Definition 3);
 * ``revenue_curve(p)`` — ``p * S(p)``;
 * ``sample(rng, size)`` — draw valuations;
 * ``myerson_reserve_price(...)`` — numeric maximiser of the revenue curve,
   used by tests and by the oracle pricing strategy.
+
+The parametric families (:class:`ParametricValuation`: truncated normal,
+exponential, uniform) also expose ``quantile(u)``, the inverse CDF over
+an array, and sample by inverse transform:
+``sample(rng, size) == quantile(rng.uniform(size=size))``.  Each family
+states its CDF and inverse CDF once, as functions of parameter arrays,
+so :class:`~repro.market.acceptance.PerGridAcceptance` can evaluate many
+grids' distributions in one call.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import stats
 
 from repro.utils.rng import RandomState
+
+#: A price (or uniform) argument: a scalar, or an array of them.
+ArrayLike = Union[float, np.ndarray]
 
 
 class ValuationDistribution(ABC):
@@ -42,8 +54,8 @@ class ValuationDistribution(ABC):
     # distribution interface
     # ------------------------------------------------------------------
     @abstractmethod
-    def cdf(self, price: float) -> float:
-        """``F(p) = Pr[v <= p]``."""
+    def cdf(self, price: ArrayLike) -> ArrayLike:
+        """``F(p) = Pr[v <= p]``, element-wise over an array of prices."""
 
     @abstractmethod
     def sample(self, rng: RandomState, size: int = 1) -> np.ndarray:
@@ -52,15 +64,22 @@ class ValuationDistribution(ABC):
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
-    def acceptance_ratio(self, price: float) -> float:
-        """``S(p) = Pr[v > p] = 1 - F(p)`` (Definition 3)."""
-        return max(0.0, min(1.0, 1.0 - self.cdf(price)))
+    def acceptance_ratio(self, price: ArrayLike) -> ArrayLike:
+        """``S(p) = Pr[v > p] = 1 - F(p)`` (Definition 3), element-wise."""
+        if np.ndim(price) == 0:
+            return max(0.0, min(1.0, 1.0 - self.cdf(price)))
+        return np.clip(1.0 - self.cdf(price), 0.0, 1.0)
 
-    def revenue_curve(self, price: float) -> float:
-        """Expected per-unit-distance revenue ``p * S(p)`` at price ``p``."""
-        if price < 0:
+    def revenue_curve(self, price: ArrayLike) -> ArrayLike:
+        """Expected per-unit-distance revenue ``p * S(p)``, element-wise."""
+        if np.ndim(price) == 0:
+            if price < 0:
+                raise ValueError("price must be non-negative")
+            return price * self.acceptance_ratio(price)
+        prices = np.asarray(price, dtype=np.float64)
+        if (prices < 0).any():
             raise ValueError("price must be non-negative")
-        return price * self.acceptance_ratio(price)
+        return prices * self.acceptance_ratio(prices)
 
     def myerson_reserve_price(
         self,
@@ -68,6 +87,11 @@ class ValuationDistribution(ABC):
         resolution: int = 4096,
     ) -> float:
         """Numerically maximise ``p * S(p)`` over ``price_range``.
+
+        The revenue curve is evaluated over the whole candidate grid in
+        one array :meth:`cdf` call; every element equals the scalar
+        ``revenue_curve(p)`` bit for bit, so the arg-max is the one a
+        per-price loop would find.
 
         Args:
             price_range: Search interval; defaults to the distribution's
@@ -86,15 +110,16 @@ class ValuationDistribution(ABC):
         if high <= low:
             raise ValueError("price_range must have positive width")
         prices = np.linspace(low, high, int(resolution))
-        revenues = np.array([self.revenue_curve(float(p)) for p in prices])
+        revenues = self.revenue_curve(prices)
         return float(prices[int(np.argmax(revenues))])
 
     def is_mhr(self, price_range: Optional[Tuple[float, float]] = None, resolution: int = 512) -> bool:
         """Numerically check the monotone-hazard-rate property.
 
         Evaluates the hazard rate ``f(p) / (1 - F(p))`` on a grid (with the
-        density estimated by central differences of the CDF) and checks it
-        is non-decreasing up to a small tolerance.  Used by tests to verify
+        density estimated by central differences of the CDF) up to the
+        first price whose survival drops to ``1e-9``, and checks it is
+        non-decreasing up to a small tolerance.  Used by tests to verify
         that the shipped distributions satisfy the paper's assumption.
         """
         if price_range is None:
@@ -103,14 +128,13 @@ class ValuationDistribution(ABC):
         low, high = price_range
         prices = np.linspace(low + 1e-6, high - 1e-6, resolution)
         step = (high - low) / (resolution * 8)
-        hazards = []
-        for p in prices:
-            survival = 1.0 - self.cdf(float(p))
-            if survival <= 1e-9:
-                break
-            density = (self.cdf(float(p + step)) - self.cdf(float(p - step))) / (2 * step)
-            hazards.append(density / survival)
-        hazards_arr = np.array(hazards)
+        survival = 1.0 - self.cdf(prices)
+        exhausted = np.flatnonzero(survival <= 1e-9)
+        if exhausted.size:
+            prices = prices[: exhausted[0]]
+            survival = survival[: exhausted[0]]
+        density = (self.cdf(prices + step) - self.cdf(prices - step)) / (2 * step)
+        hazards_arr = density / survival
         if len(hazards_arr) < 3:
             return True
         diffs = np.diff(hazards_arr)
@@ -118,11 +142,82 @@ class ValuationDistribution(ABC):
         return bool(np.all(diffs >= -tolerance))
 
 
-class TruncatedNormalValuation(ValuationDistribution):
+class ParametricValuation(ValuationDistribution):
+    """A closed-form family with an inverse CDF.
+
+    A subclass states its parameter tuple (:attr:`params`) and two maps
+    that act element-wise on broadcastable parameter arrays:
+    ``_cdf_of(prices, *params)`` for prices inside ``[lower, upper)`` and
+    ``quantile_of(u, *params)``.  An instance evaluates them with its own
+    scalars; :class:`~repro.market.acceptance.PerGridAcceptance` stacks
+    many instances' parameters into columns and evaluates every grid of
+    a bundle in one call.  Both give the same bits per element.
+    """
+
+    @property
+    @abstractmethod
+    def params(self) -> Tuple[float, ...]:
+        """The family parameters ``_cdf_of``/``quantile_of`` take."""
+
+    @staticmethod
+    @abstractmethod
+    def _cdf_of(prices: ArrayLike, *params: ArrayLike) -> ArrayLike:
+        """``F`` on the support's interior (``lower <= p < upper``)."""
+
+    @staticmethod
+    @abstractmethod
+    def quantile_of(u: np.ndarray, *params: ArrayLike) -> np.ndarray:
+        """The inverse CDF ``F^-1(u)``, parameters as scalars or columns."""
+
+    @classmethod
+    def cdf_of(cls, prices: np.ndarray, lower, upper, *params) -> np.ndarray:
+        """``F(p)`` element-wise, support bounds and parameters as columns.
+
+        0 below ``lower``, 1 from ``upper`` on, ``_cdf_of`` in between —
+        the branches of the scalar :meth:`cdf`, so each element is that
+        scalar's value.
+        """
+        prices, lower, upper, *params = np.broadcast_arrays(
+            np.asarray(prices, dtype=np.float64), lower, upper, *params
+        )
+        out = np.where(prices < lower, 0.0, 1.0)
+        inside = (prices >= lower) & (prices < upper)
+        if inside.any():
+            out[inside] = cls._cdf_of(prices[inside], *(column[inside] for column in params))
+        return out
+
+    def cdf(self, price: ArrayLike) -> ArrayLike:
+        if np.ndim(price) == 0:
+            if price < self.lower:
+                return 0.0
+            if price >= self.upper:
+                return 1.0
+            return float(self._cdf_of(price, *self.params))
+        return self.cdf_of(price, self.lower, self.upper, *self.params)
+
+    def quantile(self, u: ArrayLike) -> np.ndarray:
+        """The inverse CDF ``F^-1(u)`` over an array of ``u`` in ``[0, 1)``."""
+        return self.quantile_of(np.asarray(u, dtype=np.float64), *self.params)
+
+    def sample(self, rng: RandomState, size: int = 1) -> np.ndarray:
+        """Inverse-transform sampling: one ``uniform`` double per value."""
+        return self.quantile(rng.uniform(size=size))
+
+
+class TruncatedNormalValuation(ParametricValuation):
     """Normal valuations conditioned on an interval (the paper's default).
 
     The synthetic experiments draw ``v_r`` from ``Normal(mu, sigma)``
     restricted to ``[1, 5]``, i.e. a conditional (truncated) distribution.
+
+    The instance keeps only ``a, b, mean, std`` and calls scipy's
+    class-level ``truncnorm.cdf``/``truncnorm.ppf`` with them, so no
+    frozen scipy object is built per grid.  :meth:`sample` makes the same
+    single ``uniform`` draw per value as scipy's ``rvs`` and maps it
+    through the same ``ppf``, so it returns scipy's ``rvs`` values bit for
+    bit — except at ``u == 0.0`` exactly (probability ``2**-53`` per
+    draw), where ``rvs`` lands 1–2 ulp below ``lower`` and :meth:`quantile`
+    returns the support's lower end ``a * std + mean``.
 
     Args:
         mean: Mean of the underlying normal distribution (the paper sweeps
@@ -141,19 +236,20 @@ class TruncatedNormalValuation(ValuationDistribution):
         self.std = float(std)
         self.lower = float(lower)
         self.upper = float(upper)
-        a = (self.lower - self.mean) / self.std
-        b = (self.upper - self.mean) / self.std
-        self._dist = stats.truncnorm(a, b, loc=self.mean, scale=self.std)
+        self.a = (self.lower - self.mean) / self.std
+        self.b = (self.upper - self.mean) / self.std
 
-    def cdf(self, price: float) -> float:
-        if price < self.lower:
-            return 0.0
-        if price >= self.upper:
-            return 1.0
-        return float(self._dist.cdf(price))
+    @property
+    def params(self) -> Tuple[float, ...]:
+        return (self.a, self.b, self.mean, self.std)
 
-    def sample(self, rng: RandomState, size: int = 1) -> np.ndarray:
-        return np.asarray(self._dist.rvs(size=size, random_state=rng), dtype=float)
+    @staticmethod
+    def _cdf_of(prices, a, b, mean, std):
+        return stats.truncnorm.cdf(prices, a, b, loc=mean, scale=std)
+
+    @staticmethod
+    def quantile_of(u, a, b, mean, std):
+        return stats.truncnorm.ppf(u, a, b, loc=mean, scale=std)
 
     def __repr__(self) -> str:
         return (
@@ -162,7 +258,7 @@ class TruncatedNormalValuation(ValuationDistribution):
         )
 
 
-class ExponentialValuation(ValuationDistribution):
+class ExponentialValuation(ParametricValuation):
     """Exponentially distributed valuations (Appendix D), optionally truncated.
 
     Args:
@@ -186,25 +282,30 @@ class ExponentialValuation(ValuationDistribution):
         else:
             self._norm = 1.0
 
-    def cdf(self, price: float) -> float:
-        if price < self.lower:
-            return 0.0
-        if price >= self.upper:
-            return 1.0
-        raw = 1.0 - math.exp(-self.rate * (price - self.shift))
-        return raw / self._norm
+    @property
+    def params(self) -> Tuple[float, ...]:
+        return (self.rate, self.shift, self._norm)
 
-    def sample(self, rng: RandomState, size: int = 1) -> np.ndarray:
-        # Inverse-transform sampling of the truncated exponential.
-        u = rng.random(size)
-        values = self.shift - np.log(1.0 - u * self._norm) / self.rate
-        return np.asarray(values, dtype=float)
+    @staticmethod
+    def _cdf_of(prices, rate, shift, norm):
+        # libm exp element by element: numpy's SIMD exp differs from it by
+        # an ulp on some inputs, and the scalar CDF has always used libm.
+        exponents = -rate * (prices - shift)
+        if np.ndim(exponents) == 0:
+            return (1.0 - math.exp(exponents)) / norm
+        raw = 1.0 - np.array([math.exp(x) for x in exponents.tolist()])
+        return raw / norm
+
+    @staticmethod
+    def quantile_of(u, rate, shift, norm):
+        # Inverse transform of the truncated exponential.
+        return shift - np.log(1.0 - u * norm) / rate
 
     def __repr__(self) -> str:
         return f"ExponentialValuation(rate={self.rate}, shift={self.shift}, upper={self.upper})"
 
 
-class UniformValuation(ValuationDistribution):
+class UniformValuation(ParametricValuation):
     """Uniform valuations on ``[lower, upper]`` (an MHR distribution).
 
     With uniform valuations the Myerson reserve price has the closed form
@@ -218,15 +319,18 @@ class UniformValuation(ValuationDistribution):
         self.lower = float(lower)
         self.upper = float(upper)
 
-    def cdf(self, price: float) -> float:
-        if price < self.lower:
-            return 0.0
-        if price >= self.upper:
-            return 1.0
-        return (price - self.lower) / (self.upper - self.lower)
+    @property
+    def params(self) -> Tuple[float, ...]:
+        return (self.lower, self.upper)
 
-    def sample(self, rng: RandomState, size: int = 1) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=size)
+    @staticmethod
+    def _cdf_of(prices, lower, upper):
+        return (prices - lower) / (upper - lower)
+
+    @staticmethod
+    def quantile_of(u, lower, upper):
+        # numpy's ``uniform(low, high)`` computes ``low + (high - low) * u``.
+        return lower + (upper - lower) * u
 
     def exact_myerson_reserve_price(self) -> float:
         """Closed-form maximiser of ``p (upper - p)/(upper - lower)`` on the support."""
@@ -254,8 +358,11 @@ class EmpiricalValuationDistribution(ValuationDistribution):
         self.lower = float(values[0])
         self.upper = float(values[-1])
 
-    def cdf(self, price: float) -> float:
-        return float(np.searchsorted(self._values, price, side="right")) / self._values.size
+    def cdf(self, price: ArrayLike) -> ArrayLike:
+        counts = np.searchsorted(self._values, price, side="right")
+        if np.ndim(counts) == 0:
+            return float(counts) / self._values.size
+        return counts / self._values.size
 
     def sample(self, rng: RandomState, size: int = 1) -> np.ndarray:
         return rng.choice(self._values, size=size, replace=True)
@@ -270,6 +377,7 @@ class EmpiricalValuationDistribution(ValuationDistribution):
 
 __all__ = [
     "ValuationDistribution",
+    "ParametricValuation",
     "TruncatedNormalValuation",
     "ExponentialValuation",
     "UniformValuation",

@@ -15,7 +15,10 @@ The generator reproduces the paper's synthetic setup:
   exponential distribution for the Appendix D experiment; every grid uses
   a slightly perturbed mean so grids genuinely differ, matching the paper's
   statement that "the valuations v_r are drawn from each normal
-  distribution w.r.t. the mean of g".
+  distribution w.r.t. the mean of g".  Valuations have their own RNG
+  stream: one ``uniform`` per task in task order, mapped through each
+  task's grid inverse CDF in one call
+  (:meth:`~repro.market.acceptance.PerGridAcceptance.valuation_quantiles`).
 """
 
 from __future__ import annotations
@@ -63,20 +66,19 @@ class SyntheticWorkloadGenerator:
         task_origins = self._sample_locations(task_rng, config.num_tasks, config.spatial_mean)
         task_destinations = self._sample_uniform_locations(task_rng, config.num_tasks)
 
+        task_grids = [grid.locate(origin) for origin in task_origins]
+        valuations = acceptance.valuation_quantiles(
+            task_grids, valuation_rng.uniform(size=config.num_tasks)
+        ).tolist()
         for task_id in range(config.num_tasks):
-            origin = task_origins[task_id]
-            destination = task_destinations[task_id]
             period = task_periods[task_id]
-            grid_index = grid.locate(origin)
-            model = acceptance.model_for(grid_index)
-            valuation = model.sample_valuation(valuation_rng)
             task = Task(
                 task_id=task_id,
                 period=period,
-                origin=origin,
-                destination=destination,
-                valuation=valuation,
-                grid_index=grid_index,
+                origin=task_origins[task_id],
+                destination=task_destinations[task_id],
+                valuation=valuations[task_id],
+                grid_index=task_grids[task_id],
             )
             tasks_by_period[period].append(task)
 

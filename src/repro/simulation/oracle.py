@@ -4,7 +4,10 @@ Algorithm 1 "uses the price p for h(p) times and observes the acceptance
 ratio" — i.e. it interacts with (historical) requesters.  In the simulator
 those interactions are answered by the ground-truth per-grid acceptance
 models: offering a price to ``count`` requesters of a grid draws ``count``
-Bernoulli samples with success probability ``S^g(p)``.
+Bernoulli samples with success probability ``S^g(p)``.  Calibration knows
+every (grid, ladder price) pair up front, so :meth:`SimulatedProbeOracle.prepare`
+evaluates ``S^g(p)`` for all of them in one array call before the draws;
+the draws themselves keep their order.
 
 The oracle also keeps a ledger of how many probes were issued per grid,
 which the experiment reports use to document the calibration budget.
@@ -12,7 +15,7 @@ which the experiment reports use to document the calibration budget.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +35,20 @@ class SimulatedProbeOracle:
         self._acceptance = acceptance
         self._rng = rng if isinstance(rng, np.random.Generator) else as_generator(seed if rng is None else rng)
         self._probes: Dict[Tuple[int, float], int] = {}
+        self._ratios: Dict[Tuple[int, float], float] = {}
+
+    def prepare(self, grid_indices: Sequence[int], prices: Sequence[float]) -> None:
+        """Evaluate ``S^g(p)`` for every grid/price pair in one array call.
+
+        :meth:`offer` then reads the probability from this table; each
+        value equals the scalar ``acceptance_ratio(grid, price)`` bit for
+        bit, so the Binomial draws are unchanged.  Pairs not prepared fall
+        back to the scalar call.
+        """
+        grids = np.repeat(np.asarray(grid_indices, dtype=np.int64), len(prices))
+        price_column = np.tile(np.asarray(prices, dtype=np.float64), len(grid_indices))
+        ratios = self._acceptance.acceptance_ratios(grids, price_column)
+        self._ratios.update(zip(zip(grids.tolist(), price_column.tolist()), ratios.tolist()))
 
     def offer(self, grid_index: int, price: float, count: int) -> int:
         """Offer ``price`` to ``count`` requesters of ``grid_index``.
@@ -41,10 +58,12 @@ class SimulatedProbeOracle:
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        probability = self._acceptance.acceptance_ratio(grid_index, price)
+        key = (int(grid_index), float(price))
+        probability = self._ratios.get(key)
+        if probability is None:
+            probability = self._acceptance.acceptance_ratio(grid_index, price)
         probability = min(1.0, max(0.0, probability))
         acceptances = int(self._rng.binomial(count, probability))
-        key = (int(grid_index), float(price))
         self._probes[key] = self._probes.get(key, 0) + count
         return acceptances
 

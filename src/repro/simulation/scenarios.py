@@ -21,6 +21,13 @@ Batch-first scenarios derive their stream by unrolling the bundle
 scenarios derive their bundle by binning the stream
 (:func:`~repro.simulation.streaming.stream_to_workload`).
 
+Valuations follow one sampling contract everywhere: each request's
+valuation consumes exactly one ``uniform`` double of the RNG stream, at
+the request's place in that stream, and a batch of uniforms (a bundle,
+a period or a chunk) maps through each request's grid inverse CDF in one
+:meth:`~repro.market.acceptance.PerGridAcceptance.valuation_quantiles`
+call.
+
 Registering a new scenario takes one class::
 
     @register_scenario
@@ -306,7 +313,8 @@ class FoodDeliveryScenario(Scenario):
             0,
             num_periods - 1,
         ).astype(int)
-        for order_id in range(num_orders):
+        orders = []
+        for _ in range(num_orders):
             district = self.OFFICE_DISTRICTS[int(rng.integers(len(self.OFFICE_DISTRICTS)))]
             origin = Point(
                 float(np.clip(district.x + rng.normal(0, 0.8), 0, side)),
@@ -318,7 +326,13 @@ class FoodDeliveryScenario(Scenario):
                 float(np.clip(origin.x + hop * np.cos(angle), 0, side)),
                 float(np.clip(origin.y + hop * np.sin(angle), 0, side)),
             )
-            grid_index = grid.locate(origin)
+            # The valuation's uniform is drawn at this point of the stream;
+            # every order's uniform maps to its valuation in one call below.
+            orders.append((origin, destination, grid.locate(origin), rng.uniform()))
+        valuations = acceptance.valuation_quantiles(
+            [order[2] for order in orders], [order[3] for order in orders]
+        ).tolist()
+        for order_id, (origin, destination, grid_index, _) in enumerate(orders):
             period = int(order_periods[order_id])
             tasks_by_period[period].append(
                 Task(
@@ -326,7 +340,7 @@ class FoodDeliveryScenario(Scenario):
                     period=period,
                     origin=origin,
                     destination=destination,
-                    valuation=acceptance.model_for(grid_index).sample_valuation(rng),
+                    valuation=valuations[order_id],
                     grid_index=grid_index,
                 )
             )
@@ -460,6 +474,7 @@ class HotspotBurstScenario(Scenario):
                         )
                     )
                     worker_id += 1
+                requests = []
                 for _ in range(num_tasks):
                     # During the burst, 80% of demand erupts near the hotspot.
                     if bursting and rng.random() < 0.8:
@@ -474,16 +489,25 @@ class HotspotBurstScenario(Scenario):
                     destination = Point(
                         float(rng.uniform(0.0, side)), float(rng.uniform(0.0, side))
                     )
-                    grid_index = grid.locate(origin)
+                    time = period + float(rng.uniform(0.0, 1.0))
+                    # The valuation's uniform is drawn at this point of the
+                    # stream; the period's uniforms map in one call below.
+                    requests.append((origin, destination, grid.locate(origin), rng.uniform(), time))
+                valuations = acceptance.valuation_quantiles(
+                    [request[2] for request in requests], [request[3] for request in requests]
+                ).tolist()
+                for (origin, destination, grid_index, _, time), valuation in zip(
+                    requests, valuations
+                ):
                     stamped.append(
                         TaskArrival(
-                            time=period + float(rng.uniform(0.0, 1.0)),
+                            time=time,
                             task=Task(
                                 task_id=task_id,
                                 period=period,
                                 origin=origin,
                                 destination=destination,
-                                valuation=acceptance.model_for(grid_index).sample_valuation(rng),
+                                valuation=valuation,
                                 grid_index=grid_index,
                             ),
                         )
@@ -628,6 +652,7 @@ class ChurnCityScenario(Scenario):
                     )
                     worker_id += 1
                 num_tasks = int(rng.poisson(task_rate))
+                requests = []
                 for _ in range(num_tasks):
                     district = districts[int(rng.integers(len(districts)))]
                     origin = Point(
@@ -637,18 +662,29 @@ class ChurnCityScenario(Scenario):
                     destination = Point(
                         float(rng.uniform(0.0, side)), float(rng.uniform(0.0, side))
                     )
-                    grid_index = grid.locate(origin)
+                    time = period + float(rng.uniform(0.0, 1.0))
+                    # The valuation's uniform is drawn at this point of the
+                    # stream; the period's uniforms map in one call below.
+                    uniform = rng.uniform()
+                    duration = float(task_lifetime * rng.uniform(0.5, 1.5))
+                    requests.append((origin, destination, grid.locate(origin), uniform, time, duration))
+                valuations = acceptance.valuation_quantiles(
+                    [request[2] for request in requests], [request[3] for request in requests]
+                ).tolist()
+                for (origin, destination, grid_index, _, time, duration), valuation in zip(
+                    requests, valuations
+                ):
                     stamped.append(
                         TaskArrival(
-                            time=period + float(rng.uniform(0.0, 1.0)),
+                            time=time,
                             task=Task(
                                 task_id=task_id,
                                 period=period,
                                 origin=origin,
                                 destination=destination,
-                                valuation=acceptance.model_for(grid_index).sample_valuation(rng),
+                                valuation=valuation,
                                 grid_index=grid_index,
-                                duration=float(task_lifetime * rng.uniform(0.5, 1.5)),
+                                duration=duration,
                             ),
                         )
                     )
@@ -775,17 +811,8 @@ class CityScaleScenario(Scenario):
         hotspot_ys = np.array([spot.y for spot in hotspots])
         radius = self.WORKER_RADIUS
         duration = self.WORKER_DURATION
-        # Per-cell truncnorm parameters (std is 1 everywhere), 0-based by
-        # cell position, for the batched inverse-CDF sampling below.
-        cell_means = np.fromiter(
-            (models[cell.index].distribution.mean for cell in grid.cells()),
-            dtype=np.float64,
-            count=grid.num_cells,
-        )
 
         def _column_chunks() -> Iterator[tuple]:
-            from scipy import stats
-
             for period in range(num_periods):
                 rng = np.random.default_rng(
                     derive_seed(root_seed, "city-period", period)
@@ -818,18 +845,13 @@ class CityScaleScenario(Scenario):
                 # scalar path drew `uniform(size=n)` per demanded cell in
                 # ascending cell order and mapped through that cell's
                 # truncnorm ppf, so one uniform draw in cell-sorted task
-                # order plus one array-parameter ppf call consumes the
-                # same stream and yields bit-identical valuations (the
-                # per-cell loop cost one scipy dispatch per cell, which
-                # dominated 1M-task generation).
+                # order plus one array-parameter inverse-CDF call consumes
+                # the same stream and yields bit-identical valuations.
                 valuations = np.empty(num_tasks, dtype=np.float64)
-                if num_tasks:
-                    order = np.argsort(cells, kind="stable")
-                    means = cell_means[cells[order] - 1]
-                    uniforms = rng.uniform(size=num_tasks)
-                    valuations[order] = stats.truncnorm.ppf(
-                        uniforms, 1.0 - means, 5.0 - means, loc=means, scale=1.0
-                    )
+                order = np.argsort(cells, kind="stable")
+                valuations[order] = acceptance.valuation_quantiles(
+                    cells[order], rng.uniform(size=num_tasks)
+                )
                 task_base = period * 10_000_000
                 task_cols = TaskColumns(
                     period=period,

@@ -27,7 +27,7 @@ heavier shortages at night), while being fully reproducible offline.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -56,40 +56,52 @@ class BeijingTaxiGenerator:
     # public API
     # ------------------------------------------------------------------
     def generate(self) -> WorkloadBundle:
+        """Generate the workload.
+
+        Geography and timing come from one RNG stream; valuations come
+        from their own stream, one ``uniform`` per task in task order,
+        mapped through each task's grid inverse CDF in one call once every
+        task's grid is known (:meth:`PerGridAcceptance.valuation_quantiles`).
+        """
         config = self.config
         grid = config.build_grid()
         rng = np.random.default_rng(derive_seed(config.seed, "beijing", config.variant))
 
         hotspots = self._demand_hotspots(rng, grid)
         acceptance = self._build_acceptance(grid, hotspots, rng)
+        weights = np.array([w for _, w in hotspots])
+        weights = weights / weights.sum()
 
         tasks_by_period: List[List[Task]] = [[] for _ in range(config.num_periods)]
         workers_by_period: List[List[Worker]] = [[] for _ in range(config.num_periods)]
 
         task_periods = self._task_periods(rng)
-        valuation_rng = np.random.default_rng(derive_seed(config.seed, "beijing-valuations"))
-        for task_id in range(config.num_tasks):
-            period = int(task_periods[task_id])
-            origin = self._sample_demand_location(rng, hotspots)
+        trips: List[Tuple[Point, Point, int]] = []
+        for _ in range(config.num_tasks):
+            origin = self._sample_demand_location(rng, hotspots, weights)
             destination = self._sample_destination(rng, origin)
-            grid_index = grid.locate(origin)
-            distance_km = self._trip_distance_km(origin, destination)
-            model = acceptance.model_for(grid_index)
-            valuation = model.sample_valuation(valuation_rng)
+            trips.append((origin, destination, grid.locate(origin)))
+        valuation_rng = np.random.default_rng(derive_seed(config.seed, "beijing-valuations"))
+        valuations = acceptance.valuation_quantiles(
+            [grid_index for _, _, grid_index in trips],
+            valuation_rng.uniform(size=config.num_tasks),
+        ).tolist()
+        for task_id, (origin, destination, grid_index) in enumerate(trips):
+            period = int(task_periods[task_id])
             task = Task(
                 task_id=task_id,
                 period=period,
                 origin=origin,
                 destination=destination,
-                distance=distance_km,
-                valuation=valuation,
+                distance=self._trip_distance_km(origin, destination),
+                valuation=valuations[task_id],
                 grid_index=grid_index,
             )
             tasks_by_period[period].append(task)
 
         worker_periods = rng.integers(0, config.num_periods, size=config.num_workers)
         for worker_id in range(config.num_workers):
-            location = self._sample_supply_location(rng, hotspots)
+            location = self._sample_supply_location(rng, hotspots, weights)
             worker = Worker(
                 worker_id=worker_id,
                 period=int(worker_periods[worker_id]),
@@ -138,16 +150,16 @@ class BeijingTaxiGenerator:
         return list(zip(centers, [float(w) for w in weights]))
 
     def _sample_demand_location(
-        self, rng: np.random.Generator, hotspots: List[Tuple[Point, float]]
+        self,
+        rng: np.random.Generator,
+        hotspots: List[Tuple[Point, float]],
+        weights: np.ndarray,
     ) -> Point:
         config = self.config
-        region = config.build_grid().region if False else None  # noqa: F841 (kept simple below)
         min_lon, min_lat, max_lon, max_lat = config.bounding_box
         # Rush hour: 85% of demand from hot spots; late night: 50%.
         hotspot_share = 0.85 if config.variant == "rush_hour" else 0.5
         if rng.random() < hotspot_share:
-            weights = np.array([w for _, w in hotspots])
-            weights = weights / weights.sum()
             choice = int(rng.choice(len(hotspots), p=weights))
             center, _ = hotspots[choice]
             spread_km = 1.0 if self.config.variant == "rush_hour" else 2.0
@@ -156,19 +168,18 @@ class BeijingTaxiGenerator:
         else:
             lon = rng.uniform(min_lon, max_lon)
             lat = rng.uniform(min_lat, max_lat)
-        lon = float(np.clip(lon, min_lon, max_lon))
-        lat = float(np.clip(lat, min_lat, max_lat))
-        return Point(lon, lat)
+        return Point(min(max(lon, min_lon), max_lon), min(max(lat, min_lat), max_lat))
 
     def _sample_supply_location(
-        self, rng: np.random.Generator, hotspots: List[Tuple[Point, float]]
+        self,
+        rng: np.random.Generator,
+        hotspots: List[Tuple[Point, float]],
+        weights: np.ndarray,
     ) -> Point:
         """Drivers roughly follow demand but more diffusely (they cruise)."""
         config = self.config
         min_lon, min_lat, max_lon, max_lat = config.bounding_box
         if rng.random() < 0.5:
-            weights = np.array([w for _, w in hotspots])
-            weights = weights / weights.sum()
             choice = int(rng.choice(len(hotspots), p=weights))
             center, _ = hotspots[choice]
             lon = center.x + rng.normal(0.0, 3.0 / KM_PER_DEGREE_LON)
@@ -176,21 +187,17 @@ class BeijingTaxiGenerator:
         else:
             lon = rng.uniform(min_lon, max_lon)
             lat = rng.uniform(min_lat, max_lat)
-        return Point(
-            float(np.clip(lon, min_lon, max_lon)), float(np.clip(lat, min_lat, max_lat))
-        )
+        return Point(min(max(lon, min_lon), max_lon), min(max(lat, min_lat), max_lat))
 
     def _sample_destination(self, rng: np.random.Generator, origin: Point) -> Point:
         """Trip destinations: log-normal trip length in a random direction."""
         config = self.config
         min_lon, min_lat, max_lon, max_lat = config.bounding_box
-        trip_km = float(np.clip(rng.lognormal(mean=1.2, sigma=0.5), 0.5, 20.0))
+        trip_km = min(max(rng.lognormal(mean=1.2, sigma=0.5), 0.5), 20.0)
         angle = rng.uniform(0.0, 2.0 * math.pi)
         lon = origin.x + (trip_km * math.cos(angle)) / KM_PER_DEGREE_LON
         lat = origin.y + (trip_km * math.sin(angle)) / KM_PER_DEGREE_LAT
-        return Point(
-            float(np.clip(lon, min_lon, max_lon)), float(np.clip(lat, min_lat, max_lat))
-        )
+        return Point(min(max(lon, min_lon), max_lon), min(max(lat, min_lat), max_lat))
 
     def _trip_distance_km(self, origin: Point, destination: Point) -> float:
         dlon_km = (destination.x - origin.x) * KM_PER_DEGREE_LON
@@ -247,7 +254,7 @@ class BeijingTaxiGenerator:
                 (center.y - strongest.y) * KM_PER_DEGREE_LAT,
             )
             mean = base_mean + 0.8 * (distance_km / max(diag, 1e-9))
-            mean = float(np.clip(mean + rng.normal(0.0, 0.1), low, high))
+            mean = min(max(mean + rng.normal(0.0, 0.1), low), high)
             models[cell.index] = DistributionAcceptanceModel(
                 TruncatedNormalValuation(mean=mean, std=1.0, lower=low, upper=high)
             )

@@ -64,6 +64,23 @@ class TestParser:
         assert excinfo.value.code == 2  # argparse error, not a traceback
         assert "--scale must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "hotspot_burst", "--scale", "0.0001"],
+            ["--scenario", "churn_city", "--streaming", "--scale", "0.0001"],
+        ],
+    )
+    def test_empty_workload_is_a_clean_cli_error(self, argv, capsys):
+        """A positive scale too small to yield a task names the scenario
+        and scale in one argparse error instead of a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--no-memory-tracking"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert argv[1] in errors[0] and "--scale 0.0001" in errors[0]
+
     def test_figure_and_scenario_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             main(["--figure", "fig6-W", "--scenario", "synthetic"])

@@ -53,11 +53,26 @@ class TestStructure:
                 assert worker.radius == pytest.approx(3.0)
 
     def test_reproducibility(self):
-        first = BeijingTaxiGenerator(_config(seed=5)).generate()
-        second = BeijingTaxiGenerator(_config(seed=5)).generate()
-        assert [len(t) for t in first.tasks_by_period] == [
-            len(t) for t in second.tasks_by_period
-        ]
+        """Same seed, same workload field for field (valuations included);
+        another seed, another workload."""
+
+        def rows(workload):
+            tasks = [
+                (t.task_id, t.period, t.origin, t.destination, t.distance,
+                 repr(t.valuation), t.grid_index)
+                for tasks in workload.tasks_by_period
+                for t in tasks
+            ]
+            workers = [
+                (w.worker_id, w.period, w.location, w.radius, w.duration)
+                for workers in workload.workers_by_period
+                for w in workers
+            ]
+            return tasks, workers
+
+        first = rows(BeijingTaxiGenerator(_config(seed=5)).generate())
+        assert first == rows(BeijingTaxiGenerator(_config(seed=5)).generate())
+        assert first[0] != rows(BeijingTaxiGenerator(_config(seed=6)).generate())[0]
 
 
 class TestVariantCharacteristics:
