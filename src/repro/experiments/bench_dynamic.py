@@ -546,7 +546,7 @@ def _run_incremental(
     (checked at test scale).
     """
     index = IncrementalAdjacencyIndex(
-        epoch.grid, metric=epoch.metric, max_degree=max_degree, track_tasks=True
+        epoch.grid, metric=epoch.metric, max_degree=max_degree
     )
     matcher = LazyDynamicMatcher()
     task_slot: Dict[int, int] = {}

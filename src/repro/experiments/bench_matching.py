@@ -23,8 +23,9 @@ curve:
   exact matroid matching: same results, less builder time;
 * ``capped-<K>`` — vectorized builder with ``max_degree=K`` (K nearest
   workers per task), exact matching on the capped graph;
-* ``vgreedy`` — vectorized builder, numpy round-based greedy matching;
-* any of the above with ``+warm`` — cross-period warm starts on.
+* ``vgreedy`` — vectorized builder, numpy round-based greedy matching.
+
+Parts combine with ``+`` (e.g. ``loop+capped-8``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class MatchingBenchPoint:
     config: str
     backend: str
     max_degree: Optional[int]
-    warm_start: bool
     seconds: float
     total_tasks: int
     tasks_per_second: float
@@ -65,15 +65,13 @@ class _ConfigSpec:
     loop_builder: bool
     backend: str
     max_degree: Optional[int]
-    warm_start: bool
 
 
 def parse_config(name: str) -> _ConfigSpec:
-    """Parse a configuration name like ``capped-8+warm`` (see module doc)."""
+    """Parse a configuration name like ``loop+capped-8`` (see module doc)."""
     loop_builder = False
     backend = "matroid"
     max_degree: Optional[int] = None
-    warm_start = False
     for part in name.split("+"):
         part = part.strip()
         if part == "loop":
@@ -82,8 +80,6 @@ def parse_config(name: str) -> _ConfigSpec:
             pass
         elif part == "vgreedy":
             backend = "vgreedy"
-        elif part == "warm":
-            warm_start = True
         elif part.startswith("capped-"):
             max_degree = int(part[len("capped-") :])
         else:
@@ -95,7 +91,6 @@ def parse_config(name: str) -> _ConfigSpec:
         loop_builder=loop_builder,
         backend=backend,
         max_degree=max_degree,
-        warm_start=warm_start,
     )
 
 
@@ -137,7 +132,6 @@ def measure_matching_throughput(
             seed=seed,
             matching_backend=spec.backend,
             max_degree=spec.max_degree,
-            warm_start=spec.warm_start,
         )
         guard = force_loop_builder() if spec.loop_builder else nullcontext()
         with guard:
@@ -149,7 +143,6 @@ def measure_matching_throughput(
                 config=spec.name,
                 backend=spec.backend,
                 max_degree=spec.max_degree,
-                warm_start=spec.warm_start,
                 seconds=elapsed,
                 total_tasks=run.metrics.total_tasks,
                 tasks_per_second=run.metrics.total_tasks / elapsed,

@@ -5,28 +5,23 @@ multiplier in isolation; the zero-copy columnar runtime exists to make
 them *compound*.  This protocol measures exactly that: full end-to-end
 ``city_scale`` throughput — lazy generation, partitioning, quoting,
 deciding, matching, halo reconciliation, feedback — for the compound
-configuration ``--shards 8 --max-degree 16`` across three data planes:
+configuration ``--shards 8 --max-degree 16`` across three configurations:
 
-* ``pr4-baseline`` — the frozen PR 4 cost model: per-cell scipy
-  valuation sampling and object chunks (the generation loop below is a
-  verbatim copy of the PR 3/PR 4 ``city_scale`` generator, kept as the
-  measurement reference), object-path dispatch, exact ``matroid``
-  matching on the capped graph.  Values produced are bit-identical to
-  the shipping generator's, so revenue comparisons are apples-to-apples;
-* ``columnar`` — the same algorithms over the columnar data plane
-  (struct-of-arrays chunks, lazy records, batched valuation sampling);
+* ``pr4-baseline`` — the frozen pre-columnar generation cost model:
+  per-cell scipy valuation sampling and object chunks (the generation
+  loop below is a verbatim copy of the object ``city_scale`` generator,
+  kept as the measurement reference), exact ``matroid`` matching on the
+  capped graph.  Only that frozen generator remains of the old plane:
+  its object chunks are converted to columns period by period and
+  dispatched through the engine's one shard loop.  Values produced are
+  bit-identical to the shipping generator's, so revenue comparisons
+  are apples-to-apples;
+* ``columnar`` — the same algorithms over the native columnar
+  generator (struct-of-arrays chunks, batched valuation sampling);
   **bit-identical revenue** to the baseline by construction;
 * ``columnar-vgreedy`` — the columnar plane with the round-based
   ``vgreedy`` matching backend, trading a bounded revenue drift for the
-  fastest end-to-end path;
-* ``warm-shards`` — the PR 4 data plane with one warm
-  per-shard dynamic matcher kept alive across periods
-  (``ShardedEngine(warm_shards=True)``: incremental adjacency plane +
-  lazy matcher instead of per-period graph builds).  Gated **per
-  period** against ``pr4-baseline``: every period's revenue must be
-  bit-identical to the cold matroid engine's, so the measured delta is
-  pure mechanism cost (see ``docs/performance.md`` for when the
-  rebuild still wins).
+  fastest end-to-end path.
 
 Two consumers share it: ``benchmarks/test_bench_runtime.py`` (CI smoke
 gate at a small horizon — the columnar planes must beat the PR 4
@@ -53,12 +48,11 @@ from repro.spatial.geometry import Point
 from repro.utils.rng import derive_seed
 
 #: Measurement configurations, in presentation order.  Each maps to
-#: ``(columnar data plane?, matching backend, warm shards?)``.
-RUNTIME_CONFIGS: Dict[str, Tuple[bool, str, bool]] = {
-    "pr4-baseline": (False, "matroid", False),
-    "columnar": (True, "matroid", False),
-    "columnar-vgreedy": (True, "vgreedy", False),
-    "warm-shards": (False, "matroid", True),
+#: ``(frozen object generator?, matching backend)``.
+RUNTIME_CONFIGS: Dict[str, Tuple[bool, str]] = {
+    "pr4-baseline": (True, "matroid"),
+    "columnar": (False, "matroid"),
+    "columnar-vgreedy": (False, "vgreedy"),
 }
 
 
@@ -67,9 +61,7 @@ class RuntimeBenchPoint:
     """One measured end-to-end configuration."""
 
     config: str
-    columnar: bool
     backend: str
-    warm_shards: bool
     shards: int
     halo: int
     max_degree: Optional[int]
@@ -227,13 +219,12 @@ def measure_runtime_throughput(
     scenario = get_scenario("city_scale")
     params = {} if num_periods is None else {"num_periods": num_periods}
     results: List[RuntimeBenchPoint] = []
-    periods_by_config: Dict[str, List[float]] = {}
     for name in configs:
-        columnar, backend, warm = RUNTIME_CONFIGS[name]
-        if columnar:
-            workload = scenario.chunked(scale=scale, seed=seed, **params)
-        else:
+        frozen_generator, backend = RUNTIME_CONFIGS[name]
+        if frozen_generator:
             workload = _pr4_workload(scale, seed, **params)
+        else:
+            workload = scenario.chunked(scale=scale, seed=seed, **params)
         engine = ShardedEngine(
             workload,
             num_shards=shards,
@@ -241,19 +232,14 @@ def measure_runtime_throughput(
             seed=seed,
             matching_backend=backend,
             max_degree=max_degree,
-            columnar=columnar,
-            warm_shards=warm,
         )
         start = time.perf_counter()
         run = engine.run(create_strategy(strategy, base_price=base_price))
         elapsed = time.perf_counter() - start
-        periods_by_config[name] = list(run.metrics.revenue_by_period)
         results.append(
             RuntimeBenchPoint(
                 config=name,
-                columnar=columnar,
                 backend=backend,
-                warm_shards=warm,
                 shards=int(shards),
                 halo=int(halo if shards > 1 else 0),
                 max_degree=max_degree,
@@ -264,32 +250,6 @@ def measure_runtime_throughput(
                 served=run.metrics.served_tasks,
             )
         )
-
-    # Warm-shard gate: the warm engine must walk the cold matroid
-    # trajectory bit for bit, every period — against the non-columnar
-    # cold reference on the identical workload and backend.
-    warm_gate: Optional[Dict[str, object]] = None
-    if "warm-shards" in periods_by_config and "pr4-baseline" in periods_by_config:
-        warm_periods = periods_by_config["warm-shards"]
-        cold_periods = periods_by_config["pr4-baseline"]
-        mismatched = [
-            period
-            for period, (warm_rev, cold_rev) in enumerate(
-                zip(warm_periods, cold_periods)
-            )
-            if repr(warm_rev) != repr(cold_rev)
-        ]
-        if len(warm_periods) != len(cold_periods) or mismatched:
-            raise AssertionError(
-                "warm-shards diverged from the cold matroid engine: "
-                f"{len(mismatched)} mismatched periods of {len(cold_periods)} "
-                f"(first: {mismatched[:3]})"
-            )
-        warm_gate = {
-            "reference": "pr4-baseline",
-            "periods_bitwise_equal": len(cold_periods),
-            "revenue_bitwise_equal": True,
-        }
 
     baseline = results[0]
     speedups = {
@@ -314,7 +274,6 @@ def measure_runtime_throughput(
         "results": [asdict(point) for point in results],
         "speedup_vs_baseline": speedups,
         "revenue_ratio_vs_baseline": revenue_ratios,
-        "warm_gate": warm_gate,
         "host": host_fingerprint(),
     }
 
@@ -369,7 +328,6 @@ def measure_multicore_scaling(
             matching_backend="matroid",
             max_degree=max_degree,
             shard_jobs=jobs,
-            columnar=True,
         )
         start = time.perf_counter()
         run = engine.run(create_strategy(strategy, base_price=base_price))

@@ -156,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "uncapped graph)",
     )
     parser.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="seed each period's matching from the previous period's "
-        "matching restricted to still-present workers (scenario runs "
-        "only; each period's matching weight equals a cold solve's — "
-        "see docs/performance.md)",
-    )
-    parser.add_argument(
         "--profile",
         type=int,
         nargs="?",
@@ -308,8 +300,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
         mode = "batch"
     if args.max_degree is not None:
         mode += f", max-degree={args.max_degree}"
-    if args.warm_start:
-        mode += ", warm-start"
     print(f"# scenario {args.scenario}: {scenario.description}")
     print(f"# workload: {workload.description}")
     print(
@@ -330,7 +320,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
             matching_backend=backend,
             track_memory=not args.no_memory_tracking,
             max_degree=args.max_degree,
-            warm_start=args.warm_start,
             dynamic=args.dynamic,
         )
         results = {
@@ -362,7 +351,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
                 else None
             ),
             max_degree=args.max_degree,
-            warm_start=args.warm_start,
         )
         results = runner.run()
     print()
@@ -433,11 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "--dynamic --streaming maintains the matroid-equivalent "
                 "matching; --backend cannot override it"
             )
-        if args.warm_start:
-            parser.error(
-                "--warm-start has no effect with --dynamic --streaming: "
-                "the maintained matching is the warm start"
-            )
     if args.dynamic and not args.streaming and args.shards is None:
         if args.backend not in ("matroid", "dynamic"):
             parser.error(
@@ -462,8 +445,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--max-degree requires --scenario")
     if args.max_degree is not None and args.max_degree < 1:
         parser.error("--max-degree must be a positive integer")
-    if args.warm_start and args.scenario is None:
-        parser.error("--warm-start requires --scenario")
     if args.profile is not None and args.profile < 1:
         parser.error("--profile must be a positive integer")
 

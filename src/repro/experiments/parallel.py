@@ -64,8 +64,10 @@ class ShardSpec:
         halo: Boundary band width, in grid cells, of the halo-exchange
             reconciliation pass (``0`` disables it).
         shard_jobs: Worker processes for process-per-shard execution
-            *inside one run* (requires ``halo=0``).  Leave at ``1`` when
-            the :class:`ParallelRunner` already fans cells across
+            *inside one run* (requires ``halo=0``; the engine splits the
+            workload's period columns into a shared-memory arena, so
+            bundles and chunked workloads both fan out).  Leave at ``1``
+            when the :class:`ParallelRunner` already fans cells across
             processes — nesting pools multiplies workers.
         dynamic: Run the halo reconciliation through the ``dynamic``
             delta-repair backend (see
@@ -85,7 +87,6 @@ class ShardSpec:
         track_memory: bool,
         keep_details: bool,
         max_degree: Optional[int] = None,
-        warm_start: bool = False,
     ) -> ShardedEngine:
         """Construct the sharded engine for one ``(strategy, seed)`` cell."""
         return ShardedEngine(
@@ -98,7 +99,6 @@ class ShardSpec:
             keep_details=keep_details,
             shard_jobs=self.shard_jobs,
             max_degree=max_degree,
-            warm_start=warm_start,
             dynamic=self.dynamic,
         )
 
@@ -177,7 +177,6 @@ def _execute_run(
     keep_details: bool,
     shards: Optional[ShardSpec] = None,
     max_degree: Optional[int] = None,
-    warm_start: bool = False,
 ) -> Tuple[RunKey, SimulationResult]:
     """Top-level worker function (must be picklable for process pools)."""
     if shards is not None:
@@ -188,7 +187,6 @@ def _execute_run(
             track_memory,
             keep_details,
             max_degree,
-            warm_start,
         )
     else:
         engine = SimulationEngine(
@@ -198,7 +196,6 @@ def _execute_run(
             track_memory=track_memory,
             keep_details=keep_details,
             max_degree=max_degree,
-            warm_start=warm_start,
         )
     return (spec.key, seed), engine.run(spec.build())
 
@@ -211,7 +208,6 @@ def _execute_stream_run(
     track_memory: bool,
     keep_details: bool,
     max_degree: Optional[int] = None,
-    warm_start: bool = False,
 ) -> Tuple[RunKey, SimulationResult]:
     """Streaming counterpart of :func:`_execute_run` (also picklable)."""
     if stream_spec.dynamic:
@@ -238,7 +234,6 @@ def _execute_stream_run(
             track_memory=track_memory,
             keep_details=keep_details,
             max_degree=max_degree,
-            warm_start=warm_start,
         )
     return (spec.key, seed), engine.run(spec.build())
 
@@ -308,7 +303,6 @@ def _execute_run_pooled(
     keep_details: bool,
     shards: Optional[ShardSpec] = None,
     max_degree: Optional[int] = None,
-    warm_start: bool = False,
 ) -> Tuple[RunKey, SimulationResult]:
     assert _WORKER_WORKLOAD is not None, "worker pool initializer did not run"
     return _execute_run(
@@ -320,7 +314,6 @@ def _execute_run_pooled(
         keep_details,
         shards,
         max_degree,
-        warm_start,
     )
 
 
@@ -359,8 +352,6 @@ class ParallelRunner:
             processes like plain ones).
         max_degree: Optional per-task adjacency cap (nearest workers
             only) forwarded to every engine; ``None`` keeps exact graphs.
-        warm_start: Forward cross-period warm-start hints to every
-            engine's matching (weight-preserving; off by default).
         workload_via_arena: Ship the workload to worker processes as a
             shared-memory :class:`~repro.simulation.arena.WorkloadArena`
             handle instead of pickling the bundle.  ``None`` (default)
@@ -387,7 +378,6 @@ class ParallelRunner:
         stream: Optional[StreamSpec] = None,
         shards: Optional[ShardSpec] = None,
         max_degree: Optional[int] = None,
-        warm_start: bool = False,
         workload_via_arena: Optional[bool] = None,
     ) -> None:
         if not specs:
@@ -430,7 +420,6 @@ class ParallelRunner:
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = None if max_degree is None else int(max_degree)
-        self.warm_start = bool(warm_start)
         self.workload_via_arena = workload_via_arena
 
     # ------------------------------------------------------------------
@@ -449,7 +438,6 @@ class ParallelRunner:
                 self.track_memory,
                 self.keep_details,
                 self.max_degree,
-                self.warm_start,
             )
         assert self.workload is not None
         return _execute_run(
@@ -461,7 +449,6 @@ class ParallelRunner:
             self.keep_details,
             self.shards,
             self.max_degree,
-            self.warm_start,
         )
 
     def run_sequential(self) -> Dict[RunKey, SimulationResult]:
@@ -528,7 +515,6 @@ class ParallelRunner:
                             [self.track_memory] * len(jobs),
                             [self.keep_details] * len(jobs),
                             [self.max_degree] * len(jobs),
-                            [self.warm_start] * len(jobs),
                         )
                     )
             else:
@@ -573,7 +559,6 @@ class ParallelRunner:
                             [self.keep_details] * len(jobs),
                             [self.shards] * len(jobs),
                             [self.max_degree] * len(jobs),
-                            [self.warm_start] * len(jobs),
                         )
                     )
         except (

@@ -2,13 +2,13 @@
 
 :func:`matroid_augment` is the inner loop of the exact ``matroid``
 matching backend (:func:`repro.matching.weighted.task_weighted_matching`):
-given the CSR view, the canonical weight-ordered task sequence and the
-validated warm-start hints, it produces the per-task match array.  The
+given the CSR view and the canonical weight-ordered task sequence, it
+produces the per-task match array.  The
 caller keeps everything float-bearing — weight validation, ordering and
 the total accumulation.
 
 The implementation is the stamp-visited augmenting-path DFS with
-saturation pruning and the hint fast path.  One ``mark`` list holds
+saturation pruning.  One ``mark`` list holds
 both kinds of skip: a worker visited by the current search carries its
 stamp, a saturated ("dead") worker a sentinel above every stamp, so the
 per-entry test is ``mark[w] >= stamp``.  Each DFS level keeps an
@@ -23,9 +23,8 @@ that search).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import islice
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.matching.maximum_matching import UNMATCHED
 
@@ -33,7 +32,6 @@ from repro.matching.maximum_matching import UNMATCHED
 def matroid_augment(
     csr,
     order: Sequence[int],
-    hints: Dict[int, int],
 ) -> List[int]:
     """Run the matroid greedy over ``order``; returns the match array.
 
@@ -41,8 +39,6 @@ def matroid_augment(
         csr: A :class:`~repro.matching.bipartite.CSRGraph` view.
         order: Eligible task positions in non-increasing weight order
             (from :func:`repro.matching.weighted.eligible_order`).
-        hints: Validated warm-start hints (``{task_pos: worker_pos}``,
-            one worker per task); pass ``{}`` for a cold start.
 
     Returns:
         ``match_task`` as a plain list: ``match_task[t]`` is the matched
@@ -101,19 +97,6 @@ def matroid_augment(
         return False
 
     for task_pos in order:
-        if hints:
-            hinted = hints.get(task_pos, UNMATCHED)
-            if hinted != UNMATCHED and match_worker[hinted] == UNMATCHED:
-                # A free adjacent worker is itself an augmenting path of
-                # length one, so the cold-start greedy would also keep
-                # this task — taking the hint changes the certificate,
-                # never the matched set or the weight.
-                lo, hi = indptr[task_pos], indptr[task_pos + 1]
-                at = bisect_left(indices, hinted, lo, hi)
-                if at < hi and indices[at] == hinted:
-                    match_task[task_pos] = hinted
-                    match_worker[hinted] = task_pos
-                    continue
         stamp += 1
         augment(task_pos)
 

@@ -14,8 +14,7 @@ Modules:
 * :mod:`repro.matching.weighted` — maximum-weight bipartite matching with
   interchangeable backends (exact matroid greedy on the CSR view, own
   Kuhn–Munkres, SciPy's ``linear_sum_assignment``, and sequential /
-  numpy-vectorised greedy heuristics for very large graphs), all
-  accepting optional cross-period warm-start hints;
+  numpy-vectorised greedy heuristics for very large graphs);
 * :mod:`repro.matching.registry` — the backend registry
   :func:`max_weight_matching` dispatches through (backends register
   themselves by name, mirroring :mod:`repro.pricing.registry`);

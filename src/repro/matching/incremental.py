@@ -15,7 +15,6 @@ when the planner admits the supply increase.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -173,37 +172,14 @@ class IncrementalMatcher:
         self._cached_result = result
         return result
 
-    def augment_task(
-        self, task_pos: int, preferred_worker: Optional[int] = None
-    ) -> bool:
-        """Try to match a specific task, optionally via a warm-start hint.
-
-        Args:
-            task_pos: The task to match (no-op if already matched).
-            preferred_worker: Optional worker-position hint (e.g. from the
-                previous window's matching).  Consumed only when the hint
-                is adjacent and still free — a length-one augmenting path
-                — so the matched task set (and hence any task-weighted
-                total) is exactly what the hint-free search would have
-                produced; otherwise the normal augmenting DFS runs.
+    def augment_task(self, task_pos: int) -> bool:
+        """Try to match a specific task (no-op if already matched).
 
         Returns:
             Whether the task is matched after the call.
         """
         if self.is_task_matched(task_pos):
             return True
-        if (
-            preferred_worker is not None
-            and 0 <= preferred_worker < len(self._match_worker)
-            and self._match_worker[preferred_worker] == UNMATCHED
-        ):
-            lo, hi = self._indptr[task_pos], self._indptr[task_pos + 1]
-            at = bisect_left(self._indices, preferred_worker, lo, hi)
-            if at < hi and self._indices[at] == preferred_worker:
-                self._match_task[task_pos] = preferred_worker
-                self._match_worker[preferred_worker] = task_pos
-                self._version += 1
-                return True
         path = self._find_augmenting_path(task_pos)
         if path is None:
             return False
@@ -463,7 +439,6 @@ class DynamicMatcher(IncrementalMatcher):
         self,
         task_pos: int,
         weight: Optional[float] = None,
-        preferred_worker: Optional[int] = None,
     ) -> bool:
         """Bring a universe task live, repairing the matching.
 
@@ -473,10 +448,6 @@ class DynamicMatcher(IncrementalMatcher):
                 construction-time weight.  Non-positive weights insert
                 the task as permanently unmatchable (live but
                 ineligible), mirroring the batch eligibility filter.
-            preferred_worker: Warm-start hint, consumed under exactly the
-                matroid backend's rule — adjacent, live and free, i.e. a
-                length-one augmenting path — so the matched set and total
-                are unaffected by hints.
 
         Returns:
             Whether the task is matched after the call.
@@ -490,20 +461,6 @@ class DynamicMatcher(IncrementalMatcher):
             self._task_eligible[task_pos] = 0
             return False
         self._task_eligible[task_pos] = 1
-        if (
-            preferred_worker is not None
-            and 0 <= preferred_worker < self._match_worker.shape[0]
-            and self._worker_live[preferred_worker]
-            and self._match_worker[preferred_worker] == UNMATCHED
-        ):
-            lo, hi = int(self._indptr[task_pos]), int(self._indptr[task_pos + 1])
-            row = self._indices[lo:hi]
-            at = int(np.searchsorted(row, preferred_worker))
-            if at < row.shape[0] and row[at] == preferred_worker:
-                self._match_task[task_pos] = preferred_worker
-                self._match_worker[preferred_worker] = task_pos
-                self._version += 1
-                return True
         return self._match_or_evict(task_pos)
 
     def insert_task_greedy(self, task_pos: int, weight: float) -> bool:
@@ -732,9 +689,7 @@ class DynamicMatcher(IncrementalMatcher):
     # ------------------------------------------------------------------
     # insert-only API is not meaningful here
     # ------------------------------------------------------------------
-    def augment_task(
-        self, task_pos: int, preferred_worker: Optional[int] = None
-    ) -> bool:
+    def augment_task(self, task_pos: int) -> bool:
         raise NotImplementedError(
             "DynamicMatcher tracks population explicitly; use insert_task"
         )
@@ -758,8 +713,7 @@ class LazyDynamicMatcher:
     cost of an arrival is its spatial neighbourhood, never the epoch.
 
     **Equivalence to the universe matcher.**  Ids are allocated in
-    arrival order and never reused (task slots are recycled only via
-    :meth:`clear_tasks`, where the transpose is off), so a task's row —
+    arrival order and never reused, so a task's row —
     the live adjacent workers at insertion, ascending, plus later
     arrivals tail-appended — is exactly the universe CSR row restricted
     to the workers live at some point of the task's life, in the same
@@ -771,48 +725,19 @@ class LazyDynamicMatcher:
     population is not capping against the universe), so capped callers
     must gate against a re-solve on the *realised* rows instead.
 
-    Two maintenance modes:
-
-    * ``maintain_transpose=True`` (default) — full churn support:
-      worker arrivals absorb the best reachable unmatched task, matched
-      task removals repair through the freed worker.  Task rows must then
-      be appended for arriving workers (pass ``task_row`` to
-      :meth:`new_worker`).
-    * ``maintain_transpose=False`` — the warm-shard regime: tasks live
-      exactly one epoch (bulk-dropped by :meth:`clear_tasks`), workers
-      persist, and worker arrivals happen only while no eligible task is
-      unmatched (enforced), so the reverse-BFS plane is never needed and
-      its bookkeeping cost disappears.
-
-    ``insert_only_pruning=True`` re-arms the insert-only saturation
-    pruning of :class:`IncrementalMatcher`: a *failed* insertion marks
-    every visited worker dead for the current era, and later searches
-    skip them.  Sound only when insertions arrive in priority order
-    (weight descending, then id) — then a failed arrival is always the
-    lowest-priority element of its own circuit, so pruning never hides a
-    needed eviction — and every mutation that could unsound the marks
-    (worker arrival/departure, task removal, eviction, clear) bumps the
-    era, invalidating them wholesale.  This is what makes a warm epoch
-    cost what :func:`repro.matching.weighted.task_weighted_matching`'s
-    batch solve costs, not more.
+    Worker arrivals absorb the best reachable unmatched task and matched
+    task removals repair through the freed worker, so task rows must be
+    appended for arriving workers (pass ``task_row`` to
+    :meth:`new_worker`).
 
     State lives in plain Python lists (markedly faster to index than
     ndarray scalars in the interpreted DFS/BFS): one worker row per task
-    and, with the transpose maintained, one task row per worker.
+    and one task row per worker.
     """
 
-    def __init__(
-        self,
-        *,
-        maintain_transpose: bool = True,
-        insert_only_pruning: bool = False,
-    ) -> None:  # noqa: D107 — documented on the class
-        self._maintain_transpose = bool(maintain_transpose)
-        self._pruning = bool(insert_only_pruning)
-        self._era = 0
+    def __init__(self) -> None:  # noqa: D107 — documented on the class
         self._stamp = 0
         self._num_matched = 0
-        self._num_live_eligible = 0
         self._weights: List[float] = []
         self._rows: List[List[int]] = []
         self._task_live = bytearray()
@@ -821,7 +746,6 @@ class LazyDynamicMatcher:
         self._match_worker: List[int] = []
         self._worker_live = bytearray()
         self._visited: List[int] = []
-        self._dead_era: List[int] = []
         self._task_visited: List[int] = []
         self._wrows: List[List[int]] = []
 
@@ -920,8 +844,6 @@ class LazyDynamicMatcher:
         match_worker = self._match_worker
         worker_live = self._worker_live
         visited = self._visited
-        dead_era = self._dead_era
-        era = self._era
         tasks_stack = [start]
         iters = [0]
         chosen = [UNMATCHED]
@@ -935,11 +857,7 @@ class LazyDynamicMatcher:
             while pointer < end:
                 worker_id = row[pointer]
                 pointer += 1
-                if (
-                    not worker_live[worker_id]
-                    or visited[worker_id] == stamp
-                    or dead_era[worker_id] == era
-                ):
+                if not worker_live[worker_id] or visited[worker_id] == stamp:
                     continue
                 visited[worker_id] = stamp
                 visited_seq.append(worker_id)
@@ -1002,16 +920,6 @@ class LazyDynamicMatcher:
         if visited_seq is None:
             self._num_matched += 1
             return True
-        if self._pruning:
-            # Priority-ordered insertion: the failed arrival is the
-            # lowest-priority element of its own circuit, so nothing is
-            # evicted and the visited (saturated) workers stay dead for
-            # the rest of the era.
-            dead_era = self._dead_era
-            era = self._era
-            for worker_id in visited_seq:
-                dead_era[worker_id] = era
-            return False
         match_task = self._match_task
         match_worker = self._match_worker
         evict = task_id
@@ -1027,7 +935,6 @@ class LazyDynamicMatcher:
         freed = int(match_task[evict])
         match_task[evict] = UNMATCHED
         match_worker[freed] = UNMATCHED
-        self._era += 1
         if self._try_augment(task_id) is not None:
             raise RuntimeError(
                 "lazy dynamic matcher invariant violated: re-augmentation "
@@ -1066,45 +973,30 @@ class LazyDynamicMatcher:
             task_row: The live task ids within the worker's range,
                 ascending (e.g.
                 :meth:`~repro.spatial.index.IncrementalAdjacencyIndex.worker_row`).
-                Required whenever the transpose is maintained and any
-                live task exists; the edges are appended to those tasks'
-                rows (keeping them arrival-ordered) and to the worker's
-                transpose row.
+                Required whenever any live task exists; the edges are
+                appended to those tasks' rows (keeping them
+                arrival-ordered) and to the worker's transpose row.
 
         Returns:
             ``(worker_id, absorbed_task_id_or_None)``.
         """
-        if not self._maintain_transpose and self._num_live_eligible > self._num_matched:
-            raise ValueError(
-                "worker arrival with unmatched eligible tasks requires "
-                "maintain_transpose=True (the absorb repair needs the "
-                "reverse-BFS plane)"
-            )
-        self._era += 1
         worker_id = len(self._match_worker)
         self._match_worker.append(UNMATCHED)
         self._worker_live.append(1)
         self._visited.append(0)
-        self._dead_era.append(-1)
         self._wrows.append([])
-        if task_row:
-            rows = self._rows
-            for task_id in task_row:
-                rows[task_id].append(worker_id)
-            if self._maintain_transpose:
-                self._wrows[worker_id].extend(task_row)
-        absorbed = (
-            self._absorb_free_worker(worker_id)
-            if self._maintain_transpose and task_row
-            else None
-        )
-        return worker_id, absorbed
+        if not task_row:
+            return worker_id, None
+        rows = self._rows
+        for task_id in task_row:
+            rows[task_id].append(worker_id)
+        self._wrows[worker_id].extend(task_row)
+        return worker_id, self._absorb_free_worker(worker_id)
 
     def new_task(
         self,
         row: Sequence[int],
         weight: float,
-        preferred_worker: Optional[int] = None,
         greedy: bool = False,
     ) -> Tuple[int, bool]:
         """Allocate a task id, bring it live with ``row``, repair.
@@ -1116,9 +1008,6 @@ class LazyDynamicMatcher:
             weight: Weight for this task's lifetime; non-positive inserts
                 it live but permanently ineligible, like
                 :meth:`DynamicMatcher.insert_task`.
-            preferred_worker: Warm-start hint, consumed under the matroid
-                backend's rule (adjacent, live and free) so the matched
-                set and total are unaffected.
             greedy: Degraded ``O(degree)`` insert — first free adjacent
                 worker, no repair search, lex-max invariant abandoned
                 (see :meth:`DynamicMatcher.insert_task_greedy`).
@@ -1137,15 +1026,13 @@ class LazyDynamicMatcher:
         if value <= 0.0:
             return task_id, False
         self._task_eligible[task_id] = 1
-        self._num_live_eligible += 1
-        if self._maintain_transpose:
-            wrows = self._wrows
-            for worker_id in row:
-                wrows[worker_id].append(task_id)
-        match_task = self._match_task
-        match_worker = self._match_worker
-        worker_live = self._worker_live
+        wrows = self._wrows
+        for worker_id in row:
+            wrows[worker_id].append(task_id)
         if greedy:
+            match_task = self._match_task
+            match_worker = self._match_worker
+            worker_live = self._worker_live
             for worker_id in row:
                 candidate = int(worker_id)
                 if worker_live[candidate] and int(match_worker[candidate]) == UNMATCHED:
@@ -1154,21 +1041,6 @@ class LazyDynamicMatcher:
                     self._num_matched += 1
                     return task_id, True
             return task_id, False
-        if (
-            preferred_worker is not None
-            and 0 <= preferred_worker < self.num_workers
-            and worker_live[preferred_worker]
-            and int(match_worker[preferred_worker]) == UNMATCHED
-        ):
-            # Adjacency check on the (ascending) realised row — a live
-            # worker is adjacent iff it is in the lazy row.
-            task_row = self._rows[task_id]
-            at = bisect_left(task_row, preferred_worker)
-            if at < len(task_row) and task_row[at] == preferred_worker:
-                match_task[task_id] = preferred_worker
-                match_worker[preferred_worker] = task_id
-                self._num_matched += 1
-                return task_id, True
         return task_id, self._match_or_evict(task_id)
 
     def remove_task(self, task_id: int) -> Optional[int]:
@@ -1180,19 +1052,10 @@ class LazyDynamicMatcher:
         if not self._task_live[task_id]:
             raise ValueError(f"task id {task_id} is not live")
         self._task_live[task_id] = 0
-        if self._task_eligible[task_id]:
-            self._task_eligible[task_id] = 0
-            self._num_live_eligible -= 1
-        self._era += 1
+        self._task_eligible[task_id] = 0
         worker_id = int(self._match_task[task_id])
         if worker_id == UNMATCHED:
             return None
-        if not self._maintain_transpose:
-            raise ValueError(
-                "removing a matched task requires maintain_transpose=True "
-                "(the freed worker's repair needs the reverse-BFS plane); "
-                "use commit_task or clear_tasks"
-            )
         self._match_task[task_id] = UNMATCHED
         self._match_worker[worker_id] = UNMATCHED
         self._num_matched -= 1
@@ -1208,7 +1071,6 @@ class LazyDynamicMatcher:
         if not self._worker_live[worker_id]:
             raise ValueError(f"worker id {worker_id} is not live")
         self._worker_live[worker_id] = 0
-        self._era += 1
         task_id = int(self._match_worker[worker_id])
         if task_id == UNMATCHED:
             return True
@@ -1232,32 +1094,7 @@ class LazyDynamicMatcher:
         self._match_task[task_id] = UNMATCHED
         self._match_worker[worker_id] = UNMATCHED
         self._num_matched -= 1
-        self._num_live_eligible -= 1
-        self._era += 1
         return worker_id
-
-    def clear_tasks(self) -> None:
-        """Drop the whole task side at once (warm-shard epoch boundary).
-
-        Only valid with ``maintain_transpose=False``: transpose rows
-        reference task ids, which this call recycles.  Worker state (ids,
-        liveness, matches cleared) persists.
-        """
-        if self._maintain_transpose:
-            raise ValueError("clear_tasks requires maintain_transpose=False")
-        match_worker = self._match_worker
-        for worker_id in self._match_task:
-            if worker_id != UNMATCHED:
-                match_worker[worker_id] = UNMATCHED
-        self._weights = []
-        self._rows = []
-        self._task_live = bytearray()
-        self._task_eligible = bytearray()
-        self._match_task = []
-        self._task_visited = []
-        self._num_matched = 0
-        self._num_live_eligible = 0
-        self._era += 1
 
 
 __all__ = ["IncrementalMatcher", "DynamicMatcher", "LazyDynamicMatcher"]

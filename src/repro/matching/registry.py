@@ -12,10 +12,6 @@ where ``graph`` is a :class:`~repro.matching.bipartite.BipartiteGraph`
 (backends consume its CSR view via :meth:`BipartiteGraph.csr`),
 ``task_weights`` is a per-task-position weight sequence and
 ``allowed_tasks`` optionally restricts the eligible task positions.
-Backends may additionally accept a fourth ``warm_start`` mapping of
-``{task_position: worker_position}`` hints; the dispatcher only forwards
-it when the caller actually supplied hints, so three-argument custom
-backends keep working for warm-start-free calls.
 
 Registering a custom backend is one decorator (re-registering a name
 overwrites it, so tests can swap in instrumented variants)::

@@ -45,27 +45,12 @@ Backends are registered in :mod:`repro.matching.registry` (mirroring
   useful as a cross-check and as the halo-reconciliation backend when
   the sharded engine runs in dynamic mode; churn-heavy callers should
   drive :class:`~repro.matching.incremental.DynamicMatcher` directly.
-
-**Warm starts.**  Every backend accepts a ``warm_start`` mapping of
-``{task_position: worker_position}`` hints (e.g. the previous period's
-matching restricted to still-present workers).  The ``matroid`` backend
-uses a hint only when it is *provably free*: tasks are still processed in
-the canonical non-increasing weight order, and a task whose hinted worker
-is currently unmatched (and adjacent) takes it directly instead of
-running the augmenting DFS.  Because independence in a transversal
-matroid depends only on the *set* of matched tasks — never on which
-worker certificate represents it — the matched task set and the total
-weight are **identical** to the cold start's; only the task→worker pairing
-may differ, and only for tasks that actually consumed a hint.  The dense
-exact backends re-solve and trivially preserve the weight; the greedy
-heuristics ignore hints entirely (applying them could change the greedy
-weight, breaking the warm == cold guarantee the property tests pin).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -119,7 +104,6 @@ def task_weighted_matching(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
     """Maximum-weight matching when the weight depends only on the task.
 
@@ -128,15 +112,6 @@ def task_weighted_matching(
         task_weights: Weight (``d_r * p_r``) of each task position.
         allowed_tasks: Optional subset of task positions eligible for
             matching (e.g. only the accepted tasks).
-        warm_start: Optional ``{task_position: worker_position}`` hints
-            (e.g. the previous period's matching restricted to workers
-            still present).  A hint is consumed only when the hinted
-            worker is adjacent and still free at the task's turn in the
-            canonical weight order, replacing that task's augmenting DFS
-            with an O(log degree) check.  The matched task set and total
-            weight are provably identical to the cold start (transversal-
-            matroid independence is representation-free); with no hints
-            the produced pairing is bit-identical too.
 
     Returns:
         ``(task_to_worker, total_weight)``.
@@ -148,11 +123,10 @@ def task_weighted_matching(
     """
     csr = graph.csr()
     weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
-    hints = _validated_hints(csr.num_tasks, csr.num_workers, warm_start)
 
     # The augmenting-path loop itself is the kernel; everything
     # float-bearing (ordering, the total) stays here.
-    match_task = matroid_augment(csr, order, hints)
+    match_task = matroid_augment(csr, order)
 
     weight_list = weights.tolist()
     total = 0.0
@@ -167,32 +141,6 @@ def task_weighted_matching(
         pos: worker for pos, worker in enumerate(match_task) if worker != UNMATCHED
     }
     return task_to_worker, total
-
-
-def _validated_hints(
-    num_tasks: int,
-    num_workers: int,
-    warm_start: Optional[Mapping[int, int]],
-) -> Dict[int, int]:
-    """Sanitised warm-start hints: in-range pairs, one worker per task.
-
-    Out-of-range or duplicated-worker hints are dropped rather than
-    rejected — a stale hint (e.g. from a previous period whose entities
-    are gone) is expected operation, not an error.
-    """
-    if not warm_start:
-        return {}
-    hints: Dict[int, int] = {}
-    seen_workers: set = set()
-    for task_pos, worker_pos in warm_start.items():
-        task_pos, worker_pos = int(task_pos), int(worker_pos)
-        if not 0 <= task_pos < num_tasks or not 0 <= worker_pos < num_workers:
-            continue
-        if worker_pos in seen_workers:
-            continue
-        seen_workers.add(worker_pos)
-        hints[task_pos] = worker_pos
-    return hints
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +365,6 @@ def dynamic_batch_matching(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
     """Batch solve through :class:`~repro.matching.incremental.DynamicMatcher`.
 
@@ -427,19 +374,17 @@ def dynamic_batch_matching(
     arriving task is always the lowest-priority element of its circuit),
     so the operation sequence degenerates to exactly the matroid greedy:
     same searches, same pairs, and — with the total accumulated in the
-    same processing order below — a bitwise-identical weight.  Warm-start
-    hints follow the matroid rule (adjacent + free consumes the hint).
+    same processing order below — a bitwise-identical weight.
     """
     from repro.matching.incremental import DynamicMatcher
 
     csr = graph.csr()
     weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
-    hints = _validated_hints(csr.num_tasks, csr.num_workers, warm_start)
     matcher = DynamicMatcher(graph, weights)
     for worker_pos in range(csr.num_workers):
         matcher.insert_worker(worker_pos)
     for task_pos in order:
-        matcher.insert_task(task_pos, preferred_worker=hints.get(task_pos))
+        matcher.insert_task(task_pos)
 
     weight_list = weights.tolist()
     total = 0.0
@@ -492,9 +437,8 @@ def _matroid_backend(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
-    return task_weighted_matching(graph, task_weights, allowed_tasks, warm_start)
+    return task_weighted_matching(graph, task_weights, allowed_tasks)
 
 
 @register_backend("greedy")
@@ -502,11 +446,7 @@ def _greedy_backend(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
-    # Hints are deliberately ignored: rerouting the greedy's first-free
-    # choice can change which later tasks find a free neighbour, so the
-    # warm == cold weight guarantee would not hold.
     return greedy_weight_matching(graph, task_weights, allowed_tasks)
 
 
@@ -515,9 +455,7 @@ def _vgreedy_backend(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
-    # Hints ignored for the same reason as the sequential greedy.
     return vectorized_greedy_matching(graph, task_weights, allowed_tasks)
 
 
@@ -526,9 +464,8 @@ def _dynamic_backend(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
-    return dynamic_batch_matching(graph, task_weights, allowed_tasks, warm_start)
+    return dynamic_batch_matching(graph, task_weights, allowed_tasks)
 
 
 @register_backend("hungarian")
@@ -536,10 +473,7 @@ def _hungarian_backend(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
-    # Dense exact solve; re-solving from scratch trivially preserves the
-    # warm == cold weight guarantee.
     weights = _masked_weights(graph.num_tasks, task_weights, allowed_tasks)
     return hungarian_matching(_task_weight_matrix(graph, weights))
 
@@ -549,7 +483,6 @@ def _scipy_backend(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
     weights = _masked_weights(graph.num_tasks, task_weights, allowed_tasks)
     return scipy_weight_matching(_task_weight_matrix(graph, weights))
@@ -560,7 +493,6 @@ def max_weight_matching(
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
     backend: str = "matroid",
-    warm_start: Optional[Mapping[int, int]] = None,
 ) -> MatchingResult:
     """Maximum-weight matching with a selectable backend.
 
@@ -574,9 +506,6 @@ def max_weight_matching(
             dense), ``dynamic`` (exact, the fully dynamic matcher in
             batch mode), ``greedy`` (heuristic) or ``vgreedy``
             (vectorised heuristic).
-        warm_start: Optional ``{task_position: worker_position}`` hints;
-            see the module docstring for the per-backend semantics and
-            the weight-preservation guarantee.
 
     Returns:
         ``(task_to_worker, total_weight)``.
@@ -585,12 +514,7 @@ def max_weight_matching(
         ValueError: for unknown backends; the error lists the registered
             backend names (see :func:`repro.matching.registry.get_backend`).
     """
-    backend_fn = get_backend(backend)
-    if warm_start:
-        # Only forwarded when given, so three-argument custom backends
-        # registered by callers keep working for warm-start-free calls.
-        return backend_fn(graph, task_weights, allowed_tasks, warm_start)
-    return backend_fn(graph, task_weights, allowed_tasks)
+    return get_backend(backend)(graph, task_weights, allowed_tasks)
 
 
 __all__ = [

@@ -301,7 +301,7 @@ class ColumnarWorkerPool:
     Mirrors the object engine's ``List[Worker]`` pool — same ordering,
     same availability filtering — while exposing the coordinate arrays
     the vectorised dispatch wants and materialising ``Worker`` records
-    only where some consumer (halo pass, warm-start cache) reads one.
+    only where some consumer (strategy, halo pass) reads one.
     """
 
     def __init__(self) -> None:

@@ -325,11 +325,6 @@ class ChunkedWorkload:
     total_tasks_hint: Optional[int] = None
     column_periods: Optional[Callable[[], Iterator[Tuple["TaskColumns", "WorkerColumns"]]]] = None
 
-    @property
-    def has_columns(self) -> bool:
-        """Whether the workload generates columnar chunks natively."""
-        return self.column_periods is not None
-
     def validate(self) -> None:
         """Cheap structural checks (the chunks themselves stay lazy)."""
         if self.num_periods <= 0:

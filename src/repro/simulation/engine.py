@@ -38,7 +38,7 @@ from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import WorkloadBundle
 from repro.simulation.metrics import MetricsCollector, StrategyMetrics
 from repro.simulation.oracle import SimulatedProbeOracle
-from repro.simulation.pipeline import CrossPeriodWarmStart, PeriodPipeline
+from repro.simulation.pipeline import PeriodPipeline
 from repro.utils.rng import derive_seed
 
 
@@ -116,14 +116,6 @@ class SimulationEngine:
             ``max_degree`` nearest workers enter the bipartite graph.
             ``None`` (default) keeps the exact graph, so default runs are
             bit-identical to uncapped ones.
-        warm_start: Seed each period's matching with hints from the
-            previous period's matching restricted to still-present
-            workers (:class:`~repro.simulation.pipeline.CrossPeriodWarmStart`).
-            Each period's matching weight / served count is guaranteed
-            equal to a cold solve of the same instance (consumed hints
-            may re-pair workers, so horizon totals can drift on
-            re-entrant-supply workloads — see the cache's docstring);
-            off by default.
     """
 
     def __init__(
@@ -134,7 +126,6 @@ class SimulationEngine:
         track_memory: bool = False,
         keep_details: bool = False,
         max_degree: Optional[int] = None,
-        warm_start: bool = False,
     ) -> None:
         workload.validate()
         self.workload = workload
@@ -143,7 +134,6 @@ class SimulationEngine:
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = None if max_degree is None else int(max_degree)
-        self.warm_start = bool(warm_start)
 
     # ------------------------------------------------------------------
     # calibration
@@ -227,7 +217,6 @@ class SimulationEngine:
 
         outcomes: List[PeriodOutcome] = []
         available_workers: List[Worker] = []
-        warm_cache = CrossPeriodWarmStart() if self.warm_start else None
 
         for period in range(self.workload.num_periods):
             available_workers.extend(self.workload.workers_by_period[period])
@@ -262,12 +251,7 @@ class SimulationEngine:
                 max_degree=self.max_degree,
             )
 
-            hints = warm_cache.hints(instance) if warm_cache is not None else None
-            result = pipeline.run_period(
-                strategy, instance, rng, collector, warm_start=hints
-            )
-            if warm_cache is not None:
-                warm_cache.update(instance, result.matching)
+            result = pipeline.run_period(strategy, instance, rng, collector)
 
             # Matched workers leave the pool.
             matched_worker_positions = set(result.matching.values())

@@ -143,14 +143,8 @@ class PeriodPipeline:
         self,
         instance: PeriodInstance,
         decision: DecideResult,
-        warm_start: Optional[Mapping[int, int]] = None,
     ) -> Tuple[Dict[int, int], float]:
-        """Maximum-weight matching of the accepted tasks (Definition 5).
-
-        ``warm_start`` optionally carries ``{task_pos: worker_pos}`` hints
-        (e.g. from :class:`CrossPeriodWarmStart`); the backend contract
-        guarantees the matching weight is unchanged by hints.
-        """
+        """Maximum-weight matching of the accepted tasks (Definition 5)."""
         arrays = instance.ensure_arrays()
         weights = arrays.distances * decision.prices
         return max_weight_matching(
@@ -158,7 +152,6 @@ class PeriodPipeline:
             weights,
             allowed_tasks=decision.accepted_positions,
             backend=self.matching_backend,
-            warm_start=warm_start,
         )
 
     def feedback(
@@ -195,7 +188,6 @@ class PeriodPipeline:
         match_fn: Optional[
             Callable[[PeriodInstance, DecideResult], Tuple[Dict[int, int], float]]
         ] = None,
-        warm_start: Optional[Mapping[int, int]] = None,
     ) -> PeriodResult:
         """Run all four stages for one period.
 
@@ -212,9 +204,6 @@ class PeriodPipeline:
                 (``(instance, decision) -> (matching, revenue)``); the
                 streaming engine passes its incremental cross-window
                 matcher here so both engines share this orchestration.
-                A custom ``match_fn`` handles its own warm starts.
-            warm_start: Optional hints forwarded to the :meth:`match`
-                stage (ignored when ``match_fn`` is given).
         """
         if collector is None:
             collector = MetricsCollector(strategy.name)
@@ -226,7 +215,7 @@ class PeriodPipeline:
             if match_fn is not None:
                 matching, revenue = match_fn(instance, decision)
             else:
-                matching, revenue = self.match(instance, decision, warm_start)
+                matching, revenue = self.match(instance, decision)
         with collector.time_decide():
             batch = self.feedback(instance, decision, matching)
         with collector.time_pricing():
@@ -241,79 +230,7 @@ class PeriodPipeline:
         )
 
 
-class CrossPeriodWarmStart:
-    """Worker-keyed matching hints carried from one period to the next.
-
-    After each period the cache records, per grid cell, the ids of the
-    workers that served that cell's tasks.  At the next period it maps
-    those ids back to worker *positions* restricted to workers still
-    present in the pool, and proposes each new task of the cell one such
-    surviving worker as a warm-start hint.  The matching backends consume
-    hints only when provably free (see :mod:`repro.matching.weighted`),
-    so each *period's* matching weight, matched-task set and served count
-    are exactly what a cold solve of the same instance would produce.
-
-    Over a whole horizon the guarantee is subtler: a consumed hint can
-    change *which worker* serves a task, and matched workers leave the
-    pool, so later periods may see a different pool and horizon totals
-    may drift — the same caveat that applies to switching between exact
-    backends with different tie-breaking.  Under the paper's worker model
-    a dispatched worker leaves the pool for good, so in the shipped
-    scenarios no hint can ever fire and warm runs coincide with cold
-    runs bit-for-bit (pinned by the regression tests); the cache earns
-    its keep on workloads with re-entrant supply (the same ``worker_id``
-    re-arriving in a later period, e.g. shift-based couriers) and in
-    custom engines that keep served workers around.
-    """
-
-    def __init__(self) -> None:
-        self._served_by_grid: Dict[int, list] = {}
-        self._served_ids: set = set()
-
-    def hints(self, instance: PeriodInstance) -> Dict[int, int]:
-        """``{task_pos: worker_pos}`` hints valid for ``instance``."""
-        if not self._served_by_grid or not instance.workers:
-            return {}
-        # Cheap survivors-only pass first: under the shipped "serve once
-        # then leave" worker model no served id ever re-enters the pool,
-        # so this one set-membership sweep is the whole per-period cost.
-        position_of = {
-            worker.worker_id: pos
-            for pos, worker in enumerate(instance.workers)
-            if worker.worker_id in self._served_ids
-        }
-        if not position_of:
-            return {}
-        hints: Dict[int, int] = {}
-        used: set = set()
-        task_grids = instance.ensure_arrays().task_grids.tolist()
-        for task_pos, grid_index in enumerate(task_grids):
-            for worker_id in self._served_by_grid.get(grid_index, ()):
-                worker_pos = position_of.get(worker_id)
-                if worker_pos is not None and worker_pos not in used:
-                    hints[task_pos] = worker_pos
-                    used.add(worker_pos)
-                    break
-        return hints
-
-    def update(self, instance: PeriodInstance, matching: Mapping[int, int]) -> None:
-        """Record the period's served (grid -> worker ids) associations."""
-        served: Dict[int, list] = {}
-        served_ids: set = set()
-        if matching:
-            task_grids = instance.ensure_arrays().task_grids
-            for task_pos, worker_pos in matching.items():
-                if not 0 <= worker_pos < len(instance.workers):
-                    continue  # sentinel positions (e.g. halo-served marks)
-                worker_id = instance.workers[worker_pos].worker_id
-                served.setdefault(int(task_grids[task_pos]), []).append(worker_id)
-                served_ids.add(worker_id)
-        self._served_by_grid = served
-        self._served_ids = served_ids
-
-
 __all__ = [
-    "CrossPeriodWarmStart",
     "PeriodPipeline",
     "PeriodResult",
     "DecideResult",

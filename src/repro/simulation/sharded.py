@@ -41,14 +41,22 @@ a reachable idle worker, unless the halo pass catches it.  Larger
 reconciliation instance; ``halo=0`` disables reconciliation entirely.
 See ``docs/sharding.md`` for the full design discussion.
 
+**One data plane.**  Every workload runs through the same columnar
+shard loop: period chunks stay struct-of-arrays end to end (see
+:mod:`repro.simulation.arena`) and ``Task``/``Worker`` records
+materialise lazily.  A :class:`~repro.simulation.config.WorkloadBundle`
+or a :class:`~repro.simulation.config.ChunkedWorkload` without native
+columns feeds the loop through its ``iter_period_columns()``
+conversion.
+
 **Process-per-shard execution.**  For multi-core hosts,
-``shard_jobs > 1`` splits a pre-materialised workload spatially up front
-and runs each shard's *entire horizon* in its own process (each with its
-own strategy replica), merging metrics at the end.  This requires
-``halo=0`` — processes cannot reconcile boundaries mid-period — and is
-exact for the shipped strategies, whose learned state is keyed by grid
-cell and therefore never crosses shard borders.  The lazily generated
-:class:`~repro.simulation.config.ChunkedWorkload` is sequential-only.
+``shard_jobs > 1`` splits the workload's columns spatially up front —
+bundles and chunked workloads alike — and runs each shard's *entire
+horizon* in its own process (each with its own strategy replica),
+merging metrics at the end.  This requires ``halo=0`` — processes
+cannot reconcile boundaries mid-period — and is exact for the shipped
+strategies, whose learned state is keyed by grid cell and therefore
+never crosses shard borders.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ import pickle
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,8 +73,7 @@ from repro.core.base_pricing import BasePricingConfig, BasePricingResult
 from repro.core.gdp import PeriodInstance
 from repro.kernels.halo import halo_residual_workers, halo_task_candidates
 from repro.market.entities import Task, Worker
-from repro.matching.incremental import LazyDynamicMatcher
-from repro.matching.weighted import eligible_order, max_weight_matching
+from repro.matching.weighted import max_weight_matching
 from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import ChunkedWorkload, WorkloadBundle
 from repro.simulation.engine import (
@@ -76,13 +83,9 @@ from repro.simulation.engine import (
     calibrate_base_price_for_context,
 )
 from repro.simulation.metrics import MetricsCollector, StrategyMetrics
-from repro.simulation.pipeline import (
-    CrossPeriodWarmStart,
-    DecideResult,
-    PeriodPipeline,
-)
+from repro.simulation.pipeline import DecideResult, PeriodPipeline
 from repro.spatial.grid import GridTiling
-from repro.spatial.index import IncrementalAdjacencyIndex, checked_degree_cap
+from repro.spatial.index import checked_degree_cap
 from repro.utils.rng import derive_seed
 
 #: Workload types the engine consumes interchangeably.
@@ -103,92 +106,13 @@ class _ShardDispatch:
     decision: DecideResult
     matching: Dict[int, int]
     revenue: float
+    #: Pool positions of the shard's workers (the local worker position
+    #: ``i`` is pool position ``worker_positions[i]``).
+    worker_positions: np.ndarray
     #: Task positions matched by the halo-exchange pass (local positions).
     halo_served: List[int] = field(default_factory=list)
     #: Worker positions taken from this shard by the halo-exchange pass.
     halo_taken: List[int] = field(default_factory=list)
-    #: Columnar path only: pool positions of the shard's workers (the
-    #: local worker position ``i`` is pool position ``worker_positions[i]``).
-    worker_positions: Optional[np.ndarray] = None
-
-
-class _WarmShardState:
-    """One shard's matching state kept alive across periods.
-
-    ``warm_shards`` replaces the per-period re-solve with a
-    :class:`~repro.matching.incremental.LazyDynamicMatcher` plus an
-    :class:`~repro.spatial.index.IncrementalAdjacencyIndex` worker plane,
-    both living for the whole horizon: worker arrivals and departures are
-    applied as a diff at each dispatch, each period's accepted tasks are
-    inserted in priority order off the plane's candidate rows, matched
-    pairs are committed and the task side cleared at period end.  Within
-    a shard workers never reorder (the pool loop is arrival-stable and a
-    worker's cell is fixed), so the plane's arrival-ordered slots are
-    order-isomorphic to the period-local worker positions — the mapping
-    under which matched pairs, basis and revenue are bit-identical to the
-    cold per-period matroid solve (asserted by
-    ``tests/simulation/test_warm_shards.py``).
-    """
-
-    def __init__(self, grid, metric, max_degree) -> None:
-        self.matcher = LazyDynamicMatcher(
-            maintain_transpose=False, insert_only_pruning=True
-        )
-        self.plane = IncrementalAdjacencyIndex(
-            grid, metric=metric, max_degree=max_degree, track_tasks=False
-        )
-        #: ``worker_id`` → warm slot (matcher id == plane slot, both
-        #: allocated in lockstep arrival order, never recycled).
-        self.slot_of: Dict[int, int] = {}
-
-    def sync_workers(self, workers: Sequence[Worker]) -> None:
-        """Apply the pool diff: departures out, arrivals in (in order)."""
-        slot_of = self.slot_of
-        if slot_of:
-            present = {worker.worker_id for worker in workers}
-            for worker_id, slot in list(slot_of.items()):
-                if worker_id not in present:
-                    self.matcher.remove_worker(slot)
-                    self.plane.remove_worker(slot)
-                    del slot_of[worker_id]
-        fresh = [worker for worker in workers if worker.worker_id not in slot_of]
-        if fresh:
-            slots = self.plane.insert_workers(
-                [worker.location.x for worker in fresh],
-                [worker.location.y for worker in fresh],
-                [worker.radius for worker in fresh],
-            )
-            for worker, slot in zip(fresh, slots.tolist()):
-                matcher_slot, _ = self.matcher.new_worker()
-                if matcher_slot != slot:
-                    raise RuntimeError(
-                        "warm shard plane and matcher slot counters diverged"
-                    )
-                slot_of[worker.worker_id] = slot
-
-
-def _execute_shard_horizon(
-    sub_workload: WorkloadBundle,
-    strategy: PricingStrategy,
-    seed: int,
-    matching_backend: str,
-    track_memory: bool,
-    max_degree: Optional[int] = None,
-    warm_start: bool = False,
-) -> SimulationResult:
-    """Run one shard's full horizon (top-level: picklable for pools)."""
-    engine = ShardedEngine(
-        sub_workload,
-        num_shards=1,
-        halo=0,
-        seed=seed,
-        matching_backend=matching_backend,
-        track_memory=track_memory,
-        keep_details=True,
-        max_degree=max_degree,
-        warm_start=warm_start,
-    )
-    return engine.run(strategy)
 
 
 @dataclass(frozen=True)
@@ -213,7 +137,6 @@ class _ArenaShardJob:
     matching_backend: str
     track_memory: bool
     max_degree: Optional[int]
-    warm_start: bool
 
 
 def _execute_shard_horizon_arena(
@@ -252,8 +175,6 @@ def _execute_shard_horizon_arena(
             track_memory=job.track_memory,
             keep_details=True,
             max_degree=job.max_degree,
-            warm_start=job.warm_start,
-            columnar=True,
         )
         return engine.run(strategy)
     finally:
@@ -281,18 +202,13 @@ class ShardedEngine:
         keep_details: Store a :class:`PeriodOutcome` per period (shard
             results merged).
         shard_jobs: Worker processes for process-per-shard execution
-            (``1`` = sequential in-process shards).  Requires ``halo=0``,
-            ``num_shards > 1`` and a pre-materialised workload; see the
-            module docstring.
+            (``1`` = sequential in-process shards).  Requires ``halo=0``
+            and takes effect with ``num_shards > 1``, for bundles and
+            chunked workloads alike; see the module docstring.
         max_degree: Optional per-task adjacency cap (nearest workers
             only), applied to shard-local instances *and* the halo
             reconciliation instance.  ``None`` keeps the exact graphs;
             a cap below one raises :class:`ValueError`.
-        warm_start: Seed each period's shard matchings with hints from
-            the previous period's matchings restricted to still-present
-            workers; per-period weight-preserving (see
-            :class:`~repro.simulation.pipeline.CrossPeriodWarmStart`)
-            and off by default.
         dynamic: Run the halo reconciliation matching through the
             ``dynamic`` delta-repair backend
             (:class:`~repro.matching.incremental.DynamicMatcher`) instead
@@ -303,25 +219,6 @@ class ShardedEngine:
             reconciliation (asserted by the tests); for heuristic
             shard backends it upgrades the boundary pass to the exact
             transversal-matroid optimum.
-        columnar: Drive the horizon through the zero-copy columnar data
-            plane (:mod:`repro.simulation.arena`): period chunks stay
-            struct-of-arrays end to end and ``Task``/``Worker`` records
-            materialise lazily.  ``None`` (default) enables it exactly
-            when the workload generates columns natively; results are
-            bit-identical to the object path either way (regression- and
-            property-tested).
-        warm_shards: Keep one :class:`_WarmShardState` (incremental
-            adjacency plane + lazy dynamic matcher) per shard alive
-            across the whole horizon instead of rebuilding the shard
-            graph and re-solving from scratch every period: worker
-            arrivals/departures are applied as a diff, each period's
-            accepted tasks insert in priority order off the plane, and
-            matched pairs are committed at period end.  Bit-identical
-            matchings and revenue to the cold path (asserted by
-            ``tests/simulation/test_warm_shards.py``); requires the
-            ``matroid`` backend and the sequential object path
-            (incompatible with ``columnar``, ``shard_jobs > 1`` and
-            ``warm_start``, which are alternatives it replaces).
     """
 
     def __init__(
@@ -335,10 +232,7 @@ class ShardedEngine:
         keep_details: bool = False,
         shard_jobs: int = 1,
         max_degree: Optional[int] = None,
-        warm_start: bool = False,
-        columnar: Optional[bool] = None,
         dynamic: bool = False,
-        warm_shards: bool = False,
     ) -> None:
         workload.validate()
         if halo < 0:
@@ -354,28 +248,7 @@ class ShardedEngine:
         self.keep_details = bool(keep_details)
         self.shard_jobs = int(shard_jobs)
         self.max_degree = checked_degree_cap(max_degree)
-        self.warm_start = bool(warm_start)
         self.dynamic = bool(dynamic)
-        if columnar is None:
-            columnar = bool(getattr(workload, "has_columns", False))
-        elif columnar and not hasattr(workload, "iter_period_columns"):
-            raise ValueError("columnar=True needs a workload with period columns")
-        self.columnar = bool(columnar)
-        self.warm_shards = bool(warm_shards)
-        if self.warm_shards:
-            if self.matching_backend != "matroid":
-                raise ValueError(
-                    "warm_shards reproduces the matroid backend; construct "
-                    "with matching_backend='matroid'"
-                )
-            if self.columnar:
-                raise ValueError("warm_shards requires the object path (columnar=False)")
-            if self.shard_jobs > 1:
-                raise ValueError("warm_shards is sequential-only (shard_jobs=1)")
-            if self.warm_start:
-                raise ValueError(
-                    "warm_shards replaces cross-period warm starts; disable warm_start"
-                )
         if self.shard_jobs > 1 and self.num_shards > 1:
             if self.halo > 0:
                 raise ValueError(
@@ -433,324 +306,26 @@ class ShardedEngine:
         """
         if self.shard_jobs > 1 and self.num_shards > 1:
             return self._run_process_per_shard(strategy)
-        if self.columnar:
-            return self._run_columnar(strategy)
-        return self._run_sequential(strategy)
+        return self._run_columnar(strategy)
 
     def run_many(self, strategies: Sequence[PricingStrategy]) -> Dict[str, SimulationResult]:
         """Run several strategies over the same workload (same randomness)."""
         return {strategy.name: self.run(strategy) for strategy in strategies}
 
     # ------------------------------------------------------------------
-    # sequential shard loop
-    # ------------------------------------------------------------------
-    def _run_sequential(self, strategy: PricingStrategy) -> SimulationResult:
-        strategy.reset()
-        collector = MetricsCollector(strategy.name, track_memory=self.track_memory)
-        collector.start()
-        rng = np.random.default_rng(derive_seed(self.seed, "acceptance", strategy.name))
-        pipeline = PeriodPipeline(
-            price_bounds=self.workload.price_bounds,
-            acceptance=self.workload.acceptance,
-            matching_backend=self.matching_backend,
-        )
-
-        outcomes: List[PeriodOutcome] = []
-        pool: List[Worker] = []
-        # One warm-start cache per shard: shards own disjoint grid cells,
-        # so their (grid -> served workers) associations never collide.
-        warm_caches: Optional[Dict[int, CrossPeriodWarmStart]] = (
-            {} if self.warm_start else None
-        )
-        # One warm matcher + adjacency plane per shard, fresh per strategy
-        # run (the acceptance stream differs per strategy, so matcher
-        # state cannot carry across runs).
-        warm_states: Optional[Dict[int, _WarmShardState]] = (
-            {} if self.warm_shards else None
-        )
-
-        for period, (tasks, arriving) in enumerate(self.workload.iter_periods()):
-            pool.extend(arriving)
-            pool = [worker for worker in pool if worker.available_in(period)]
-            if not tasks:
-                if self.keep_details:
-                    outcomes.append(
-                        PeriodOutcome(
-                            period=period,
-                            num_tasks=0,
-                            num_workers=len(pool),
-                            prices={},
-                            accepted_tasks=0,
-                            served_tasks=0,
-                            revenue=0.0,
-                        )
-                    )
-                continue
-
-            num_workers = len(pool)
-            dispatches, leftover = self._dispatch_shards(
-                period,
-                tasks,
-                pool,
-                strategy,
-                rng,
-                pipeline,
-                collector,
-                warm_caches,
-                warm_states,
-            )
-
-            halo_revenue = 0.0
-            if self.num_shards > 1 and self.halo > 0:
-                with collector.time_matching():
-                    halo_revenue, leftover = self._reconcile_halo(
-                        period, dispatches, leftover
-                    )
-
-            # Feedback per shard, halo-served tasks included, then the
-            # strategy learns — same stage order as the batch engine.
-            for dispatch in dispatches:
-                served_map = dict(dispatch.matching)
-                for task_pos in dispatch.halo_served:
-                    served_map[task_pos] = _HALO_SERVED
-                with collector.time_decide():
-                    batch = pipeline.feedback(
-                        dispatch.instance, dispatch.decision, served_map
-                    )
-                with collector.time_pricing():
-                    strategy.observe_feedback_batch(batch)
-
-            # Matched workers (local and halo) leave the pool.
-            pool = []
-            for dispatch in dispatches:
-                taken = set(dispatch.matching.values())
-                taken.update(dispatch.halo_taken)
-                pool.extend(
-                    worker
-                    for worker_pos, worker in enumerate(dispatch.instance.workers)
-                    if worker_pos not in taken
-                )
-            pool.extend(worker for worker, _cell in leftover)
-
-            revenue = 0.0
-            served = 0
-            accepted = 0
-            for dispatch in dispatches:
-                revenue += dispatch.revenue
-                served += len(dispatch.matching) + len(dispatch.halo_served)
-                accepted += int(dispatch.decision.accepted.sum())
-            revenue += halo_revenue
-
-            collector.record_period(
-                revenue=revenue,
-                served_tasks=served,
-                accepted_tasks=accepted,
-                total_tasks=len(tasks),
-            )
-            if self.keep_details:
-                prices: Dict[int, float] = {}
-                for dispatch in dispatches:
-                    prices.update(dispatch.grid_prices)
-                outcomes.append(
-                    PeriodOutcome(
-                        period=period,
-                        num_tasks=len(tasks),
-                        num_workers=num_workers,
-                        prices=prices,
-                        accepted_tasks=accepted,
-                        served_tasks=served,
-                        revenue=revenue,
-                    )
-                )
-
-        metrics = collector.finish()
-        return SimulationResult(
-            metrics=metrics, outcomes=outcomes, description=self.workload.description
-        )
-
-    def _dispatch_shards(
-        self,
-        period: int,
-        tasks: Sequence[Task],
-        pool: Sequence[Worker],
-        strategy: PricingStrategy,
-        rng: np.random.Generator,
-        pipeline: PeriodPipeline,
-        collector: MetricsCollector,
-        warm_caches: Optional[Dict[int, CrossPeriodWarmStart]] = None,
-        warm_states: Optional[Dict[int, "_WarmShardState"]] = None,
-    ) -> Tuple[List[_ShardDispatch], List[Tuple[Worker, int]]]:
-        """Quote → decide → match every shard that has tasks this period.
-
-        Returns the per-shard dispatch states plus the ``(worker, cell)``
-        pairs of workers whose shard had no tasks (they idle through the
-        period but may still serve boundary tasks in the halo pass).
-        """
-        grid = self.workload.grid
-        num_shards = self.num_shards
-        if num_shards == 1:
-            shard_tasks: Dict[int, List[Task]] = {0: list(tasks)}
-            shard_workers: Dict[int, List[Worker]] = {0: list(pool)}
-            worker_cells: Dict[int, List[int]] = {}
-        else:
-            annotated = [
-                task
-                if task.grid_index is not None
-                else task.with_grid(grid.locate(task.origin))
-                for task in tasks
-            ]
-            task_shards = self.tiling.shards_of_cells(
-                [task.grid_index for task in annotated]
-            ).tolist()
-            shard_tasks = {}
-            for task, shard in zip(annotated, task_shards):
-                shard_tasks.setdefault(shard, []).append(task)
-            shard_workers = {}
-            worker_cells = {}
-            if pool:
-                cells = grid.locate_many(
-                    [worker.location.x for worker in pool],
-                    [worker.location.y for worker in pool],
-                )
-                worker_shards = self.tiling.shards_of_cells(cells).tolist()
-                for worker, shard, cell in zip(pool, worker_shards, cells.tolist()):
-                    shard_workers.setdefault(shard, []).append(worker)
-                    worker_cells.setdefault(shard, []).append(cell)
-
-        dispatches: List[_ShardDispatch] = []
-        leftover: List[Tuple[Worker, int]] = []
-        for shard in range(num_shards):
-            shard_task_list = shard_tasks.get(shard)
-            if not shard_task_list:
-                for worker, cell in zip(
-                    shard_workers.get(shard, []), worker_cells.get(shard, [])
-                ):
-                    leftover.append((worker, cell))
-                continue
-            warm_state = None
-            if warm_states is not None:
-                warm_state = warm_states.setdefault(
-                    shard,
-                    _WarmShardState(grid, self.workload.metric, self.max_degree),
-                )
-            instance = PeriodInstance.build(
-                period=period,
-                grid=grid,
-                tasks=shard_task_list,
-                workers=shard_workers.get(shard, []),
-                metric=self.workload.metric,
-                max_degree=self.max_degree,
-                # The warm path never reads the shard graph: candidate
-                # rows come off the incremental plane instead.
-                build_graph=warm_state is None,
-            )
-            warm_cache = None
-            if warm_caches is not None:
-                warm_cache = warm_caches.setdefault(shard, CrossPeriodWarmStart())
-            with collector.time_pricing():
-                grid_prices = pipeline.quote(strategy, instance)
-            with collector.time_decide():
-                decision = pipeline.decide(instance, grid_prices, rng)
-            with collector.time_matching():
-                if warm_state is not None:
-                    matching, revenue = self._match_warm(warm_state, instance, decision)
-                else:
-                    hints = (
-                        warm_cache.hints(instance) if warm_cache is not None else None
-                    )
-                    matching, revenue = pipeline.match(instance, decision, hints)
-            if warm_cache is not None:
-                warm_cache.update(instance, matching)
-            dispatches.append(
-                _ShardDispatch(
-                    shard=shard,
-                    instance=instance,
-                    grid_prices=dict(grid_prices),
-                    decision=decision,
-                    matching=matching,
-                    revenue=revenue,
-                )
-            )
-        return dispatches, leftover
-
-    def _match_warm(
-        self,
-        state: _WarmShardState,
-        instance: PeriodInstance,
-        decision: DecideResult,
-    ) -> Tuple[Dict[int, int], float]:
-        """One warm-shard period: diff workers, insert tasks, commit.
-
-        Reproduces ``pipeline.match`` under the ``matroid`` backend
-        exactly: eligible tasks insert into the shard's live matcher in
-        the canonical weight order, each with its candidate row off the
-        incremental plane, and the revenue accumulates in that same
-        order — so both the matched pairs and the float total are
-        bit-identical to the cold re-solve under the slot → worker-
-        position order isomorphism (slots are allocated in arrival order
-        and within a shard the pool loop never reorders survivors).
-        """
-        state.sync_workers(instance.workers)
-        arrays = instance.ensure_arrays()
-        weights = arrays.distances * decision.prices
-        all_weights, order = eligible_order(
-            instance.num_tasks, weights, decision.accepted_positions
-        )
-        matching: Dict[int, int] = {}
-        if not order:
-            return matching, 0.0
-
-        workers = instance.workers
-        slots = np.fromiter(
-            (state.slot_of[worker.worker_id] for worker in workers),
-            dtype=np.int64,
-            count=len(workers),
-        )
-        if slots.size > 1 and not bool(np.all(np.diff(slots) > 0)):
-            raise RuntimeError(
-                "warm shard slots are not arrival-ordered; the slot/position "
-                "order isomorphism no longer holds"
-            )
-
-        tasks = instance.tasks
-        rows = state.plane.task_rows(
-            [tasks[pos].origin.x for pos in order],
-            [tasks[pos].origin.y for pos in order],
-        )
-        matcher = state.matcher
-        weight_list = all_weights.tolist()
-        for row, task_pos in zip(rows, order):
-            matcher.new_task(row, weight_list[task_pos])
-
-        # Same float-addition sequence as task_weighted_matching: iterate
-        # the canonical order, add each matched task's weight.
-        pairs = matcher.matching()
-        total = 0.0
-        for task_id, task_pos in enumerate(order):
-            if task_id in pairs:
-                total += weight_list[task_pos]
-
-        for task_id, slot in pairs.items():
-            local = int(np.searchsorted(slots, slot))
-            matching[order[task_id]] = local
-            matcher.commit_task(task_id)
-            state.plane.remove_worker(slot)
-            del state.slot_of[workers[local].worker_id]
-        matcher.clear_tasks()
-        return matching, total
-
-    # ------------------------------------------------------------------
     # columnar shard loop (zero-copy data plane)
     # ------------------------------------------------------------------
     def _run_columnar(self, strategy: PricingStrategy) -> SimulationResult:
-        """The sequential shard loop over columnar period chunks.
+        """The in-process shard loop over columnar period chunks.
 
-        Mirrors :meth:`_run_sequential` stage for stage — same RNG
-        stream, same dispatch order, same feedback — but keeps tasks and
-        the worker pool as struct-of-arrays (:mod:`repro.simulation.arena`)
-        and materialises records lazily, so the per-period cost scales
-        with the array ops rather than with Python object churn.  Results
-        are bit-identical to the object loop.
+        Per period: the pool absorbs arrivals and drops expired workers,
+        every shard with tasks runs quote → decide → match (ascending
+        shard id, one shared RNG stream), the halo pass reconciles the
+        boundary band, then each shard feeds back and matched workers
+        leave the pool.  Tasks and the worker pool stay struct-of-arrays
+        (:mod:`repro.simulation.arena`) and records materialise lazily,
+        so the per-period cost scales with the array ops rather than with
+        Python object churn.
         """
         from repro.simulation.arena import ColumnarWorkerPool
 
@@ -766,9 +341,6 @@ class ShardedEngine:
 
         outcomes: List[PeriodOutcome] = []
         pool = ColumnarWorkerPool()
-        warm_caches: Optional[Dict[int, CrossPeriodWarmStart]] = (
-            {} if self.warm_start else None
-        )
 
         for period, (task_cols, worker_cols) in enumerate(
             self.workload.iter_period_columns()
@@ -791,15 +363,15 @@ class ShardedEngine:
                 continue
 
             num_workers = len(pool)
-            dispatches, leftover = self._dispatch_shards_columnar(
-                period, task_cols, pool, strategy, rng, pipeline, collector, warm_caches
+            dispatches, leftover = self._dispatch_shards(
+                period, task_cols, pool, strategy, rng, pipeline, collector
             )
 
             halo_revenue = 0.0
             if self.num_shards > 1 and self.halo > 0:
                 with collector.time_matching():
                     halo_revenue, leftover = self._reconcile_halo(
-                        period, dispatches, leftover, worker_of=pool.worker
+                        period, dispatches, leftover, pool.worker
                     )
 
             for dispatch in dispatches:
@@ -814,13 +386,12 @@ class ShardedEngine:
                     strategy.observe_feedback_batch(batch)
 
             # Matched workers (local and halo) leave the pool; survivors
-            # keep the object loop's order (shard by shard, then leftover).
+            # keep shard order, then the leftover workers.
             kept: List[np.ndarray] = []
             for dispatch in dispatches:
                 taken = set(dispatch.matching.values())
                 taken.update(dispatch.halo_taken)
                 positions = dispatch.worker_positions
-                assert positions is not None
                 if taken:
                     keep_mask = np.ones(positions.shape[0], dtype=bool)
                     keep_mask[np.fromiter(taken, dtype=np.int64, count=len(taken))] = False
@@ -875,7 +446,7 @@ class ShardedEngine:
             metrics=metrics, outcomes=outcomes, description=self.workload.description
         )
 
-    def _dispatch_shards_columnar(
+    def _dispatch_shards(
         self,
         period: int,
         task_cols,
@@ -884,7 +455,6 @@ class ShardedEngine:
         rng: np.random.Generator,
         pipeline: PeriodPipeline,
         collector: MetricsCollector,
-        warm_caches: Optional[Dict[int, CrossPeriodWarmStart]] = None,
     ) -> Tuple[List[_ShardDispatch], List[Tuple[int, int]]]:
         """Columnar quote → decide → match over every shard with tasks.
 
@@ -945,18 +515,12 @@ class ShardedEngine:
                 worker_y=columns.ys[worker_positions],
                 worker_radii=columns.radii[worker_positions],
             )
-            warm_cache = None
-            if warm_caches is not None:
-                warm_cache = warm_caches.setdefault(shard, CrossPeriodWarmStart())
             with collector.time_pricing():
                 grid_prices = pipeline.quote(strategy, instance)
             with collector.time_decide():
                 decision = pipeline.decide(instance, grid_prices, rng)
             with collector.time_matching():
-                hints = warm_cache.hints(instance) if warm_cache is not None else None
-                matching, revenue = pipeline.match(instance, decision, hints)
-            if warm_cache is not None:
-                warm_cache.update(instance, matching)
+                matching, revenue = pipeline.match(instance, decision)
             dispatches.append(
                 _ShardDispatch(
                     shard=shard,
@@ -974,9 +538,9 @@ class ShardedEngine:
         self,
         period: int,
         dispatches: List[_ShardDispatch],
-        leftover: List[Tuple[object, int]],
-        worker_of=None,
-    ) -> Tuple[float, List[Tuple[object, int]]]:
+        leftover: List[Tuple[int, int]],
+        worker_of: Callable[[int], Worker],
+    ) -> Tuple[float, List[Tuple[int, int]]]:
         """One halo-exchange pass over the boundary band.
 
         Accepted-but-unmatched tasks in halo cells are re-offered to the
@@ -987,9 +551,8 @@ class ShardedEngine:
         returns the recovered revenue plus the leftover workers that
         remain unmatched.
 
-        ``leftover`` pairs carry either ``(Worker, cell)`` (object loop)
-        or ``(pool_position, cell)`` with ``worker_of`` resolving
-        positions to records on demand (columnar loop).
+        ``leftover`` pairs are ``(pool_position, cell)``; ``worker_of``
+        resolves a pool position to its record on demand.
         """
         boundary = self._boundary
         tasks: List[Task] = []
@@ -1032,9 +595,9 @@ class ShardedEngine:
                 workers.append(instance_workers[worker_pos])
                 worker_refs.append((dispatch_pos, worker_pos))
         leftover_taken: set = set()
-        for leftover_pos, (worker, cell) in enumerate(leftover):
+        for leftover_pos, (pool_pos, cell) in enumerate(leftover):
             if boundary[cell - 1]:
-                workers.append(worker if worker_of is None else worker_of(worker))
+                workers.append(worker_of(pool_pos))
                 worker_refs.append((-1, leftover_pos))
         if not workers:
             return 0.0, leftover
@@ -1110,7 +673,7 @@ class ShardedEngine:
         grid-keyed and grids never cross shards) whenever every task
         carries a private valuation; valuationless tasks draw from
         per-shard RNG streams, so their runs are statistically — not
-        bitwise — equivalent to the sequential shard loop.  Hosts that
+        bitwise — equivalent to the in-process shard loop.  Hosts that
         cannot start process pools fall back to running the same
         per-shard horizons sequentially in-process (against the same
         arena), producing identical results.  The arena segment is
@@ -1135,7 +698,6 @@ class ShardedEngine:
                     matching_backend=self.matching_backend,
                     track_memory=self.track_memory,
                     max_degree=self.max_degree,
-                    warm_start=self.warm_start,
                 )
                 for shard in range(self.num_shards)
             ]

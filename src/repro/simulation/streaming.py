@@ -79,11 +79,7 @@ from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import WorkloadBundle
 from repro.simulation.engine import PeriodOutcome, SimulationResult
 from repro.simulation.metrics import MetricsCollector
-from repro.simulation.pipeline import (
-    CrossPeriodWarmStart,
-    DecideResult,
-    PeriodPipeline,
-)
+from repro.simulation.pipeline import DecideResult, PeriodPipeline
 from repro.spatial.grid import Grid
 from repro.spatial.index import IncrementalAdjacencyIndex
 from repro.utils.rng import derive_seed
@@ -438,12 +434,6 @@ class StreamingEngine:
             task-bearing periods/windows.
         max_degree: Optional per-task adjacency cap (nearest workers
             only) for the window instances; ``None`` keeps exact graphs.
-        warm_start: Seed each window's augmenting insertions with hints
-            from the previous window's matching restricted to workers
-            still in the pool
-            (:class:`~repro.simulation.pipeline.CrossPeriodWarmStart`);
-            per-window weight-preserving (see the cache's docstring for
-            the horizon caveat) and off by default.
 
     The result is the same :class:`SimulationResult` the batch engine
     returns, so reports, sweeps and tests consume both interchangeably.
@@ -458,7 +448,6 @@ class StreamingEngine:
         track_memory: bool = False,
         keep_details: bool = False,
         max_degree: Optional[int] = None,
-        warm_start: bool = False,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
@@ -471,8 +460,6 @@ class StreamingEngine:
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = None if max_degree is None else int(max_degree)
-        self.warm_start = bool(warm_start)
-        self._warm_cache: Optional[CrossPeriodWarmStart] = None
 
     # ------------------------------------------------------------------
     # window formation
@@ -550,17 +537,11 @@ class StreamingEngine:
             instance.graph, grid_tasks=instance.tasks_by_grid
         )
         weight_list = weight_arr.tolist()
-        hints: Dict[int, int] = {}
-        if self._warm_cache is not None:
-            hints = self._warm_cache.hints(instance)
         total = 0.0
         for task_pos in order:
-            if matcher.augment_task(task_pos, preferred_worker=hints.get(task_pos)):
+            if matcher.augment_task(task_pos):
                 total += weight_list[task_pos]
-        matching = matcher.matching()
-        if self._warm_cache is not None:
-            self._warm_cache.update(instance, matching)
-        return matching, total
+        return matcher.matching(), total
 
     # ------------------------------------------------------------------
     # calibration
@@ -614,7 +595,6 @@ class StreamingEngine:
         strategy.reset()
         collector = MetricsCollector(strategy.name, track_memory=self.track_memory)
         collector.start()
-        self._warm_cache = CrossPeriodWarmStart() if self.warm_start else None
         rng = np.random.default_rng(derive_seed(self.seed, "acceptance", strategy.name))
         pipeline = PeriodPipeline(
             price_bounds=self.stream.price_bounds,
@@ -653,23 +633,10 @@ class StreamingEngine:
                 max_degree=self.max_degree,
             )
 
-            if self.matching_backend == "matroid":
-                # The incremental window matcher consumes (and refreshes)
-                # the warm-start cache itself.
-                result = pipeline.run_period(
-                    strategy, instance, rng, collector, match_fn=self._match_window
-                )
-            else:
-                hints = (
-                    self._warm_cache.hints(instance)
-                    if self._warm_cache is not None
-                    else None
-                )
-                result = pipeline.run_period(
-                    strategy, instance, rng, collector, warm_start=hints
-                )
-                if self._warm_cache is not None:
-                    self._warm_cache.update(instance, result.matching)
+            match_fn = self._match_window if self.matching_backend == "matroid" else None
+            result = pipeline.run_period(
+                strategy, instance, rng, collector, match_fn=match_fn
+            )
 
             # Dispatched workers leave the pool forever: the committed
             # matching only ever grows across windows.
@@ -798,7 +765,6 @@ class DynamicStreamingEngine(StreamingEngine):
             track_memory=track_memory,
             keep_details=keep_details,
             max_degree=max_degree,
-            warm_start=False,
         )
         if task_lifetime <= 0:
             raise ValueError("task_lifetime must be positive")
@@ -1153,9 +1119,9 @@ class _LiveSessionMatcher:
         workers: Sequence[Worker],
     ) -> None:
         self.plane = IncrementalAdjacencyIndex(
-            grid, metric=metric, max_degree=None, track_tasks=True
+            grid, metric=metric, max_degree=None
         )
-        self.lazy = LazyDynamicMatcher(maintain_transpose=True)
+        self.lazy = LazyDynamicMatcher()
         self._tasks = tasks
         self._workers = workers
         self._task_slot: Dict[int, int] = {}

@@ -746,7 +746,7 @@ class DynamicGridBuckets:
 class IncrementalAdjacencyIndex:
     """Live task/worker planes answering per-arrival candidate-edge queries.
 
-    The adjacency side of the warm matching paths: instead of one
+    The adjacency side of the live dynamic matching paths: instead of one
     epoch-wide graph build, arrivals and departures update two
     :class:`DynamicGridBuckets` planes and each new task's candidate row
     is computed on demand against the *currently live* workers — cost
@@ -771,9 +771,6 @@ class IncrementalAdjacencyIndex:
             worker key).  Note this is the realised-population cap, not
             the batch builder's whole-universe cap: capping does not
             commute with arrival order.
-        track_tasks: Maintain the task plane (needed by
-            :meth:`worker_row`; warm-shard callers that only ever query
-            task rows can skip it).
     """
 
     def __init__(
@@ -781,12 +778,11 @@ class IncrementalAdjacencyIndex:
         grid: Grid,
         metric: Union[str, DistanceMetric] = "euclidean",
         max_degree: Optional[int] = None,
-        track_tasks: bool = True,
     ) -> None:
         self._metric = metric
         self._max_degree = checked_degree_cap(max_degree)
         self._workers = DynamicGridBuckets(grid, track_radii=True)
-        self._tasks = DynamicGridBuckets(grid) if track_tasks else None
+        self._tasks = DynamicGridBuckets(grid)
 
     @property
     def grid(self) -> Grid:
@@ -802,7 +798,7 @@ class IncrementalAdjacencyIndex:
 
     @property
     def num_live_tasks(self) -> int:
-        return 0 if self._tasks is None else len(self._tasks)
+        return len(self._tasks)
 
     # ------------------------------------------------------------------
     # population updates
@@ -818,16 +814,12 @@ class IncrementalAdjacencyIndex:
 
     def insert_tasks(self, xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
         """Bring a batch of tasks live; returns their slots (ascending)."""
-        if self._tasks is None:
-            raise ValueError("index built with track_tasks=False")
         return self._tasks.insert(xs, ys)
 
     def remove_worker(self, slot: int) -> None:
         self._workers.remove(slot)
 
     def remove_task(self, slot: int) -> None:
-        if self._tasks is None:
-            raise ValueError("index built with track_tasks=False")
         self._tasks.remove(slot)
 
     # ------------------------------------------------------------------
@@ -843,8 +835,7 @@ class IncrementalAdjacencyIndex:
 
         Args:
             task_x / task_y: Query task coordinates (the tasks need not
-                be inserted in the task plane — warm shards query each
-                period's tasks directly).
+                be inserted in the task plane).
             worker_keys: Optional ``int64`` array mapping worker slot →
                 caller id (e.g. a period-local position); the cap's
                 distance-tie rule and the canonical output order both use
@@ -901,8 +892,6 @@ class IncrementalAdjacencyIndex:
         rows are independent of each other (worker arrivals do not
         change the task plane), so a burst can share one chunked query.
         """
-        if self._tasks is None:
-            raise ValueError("index built with track_tasks=False")
         slots = np.ascontiguousarray(worker_slots, dtype=np.int64)
         workers = self._workers
         if slots.size and not bool(np.all(workers._slot_cell[slots] >= 0)):

@@ -222,6 +222,10 @@ class ShmArena:
         self._shm: Optional[shared_memory.SharedMemory] = shm
         self._handle = handle
         self._owner = bool(owner)
+        # Indexed once per create/attach: a workload arena holds
+        # shards x periods x fields arrays, so a scan per lookup would
+        # make every shard pay for all the specs packed before its own.
+        self._specs: Dict[str, ArraySpec] = {spec.name: spec for spec in handle.specs}
         self._views: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -300,16 +304,14 @@ class ShmArena:
     def __getitem__(self, name: str) -> np.ndarray:
         view = self._views.get(name)
         if view is None:
-            for spec in self._handle.specs:
-                if spec.name == name:
-                    view = self._views[name] = self._view(spec)
-                    break
-            else:
+            spec = self._specs.get(name)
+            if spec is None:
                 raise KeyError(f"arena has no array named {name!r}")
+            view = self._views[name] = self._view(spec)
         return view
 
     def __contains__(self, name: str) -> bool:
-        return any(spec.name == name for spec in self._handle.specs)
+        return name in self._specs
 
     def keys(self) -> Iterator[str]:
         return (spec.name for spec in self._handle.specs)

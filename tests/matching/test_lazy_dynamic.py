@@ -8,8 +8,8 @@ with the same operation sequence — same pairs after every operation,
 same committed workers, same ``repr``-equal totals.  That holds too for
 the positional session facade when tasks enter out of arrival order, in
 window batches sorted ``(-weight, position)`` as the windowed engine
-inserts them.  The warm (transpose-free, insert-only-pruning) mode must
-in turn equal a cold matroid-style re-solve of every epoch.
+inserts them, and across epochs of persistent, churning workers and
+one-epoch tasks, where every epoch must equal a cold re-solve.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def test_lazy_matcher_replays_universe_matcher_bitwise(seed):
     tx, ty, wx, wy, wr, weights, graph = _universe(rng, num_tasks, num_workers)
 
     uni = DynamicMatcher(graph, [0.0] * num_tasks)
-    lazy = LazyDynamicMatcher(maintain_transpose=True)
-    plane = IncrementalAdjacencyIndex(GRID, track_tasks=True)
+    lazy = LazyDynamicMatcher()
+    plane = IncrementalAdjacencyIndex(GRID)
 
     next_task = next_worker = 0
     live_tasks: set = set()
@@ -220,34 +220,37 @@ def test_session_facade_replays_universe_matcher_out_of_arrival_order(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_warm_mode_epochs_equal_cold_resolve(seed):
-    """Transpose-free + insert-only pruning == a cold per-epoch solve.
+def test_epochs_equal_cold_resolve(seed):
+    """Persistent workers, one-epoch tasks == a cold per-epoch solve.
 
-    The warm-shard regime: workers persist with churn between epochs,
-    tasks live exactly one epoch and insert in priority order (weight
-    descending, id ascending).  Every epoch's pairs and matched basis
-    must equal a fresh universe ``DynamicMatcher`` solving the same
-    realised instance cold.
+    Workers persist with churn between epochs; each epoch's tasks insert
+    in priority order (weight descending, index ascending), a few workers
+    arrive mid-epoch and absorb, then matched pairs commit and unmatched
+    tasks expire.  Every epoch's pairs must equal a fresh universe
+    ``DynamicMatcher`` replaying the same realised instance cold.
     """
     rng = np.random.default_rng(seed)
-    plane = IncrementalAdjacencyIndex(GRID, track_tasks=False)
-    warm = LazyDynamicMatcher(maintain_transpose=False, insert_only_pruning=True)
+    plane = IncrementalAdjacencyIndex(GRID)
+    lazy = LazyDynamicMatcher()
     live: dict = {}
+
+    def arrive(count):
+        xs, ys = rng.uniform(0, 80, count), rng.uniform(0, 80, count)
+        rs = rng.uniform(5, 30, count)
+        slots = plane.insert_workers(xs, ys, rs).tolist()
+        rows = plane.worker_rows(slots)
+        for slot, row in zip(slots, rows):
+            worker_id, _ = lazy.new_worker(row)
+            assert worker_id == slot
+            live[slot] = row
+        return slots
+
     for epoch in range(10):
         for slot in [s for s in sorted(live) if rng.random() < 0.3]:
             plane.remove_worker(slot)
-            warm.remove_worker(slot)
+            lazy.remove_worker(slot)
             del live[slot]
-        n = int(rng.integers(3, 9))
-        xs, ys = rng.uniform(0, 80, n), rng.uniform(0, 80, n)
-        rs = rng.uniform(5, 30, n)
-        for slot, x, y, r in zip(
-            plane.insert_workers(xs, ys, rs).tolist(), xs, ys, rs
-        ):
-            live[slot] = (float(x), float(y), float(r))
-            worker_id, absorbed = warm.new_worker()
-            assert worker_id == slot
-            assert absorbed is None
+        early = arrive(int(rng.integers(3, 9)))
         num_epoch_tasks = int(rng.integers(2, 10))
         etx = rng.uniform(0, 80, num_epoch_tasks)
         ety = rng.uniform(0, 80, num_epoch_tasks)
@@ -257,53 +260,70 @@ def test_warm_mode_epochs_equal_cold_resolve(seed):
 
         task_id_of = {}
         for i in order:
-            task_id, _ = warm.new_task(rows[i], float(ew[i]))
+            task_id, _ = lazy.new_task(rows[i], float(ew[i]))
+            (slot,) = plane.insert_tasks([etx[i]], [ety[i]]).tolist()
+            assert slot == task_id
             task_id_of[i] = task_id
-        warm_pairs = {
-            pos: warm.worker_of(task_id_of[pos])
+        position_of = {task_id: i for i, task_id in task_id_of.items()}
+        late = arrive(int(rng.integers(0, 3)))
+        lazy_pairs = {
+            pos: lazy.worker_of(task_id_of[pos])
             for pos in range(num_epoch_tasks)
-            if warm.worker_of(task_id_of[pos]) is not None
+            if lazy.worker_of(task_id_of[pos]) is not None
         }
+        assert lazy.is_valid_matching()
 
-        # Cold reference: a universe matcher over exactly the realised
-        # rows, same worker slots, same priority-order insertion.
-        num_slots = (max(live) + 1) if live else 1
-        task_idx = np.array(
-            [i for i in range(num_epoch_tasks) for _ in rows[i]], dtype=np.int64
-        )
-        worker_idx = np.array(
-            [w for i in range(num_epoch_tasks) for w in rows[i]], dtype=np.int64
+        # Cold reference over exactly the realised rows: the live workers
+        # first, then the tasks in priority order, then the late arrivals.
+        edges = sorted(
+            {(i, w) for i in range(num_epoch_tasks) for w in rows[i]}
+            | {(position_of[t], w) for w in late for t in live[w]}
         )
         csr = CSRGraph.from_edge_arrays(
-            task_idx, worker_idx, num_epoch_tasks, num_slots
+            np.array([i for i, _ in edges], dtype=np.int64),
+            np.array([w for _, w in edges], dtype=np.int64),
+            num_epoch_tasks,
+            max(live) + 1,
         )
         ref = DynamicMatcher(
             BipartiteGraph.from_csr(
-                [None] * num_epoch_tasks, [None] * num_slots, csr
+                [None] * num_epoch_tasks, [None] * (max(live) + 1), csr
             ),
             [0.0] * num_epoch_tasks,
         )
         for slot in sorted(live):
-            ref.insert_worker(slot)
+            if slot not in late:
+                ref.insert_worker(slot)
         for i in order:
             ref.insert_task(i, float(ew[i]))
-        assert warm_pairs == ref.matching(), f"epoch {epoch}"
+        for slot in late:
+            ref.insert_worker(slot)
+        assert lazy_pairs == ref.matching(), f"epoch {epoch}"
+        assert early  # every epoch brings supply before its tasks
 
-        # Epoch end: commit the matched pairs, drop the task side.
-        for pos, slot in warm_pairs.items():
-            assert warm.commit_task(task_id_of[pos]) == slot
-            plane.remove_worker(slot)
-            del live[slot]
-        warm.clear_tasks()
+        # Epoch end: commit the matched pairs, expire the rest.
+        for pos in range(num_epoch_tasks):
+            task_id = task_id_of[pos]
+            if pos in lazy_pairs:
+                slot = lazy.commit_task(task_id)
+                assert slot == lazy_pairs[pos]
+                plane.remove_worker(slot)
+                del live[slot]
+            else:
+                assert lazy.remove_task(task_id) is None
+            plane.remove_task(task_id)
+        assert lazy.num_matched == 0
 
 
-def test_transpose_free_worker_arrival_guard():
-    """Without the reverse-BFS plane, absorbing repairs are impossible —
-    a worker arriving while an eligible task sits unmatched must refuse."""
-    lazy = LazyDynamicMatcher(maintain_transpose=False)
-    lazy.new_task([], 1.0)  # eligible, unmatchable: no adjacent worker
-    with pytest.raises(ValueError, match="maintain_transpose"):
-        lazy.new_worker()
+def test_worker_arrival_absorbs_the_waiting_task():
+    """A worker arriving next to an eligible unmatched task takes it."""
+    lazy = LazyDynamicMatcher()
+    task_id, matched = lazy.new_task([], 1.0)  # eligible, no adjacent worker
+    assert not matched
+    worker_id, absorbed = lazy.new_worker([task_id])
+    assert absorbed == task_id
+    assert lazy.worker_of(task_id) == worker_id
+    assert lazy.is_valid_matching()
 
 
 def test_capped_sessions_are_refused_semantics():
@@ -313,8 +333,8 @@ def test_capped_sessions_are_refused_semantics():
     changes the row, so consumers must not mix capped planes with
     universe gating."""
     rng = np.random.default_rng(5)
-    capped = IncrementalAdjacencyIndex(GRID, max_degree=2, track_tasks=False)
-    uncapped = IncrementalAdjacencyIndex(GRID, track_tasks=False)
+    capped = IncrementalAdjacencyIndex(GRID, max_degree=2)
+    uncapped = IncrementalAdjacencyIndex(GRID)
     xs, ys = rng.uniform(30, 50, 6), rng.uniform(30, 50, 6)
     rs = np.full(6, 40.0)
     capped.insert_workers(xs, ys, rs)

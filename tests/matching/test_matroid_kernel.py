@@ -8,17 +8,16 @@ sharded engine reuses the workers it leaves free).  The oracle below is
 the earlier two-array implementation of the kernel (a ``visited`` stamp
 list plus a ``dead`` bytearray, index pointers into ``indptr``), kept
 verbatim but for its name as a test-only reference.  Hypothesis draws CSR graphs with
-heavily overlapping rows, saturated instances (more tasks than workers),
-equal weights and warm-start hints, and the returned ``match_task``
-lists must be equal — the pairing, not only the weight.  A second fuzz
-checks the backend end to end: the matroid total equals the dense exact
-solver's on random instances with mixed-sign weights and stale hints.
+heavily overlapping rows, saturated instances (more tasks than workers)
+and equal weights, and the returned ``match_task`` lists must be equal —
+the pairing, not only the weight.  A second fuzz checks the backend end
+to end: the matroid total equals the dense exact solver's on random
+instances with mixed-sign weights.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from repro.matching.weighted import eligible_order, max_weight_matching
 from repro.spatial.geometry import Point
 
 
-def _oracle_matroid(csr, order: Sequence[int], hints: Dict[int, int]) -> List[int]:
+def _oracle_matroid(csr, order: Sequence[int]) -> List[int]:
     indptr = csr.indptr_list
     indices = csr.indices_list
     match_task: List[int] = [UNMATCHED] * csr.num_tasks
@@ -91,19 +90,6 @@ def _oracle_matroid(csr, order: Sequence[int], hints: Dict[int, int]) -> List[in
         return False
 
     for task_pos in order:
-        if hints:
-            hinted = hints.get(task_pos, UNMATCHED)
-            if hinted != UNMATCHED and match_worker[hinted] == UNMATCHED:
-                # A free adjacent worker is itself an augmenting path of
-                # length one, so the cold-start greedy would also keep
-                # this task — taking the hint changes the certificate,
-                # never the matched set or the weight.
-                lo, hi = indptr[task_pos], indptr[task_pos + 1]
-                at = bisect_left(indices, hinted, lo, hi)
-                if at < hi and indices[at] == hinted:
-                    match_task[task_pos] = hinted
-                    match_worker[hinted] = task_pos
-                    continue
         stamp += 1
         augment(task_pos)
 
@@ -112,7 +98,7 @@ def _oracle_matroid(csr, order: Sequence[int], hints: Dict[int, int]) -> List[in
 
 @st.composite
 def instances(draw):
-    """A CSR graph, a canonical task order and warm-start hints.
+    """A CSR graph and a canonical task order.
 
     Rows are drawn from a small pool of shared worker sets (perturbed per
     task), so many rows overlap heavily and DFS searches revisit the same
@@ -140,34 +126,23 @@ def instances(draw):
     )
     allowed = [pos for pos in range(num_tasks) if draw(st.booleans()) or pos % 3]
     _, order = eligible_order(num_tasks, weights, allowed)
-    hints: Dict[int, int] = {}
-    if draw(st.booleans()):
-        # Validated hints map a task to one worker and a worker to one
-        # task; some hinted workers are adjacent, some are not.
-        free = list(range(num_workers))
-        for task_pos in draw(st.sets(st.integers(0, num_tasks - 1), max_size=num_tasks)):
-            if not free:
-                break
-            worker_pos = free.pop(draw(st.integers(0, len(free) - 1)))
-            hints[task_pos] = worker_pos
-    return csr, list(order), hints
+    return csr, list(order)
 
 
 class TestMatroidKernelOracle:
     @settings(max_examples=300, deadline=None)
     @given(instances())
     def test_match_task_equals_oracle(self, instance):
-        csr, order, hints = instance
-        expected = _oracle_matroid(csr, order, hints)
-        assert matroid_augment(csr, order, hints) == expected
+        csr, order = instance
+        assert matroid_augment(csr, order) == _oracle_matroid(csr, order)
 
     def test_saturated_overlapping_instance(self):
         """Forty tasks on eight workers, every row a shifted window."""
         rows = [sorted({(t + k) % 8 for k in range(5)}) for t in range(40)]
         csr = CSRGraph.from_adjacency(rows, 8)
         order = list(range(40))
-        result = matroid_augment(csr, order, {})
-        assert result == _oracle_matroid(csr, order, {})
+        result = matroid_augment(csr, order)
+        assert result == _oracle_matroid(csr, order)
         assert sum(w != UNMATCHED for w in result) == 8
 
     def test_pairing_follows_the_recursive_dfs(self):
@@ -177,7 +152,7 @@ class TestMatroidKernelOracle:
         same size, same weight, different pairing.
         """
         csr = CSRGraph.from_adjacency([[0, 1], [0, 1]], 2)
-        assert matroid_augment(csr, [0, 1], {}) == [1, 0]
+        assert matroid_augment(csr, [0, 1]) == [1, 0]
 
 
 def _make_graph(num_tasks: int, num_workers: int, adjacency) -> BipartiteGraph:
@@ -206,7 +181,7 @@ def _make_graph(num_tasks: int, num_workers: int, adjacency) -> BipartiteGraph:
 
 @st.composite
 def matching_instances(draw):
-    """A random bipartite instance plus weights, subset and warm hints."""
+    """A random bipartite instance plus weights and an eligible subset."""
     num_tasks = draw(st.integers(min_value=1, max_value=10))
     num_workers = draw(st.integers(min_value=1, max_value=8))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -227,26 +202,16 @@ def matching_instances(draw):
         )
     else:
         allowed = None
-    warm_start = None
-    if draw(st.booleans()):
-        # Arbitrary (possibly stale / non-adjacent) hints: validation must
-        # drop the bad ones before the kernel sees them.
-        warm_start = {
-            int(task_pos): int(rng.integers(0, num_workers))
-            for task_pos in rng.choice(
-                num_tasks, size=int(rng.integers(0, num_tasks + 1)), replace=False
-            )
-        }
-    return graph, weights, allowed, warm_start
+    return graph, weights, allowed
 
 
 @settings(max_examples=60, deadline=None)
 @given(instance=matching_instances())
 def test_matroid_total_matches_dense_exact(instance):
     """The kernelised matroid backend stays exact vs the dense solver."""
-    graph, weights, allowed, warm_start = instance
+    graph, weights, allowed = instance
     _matching, total = max_weight_matching(
-        graph, weights, allowed_tasks=allowed, backend="matroid", warm_start=warm_start
+        graph, weights, allowed_tasks=allowed, backend="matroid"
     )
     _dense, dense_total = max_weight_matching(
         graph, weights, allowed_tasks=allowed, backend="scipy"

@@ -27,7 +27,7 @@ pair-for-pair).
 
 Metamorphic companions (same interpreter, no state machine): scaling all
 weights by a power of two scales the total exactly and preserves the
-matched set, and warm-start hints never change the matched set or total.
+matched set.
 """
 
 from __future__ import annotations
@@ -138,13 +138,11 @@ class DynamicMatchingMachine(RuleBasedStateMachine):
     @rule(
         idx=st.integers(min_value=0, max_value=2**16),
         weight=WEIGHT_VALUES,
-        hint=st.none() | st.integers(min_value=0, max_value=2**16),
     )
-    def insert_task(self, idx, weight, hint):
+    def insert_task(self, idx, weight):
         absent = [p for p in range(self.num_tasks) if p not in self.live_tasks]
         pos = absent[idx % len(absent)]
-        preferred = None if hint is None else hint % self.num_workers
-        self.matcher.insert_task(pos, weight, preferred)
+        self.matcher.insert_task(pos, weight)
         self.live_tasks[pos] = (self.clock, weight)
         self.clock += 1
 
@@ -257,7 +255,6 @@ OPS = st.lists(
         st.sampled_from(["insert_task", "insert_worker", "remove_task", "remove_worker"]),
         st.integers(min_value=0, max_value=2**16),
         WEIGHT_VALUES,
-        st.none() | st.integers(min_value=0, max_value=2**16),
     ),
     min_size=1,
     max_size=40,
@@ -286,21 +283,17 @@ def apply_script(
     num_workers: int,
     ops,
     scale: float = 1.0,
-    use_hints: bool = True,
 ) -> DynamicMatcher:
     matcher = DynamicMatcher(graph, [0.0] * num_tasks)
     live_tasks: List[int] = []
     live_workers: List[int] = []
-    for kind, idx, weight, hint in ops:
+    for kind, idx, weight in ops:
         if kind == "insert_task":
             absent = [p for p in range(num_tasks) if p not in live_tasks]
             if not absent:
                 continue
             pos = absent[idx % len(absent)]
-            preferred = (
-                hint % num_workers if (use_hints and hint is not None) else None
-            )
-            matcher.insert_task(pos, weight * scale, preferred)
+            matcher.insert_task(pos, weight * scale)
             live_tasks.append(pos)
         elif kind == "insert_worker":
             absent = [p for p in range(num_workers) if p not in live_workers]
@@ -335,19 +328,6 @@ def test_power_of_two_weight_scaling_is_exact(script, exponent):
     scaled = apply_script(graph, num_tasks, num_workers, ops, scale=scale)
     assert scaled.matching().keys() == base.matching().keys()
     assert repr(scaled.total_weight()) == repr(scale * base.total_weight())
-
-
-@META
-@given(script=churn_scripts())
-def test_warm_start_hints_never_change_set_or_total(script):
-    """Hints may re-route pairs but the basis and its weight are invariant."""
-    num_tasks, num_workers, seed, density, ops = script
-    graph, _ = build_universe(num_tasks, num_workers, seed, density, None)
-    hinted = apply_script(graph, num_tasks, num_workers, ops, use_hints=True)
-    cold = apply_script(graph, num_tasks, num_workers, ops, use_hints=False)
-    assert hinted.matching().keys() == cold.matching().keys()
-    assert repr(hinted.total_weight()) == repr(cold.total_weight())
-    assert hinted.is_valid_matching() and cold.is_valid_matching()
 
 
 @META

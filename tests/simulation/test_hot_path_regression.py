@@ -1,8 +1,8 @@
 """Regression pins for the array-native matching hot path.
 
 The acceptance bar of the hot-path work: with the degree cap off, the
-vectorised graph builder and the warm-start machinery must leave every
-simulation result **bit-identical** to the pre-vectorisation path —
+vectorised graph builder must leave every simulation result
+**bit-identical** to the pre-vectorisation path —
 across all five pricing strategies and every registered matching
 backend.  At finite caps, the revenue loss must stay inside the
 documented tolerance band, checked over a battery of fuzzed dense
@@ -21,8 +21,6 @@ from repro.matching.registry import available_backends
 from repro.matching.weighted import max_weight_matching
 from repro.pricing.registry import available_strategies, calibrated_kwargs, create_strategy
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.sharded import ShardedEngine
-from repro.simulation.streaming import StreamingEngine, workload_to_stream
 from repro.spatial.geometry import Point
 from repro.spatial.grid import Grid
 
@@ -101,40 +99,6 @@ class TestVectorizedPathBitIdentity:
             )
             assert matching_v == matching_l, backend
             assert total_v == total_l, backend
-
-    def test_engine_warm_start_is_bit_identical_under_shipped_dynamics(
-        self, tiny_workload
-    ):
-        """Dispatched workers leave the pool for good, so the previous
-        period's matching restricted to still-present workers is empty and
-        warm-started runs must coincide bit-for-bit with cold ones."""
-        cold = SimulationEngine(tiny_workload, seed=3, keep_details=True).run(
-            create_strategy("BaseP", base_price=2.0)
-        )
-        warm = SimulationEngine(
-            tiny_workload, seed=3, keep_details=True, warm_start=True
-        ).run(create_strategy("BaseP", base_price=2.0))
-        assert _metrics_tuple(warm) == _metrics_tuple(cold)
-        assert _outcome_tuples(warm) == _outcome_tuples(cold)
-
-    def test_sharded_and_streaming_warm_start_preserve_metrics(self, tiny_workload):
-        """Warm starts are weight-preserving in the other engines too."""
-        sharded_cold = ShardedEngine(tiny_workload, num_shards=4, halo=1, seed=3).run(
-            create_strategy("BaseP", base_price=2.0)
-        )
-        sharded_warm = ShardedEngine(
-            tiny_workload, num_shards=4, halo=1, seed=3, warm_start=True
-        ).run(create_strategy("BaseP", base_price=2.0))
-        assert _metrics_tuple(sharded_warm) == _metrics_tuple(sharded_cold)
-
-        stream = workload_to_stream(tiny_workload)
-        streaming_cold = StreamingEngine(stream, seed=3).run(
-            create_strategy("BaseP", base_price=2.0)
-        )
-        streaming_warm = StreamingEngine(stream, seed=3, warm_start=True).run(
-            create_strategy("BaseP", base_price=2.0)
-        )
-        assert _metrics_tuple(streaming_warm) == _metrics_tuple(streaming_cold)
 
 
 class TestDegreeCapToleranceGate:

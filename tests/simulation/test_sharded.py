@@ -178,7 +178,8 @@ class TestHaloPairingGoldenPins:
     just its weight) decides which workers are left for the halo pass,
     so these totals move if the kernel's visiting order does — which the
     one-shard ``run_reference`` gate cannot see.  Values recorded before
-    the kernel's mark-array rewrite; both engine paths must keep them.
+    the kernel's mark-array rewrite.  The materialised bundle reaches
+    the same loop through its column conversion and must keep them too.
     """
 
     PINS = {
@@ -186,12 +187,14 @@ class TestHaloPairingGoldenPins:
         4: ("24454.923985959205", 2353, 3743),
     }
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
+    @pytest.mark.parametrize("form", ["chunked", "bundle"])
     @pytest.mark.parametrize("seed", sorted(PINS))
-    def test_city_scale_halo_run_is_pinned(self, seed, columnar):
+    def test_city_scale_halo_run_is_pinned(self, seed, form):
         workload = get_scenario("city_scale").chunked(
             scale=0.02, seed=seed, tasks_per_period=600, workers_per_period=300
         )
+        if form == "bundle":
+            workload = workload.materialize()
         engine = ShardedEngine(
             workload,
             num_shards=8,
@@ -199,7 +202,6 @@ class TestHaloPairingGoldenPins:
             max_degree=16,
             matching_backend="matroid",
             seed=seed,
-            columnar=columnar,
         )
         metrics = engine.run(create_strategy("BaseP", base_price=2.0)).metrics
         revenue, served, accepted = self.PINS[seed]
@@ -321,10 +323,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ShardedEngine(tiny_workload, num_shards=2, halo=-1)
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
-    def test_non_positive_degree_cap_rejected(self, columnar):
+    @pytest.mark.parametrize("form", ["chunked", "bundle"])
+    def test_non_positive_degree_cap_rejected(self, form, tiny_workload):
         # A zero cap used to build edgeless columnar graphs and end the
         # run with revenue 0.0 instead of an error.
-        chunked = get_scenario("city_scale").chunked(scale=0.005, seed=2)
+        if form == "chunked":
+            workload = get_scenario("city_scale").chunked(scale=0.005, seed=2)
+        else:
+            workload = tiny_workload
         with pytest.raises(ValueError, match="max_degree"):
-            ShardedEngine(chunked, num_shards=4, max_degree=0, columnar=columnar)
+            ShardedEngine(workload, num_shards=4, max_degree=0)

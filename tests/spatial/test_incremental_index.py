@@ -62,7 +62,7 @@ class TestEdgeIdentityFuzz:
         rng = np.random.default_rng(hash((metric, max_degree)) % (2**32))
         grid = Grid.square(100.0, 8)
         index = IncrementalAdjacencyIndex(
-            grid, metric=metric, max_degree=max_degree, track_tasks=False
+            grid, metric=metric, max_degree=max_degree
         )
         live = {}
         for step in range(80):
@@ -97,7 +97,7 @@ class TestEdgeIdentityFuzz:
         batch_metric = resolve_batch_metric(metric)
         rng = np.random.default_rng(7)
         grid = Grid.square(50.0, 5)
-        index = IncrementalAdjacencyIndex(grid, metric=metric, track_tasks=True)
+        index = IncrementalAdjacencyIndex(grid, metric=metric)
         live_tasks = {}
         worker_slots = []
         workers = {}
@@ -144,7 +144,7 @@ class TestEdgeIdentityFuzz:
     def test_task_rows_and_candidate_edges_agree(self):
         rng = np.random.default_rng(3)
         grid = Grid.square(60.0, 6)
-        index = IncrementalAdjacencyIndex(grid, track_tasks=False)
+        index = IncrementalAdjacencyIndex(grid)
         index.insert_workers(
             rng.uniform(0, 60, 30), rng.uniform(0, 60, 30), rng.uniform(0, 25, 30)
         )
@@ -218,19 +218,20 @@ class TestSlotSemantics:
 
     def test_worker_rows_reject_dead_slots(self):
         grid = Grid.square(10.0, 2)
-        index = IncrementalAdjacencyIndex(grid, track_tasks=True)
+        index = IncrementalAdjacencyIndex(grid)
         (slot,) = index.insert_workers([5.0], [5.0], [3.0]).tolist()
         index.remove_worker(slot)
         with pytest.raises(ValueError, match="not live"):
             index.worker_rows([slot])
 
-    def test_task_plane_disabled_refuses_task_calls(self):
+    def test_task_plane_is_always_on(self):
         grid = Grid.square(10.0, 2)
-        index = IncrementalAdjacencyIndex(grid, track_tasks=False)
-        with pytest.raises(ValueError, match="track_tasks"):
-            index.insert_tasks([1.0], [1.0])
-        with pytest.raises(ValueError, match="track_tasks"):
-            index.worker_rows([])
+        index = IncrementalAdjacencyIndex(grid)
+        assert index.insert_tasks([1.0, 9.0], [1.0, 9.0]).tolist() == [0, 1]
+        (slot,) = index.insert_workers([2.0], [2.0], [3.0]).tolist()
+        assert index.worker_rows([slot]) == [[0]]
+        index.remove_task(0)
+        assert index.worker_row(slot) == []
 
     @pytest.mark.parametrize("max_degree", [0, -3])
     def test_non_positive_degree_cap_rejected(self, max_degree):

@@ -9,6 +9,7 @@ worker process is killed mid-use (workers only map, never own).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -84,6 +85,46 @@ class TestShmArenaBasics:
                 assert _segment_exists(name)
                 raise RuntimeError("boom")
         assert name is not None and not _segment_exists(name)
+
+    def test_lookup_does_not_scan_the_specs(self):
+        """Name lookups cost O(1) spec visits, however many arrays exist.
+
+        Counted, not timed: the handle's spec tuple records every element
+        handed out by iteration, so a per-lookup linear scan shows up as
+        ``len(specs)`` visits for the last array.
+        """
+
+        class CountingSpecs(tuple):
+            visits = 0
+
+            def __iter__(self):
+                for spec in tuple.__iter__(self):
+                    CountingSpecs.visits += 1
+                    yield spec
+
+        arrays = {f"a{index}": np.arange(2, dtype=np.int64) for index in range(64)}
+        arena = ShmArena.create(arrays)
+        try:
+            handle = dataclasses.replace(
+                arena.handle, specs=CountingSpecs(arena.handle.specs)
+            )
+            view = ShmArena.attach(handle)
+            try:
+                names = list(arrays)
+                for name in (names[-1], names[0], names[-1], "missing"):
+                    CountingSpecs.visits = 0
+                    if name in arrays:
+                        assert name in view
+                        assert np.array_equal(view[name], arrays[name])
+                    else:
+                        assert name not in view
+                        with pytest.raises(KeyError):
+                            view[name]
+                    assert CountingSpecs.visits <= 1, name
+            finally:
+                view.close()
+        finally:
+            arena.unlink()
 
 
 class TestWorkloadArena:

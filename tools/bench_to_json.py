@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CONFIG",
         help="[matching] hot-path configurations (e.g. loop vectorized "
-        "capped-16 vgreedy capped-8+warm); [runtime] data-plane "
+        "capped-16 vgreedy loop+capped-8); [runtime] data-plane "
         "configurations (pr4-baseline columnar columnar-vgreedy)",
     )
     parser.add_argument(

@@ -12,11 +12,10 @@ does the time go?" is one command::
         --scale 0.02 --shards 8 --halo 1 --sort tottime --top 40
     PYTHONPATH=src python tools/profile_run.py --scenario hotspot_burst \
         --streaming --window 0.5
-    PYTHONPATH=src python tools/profile_run.py --shards 8 --dynamic \
-        --warm-shards          # warm per-shard incremental matching
+    PYTHONPATH=src python tools/profile_run.py --shards 8 --dynamic
     PYTHONPATH=src python tools/profile_run.py --scenario hotspot_burst \
         --service --scale 0.05  # event-at-a-time DispatchSession quoting
-    PYTHONPATH=src python tools/profile_run.py --max-degree 8 --warm-start \
+    PYTHONPATH=src python tools/profile_run.py --max-degree 8 \
         --output hotpath.pstats   # dump for snakeviz/pstats browsing
 
 The same measurement is available inline as ``repro-experiments
@@ -91,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap each task at its K nearest workers (default: exact graph)",
     )
     parser.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="enable cross-period warm-start hints",
-    )
-    parser.add_argument(
         "--streaming",
         action="store_true",
         help="drive the event-driven streaming engine instead of the batch one",
@@ -111,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run halo reconciliation through the dynamic delta-repair "
         "matching backend (sharded mode)",
-    )
-    parser.add_argument(
-        "--warm-shards",
-        action="store_true",
-        help="keep one incremental adjacency plane + lazy matcher per "
-        "shard alive across periods (sharded mode, matroid backend)",
     )
     parser.add_argument(
         "--service",
@@ -171,8 +159,8 @@ def main(argv=None) -> int:
         raise SystemExit("--service and --streaming are mutually exclusive")
     if args.universe_matcher and not args.service:
         raise SystemExit("--universe-matcher requires --service")
-    if (args.dynamic or args.warm_shards) and (args.streaming or args.service):
-        raise SystemExit("--dynamic/--warm-shards are sharded-engine modes")
+    if args.dynamic and (args.streaming or args.service):
+        raise SystemExit("--dynamic is a sharded-engine mode")
 
     scenario = get_scenario(args.scenario)
     strategy = create_strategy(args.strategy, base_price=args.base_price)
@@ -195,7 +183,6 @@ def main(argv=None) -> int:
             window=args.window,
             matching_backend=args.backend,
             max_degree=args.max_degree,
-            warm_start=args.warm_start,
         )
         mode = f"streaming (window={args.window:g})"
     else:
@@ -210,23 +197,16 @@ def main(argv=None) -> int:
             seed=args.seed,
             matching_backend=args.backend,
             max_degree=args.max_degree,
-            warm_start=args.warm_start,
             dynamic=args.dynamic,
-            warm_shards=args.warm_shards,
-            # The warm path keeps per-shard object-pool state alive, so it
-            # needs the object workload even when columns are available.
-            columnar=False if args.warm_shards else None,
         )
         mode = f"sharded (shards={args.shards})" if args.shards > 1 else "batch"
-        flags = [flag for flag, on in (("dynamic", args.dynamic),
-                                       ("warm-shards", args.warm_shards)) if on]
-        if flags:
-            mode += f" [{', '.join(flags)}]"
+        if args.dynamic:
+            mode += " [dynamic]"
 
     print(
         f"# profiling {args.scenario} [{mode}] strategy={args.strategy} "
         f"backend={args.backend} scale={args.scale:g} seed={args.seed} "
-        f"max_degree={args.max_degree} warm_start={args.warm_start}"
+        f"max_degree={args.max_degree}"
     )
     profiler = cProfile.Profile()
     start = time.perf_counter()
