@@ -71,7 +71,7 @@ from repro.core.gdp import PeriodInstance
 from repro.experiments.host import host_fingerprint
 from repro.matching.incremental import DynamicMatcher, LazyDynamicMatcher
 from repro.simulation.scenarios import get_scenario
-from repro.simulation.streaming import TaskArrival, window_index
+from repro.simulation.streaming import TaskArrival, _settle as settle_due, window_index
 from repro.spatial.index import IncrementalAdjacencyIndex
 from repro.utils.rng import derive_seed
 
@@ -239,36 +239,21 @@ def _settle(
     bound: float,
     log: List[Tuple[str, int, int]],
 ) -> Tuple[float, int]:
-    """Commit/expire everything due at or before ``bound``, logging the
-    applied events (same global time order as the streaming engine)."""
+    """Commit/expire everything due at or before ``bound`` through the
+    streaming engines' settlement loop, logging the applied events."""
     revenue = 0.0
     commits = 0
-    while deadlines or departures:
-        due_deadline = deadlines[0][0] if deadlines else math.inf
-        due_departure = departures[0][0] if departures else math.inf
-        if min(due_deadline, due_departure) > bound:
-            break
-        if due_deadline <= due_departure:
-            _, task_pos = heapq.heappop(deadlines)
-            if task_pos not in live_weights:
-                continue
-            if matcher.is_task_matched(task_pos):
-                worker_pos = matcher.commit_task(task_pos)
-                revenue += live_weights.pop(task_pos)
-                commits += 1
-                live_workers.discard(worker_pos)
-                log.append(("commit", task_pos, worker_pos))
-            else:
-                matcher.remove_task(task_pos)
-                live_weights.pop(task_pos)
-                log.append(("expire", task_pos, -1))
+    for kind, _due, task_pos, worker_pos, amount in settle_due(
+        matcher, deadlines, departures, live_weights, live_workers, bound
+    ):
+        if kind == "commit":
+            revenue += amount
+            commits += 1
+            log.append((kind, task_pos, worker_pos))
+        elif kind == "expire":
+            log.append((kind, task_pos, -1))
         else:
-            _, worker_pos = heapq.heappop(departures)
-            if worker_pos not in live_workers:
-                continue
-            matcher.remove_worker(worker_pos)
-            live_workers.discard(worker_pos)
-            log.append(("depart", worker_pos, -1))
+            log.append((kind, worker_pos, -1))
     return revenue, commits
 
 

@@ -14,8 +14,8 @@ One measurement protocol feeds two consumers:
 loopback sockets, all replaying the ``hotspot_burst`` scenario:
 
 * ``offline`` — blocking admission, unpaced replay: the lossless mode,
-  on the default *incremental* session backend (live adjacency plane +
-  lazy matcher, no universe graph).  Its result is differentially gated
+  on the uncapped session's live adjacency plane + lazy matcher (no
+  universe graph).  Its result is differentially gated
   against :class:`~repro.simulation.streaming.EventStreamingEngine` on
   the same stream — ``repr``-identical settled revenue and identical
   commit pairs, asserted here so every recorded benchmark re-proves the
@@ -25,12 +25,6 @@ loopback sockets, all replaying the ``hotspot_burst`` scenario:
 * ``burst_shed`` — rejecting admission with a tiny ingest queue and an
   artificial per-event stall, driven unpaced: the overload regime.  The
   point records how many arrivals admission control shed.
-* ``offline_universe`` — the ``offline`` replay on the classic universe
-  :class:`~repro.matching.incremental.DynamicMatcher` backend.  Gated
-  bitwise against ``offline`` (same revenue ``repr``, same commit
-  pairs): the two backends are interchangeable floats-wise, so the
-  recorded ``speedup_incremental_quote_p50`` is a pure implementation
-  delta, not a semantics change.
 
 Per point: wall seconds, sustained arrival and quote throughput, settled
 revenue, and the server-side ``queue_wait`` / ``service`` / ``total``
@@ -83,7 +77,6 @@ def _point(config_name: str, report, server: DispatchServer) -> Dict[str, Any]:
         "queue_size": server.config.queue_size,
         "admission": server.config.admission,
         "slo_ms": server.config.slo_ms,
-        "incremental": server.config.resolved_incremental,
     }
 
 
@@ -191,16 +184,10 @@ def measure_service_latency(
             strategy,
             rate=None,
         )
-        universe_report, universe_server = await _run_config(
-            ServiceConfig(admission="block", incremental=False, **base),
-            strategy,
-            rate=None,
-        )
         return {
             "offline": (offline_report, offline_server),
             "paced": (paced_report, paced_server, paced_rate),
             "burst_shed": (shed_report, shed_server),
-            "offline_universe": (universe_report, universe_server),
         }
 
     def _stream_times():
@@ -213,7 +200,6 @@ def measure_service_latency(
     offline_report, offline_server = measured["offline"]
     paced_report, paced_server, paced_rate = measured["paced"]
     shed_report, shed_server = measured["burst_shed"]
-    universe_report, universe_server = measured["offline_universe"]
 
     reference = _offline_reference(scale, seed, strategy, task_lifetime)
     revenue_match = repr(offline_report.revenue) == repr(reference["revenue"])
@@ -224,27 +210,14 @@ def measure_service_latency(
             f"revenue {offline_report.revenue!r} vs {reference['revenue']!r}, "
             f"{len(offline_report.commits)} vs {len(reference['commits'])} commits"
         )
-    backends_match = repr(universe_report.revenue) == repr(
-        offline_report.revenue
-    ) and sorted(universe_report.commits) == sorted(offline_report.commits)
-    if not backends_match:
-        raise AssertionError(
-            "universe-backend replay diverged from the incremental backend: "
-            f"revenue {universe_report.revenue!r} vs {offline_report.revenue!r}, "
-            f"{len(universe_report.commits)} vs {len(offline_report.commits)} commits"
-        )
 
     results = [
         _point("offline", offline_report, offline_server),
         _point("paced", paced_report, paced_server),
         _point("burst_shed", shed_report, shed_server),
-        _point("offline_universe", universe_report, universe_server),
     ]
     offline_point = results[0]
     offline_service = offline_point["latency_ms"].get("service", {})
-    universe_service = results[3]["latency_ms"].get("service", {})
-    incremental_p50 = float(offline_service.get("p50_ms", 0.0))
-    universe_p50 = float(universe_service.get("p50_ms", 0.0))
     return {
         "benchmark": "service_latency",
         "scenario": SCENARIO,
@@ -261,17 +234,13 @@ def measure_service_latency(
             "reference": "EventStreamingEngine",
             "revenue_bitwise_equal": revenue_match,
             "commit_pairs_equal": commits_match,
-            "backends_bitwise_equal": backends_match,
             "revenue": float(reference["revenue"]),
             "committed": int(reference["committed"]),
         },
-        "p50_quote_ms": incremental_p50,
+        "p50_quote_ms": float(offline_service.get("p50_ms", 0.0)),
         "p99_quote_ms": float(offline_service.get("p99_ms", 0.0)),
         "p99_total_ms": offline_point["p99_ms"],
         "sustained_arrivals_per_second": offline_point["arrivals_per_second"],
-        "speedup_incremental_quote_p50": (
-            universe_p50 / incremental_p50 if incremental_p50 else 0.0
-        ),
         "host": host_fingerprint(),
     }
 

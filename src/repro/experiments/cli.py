@@ -105,12 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dynamic",
         action="store_true",
-        help="maintain one matching under churn via delta repair "
-        "(requires --scenario): with --streaming, dispatch through the "
-        "dynamic streaming engine (tasks stay tentatively matched until "
-        "their deadline); with --shards, run the halo reconciliation "
-        "through the dynamic backend; in plain batch mode, shorthand for "
-        "--backend dynamic",
+        help="dispatch through the dynamic streaming engine, which "
+        "maintains one matching under churn via delta repair (tasks stay "
+        "tentatively matched until their deadline; requires --streaming)",
     )
     parser.add_argument(
         "--task-lifetime",
@@ -251,11 +248,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
     scale = scenario.default_scale if args.scale is None else args.scale
     window = 1.0 if args.window is None else args.window
     halo = 1 if args.halo is None else args.halo
-    # Plain-batch --dynamic is shorthand for the dynamic matching backend
-    # (validated upstream: --backend, if given, was matroid or dynamic).
-    backend = args.backend
-    if args.dynamic and not args.streaming and args.shards is None:
-        backend = "dynamic"
     # Sharded runs over a lazily chunked scenario stay chunked end to end:
     # materialising a city-scale horizon is exactly what ChunkedWorkload
     # exists to avoid, and the sharded engine consumes it natively.
@@ -292,10 +284,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
             mode = f"dynamic streaming (window={window:g}, lifetime={lifetime:g})"
     elif args.shards is not None:
         mode = f"sharded (shards={args.shards}, halo={halo})"
-        if args.dynamic:
-            mode += ", dynamic-halo"
-    elif args.dynamic:
-        mode = "batch (dynamic backend)"
     else:
         mode = "batch"
     if args.max_degree is not None:
@@ -304,7 +292,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
     print(f"# workload: {workload.description}")
     print(
         f"# mode = {mode}, scale = {scale:g}, seed = {args.seed}, "
-        f"backend = {backend}, base price = {calibration.base_price:.3f}"
+        f"backend = {args.backend}, base price = {calibration.base_price:.3f}"
     )
     if use_chunked:
         # Chunk factories are process-local (unpicklable closures), so the
@@ -317,10 +305,9 @@ def _run_scenario(args: argparse.Namespace) -> int:
             num_shards=args.shards,
             halo=halo,
             seed=args.seed,
-            matching_backend=backend,
+            matching_backend=args.backend,
             track_memory=not args.no_memory_tracking,
             max_degree=args.max_degree,
-            dynamic=args.dynamic,
         )
         results = {
             (spec.key, args.seed): engine.run(spec.build()) for spec in specs
@@ -330,7 +317,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
             workload=None if args.streaming else workload,
             specs=specs,
             seeds=[args.seed],
-            matching_backend=backend,
+            matching_backend=args.backend,
             max_workers=None if args.jobs <= 0 else args.jobs,
             track_memory=not args.no_memory_tracking,
             stream=(
@@ -346,7 +333,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
                 else None
             ),
             shards=(
-                ShardSpec(num_shards=args.shards, halo=halo, dynamic=args.dynamic)
+                ShardSpec(num_shards=args.shards, halo=halo)
                 if args.shards is not None
                 else None
             ),
@@ -413,22 +400,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--halo requires --shards")
     if args.halo is not None and args.halo < 0:
         parser.error("--halo must be non-negative")
-    if args.dynamic and args.scenario is None:
-        parser.error("--dynamic requires --scenario")
-    if args.dynamic and args.streaming:
-        if args.backend not in ("matroid", "dynamic"):
-            parser.error(
-                "--dynamic --streaming maintains the matroid-equivalent "
-                "matching; --backend cannot override it"
-            )
-    if args.dynamic and not args.streaming and args.shards is None:
-        if args.backend not in ("matroid", "dynamic"):
-            parser.error(
-                "plain-batch --dynamic is shorthand for --backend dynamic; "
-                "drop one of the two flags"
-            )
+    if args.dynamic and not args.streaming:
+        parser.error("--dynamic requires --streaming")
+    if args.dynamic and args.backend != "matroid":
+        parser.error(
+            "--dynamic --streaming maintains the matroid-equivalent "
+            "matching; --backend cannot override it"
+        )
     if args.task_lifetime is not None:
-        if not (args.dynamic and args.streaming):
+        if not args.dynamic:
             parser.error("--task-lifetime requires --dynamic --streaming")
         if args.task_lifetime <= 0:
             parser.error("--task-lifetime must be positive")

@@ -69,15 +69,11 @@ class ShardSpec:
             bundles and chunked workloads both fan out).  Leave at ``1``
             when the :class:`ParallelRunner` already fans cells across
             processes — nesting pools multiplies workers.
-        dynamic: Run the halo reconciliation through the ``dynamic``
-            delta-repair backend (see
-            :class:`~repro.simulation.sharded.ShardedEngine`).
     """
 
     num_shards: int = 1
     halo: int = 1
     shard_jobs: int = 1
-    dynamic: bool = False
 
     def build_engine(
         self,
@@ -99,7 +95,6 @@ class ShardSpec:
             keep_details=keep_details,
             shard_jobs=self.shard_jobs,
             max_degree=max_degree,
-            dynamic=self.dynamic,
         )
 
 

@@ -13,7 +13,10 @@ one function with one implementation:
   engine's halo-reconciliation scans;
 * :func:`repro.kernels.dynamic.dynamic_augment` /
   :func:`repro.kernels.dynamic.dynamic_reach` — the delete/repair loops
-  of :class:`repro.matching.incremental.DynamicMatcher`.
+  of :class:`repro.matching.incremental.DynamicMatcher`, the universe
+  matcher a degree-capped dynamic engine or session runs (uncapped ones
+  run the live plane's
+  :class:`~repro.matching.incremental.LazyDynamicMatcher`).
 
 Every one is pure index selection: weight validation, ordering and the
 float accumulation stay in the callers.

@@ -27,14 +27,14 @@ Runnable doctest (also exercised by the CI docs job; importing
 >>> import repro.matching.weighted
 >>> from repro.matching.registry import available_backends, get_backend
 >>> available_backends()
-['dynamic', 'greedy', 'hungarian', 'matroid', 'scipy', 'vgreedy']
+['greedy', 'hungarian', 'matroid', 'scipy', 'vgreedy']
 >>> get_backend("MATROID") is get_backend("matroid")  # case-insensitive
 True
 >>> get_backend("simplex")
 Traceback (most recent call last):
     ...
 ValueError: unknown matching backend 'simplex'; registered backends: \
-dynamic, greedy, hungarian, matroid, scipy, vgreedy
+greedy, hungarian, matroid, scipy, vgreedy
 """
 
 from __future__ import annotations

@@ -35,16 +35,11 @@ Backends are registered in :mod:`repro.matching.registry` (mirroring
   in the ablation);
 * ``vgreedy`` — a numpy-vectorised round-based greedy (proposals resolved
   by weight-order priority), the fast approximate backend for huge dense
-  periods where even the flat-list greedy loop is the bottleneck;
-* ``dynamic`` — the fully dynamic matcher
-  (:class:`repro.matching.incremental.DynamicMatcher`) driven in batch
-  mode: workers inserted, then tasks in canonical weight order.  Exact,
-  and bit-identical to ``matroid`` in both pairing and total (inserting
-  in non-increasing priority order never triggers an eviction, so the
-  maintained basis grows through the same augmenting searches).  Mostly
-  useful as a cross-check and as the halo-reconciliation backend when
-  the sharded engine runs in dynamic mode; churn-heavy callers should
-  drive :class:`~repro.matching.incremental.DynamicMatcher` directly.
+  periods where even the flat-list greedy loop is the bottleneck.
+
+Matching under churn (inserts and deletes between solves) is not a
+backend: the dynamic engines maintain one matching with the matchers of
+:mod:`repro.matching.incremental`.
 """
 
 from __future__ import annotations
@@ -359,42 +354,6 @@ def vectorized_greedy_matching(
 
 
 # ---------------------------------------------------------------------------
-# fully dynamic matcher driven in batch mode
-# ---------------------------------------------------------------------------
-def dynamic_batch_matching(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
-    """Batch solve through :class:`~repro.matching.incremental.DynamicMatcher`.
-
-    Inserts every worker, then every eligible task in the canonical
-    non-increasing weight order, and reads the maintained matching off.
-    In that insertion order a failed augmenting search never evicts (the
-    arriving task is always the lowest-priority element of its circuit),
-    so the operation sequence degenerates to exactly the matroid greedy:
-    same searches, same pairs, and — with the total accumulated in the
-    same processing order below — a bitwise-identical weight.
-    """
-    from repro.matching.incremental import DynamicMatcher
-
-    csr = graph.csr()
-    weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
-    matcher = DynamicMatcher(graph, weights)
-    for worker_pos in range(csr.num_workers):
-        matcher.insert_worker(worker_pos)
-    for task_pos in order:
-        matcher.insert_task(task_pos)
-
-    weight_list = weights.tolist()
-    total = 0.0
-    for task_pos in order:
-        if matcher.is_task_matched(task_pos):
-            total += weight_list[task_pos]
-    return matcher.matching(), total
-
-
-# ---------------------------------------------------------------------------
 # dense-matrix helpers shared by the hungarian / scipy backends
 # ---------------------------------------------------------------------------
 def _task_weight_matrix(
@@ -459,15 +418,6 @@ def _vgreedy_backend(
     return vectorized_greedy_matching(graph, task_weights, allowed_tasks)
 
 
-@register_backend("dynamic")
-def _dynamic_backend(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
-    return dynamic_batch_matching(graph, task_weights, allowed_tasks)
-
-
 @register_backend("hungarian")
 def _hungarian_backend(
     graph: BipartiteGraph,
@@ -503,9 +453,8 @@ def max_weight_matching(
         backend: A backend name registered in
             :mod:`repro.matching.registry` — ``matroid`` (exact, default),
             ``hungarian`` (exact, dense ``O(n^3)``), ``scipy`` (exact,
-            dense), ``dynamic`` (exact, the fully dynamic matcher in
-            batch mode), ``greedy`` (heuristic) or ``vgreedy``
-            (vectorised heuristic).
+            dense), ``greedy`` (heuristic) or ``vgreedy`` (vectorised
+            heuristic).
 
     Returns:
         ``(task_to_worker, total_weight)``.
@@ -524,7 +473,6 @@ __all__ = [
     "scipy_weight_matching",
     "greedy_weight_matching",
     "vectorized_greedy_matching",
-    "dynamic_batch_matching",
     "max_weight_matching",
     "available_backends",
 ]

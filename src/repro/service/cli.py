@@ -57,13 +57,12 @@ def build_service_parser() -> argparse.ArgumentParser:
         "window-batched supply and cannot quote event-at-a-time)",
     )
     serve.add_argument("--task-lifetime", type=float, default=4.0)
-    serve.add_argument("--max-degree", type=int, default=None)
     serve.add_argument(
-        "--universe-matcher",
-        action="store_true",
-        help="force the classic universe delta matcher instead of the "
-        "incremental live-plane backend (the default when --max-degree "
-        "is unset); quotes are bit-identical either way",
+        "--max-degree",
+        type=int,
+        default=None,
+        help="per-task adjacency cap over the scenario universe; sessions "
+        "then run the universe matcher instead of the live plane",
     )
     serve.add_argument(
         "--slo-ms",
@@ -110,21 +109,23 @@ def build_service_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serve(args: argparse.Namespace) -> int:
-    config = ServiceConfig(
-        scenario=args.scenario,
-        scale=args.scale,
-        seed=args.seed,
-        strategy=args.strategy,
-        task_lifetime=args.task_lifetime,
-        max_degree=args.max_degree,
-        incremental=False if args.universe_matcher else None,
-        slo_ms=args.slo_ms,
-        degrade_fraction=args.degrade_fraction,
-        queue_size=args.queue_size,
-        admission=args.admission,
-        once=args.once,
-    )
+def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    try:
+        config = ServiceConfig(
+            scenario=args.scenario,
+            scale=args.scale,
+            seed=args.seed,
+            strategy=args.strategy,
+            task_lifetime=args.task_lifetime,
+            max_degree=args.max_degree,
+            slo_ms=args.slo_ms,
+            degrade_fraction=args.degrade_fraction,
+            queue_size=args.queue_size,
+            admission=args.admission,
+            once=args.once,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     async def _run() -> None:
         server = DispatchServer(config)
@@ -195,7 +196,7 @@ def service_main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.scale > 0:
         parser.error("--scale must be positive")
     if args.command == "serve":
-        return _serve(args)
+        return _serve(args, parser)
     return _replay(args)
 
 

@@ -22,7 +22,8 @@ Architecture (one connection = one replay session, FIFO end to end)::
   is what makes the differential gate exact.  When a quote has waited in
   the queue longer than ``degrade_fraction * slo_ms``, the insert falls
   back to the bounded greedy path
-  (:meth:`~repro.matching.incremental.DynamicMatcher.insert_task_greedy`)
+  (:meth:`~repro.matching.incremental.LazyDynamicMatcher.new_task` with
+  ``greedy=True``; ``DynamicMatcher.insert_task_greedy`` when capped)
   so the exact delta repair cannot bust the SLO — counted, surfaced,
   and off by default (no SLO configured, never degrade).
 * **Observability**: per-stage latency series (queue wait, service time,
@@ -68,8 +69,8 @@ from repro.simulation.streaming import (
     Settlement,
     build_universe,
     resolve_demand_grids,
-    use_live_plane,
 )
+from repro.spatial.index import checked_degree_cap
 from repro.utils.shm import ShmArena
 
 
@@ -88,17 +89,11 @@ class ServiceConfig:
             any grid-state strategy; MAPS is refused — see
             :class:`~repro.simulation.streaming.DispatchSession`).
         task_lifetime: Default task lifetime in period units.
-        max_degree: Optional universe adjacency cap (forces the classic
-            universe matcher; incompatible with ``incremental``).
-        incremental: Session backend.  ``None`` (default) quotes off the
-            live incremental adjacency plane whenever ``max_degree`` is
-            unset — per-insert cost tracks the live neighbourhood, not
-            the universe row density, and the startup universe skips its
-            graph build.  ``False`` forces the universe
-            :class:`~repro.matching.incremental.DynamicMatcher`;
-            ``True`` insists (and raises if ``max_degree`` is set).
-            Bit-identical quotes either way (see
-            :class:`~repro.simulation.streaming.DispatchSession`).
+        max_degree: Optional universe adjacency cap.  Unset, sessions
+            quote off the live adjacency plane and the startup universe
+            skips its graph build; set, they run the universe
+            :class:`~repro.matching.incremental.DynamicMatcher` (the rule
+            of :class:`~repro.simulation.streaming.DispatchSession`).
         slo_ms: Per-quote latency objective in milliseconds; ``None``
             disables degradation entirely.
         degrade_fraction: Degrade a quote once its queue wait exceeds
@@ -120,7 +115,6 @@ class ServiceConfig:
     strategy: str = "BaseP"
     task_lifetime: float = 4.0
     max_degree: Optional[int] = None
-    incremental: Optional[bool] = None
     slo_ms: Optional[float] = None
     degrade_fraction: float = 0.5
     queue_size: int = 1024
@@ -129,6 +123,9 @@ class ServiceConfig:
     event_delay: float = 0.0
 
     def __post_init__(self) -> None:
+        if not self.task_lifetime > 0:
+            raise ValueError("task_lifetime must be positive")
+        self.max_degree = checked_degree_cap(self.max_degree)
         if self.queue_size <= 0:
             raise ValueError("queue_size must be positive")
         if self.admission not in ("block", "reject"):
@@ -139,13 +136,6 @@ class ServiceConfig:
             raise ValueError("slo_ms must be positive when given")
         if not 0.0 < self.degrade_fraction <= 1.0:
             raise ValueError("degrade_fraction must be in (0, 1]")
-        # Raises when the live plane is forced under a cap.
-        use_live_plane(self.max_degree, self.incremental)
-
-    @property
-    def resolved_incremental(self) -> bool:
-        """The backend the sessions will actually run (:func:`use_live_plane`)."""
-        return use_live_plane(self.max_degree, self.incremental)
 
 
 class LatencySeries:
@@ -267,9 +257,9 @@ class DispatchServer:
         instance, task_arrivals, worker_arrivals = build_universe(
             stream,
             max_degree=config.max_degree,
-            # Incremental sessions never touch the universe graph — the
+            # Uncapped sessions never touch the universe graph — the
             # pre-scan keeps only the position-aligned lists and arrays.
-            build_graph=not config.resolved_incremental,
+            build_graph=config.max_degree is not None,
         )
         arrays = instance.ensure_arrays()
         # The universe columns the quoting tier reads per event live in
@@ -479,9 +469,9 @@ class DispatchServer:
                 strategy,
                 seed=config.seed,
                 task_lifetime=lifetime,
+                max_degree=config.max_degree,
                 universe=self._universe,
                 stage_hook=self.stats.observe_stage,
-                incremental=config.resolved_incremental,
             )
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc

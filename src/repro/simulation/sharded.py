@@ -209,16 +209,6 @@ class ShardedEngine:
             only), applied to shard-local instances *and* the halo
             reconciliation instance.  ``None`` keeps the exact graphs;
             a cap below one raises :class:`ValueError`.
-        dynamic: Run the halo reconciliation matching through the
-            ``dynamic`` delta-repair backend
-            (:class:`~repro.matching.incremental.DynamicMatcher`) instead
-            of re-solving the boundary instance with
-            ``matching_backend``: boundary tasks insert one by one in
-            priority order, each repairing only the alternating paths its
-            insertion touches.  Bit-identical to ``matroid``
-            reconciliation (asserted by the tests); for heuristic
-            shard backends it upgrades the boundary pass to the exact
-            transversal-matroid optimum.
     """
 
     def __init__(
@@ -232,7 +222,6 @@ class ShardedEngine:
         keep_details: bool = False,
         shard_jobs: int = 1,
         max_degree: Optional[int] = None,
-        dynamic: bool = False,
     ) -> None:
         workload.validate()
         if halo < 0:
@@ -248,7 +237,6 @@ class ShardedEngine:
         self.keep_details = bool(keep_details)
         self.shard_jobs = int(shard_jobs)
         self.max_degree = checked_degree_cap(max_degree)
-        self.dynamic = bool(dynamic)
         if self.shard_jobs > 1 and self.num_shards > 1:
             if self.halo > 0:
                 raise ValueError(
@@ -611,9 +599,7 @@ class ShardedEngine:
             max_degree=self.max_degree,
         )
         matching, revenue = max_weight_matching(
-            instance.graph,
-            weights,
-            backend="dynamic" if self.dynamic else self.matching_backend,
+            instance.graph, weights, backend=self.matching_backend
         )
         for reconcile_task, reconcile_worker in matching.items():
             dispatch_pos, task_pos = task_refs[reconcile_task]

@@ -352,8 +352,8 @@ def build_universe(
 
     With ``build_graph=False`` the instance carries a lazy graph proxy
     (never materialised unless someone touches ``.graph``) — the right
-    universe for an *incremental* :class:`DispatchSession`, which only
-    needs the position-aligned entity lists and arrival times.
+    universe for an uncapped run, whose live-plane matcher only needs
+    the position-aligned entity lists and arrival times.
     """
     tasks: List[Task] = []
     workers: List[Worker] = []
@@ -376,32 +376,6 @@ def build_universe(
         build_graph=build_graph,
     )
     return instance, task_arrivals, worker_arrivals
-
-
-def use_live_plane(
-    max_degree: Optional[int], incremental: Optional[bool] = None
-) -> bool:
-    """The dynamic-matcher backend rule every dispatch path shares.
-
-    ``True`` selects the live adjacency plane
-    (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
-    :class:`~repro.matching.incremental.LazyDynamicMatcher`), ``False``
-    the universe :class:`DynamicMatcher`.  ``incremental=None`` resolves
-    to the live plane exactly when that is float-free: no ``max_degree``
-    (the cap is a whole-universe rule — nearest live-*or-future* workers
-    — which the live plane cannot reproduce).  Forcing the live plane
-    under a cap is refused.  :class:`DispatchSession`, the service config
-    and :class:`DynamicStreamingEngine` all decide through this function.
-    """
-    if incremental is None:
-        return max_degree is None
-    if incremental and max_degree is not None:
-        raise ValueError(
-            "the live adjacency plane is exact (the universe max_degree cap "
-            "does not commute with arrival order); drop max_degree or pass "
-            "incremental=False"
-        )
-    return bool(incremental)
 
 
 # ---------------------------------------------------------------------------
@@ -683,420 +657,21 @@ class StreamingEngine:
 
 
 # ---------------------------------------------------------------------------
-# dynamic (delta-repair) dispatch
+# the dynamic matcher rule and the settlement loop
 # ---------------------------------------------------------------------------
-class DynamicStreamingEngine(StreamingEngine):
-    """Window dispatch that maintains *one* matching under churn.
-
-    Where :class:`StreamingEngine` freezes a task's assignment in the
-    window it arrives (match-or-lose-forever), this engine keeps accepted
-    tasks *tentatively* matched across windows until their deadline, and
-    applies every population change as a *delta* to a single maintained
-    maximum-weight matching:
-
-    * an accepted task **inserts** (possibly evicting a lower-priority
-      tentative task from its transversal-matroid circuit);
-    * a departing worker **removes**, repairing only along the alternating
-      paths the deletion touched;
-    * at a task's deadline the tentative pair — if any — **commits**
-      (revenue is realised, the worker retires), otherwise the task
-      expires unserved.
-
-    The maintained matching always equals the batch ``matroid`` re-solve
-    over the *live* population (the tests assert this per window), so the
-    engine is a per-window re-solve whose cost scales with the churn
-    delta, not the standing population.
-
-    **Backend rule** (:func:`use_live_plane`, shared with
-    :class:`DispatchSession`): with ``resolve="delta"`` and no
-    ``max_degree`` the matching lives on the live adjacency plane
-    (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
-    :class:`~repro.matching.incremental.LazyDynamicMatcher`), so an
-    arrival costs its live neighbourhood and no universe graph is built.
-    A capped run keeps the universe
-    :class:`~repro.matching.incremental.DynamicMatcher` (the cap is a
-    whole-universe rule), and so does ``resolve="rewindow"`` (it is the
-    re-solve baseline).  Both backends produce bit-identical floats.
-
-    Args:
-        stream: The arrival stream.  **Must be re-iterable** (a collection
-            or factory callable): the engine pre-scans the events once
-            into position-aligned entity lists (plus the universe
-            adjacency on the universe backend), then streams them again.
-        seed: Accept/reject RNG seed, derived as in the base engine.
-        window: Dispatch window length in period units.
-        task_lifetime: Default number of period units an accepted task
-            stays open (from its arrival time) before its tentative
-            assignment commits or the requester gives up.  Per-task
-            ``Task.duration`` overrides it.
-        resolve: ``"delta"`` (default) repairs the maintained matching
-            incrementally; ``"rewindow"`` rebuilds it from scratch every
-            dispatched window — the baseline the delta mode is benchmarked
-            against.  Both modes settle deadlines/departures identically.
-        max_degree: Optional per-task adjacency cap on the *universe*
-            graph (nearest live-or-future workers); selects the universe
-            backend.
-        track_memory / keep_details: As in the base engine.
-
-    Feedback semantics: the pricing strategy observes a task as "served"
-    if it is *tentatively* matched at the end of its arrival window — the
-    platform's best knowledge at quote time.  A later eviction or worker
-    departure can still expire it unserved; metric rows record revenue
-    and served counts at *commit* time, so ``total_revenue`` is exactly
-    the committed revenue.
-    """
-
-    def __init__(
-        self,
-        stream: ArrivalStream,
-        seed: int = 0,
-        window: float = 1.0,
-        task_lifetime: float = 4.0,
-        resolve: str = "delta",
-        max_degree: Optional[int] = None,
-        track_memory: bool = False,
-        keep_details: bool = False,
-    ) -> None:
-        super().__init__(
-            stream,
-            seed=seed,
-            window=window,
-            matching_backend="matroid",
-            track_memory=track_memory,
-            keep_details=keep_details,
-            max_degree=max_degree,
-        )
-        if task_lifetime <= 0:
-            raise ValueError("task_lifetime must be positive")
-        if resolve not in ("delta", "rewindow"):
-            raise ValueError(
-                f"unknown resolve mode {resolve!r}; choose 'delta' or 'rewindow'"
-            )
-        self.task_lifetime = float(task_lifetime)
-        self.resolve = resolve
-
-    # ------------------------------------------------------------------
-    # settlement (deadlines + departures, one global time order)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _settle(
-        matcher: Union[DynamicMatcher, _LiveSessionMatcher],
-        deadlines: List[Tuple[float, int]],
-        departures: List[Tuple[float, int]],
-        live_weights: Dict[int, float],
-        live_workers: set,
-        bound: float,
-    ) -> Tuple[float, int]:
-        """Commit/expire everything due at or before ``bound``.
-
-        Deadline and departure events are interleaved in global time
-        order (ties: deadlines first, then position order — both heaps
-        are keyed ``(time, position)``), so delta and rewindow mode see
-        the identical settlement sequence.  Returns ``(revenue,
-        commits)`` realised.
-        """
-        revenue = 0.0
-        commits = 0
-        while deadlines or departures:
-            due_deadline = deadlines[0][0] if deadlines else math.inf
-            due_departure = departures[0][0] if departures else math.inf
-            if min(due_deadline, due_departure) > bound:
-                break
-            if due_deadline <= due_departure:
-                _, task_pos = heapq.heappop(deadlines)
-                if task_pos not in live_weights:
-                    continue
-                if matcher.is_task_matched(task_pos):
-                    worker_pos = matcher.commit_task(task_pos)
-                    revenue += live_weights.pop(task_pos)
-                    commits += 1
-                    live_workers.discard(worker_pos)
-                else:
-                    matcher.remove_task(task_pos)
-                    live_weights.pop(task_pos)
-            else:
-                _, worker_pos = heapq.heappop(departures)
-                if worker_pos not in live_workers:
-                    continue  # retired by an earlier commit
-                matcher.remove_worker(worker_pos)
-                live_workers.discard(worker_pos)
-        return revenue, commits
-
-    @staticmethod
-    def _rebuild(
-        graph,
-        num_tasks: int,
-        live_weights: Dict[int, float],
-        live_workers: set,
-    ) -> DynamicMatcher:
-        """Fresh batch re-solve over the live population (rewindow mode)."""
-        matcher = DynamicMatcher(graph, [0.0] * num_tasks)
-        for worker_pos in sorted(live_workers):
-            matcher.insert_worker(worker_pos)
-        for task_pos in sorted(
-            live_weights, key=lambda pos: (-live_weights[pos], pos)
-        ):
-            matcher.insert_task(task_pos, live_weights[task_pos])
-        return matcher
-
-    def _post_window_hook(
-        self,
-        widx: int,
-        matcher: Union[DynamicMatcher, _LiveSessionMatcher],
-        live_weights: Dict[int, float],
-        live_workers: set,
-        universe: PeriodInstance,
-    ) -> None:
-        """Test seam: called after each dispatched window's deltas apply."""
-
-    # ------------------------------------------------------------------
-    # simulation
-    # ------------------------------------------------------------------
-    def run(self, strategy: PricingStrategy) -> SimulationResult:
-        """Dispatch the full stream, maintaining one matching under churn.
-
-        Per dispatched window, in order: settle due deadlines and worker
-        departures; insert arriving workers (absorbing freed capacity);
-        quote and realise accept/reject over the window's tasks against
-        the free live workers; insert accepted tasks in non-increasing
-        weight order; feed back tentative serve signals.  After the last
-        event the remaining deadline/departure heap drains (tentative
-        pairs commit unless their worker departs first).
-        """
-        strategy.reset()
-        collector = MetricsCollector(strategy.name, track_memory=self.track_memory)
-        collector.start()
-        rng = np.random.default_rng(derive_seed(self.seed, "acceptance", strategy.name))
-        pipeline = PeriodPipeline(
-            price_bounds=self.stream.price_bounds,
-            acceptance=self.stream.acceptance,
-            matching_backend="matroid",
-        )
-
-        live_plane = self.resolve == "delta" and use_live_plane(self.max_degree)
-        # The live plane never reads the universe graph: it stays a lazy
-        # proxy, built only if a test seam touches ``universe.graph``.
-        universe, _task_arrivals, _ = build_universe(
-            self.stream, max_degree=self.max_degree, build_graph=not live_plane
-        )
-        num_tasks = len(universe.tasks)
-        if live_plane:
-            # Why the floats stay bit-identical to the universe matcher
-            # although accepted tasks enter in (-weight, position) order,
-            # so lazy task slots are not universe positions:
-            # * the priority key breaks weight ties by slot, and equal-
-            #   weight tasks of one window get their slots in position
-            #   order (later windows get later slots and positions), so
-            #   (-weight, slot) and (-weight, position) order tasks alike;
-            # * task rows list workers in arrival order on both backends
-            #   (worker slots are allocated in arrival order), so every
-            #   augmenting DFS visits identically;
-            # * only the transpose (worker -> task) rows are ordered by
-            #   slot rather than position, and the reach step keeps the
-            #   unmatched candidate with the lowest (-weight, id) key —
-            #   ids are unique, so that order cannot change which task
-            #   joins, and the path to it is a forward DFS.
-            matcher: Union[DynamicMatcher, _LiveSessionMatcher] = _LiveSessionMatcher(
-                self.stream.grid, self.stream.metric, universe.tasks, universe.workers
-            )
-        else:
-            matcher = DynamicMatcher(universe.graph, [0.0] * num_tasks)
-
-        live_weights: Dict[int, float] = {}
-        live_workers: set = set()
-        deadlines: List[Tuple[float, int]] = []
-        departures: List[Tuple[float, int]] = []
-        next_task = 0
-        next_worker = 0
-        outcomes: List[PeriodOutcome] = []
-
-        for widx, tasks, arriving_workers in self._windows():
-            window_start = widx * self.window
-            revenue, commits = self._settle(
-                matcher, deadlines, departures, live_weights, live_workers,
-                window_start,
-            )
-
-            for worker in arriving_workers:
-                worker_pos = next_worker
-                next_worker += 1
-                if worker.duration is not None:
-                    departs = float(worker.period + worker.duration)
-                    if departs <= window_start:
-                        continue  # expired before its first dispatch
-                    heapq.heappush(departures, (departs, worker_pos))
-                matcher.insert_worker(worker_pos)
-                live_workers.add(worker_pos)
-
-            accepted = 0
-            grid_prices: Dict[int, float] = {}
-            num_free = 0
-            if tasks:
-                task_base = next_task
-                next_task += len(tasks)
-                free_positions = [
-                    pos for pos in sorted(live_workers)
-                    if matcher.task_of(pos) is None
-                ]
-                num_free = len(free_positions)
-                instance = PeriodInstance.build(
-                    period=widx,
-                    grid=self.stream.grid,
-                    tasks=tasks,
-                    workers=[universe.workers[pos] for pos in free_positions],
-                    metric=self.stream.metric,
-                    max_degree=self.max_degree,
-                )
-                with collector.time_pricing():
-                    grid_prices = pipeline.quote(strategy, instance)
-                with collector.time_decide():
-                    decision = pipeline.decide(instance, grid_prices, rng)
-                accepted = int(decision.accepted.sum())
-                with collector.time_matching():
-                    arrays = instance.ensure_arrays()
-                    weights = arrays.distances * decision.prices
-                    weight_arr, order = eligible_order(
-                        instance.num_tasks, weights, decision.accepted_positions
-                    )
-                    for local_pos in order:
-                        task_pos = task_base + local_pos
-                        weight = float(weight_arr[local_pos])
-                        matcher.insert_task(task_pos, weight)
-                        live_weights[task_pos] = weight
-                        task = tasks[local_pos]
-                        lifetime = (
-                            task.duration
-                            if task.duration is not None
-                            else self.task_lifetime
-                        )
-                        heapq.heappush(
-                            deadlines,
-                            (_task_arrivals[task_pos] + lifetime, task_pos),
-                        )
-                # Tentative serve signals: what the platform believes at
-                # quote time.  Worker values are unused by the feedback
-                # stage (it reads the matched-task keys only).
-                tentative = {
-                    local_pos: -1
-                    for local_pos in range(len(tasks))
-                    if matcher.is_task_matched(task_base + local_pos)
-                }
-                with collector.time_decide():
-                    batch = pipeline.feedback(instance, decision, tentative)
-                with collector.time_pricing():
-                    strategy.observe_feedback_batch(batch)
-
-            if self.resolve == "rewindow":
-                matcher = self._rebuild(
-                    universe.graph, num_tasks, live_weights, live_workers
-                )
-            self._post_window_hook(
-                widx, matcher, live_weights, live_workers, universe
-            )
-
-            if tasks or revenue or commits:
-                collector.record_period(
-                    revenue=revenue,
-                    served_tasks=commits,
-                    accepted_tasks=accepted,
-                    total_tasks=len(tasks),
-                )
-            if self.keep_details:
-                outcomes.append(
-                    PeriodOutcome(
-                        period=widx,
-                        num_tasks=len(tasks),
-                        num_workers=num_free,
-                        prices=grid_prices,
-                        accepted_tasks=accepted,
-                        served_tasks=commits,
-                        revenue=revenue,
-                    )
-                )
-
-        # Drain everything still pending after the final event.
-        revenue, commits = self._settle(
-            matcher, deadlines, departures, live_weights, live_workers, math.inf
-        )
-        if revenue or commits:
-            collector.record_period(
-                revenue=revenue,
-                served_tasks=commits,
-                accepted_tasks=0,
-                total_tasks=0,
-            )
-
-        metrics = collector.finish()
-        return SimulationResult(
-            metrics=metrics, outcomes=outcomes, description=self.stream.description
-        )
-
-
-# ---------------------------------------------------------------------------
-# event-at-a-time dispatch
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class QuoteOutcome:
-    """What happened to one task arrival at quote time.
-
-    Attributes:
-        task_pos: Universe position of the task.
-        task_id: The task's id (wire-level identity for the service).
-        grid_index: Cell the quote was priced for.
-        price: The quoted (clamped) price.
-        accepted: Whether the requester accepted the quote.
-        matched: Whether the task is tentatively matched right after its
-            insertion (commitment only happens at the deadline).
-        degraded: Whether the degraded greedy insert path served the
-            quote instead of the exact delta repair.
-        weight: The task's matching weight (``distance * price``); zero
-            for rejected quotes.
-        deadline: When the tentative assignment settles (``None`` for
-            rejected quotes, which never enter the matching).
-    """
-
-    task_pos: int
-    task_id: int
-    grid_index: Optional[int]
-    price: float
-    accepted: bool
-    matched: bool
-    degraded: bool
-    weight: float
-    deadline: Optional[float]
-
-
-@dataclass(frozen=True)
-class Settlement:
-    """One settlement record: a commit, an expiry or a departure.
-
-    ``kind`` is ``"commit"`` (tentative pair realised at the task's
-    deadline; ``revenue`` is its weight), ``"expire"`` (deadline passed
-    unmatched) or ``"depart"`` (worker left the market).  ``time`` is the
-    simulation time the settlement was due, not the wall clock it was
-    processed at.
-    """
-
-    kind: str
-    time: float
-    task_id: Optional[int] = None
-    worker_id: Optional[int] = None
-    revenue: float = 0.0
-
-
 class _LiveSessionMatcher:
     """Positional :class:`DynamicMatcher` facade over the live planes.
 
-    The incremental-session backend: a
+    The uncapped dynamic matcher: a
     :class:`~repro.spatial.index.IncrementalAdjacencyIndex` (both planes)
     plus a :class:`~repro.matching.incremental.LazyDynamicMatcher` with
     the transpose maintained, driven in lockstep so index slots and
     matcher ids coincide.  Slots are allocated in *market-entry* order
     (accepted tasks / joined workers only), so they are private to this
-    adapter; the session keeps talking in universe positions and the
-    maps here translate.  Rows are computed against the live population
-    only — per-arrival cost tracks the live neighbourhood, not the
-    stream horizon, which is the whole point of the incremental session.
+    adapter; callers keep talking in universe positions and the maps
+    here translate.  Rows are computed against the live population only
+    — per-arrival cost tracks the live neighbourhood, not the stream
+    horizon.
 
     Exposes exactly the methods :class:`DispatchSession` and
     :class:`DynamicStreamingEngine` call on the universe
@@ -1107,8 +682,8 @@ class _LiveSessionMatcher:
     read), with identical positional semantics — the lazy matcher's
     repairs are bit-identical to the universe delta repairs over the same
     arrival sequence (the fuzzed contract of
-    ``tests/matching/test_lazy_dynamic.py``), so a session on this
-    backend reproduces the universe session's floats.
+    ``tests/matching/test_lazy_dynamic.py``, which keeps the universe
+    matcher as its lockstep oracle).
     """
 
     def __init__(
@@ -1132,7 +707,7 @@ class _LiveSessionMatcher:
     def _guard(self, slot: int, lazy_id: int, side: str) -> None:
         if slot != lazy_id:
             raise RuntimeError(
-                f"incremental session {side} slots diverged: plane allocated "
+                f"live-plane {side} slots diverged: plane allocated "
                 f"{slot}, matcher allocated {lazy_id}"
             )
 
@@ -1204,26 +779,456 @@ class _LiveSessionMatcher:
         self.plane.remove_task(slot)
 
 
+#: Either dynamic matcher; both expose the same positional interface.
+_Matcher = Union[DynamicMatcher, _LiveSessionMatcher]
+#: One settlement: ``(kind, due, task_pos, worker_pos, revenue)``.
+_Settled = Tuple[str, float, Optional[int], Optional[int], float]
+
+
+def _dynamic_matcher(
+    stream: ArrivalStream,
+    max_degree: Optional[int],
+    tasks: Sequence[Task],
+    workers: Sequence[Worker],
+    universe: Optional[PeriodInstance] = None,
+) -> _Matcher:
+    """The one backend rule: the degree cap alone picks the dynamic matcher.
+
+    Uncapped, the live plane (:class:`_LiveSessionMatcher` over the
+    position-aligned ``tasks`` / ``workers``, which may still be growing):
+    an insert costs its live neighbourhood and no universe graph is
+    read.  Capped, the universe :class:`DynamicMatcher` over
+    ``universe.graph``: the cap keeps a task's nearest live-*or-future*
+    workers, a whole-universe rule the live plane does not define.
+    :class:`DynamicStreamingEngine` (both ``resolve`` modes) and
+    :class:`DispatchSession`, hence the service, get their matchers here.
+
+    An uncapped run's floats equal the universe matcher's even though
+    windowed tasks enter in ``(-weight, position)`` order, so lazy task
+    slots are not universe positions; ``docs/dynamic_matching.md`` ("The
+    backend rule") gives the three facts that carry it.
+    """
+    if max_degree is None:
+        return _LiveSessionMatcher(stream.grid, stream.metric, tasks, workers)
+    return DynamicMatcher(universe.graph, [0.0] * len(universe.tasks))
+
+
+def _settle(
+    matcher: _Matcher,
+    deadlines: List[Tuple[float, int]],
+    departures: List[Tuple[float, int]],
+    live_weights: Dict[int, float],
+    live_workers: set,
+    bound: float,
+) -> Iterator[_Settled]:
+    """Commit, expire and depart everything due at or before ``bound``.
+
+    The settlement loop of every dynamic engine.  Deadlines and
+    departures interleave in global time order, deadlines first on ties,
+    then position order (both heaps are keyed ``(time, position)``); an
+    entry whose task or worker already left is skipped, so liveness is
+    re-checked on every pop.  Yields one :data:`_Settled` per settlement
+    in processing order — ``kind`` is ``"commit"`` (``revenue`` is the
+    task's weight), ``"expire"`` or ``"depart"`` — and settles lazily, so
+    the caller must exhaust it.
+    """
+    while deadlines or departures:
+        due_deadline = deadlines[0][0] if deadlines else math.inf
+        due_departure = departures[0][0] if departures else math.inf
+        if min(due_deadline, due_departure) > bound:
+            return
+        if due_deadline <= due_departure:
+            due, task_pos = heapq.heappop(deadlines)
+            if task_pos not in live_weights:
+                continue
+            weight = live_weights.pop(task_pos)
+            if matcher.is_task_matched(task_pos):
+                worker_pos = matcher.commit_task(task_pos)
+                live_workers.discard(worker_pos)
+                yield "commit", due, task_pos, worker_pos, weight
+            else:
+                matcher.remove_task(task_pos)
+                yield "expire", due, task_pos, None, 0.0
+        else:
+            due, worker_pos = heapq.heappop(departures)
+            if worker_pos not in live_workers:
+                continue  # retired by an earlier commit
+            matcher.remove_worker(worker_pos)
+            live_workers.discard(worker_pos)
+            yield "depart", due, None, worker_pos, 0.0
+
+
+def _commit_totals(settlements: Iterable[_Settled]) -> Tuple[float, int]:
+    """Revenue (summed from ``0.0`` in settlement order) and commits."""
+    revenue = 0.0
+    commits = 0
+    for kind, _due, _task, _worker, amount in settlements:
+        if kind == "commit":
+            revenue += amount
+            commits += 1
+    return revenue, commits
+
+
+# ---------------------------------------------------------------------------
+# dynamic (delta-repair) dispatch
+# ---------------------------------------------------------------------------
+class DynamicStreamingEngine(StreamingEngine):
+    """Window dispatch that maintains *one* matching under churn.
+
+    Where :class:`StreamingEngine` freezes a task's assignment in the
+    window it arrives (match-or-lose-forever), this engine keeps accepted
+    tasks *tentatively* matched across windows until their deadline, and
+    applies every population change as a *delta* to a single maintained
+    maximum-weight matching:
+
+    * an accepted task **inserts** (possibly evicting a lower-priority
+      tentative task from its transversal-matroid circuit);
+    * a departing worker **removes**, repairing only along the alternating
+      paths the deletion touched;
+    * at a task's deadline the tentative pair — if any — **commits**
+      (revenue is realised, the worker retires), otherwise the task
+      expires unserved.
+
+    The maintained matching always equals the batch ``matroid`` re-solve
+    over the *live* population (the tests assert this per window), so the
+    engine is a per-window re-solve whose cost scales with the churn
+    delta, not the standing population.
+
+    **Backend rule** (:func:`_dynamic_matcher`, shared with
+    :class:`DispatchSession`): without ``max_degree`` the matching lives
+    on the live adjacency plane
+    (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
+    :class:`~repro.matching.incremental.LazyDynamicMatcher`), so an
+    arrival costs its live neighbourhood and no universe graph is built;
+    a capped run uses the universe
+    :class:`~repro.matching.incremental.DynamicMatcher` (the cap is a
+    whole-universe rule).  Both ``resolve`` modes follow the rule.
+
+    Args:
+        stream: The arrival stream.  **Must be re-iterable** (a collection
+            or factory callable): the engine pre-scans the events once
+            into position-aligned entity lists (plus the universe
+            adjacency when capped), then streams them again.
+        seed: Accept/reject RNG seed, derived as in the base engine.
+        window: Dispatch window length in period units.
+        task_lifetime: Default number of period units an accepted task
+            stays open (from its arrival time) before its tentative
+            assignment commits or the requester gives up.  Per-task
+            ``Task.duration`` overrides it.
+        resolve: ``"delta"`` (default) repairs the maintained matching
+            incrementally; ``"rewindow"`` rebuilds it from scratch every
+            dispatched window — the baseline the delta mode is benchmarked
+            against.  Both modes settle deadlines/departures identically.
+        max_degree: Optional per-task adjacency cap on the *universe*
+            graph (nearest live-or-future workers); selects the universe
+            matcher.
+        track_memory / keep_details: As in the base engine.
+
+    Feedback semantics: the pricing strategy observes a task as "served"
+    if it is *tentatively* matched at the end of its arrival window — the
+    platform's best knowledge at quote time.  A later eviction or worker
+    departure can still expire it unserved; metric rows record revenue
+    and served counts at *commit* time, so ``total_revenue`` is exactly
+    the committed revenue.
+    """
+
+    def __init__(
+        self,
+        stream: ArrivalStream,
+        seed: int = 0,
+        window: float = 1.0,
+        task_lifetime: float = 4.0,
+        resolve: str = "delta",
+        max_degree: Optional[int] = None,
+        track_memory: bool = False,
+        keep_details: bool = False,
+    ) -> None:
+        super().__init__(
+            stream,
+            seed=seed,
+            window=window,
+            matching_backend="matroid",
+            track_memory=track_memory,
+            keep_details=keep_details,
+            max_degree=max_degree,
+        )
+        if task_lifetime <= 0:
+            raise ValueError("task_lifetime must be positive")
+        if resolve not in ("delta", "rewindow"):
+            raise ValueError(
+                f"unknown resolve mode {resolve!r}; choose 'delta' or 'rewindow'"
+            )
+        self.task_lifetime = float(task_lifetime)
+        self.resolve = resolve
+
+    def _rebuild(
+        self,
+        universe: PeriodInstance,
+        live_weights: Dict[int, float],
+        live_workers: set,
+    ) -> _Matcher:
+        """Fresh batch re-solve over the live population (rewindow mode)."""
+        matcher = _dynamic_matcher(
+            self.stream, self.max_degree, universe.tasks, universe.workers, universe
+        )
+        for worker_pos in sorted(live_workers):
+            matcher.insert_worker(worker_pos)
+        for task_pos in sorted(
+            live_weights, key=lambda pos: (-live_weights[pos], pos)
+        ):
+            matcher.insert_task(task_pos, live_weights[task_pos])
+        return matcher
+
+    def _post_window_hook(
+        self,
+        widx: int,
+        matcher: _Matcher,
+        live_weights: Dict[int, float],
+        live_workers: set,
+        universe: PeriodInstance,
+    ) -> None:
+        """Test seam: called after each dispatched window's deltas apply."""
+
+    # ------------------------------------------------------------------
+    # simulation
+    # ------------------------------------------------------------------
+    def run(self, strategy: PricingStrategy) -> SimulationResult:
+        """Dispatch the full stream, maintaining one matching under churn.
+
+        Per dispatched window, in order: settle due deadlines and worker
+        departures; insert arriving workers (absorbing freed capacity);
+        quote and realise accept/reject over the window's tasks against
+        the free live workers; insert accepted tasks in non-increasing
+        weight order; feed back tentative serve signals.  After the last
+        event the remaining deadline/departure heap drains (tentative
+        pairs commit unless their worker departs first).
+        """
+        strategy.reset()
+        collector = MetricsCollector(strategy.name, track_memory=self.track_memory)
+        collector.start()
+        rng = np.random.default_rng(derive_seed(self.seed, "acceptance", strategy.name))
+        pipeline = PeriodPipeline(
+            price_bounds=self.stream.price_bounds,
+            acceptance=self.stream.acceptance,
+            matching_backend="matroid",
+        )
+
+        # An uncapped run never reads the universe graph: it stays a lazy
+        # proxy, built only if a test seam touches ``universe.graph``.
+        universe, task_arrivals, _ = build_universe(
+            self.stream,
+            max_degree=self.max_degree,
+            build_graph=self.max_degree is not None,
+        )
+        matcher = _dynamic_matcher(
+            self.stream, self.max_degree, universe.tasks, universe.workers, universe
+        )
+        live_weights: Dict[int, float] = {}
+        live_workers: set = set()
+        deadlines: List[Tuple[float, int]] = []
+        departures: List[Tuple[float, int]] = []
+        next_task = 0
+        next_worker = 0
+        outcomes: List[PeriodOutcome] = []
+
+        for widx, tasks, arriving_workers in self._windows():
+            window_start = widx * self.window
+            revenue, commits = _commit_totals(
+                _settle(
+                    matcher, deadlines, departures, live_weights, live_workers,
+                    window_start,
+                )
+            )
+
+            for worker in arriving_workers:
+                worker_pos = next_worker
+                next_worker += 1
+                if worker.duration is not None:
+                    departs = float(worker.period + worker.duration)
+                    if departs <= window_start:
+                        continue  # expired before its first dispatch
+                    heapq.heappush(departures, (departs, worker_pos))
+                matcher.insert_worker(worker_pos)
+                live_workers.add(worker_pos)
+
+            accepted = 0
+            grid_prices: Dict[int, float] = {}
+            num_free = 0
+            if tasks:
+                task_base = next_task
+                next_task += len(tasks)
+                free_positions = [
+                    pos for pos in sorted(live_workers)
+                    if matcher.task_of(pos) is None
+                ]
+                num_free = len(free_positions)
+                instance = PeriodInstance.build(
+                    period=widx,
+                    grid=self.stream.grid,
+                    tasks=tasks,
+                    workers=[universe.workers[pos] for pos in free_positions],
+                    metric=self.stream.metric,
+                    max_degree=self.max_degree,
+                )
+                with collector.time_pricing():
+                    grid_prices = pipeline.quote(strategy, instance)
+                with collector.time_decide():
+                    decision = pipeline.decide(instance, grid_prices, rng)
+                accepted = int(decision.accepted.sum())
+                with collector.time_matching():
+                    arrays = instance.ensure_arrays()
+                    weights = arrays.distances * decision.prices
+                    weight_arr, order = eligible_order(
+                        instance.num_tasks, weights, decision.accepted_positions
+                    )
+                    for local_pos in order:
+                        task_pos = task_base + local_pos
+                        weight = float(weight_arr[local_pos])
+                        matcher.insert_task(task_pos, weight)
+                        live_weights[task_pos] = weight
+                        task = tasks[local_pos]
+                        lifetime = (
+                            task.duration
+                            if task.duration is not None
+                            else self.task_lifetime
+                        )
+                        heapq.heappush(
+                            deadlines,
+                            (task_arrivals[task_pos] + lifetime, task_pos),
+                        )
+                # Tentative serve signals: what the platform believes at
+                # quote time.  Worker values are unused by the feedback
+                # stage (it reads the matched-task keys only).
+                tentative = {
+                    local_pos: -1
+                    for local_pos in range(len(tasks))
+                    if matcher.is_task_matched(task_base + local_pos)
+                }
+                with collector.time_decide():
+                    batch = pipeline.feedback(instance, decision, tentative)
+                with collector.time_pricing():
+                    strategy.observe_feedback_batch(batch)
+
+            if self.resolve == "rewindow":
+                matcher = self._rebuild(universe, live_weights, live_workers)
+            self._post_window_hook(
+                widx, matcher, live_weights, live_workers, universe
+            )
+
+            if tasks or revenue or commits:
+                collector.record_period(
+                    revenue=revenue,
+                    served_tasks=commits,
+                    accepted_tasks=accepted,
+                    total_tasks=len(tasks),
+                )
+            if self.keep_details:
+                outcomes.append(
+                    PeriodOutcome(
+                        period=widx,
+                        num_tasks=len(tasks),
+                        num_workers=num_free,
+                        prices=grid_prices,
+                        accepted_tasks=accepted,
+                        served_tasks=commits,
+                        revenue=revenue,
+                    )
+                )
+
+        # Drain everything still pending after the final event.
+        revenue, commits = _commit_totals(
+            _settle(
+                matcher, deadlines, departures, live_weights, live_workers, math.inf
+            )
+        )
+        if revenue or commits:
+            collector.record_period(
+                revenue=revenue,
+                served_tasks=commits,
+                accepted_tasks=0,
+                total_tasks=0,
+            )
+
+        metrics = collector.finish()
+        return SimulationResult(
+            metrics=metrics, outcomes=outcomes, description=self.stream.description
+        )
+
+
+# ---------------------------------------------------------------------------
+# event-at-a-time dispatch
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class QuoteOutcome:
+    """What happened to one task arrival at quote time.
+
+    Attributes:
+        task_pos: Universe position of the task.
+        task_id: The task's id (wire-level identity for the service).
+        grid_index: Cell the quote was priced for.
+        price: The quoted (clamped) price.
+        accepted: Whether the requester accepted the quote.
+        matched: Whether the task is tentatively matched right after its
+            insertion (commitment only happens at the deadline).
+        degraded: Whether the degraded greedy insert path served the
+            quote instead of the exact delta repair.
+        weight: The task's matching weight (``distance * price``); zero
+            for rejected quotes.
+        deadline: When the tentative assignment settles (``None`` for
+            rejected quotes, which never enter the matching).
+    """
+
+    task_pos: int
+    task_id: int
+    grid_index: Optional[int]
+    price: float
+    accepted: bool
+    matched: bool
+    degraded: bool
+    weight: float
+    deadline: Optional[float]
+
+
+@dataclass(frozen=True)
+class Settlement:
+    """One settlement record: a commit, an expiry or a departure.
+
+    ``kind`` is ``"commit"`` (tentative pair realised at the task's
+    deadline; ``revenue`` is its weight), ``"expire"`` (deadline passed
+    unmatched) or ``"depart"`` (worker left the market).  ``time`` is the
+    simulation time the settlement was due, not the wall clock it was
+    processed at.
+    """
+
+    kind: str
+    time: float
+    task_id: Optional[int] = None
+    worker_id: Optional[int] = None
+    revenue: float = 0.0
+
+
 class DispatchSession:
     """Event-at-a-time dispatch over one maintained matching.
 
-    The no-window core of ROADMAP item 2(i): each arrival is processed
-    the moment it happens — settle everything due strictly up to the
-    event time, then quote → decide → insert (tasks) or join (workers) —
-    with a single resident :class:`~repro.matching.incremental.DynamicMatcher`
-    carrying the tentative assignment state across events.  Both the
-    offline :class:`EventStreamingEngine` and the ``repro.service``
-    socket front end drive this same object, which is what makes the
-    service's differential gate against the offline engine exact: same
-    ops in the same order on the same floats.
+    The no-window dispatch core: each arrival is processed the moment it
+    happens — settle everything due up to the event time, then quote →
+    decide → insert (tasks) or join (workers) — with one resident dynamic
+    matcher (:func:`_dynamic_matcher`) carrying the tentative assignment
+    state across events.  Both the offline :class:`EventStreamingEngine`
+    and the ``repro.service`` socket front end drive this same object,
+    which is what makes the service's differential gate against the
+    offline engine exact: same ops in the same order on the same floats
+    (``tests/service/test_server.py::TestDifferentialGate``).  The live
+    plane reproduces the universe matcher's repairs bitwise
+    (``tests/matching/test_lazy_dynamic.py``).
 
     Compared to the windowed :class:`DynamicStreamingEngine` the
     semantics differ in exactly two documented ways (``docs/service.md``):
     settlements happen at *event* time rather than window starts (so a
-    worker expiring between two arrivals is gone for the second — the
-    satellite-1 bugfix the windowed engines deliberately do not adopt),
-    and each task is priced on a single-task instance rather than a
-    window batch (identical prices for the grid-state strategies; the
+    worker expiring between two arrivals is gone for the second, which
+    the windowed engines deliberately do not adopt), and each task is
+    priced on a single-task instance rather than a window batch
+    (identical prices for the grid-state strategies; the
     batch-supply-aware MAPS planner is rejected at construction).
 
     Args:
@@ -1234,27 +1239,13 @@ class DispatchSession:
         seed: Accept/reject RNG seed, derived exactly as the engines do.
         task_lifetime: Default task lifetime (``Task.duration`` overrides
             per task).
-        max_degree: Optional universe adjacency cap (universe backend
-            only; the incremental backend is always exact).
+        max_degree: Optional universe adjacency cap; selects the universe
+            matcher.  Uncapped sessions build no universe graph and, with
+            no ``universe`` supplied, materialise events lazily from the
+            stream as positions are first touched.
         universe: Pre-built ``(instance, task_arrivals, worker_arrivals)``
-            triple from :func:`build_universe`, to skip the pre-scan.
-        incremental: Backend selection.  ``True`` quotes off the live
-            incremental adjacency plane
-            (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
-            :class:`~repro.matching.incremental.LazyDynamicMatcher`):
-            no universe graph is ever built, events are materialised
-            lazily from the stream as positions are first touched, and
-            each insert costs the *live* neighbourhood instead of a
-            universe row that grows with the stream horizon.  ``False``
-            forces the classic universe :class:`DynamicMatcher`.
-            ``None`` (default) resolves to ``True`` exactly when it is
-            float-free to do so: no universe supplied and no
-            ``max_degree`` (the cap is a whole-universe rule the live
-            plane cannot reproduce; :func:`use_live_plane`, the rule the
-            windowed engine shares).  Both backends produce bit-identical
-            quotes, matches and settlements for the same stream — the
-            differential contract of
-            ``tests/simulation/test_streaming_service.py``.
+            triple from :func:`build_universe` (with the same
+            ``max_degree``), to skip the pre-scan.
         collector: Optional :class:`MetricsCollector`; stage timings are
             attributed like the windowed engine (quote/observe → pricing,
             decide/feedback → decide, settle/insert → matching).
@@ -1273,7 +1264,6 @@ class DispatchSession:
         universe: Optional[Tuple[PeriodInstance, Sequence[float], Sequence[float]]] = None,
         collector: Optional[MetricsCollector] = None,
         stage_hook: Optional[Callable[[str, float], None]] = None,
-        incremental: Optional[bool] = None,
     ) -> None:
         if task_lifetime <= 0:
             raise ValueError("task_lifetime must be positive")
@@ -1283,19 +1273,18 @@ class DispatchSession:
                 "cannot quote single events; choose a grid-state strategy "
                 "(BaseP, SDR, SDE, CappedUCB) for event-at-a-time dispatch"
             )
-        if incremental is None and universe is not None:
-            incremental = False  # a supplied universe pins its own matcher
-        self.incremental = use_live_plane(max_degree, incremental)
         self.stream = stream
         self.strategy = strategy
         self.seed = int(seed)
         self.task_lifetime = float(task_lifetime)
         self._events: Optional[Iterator[ArrivalEvent]] = None
+        if universe is None and max_degree is not None:
+            universe = build_universe(stream, max_degree=max_degree)
         if universe is not None:
             self.universe, self._task_arrivals, self._worker_arrivals = universe
             self._tasks: Sequence[Task] = self.universe.tasks
             self._workers: Sequence[Worker] = self.universe.workers
-        elif self.incremental:
+        else:
             # No pre-scan: entities and arrival times materialise lazily
             # from the stream, in order, as positions are first touched.
             self.universe = None
@@ -1304,11 +1293,6 @@ class DispatchSession:
             self._workers = []
             self._task_arrivals = []
             self._worker_arrivals = []
-        else:
-            universe = build_universe(stream, max_degree=max_degree)
-            self.universe, self._task_arrivals, self._worker_arrivals = universe
-            self._tasks = self.universe.tasks
-            self._workers = self.universe.workers
         self.collector = collector
         self.stage_hook = stage_hook
 
@@ -1321,15 +1305,9 @@ class DispatchSession:
             acceptance=stream.acceptance,
             matching_backend="matroid",
         )
-        if self.incremental:
-            self.matcher: Union[DynamicMatcher, _LiveSessionMatcher] = (
-                _LiveSessionMatcher(
-                    stream.grid, stream.metric, self._tasks, self._workers
-                )
-            )
-        else:
-            num_tasks = len(self.universe.tasks)
-            self.matcher = DynamicMatcher(self.universe.graph, [0.0] * num_tasks)
+        self.matcher = _dynamic_matcher(
+            stream, max_degree, self._tasks, self._workers, self.universe
+        )
         self.live_weights: Dict[int, float] = {}
         self.live_workers: set = set()
         self._deadlines: List[Tuple[float, int]] = []
@@ -1347,7 +1325,7 @@ class DispatchSession:
         self.commit_log: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
-    # lazy event materialisation (incremental backend without a universe)
+    # lazy event materialisation (uncapped, no universe supplied)
     # ------------------------------------------------------------------
     def _materialise(self, kind: str, pos: int) -> None:
         """Advance the stream until position ``pos`` of ``kind`` exists.
@@ -1409,64 +1387,29 @@ class DispatchSession:
     def settle_until(self, bound: float) -> List[Settlement]:
         """Commit/expire/depart everything due at or before ``bound``.
 
-        Same interleaving contract as the windowed engines' ``_settle``
-        (global time order, ties deadline-first, heaps keyed
-        ``(time, position)``) so windowed and event-at-a-time runs see
-        the identical settlement sequence for the same heap contents.
-        Returns the settlement records in processing order.
+        Runs the windowed engine's settlement loop (:func:`_settle`), so
+        windowed and event-at-a-time runs see the identical settlement
+        sequence for the same heap contents.  Returns the settlement
+        records in processing order.
         """
         records: List[Settlement] = []
-        matcher = self.matcher
-        deadlines = self._deadlines
-        departures = self._departures
-        while deadlines or departures:
-            due_deadline = deadlines[0][0] if deadlines else math.inf
-            due_departure = departures[0][0] if departures else math.inf
-            if min(due_deadline, due_departure) > bound:
-                break
-            if due_deadline <= due_departure:
-                due, task_pos = heapq.heappop(deadlines)
-                if task_pos not in self.live_weights:
-                    continue
-                task_id = self._tasks[task_pos].task_id
-                if matcher.is_task_matched(task_pos):
-                    worker_pos = matcher.commit_task(task_pos)
-                    amount = self.live_weights.pop(task_pos)
-                    self.revenue += amount
-                    self.committed += 1
-                    self.live_workers.discard(worker_pos)
-                    worker_id = self._workers[worker_pos].worker_id
-                    self.commit_log.append((task_id, worker_id))
-                    records.append(
-                        Settlement(
-                            kind="commit",
-                            time=due,
-                            task_id=task_id,
-                            worker_id=worker_id,
-                            revenue=amount,
-                        )
-                    )
-                else:
-                    matcher.remove_task(task_pos)
-                    self.live_weights.pop(task_pos)
-                    self.expired += 1
-                    records.append(
-                        Settlement(kind="expire", time=due, task_id=task_id)
-                    )
+        for kind, due, task_pos, worker_pos, amount in _settle(
+            self.matcher, self._deadlines, self._departures,
+            self.live_weights, self.live_workers, bound,
+        ):
+            task_id = None if task_pos is None else self._tasks[task_pos].task_id
+            worker_id = (
+                None if worker_pos is None else self._workers[worker_pos].worker_id
+            )
+            if kind == "commit":
+                self.revenue += amount
+                self.committed += 1
+                self.commit_log.append((task_id, worker_id))
+            elif kind == "expire":
+                self.expired += 1
             else:
-                due, worker_pos = heapq.heappop(departures)
-                if worker_pos not in self.live_workers:
-                    continue  # retired by an earlier commit
-                matcher.remove_worker(worker_pos)
-                self.live_workers.discard(worker_pos)
                 self.departed += 1
-                records.append(
-                    Settlement(
-                        kind="depart",
-                        time=due,
-                        worker_id=self._workers[worker_pos].worker_id,
-                    )
-                )
+            records.append(Settlement(kind, due, task_id, worker_id, amount))
         return records
 
     def drain(self) -> List[Settlement]:
@@ -1632,11 +1575,9 @@ class EventStreamingEngine(DynamicStreamingEngine):
     metric binning; ``resolve`` does not apply (there is nothing to
     re-window).  The stream must be re-iterable, as for the parent: the
     replay loop iterates it, and the session either pre-scans it
-    (universe backend) or lazily walks its own second iterator
-    (incremental backend — the default when ``max_degree`` is unset; the
-    ``incremental`` argument forces either backend, see
-    :class:`DispatchSession`).  After :meth:`run`, the session is kept
-    on :attr:`last_session` for gates that need the commit log.
+    (capped) or lazily walks its own second iterator (uncapped; see
+    :class:`DispatchSession`).  After :meth:`run`, the session is kept on
+    :attr:`last_session` for gates that need the commit log.
     """
 
     def __init__(
@@ -1647,7 +1588,6 @@ class EventStreamingEngine(DynamicStreamingEngine):
         max_degree: Optional[int] = None,
         track_memory: bool = False,
         keep_details: bool = False,
-        incremental: Optional[bool] = None,
     ) -> None:
         super().__init__(
             stream,
@@ -1659,7 +1599,6 @@ class EventStreamingEngine(DynamicStreamingEngine):
             track_memory=track_memory,
             keep_details=keep_details,
         )
-        self.incremental = incremental
         self.last_session: Optional[DispatchSession] = None
 
     def run(self, strategy: PricingStrategy) -> SimulationResult:
@@ -1673,7 +1612,6 @@ class EventStreamingEngine(DynamicStreamingEngine):
             task_lifetime=self.task_lifetime,
             max_degree=self.max_degree,
             collector=collector,
-            incremental=self.incremental,
         )
         self.last_session = session
 
@@ -1763,7 +1701,6 @@ __all__ = [
     "build_universe",
     "resolve_demand_grids",
     "stream_to_workload",
-    "use_live_plane",
     "window_index",
     "workload_to_stream",
 ]

@@ -115,6 +115,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--figure", "fig6-W", "--dynamic"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "synthetic", "--dynamic"],
+            ["--scenario", "synthetic", "--shards", "2", "--dynamic"],
+        ],
+    )
+    def test_dynamic_requires_streaming(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--dynamic requires --streaming" in capsys.readouterr().err
+
+    def test_there_is_no_dynamic_backend(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scenario", "synthetic", "--backend", "dynamic"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'dynamic'" in capsys.readouterr().err
+
     def test_task_lifetime_requires_dynamic_streaming(self):
         with pytest.raises(SystemExit):
             main(["--scenario", "synthetic", "--task-lifetime", "2"])

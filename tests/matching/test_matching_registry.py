@@ -46,7 +46,6 @@ def _random_graph(rng, num_tasks, num_workers, edge_probability):
 class TestRegistry:
     def test_default_backends_registered(self):
         assert available_backends() == [
-            "dynamic",
             "greedy",
             "hungarian",
             "matroid",

@@ -11,8 +11,6 @@ matcher, and the invariant re-solves the population from scratch through
 the registered backends after every single step —
 
 * ``matroid`` (the reference): matched *set* and bitwise total;
-* ``dynamic`` (batch mode): matched *pairs* and bitwise total vs
-  ``matroid`` (in batch insertion order the two are bit-identical);
 * ``scipy`` / ``hungarian``: optimal total agreement (to float
   tolerance — different accumulation order);
 * ``greedy`` / ``vgreedy``: heuristic totals never exceed the optimum.
@@ -21,9 +19,7 @@ The machine also draws a ``--max-degree``-style cap on the universe
 adjacency, so the differential gate covers bounded-degree graphs.  Matched pairs are deliberately *not* part of
 the per-step oracle: distinct maximum-weight matchings of the same task
 set exist, and which one the matcher holds depends on the operation
-path; the set and the total are the canonical quantities (the batch
-``dynamic`` backend, whose operation order *is* canonical, is pinned
-pair-for-pair).
+path; the set and the total are the canonical quantities.
 
 Metamorphic companions (same interpreter, no state machine): scaling all
 weights by a power of two scales the total exactly and preserves the
@@ -220,15 +216,6 @@ class DynamicMatchingMachine(RuleBasedStateMachine):
         assert got_matched == set(oracle_matching)
         assert repr(self.matcher.total_weight()) == repr(oracle_total)
 
-        # The batch-mode dynamic backend must be bit-identical to the
-        # matroid reference — pairs included, its insertion order is
-        # canonical.
-        dyn_matching, dyn_total = max_weight_matching(
-            population, weights, allowed_tasks=allowed, backend="dynamic"
-        )
-        assert dyn_matching == oracle_matching
-        assert repr(dyn_total) == repr(oracle_total)
-
         for backend in EXACT_BACKENDS:
             _, total = max_weight_matching(
                 population, weights, allowed_tasks=allowed, backend=backend
@@ -329,21 +316,3 @@ def test_power_of_two_weight_scaling_is_exact(script, exponent):
     assert scaled.matching().keys() == base.matching().keys()
     assert repr(scaled.total_weight()) == repr(scale * base.total_weight())
 
-
-@META
-@given(script=churn_scripts())
-def test_dynamic_backend_bit_identical_to_matroid(script):
-    """Batch mode: pairs and total equal the matroid backend bit for bit."""
-    num_tasks, num_workers, seed, density, _ops = script
-    graph, _ = build_universe(num_tasks, num_workers, seed, density, None)
-    weights = (
-        np.random.default_rng(seed).choice(
-            [-1.0, 0.0, 0.5, 1.25, 2.0, 3.75], size=num_tasks
-        )
-    ).tolist()
-    expected_matching, expected_total = max_weight_matching(
-        graph, weights, backend="matroid"
-    )
-    got_matching, got_total = max_weight_matching(graph, weights, backend="dynamic")
-    assert got_matching == expected_matching
-    assert repr(got_total) == repr(expected_total)

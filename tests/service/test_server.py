@@ -77,6 +77,33 @@ class TestDifferentialGate:
         assert report.summary["rejected"] == 0
         assert report.rejects == []
 
+    def test_capped_offline_replay_is_bitwise_equal_to_engine(self):
+        """The gate on the capped path: ``max_degree`` set, on a stream
+        where the cap binds (``hotspot_burst`` commits 58 tasks uncapped,
+        38 with at most two workers per task)."""
+        scenario, scale, seed = "hotspot_burst", 0.05, 0
+        config = ServiceConfig(
+            scenario=scenario, scale=scale, seed=seed, max_degree=2
+        )
+
+        async def action(server, port):
+            return await replay(
+                "127.0.0.1", port, scenario, scale=scale, seed=seed,
+                strategy="BaseP",
+            )
+
+        report = asyncio.run(_with_server(config, action))
+        stream = get_scenario(scenario).stream(scale=scale, seed=seed)
+        calibration = StreamingEngine(stream, seed=seed).calibrate_base_price()
+        engine = EventStreamingEngine(stream, seed=seed, max_degree=2)
+        engine.run(create_strategy("BaseP", **calibrated_kwargs("BaseP", calibration)))
+        session = engine.last_session
+        assert session.committed == 38
+        assert repr(report.revenue) == repr(session.revenue)
+        assert report.commits == session.commit_log
+        assert report.summary["committed"] == session.committed
+        assert report.summary["rejected"] == 0
+
     def test_backpressure_stays_lossless(self):
         """A one-slot queue plus a per-event stall must slow the client
         down (blocking admission), never drop events — the gate holds."""
@@ -206,6 +233,10 @@ class TestObservability:
 
 
 class TestProtocolContract:
+    def test_the_cap_alone_picks_the_session_matcher(self):
+        with pytest.raises(TypeError, match="incremental"):
+            _config(incremental=False)
+
     def test_hello_mismatch_is_refused(self):
         async def action(server, port):
             return await replay(

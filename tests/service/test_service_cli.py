@@ -46,6 +46,41 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--scale must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--task-lifetime", "0"], "task_lifetime must be positive"),
+            (["--max-degree", "0"], "max_degree must be a positive integer"),
+            (["--queue-size", "0"], "queue_size must be positive"),
+            (["--degrade-fraction", "2"], "degrade_fraction must be in (0, 1]"),
+            (["--slo-ms", "-1"], "slo_ms must be positive"),
+        ],
+    )
+    def test_serve_config_errors_are_clean_cli_errors(
+        self, flags, message, capsys, monkeypatch
+    ):
+        # Refused before the server binds: exit 2 and one usage error
+        # line, not a traceback or a listening server that refuses every
+        # hello.
+        def _no_server(config):
+            raise AssertionError(f"server built from an invalid config {config}")
+
+        monkeypatch.setattr("repro.service.cli.DispatchServer", _no_server)
+        with pytest.raises(SystemExit) as excinfo:
+            service_main(["serve", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]
+        ]
+        assert "Traceback" not in err
+
+    def test_there_is_no_universe_matcher_flag(self):
+        # The degree cap alone picks the session matcher.
+        with pytest.raises(SystemExit):
+            build_service_parser().parse_args(["serve", "--universe-matcher"])
+
 
 class TestEndToEnd:
     def test_serve_once_and_replay(self, capsys):

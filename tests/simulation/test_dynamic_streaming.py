@@ -8,7 +8,7 @@ Two concerns live here:
 * ``DynamicStreamingEngine`` — the differential gate (the maintained
   matching equals a batch ``matroid`` re-solve over the engine's own
   live population after every dispatched window, on both backends of
-  the shared rule), deadline/departure settlement semantics, a
+  the shared rule and in both resolve modes), deadline/departure settlement semantics, a
   fixed-seed delta-vs-rewindow regression pin, and golden pins of the
   windowed-delta results on ``churn_city`` and sparse ``city_scale``.
 """
@@ -33,7 +33,6 @@ from repro.simulation.streaming import (
     _LiveSessionMatcher,
     build_universe,
     stream_to_workload,
-    use_live_plane,
     window_index,
     workload_to_stream,
 )
@@ -217,10 +216,11 @@ class TestDifferentialGate:
             _strategy("BaseP", tiny_calibration, tiny_workload.price_bounds)
         )
         assert engine.windows_checked > 0
-        # Both branches of the shared backend rule are gated: the live
-        # plane only for uncapped delta runs, the universe matcher else.
-        live = resolve == "delta" and use_live_plane(max_degree)
-        assert engine.backends == {_LiveSessionMatcher if live else DynamicMatcher}
+        # Both branches of the shared backend rule are gated, in both
+        # resolve modes: the live plane iff uncapped, the universe
+        # matcher under a cap.
+        expected = _LiveSessionMatcher if max_degree is None else DynamicMatcher
+        assert engine.backends == {expected}
         assert result.metrics.total_tasks == tiny_workload.total_tasks
         assert result.metrics.total_revenue > 0
         assert 0 < result.metrics.served_tasks <= result.metrics.accepted_tasks

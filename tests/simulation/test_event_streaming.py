@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.market.entities import Task, Worker
+from repro.matching.incremental import DynamicMatcher
 from repro.pricing.registry import calibrated_kwargs, create_strategy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.scenarios import get_scenario
@@ -25,6 +26,8 @@ from repro.simulation.streaming import (
     StreamingEngine,
     TaskArrival,
     WorkerArrival,
+    _LiveSessionMatcher,
+    build_universe,
     resolve_demand_grids,
     workload_to_stream,
 )
@@ -321,3 +324,49 @@ class TestDegradedQuoting:
         assert session.degraded == degraded > 0
         assert session.committed + session.expired == session.accepted
         assert session.revenue >= 0.0
+
+
+#: ``hotspot_burst`` (scale 0.05, seed 0, calibrated BaseP) replayed event
+#: at a time.  The uncapped run commits 58 tasks for 5958.95529773843; a
+#: cap of two workers per task binds and cuts that to the values below.
+_CAPPED_PIN = ("3945.5465582461234", 38)
+
+
+class TestCappedSession:
+    """A degree cap selects the universe matcher; its results are pinned."""
+
+    @staticmethod
+    def _run(max_degree):
+        stream = get_scenario("hotspot_burst").stream(scale=0.05, seed=0)
+        engine = EventStreamingEngine(stream, seed=0, max_degree=max_degree)
+        calibration = StreamingEngine(stream, seed=0).calibrate_base_price()
+        engine.run(create_strategy("BaseP", **calibrated_kwargs("BaseP", calibration)))
+        return engine.last_session
+
+    def test_capped_event_replay_is_pinned(self):
+        session = self._run(2)
+        assert (repr(session.revenue), session.committed) == _CAPPED_PIN
+        assert len(session.commit_log) == session.committed
+        assert session.committed + session.expired == session.accepted
+
+    def test_the_cap_alone_picks_the_matcher(self):
+        stream = get_scenario("hotspot_burst").stream(scale=0.05, seed=0)
+        strategy = create_strategy("BaseP", base_price=2.0)
+        universe = build_universe(stream)
+        # A supplied universe does not pin the universe matcher.
+        for kwargs in ({}, {"universe": universe}):
+            session = DispatchSession(stream, strategy, **kwargs)
+            assert isinstance(session.matcher, _LiveSessionMatcher)
+        capped = DispatchSession(stream, strategy, max_degree=2)
+        assert isinstance(capped.matcher, DynamicMatcher)
+        with pytest.raises(TypeError, match="incremental"):
+            DispatchSession(stream, strategy, incremental=False)
+        with pytest.raises(TypeError, match="incremental"):
+            EventStreamingEngine(stream, incremental=False)
+
+    def test_the_cap_binds(self):
+        uncapped = self._run(None)
+        assert (repr(uncapped.revenue), uncapped.committed) == (
+            "5958.95529773843",
+            58,
+        )

@@ -126,27 +126,6 @@ class TestShardedTolerance:
         # The accepted set is decided before matching, so it is identical.
         assert with_halo.metrics.accepted_tasks == without.metrics.accepted_tasks
 
-    def test_dynamic_halo_reconciliation_is_bit_identical_to_matroid(self):
-        """Delta-repair reconciliation must not change any result.
-
-        The ``dynamic`` backend inserts boundary tasks one at a time and
-        repairs along augmenting paths; on the same reconciliation
-        instance it is bit-identical to the ``matroid`` re-solve, so the
-        flag changes cost, never revenue.
-        """
-        workload = get_scenario("city_scale").bundle(
-            scale=0.01, seed=3, num_periods=2
-        )
-        strategy = create_strategy("BaseP", base_price=2.0)
-        plain = ShardedEngine(workload, num_shards=4, halo=1, seed=5).run(strategy)
-        delta = ShardedEngine(
-            workload, num_shards=4, halo=1, seed=5, dynamic=True
-        ).run(create_strategy("BaseP", base_price=2.0))
-        assert delta.metrics.total_revenue == plain.metrics.total_revenue
-        assert delta.metrics.served_tasks == plain.metrics.served_tasks
-        assert delta.metrics.accepted_tasks == plain.metrics.accepted_tasks
-        assert delta.metrics.revenue_by_period == plain.metrics.revenue_by_period
-
     def test_shard_without_workers_is_handled(self, tiny_workload):
         """Workers squeezed into one corner leave most shards worker-less."""
         from dataclasses import replace
@@ -309,6 +288,10 @@ class TestParallelRunnerIntegration:
                 stream=StreamSpec(scenario="synthetic"),
                 shards=ShardSpec(num_shards=2),
             )
+
+    def test_shard_spec_has_no_dynamic_halo(self):
+        with pytest.raises(TypeError, match="dynamic"):
+            ShardSpec(num_shards=2, dynamic=True)
 
 
 class TestValidation:

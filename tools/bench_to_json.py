@@ -300,13 +300,6 @@ def main(argv=None) -> int:
             f"{'OK' if gate['revenue_bitwise_equal'] else 'DIVERGED'})  "
             f"-> {output}"
         )
-        speedup = run.get("speedup_incremental_quote_p50")
-        if speedup:
-            print(
-                f"incremental session p50 speedup vs universe matcher: "
-                f"{speedup:.2f}x (backends bitwise "
-                f"{'OK' if gate.get('backends_bitwise_equal') else 'DIVERGED'})"
-            )
     else:
         best = max(run["speedup_vs_baseline"].items(), key=lambda item: item[1])
         print(f"best speedup: {best[0]} {best[1]:.2f}x  -> {output}")

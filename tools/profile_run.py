@@ -12,7 +12,6 @@ does the time go?" is one command::
         --scale 0.02 --shards 8 --halo 1 --sort tottime --top 40
     PYTHONPATH=src python tools/profile_run.py --scenario hotspot_burst \
         --streaming --window 0.5
-    PYTHONPATH=src python tools/profile_run.py --shards 8 --dynamic
     PYTHONPATH=src python tools/profile_run.py --scenario hotspot_burst \
         --service --scale 0.05  # event-at-a-time DispatchSession quoting
     PYTHONPATH=src python tools/profile_run.py --max-degree 8 \
@@ -101,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="streaming dispatch window length (requires --streaming)",
     )
     parser.add_argument(
-        "--dynamic",
-        action="store_true",
-        help="run halo reconciliation through the dynamic delta-repair "
-        "matching backend (sharded mode)",
-    )
-    parser.add_argument(
         "--service",
         action="store_true",
         help="profile the event-at-a-time DispatchSession quote path "
@@ -118,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4.0,
         help="quote validity horizon in stream time units (requires "
         "--service; default 4.0)",
-    )
-    parser.add_argument(
-        "--universe-matcher",
-        action="store_true",
-        help="force the session onto the classic pre-built universe "
-        "DynamicMatcher instead of the incremental adjacency plane "
-        "(requires --service)",
     )
     parser.add_argument(
         "--top", type=int, default=30, help="hotspot rows to print (default 30)"
@@ -157,10 +143,6 @@ def main(argv=None) -> int:
         raise SystemExit("--task-lifetime must be positive")
     if args.service and args.streaming:
         raise SystemExit("--service and --streaming are mutually exclusive")
-    if args.universe_matcher and not args.service:
-        raise SystemExit("--universe-matcher requires --service")
-    if args.dynamic and (args.streaming or args.service):
-        raise SystemExit("--dynamic is a sharded-engine mode")
 
     scenario = get_scenario(args.scenario)
     strategy = create_strategy(args.strategy, base_price=args.base_price)
@@ -171,9 +153,8 @@ def main(argv=None) -> int:
             seed=args.seed,
             task_lifetime=args.task_lifetime,
             max_degree=args.max_degree,
-            incremental=False if args.universe_matcher else None,
         )
-        backend_name = "universe" if args.universe_matcher else "incremental"
+        backend_name = "live-plane" if args.max_degree is None else "universe"
         mode = f"service session ({backend_name} matcher)"
     elif args.streaming:
         stream = scenario.stream(scale=args.scale, seed=args.seed)
@@ -197,11 +178,8 @@ def main(argv=None) -> int:
             seed=args.seed,
             matching_backend=args.backend,
             max_degree=args.max_degree,
-            dynamic=args.dynamic,
         )
         mode = f"sharded (shards={args.shards})" if args.shards > 1 else "batch"
-        if args.dynamic:
-            mode += " [dynamic]"
 
     print(
         f"# profiling {args.scenario} [{mode}] strategy={args.strategy} "
