@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-section at a reduced scale (see EXPERIMENTS.md for the scale used and the
-comparison against the paper's curves).  The scale can be raised with the
+section at a reduced scale (each module states its default scale;
+``docs/paper_map.md`` maps figures to benchmarks).  The scale can be raised with the
 ``REPRO_BENCH_SCALE`` environment variable, e.g.::
 
     REPRO_BENCH_SCALE=0.05 pytest benchmarks/ --benchmark-only -s

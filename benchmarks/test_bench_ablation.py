@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the reproduction's design choices.
 
 These are not paper figures; they quantify the contribution of individual
 components of the reproduction:

@@ -4,7 +4,8 @@ Fig. 8 covers the effect of the worker radius ``a_w``, the scalability test
 with ``|W| = |R|`` up to 500k, and the two Beijing taxi datasets (rush hour
 and late night) while varying the worker availability duration ``delta_w``.
 The Beijing data itself is proprietary; the synthetic Beijing-style
-generator documented in DESIGN.md reproduces its published aggregate shape.
+generator of ``repro.simulation.taxi`` (see ``docs/scenarios.md``)
+reproduces its published aggregate shape.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ of the same per-period density here) to show:
 1. driving the ``ShardedEngine`` from a chunked workload — the horizon
    is generated one period chunk at a time, so memory stays bounded at
    any length;
-2. the exactness anchor — one shard *is* the batch engine, bit for bit;
+2. the exactness anchor — one shard *is* the batch engine, so the
+   chunked one-shard run reproduces the materialised bundle's batch run
+   bit for bit;
 3. the locality trade — sweeping the shard count and watching
    throughput climb while the halo exchange keeps the boundary revenue
    loss to a few percent.

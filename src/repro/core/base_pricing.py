@@ -67,8 +67,8 @@ class BasePricingConfig:
         delta: Failure probability budget of the Hoeffding sampling.
         max_samples_per_price: Optional cap on ``h(p)``; real platforms
             cannot probe hundreds of requesters per price in every grid, so
-            the experiments cap the calibration budget (documented in
-            EXPERIMENTS.md).  ``None`` uses the uncapped Hoeffding size.
+            experiments may cap the calibration budget.  ``None`` (the
+            engines' default) uses the uncapped Hoeffding size.
     """
 
     p_min: float = 1.0

@@ -10,7 +10,7 @@
   fans (strategy, seed) simulation runs across processes with results
   identical to a sequential sweep;
 * :mod:`repro.experiments.report` — plain-text table/series rendering used
-  by the benchmark harness and EXPERIMENTS.md;
+  by the benchmark harness and the experiment CLI;
 * :mod:`repro.experiments.bench_sharded` /
   :mod:`repro.experiments.bench_matching` — the measurement protocols
   behind ``benchmarks/test_bench_sharded.py`` /

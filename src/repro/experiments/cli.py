@@ -23,6 +23,7 @@ registries.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -37,7 +38,6 @@ from repro.experiments.report import format_table, format_winner_summary
 from repro.experiments.sweeps import run_sweep
 from repro.matching.registry import available_backends
 from repro.pricing.registry import available_strategies, calibrated_kwargs
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.scenarios import available_scenarios, get_scenario
 from repro.simulation.sharded import ShardedEngine
 
@@ -264,14 +264,9 @@ def _run_scenario(args: argparse.Namespace) -> int:
     p_min, p_max = workload.price_bounds
 
     # Calibrate once (Algorithm 1 probes the same ground-truth acceptance
-    # models either mode dispatches against).  Chunked workloads calibrate
+    # models every mode dispatches against).  Chunked workloads calibrate
     # every grid cell; bundles calibrate the grids that have demand.
-    if use_chunked:
-        calibration = ShardedEngine(
-            workload, num_shards=args.shards, halo=halo, seed=args.seed
-        ).calibrate_base_price()
-    else:
-        calibration = SimulationEngine(workload, seed=args.seed).calibrate_base_price()
+    calibration = ShardedEngine(workload, seed=args.seed).calibrate_base_price()
     strategies = args.strategies or available_strategies()
     specs = [
         StrategySpec(name, calibrated_kwargs(name, calibration, p_min=p_min, p_max=p_max))
@@ -388,8 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--scale must be positive")
     if args.window is not None and not args.streaming:
         parser.error("--window requires --streaming")
-    if args.window is not None and args.window <= 0:
-        parser.error("--window must be positive")
+    if args.window is not None and not (math.isfinite(args.window) and args.window > 0):
+        parser.error("--window must be positive and finite")
     if args.shards is not None and args.scenario is None:
         parser.error("--shards requires --scenario")
     if args.shards is not None and args.streaming:
@@ -410,8 +405,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.task_lifetime is not None:
         if not args.dynamic:
             parser.error("--task-lifetime requires --dynamic --streaming")
-        if args.task_lifetime <= 0:
-            parser.error("--task-lifetime must be positive")
+        if not (math.isfinite(args.task_lifetime) and args.task_lifetime > 0):
+            parser.error("--task-lifetime must be positive and finite")
     if args.scenario is None and args.backend != "matroid":
         parser.error("--backend is only honored with --scenario")
     if args.scenario is not None and args.values is not None:

@@ -8,8 +8,9 @@ sized for the authors' C++ implementation, each spec accepts a ``scale``
 factor that shrinks the task/worker/period counts proportionally while
 preserving the per-period demand/supply density — the quantity that
 determines which strategy wins.  The benchmark harness uses a small scale
-by default and EXPERIMENTS.md records the scale used for the reported
-numbers; passing ``scale=1.0`` reproduces the paper-sized instances.
+by default (each ``benchmarks/test_bench_fig*.py`` states its own, and
+``docs/paper_map.md`` maps figures to benchmarks); passing ``scale=1.0``
+reproduces the paper-sized instances.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class FigureSpec:
     """One experiment of the paper's evaluation.
 
     Attributes:
-        figure_id: Identifier used by benchmarks and EXPERIMENTS.md
-            (e.g. ``"fig6-W"``).
+        figure_id: Identifier used by benchmarks, the CLI and
+            ``docs/paper_map.md`` (e.g. ``"fig6-W"``).
         title: Human-readable description.
         parameter_name: Name of the swept parameter as the paper labels it.
         parameter_values: The paper's sweep values.

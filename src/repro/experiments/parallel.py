@@ -6,8 +6,12 @@ random stream (the engine derives its accept/reject stream as
 ``derive_seed(seed, "acceptance", strategy.name)``, so the stream depends
 only on the cell, never on scheduling).  :class:`ParallelRunner` fans
 those cells across a ``ProcessPoolExecutor`` and is guaranteed to return
-*exactly* the results of running :meth:`SimulationEngine.run_many`
-sequentially for each seed — the determinism tests assert equality.
+*exactly* the results of running
+:meth:`~repro.simulation.engine.SimulationEngine.run_many` sequentially
+for each seed — the determinism tests assert equality.  Every batch cell
+runs the one batch period loop,
+:class:`~repro.simulation.sharded.ShardedEngine`: with one shard unless
+a :class:`ShardSpec` asks for more.
 
 Strategies are described by :class:`StrategySpec` (a name for
 :func:`repro.pricing.registry.create_strategy` plus keyword arguments)
@@ -23,11 +27,11 @@ Because scenario streams are deterministic in their seed, parallel
 streaming results are identical to sequential ones too.
 
 Sharded runs follow the same pattern: a picklable :class:`ShardSpec`
-carries the shard count and halo width, and each worker process builds a
-:class:`~repro.simulation.sharded.ShardedEngine` for its cell.  A spec
-may also request process-per-shard execution *within* a run
-(``shard_jobs``), which the sharded engine implements by splitting the
-workload spatially and running one full-horizon process per shard.
+carries the shard count and halo width, and each worker process builds
+its cell's engine from it.  A spec may also request process-per-shard
+execution *within* a run (``shard_jobs``), which the sharded engine
+implements by splitting the workload spatially and running one
+full-horizon process per shard.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.pricing.registry import create_strategy
 from repro.utils.affinity import effective_cpu_count
 from repro.simulation.config import WorkloadBundle
-from repro.simulation.engine import SimulationEngine, SimulationResult
+from repro.simulation.results import SimulationResult
 from repro.simulation.sharded import ShardedEngine
 from repro.simulation.streaming import (
     ArrivalStream,
@@ -59,8 +63,8 @@ class ShardSpec:
     """A picklable recipe for spatially sharded execution.
 
     Attributes:
-        num_shards: Rectangular shards the grid is tiled into (``1``
-            reproduces the batch engine bit-for-bit).
+        num_shards: Rectangular shards the grid is tiled into (``1``,
+            the default, is the batch engine).
         halo: Boundary band width, in grid cells, of the halo-exchange
             reconciliation pass (``0`` disables it).
         shard_jobs: Worker processes for process-per-shard execution
@@ -173,25 +177,18 @@ def _execute_run(
     shards: Optional[ShardSpec] = None,
     max_degree: Optional[int] = None,
 ) -> Tuple[RunKey, SimulationResult]:
-    """Top-level worker function (must be picklable for process pools)."""
-    if shards is not None:
-        engine = shards.build_engine(
-            workload,
-            seed,
-            matching_backend,
-            track_memory,
-            keep_details,
-            max_degree,
-        )
-    else:
-        engine = SimulationEngine(
-            workload,
-            seed=seed,
-            matching_backend=matching_backend,
-            track_memory=track_memory,
-            keep_details=keep_details,
-            max_degree=max_degree,
-        )
+    """Top-level worker function (must be picklable for process pools).
+
+    Without a shard spec the run is the one-shard batch solve.
+    """
+    engine = (shards or ShardSpec()).build_engine(
+        workload,
+        seed,
+        matching_backend,
+        track_memory,
+        keep_details,
+        max_degree,
+    )
     return (spec.key, seed), engine.run(spec.build())
 
 

@@ -2,7 +2,7 @@
 
 The benchmark harness prints, for every reproduced figure, the same series
 the paper plots: one row per parameter value and one column per strategy,
-for each of the three metrics.  EXPERIMENTS.md embeds the same tables.
+for each of the three metrics (``docs/paper_map.md`` lists the figures).
 """
 
 from __future__ import annotations

@@ -403,7 +403,8 @@ def force_loop_builder() -> Iterator[None]:
 
     Used by the hot-path benchmark (to measure the pre-vectorisation
     baseline through unmodified engine code) and by the equivalence tests
-    (to run whole simulations on both builders).  Explicit
+    (to run whole simulations on both builders).  The columnar builder
+    :func:`build_graph_from_arrays` honours the flag too.  Explicit
     ``vectorize=True`` still wins inside the block.
     """
     global _FORCE_LOOP_BUILDER
@@ -462,7 +463,31 @@ def build_graph_from_arrays(
     buffers (``tasks`` / ``workers`` may be lazy record views — the graph
     only stores them); :func:`_build_vectorized` extracts the same arrays
     from objects first.  Empty sides short-circuit to an edgeless graph.
+    Inside :func:`force_loop_builder` the graph comes from the scalar
+    loop path of :func:`build_bipartite_graph` instead.
     """
+    if _FORCE_LOOP_BUILDER:
+        return build_bipartite_graph(
+            tasks, workers, metric, grid, max_degree=max_degree, vectorize=False
+        )
+    return _graph_from_arrays(
+        tasks, workers, task_x, task_y, worker_x, worker_y, radii, metric, grid, max_degree
+    )
+
+
+def _graph_from_arrays(
+    tasks: Sequence[Task],
+    workers: Sequence[Worker],
+    task_x: np.ndarray,
+    task_y: np.ndarray,
+    worker_x: np.ndarray,
+    worker_y: np.ndarray,
+    radii: np.ndarray,
+    metric: Union[str, DistanceMetric],
+    grid: Grid,
+    max_degree: Optional[int],
+) -> BipartiteGraph:
+    """The vectorised builder behind :func:`build_graph_from_arrays`."""
     max_degree = checked_degree_cap(max_degree)
     num_tasks = len(tasks)
     num_workers = len(workers)
@@ -510,7 +535,7 @@ def _build_vectorized(
     radii = np.fromiter(
         (worker.radius for worker in workers), dtype=np.float64, count=len(workers)
     )
-    return build_graph_from_arrays(
+    return _graph_from_arrays(
         tasks,
         workers,
         task_x,

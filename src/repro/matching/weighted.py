@@ -74,9 +74,10 @@ def eligible_order(
     Processing order is non-increasing weight with ties broken by task
     position (the order the matroid greedy requires); tasks with
     non-positive weight are dropped up front, which is equivalent to the
-    greedy skipping them.  Exported because the streaming engine's
-    incremental window matcher must insert tasks in exactly this order to
-    reproduce the matroid backend's matching bit-for-bit.
+    greedy skipping them.  Exported because the dynamic streaming
+    engines and :class:`~repro.simulation.streaming.DispatchSession`
+    must insert tasks in exactly this order to reproduce the matroid
+    backend's matching bit-for-bit.
     """
     weights = np.asarray(task_weights, dtype=float)
     if weights.ndim != 1 or weights.shape[0] != num_tasks:

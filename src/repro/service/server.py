@@ -67,8 +67,9 @@ from repro.simulation.streaming import (
     ArrivalStream,
     DispatchSession,
     Settlement,
+    StreamingEngine,
     build_universe,
-    resolve_demand_grids,
+    checked_duration,
 )
 from repro.spatial.index import checked_degree_cap
 from repro.utils.shm import ShmArena
@@ -123,8 +124,7 @@ class ServiceConfig:
     event_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.task_lifetime > 0:
-            raise ValueError("task_lifetime must be positive")
+        self.task_lifetime = checked_duration(self.task_lifetime, "task_lifetime")
         self.max_degree = checked_degree_cap(self.max_degree)
         if self.queue_size <= 0:
             raise ValueError("queue_size must be positive")
@@ -241,12 +241,11 @@ class DispatchServer:
 
         Heavy by design — universe pre-scan plus Algorithm 1 calibration
         — and run once at startup so per-connection session resets are
-        cheap.  Calibration probes the stream's ``demand_grids`` metadata
-        cells (the satellite-2 fix), not the whole grid.
+        cheap.  Calibration is the streaming engine's: it probes the
+        stream's ``demand_grids`` metadata cells, not the whole grid.
         """
         if self._stream is not None:
             return
-        from repro.simulation.engine import calibrate_base_price_for_context
         from repro.simulation.scenarios import get_scenario
 
         config = self.config
@@ -283,15 +282,9 @@ class DispatchServer:
         self._worker_pos_by_id = {
             worker.worker_id: pos for pos, worker in enumerate(instance.workers)
         }
-        grids = resolve_demand_grids(stream)
-        if grids is None:
-            grids = sorted(cell.index for cell in stream.grid.cells())
-        self._calibration = calibrate_base_price_for_context(
-            acceptance=stream.acceptance,
-            price_bounds=stream.price_bounds,
-            seed=config.seed,
-            grids=grids,
-        )
+        self._calibration = StreamingEngine(
+            stream, seed=config.seed
+        ).calibrate_base_price()
         self._stream = stream
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:

@@ -11,28 +11,31 @@ pipeline:
   and Table 4 (Beijing-style) parameters, with the paper's defaults;
 * :mod:`repro.simulation.generator` — the synthetic workload generator;
 * :mod:`repro.simulation.taxi` — the synthetic Beijing taxi-trace generator
-  substituting the proprietary DiDi data (see DESIGN.md);
+  substituting the proprietary DiDi data (see ``docs/scenarios.md``);
 * :mod:`repro.simulation.oracle` — the probe oracle backing Algorithm 1's
   calibration against the ground-truth acceptance models;
 * :mod:`repro.simulation.pipeline` — the vectorised per-period stages
   (quote → decide → match → feedback) over the struct-of-arrays view;
-* :mod:`repro.simulation.engine` — the period-by-period driver over the
-  pipeline (worker-pool dynamics, metrics);
+* :mod:`repro.simulation.engine` — the batch engine,
+  :class:`~repro.simulation.engine.SimulationEngine`: the sharded
+  period loop with one shard;
+* :mod:`repro.simulation.results` — the result types every engine
+  returns;
 * :mod:`repro.simulation.streaming` — the event-driven streaming engine:
-  timestamped arrival streams, configurable dispatch windows, and an
-  incremental cross-window matching that reproduces the batch engine
+  timestamped arrival streams and configurable dispatch windows whose
+  committed matching only grows, reproducing the batch engine
   bit-identically when binned at the period length;
-* :mod:`repro.simulation.sharded` — the spatially sharded engine: the grid
+* :mod:`repro.simulation.sharded` — the one batch period loop: the grid
   tiled into rectangular regions matched independently per period, with a
-  halo-exchange reconciliation pass at shard boundaries (bit-identical to
-  the batch engine at one shard) and support for lazily chunked
-  city-scale workloads;
+  halo-exchange reconciliation pass at shard boundaries (one shard is the
+  global batch solve) and support for lazily chunked city-scale
+  workloads;
 * :mod:`repro.simulation.scenarios` — the scenario registry putting every
   workload family (synthetic, Beijing taxi, food delivery, hotspot burst,
   city scale) behind one name, each producing both a batch bundle and a
   stream;
 * :mod:`repro.simulation.legacy` — the seed scalar loop, kept as the
-  regression/benchmark reference;
+  regression/benchmark reference (a test oracle, not a production path);
 * :mod:`repro.simulation.metrics` — revenue / runtime / memory bookkeeping.
 """
 

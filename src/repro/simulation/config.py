@@ -126,7 +126,8 @@ class BeijingConfig:
 
     The real DiDi data is proprietary; :class:`BeijingTaxiGenerator`
     synthesises a workload with the same published aggregate shape (see
-    DESIGN.md for the substitution rationale).
+    :mod:`repro.simulation.taxi` and ``docs/scenarios.md`` for the
+    substitution rationale).
 
     Attributes:
         variant: ``"rush_hour"`` (5–7 pm, dataset #1) or ``"late_night"``
@@ -249,12 +250,28 @@ class WorkloadBundle:
                         f"task {task.task_id} stored in period {period} but labelled {task.period}"
                     )
 
+    def demand_grids(self) -> List[int]:
+        """Sorted cells holding at least one task anywhere in the horizon.
+
+        The grid list base-price calibration probes for a bundle, and the
+        ``demand_grids`` metadata of its
+        :func:`~repro.simulation.streaming.workload_to_stream` stream.
+        """
+        return sorted(
+            {
+                task.grid_index
+                for tasks in self.tasks_by_period
+                for task in tasks
+                if task.grid_index is not None
+            }
+        )
+
     def iter_periods(self) -> Iterator[Tuple[List[Task], List[Worker]]]:
         """Yield ``(tasks, workers)`` per period, in period order.
 
-        The shared consumption protocol of pre-materialised and lazily
-        generated workloads: the sharded engine drives either through
-        this single method (see :class:`ChunkedWorkload`).
+        The object-level protocol pre-materialised and lazily generated
+        workloads share (see :class:`ChunkedWorkload`); the batch period
+        loop consumes :meth:`iter_period_columns`.
         """
         for tasks, workers in zip(self.tasks_by_period, self.workers_by_period):
             yield tasks, workers
@@ -262,8 +279,8 @@ class WorkloadBundle:
     def iter_period_columns(self) -> Iterator[Tuple["TaskColumns", "WorkerColumns"]]:
         """Columnar view of the horizon, derived from the object chunks.
 
-        Used when packing a bundle into a
-        :class:`~repro.simulation.arena.WorkloadArena`; bundles have no
+        What the batch period loop consumes (and what packs a bundle into
+        a :class:`~repro.simulation.arena.WorkloadArena`); bundles have no
         native columns, so this converts period by period.
         """
         from repro.simulation.arena import TaskColumns, WorkerColumns
@@ -290,7 +307,7 @@ class ChunkedWorkload:
     :meth:`iter_periods` re-generates the horizon deterministically, and
     only one period chunk (plus the engine's worker pool) is alive at any
     time.  It exposes the same market-context fields as
-    :class:`WorkloadBundle`, so the sharded engine consumes both
+    :class:`WorkloadBundle`, so the batch period loop consumes both
     interchangeably.
 
     Attributes:

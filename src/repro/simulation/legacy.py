@@ -33,6 +33,7 @@ from repro.matching.maximum_matching import UNMATCHED
 from repro.pricing.strategy import PriceFeedback, PricingStrategy
 from repro.simulation.config import WorkloadBundle
 from repro.simulation.metrics import MetricsCollector
+from repro.simulation.results import SimulationResult
 from repro.utils.rng import derive_seed
 
 
@@ -145,14 +146,12 @@ def run_reference(
     workload: WorkloadBundle,
     strategy: PricingStrategy,
     seed: int = 0,
-) -> "SimulationResult":
+) -> SimulationResult:
     """Run one strategy through the verbatim seed simulation loop.
 
     Only the ``matroid`` matching backend is supported (it is what the
     seed engine defaulted to and what the regression tests compare).
     """
-    from repro.simulation.engine import PeriodOutcome, SimulationResult
-
     workload.validate()
     strategy.reset()
     collector = MetricsCollector(strategy.name)

@@ -11,6 +11,10 @@ the draws themselves keep their order.
 
 The oracle also keeps a ledger of how many probes were issued per grid,
 which the experiment reports use to document the calibration budget.
+
+:func:`calibrate_base_price_for_context` is the one calibration recipe
+every engine runs: Algorithm 1 over an explicit grid list, probing an
+oracle seeded from ``(seed, "calibration")``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.base_pricing import BasePricingConfig, BasePricingResult, run_base_pricing
 from repro.market.acceptance import PerGridAcceptance
-from repro.utils.rng import RandomState, as_generator
+from repro.utils.rng import RandomState, as_generator, derive_seed
 
 
 class SimulatedProbeOracle:
@@ -80,4 +85,27 @@ class SimulatedProbeOracle:
         )
 
 
-__all__ = ["SimulatedProbeOracle"]
+def calibrate_base_price_for_context(
+    acceptance: PerGridAcceptance,
+    price_bounds: Tuple[float, float],
+    seed: int,
+    grids: Sequence[int],
+    config: Optional[BasePricingConfig] = None,
+) -> BasePricingResult:
+    """Run Algorithm 1 for ``grids`` against the ground-truth acceptance.
+
+    Represents the historical calibration phase that precedes dynamic
+    pricing.  The default config is the full Hoeffding probe budget of
+    Algorithm 1: MAPS re-uses the calibration statistics as its UCB warm
+    start, and a truncated budget leaves the confidence radii so wide
+    that MAPS over-prices well-supplied grids.
+    """
+    if not grids:
+        raise ValueError("need at least one grid to calibrate")
+    p_min, p_max = price_bounds
+    config = config or BasePricingConfig(p_min=p_min, p_max=p_max)
+    oracle = SimulatedProbeOracle(acceptance, seed=derive_seed(seed, "calibration"))
+    return run_base_pricing(list(grids), oracle, config)
+
+
+__all__ = ["SimulatedProbeOracle", "calibrate_base_price_for_context"]

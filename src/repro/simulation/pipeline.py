@@ -26,7 +26,7 @@ and ``benchmarks/test_bench_pipeline.py`` rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -185,9 +185,6 @@ class PeriodPipeline:
         instance: PeriodInstance,
         rng: np.random.Generator,
         collector: Optional[MetricsCollector] = None,
-        match_fn: Optional[
-            Callable[[PeriodInstance, DecideResult], Tuple[Dict[int, int], float]]
-        ] = None,
     ) -> PeriodResult:
         """Run all four stages for one period.
 
@@ -200,10 +197,6 @@ class PeriodPipeline:
             instance: The period's instance.
             rng: Accept/reject randomness (consumed only by decide).
             collector: Metrics sink; a throwaway one is created if absent.
-            match_fn: Optional replacement for the :meth:`match` stage
-                (``(instance, decision) -> (matching, revenue)``); the
-                streaming engine passes its incremental cross-window
-                matcher here so both engines share this orchestration.
         """
         if collector is None:
             collector = MetricsCollector(strategy.name)
@@ -212,10 +205,7 @@ class PeriodPipeline:
         with collector.time_decide():
             decision = self.decide(instance, grid_prices, rng)
         with collector.time_matching():
-            if match_fn is not None:
-                matching, revenue = match_fn(instance, decision)
-            else:
-                matching, revenue = self.match(instance, decision)
+            matching, revenue = self.match(instance, decision)
         with collector.time_decide():
             batch = self.feedback(instance, decision, matching)
         with collector.time_pricing():

@@ -1,22 +1,22 @@
-"""Spatially sharded simulation engine for city-scale workloads.
+"""The batch period loop, optionally sharded for city-scale workloads.
 
-The batch :class:`~repro.simulation.engine.SimulationEngine` solves one
-global bipartite problem per period, which caps it at tens of thousands of
-tasks: augmenting paths wander across the whole city, and the per-period
-graph grows with the full worker pool.  Most task–worker edges are
-spatially local, though — a courier three districts away is outside every
-nearby task's service radius — so the grid can be partitioned into
-rectangular shards (:class:`~repro.spatial.grid.GridTiling`) that quote,
-decide and match *independently*, reconciling only at shard boundaries.
+One global bipartite problem per period caps the batch solve at tens of
+thousands of tasks: augmenting paths wander across the whole city, and
+the per-period graph grows with the full worker pool.  Most task–worker
+edges are spatially local, though — a courier three districts away is
+outside every nearby task's service radius — so the grid can be
+partitioned into rectangular shards (:class:`~repro.spatial.grid.GridTiling`)
+that quote, decide and match *independently*, reconciling only at shard
+boundaries.
 
 Per period the :class:`ShardedEngine`:
 
 1. **partitions** the period's tasks and the live worker pool by shard
    (a task belongs to the shard owning its origin cell, a worker to the
    shard owning its location cell);
-2. **dispatches** each shard with tasks through the same
-   :class:`~repro.simulation.pipeline.PeriodPipeline` stages as the batch
-   engine — quote → decide → match — over the shard-local instance;
+2. **dispatches** each shard with tasks through the
+   :class:`~repro.simulation.pipeline.PeriodPipeline` stages — quote →
+   decide → match — over the shard-local instance;
 3. **reconciles** across boundaries with one halo-exchange pass: accepted
    tasks left unmatched within ``halo`` cells of a shard border are
    re-offered, together with the residual (still unmatched) workers of
@@ -24,15 +24,17 @@ Per period the :class:`ShardedEngine`:
    same matching backend.  Matches found here recover revenue the
    partition's dropped cross-border edges would otherwise lose;
 4. **feeds back** one batch per shard (halo-served tasks included) and
-   lets matched workers leave the pool, exactly like the batch engine.
+   lets matched workers leave the pool.
 
-**Equivalence guarantees.**  With ``num_shards=1`` the single shard *is*
-the global problem: the instance, the RNG stream, the matching and the
-feedback coincide with the batch engine's bit-for-bit, which
-``tests/simulation/test_sharded.py`` asserts across all five pricing
-strategies.  With ``num_shards>1`` the solve is a restriction of the
-global edge set, so per-period revenue can only be lost at boundaries;
-the tests bound the total-revenue gap on every registered scenario.
+**One batch loop.**  With ``num_shards=1`` the single shard *is* the
+global problem, and that configuration is the batch engine:
+:class:`~repro.simulation.engine.SimulationEngine` is this class with one
+shard.  ``tests/simulation/test_sharded.py`` holds it to the seed loop
+(:func:`repro.simulation.legacy.run_reference`) and to the binned
+streaming engine across all five pricing strategies.  With
+``num_shards>1`` the solve is a restriction of the global edge set, so
+per-period revenue can only be lost at boundaries; the tests bound the
+total-revenue gap on every registered scenario.
 
 **Consistency trade-off.**  Shards never see each other's supply inside a
 period: a boundary task may go unserved even though an adjacent shard had
@@ -76,14 +78,10 @@ from repro.market.entities import Task, Worker
 from repro.matching.weighted import max_weight_matching
 from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import ChunkedWorkload, WorkloadBundle
-from repro.simulation.engine import (
-    PeriodOutcome,
-    SimulationEngine,
-    SimulationResult,
-    calibrate_base_price_for_context,
-)
 from repro.simulation.metrics import MetricsCollector, StrategyMetrics
+from repro.simulation.oracle import calibrate_base_price_for_context
 from repro.simulation.pipeline import DecideResult, PeriodPipeline
+from repro.simulation.results import PeriodOutcome, SimulationResult
 from repro.spatial.grid import GridTiling
 from repro.spatial.index import checked_degree_cap
 from repro.utils.rng import derive_seed
@@ -188,13 +186,12 @@ class ShardedEngine:
         workload: A :class:`WorkloadBundle` or lazily generated
             :class:`ChunkedWorkload` to simulate.
         num_shards: Number of rectangular shards the grid is tiled into
-            (``1`` reproduces the batch engine exactly).
+            (``1``, the default, is the global batch solve).
         halo: Width, in grid cells, of the boundary band taking part in
             the halo-exchange reconciliation pass (``0`` disables it).
-        seed: Accept/reject randomness seed, derived exactly as in the
-            batch engine.  With one shard the stream is consumed
-            identically; with several shards it is consumed in shard
-            order within each period (still fully deterministic).
+        seed: Accept/reject randomness seed; the stream is derived from
+            ``(seed, "acceptance", strategy.name)`` and consumed in shard
+            order within each period (fully deterministic).
         matching_backend: Matching backend for both the shard-local and
             the reconciliation matchings, resolved by name through
             :mod:`repro.matching.registry`.
@@ -261,19 +258,18 @@ class ShardedEngine:
     ) -> BasePricingResult:
         """Run Algorithm 1 against the workload's ground-truth demand.
 
-        Pre-materialised workloads delegate to the batch engine's
-        calibration.  Chunked workloads would need a full generation pass
-        just to find the demanded grids, so they default to calibrating
-        every grid cell instead, through the same shared
-        :func:`~repro.simulation.engine.calibrate_base_price_for_context`
+        A bundle calibrates the grids that have at least one task anywhere
+        in the horizon (:meth:`WorkloadBundle.demand_grids`).  A chunked
+        workload would need a full generation pass just to find them, so
+        it calibrates every grid cell instead.  Both run the shared
+        :func:`~repro.simulation.oracle.calibrate_base_price_for_context`
         the streaming engine uses.
         """
-        if isinstance(self.workload, WorkloadBundle):
-            return SimulationEngine(self.workload, seed=self.seed).calibrate_base_price(
-                config=config, grids=grids, seed=seed
-            )
         if grids is None:
-            grids = [cell.index for cell in self.workload.grid.cells()]
+            if isinstance(self.workload, WorkloadBundle):
+                grids = self.workload.demand_grids()
+            else:
+                grids = [cell.index for cell in self.workload.grid.cells()]
         return calibrate_base_price_for_context(
             acceptance=self.workload.acceptance,
             price_bounds=self.workload.price_bounds,
@@ -288,9 +284,19 @@ class ShardedEngine:
     def run(self, strategy: PricingStrategy) -> SimulationResult:
         """Simulate the full horizon with one pricing strategy.
 
-        Dispatch order inside a period is deterministic (ascending shard
-        id), so fixed seeds always reproduce the same run.  See the class
-        docstring for the ``num_shards=1`` bit-equivalence guarantee.
+        The strategy is ``reset()`` first, so one engine can run many
+        strategies (or the same strategy repeatedly) with identical
+        randomness.  Dispatch order inside a period is deterministic
+        (ascending shard id), so fixed seeds always reproduce the same
+        run.  Task-less periods consume no randomness and record no
+        metrics row.
+
+        Returns:
+            A :class:`SimulationResult`: aggregated
+            :class:`~repro.simulation.metrics.StrategyMetrics` (revenue,
+            stage timings, optional peak memory, served / accepted
+            counts, per-period revenue series) plus per-period
+            :class:`PeriodOutcome` details when ``keep_details`` is set.
         """
         if self.shard_jobs > 1 and self.num_shards > 1:
             return self._run_process_per_shard(strategy)

@@ -17,24 +17,15 @@ reproduces the paper's per-minute batching exactly.  Shorter windows
 dispatch more eagerly (lower latency, less pooling); longer windows pool
 more arrivals per matching.
 
-**Incremental dispatch.**  Committed assignments are physical actions —
+**Window dispatch.**  Committed assignments are physical actions —
 once a worker is dispatched to a task, the pair cannot be re-routed when
 later arrivals would prefer a different plan.  The engine grows one
 monotone matching over the whole stream instead of re-solving a global
 (whole-horizon) problem: commitment is enforced by the worker pool
 (dispatched workers leave it forever, freezing their pairs for every
-later window), and each window *augments* the committed matching with
-only its own accepted tasks over the free frontier.  The window
-subproblem itself is solved by inserting tasks in non-increasing weight
-order and searching augmenting paths with
-:class:`~repro.matching.incremental.IncrementalMatcher` — re-routing is
-possible among the window's tentative assignments, never across the
-committed frontier.  Because the per-window weights depend only on the
-task (``d_r * p_r``), this greedy-with-augmentation insertion is the
-transversal-matroid greedy and yields exactly the matching the batch
-engine's ``matroid`` backend computes for the window — which is what
-makes the equivalence guarantee below possible (and is asserted directly
-by the tests, so the two implementations cannot silently drift).
+later window), and each window matches only its own accepted tasks over
+the free frontier, through the same registry backend the batch engine
+uses (:meth:`~repro.simulation.pipeline.PeriodPipeline.match`).
 
 **Equivalence guarantee.**  For a stream binned at the batch period length
 (``window=1.0`` with events ordered as the batch lists, e.g. via
@@ -69,17 +60,14 @@ import numpy as np
 from repro.core.gdp import PeriodInstance
 from repro.market.acceptance import PerGridAcceptance
 from repro.market.entities import Task, Worker
-from repro.matching.incremental import (
-    DynamicMatcher,
-    IncrementalMatcher,
-    LazyDynamicMatcher,
-)
+from repro.matching.incremental import DynamicMatcher, LazyDynamicMatcher
 from repro.matching.weighted import eligible_order
 from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import WorkloadBundle
-from repro.simulation.engine import PeriodOutcome, SimulationResult
 from repro.simulation.metrics import MetricsCollector
-from repro.simulation.pipeline import DecideResult, PeriodPipeline
+from repro.simulation.oracle import calibrate_base_price_for_context
+from repro.simulation.pipeline import PeriodPipeline
+from repro.simulation.results import PeriodOutcome, SimulationResult
 from repro.spatial.grid import Grid
 from repro.spatial.index import IncrementalAdjacencyIndex
 from repro.utils.rng import derive_seed
@@ -209,6 +197,22 @@ def resolve_demand_grids(stream: ArrivalStream) -> Optional[List[int]]:
     return resolved or None
 
 
+def checked_duration(value: float, name: str) -> float:
+    """``value`` as a float if it is a finite, positive span of period time.
+
+    Window lengths and task lifetimes must be both: an infinite window
+    puts every window start at ``0 * inf``, which is NaN, and a NaN
+    lifetime slips past a ``<= 0`` check only to fail mid-run.
+
+    Raises:
+        ValueError: if ``value`` is not finite or not positive.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def window_index(time: float, length: float) -> int:
     """The index ``k`` with ``k * length <= time < (k + 1) * length``.
 
@@ -257,18 +261,6 @@ def workload_to_stream(workload: WorkloadBundle) -> ArrivalStream:
                 yield TaskArrival(time=period + offset * step, task=task)
                 offset += 1
 
-    def _demand_grids() -> List[int]:
-        # Same scan the batch engine runs over its materialised lists, so
-        # stream-side calibration sees the identical grid set.
-        return sorted(
-            {
-                task.grid_index
-                for tasks in workload.tasks_by_period
-                for task in tasks
-                if task.grid_index is not None
-            }
-        )
-
     return ArrivalStream(
         grid=workload.grid,
         acceptance=workload.acceptance,
@@ -277,7 +269,9 @@ def workload_to_stream(workload: WorkloadBundle) -> ArrivalStream:
         price_bounds=workload.price_bounds,
         description=workload.description,
         horizon=float(workload.num_periods),
-        demand_grids=_demand_grids,
+        # The scan the batch engine calibrates, so both calibrations see
+        # the identical grid set.
+        demand_grids=workload.demand_grids,
     )
 
 
@@ -392,10 +386,9 @@ class StreamingEngine:
             stream.
         window: Dispatch window length in period units.  ``1.0`` (default)
             reproduces the paper's one-minute batching.
-        matching_backend: Realized-matching backend.  ``matroid`` (default)
-            runs through the incremental cross-window matcher; any other
-            registered backend re-solves each window via
-            :func:`repro.matching.weighted.max_weight_matching`.
+        matching_backend: Realized-matching backend for each window,
+            resolved by name through :mod:`repro.matching.registry`
+            (``matroid``, exact, is the default).
         track_memory: Enable peak-memory tracking in the metrics.
         keep_details: Store a :class:`PeriodOutcome` per dispatched window
             (``period`` holds the window index).  Unlike the batch engine,
@@ -423,14 +416,10 @@ class StreamingEngine:
         keep_details: bool = False,
         max_degree: Optional[int] = None,
     ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
         self.stream = stream
         self.seed = int(seed)
-        self.window = float(window)
-        # Normalised like the registry lookup, so "MATROID" selects the
-        # incremental window matcher exactly like "matroid" does.
-        self.matching_backend = str(matching_backend).strip().lower()
+        self.window = checked_duration(window, "window")
+        self.matching_backend = matching_backend
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = None if max_degree is None else int(max_degree)
@@ -488,36 +477,6 @@ class StreamingEngine:
         return time < worker.period + worker.duration
 
     # ------------------------------------------------------------------
-    # incremental window matching
-    # ------------------------------------------------------------------
-    def _match_window(
-        self, instance: PeriodInstance, decision: "DecideResult"
-    ) -> Tuple[Dict[int, int], float]:
-        """Grow the committed matching with this window's accepted tasks.
-
-        Inserts eligible tasks in non-increasing weight order and augments
-        with :class:`IncrementalMatcher` — the transversal-matroid greedy,
-        bit-identical to the batch ``matroid`` backend on the window
-        subgraph.  Workers matched here are removed from the pool by the
-        caller, freezing the assignment for all later windows.  Plugged
-        into :meth:`PeriodPipeline.run_period` as its ``match_fn``.
-        """
-        arrays = instance.ensure_arrays()
-        weights = arrays.distances * decision.prices
-        weight_arr, order = eligible_order(
-            instance.num_tasks, weights, decision.accepted_positions
-        )
-        matcher = IncrementalMatcher(
-            instance.graph, grid_tasks=instance.tasks_by_grid
-        )
-        weight_list = weight_arr.tolist()
-        total = 0.0
-        for task_pos in order:
-            if matcher.augment_task(task_pos):
-                total += weight_list[task_pos]
-        return matcher.matching(), total
-
-    # ------------------------------------------------------------------
     # calibration
     # ------------------------------------------------------------------
     def calibrate_base_price(
@@ -539,8 +498,6 @@ class StreamingEngine:
         demand scan, so both calibrations return the same result
         bit-for-bit (asserted by ``tests/simulation/test_streaming.py``).
         """
-        from repro.simulation.engine import calibrate_base_price_for_context
-
         if grids is None:
             grids = resolve_demand_grids(self.stream)
         if grids is None:
@@ -607,10 +564,7 @@ class StreamingEngine:
                 max_degree=self.max_degree,
             )
 
-            match_fn = self._match_window if self.matching_backend == "matroid" else None
-            result = pipeline.run_period(
-                strategy, instance, rng, collector, match_fn=match_fn
-            )
+            result = pipeline.run_period(strategy, instance, rng, collector)
 
             # Dispatched workers leave the pool forever: the committed
             # matching only ever grows across windows.
@@ -952,13 +906,11 @@ class DynamicStreamingEngine(StreamingEngine):
             keep_details=keep_details,
             max_degree=max_degree,
         )
-        if task_lifetime <= 0:
-            raise ValueError("task_lifetime must be positive")
+        self.task_lifetime = checked_duration(task_lifetime, "task_lifetime")
         if resolve not in ("delta", "rewindow"):
             raise ValueError(
                 f"unknown resolve mode {resolve!r}; choose 'delta' or 'rewindow'"
             )
-        self.task_lifetime = float(task_lifetime)
         self.resolve = resolve
 
     def _rebuild(
@@ -1265,8 +1217,6 @@ class DispatchSession:
         collector: Optional[MetricsCollector] = None,
         stage_hook: Optional[Callable[[str, float], None]] = None,
     ) -> None:
-        if task_lifetime <= 0:
-            raise ValueError("task_lifetime must be positive")
         if getattr(strategy, "name", None) == "MAPS":
             raise ValueError(
                 "MAPS prices a window batch against its worker supply and "
@@ -1276,7 +1226,7 @@ class DispatchSession:
         self.stream = stream
         self.strategy = strategy
         self.seed = int(seed)
-        self.task_lifetime = float(task_lifetime)
+        self.task_lifetime = checked_duration(task_lifetime, "task_lifetime")
         self._events: Optional[Iterator[ArrivalEvent]] = None
         if universe is None and max_degree is not None:
             universe = build_universe(stream, max_degree=max_degree)
@@ -1699,6 +1649,7 @@ __all__ = [
     "TaskArrival",
     "WorkerArrival",
     "build_universe",
+    "checked_duration",
     "resolve_demand_grids",
     "stream_to_workload",
     "window_index",

@@ -2,8 +2,9 @@
 
 Docs rot silently; these tests keep them wired to the code:
 
-* every intra-repo Markdown link in ``README.md`` / ``docs/`` resolves
-  (same checker the CI docs job runs);
+* every intra-repo Markdown link in ``README.md`` / ``docs/`` resolves,
+  and every Markdown file cited by README, ``docs/`` or the source trees
+  exists (same checker the CI docs job runs);
 * ``docs/scenarios.md`` documents exactly the registered scenario set;
 * the module docstrings advertised as runnable doctests actually run.
 """
@@ -11,6 +12,7 @@ Docs rot silently; these tests keep them wired to the code:
 from __future__ import annotations
 
 import doctest
+import importlib.util
 import re
 import subprocess
 import sys
@@ -47,6 +49,44 @@ class TestMarkdownLinks:
             "service.md",
         ):
             assert (REPO_ROOT / "docs" / name).is_file(), f"docs/{name} is missing"
+
+
+def _load_checker():
+    spec = importlib.util.spec_from_file_location("check_markdown_links", LINK_CHECKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMarkdownCitations:
+    def test_every_cited_markdown_file_exists(self):
+        checker = _load_checker()
+        dangling = [
+            f"{path.relative_to(REPO_ROOT)}:{line}: {cited}"
+            for path in checker.iter_citing_files(REPO_ROOT)
+            for line, cited in checker.check_citations(path, REPO_ROOT)
+        ]
+        assert not dangling, "documents cited but missing:\n" + "\n".join(dangling)
+
+    def test_checker_flags_a_dangling_citation(self, tmp_path):
+        checker = _load_checker()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "guide.md").write_text("see guide.md\n", encoding="utf-8")
+        (tmp_path / "README.md").write_text(
+            "See `docs/guide.md`, <https://example.org/x.md>.\n", encoding="utf-8"
+        )
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            '"""Rationale in NOTES.md; layout in docs/guide.md."""\n', encoding="utf-8"
+        )
+        assert checker.main(tmp_path) == 1
+        found = {
+            (path.name, cited)
+            for path in checker.iter_citing_files(tmp_path)
+            for _line, cited in checker.check_citations(path, tmp_path)
+        }
+        assert found == {("mod.py", "NOTES.md")}
 
 
 class TestScenarioDocSync:

@@ -97,6 +97,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--scenario", "synthetic", "--streaming", "--window", "0"])
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window", "inf"),
+            ("--window", "nan"),
+            ("--task-lifetime", "inf"),
+            ("--task-lifetime", "nan"),
+        ],
+    )
+    def test_non_finite_spans_are_clean_cli_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scenario", "synthetic", "--streaming", "--dynamic", flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
     def test_window_requires_streaming(self):
         with pytest.raises(SystemExit):
             main(["--scenario", "synthetic", "--window", "0.5"])

@@ -364,6 +364,13 @@ class TestProtocolContract:
         assert asyncio.run(_with_server(_config(), action))
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("lifetime", [float("inf"), float("nan")])
+    def test_non_finite_task_lifetime_is_rejected(self, lifetime):
+        with pytest.raises(ValueError, match="task_lifetime"):
+            _config(task_lifetime=lifetime)
+
+
 class TestLifecycle:
     def test_once_server_stops_after_session_and_leaks_nothing(self):
         before = set(glob.glob("/dev/shm/repro_arena_*"))

@@ -6,11 +6,11 @@ the bundle's ``iter_period_columns()`` conversion.  These tests hold
 that conversion to the results bundles produced when they still ran
 through a dedicated object loop:
 
-* one shard reproduces the batch engine bit-identically on every
-  registered scenario's bundle, and four halo-reconciled shards keep
-  totals pinned from the object loop;
-* per strategy, a four-shard run keeps its pinned totals and the
-  ``dynamic`` halo backend reproduces the ``matroid`` one bitwise;
+* one shard reproduces the binned streaming engine — an independent
+  object-pool period loop — bit-identically on every registered
+  scenario's bundle, and four halo-reconciled shards keep totals pinned
+  from the object loop;
+* per strategy, a four-shard run keeps its pinned totals;
 * per-period outcomes, a degree cap and mid-horizon worker churn keep
   their pinned values.
 
@@ -22,9 +22,9 @@ from __future__ import annotations
 import pytest
 
 from repro.pricing.registry import PAPER_STRATEGIES, calibrated_kwargs, create_strategy
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.scenarios import available_scenarios, get_scenario
 from repro.simulation.sharded import ShardedEngine
+from repro.simulation.streaming import StreamingEngine, workload_to_stream
 
 
 def _strategy(name, calibration, price_bounds):
@@ -69,13 +69,13 @@ class TestEveryScenarioBundle:
         )
         scale, (revenue, served, accepted) = self.PINS[name]
         workload = get_scenario(name).bundle(scale=scale, seed=7)
-        batch = SimulationEngine(workload, seed=5).run(
+        binned = StreamingEngine(workload_to_stream(workload), seed=5).run(
             create_strategy("BaseP", base_price=2.0)
         )
         one = ShardedEngine(workload, num_shards=1, seed=5).run(
             create_strategy("BaseP", base_price=2.0)
         )
-        _assert_bitwise_identical(batch.metrics, one.metrics)
+        _assert_bitwise_identical(binned.metrics, one.metrics)
         four = ShardedEngine(workload, num_shards=4, halo=1, seed=5).run(
             create_strategy("BaseP", base_price=2.0)
         )

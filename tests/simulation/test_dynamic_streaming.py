@@ -145,10 +145,12 @@ class TestValidation:
                 workload_to_stream(tiny_workload), resolve="oracle"
             )
 
-    def test_rejects_non_positive_lifetime(self, tiny_workload):
+    @pytest.mark.parametrize("lifetime", [0.0, float("nan"), float("inf")])
+    def test_rejects_non_positive_lifetime(self, tiny_workload, lifetime):
+        """NaN passes a ``<= 0`` check and used to fail mid-run."""
         with pytest.raises(ValueError, match="task_lifetime"):
             DynamicStreamingEngine(
-                workload_to_stream(tiny_workload), task_lifetime=0.0
+                workload_to_stream(tiny_workload), task_lifetime=lifetime
             )
 
 

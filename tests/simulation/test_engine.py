@@ -7,8 +7,11 @@ import pytest
 
 from repro.pricing.base_price import BasePriceStrategy
 from repro.pricing.maps_strategy import MAPSStrategy
+from repro.pricing.registry import PAPER_STRATEGIES, calibrated_kwargs, create_strategy
 from repro.pricing.strategy import PriceFeedback, PricingStrategy
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.scenarios import available_scenarios, get_scenario
+from repro.simulation.sharded import ShardedEngine
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.oracle import SimulatedProbeOracle
 
@@ -144,6 +147,136 @@ class TestSimulationRun:
         engine = SimulationEngine(tiny_workload, seed=1, track_memory=True)
         result = engine.run(BasePriceStrategy(base_price=2.0))
         assert result.metrics.peak_memory_bytes > 0
+
+
+class TestOneBatchLoop:
+    """``SimulationEngine`` is the one-shard ``ShardedEngine``."""
+
+    def test_is_the_one_shard_sharded_engine(self, tiny_workload):
+        engine = SimulationEngine(tiny_workload, seed=4, keep_details=True)
+        assert isinstance(engine, ShardedEngine)
+        assert engine.num_shards == 1
+        assert (engine.seed, engine.matching_backend, engine.max_degree) == (4, "matroid", None)
+        assert engine.keep_details and not engine.track_memory
+
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_cap_below_one_fails_at_construction(self, tiny_workload, cap):
+        with pytest.raises(ValueError):
+            SimulationEngine(tiny_workload, max_degree=cap)
+
+
+def _pin_workload(name):
+    """The pinned bundle of ``name`` (seed 7); ``city_scale`` thinned."""
+    scale = TestBatchPins.SCALES[name]
+    if name == "city_scale":
+        return get_scenario(name).bundle(
+            scale=scale, seed=7, tasks_per_period=300, workers_per_period=150
+        )
+    return get_scenario(name).bundle(scale=scale, seed=7)
+
+
+def _pinned_run(workload, name, **engine_kwargs):
+    engine = SimulationEngine(workload, seed=5, **engine_kwargs)
+    p_min, p_max = workload.price_bounds
+    calibration = SimulationEngine(workload, seed=5).calibrate_base_price()
+    metrics = engine.run(
+        create_strategy(
+            name, **calibrated_kwargs(name, calibration, p_min=p_min, p_max=p_max)
+        )
+    ).metrics
+    return repr(metrics.total_revenue), metrics.served_tasks, metrics.accepted_tasks
+
+
+class TestBatchPins:
+    """Batch totals recorded with the former object-pool period loop.
+
+    ``(revenue repr, served, accepted)`` per registered scenario and
+    paper strategy (bundle seed 7, engine seed 5, calibrated on the
+    bundle), plus a degree-capped and two non-matroid runs, all recorded
+    before ``SimulationEngine`` became the one-shard ``ShardedEngine``.
+    """
+
+    SCALES = {
+        "beijing_night": 0.003,
+        "beijing_rush": 0.002,
+        "churn_city": 0.1,
+        "city_scale": 0.005,
+        "food_delivery": 0.05,
+        "hotspot_burst": 0.05,
+        "synthetic": 0.008,
+    }
+    PINS = {
+        "beijing_night": {
+            "MAPS": ("366.84287962909474", 41, 121),
+            "BaseP": ("364.28198960342814", 41, 121),
+            "SDR": ("217.90200985358396", 24, 24),
+            "SDE": ("354.1719202834829", 35, 55),
+            "CappedUCB": ("386.935774489967", 35, 64),
+        },
+        "beijing_rush": {
+            "MAPS": ("354.16703109655157", 41, 145),
+            "BaseP": ("333.3261440078362", 42, 149),
+            "SDR": ("161.22950877607832", 21, 21),
+            "SDE": ("364.66620066813124", 35, 75),
+            "CappedUCB": ("412.2349281286426", 33, 59),
+        },
+        "churn_city": {
+            "MAPS": ("4914.921320406759", 63, 135),
+            "BaseP": ("4781.719507230743", 63, 138),
+            "SDR": ("1722.570671356009", 21, 21),
+            "SDE": ("3408.6564439044596", 32, 43),
+            "CappedUCB": ("2993.314257306505", 27, 44),
+        },
+        "city_scale": {
+            "MAPS": ("3166.426411474745", 281, 358),
+            "BaseP": ("3151.763428362434", 280, 417),
+            "SDR": ("1681.6832512612846", 180, 180),
+            "SDE": ("2781.1325768614433", 248, 273),
+            "CappedUCB": ("1914.906082011648", 147, 147),
+        },
+        "food_delivery": {
+            "MAPS": ("35.45270318429014", 10, 79),
+            "BaseP": ("37.26511517722953", 10, 81),
+            "SDR": ("35.51999670598218", 10, 10),
+            "SDE": ("38.96013642644253", 10, 41),
+            "CappedUCB": ("13.089925202577627", 3, 6),
+        },
+        "hotspot_burst": {
+            "MAPS": ("4754.344733350181", 48, 266),
+            "BaseP": ("4757.841695811437", 51, 279),
+            "SDR": ("2249.3069568382425", 25, 25),
+            "SDE": ("4139.935407719299", 36, 202),
+            "CappedUCB": ("3184.3247346032695", 20, 98),
+        },
+        "synthetic": {
+            "MAPS": ("2732.7004472689737", 32, 110),
+            "BaseP": ("2455.5450828911767", 32, 126),
+            "SDR": ("1781.964325834", 25, 28),
+            "SDE": ("2195.483483056155", 29, 68),
+            "CappedUCB": ("1737.9169532362816", 14, 19),
+        },
+    }
+    #: ``city_scale`` BaseP runs off the default exact ``matroid`` path.
+    VARIANT_PINS = {
+        "max_degree=2": ({"max_degree": 2}, ("2663.847638279497", 240, 417)),
+        "greedy": ({"matching_backend": "greedy"}, ("3006.878866518398", 273, 417)),
+        "vgreedy": ({"matching_backend": "vgreedy"}, ("2900.8134069432294", 271, 417)),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(PINS))
+    def test_every_strategy_is_pinned(self, scenario):
+        assert sorted(self.PINS) == available_scenarios(), (
+            "PINS out of sync with the scenario registry"
+        )
+        workload = _pin_workload(scenario)
+        for name in PAPER_STRATEGIES:
+            assert _pinned_run(workload, name) == self.PINS[scenario][name], name
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_PINS))
+    def test_capped_and_non_matroid_runs_are_pinned(self, variant):
+        engine_kwargs, expected = self.VARIANT_PINS[variant]
+        workload = _pin_workload("city_scale")
+        assert _pinned_run(workload, "BaseP", **engine_kwargs) == expected
 
 
 class TestOracle:

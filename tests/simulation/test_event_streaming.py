@@ -124,10 +124,16 @@ class TestEventEngineEquivalence:
         with pytest.raises(ValueError, match="MAPS"):
             DispatchSession(stream, maps, seed=SEED)
 
-    def test_task_lifetime_must_be_positive(self):
+    @pytest.mark.parametrize("lifetime", [0.0, float("nan"), float("inf")])
+    def test_task_lifetime_must_be_positive(self, lifetime):
         stream = _stream()
-        with pytest.raises(ValueError, match="lifetime"):
-            DispatchSession(stream, _strategy("BaseP", stream), task_lifetime=0.0)
+        with pytest.raises(ValueError, match="task_lifetime"):
+            DispatchSession(stream, _strategy("BaseP", stream), task_lifetime=lifetime)
+
+    @pytest.mark.parametrize("lifetime", [float("nan"), float("inf")])
+    def test_engine_task_lifetime_must_be_finite(self, lifetime):
+        with pytest.raises(ValueError, match="task_lifetime"):
+            EventStreamingEngine(_stream(), seed=SEED, task_lifetime=lifetime)
 
     def test_ratio_strategies_quote_the_window_zero_limit(self, tiny_workload):
         """Supply/demand-ratio pricing quotes each event as a singleton

@@ -21,8 +21,10 @@ from repro.matching.registry import available_backends
 from repro.matching.weighted import max_weight_matching
 from repro.pricing.registry import available_strategies, calibrated_kwargs, create_strategy
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.sharded import ShardedEngine
 from repro.spatial.geometry import Point
 from repro.spatial.grid import Grid
+from repro.spatial.index import GridSpatialIndex
 
 
 def _metrics_tuple(result):
@@ -74,6 +76,30 @@ class TestVectorizedPathBitIdentity:
                 loop = engine.run(create_strategy(name, **kwargs))
             assert _metrics_tuple(vectorized) == _metrics_tuple(loop), name
             assert _outcome_tuples(vectorized) == _outcome_tuples(loop), name
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_loop_builder_flag_reaches_the_period_loop(
+        self, tiny_workload, monkeypatch, num_shards
+    ):
+        """The period loop builds its graphs from columns; the flag must
+        still route them through the scalar loop builder, or the
+        comparison above would run the vectorised builder twice."""
+        inserts = []
+        original = GridSpatialIndex.insert
+
+        def counting_insert(index, item, point):
+            inserts.append(item)
+            return original(index, item, point)
+
+        monkeypatch.setattr(GridSpatialIndex, "insert", counting_insert)
+        engine = ShardedEngine(tiny_workload, num_shards=num_shards, halo=0, seed=3)
+        engine.run(create_strategy("BaseP", base_price=2.0))
+        assert not inserts
+        with force_loop_builder():
+            engine.run(create_strategy("BaseP", base_price=2.0))
+        # Every task of a period with workers enters the loop builder's
+        # spatial index (shards without workers short-circuit).
+        assert 0 < len(inserts) <= tiny_workload.total_tasks
 
     def test_all_backends_identical_pairs_across_builders(self, tiny_workload):
         """Per-period matchings (pairs, not just weight) coincide."""

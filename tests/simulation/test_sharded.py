@@ -2,8 +2,10 @@
 
 Headline guarantees:
 
-* ``num_shards=1`` reproduces the batch engine **bit-identically** for
-  fixed seeds, across all five pricing strategies;
+* ``num_shards=1`` — the batch engine — reproduces the seed loop
+  (:func:`~repro.simulation.legacy.run_reference`) **bit-identically**
+  for fixed seeds across all five pricing strategies, and the binned
+  streaming engine outcome for outcome;
 * ``num_shards>1`` stays within a tested revenue tolerance of the global
   solve on every registered scenario;
 * the halo-exchange pass only ever recovers matches;
@@ -23,8 +25,10 @@ from repro.experiments.parallel import ParallelRunner, ShardSpec, StrategySpec
 from repro.pricing.registry import PAPER_STRATEGIES, calibrated_kwargs, create_strategy
 from repro.simulation.config import ChunkedWorkload
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.legacy import run_reference
 from repro.simulation.scenarios import available_scenarios, get_scenario
 from repro.simulation.sharded import ShardedEngine
+from repro.simulation.streaming import StreamingEngine, workload_to_stream
 
 #: Small-but-dense scales per scenario for the cross-scenario tolerance
 #: sweep (city_scale's scale stretches the horizon, not the density).
@@ -63,25 +67,36 @@ def _assert_identical(batch, sharded):
 class TestSingleShardBitEquivalence:
     @pytest.mark.parametrize("name", PAPER_STRATEGIES)
     def test_one_shard_reproduces_batch_engine(
-        self, name, tiny_workload, tiny_engine, tiny_calibration
+        self, name, tiny_workload, tiny_calibration
     ):
-        batch = tiny_engine.run(
-            _strategy(name, tiny_calibration, tiny_workload.price_bounds)
+        """The seed loop (matroid, uncapped) is the independent oracle."""
+        reference = run_reference(
+            tiny_workload,
+            _strategy(name, tiny_calibration, tiny_workload.price_bounds),
+            seed=3,
         )
         sharded = ShardedEngine(tiny_workload, num_shards=1, seed=3).run(
             _strategy(name, tiny_calibration, tiny_workload.price_bounds)
         )
-        _assert_identical(batch, sharded)
+        _assert_identical(reference, sharded)
 
     def test_one_shard_outcomes_match_batch(self, tiny_workload, tiny_calibration):
-        batch = SimulationEngine(tiny_workload, seed=3, keep_details=True).run(
-            _strategy("BaseP", tiny_calibration, tiny_workload.price_bounds)
-        )
+        """Per-period outcomes against the binned streaming engine, which
+        skips event-less windows: join on ``period``."""
+        binned = StreamingEngine(
+            workload_to_stream(tiny_workload), seed=3, window=1.0, keep_details=True
+        ).run(_strategy("BaseP", tiny_calibration, tiny_workload.price_bounds))
         sharded = ShardedEngine(
             tiny_workload, num_shards=1, seed=3, keep_details=True
         ).run(_strategy("BaseP", tiny_calibration, tiny_workload.price_bounds))
-        assert len(sharded.outcomes) == len(batch.outcomes)
-        for ours, theirs in zip(sharded.outcomes, batch.outcomes):
+        assert len(sharded.outcomes) == tiny_workload.num_periods
+        by_period = {outcome.period: outcome for outcome in binned.outcomes}
+        assert set(by_period) <= {outcome.period for outcome in sharded.outcomes}
+        for ours in sharded.outcomes:
+            theirs = by_period.get(ours.period)
+            if theirs is None:
+                assert (ours.num_tasks, ours.revenue) == (0, 0.0)
+                continue
             assert (ours.period, ours.num_tasks, ours.num_workers) == (
                 theirs.period,
                 theirs.num_tasks,

@@ -7,14 +7,11 @@ reproduces the batch engine's revenue / served / accepted metrics
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.gdp import PeriodInstance
 from repro.market.entities import Task, Worker
 from repro.pricing.registry import PAPER_STRATEGIES, create_strategy
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.pipeline import PeriodPipeline
 from repro.simulation.scenarios import get_scenario
 from repro.simulation.streaming import (
     ArrivalStream,
@@ -87,47 +84,14 @@ class TestBatchEquivalence:
         ).run(_strategy("BaseP", tiny_calibration, tiny_workload.price_bounds))
         _assert_metrics_identical(batch, stream)
 
-    def test_incremental_window_matching_matches_matroid_backend(
-        self, tiny_workload, tiny_calibration
-    ):
-        """Direct check of the IncrementalMatcher-based window matching."""
-        period = max(
-            range(tiny_workload.num_periods),
-            key=lambda p: len(tiny_workload.tasks_by_period[p]),
-        )
-        workers = [
-            worker
-            for tick in range(period + 1)
-            for worker in tiny_workload.workers_by_period[tick]
-        ]
-        instance = PeriodInstance.build(
-            period=period,
-            grid=tiny_workload.grid,
-            tasks=tiny_workload.tasks_by_period[period],
-            workers=workers,
-            metric=tiny_workload.metric,
-        )
-        pipeline = PeriodPipeline(
-            price_bounds=tiny_workload.price_bounds,
-            acceptance=tiny_workload.acceptance,
-        )
-        strategy = _strategy("BaseP", tiny_calibration, tiny_workload.price_bounds)
-        strategy.reset()
-        prices = pipeline.quote(strategy, instance)
-        rng = np.random.default_rng(11)
-        decision = pipeline.decide(instance, prices, rng)
-        expected = pipeline.match(instance, decision)
-
-        engine = StreamingEngine(workload_to_stream(tiny_workload), seed=3)
-        actual = engine._match_window(instance, decision)
-        assert actual[0] == expected[0]
-        assert actual[1] == expected[1]
-
 
 class TestWindows:
-    def test_window_must_be_positive(self, tiny_workload):
-        with pytest.raises(ValueError):
-            StreamingEngine(workload_to_stream(tiny_workload), window=0.0)
+    @pytest.mark.parametrize("window", [0.0, float("inf"), float("nan")])
+    def test_window_must_be_positive(self, window, tiny_workload):
+        """An infinite window puts every window start at ``0 * inf``
+        (NaN) and drops every worker; a NaN one fails only mid-run."""
+        with pytest.raises(ValueError, match="window"):
+            StreamingEngine(workload_to_stream(tiny_workload), window=window)
 
     @pytest.mark.parametrize("window", [0.5, 2.0, 5.0])
     def test_non_unit_windows_dispatch_every_task(
