@@ -68,6 +68,7 @@ from repro.simulation.streaming import (
     DispatchSession,
     Settlement,
     StreamingEngine,
+    _refuse_batch_planner,
     build_universe,
     checked_duration,
 )
@@ -87,14 +88,15 @@ class ServiceConfig:
         seed: Scenario *and* session seed (acceptance RNG, calibration).
         params: Extra scenario parameters.
         strategy: Default pricing strategy (a ``hello`` may override with
-            any grid-state strategy; MAPS is refused — see
-            :class:`~repro.simulation.streaming.DispatchSession`).
+            any grid-state strategy; MAPS, which cannot quote a single
+            event, is refused before ``ready``).
         task_lifetime: Default task lifetime in period units.
         max_degree: Optional universe adjacency cap.  Unset, sessions
-            quote off the live adjacency plane and the startup universe
-            skips its graph build; set, they run the universe
+            quote off the live adjacency plane and the universe graph is
+            never built; set, they run the universe
             :class:`~repro.matching.incremental.DynamicMatcher` (the rule
-            of :class:`~repro.simulation.streaming.DispatchSession`).
+            of :class:`~repro.simulation.streaming.DispatchSession`),
+            which builds the capped graph during the first handshake.
         slo_ms: Per-quote latency objective in milliseconds; ``None``
             disables degradation entirely.
         degrade_fraction: Degrade a quote once its queue wait exceeds
@@ -254,11 +256,7 @@ class DispatchServer:
             scale=config.scale, seed=config.seed, **dict(config.params)
         )
         instance, task_arrivals, worker_arrivals = build_universe(
-            stream,
-            max_degree=config.max_degree,
-            # Uncapped sessions never touch the universe graph — the
-            # pre-scan keeps only the position-aligned lists and arrays.
-            build_graph=config.max_degree is not None,
+            stream, max_degree=config.max_degree
         )
         arrays = instance.ensure_arrays()
         # The universe columns the quoting tier reads per event live in
@@ -380,7 +378,9 @@ class DispatchServer:
             try:
                 self._write(writer, error_message(str(exc)))
                 await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError, ProtocolError):
+                # drain() re-raises a consumer failure handed to the
+                # reader; closing the writer below still flushes the reply.
                 pass
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
@@ -457,6 +457,8 @@ class DispatchServer:
                     p_max=self._stream.price_bounds[1],
                 ),
             )
+            # Refused here, before ``ready``, not at the first quote.
+            _refuse_batch_planner(strategy)
             return DispatchSession(
                 self._stream,
                 strategy,
@@ -497,6 +499,15 @@ class DispatchServer:
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_size)
         self._active_queue = queue
         consumer = asyncio.create_task(self._consume(session, queue, writer))
+
+        def _fail_reader(task: asyncio.Task) -> None:
+            # The client waits for the reply to the event that killed the
+            # consumer, so the reader must not wait in readline() for its
+            # next line: hand it the failure instead.
+            if not task.cancelled() and task.exception() is not None:
+                reader.set_exception(task.exception())
+
+        consumer.add_done_callback(_fail_reader)
         # Universe positions are assigned here, at ingest: a shed task
         # still consumes its position, because the client replays the
         # stream in order and the *next* delivered task must line up
@@ -734,7 +745,10 @@ class DispatchServer:
                             "rejected": self.stats.counters.get("rejected", 0),
                         },
                     )
-            except (KeyError, TypeError) as exc:
+            except ProtocolError:
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
+                # ValueError covers an event time the session refuses.
                 raise ProtocolError(f"malformed {mtype} message: {exc}") from exc
             finally:
                 queue.task_done()

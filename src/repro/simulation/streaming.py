@@ -34,12 +34,25 @@ revenue / served / accepted metrics *bit-identically* for fixed seeds: the
 RNG stream, the per-window instances, the worker-pool evolution and the
 matching all coincide.  ``tests/simulation/test_streaming.py`` asserts
 this across all five pricing strategies.
+
+**Dynamic dispatch: one session core, two drivers.**  Where
+:class:`StreamingEngine` matches or loses a task in its own window, the
+dynamic path keeps accepted tasks tentatively matched until a deadline
+in one maintained matching.  All of that state lives in one
+:class:`DispatchSession`: the pre-scanned universe
+(:func:`build_universe`), the dynamic matcher, the live population and
+the deadline and departure heaps.  :class:`DynamicStreamingEngine`
+drives it one window at a time (:meth:`DispatchSession.on_window`);
+:class:`EventStreamingEngine` and the ``repro.service`` server drive it
+one event at a time (:meth:`DispatchSession.on_task` /
+:meth:`DispatchSession.on_worker`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -66,7 +79,7 @@ from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import WorkloadBundle
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.oracle import calibrate_base_price_for_context
-from repro.simulation.pipeline import PeriodPipeline
+from repro.simulation.pipeline import DecideResult, PeriodPipeline
 from repro.simulation.results import PeriodOutcome, SimulationResult
 from repro.spatial.grid import Grid
 from repro.spatial.index import IncrementalAdjacencyIndex
@@ -331,23 +344,22 @@ def stream_to_workload(
 def build_universe(
     stream: ArrivalStream,
     max_degree: Optional[int] = None,
-    build_graph: bool = True,
 ) -> Tuple[PeriodInstance, List[float], List[float]]:
     """Pre-scan a (re-iterable) stream into one all-time instance.
 
     Returns the universe :class:`PeriodInstance` over every task and
     worker the stream will ever yield (in stream order, so positions
     align with running arrival counters), plus the per-position task and
-    worker arrival times.  The delta matcher
-    (:class:`~repro.matching.incremental.DynamicMatcher`) works on this
-    fixed adjacency; liveness is tracked per position.  Shared by
-    :class:`DynamicStreamingEngine`, :class:`DispatchSession` and the
-    ``repro.service`` front end so all three agree on positions.
+    worker arrival times.  Every :class:`DispatchSession` owns one, so
+    both of its drivers (:class:`DynamicStreamingEngine` and
+    :class:`EventStreamingEngine`) and the ``repro.service`` front end
+    agree on positions.
 
-    With ``build_graph=False`` the instance carries a lazy graph proxy
-    (never materialised unless someone touches ``.graph``) — the right
-    universe for an uncapped run, whose live-plane matcher only needs
-    the position-aligned entity lists and arrival times.
+    The graph stays behind a lazy proxy until someone touches
+    ``.graph``: an uncapped session matches on the live plane and never
+    does, while the capped universe
+    :class:`~repro.matching.incremental.DynamicMatcher` builds it (with
+    the ``max_degree`` cap) as soon as it is constructed.
     """
     tasks: List[Task] = []
     workers: List[Worker] = []
@@ -367,7 +379,7 @@ def build_universe(
         workers=workers,
         metric=stream.metric,
         max_degree=None if max_degree is None else int(max_degree),
-        build_graph=build_graph,
+        build_graph=False,
     )
     return instance, task_arrivals, worker_arrivals
 
@@ -627,8 +639,8 @@ class _LiveSessionMatcher:
     — per-arrival cost tracks the live neighbourhood, not the stream
     horizon.
 
-    Exposes exactly the methods :class:`DispatchSession` and
-    :class:`DynamicStreamingEngine` call on the universe
+    Exposes exactly the methods :class:`DispatchSession` and the
+    ``rewindow`` rebuild call on the universe
     :class:`DynamicMatcher` (``insert_worker`` / ``insert_task`` /
     ``insert_task_greedy`` / ``is_task_matched`` / ``task_of`` /
     ``commit_task`` / ``remove_task`` / ``remove_worker``, plus the
@@ -742,20 +754,18 @@ _Settled = Tuple[str, float, Optional[int], Optional[int], float]
 def _dynamic_matcher(
     stream: ArrivalStream,
     max_degree: Optional[int],
-    tasks: Sequence[Task],
-    workers: Sequence[Worker],
-    universe: Optional[PeriodInstance] = None,
+    universe: PeriodInstance,
 ) -> _Matcher:
     """The one backend rule: the degree cap alone picks the dynamic matcher.
 
     Uncapped, the live plane (:class:`_LiveSessionMatcher` over the
-    position-aligned ``tasks`` / ``workers``, which may still be growing):
-    an insert costs its live neighbourhood and no universe graph is
-    read.  Capped, the universe :class:`DynamicMatcher` over
-    ``universe.graph``: the cap keeps a task's nearest live-*or-future*
-    workers, a whole-universe rule the live plane does not define.
-    :class:`DynamicStreamingEngine` (both ``resolve`` modes) and
-    :class:`DispatchSession`, hence the service, get their matchers here.
+    universe's position-aligned tasks and workers): an insert costs its
+    live neighbourhood and the universe graph is never read.  Capped,
+    the universe :class:`DynamicMatcher` over ``universe.graph``: the cap
+    keeps a task's nearest live-*or-future* workers, a whole-universe
+    rule the live plane does not define.  :class:`DispatchSession`, and
+    so both of its drivers, the service and the ``rewindow`` rebuild,
+    gets its matcher here.
 
     An uncapped run's floats equal the universe matcher's even though
     windowed tasks enter in ``(-weight, position)`` order, so lazy task
@@ -763,7 +773,9 @@ def _dynamic_matcher(
     backend rule") gives the three facts that carry it.
     """
     if max_degree is None:
-        return _LiveSessionMatcher(stream.grid, stream.metric, tasks, workers)
+        return _LiveSessionMatcher(
+            stream.grid, stream.metric, universe.tasks, universe.workers
+        )
     return DynamicMatcher(universe.graph, [0.0] * len(universe.tasks))
 
 
@@ -812,15 +824,25 @@ def _settle(
             yield "depart", due, None, worker_pos, 0.0
 
 
-def _commit_totals(settlements: Iterable[_Settled]) -> Tuple[float, int]:
+def _commit_totals(settlements: Iterable["Settlement"]) -> Tuple[float, int]:
     """Revenue (summed from ``0.0`` in settlement order) and commits."""
     revenue = 0.0
     commits = 0
-    for kind, _due, _task, _worker, amount in settlements:
-        if kind == "commit":
-            revenue += amount
+    for settlement in settlements:
+        if settlement.kind == "commit":
+            revenue += settlement.revenue
             commits += 1
     return revenue, commits
+
+
+def _refuse_batch_planner(strategy: PricingStrategy) -> None:
+    """Refuse MAPS, which plans a batch's supply and so cannot quote one event."""
+    if strategy.name == "MAPS":
+        raise ValueError(
+            "MAPS prices a window batch against its worker supply and "
+            "cannot quote single events; choose a grid-state strategy "
+            "(BaseP, SDR, SDE, CappedUCB) for event-at-a-time dispatch"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -848,10 +870,12 @@ class DynamicStreamingEngine(StreamingEngine):
     engine is a per-window re-solve whose cost scales with the churn
     delta, not the standing population.
 
-    **Backend rule** (:func:`_dynamic_matcher`, shared with
-    :class:`DispatchSession`): without ``max_degree`` the matching lives
-    on the live adjacency plane
-    (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
+    The engine is a thin driver: it groups the stream into windows and
+    hands each to :meth:`DispatchSession.on_window`, which owns the
+    matcher, the live population and the deadline and departure heaps.
+    The **backend rule** is the session's (:func:`_dynamic_matcher`):
+    without ``max_degree`` the matching lives on the live adjacency
+    plane (:class:`~repro.spatial.index.IncrementalAdjacencyIndex` +
     :class:`~repro.matching.incremental.LazyDynamicMatcher`), so an
     arrival costs its live neighbourhood and no universe graph is built;
     a capped run uses the universe
@@ -861,8 +885,7 @@ class DynamicStreamingEngine(StreamingEngine):
     Args:
         stream: The arrival stream.  **Must be re-iterable** (a collection
             or factory callable): the engine pre-scans the events once
-            into position-aligned entity lists (plus the universe
-            adjacency when capped), then streams them again.
+            into the session's universe, then streams them again.
         seed: Accept/reject RNG seed, derived as in the base engine.
         window: Dispatch window length in period units.
         task_lifetime: Default number of period units an accepted task
@@ -920,9 +943,7 @@ class DynamicStreamingEngine(StreamingEngine):
         live_workers: set,
     ) -> _Matcher:
         """Fresh batch re-solve over the live population (rewindow mode)."""
-        matcher = _dynamic_matcher(
-            self.stream, self.max_degree, universe.tasks, universe.workers, universe
-        )
+        matcher = _dynamic_matcher(self.stream, self.max_degree, universe)
         for worker_pos in sorted(live_workers):
             matcher.insert_worker(worker_pos)
         for task_pos in sorted(
@@ -947,152 +968,58 @@ class DynamicStreamingEngine(StreamingEngine):
     def run(self, strategy: PricingStrategy) -> SimulationResult:
         """Dispatch the full stream, maintaining one matching under churn.
 
-        Per dispatched window, in order: settle due deadlines and worker
-        departures; insert arriving workers (absorbing freed capacity);
-        quote and realise accept/reject over the window's tasks against
-        the free live workers; insert accepted tasks in non-increasing
-        weight order; feed back tentative serve signals.  After the last
-        event the remaining deadline/departure heap drains (tentative
-        pairs commit unless their worker departs first).
+        Each dispatched window goes to :meth:`DispatchSession.on_window`
+        (settle to the window start, join its workers, quote and decide
+        its tasks against the free live workers, insert the accepted
+        ones, feed back).  After the last event the session drains
+        (tentative pairs commit unless their worker departs first).
         """
-        strategy.reset()
         collector = MetricsCollector(strategy.name, track_memory=self.track_memory)
         collector.start()
-        rng = np.random.default_rng(derive_seed(self.seed, "acceptance", strategy.name))
-        pipeline = PeriodPipeline(
-            price_bounds=self.stream.price_bounds,
-            acceptance=self.stream.acceptance,
-            matching_backend="matroid",
-        )
-
-        # An uncapped run never reads the universe graph: it stays a lazy
-        # proxy, built only if a test seam touches ``universe.graph``.
-        universe, task_arrivals, _ = build_universe(
+        session = DispatchSession(
             self.stream,
+            strategy,
+            seed=self.seed,
+            task_lifetime=self.task_lifetime,
             max_degree=self.max_degree,
-            build_graph=self.max_degree is not None,
+            universe=build_universe(self.stream, max_degree=self.max_degree),
+            collector=collector,
         )
-        matcher = _dynamic_matcher(
-            self.stream, self.max_degree, universe.tasks, universe.workers, universe
-        )
-        live_weights: Dict[int, float] = {}
-        live_workers: set = set()
-        deadlines: List[Tuple[float, int]] = []
-        departures: List[Tuple[float, int]] = []
+        outcomes: List[PeriodOutcome] = []
         next_task = 0
         next_worker = 0
-        outcomes: List[PeriodOutcome] = []
-
-        for widx, tasks, arriving_workers in self._windows():
-            window_start = widx * self.window
-            revenue, commits = _commit_totals(
-                _settle(
-                    matcher, deadlines, departures, live_weights, live_workers,
-                    window_start,
-                )
+        for widx, tasks, workers in self._windows():
+            outcome = session.on_window(
+                widx,
+                widx * self.window,
+                range(next_task, next_task + len(tasks)),
+                range(next_worker, next_worker + len(workers)),
             )
-
-            for worker in arriving_workers:
-                worker_pos = next_worker
-                next_worker += 1
-                if worker.duration is not None:
-                    departs = float(worker.period + worker.duration)
-                    if departs <= window_start:
-                        continue  # expired before its first dispatch
-                    heapq.heappush(departures, (departs, worker_pos))
-                matcher.insert_worker(worker_pos)
-                live_workers.add(worker_pos)
-
-            accepted = 0
-            grid_prices: Dict[int, float] = {}
-            num_free = 0
-            if tasks:
-                task_base = next_task
-                next_task += len(tasks)
-                free_positions = [
-                    pos for pos in sorted(live_workers)
-                    if matcher.task_of(pos) is None
-                ]
-                num_free = len(free_positions)
-                instance = PeriodInstance.build(
-                    period=widx,
-                    grid=self.stream.grid,
-                    tasks=tasks,
-                    workers=[universe.workers[pos] for pos in free_positions],
-                    metric=self.stream.metric,
-                    max_degree=self.max_degree,
-                )
-                with collector.time_pricing():
-                    grid_prices = pipeline.quote(strategy, instance)
-                with collector.time_decide():
-                    decision = pipeline.decide(instance, grid_prices, rng)
-                accepted = int(decision.accepted.sum())
-                with collector.time_matching():
-                    arrays = instance.ensure_arrays()
-                    weights = arrays.distances * decision.prices
-                    weight_arr, order = eligible_order(
-                        instance.num_tasks, weights, decision.accepted_positions
-                    )
-                    for local_pos in order:
-                        task_pos = task_base + local_pos
-                        weight = float(weight_arr[local_pos])
-                        matcher.insert_task(task_pos, weight)
-                        live_weights[task_pos] = weight
-                        task = tasks[local_pos]
-                        lifetime = (
-                            task.duration
-                            if task.duration is not None
-                            else self.task_lifetime
-                        )
-                        heapq.heappush(
-                            deadlines,
-                            (task_arrivals[task_pos] + lifetime, task_pos),
-                        )
-                # Tentative serve signals: what the platform believes at
-                # quote time.  Worker values are unused by the feedback
-                # stage (it reads the matched-task keys only).
-                tentative = {
-                    local_pos: -1
-                    for local_pos in range(len(tasks))
-                    if matcher.is_task_matched(task_base + local_pos)
-                }
-                with collector.time_decide():
-                    batch = pipeline.feedback(instance, decision, tentative)
-                with collector.time_pricing():
-                    strategy.observe_feedback_batch(batch)
-
+            next_task += len(tasks)
+            next_worker += len(workers)
             if self.resolve == "rewindow":
-                matcher = self._rebuild(universe, live_weights, live_workers)
+                session.matcher = self._rebuild(
+                    session.universe, session.live_weights, session.live_workers
+                )
             self._post_window_hook(
-                widx, matcher, live_weights, live_workers, universe
+                widx,
+                session.matcher,
+                session.live_weights,
+                session.live_workers,
+                session.universe,
             )
-
-            if tasks or revenue or commits:
+            if outcome.num_tasks or outcome.revenue or outcome.served_tasks:
                 collector.record_period(
-                    revenue=revenue,
-                    served_tasks=commits,
-                    accepted_tasks=accepted,
-                    total_tasks=len(tasks),
+                    revenue=outcome.revenue,
+                    served_tasks=outcome.served_tasks,
+                    accepted_tasks=outcome.accepted_tasks,
+                    total_tasks=outcome.num_tasks,
                 )
             if self.keep_details:
-                outcomes.append(
-                    PeriodOutcome(
-                        period=widx,
-                        num_tasks=len(tasks),
-                        num_workers=num_free,
-                        prices=grid_prices,
-                        accepted_tasks=accepted,
-                        served_tasks=commits,
-                        revenue=revenue,
-                    )
-                )
+                outcomes.append(outcome)
 
         # Drain everything still pending after the final event.
-        revenue, commits = _commit_totals(
-            _settle(
-                matcher, deadlines, departures, live_weights, live_workers, math.inf
-            )
-        )
+        revenue, commits = _commit_totals(session.drain())
         if revenue or commits:
             collector.record_period(
                 revenue=revenue,
@@ -1160,47 +1087,50 @@ class Settlement:
 
 
 class DispatchSession:
-    """Event-at-a-time dispatch over one maintained matching.
+    """Dispatch over one maintained matching: the one session core.
 
-    The no-window dispatch core: each arrival is processed the moment it
-    happens — settle everything due up to the event time, then quote →
-    decide → insert (tasks) or join (workers) — with one resident dynamic
-    matcher (:func:`_dynamic_matcher`) carrying the tentative assignment
-    state across events.  Both the offline :class:`EventStreamingEngine`
-    and the ``repro.service`` socket front end drive this same object,
-    which is what makes the service's differential gate against the
-    offline engine exact: same ops in the same order on the same floats
-    (``tests/service/test_server.py::TestDifferentialGate``).  The live
-    plane reproduces the universe matcher's repairs bitwise
-    (``tests/matching/test_lazy_dynamic.py``).
+    The session owns the position-aligned universe
+    (:func:`build_universe`), one resident dynamic matcher
+    (:func:`_dynamic_matcher`), the live task weights and workers, and
+    the deadline and departure heaps.  Every arrival takes the same
+    steps: settle everything due up to its time, join workers, quote and
+    decide tasks, insert the accepted ones in ``eligible_order`` with a
+    deadline at arrival + lifetime, and feed the tentative serve signals
+    back.  Two drivers feed it: :meth:`on_window` takes a window as one
+    micro-batch (:class:`DynamicStreamingEngine`), and :meth:`on_task` /
+    :meth:`on_worker` / :meth:`depart_worker` take one event at a time
+    (:class:`EventStreamingEngine` and ``repro.service``, whose
+    differential gate against the offline engine is exact because both
+    make the same calls on the same floats).
 
-    Compared to the windowed :class:`DynamicStreamingEngine` the
-    semantics differ in exactly two documented ways (``docs/service.md``):
-    settlements happen at *event* time rather than window starts (so a
-    worker expiring between two arrivals is gone for the second, which
-    the windowed engines deliberately do not adopt), and each task is
-    priced on a single-task instance rather than a window batch
-    (identical prices for the grid-state strategies; the
-    batch-supply-aware MAPS planner is rejected at construction).
+    The drivers differ in two documented ways (``docs/service.md``).  A
+    window settles and checks worker expiry at its *start*, an event at
+    its own time.  And an event is priced on a single-task instance with
+    no workers: SDR, SDE and CappedUCB, which read ``workers_by_grid``,
+    see no supply there, and MAPS, which plans against the batch's
+    supply, cannot quote it at all (:meth:`on_task` refuses it).  Every
+    event time must be finite and no earlier than :attr:`clock`; a bad
+    time raises :class:`ValueError` before any state changes.
 
     Args:
-        stream: The arrival stream (market context; its events are only
-            consumed here when ``universe`` is not supplied).
+        stream: The arrival stream (market context; its events are read
+            only to pre-scan the universe when ``universe`` is not
+            supplied).
         strategy: The pricing strategy; it is ``reset()`` and then owned
-            by the session (per-event feedback mutates its state).
+            by the session (feedback mutates its state).
         seed: Accept/reject RNG seed, derived exactly as the engines do.
         task_lifetime: Default task lifetime (``Task.duration`` overrides
             per task).
         max_degree: Optional universe adjacency cap; selects the universe
-            matcher.  Uncapped sessions build no universe graph and, with
-            no ``universe`` supplied, materialise events lazily from the
-            stream as positions are first touched.
+            matcher (which builds the universe graph) and caps each
+            window instance's graph.
         universe: Pre-built ``(instance, task_arrivals, worker_arrivals)``
             triple from :func:`build_universe` (with the same
-            ``max_degree``), to skip the pre-scan.
+            ``max_degree``); when omitted the session pre-scans the
+            stream itself.
         collector: Optional :class:`MetricsCollector`; stage timings are
-            attributed like the windowed engine (quote/observe → pricing,
-            decide/feedback → decide, settle/insert → matching).
+            attributed like the batch engine (quote/observe → pricing,
+            decide/feedback → decide, settle/join/insert → matching).
         stage_hook: Optional ``(stage, seconds)`` callback observing wall
             time per stage (``settle``/``quote``/``decide``/``match``/
             ``feedback``) — the service's latency histograms.
@@ -1217,32 +1147,16 @@ class DispatchSession:
         collector: Optional[MetricsCollector] = None,
         stage_hook: Optional[Callable[[str, float], None]] = None,
     ) -> None:
-        if getattr(strategy, "name", None) == "MAPS":
-            raise ValueError(
-                "MAPS prices a window batch against its worker supply and "
-                "cannot quote single events; choose a grid-state strategy "
-                "(BaseP, SDR, SDE, CappedUCB) for event-at-a-time dispatch"
-            )
         self.stream = stream
         self.strategy = strategy
         self.seed = int(seed)
         self.task_lifetime = checked_duration(task_lifetime, "task_lifetime")
-        self._events: Optional[Iterator[ArrivalEvent]] = None
-        if universe is None and max_degree is not None:
+        self.max_degree = max_degree
+        if universe is None:
             universe = build_universe(stream, max_degree=max_degree)
-        if universe is not None:
-            self.universe, self._task_arrivals, self._worker_arrivals = universe
-            self._tasks: Sequence[Task] = self.universe.tasks
-            self._workers: Sequence[Worker] = self.universe.workers
-        else:
-            # No pre-scan: entities and arrival times materialise lazily
-            # from the stream, in order, as positions are first touched.
-            self.universe = None
-            self._events = _validated_events(stream)
-            self._tasks = []
-            self._workers = []
-            self._task_arrivals = []
-            self._worker_arrivals = []
+        self.universe, self._task_arrivals, self._worker_arrivals = universe
+        self._tasks: Sequence[Task] = self.universe.tasks
+        self._workers: Sequence[Worker] = self.universe.workers
         self.collector = collector
         self.stage_hook = stage_hook
 
@@ -1255,9 +1169,7 @@ class DispatchSession:
             acceptance=stream.acceptance,
             matching_backend="matroid",
         )
-        self.matcher = _dynamic_matcher(
-            stream, max_degree, self._tasks, self._workers, self.universe
-        )
+        self.matcher = _dynamic_matcher(stream, max_degree, self.universe)
         self.live_weights: Dict[int, float] = {}
         self.live_workers: set = set()
         self._deadlines: List[Tuple[float, int]] = []
@@ -1275,61 +1187,34 @@ class DispatchSession:
         self.commit_log: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
-    # lazy event materialisation (uncapped, no universe supplied)
+    # stage timing and the clock
     # ------------------------------------------------------------------
-    def _materialise(self, kind: str, pos: int) -> None:
-        """Advance the stream until position ``pos`` of ``kind`` exists.
-
-        Arrival order is position order on each side, so a driver that
-        walks the stream with running counters only ever asks for the
-        next position — the pull below is O(events since the last call).
-        Events of the *other* kind encountered on the way are stored too
-        (their positions advance in lockstep with the driver's
-        counters); they enter the market only when their own
-        ``on_task``/``on_worker`` call arrives.
-        """
-        entities = self._tasks if kind == "task" else self._workers
-        while pos >= len(entities):
-            event = next(self._events, None)
-            if event is None:
-                raise IndexError(
-                    f"{kind} position {pos} is beyond the end of the stream"
-                )
-            if isinstance(event, TaskArrival):
-                self._tasks.append(event.task)
-                self._task_arrivals.append(float(event.time))
-            else:
-                self._workers.append(event.worker)
-                self._worker_arrivals.append(float(event.time))
-
-    def _task_at(self, task_pos: int) -> Task:
-        if self._events is not None:
-            self._materialise("task", task_pos)
-        return self._tasks[task_pos]
-
-    def _worker_at(self, worker_pos: int) -> Worker:
-        if self._events is not None:
-            self._materialise("worker", worker_pos)
-        return self._workers[worker_pos]
-
-    # ------------------------------------------------------------------
-    # stage timing
-    # ------------------------------------------------------------------
-    def _staged(self, stage: str, timer_name: Optional[str]):
-        """Context manager stacking the collector timer and the hook."""
-
-        @contextmanager
-        def _cm() -> Iterator[None]:
-            start = perf_counter() if self.stage_hook is not None else 0.0
-            if self.collector is not None and timer_name is not None:
-                with getattr(self.collector, timer_name)():
-                    yield
-            else:
+    @contextmanager
+    def _staged(self, stage: str, timer_name: str) -> Iterator[None]:
+        """Stack the collector timer and the stage hook."""
+        start = perf_counter() if self.stage_hook is not None else 0.0
+        if self.collector is not None:
+            with getattr(self.collector, timer_name)():
                 yield
-            if self.stage_hook is not None:
-                self.stage_hook(stage, perf_counter() - start)
+        else:
+            yield
+        if self.stage_hook is not None:
+            self.stage_hook(stage, perf_counter() - start)
 
-        return _cm()
+    def _advance(self, time: float) -> float:
+        """Move the clock to ``time``, refusing a non-finite or past time.
+
+        Every entry point calls it first: no due time compares greater
+        than NaN, so a NaN bound would settle everything pending.
+        """
+        at = float(time) if isinstance(time, numbers.Real) else math.nan
+        if not (math.isfinite(at) and at >= self.clock):
+            raise ValueError(
+                f"event time {time!r} must be finite and not before the "
+                f"session clock {self.clock!r}"
+            )
+        self.clock = at
+        return at
 
     # ------------------------------------------------------------------
     # settlement
@@ -1337,10 +1222,8 @@ class DispatchSession:
     def settle_until(self, bound: float) -> List[Settlement]:
         """Commit/expire/depart everything due at or before ``bound``.
 
-        Runs the windowed engine's settlement loop (:func:`_settle`), so
-        windowed and event-at-a-time runs see the identical settlement
-        sequence for the same heap contents.  Returns the settlement
-        records in processing order.
+        Runs the settlement loop (:func:`_settle`) and returns the
+        settlement records in processing order.
         """
         records: List[Settlement] = []
         for kind, due, task_pos, worker_pos, amount in _settle(
@@ -1368,7 +1251,130 @@ class DispatchSession:
             return self.settle_until(math.inf)
 
     # ------------------------------------------------------------------
-    # arrivals
+    # the shared steps
+    # ------------------------------------------------------------------
+    def _join(self, worker_pos: int, at: float) -> bool:
+        """Enter a worker into the market at ``at``, unless already gone."""
+        worker = self._workers[worker_pos]
+        if worker.duration is not None:
+            departs = float(worker.period + worker.duration)
+            if departs <= at:
+                return False  # its availability ended before it arrived
+            heapq.heappush(self._departures, (departs, worker_pos))
+        self.matcher.insert_worker(worker_pos)
+        self.live_workers.add(worker_pos)
+        return True
+
+    def _lifetime(self, task: Task) -> float:
+        return float(task.duration if task.duration is not None else self.task_lifetime)
+
+    def _dispatch(
+        self,
+        instance: PeriodInstance,
+        task_positions: Sequence[int],
+        arrivals: Sequence[float],
+        degrade: bool = False,
+    ) -> Tuple[Dict[int, float], DecideResult, Dict[int, int]]:
+        """Quote, decide, insert and feed back ``instance.tasks``.
+
+        ``task_positions[i]`` / ``arrivals[i]`` are the universe position
+        and arrival time of task ``i``.  Returns the grid prices, the
+        decision and the tentatively matched local positions.
+        """
+        with self._staged("quote", "time_pricing"):
+            grid_prices = self.pipeline.quote(self.strategy, instance)
+        with self._staged("decide", "time_decide"):
+            decision = self.pipeline.decide(instance, grid_prices, self.rng)
+        with self._staged("match", "time_matching"):
+            weights = instance.ensure_arrays().distances * decision.prices
+            weight_arr, order = eligible_order(
+                instance.num_tasks, weights, decision.accepted_positions
+            )
+            insert = (
+                self.matcher.insert_task_greedy if degrade else self.matcher.insert_task
+            )
+            for local_pos in order:
+                task_pos = task_positions[local_pos]
+                weight = float(weight_arr[local_pos])
+                insert(task_pos, weight)
+                self.live_weights[task_pos] = weight
+                deadline = arrivals[local_pos] + self._lifetime(instance.tasks[local_pos])
+                heapq.heappush(self._deadlines, (deadline, task_pos))
+                self.degraded += int(degrade)
+        # Tentative serve signals: what the platform believes at quote
+        # time (the feedback stage reads the matched-task keys only).
+        tentative = {
+            local_pos: -1
+            for local_pos, task_pos in enumerate(task_positions)
+            if self.matcher.is_task_matched(task_pos)
+        }
+        with self._staged("feedback", "time_decide"):
+            batch = self.pipeline.feedback(instance, decision, tentative)
+        with self._staged("feedback", "time_pricing"):
+            self.strategy.observe_feedback_batch(batch)
+        self.quoted += len(task_positions)
+        self.accepted += int(decision.accepted.sum())
+        return grid_prices, decision, tentative
+
+    # ------------------------------------------------------------------
+    # the window driver's entry point
+    # ------------------------------------------------------------------
+    def on_window(
+        self,
+        period: int,
+        start: float,
+        task_positions: Sequence[int],
+        worker_positions: Sequence[int],
+    ) -> PeriodOutcome:
+        """Dispatch one window as a micro-batch.
+
+        Settles to the window ``start``, joins the window's workers, then
+        quotes and decides its tasks as one instance against the free
+        live workers and inserts the accepted ones.  The returned
+        outcome counts those free workers and the commits settled at
+        ``start``.
+        """
+        at = self._advance(start)
+        with self._staged("settle", "time_matching"):
+            revenue, commits = _commit_totals(self.settle_until(at))
+        with self._staged("match", "time_matching"):
+            for worker_pos in worker_positions:
+                self._join(worker_pos, at)
+        grid_prices: Dict[int, float] = {}
+        accepted = 0
+        num_free = 0
+        if task_positions:
+            free = [
+                pos for pos in sorted(self.live_workers)
+                if self.matcher.task_of(pos) is None
+            ]
+            num_free = len(free)
+            instance = PeriodInstance.build(
+                period=period,
+                grid=self.stream.grid,
+                tasks=[self._tasks[pos] for pos in task_positions],
+                workers=[self._workers[pos] for pos in free],
+                metric=self.stream.metric,
+                max_degree=self.max_degree,
+            )
+            grid_prices, decision, _ = self._dispatch(
+                instance,
+                task_positions,
+                [self._task_arrivals[pos] for pos in task_positions],
+            )
+            accepted = int(decision.accepted.sum())
+        return PeriodOutcome(
+            period=period,
+            num_tasks=len(task_positions),
+            num_workers=num_free,
+            prices=grid_prices,
+            accepted_tasks=accepted,
+            served_tasks=commits,
+            revenue=revenue,
+        )
+
+    # ------------------------------------------------------------------
+    # the event driver's entry points
     # ------------------------------------------------------------------
     def on_worker(
         self, worker_pos: int, time: Optional[float] = None
@@ -1379,22 +1385,12 @@ class DispatchSession:
         the worker's availability already expired at its own arrival
         time (a zero-length shift).
         """
-        worker = self._worker_at(worker_pos)
-        at = float(self._worker_arrivals[worker_pos] if time is None else time)
-        self.clock = max(self.clock, at)
+        at = self._advance(self._worker_arrivals[worker_pos] if time is None else time)
         with self._staged("settle", "time_matching"):
             settlements = self.settle_until(at)
-        departs: Optional[float] = None
-        if worker.duration is not None:
-            departs = float(worker.period + worker.duration)
-            if departs <= at:
-                return False, settlements
         with self._staged("match", "time_matching"):
-            self.matcher.insert_worker(worker_pos)
-        self.live_workers.add(worker_pos)
-        if departs is not None:
-            heapq.heappush(self._departures, (departs, worker_pos))
-        return True, settlements
+            joined = self._join(worker_pos, at)
+        return joined, settlements
 
     def depart_worker(
         self, worker_pos: int, time: float
@@ -1406,8 +1402,7 @@ class DispatchSession:
         already departed).  Any duration-scheduled departure left in the
         heap is skipped when it comes up (liveness is re-checked there).
         """
-        at = float(time)
-        self.clock = max(self.clock, at)
+        at = self._advance(time)
         with self._staged("settle", "time_matching"):
             settlements = self.settle_until(at)
         if worker_pos not in self.live_workers:
@@ -1433,21 +1428,23 @@ class DispatchSession:
     ) -> Tuple[QuoteOutcome, List[Settlement]]:
         """A task arrives: settle up to now, quote, decide, insert.
 
-        The quote runs on a single-task instance (no worker batch — the
-        grid-state strategies price from their per-cell state), the
+        The quote runs on a single-task instance with no workers, the
         accept/reject decision consumes the RNG exactly like the batch
-        decide stage, and an accepted task enters the maintained matching
-        in the same ``eligible_order`` filter the engines use.  With
+        decide stage, and an accepted task enters the maintained
+        matching through the same steps as a window's tasks.  With
         ``degrade=True`` the insert takes the bounded greedy path
         (:meth:`~repro.matching.incremental.DynamicMatcher.insert_task_greedy`)
         instead of the exact delta repair — the service's SLO fallback.
+
+        Raises:
+            ValueError: for MAPS, which cannot quote a single event, and
+                for a bad time; either before any state change.
         """
-        task = self._task_at(task_pos)
-        at = float(self._task_arrivals[task_pos] if time is None else time)
-        self.clock = max(self.clock, at)
+        _refuse_batch_planner(self.strategy)
+        at = self._advance(self._task_arrivals[task_pos] if time is None else time)
         with self._staged("settle", "time_matching"):
             settlements = self.settle_until(at)
-
+        task = self._tasks[task_pos]
         instance = PeriodInstance.build(
             period=window_index(at, 1.0),
             grid=self.stream.grid,
@@ -1455,57 +1452,18 @@ class DispatchSession:
             workers=[],
             metric=self.stream.metric,
         )
-        with self._staged("quote", "time_pricing"):
-            grid_prices = self.pipeline.quote(self.strategy, instance)
-        with self._staged("decide", "time_decide"):
-            decision = self.pipeline.decide(instance, grid_prices, self.rng)
-
-        accepted = bool(decision.accepted[0])
-        matched = False
-        was_degraded = False
-        weight = 0.0
-        deadline: Optional[float] = None
-        with self._staged("match", "time_matching"):
-            arrays = instance.ensure_arrays()
-            weights = arrays.distances * decision.prices
-            weight_arr, order = eligible_order(
-                instance.num_tasks, weights, decision.accepted_positions
-            )
-            for local_pos in order:  # zero or one iterations
-                weight = float(weight_arr[local_pos])
-                if degrade:
-                    matched = self.matcher.insert_task_greedy(task_pos, weight)
-                    was_degraded = True
-                    self.degraded += 1
-                else:
-                    matched = self.matcher.insert_task(task_pos, weight)
-                self.live_weights[task_pos] = weight
-                lifetime = (
-                    task.duration if task.duration is not None else self.task_lifetime
-                )
-                deadline = at + float(lifetime)
-                heapq.heappush(self._deadlines, (deadline, task_pos))
-
-        # Tentative serve signal, exactly as the windowed dynamic engine
-        # reports it (the feedback stage reads matched-task keys only).
-        tentative = {0: -1} if matched else {}
-        with self._staged("feedback", "time_decide"):
-            batch = self.pipeline.feedback(instance, decision, tentative)
-        with self._staged("feedback", "time_pricing"):
-            self.strategy.observe_feedback_batch(batch)
-
-        self.quoted += 1
-        self.accepted += int(accepted)
+        _, decision, tentative = self._dispatch(instance, [task_pos], [at], degrade)
+        inserted = task_pos in self.live_weights
         outcome = QuoteOutcome(
             task_pos=task_pos,
             task_id=task.task_id,
             grid_index=task.grid_index,
             price=float(decision.prices[0]),
-            accepted=accepted,
-            matched=matched,
-            degraded=was_degraded,
-            weight=weight,
-            deadline=deadline,
+            accepted=bool(decision.accepted[0]),
+            matched=0 in tentative,
+            degraded=degrade and inserted,
+            weight=self.live_weights.get(task_pos, 0.0),
+            deadline=at + self._lifetime(task) if inserted else None,
         )
         return outcome, settlements
 
@@ -1524,9 +1482,8 @@ class EventStreamingEngine(DynamicStreamingEngine):
     The ``window`` of the parent is fixed at ``1.0`` and only used for
     metric binning; ``resolve`` does not apply (there is nothing to
     re-window).  The stream must be re-iterable, as for the parent: the
-    replay loop iterates it, and the session either pre-scans it
-    (capped) or lazily walks its own second iterator (uncapped; see
-    :class:`DispatchSession`).  After :meth:`run`, the session is kept on
+    session pre-scans it into its universe, then the replay loop
+    iterates it.  After :meth:`run`, the session is kept on
     :attr:`last_session` for gates that need the commit log.
     """
 

@@ -364,6 +364,74 @@ class TestProtocolContract:
         assert asyncio.run(_with_server(_config(), action))
 
 
+class TestConsumerFaults:
+    """An event the session refuses must reach the client as an ``error``
+    reply followed by a closed connection, never as silence: the reader
+    would otherwise sit in ``readline()`` while the client waits for a
+    reply to the event that killed the consumer."""
+
+    @staticmethod
+    def _exchange(messages):
+        """Send ``hello`` then ``messages``; the replies until EOF."""
+
+        async def action(server, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(
+                    encode_message(
+                        hello_message(SCENARIO, SCALE, SEED, "BaseP", params=PARAMS)
+                    )
+                )
+                for message in messages:
+                    writer.write(encode_message(message))
+                await writer.drain()
+                replies = []
+                while True:
+                    line = await asyncio.wait_for(reader.readline(), timeout=5)
+                    if not line:
+                        return replies
+                    replies.append(decode_message(line))
+            finally:
+                writer.close()
+
+        return asyncio.run(_with_server(_config(), action))
+
+    @staticmethod
+    def _first_events():
+        from repro.simulation.streaming import TaskArrival, _validated_events
+
+        stream = get_scenario(SCENARIO).stream(scale=SCALE, seed=SEED, **PARAMS)
+        events = list(_validated_events(stream))
+        task = next(e for e in events if isinstance(e, TaskArrival))
+        worker = next(e for e in events if not isinstance(e, TaskArrival))
+        return task, worker
+
+    @pytest.mark.parametrize("time", [None, "abc", float("nan")])
+    def test_bad_task_time_gets_an_error_reply(self, time):
+        from repro.service.protocol import task_to_wire
+
+        task, _ = self._first_events()
+        replies = self._exchange(
+            [{"type": "task", "time": time, "task": task_to_wire(task.task)}]
+        )
+        assert [reply["type"] for reply in replies] == ["ready", "error"]
+        assert replies[-1]["reason"].startswith("malformed task message")
+
+    def test_backwards_time_gets_an_error_reply(self):
+        from repro.service.protocol import task_to_wire, worker_to_wire
+
+        task, worker = self._first_events()
+        late = max(task.time, worker.time) + 1.0
+        replies = self._exchange(
+            [
+                {"type": "worker", "time": late, "worker": worker_to_wire(worker.worker)},
+                {"type": "task", "time": late - 0.5, "task": task_to_wire(task.task)},
+            ]
+        )
+        assert [reply["type"] for reply in replies] == ["ready", "joined", "error"]
+        assert "before" in replies[-1]["reason"]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("lifetime", [float("inf"), float("nan")])
     def test_non_finite_task_lifetime_is_rejected(self, lifetime):

@@ -121,8 +121,15 @@ class TestEventEngineEquivalence:
         stream = _stream()
         calibration = StreamingEngine(stream, seed=SEED).calibrate_base_price()
         maps = create_strategy("MAPS", **calibrated_kwargs("MAPS", calibration))
+        # The refusal sits where a single event is quoted: a session may
+        # hold MAPS (its window entry point quotes batches), but
+        # on_task refuses it before touching any state.
+        session = DispatchSession(stream, maps, seed=SEED)
         with pytest.raises(ValueError, match="MAPS"):
-            DispatchSession(stream, maps, seed=SEED)
+            session.on_task(0)
+        assert (session.clock, session.quoted, session.live_weights) == (0.0, 0, {})
+        with pytest.raises(ValueError, match="MAPS"):
+            EventStreamingEngine(stream, seed=SEED).run(maps)
 
     @pytest.mark.parametrize("lifetime", [0.0, float("nan"), float("inf")])
     def test_task_lifetime_must_be_positive(self, lifetime):
@@ -170,6 +177,65 @@ def _manual_stream(tiny_workload, events):
         acceptance=tiny_workload.acceptance,
         events=events,
     )
+
+
+class TestEventTimeValidation:
+    """A non-finite or backwards event time is refused before it touches
+    the session: ``x > nan`` is always False, so a NaN bound would settle
+    every pending deadline and departure before anything else noticed."""
+
+    @staticmethod
+    def _half_replayed():
+        """A session halfway through the stream, with live state."""
+        from repro.simulation.streaming import _validated_events
+
+        stream = _stream()
+        session = DispatchSession(stream, _strategy("BaseP", stream), seed=SEED)
+        events = list(_validated_events(stream))
+        next_task = next_worker = 0
+        for event in events[: len(events) // 2]:
+            if isinstance(event, TaskArrival):
+                session.on_task(next_task, float(event.time))
+                next_task += 1
+            else:
+                session.on_worker(next_worker, float(event.time))
+                next_worker += 1
+        assert session.live_weights and session.live_workers
+        return session, next_task, next_worker
+
+    @staticmethod
+    def _state(session):
+        return (
+            session.clock,
+            dict(session.live_weights),
+            set(session.live_workers),
+            list(session._deadlines),
+            list(session._departures),
+            session.revenue,
+            session.quoted,
+            session.committed,
+            session.expired,
+            session.departed,
+        )
+
+    @pytest.mark.parametrize("kind", ["task", "worker", "depart"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "backwards"])
+    def test_bad_time_is_refused_before_any_state_change(self, kind, bad):
+        session, next_task, next_worker = self._half_replayed()
+        time = {
+            "nan": float("nan"),
+            "inf": float("inf"),
+            "backwards": session.clock - 0.5,
+        }[bad]
+        before = self._state(session)
+        with pytest.raises(ValueError, match="time"):
+            if kind == "task":
+                session.on_task(next_task, time)
+            elif kind == "worker":
+                session.on_worker(next_worker, time)
+            else:
+                session.depart_worker(min(session.live_workers), time)
+        assert self._state(session) == before
 
 
 class TestWorkerExpirySemantics:
