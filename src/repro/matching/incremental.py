@@ -519,6 +519,27 @@ class DynamicMatcher(IncrementalMatcher):
         self._worker_live[worker_pos] = 1
         return self._absorb_free_worker(worker_pos)
 
+    def insert_workers(self, worker_positions: Sequence[int]) -> None:
+        """Batch :meth:`insert_worker`, in order (the session's batch shape)."""
+        for worker_pos in worker_positions:
+            self.insert_worker(worker_pos)
+
+    def insert_tasks(
+        self,
+        task_positions: Sequence[int],
+        weights: Sequence[float],
+        greedy: bool = False,
+    ) -> List[bool]:
+        """Batch :meth:`insert_task` (or :meth:`insert_task_greedy`), in order.
+
+        Returns whether each task was matched right after its own insert.
+        """
+        insert = self.insert_task_greedy if greedy else self.insert_task
+        return [
+            insert(task_pos, weight)
+            for task_pos, weight in zip(task_positions, weights)
+        ]
+
     def remove_task(self, task_pos: int) -> Optional[int]:
         """Remove a live task (departure or expiry), repairing the matching.
 
@@ -971,8 +992,8 @@ class LazyDynamicMatcher:
 
         Args:
             task_row: The live task ids within the worker's range,
-                ascending (e.g.
-                :meth:`~repro.spatial.index.IncrementalAdjacencyIndex.worker_row`).
+                ascending (e.g. one row of
+                :meth:`~repro.spatial.index.IncrementalAdjacencyIndex.worker_rows`).
                 Required whenever any live task exists; the edges are
                 appended to those tasks' rows (keeping them
                 arrival-ordered) and to the worker's transpose row.

@@ -641,15 +641,23 @@ class _LiveSessionMatcher:
 
     Exposes exactly the methods :class:`DispatchSession` and the
     ``rewindow`` rebuild call on the universe
-    :class:`DynamicMatcher` (``insert_worker`` / ``insert_task`` /
-    ``insert_task_greedy`` / ``is_task_matched`` / ``task_of`` /
-    ``commit_task`` / ``remove_task`` / ``remove_worker``, plus the
-    ``total_weight`` / ``is_valid_matching`` views the per-window gates
-    read), with identical positional semantics — the lazy matcher's
-    repairs are bit-identical to the universe delta repairs over the same
-    arrival sequence (the fuzzed contract of
-    ``tests/matching/test_lazy_dynamic.py``, which keeps the universe
-    matcher as its lockstep oracle).
+    :class:`DynamicMatcher` (``insert_workers`` / ``insert_tasks`` /
+    ``is_task_matched`` / ``task_of`` / ``commit_task`` /
+    ``remove_task`` / ``remove_worker``, plus the ``total_weight`` /
+    ``is_valid_matching`` views the per-window gates read), with
+    identical positional semantics — the lazy matcher's repairs are
+    bit-identical to the universe delta repairs over the same arrival
+    sequence (the fuzzed contract of ``tests/matching/test_lazy_dynamic.py``,
+    which keeps the universe matcher as its lockstep oracle).
+
+    Inserts take batches and pay one plane query per batch: a batch of
+    joining workers is one ``insert_workers`` plus one ``worker_rows``
+    call, a batch of tasks one ``task_rows`` plus one ``insert_tasks``
+    call.  The rows then enter the lazy matcher one by one in batch
+    order, exactly as one-element batches would: joins only add
+    workers, so the task plane a worker row reads does not change
+    during a batch, and inserts only add tasks, so the worker plane a
+    task row reads does not either.
     """
 
     def __init__(
@@ -677,19 +685,22 @@ class _LiveSessionMatcher:
                 f"{slot}, matcher allocated {lazy_id}"
             )
 
-    def insert_worker(self, worker_pos: int) -> None:
-        worker = self._workers[worker_pos]
-        location = worker.location
-        slot = int(
-            self.plane.insert_workers(
-                [location.x], [location.y], [worker.radius]
-            )[0]
+    def insert_workers(self, worker_positions: Sequence[int]) -> None:
+        """Bring a batch of workers live, in order."""
+        if not worker_positions:
+            return
+        workers = [self._workers[pos] for pos in worker_positions]
+        slots = self.plane.insert_workers(
+            [worker.location.x for worker in workers],
+            [worker.location.y for worker in workers],
+            [worker.radius for worker in workers],
         )
-        row = self.plane.worker_row(slot)
-        lazy_id, _ = self.lazy.new_worker(row)
-        self._guard(slot, lazy_id, "worker")
-        self._worker_slot[worker_pos] = slot
-        self._worker_pos[slot] = worker_pos
+        rows = self.plane.worker_rows(slots)
+        for worker_pos, slot, row in zip(worker_positions, slots.tolist(), rows):
+            lazy_id, _ = self.lazy.new_worker(row)
+            self._guard(slot, lazy_id, "worker")
+            self._worker_slot[worker_pos] = slot
+            self._worker_pos[slot] = worker_pos
 
     def remove_worker(self, worker_pos: int) -> None:
         slot = self._worker_slot.pop(worker_pos)
@@ -697,21 +708,33 @@ class _LiveSessionMatcher:
         self.lazy.remove_worker(slot)
         self.plane.remove_worker(slot)
 
-    def _insert(self, task_pos: int, weight: float, greedy: bool) -> bool:
-        origin = self._tasks[task_pos].origin
-        row = self.plane.task_rows([origin.x], [origin.y])[0]
-        slot = int(self.plane.insert_tasks([origin.x], [origin.y])[0])
-        lazy_id, matched = self.lazy.new_task(row, weight, greedy=greedy)
-        self._guard(slot, lazy_id, "task")
-        self._task_slot[task_pos] = slot
-        self._task_pos.append(task_pos)
+    def insert_tasks(
+        self,
+        task_positions: Sequence[int],
+        weights: Sequence[float],
+        greedy: bool = False,
+    ) -> List[bool]:
+        """Insert a batch of tasks in order; whether each matched on entry.
+
+        ``greedy`` takes the lazy matcher's bounded first-free-worker
+        path instead of the exact delta repair for every task of the
+        batch.
+        """
+        if not task_positions:
+            return []
+        origins = [self._tasks[pos].origin for pos in task_positions]
+        xs = [origin.x for origin in origins]
+        ys = [origin.y for origin in origins]
+        rows = self.plane.task_rows(xs, ys)
+        slots = self.plane.insert_tasks(xs, ys).tolist()
+        matched: List[bool] = []
+        for task_pos, weight, slot, row in zip(task_positions, weights, slots, rows):
+            lazy_id, hit = self.lazy.new_task(row, weight, greedy=greedy)
+            self._guard(slot, lazy_id, "task")
+            self._task_slot[task_pos] = slot
+            self._task_pos.append(task_pos)
+            matched.append(hit)
         return matched
-
-    def insert_task(self, task_pos: int, weight: float) -> bool:
-        return self._insert(task_pos, weight, greedy=False)
-
-    def insert_task_greedy(self, task_pos: int, weight: float) -> bool:
-        return self._insert(task_pos, weight, greedy=True)
 
     def is_task_matched(self, task_pos: int) -> bool:
         # Never inserted (a rejected quote), committed or expired: not
@@ -944,12 +967,9 @@ class DynamicStreamingEngine(StreamingEngine):
     ) -> _Matcher:
         """Fresh batch re-solve over the live population (rewindow mode)."""
         matcher = _dynamic_matcher(self.stream, self.max_degree, universe)
-        for worker_pos in sorted(live_workers):
-            matcher.insert_worker(worker_pos)
-        for task_pos in sorted(
-            live_weights, key=lambda pos: (-live_weights[pos], pos)
-        ):
-            matcher.insert_task(task_pos, live_weights[task_pos])
+        matcher.insert_workers(sorted(live_workers))
+        order = sorted(live_weights, key=lambda pos: (-live_weights[pos], pos))
+        matcher.insert_tasks(order, [live_weights[pos] for pos in order])
         return matcher
 
     def _post_window_hook(
@@ -1093,15 +1113,18 @@ class DispatchSession:
     (:func:`build_universe`), one resident dynamic matcher
     (:func:`_dynamic_matcher`), the live task weights and workers, and
     the deadline and departure heaps.  Every arrival takes the same
-    steps: settle everything due up to its time, join workers, quote and
-    decide tasks, insert the accepted ones in ``eligible_order`` with a
-    deadline at arrival + lifetime, and feed the tentative serve signals
-    back.  Two drivers feed it: :meth:`on_window` takes a window as one
-    micro-batch (:class:`DynamicStreamingEngine`), and :meth:`on_task` /
-    :meth:`on_worker` / :meth:`depart_worker` take one event at a time
-    (:class:`EventStreamingEngine` and ``repro.service``, whose
-    differential gate against the offline engine is exact because both
-    make the same calls on the same floats).
+    steps: settle everything due up to its time, join workers as one
+    batch, quote and decide tasks, insert the accepted ones as one batch
+    in ``eligible_order`` with a deadline at arrival + lifetime, and
+    feed the tentative serve signals back.  Two drivers feed it:
+    :meth:`on_window` takes a window as one micro-batch
+    (:class:`DynamicStreamingEngine`), and :meth:`on_task` /
+    :meth:`on_worker` / :meth:`depart_worker` take one event at a time,
+    as one-element batches (:class:`EventStreamingEngine` and
+    ``repro.service``, whose differential gate against the offline
+    engine is exact because both make the same calls on the same
+    floats).  A task or worker position already live, or repeated in
+    one window, is refused like a bad time.
 
     The drivers differ in two documented ways (``docs/service.md``).  A
     window settles and checks worker expiry at its *start*, an event at
@@ -1253,17 +1276,47 @@ class DispatchSession:
     # ------------------------------------------------------------------
     # the shared steps
     # ------------------------------------------------------------------
-    def _join(self, worker_pos: int, at: float) -> bool:
-        """Enter a worker into the market at ``at``, unless already gone."""
-        worker = self._workers[worker_pos]
-        if worker.duration is not None:
-            departs = float(worker.period + worker.duration)
-            if departs <= at:
-                return False  # its availability ended before it arrived
-            heapq.heappush(self._departures, (departs, worker_pos))
-        self.matcher.insert_worker(worker_pos)
-        self.live_workers.add(worker_pos)
-        return True
+    def _refuse_live(
+        self, task_positions: Sequence[int], worker_positions: Sequence[int]
+    ) -> None:
+        """Refuse a position that is live or repeated, before any state change.
+
+        A second live copy of a position would leave the live plane two
+        slots for one universe position (a phantom worker that serves a
+        task, then a ``KeyError`` at settlement).  Checked against the
+        population live when the call is made, before it settles.
+        """
+        for side, positions, live in (
+            ("task", task_positions, self.live_weights),
+            ("worker", worker_positions, self.live_workers),
+        ):
+            seen: set = set()
+            for pos in positions:
+                if pos in live or pos in seen:
+                    raise ValueError(
+                        f"{side} position {pos} is already live or repeated "
+                        "in one call"
+                    )
+                seen.add(pos)
+
+    def _join(self, worker_positions: Sequence[int], at: float) -> List[int]:
+        """Enter workers into the market at ``at`` as one batch.
+
+        Returns the positions that joined, in order; a worker whose
+        availability ended at or before ``at`` does not.
+        """
+        joined: List[int] = []
+        for worker_pos in worker_positions:
+            worker = self._workers[worker_pos]
+            if worker.duration is not None:
+                departs = float(worker.period + worker.duration)
+                if departs <= at:
+                    continue  # its availability ended before it arrived
+                heapq.heappush(self._departures, (departs, worker_pos))
+            joined.append(worker_pos)
+        self.matcher.insert_workers(joined)
+        self.live_workers.update(joined)
+        return joined
 
     def _lifetime(self, task: Task) -> float:
         return float(task.duration if task.duration is not None else self.task_lifetime)
@@ -1290,17 +1343,15 @@ class DispatchSession:
             weight_arr, order = eligible_order(
                 instance.num_tasks, weights, decision.accepted_positions
             )
-            insert = (
-                self.matcher.insert_task_greedy if degrade else self.matcher.insert_task
-            )
-            for local_pos in order:
-                task_pos = task_positions[local_pos]
-                weight = float(weight_arr[local_pos])
-                insert(task_pos, weight)
+            inserted = [task_positions[local_pos] for local_pos in order]
+            inserted_weights = [float(weight_arr[local_pos]) for local_pos in order]
+            self.matcher.insert_tasks(inserted, inserted_weights, greedy=degrade)
+            for local_pos, task_pos, weight in zip(order, inserted, inserted_weights):
                 self.live_weights[task_pos] = weight
                 deadline = arrivals[local_pos] + self._lifetime(instance.tasks[local_pos])
                 heapq.heappush(self._deadlines, (deadline, task_pos))
-                self.degraded += int(degrade)
+            if degrade:
+                self.degraded += len(inserted)
         # Tentative serve signals: what the platform believes at quote
         # time (the feedback stage reads the matched-task keys only).
         tentative = {
@@ -1328,18 +1379,23 @@ class DispatchSession:
     ) -> PeriodOutcome:
         """Dispatch one window as a micro-batch.
 
-        Settles to the window ``start``, joins the window's workers, then
-        quotes and decides its tasks as one instance against the free
-        live workers and inserts the accepted ones.  The returned
-        outcome counts those free workers and the commits settled at
-        ``start``.
+        Settles to the window ``start``, joins the window's workers as
+        one batch, then quotes and decides its tasks as one instance
+        against the free live workers and inserts the accepted ones as
+        one batch.  The returned outcome counts those free workers and
+        the commits settled at ``start``.
+
+        Raises:
+            ValueError: for a bad ``start``, or a task or worker position
+                that is already live or repeated in the window; before
+                any state change.
         """
+        self._refuse_live(task_positions, worker_positions)
         at = self._advance(start)
         with self._staged("settle", "time_matching"):
             revenue, commits = _commit_totals(self.settle_until(at))
         with self._staged("match", "time_matching"):
-            for worker_pos in worker_positions:
-                self._join(worker_pos, at)
+            self._join(worker_positions, at)
         grid_prices: Dict[int, float] = {}
         accepted = 0
         num_free = 0
@@ -1356,6 +1412,9 @@ class DispatchSession:
                 workers=[self._workers[pos] for pos in free],
                 metric=self.stream.metric,
                 max_degree=self.max_degree,
+                # Only the MAPS planner reads an instance graph; the
+                # matchers keep their own adjacency.
+                build_graph=False,
             )
             grid_prices, decision, _ = self._dispatch(
                 instance,
@@ -1383,13 +1442,18 @@ class DispatchSession:
 
         Returns ``(joined, settlements)``; ``joined`` is ``False`` when
         the worker's availability already expired at its own arrival
-        time (a zero-length shift).
+        time (a zero-length shift).  The join is a one-element batch.
+
+        Raises:
+            ValueError: for a bad time or an already live worker; either
+                before any state change.
         """
+        self._refuse_live((), (worker_pos,))
         at = self._advance(self._worker_arrivals[worker_pos] if time is None else time)
         with self._staged("settle", "time_matching"):
             settlements = self.settle_until(at)
         with self._staged("match", "time_matching"):
-            joined = self._join(worker_pos, at)
+            joined = bool(self._join((worker_pos,), at))
         return joined, settlements
 
     def depart_worker(
@@ -1437,10 +1501,12 @@ class DispatchSession:
         instead of the exact delta repair — the service's SLO fallback.
 
         Raises:
-            ValueError: for MAPS, which cannot quote a single event, and
-                for a bad time; either before any state change.
+            ValueError: for MAPS, which cannot quote a single event, for
+                a bad time and for an already live task; each before any
+                state change.
         """
         _refuse_batch_planner(self.strategy)
+        self._refuse_live((task_pos,), ())
         at = self._advance(self._task_arrivals[task_pos] if time is None else time)
         with self._staged("settle", "time_matching"):
             settlements = self.settle_until(at)
@@ -1451,6 +1517,7 @@ class DispatchSession:
             tasks=[task],
             workers=[],
             metric=self.stream.metric,
+            build_graph=False,
         )
         _, decision, tentative = self._dispatch(instance, [task_pos], [at], degrade)
         inserted = task_pos in self.live_weights

@@ -875,22 +875,15 @@ class IncrementalAdjacencyIndex:
             rows[task].append(ids[at])
         return rows
 
-    def worker_row(self, worker_slot: int) -> List[int]:
-        """Live task slots within the worker's radius (ascending).
+    def worker_rows(self, worker_slots: Sequence[int]) -> List[List[int]]:
+        """Live task slots within each worker's radius (ascending rows).
 
         The edge set a worker *arrival* contributes against the live
         tasks; the lazy matcher appends these edges so rows stay the
-        arrival-ordered subsequence of the batch universe rows.
-        """
-        return self.worker_rows([worker_slot])[0]
-
-    def worker_rows(self, worker_slots: Sequence[int]) -> List[List[int]]:
-        """Batched :meth:`worker_row` — one plane query for the whole batch.
-
-        The hot loop of a worker-arrival burst: each arriving worker
-        needs its live-task row before entering the matcher, and the
-        rows are independent of each other (worker arrivals do not
-        change the task plane), so a burst can share one chunked query.
+        arrival-ordered subsequence of the batch universe rows.  One
+        plane query serves a whole batch of arriving workers: the rows
+        are independent of each other (worker arrivals do not change
+        the task plane).
         """
         slots = np.ascontiguousarray(worker_slots, dtype=np.int64)
         workers = self._workers

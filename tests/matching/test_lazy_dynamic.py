@@ -9,7 +9,9 @@ same committed workers, same ``repr``-equal totals.  That holds too for
 the positional session facade when tasks enter out of arrival order, in
 window batches sorted ``(-weight, position)`` as the windowed engine
 inserts them, and across epochs of persistent, churning workers and
-one-epoch tasks, where every epoch must equal a cold re-solve.
+one-epoch tasks, where every epoch must equal a cold re-solve.  And
+the facade's window batches (one plane query per batch) replay its
+one-element batches bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +54,30 @@ def _universe(rng, num_tasks, num_workers):
     return tx, ty, wx, wy, wr, weights, graph
 
 
+def _entities(tx, ty, wx, wy, wr):
+    """Position-aligned tasks and workers over the universe coordinates."""
+    tasks = [
+        Task(
+            task_id=pos,
+            period=0,
+            origin=Point(float(x), float(y)),
+            destination=Point(float(x), float(y)),
+            valuation=1.0,
+        )
+        for pos, (x, y) in enumerate(zip(tx, ty))
+    ]
+    workers = [
+        Worker(
+            worker_id=pos,
+            period=0,
+            location=Point(float(x), float(y)),
+            radius=float(r),
+        )
+        for pos, (x, y, r) in enumerate(zip(wx, wy, wr))
+    ]
+    return tasks, workers
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_lazy_matcher_replays_universe_matcher_bitwise(seed):
     """Random arrival/removal/commit interleavings, gated every step."""
@@ -90,7 +116,7 @@ def test_lazy_matcher_replays_universe_matcher_bitwise(seed):
                 [wx[pos]], [wy[pos]], [wr[pos]]
             ).tolist()
             assert slot == pos
-            row = plane.worker_row(pos)
+            (row,) = plane.worker_rows([pos])
             absorbed_uni = uni.insert_worker(pos)
             lazy_id, absorbed_lazy = lazy.new_worker(row)
             assert lazy_id == pos
@@ -146,25 +172,7 @@ def test_session_facade_replays_universe_matcher_out_of_arrival_order(seed):
     rng = np.random.default_rng(seed)
     num_tasks, num_workers = 48, 36
     tx, ty, wx, wy, wr, _, graph = _universe(rng, num_tasks, num_workers)
-    tasks = [
-        Task(
-            task_id=pos,
-            period=0,
-            origin=Point(float(x), float(y)),
-            destination=Point(float(x), float(y)),
-            valuation=1.0,
-        )
-        for pos, (x, y) in enumerate(zip(tx, ty))
-    ]
-    workers = [
-        Worker(
-            worker_id=pos,
-            period=0,
-            location=Point(float(x), float(y)),
-            radius=float(r),
-        )
-        for pos, (x, y, r) in enumerate(zip(wx, wy, wr))
-    ]
+    tasks, workers = _entities(tx, ty, wx, wy, wr)
     uni = DynamicMatcher(graph, [0.0] * num_tasks)
     live = _LiveSessionMatcher(GRID, "euclidean", tasks, workers)
 
@@ -204,7 +212,7 @@ def test_session_facade_replays_universe_matcher_out_of_arrival_order(seed):
         for _ in range(min(int(rng.integers(0, 5)), num_workers - next_worker)):
             pos, next_worker = next_worker, next_worker + 1
             uni.insert_worker(pos)
-            live.insert_worker(pos)
+            live.insert_workers([pos])
             live_workers.add(pos)
             gate()
         batch = range(next_task, min(next_task + int(rng.integers(2, 8)), num_tasks))
@@ -212,11 +220,81 @@ def test_session_facade_replays_universe_matcher_out_of_arrival_order(seed):
         weights = {pos: float(rng.choice(_TIED_WEIGHTS)) for pos in batch}
         for pos in sorted(batch, key=lambda pos: (-weights[pos], pos)):
             weight = weights[pos]
-            assert live.insert_task(pos, weight) == uni.insert_task(pos, weight)
+            assert live.insert_tasks([pos], [weight]) == [uni.insert_task(pos, weight)]
             live_tasks.add(pos)
             gate()
 
     assert ops > 100  # the windows actually exercised both matchers
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_window_batches_equal_one_element_batches(seed):
+    """One plane query per batch == one per arrival, bit for bit.
+
+    The session joins a window's workers and inserts its tasks as one
+    batch each (one ``insert_workers`` / ``worker_rows`` and one
+    ``task_rows`` / ``insert_tasks`` plane call).  Random churn —
+    commits, expiries, departures, joins, and ``(-weight, position)``
+    task batches inserted exactly or greedily — is driven through two
+    facades, one taking each window as a batch, the other as
+    one-element batches.  After every window the plane slots, the lazy
+    matching, the ``repr`` of the total and every worker's task agree.
+    """
+    rng = np.random.default_rng(seed)
+    num_tasks, num_workers = 64, 48
+    tx, ty, wx, wy, wr, _, _ = _universe(rng, num_tasks, num_workers)
+    tasks, workers = _entities(tx, ty, wx, wy, wr)
+    batched = _LiveSessionMatcher(GRID, "euclidean", tasks, workers)
+    single = _LiveSessionMatcher(GRID, "euclidean", tasks, workers)
+
+    next_task = next_worker = 0
+    live_tasks: set = set()
+    live_workers: set = set()
+    windows = 0
+    while next_task < num_tasks or live_tasks:
+        for pos in sorted(live_tasks):
+            if rng.random() < 0.25:
+                if batched.is_task_matched(pos):
+                    worker_pos = batched.commit_task(pos)
+                    assert single.commit_task(pos) == worker_pos
+                    live_workers.discard(worker_pos)
+                else:
+                    batched.remove_task(pos)
+                    single.remove_task(pos)
+                live_tasks.discard(pos)
+        for pos in sorted(live_workers):
+            if rng.random() < 0.1:
+                batched.remove_worker(pos)
+                single.remove_worker(pos)
+                live_workers.discard(pos)
+        joins = range(
+            next_worker, min(next_worker + int(rng.integers(0, 6)), num_workers)
+        )
+        next_worker = joins.stop
+        batched.insert_workers(joins)
+        for pos in joins:
+            single.insert_workers([pos])
+        live_workers.update(joins)
+        batch = range(next_task, min(next_task + int(rng.integers(1, 9)), num_tasks))
+        next_task = batch.stop
+        weights = {pos: float(rng.choice(_TIED_WEIGHTS)) for pos in batch}
+        order = sorted(batch, key=lambda pos: (-weights[pos], pos))
+        greedy = bool(rng.random() < 0.3)
+        matched = batched.insert_tasks(order, [weights[pos] for pos in order], greedy)
+        assert matched == [
+            single.insert_tasks([pos], [weights[pos]], greedy)[0] for pos in order
+        ]
+        live_tasks.update(batch)
+        windows += 1
+
+        assert batched._task_slot == single._task_slot, f"window {windows}"
+        assert batched._worker_slot == single._worker_slot, f"window {windows}"
+        assert batched.lazy.matching() == single.lazy.matching(), f"window {windows}"
+        assert repr(batched.total_weight()) == repr(single.total_weight())
+        for pos in range(num_workers):
+            assert batched.task_of(pos) == single.task_of(pos), f"window {windows}"
+
+    assert windows > 8 and batched.lazy.num_matched == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -345,9 +345,8 @@ class TestLiveSessionMatcher:
         # not hold; the universe matcher answers False for all of them.
         for matcher in self._pair(tiny_workload):
             assert not matcher.is_task_matched(0)  # never inserted
-            matcher.insert_worker(0)
-            assert matcher.insert_task(0, 3.0)
-            assert not matcher.insert_task(1, 1.0)
+            matcher.insert_workers([0])
+            assert matcher.insert_tasks([0, 1], [3.0, 1.0]) == [True, False]
             assert matcher.commit_task(0) == 0
             assert not matcher.is_task_matched(0)  # committed
             matcher.remove_task(1)
@@ -358,12 +357,11 @@ class TestLiveSessionMatcher:
         live, universe = self._pair(tiny_workload)
         for matcher in (live, universe):
             assert matcher.task_of(0) is None  # not yet arrived
-            matcher.insert_worker(0)
+            matcher.insert_workers([0])
             assert matcher.task_of(0) is None
             # Out of arrival order: position 2 enters before position 1,
             # and evicts nothing; position 1 outbids it on weight.
-            assert matcher.insert_task(2, 1.5)
-            assert matcher.insert_task(1, 2.5)
+            assert matcher.insert_tasks([2, 1], [1.5, 2.5]) == [True, True]
         assert live.task_of(0) == universe.task_of(0) == 1
         assert repr(live.total_weight()) == repr(universe.total_weight()) == "2.5"
         assert live.is_valid_matching() and universe.is_valid_matching()

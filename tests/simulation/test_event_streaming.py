@@ -238,6 +238,108 @@ class TestEventTimeValidation:
         assert self._state(session) == before
 
 
+class TestRepeatedPositions:
+    """A position already live, or repeated in one call, is refused.
+
+    A second live copy of a worker used to leave the live plane two
+    slots for one position: the phantom served a second task, and the
+    next settlement died with ``KeyError`` after its plane removals had
+    run.  The capped matcher raised, but only after the join had pushed
+    a departure or the quote had drawn the decide RNG.  Every entry
+    point now refuses before any state change, under both matchers.
+    """
+
+    @staticmethod
+    def _half_replayed(max_degree):
+        from repro.simulation.streaming import _validated_events
+
+        stream = get_scenario("hotspot_burst").stream(scale=0.02, seed=0)
+        calibration = StreamingEngine(stream, seed=0).calibrate_base_price()
+        strategy = create_strategy("BaseP", **calibrated_kwargs("BaseP", calibration))
+        session = DispatchSession(stream, strategy, max_degree=max_degree)
+        events = list(_validated_events(stream))
+        next_task = next_worker = 0
+        for event in events[: len(events) // 2]:
+            if isinstance(event, TaskArrival):
+                session.on_task(next_task, float(event.time))
+                next_task += 1
+            else:
+                session.on_worker(next_worker, float(event.time))
+                next_worker += 1
+        assert session.live_weights and session.live_workers
+        return session, next_task, next_worker
+
+    @staticmethod
+    def _state(session):
+        matcher = session.matcher
+        workers = range(len(session.universe.workers))
+        tasks = range(len(session.universe.tasks))
+        if isinstance(matcher, _LiveSessionMatcher):
+            population = (
+                matcher.plane.num_live_workers,
+                matcher.plane.num_live_tasks,
+                matcher.lazy.num_workers,
+                matcher.lazy.num_tasks,
+            )
+        else:
+            population = (tuple(matcher.live_workers()), tuple(matcher.live_tasks()))
+        return (
+            TestEventTimeValidation._state(session),
+            session.accepted,
+            session.degraded,
+            list(session.commit_log),
+            session.rng.bit_generator.state,
+            population,
+            [matcher.task_of(pos) for pos in workers],
+            [matcher.is_task_matched(pos) for pos in tasks],
+            repr(matcher.total_weight()),
+        )
+
+    @pytest.mark.parametrize("max_degree", [None, 2])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "on_worker_live",
+            "on_task_live",
+            "window_task_live",
+            "window_task_repeated",
+            "window_worker_live",
+            "window_worker_repeated",
+        ],
+    )
+    def test_refused_before_any_state_change(self, call, max_degree):
+        session, next_task, next_worker = self._half_replayed(max_degree)
+        live_task = min(session.live_weights)
+        live_worker = min(session.live_workers)
+        at = session.clock
+        period = int(at)
+        before = self._state(session)
+        with pytest.raises(ValueError, match="already live or repeated"):
+            if call == "on_worker_live":
+                session.on_worker(live_worker, at)
+            elif call == "on_task_live":
+                session.on_task(live_task, at)
+            elif call == "window_task_live":
+                session.on_window(period, at, [next_task, live_task], [])
+            elif call == "window_task_repeated":
+                session.on_window(period, at, [next_task, next_task], [])
+            elif call == "window_worker_live":
+                session.on_window(period, at, [], [next_worker, live_worker])
+            else:
+                session.on_window(period, at, [], [next_worker, next_worker])
+        assert self._state(session) == before
+
+    @pytest.mark.parametrize("max_degree", [None, 2])
+    def test_a_refused_join_leaves_the_session_usable(self, max_degree):
+        session, next_task, next_worker = self._half_replayed(max_degree)
+        with pytest.raises(ValueError):
+            session.on_worker(min(session.live_workers), session.clock)
+        session.on_window(int(session.clock), session.clock, [next_task], [next_worker])
+        session.drain()
+        assert session.matcher.is_valid_matching()
+        assert not session.live_weights and not session.live_workers
+
+
 class TestWorkerExpirySemantics:
     """Satellite 1: the window-vs-event divergence, pinned from both sides.
 

@@ -231,7 +231,7 @@ class TestSlotSemantics:
         (slot,) = index.insert_workers([2.0], [2.0], [3.0]).tolist()
         assert index.worker_rows([slot]) == [[0]]
         index.remove_task(0)
-        assert index.worker_row(slot) == []
+        assert index.worker_rows([slot]) == [[]]
 
     @pytest.mark.parametrize("max_degree", [0, -3])
     def test_non_positive_degree_cap_rejected(self, max_degree):
