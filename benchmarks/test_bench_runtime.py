@@ -94,46 +94,3 @@ def test_end_to_end_runtime_on_city_scale(benchmark):
         f"vgreedy revenue drifted {abs(1 - ratios['columnar-vgreedy']):.1%} "
         f"from the exact baseline (allowed {REVENUE_TOLERANCE:.0%})"
     )
-
-
-@pytest.mark.benchmark(group="runtime")
-def test_multicore_scaling_smoke(benchmark):
-    """Process-per-shard runs must agree on revenue at every core count.
-
-    A correctness gate, not a speed gate: CI runners (and cpuset-limited
-    containers) may expose a single effective core, where the fork/spawn
-    pool degenerates to sequential execution and no speedup exists.  What
-    must hold everywhere is that shard_jobs only changes *wall time* —
-    the dispatch decisions (and hence revenue/served) are deterministic
-    functions of the workload seed.
-    """
-    from repro.experiments.bench_runtime import measure_multicore_scaling
-
-    holder: Dict[str, Dict[str, object]] = {}
-
-    def run_once() -> None:
-        holder["payload"] = measure_multicore_scaling(
-            scale=BENCH_SCALE, core_counts=(1, 2), shards=4, seed=0
-        )
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)
-    payload = holder["payload"]
-    print()
-    print("### multi-core scaling smoke (city_scale, shards=4)")
-    for point in payload["results"]:
-        print(
-            f"shard_jobs={point['shard_jobs']}: {point['seconds']:.2f}s  "
-            f"{point['tasks_per_second']:.0f} tasks/s  "
-            f"revenue={point['revenue']:.0f}"
-        )
-    print(f"effective cores: {payload['effective_cores']}")
-
-    revenues = {point["revenue"] for point in payload["results"]}
-    served = {point["served"] for point in payload["results"]}
-    assert len(revenues) == 1, (
-        f"revenue varies with shard_jobs: {sorted(revenues)}; "
-        "process-per-shard execution changed dispatch decisions"
-    )
-    assert len(served) == 1, f"served-count varies with shard_jobs: {sorted(served)}"
-    assert payload["speedup_vs_1core"]["1"] == 1.0
-    assert all(point["seconds"] > 0 for point in payload["results"])

@@ -278,97 +278,8 @@ def measure_runtime_throughput(
     }
 
 
-def measure_multicore_scaling(
-    scale: float,
-    core_counts: Sequence[int] = (1, 2, 4, 8),
-    shards: int = 8,
-    max_degree: Optional[int] = 16,
-    seed: int = 0,
-    strategy: str = "BaseP",
-    base_price: float = 2.0,
-    num_periods: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure process-per-shard scale-out of the columnar engine.
-
-    Runs the full ``city_scale`` horizon through
-    ``ShardedEngine(shard_jobs=n)`` — each shard's horizon in its own
-    process over the shared-memory arena, ``halo=0`` (processes cannot
-    reconcile boundaries mid-period) — once per entry of ``core_counts``.
-    ``shard_jobs=1`` is the sequential in-process reference, so
-    ``speedup_vs_1core`` reads as end-to-end multi-core speedup over the
-    single-core columnar engine at the same shard partition.
-
-    Revenue must be identical across all core counts: ``city_scale``
-    tasks carry private valuations, so per-shard acceptance is
-    deterministic and the split horizon merges to the same totals however
-    the shards are scheduled.  A mismatch in the returned payload means a
-    real bug, not noise.
-
-    ``effective_cores`` records the affinity mask's size so a curve
-    measured on a core-restricted host (where counts above the mask
-    cannot speed anything up) is self-describing.
-    """
-    from repro.utils.affinity import effective_cpu_count
-
-    if shards < 2:
-        raise ValueError("multi-core scaling needs num_shards >= 2")
-    scenario = get_scenario("city_scale")
-    params = {} if num_periods is None else {"num_periods": num_periods}
-    results: List[Dict[str, object]] = []
-    for jobs in core_counts:
-        jobs = int(jobs)
-        if jobs < 1:
-            raise ValueError("core_counts entries must be >= 1")
-        workload = scenario.chunked(scale=scale, seed=seed, **params)
-        engine = ShardedEngine(
-            workload,
-            num_shards=shards,
-            halo=0,
-            seed=seed,
-            matching_backend="matroid",
-            max_degree=max_degree,
-            shard_jobs=jobs,
-        )
-        start = time.perf_counter()
-        run = engine.run(create_strategy(strategy, base_price=base_price))
-        elapsed = time.perf_counter() - start
-        results.append(
-            {
-                "shard_jobs": jobs,
-                "seconds": elapsed,
-                "total_tasks": run.metrics.total_tasks,
-                "tasks_per_second": run.metrics.total_tasks / elapsed,
-                "revenue": run.metrics.total_revenue,
-                "served": run.metrics.served_tasks,
-            }
-        )
-
-    single = results[0]
-    speedups = {
-        str(point["shard_jobs"]): point["tasks_per_second"]
-        / single["tasks_per_second"]
-        for point in results
-    }
-    return {
-        "benchmark": "multicore_scaling",
-        "scenario": "city_scale",
-        "scale": float(scale),
-        "seed": int(seed),
-        "strategy": strategy,
-        "shards": int(shards),
-        "halo": 0,
-        "max_degree": max_degree,
-        "effective_cores": effective_cpu_count(),
-        "total_tasks": single["total_tasks"],
-        "results": results,
-        "speedup_vs_1core": speedups,
-        "host": host_fingerprint(),
-    }
-
-
 __all__ = [
     "RuntimeBenchPoint",
     "RUNTIME_CONFIGS",
     "measure_runtime_throughput",
-    "measure_multicore_scaling",
 ]

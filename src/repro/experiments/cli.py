@@ -202,11 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the per-value strategy runs (1 = "
-        "sequential, 0 = one per core via os.cpu_count()); results are "
+        "sequential, 0 = one per effective core); results are "
         "identical to a sequential run for the same seed.  Combined with "
         "--shards the shard dispatch stays inside each run's process, so "
-        "total process count is --jobs (the runner divides its default "
-        "by any per-run shard_jobs fan-out to avoid oversubscription)",
+        "the total process count is --jobs",
     )
     return parser
 

@@ -28,10 +28,8 @@ streaming results are identical to sequential ones too.
 
 Sharded runs follow the same pattern: a picklable :class:`ShardSpec`
 carries the shard count and halo width, and each worker process builds
-its cell's engine from it.  A spec may also request process-per-shard
-execution *within* a run (``shard_jobs``), which the sharded engine
-implements by splitting the workload spatially and running one
-full-horizon process per shard.
+its cell's engine from it.  Processes parallelise across cells only; one
+run's shards are always dispatched in its own process.
 """
 
 from __future__ import annotations
@@ -67,17 +65,10 @@ class ShardSpec:
             the default, is the batch engine).
         halo: Boundary band width, in grid cells, of the halo-exchange
             reconciliation pass (``0`` disables it).
-        shard_jobs: Worker processes for process-per-shard execution
-            *inside one run* (requires ``halo=0``; the engine splits the
-            workload's period columns into a shared-memory arena, so
-            bundles and chunked workloads both fan out).  Leave at ``1``
-            when the :class:`ParallelRunner` already fans cells across
-            processes — nesting pools multiplies workers.
     """
 
     num_shards: int = 1
     halo: int = 1
-    shard_jobs: int = 1
 
     def build_engine(
         self,
@@ -97,7 +88,6 @@ class ShardSpec:
             matching_backend=matching_backend,
             track_memory=track_memory,
             keep_details=keep_details,
-            shard_jobs=self.shard_jobs,
             max_degree=max_degree,
         )
 
@@ -271,7 +261,7 @@ def _init_worker_from_arena(handle, meta: _ArenaWorkloadMeta) -> None:
     try:
         tasks_by_period = []
         workers_by_period = []
-        for task_cols, worker_cols in arena.iter_shard(0):
+        for task_cols, worker_cols in arena.iter_period_columns():
             tasks_by_period.append(task_cols.to_tasks())
             workers_by_period.append(worker_cols.to_workers())
     finally:
@@ -323,12 +313,9 @@ class ParallelRunner:
         matching_backend: Matching backend name for every engine.
         max_workers: Process count.  ``None`` (default) resolves to the
             *effective* core count (the scheduling-affinity mask, so
-            container cpusets and ``taskset`` are respected), divided by
-            ``shards.shard_jobs`` when the spec also fans each run's
-            shards across processes — the two levels multiply, and both
-            the old "executor default" and raw ``os.cpu_count()``
-            oversubscribed restricted hosts.  ``1`` forces the in-process
-            sequential path.
+            container cpusets and ``taskset`` are respected, where raw
+            ``os.cpu_count()`` oversubscribes restricted hosts).  ``1``
+            forces the in-process sequential path.
         track_memory: Forwarded to the engines.  Peak-memory numbers are
             per-process when running parallel.
         keep_details: Forwarded to the engines.
@@ -398,17 +385,11 @@ class ParallelRunner:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds would collapse results: {self.seeds}")
         self.matching_backend = matching_backend
-        if max_workers is None:
-            # One process per *effective* core by default — the affinity
-            # mask, not os.cpu_count(), is what a container cpuset or
-            # taskset actually grants.  When each run additionally fans
-            # its shards across shard_jobs processes, divide so the
-            # product of the two levels stays at the effective count
-            # (clamped to >= 1 when shard_jobs alone exceeds it).
-            max_workers = effective_cpu_count()
-            if shards is not None and shards.shard_jobs > 1:
-                max_workers = max(1, max_workers // int(shards.shard_jobs))
-        self.max_workers = int(max_workers)
+        # One process per *effective* core by default — the affinity mask,
+        # not os.cpu_count(), is what a container cpuset or taskset grants.
+        self.max_workers = int(
+            effective_cpu_count() if max_workers is None else max_workers
+        )
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = None if max_degree is None else int(max_degree)
@@ -520,7 +501,7 @@ class ParallelRunner:
                     from repro.simulation.arena import WorkloadArena
 
                     arena = WorkloadArena.create(
-                        {0: list(self.workload.iter_period_columns())}
+                        list(self.workload.iter_period_columns())
                     )
                     initializer = _init_worker_from_arena
                     initargs = (
@@ -556,7 +537,7 @@ class ParallelRunner:
         except (
             OSError,  # pool could not start (sandboxed / restricted hosts)
             BrokenExecutor,  # pool died mid-run (e.g. a worker was OOM-killed)
-        ) as error:  # pragma: no cover - depends on host limits
+        ) as error:
             warnings.warn(
                 f"ParallelRunner: process pool unavailable ({error!r}); "
                 "re-running all cells sequentially in-process",

@@ -34,8 +34,8 @@ Architecture (one connection = one replay session, FIFO end to end)::
 
 The universe arrays (task distances and both arrival-time columns) live
 in a :class:`~repro.utils.shm.ShmArena` segment owned by the server —
-the same zero-copy data plane the sharded engines use, so a future
-multi-process quoting tier can attach without pickling; the arena is
+the same zero-copy data plane the figure pool ships workloads by, so a
+future multi-process quoting tier can attach without pickling; the arena is
 unlinked on :meth:`DispatchServer.stop` and covered by the shm module's
 atexit *and* signal backstops.
 """

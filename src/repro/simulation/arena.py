@@ -367,25 +367,21 @@ class WorkloadArenaHandle:
     Attributes:
         arena: The underlying segment handle.
         num_periods: Horizon length.
-        shards: Shard labels present in the arena (``(0,)`` when the
-            workload was packed unsharded).
     """
 
     arena: ArenaHandle
     num_periods: int
-    shards: Tuple[int, ...]
 
 
 class WorkloadArena:
     """A whole horizon of period columns packed into one shm segment.
 
-    The owner packs ``{shard: [(TaskColumns, WorkerColumns), ...]}`` —
-    one chunk list per shard, horizon-ordered — into a single
-    :class:`~repro.utils.shm.ShmArena`; worker processes
-    :meth:`attach` by handle and read their shard's chunks as zero-copy
-    views.  Used by the sharded engine's process-per-shard mode and by
-    :class:`~repro.experiments.parallel.ParallelRunner` to ship
-    workloads as handles instead of pickles.
+    The owner packs one horizon-ordered ``[(TaskColumns, WorkerColumns),
+    ...]`` chunk list into a single :class:`~repro.utils.shm.ShmArena`;
+    worker processes :meth:`attach` by handle and read the chunks as
+    zero-copy views.  :class:`~repro.experiments.parallel.ParallelRunner`
+    uses it to ship a workload to its pool as a handle instead of a
+    pickle.
     """
 
     def __init__(self, arena: ShmArena, handle: WorkloadArenaHandle) -> None:
@@ -397,31 +393,17 @@ class WorkloadArena:
     # ------------------------------------------------------------------
     @classmethod
     def create(
-        cls,
-        chunks_by_shard: Dict[int, List[Tuple[TaskColumns, WorkerColumns]]],
+        cls, chunks: Sequence[Tuple[TaskColumns, WorkerColumns]]
     ) -> "WorkloadArena":
-        """Pack per-shard period chunks into a fresh owned segment."""
-        if not chunks_by_shard:
-            raise ValueError("need at least one shard")
-        lengths = {len(chunks) for chunks in chunks_by_shard.values()}
-        if len(lengths) != 1:
-            raise ValueError("every shard must cover the same horizon")
-        num_periods = lengths.pop()
+        """Pack horizon-ordered period chunks into a fresh owned segment."""
         arrays: Dict[str, np.ndarray] = {}
-        for shard, chunks in chunks_by_shard.items():
-            for period, (task_cols, worker_cols) in enumerate(chunks):
-                prefix = f"s{shard}/p{period}"
-                for field in _TASK_FIELDS:
-                    arrays[f"{prefix}/t/{field}"] = getattr(task_cols, field)
-                for field in _WORKER_FIELDS:
-                    arrays[f"{prefix}/w/{field}"] = getattr(worker_cols, field)
+        for period, (task_cols, worker_cols) in enumerate(chunks):
+            for field in _TASK_FIELDS:
+                arrays[f"p{period}/t/{field}"] = getattr(task_cols, field)
+            for field in _WORKER_FIELDS:
+                arrays[f"p{period}/w/{field}"] = getattr(worker_cols, field)
         arena = ShmArena.create(arrays)
-        handle = WorkloadArenaHandle(
-            arena=arena.handle,
-            num_periods=int(num_periods),
-            shards=tuple(sorted(chunks_by_shard)),
-        )
-        return cls(arena, handle)
+        return cls(arena, WorkloadArenaHandle(arena=arena.handle, num_periods=len(chunks)))
 
     @classmethod
     def attach(cls, handle: WorkloadArenaHandle) -> "WorkloadArena":
@@ -434,21 +416,17 @@ class WorkloadArena:
     def handle(self) -> WorkloadArenaHandle:
         return self._handle
 
-    def chunk(self, shard: int, period: int) -> Tuple[TaskColumns, WorkerColumns]:
-        """Zero-copy column views of one shard-period chunk."""
-        prefix = f"s{shard}/p{period}"
-        task_cols = TaskColumns(
-            period=period,
-            **{field: self._arena[f"{prefix}/t/{field}"] for field in _TASK_FIELDS},
-        )
-        worker_cols = WorkerColumns(
-            **{field: self._arena[f"{prefix}/w/{field}"] for field in _WORKER_FIELDS}
-        )
-        return task_cols, worker_cols
-
-    def iter_shard(self, shard: int) -> Iterator[Tuple[TaskColumns, WorkerColumns]]:
+    def iter_period_columns(self) -> Iterator[Tuple[TaskColumns, WorkerColumns]]:
+        """Zero-copy column views of every period's chunk, in horizon order."""
         for period in range(self._handle.num_periods):
-            yield self.chunk(shard, period)
+            task_cols = TaskColumns(
+                period=period,
+                **{field: self._arena[f"p{period}/t/{field}"] for field in _TASK_FIELDS},
+            )
+            worker_cols = WorkerColumns(
+                **{field: self._arena[f"p{period}/w/{field}"] for field in _WORKER_FIELDS}
+            )
+            yield task_cols, worker_cols
 
     # ------------------------------------------------------------------
     # lifecycle

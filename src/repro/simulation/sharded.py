@@ -51,21 +51,16 @@ or a :class:`~repro.simulation.config.ChunkedWorkload` without native
 columns feeds the loop through its ``iter_period_columns()``
 conversion.
 
-**Process-per-shard execution.**  For multi-core hosts,
-``shard_jobs > 1`` splits the workload's columns spatially up front —
-bundles and chunked workloads alike — and runs each shard's *entire
-horizon* in its own process (each with its own strategy replica),
-merging metrics at the end.  This requires ``halo=0`` — processes
-cannot reconcile boundaries mid-period — and is exact for the shipped
-strategies, whose learned state is keyed by grid cell and therefore
-never crosses shard borders.
+**One process.**  Shards are dispatched in-process, one after another:
+the halo pass at period *t* decides which workers stay in the pool at
+*t+1* and what each shard's strategy is fed back, so shards in separate
+processes would need a barrier every period (``docs/performance.md``
+gives the measured case).  Runs parallelise across processes through
+:class:`~repro.experiments.parallel.ParallelRunner` instead.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -78,7 +73,7 @@ from repro.market.entities import Task, Worker
 from repro.matching.weighted import max_weight_matching
 from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import ChunkedWorkload, WorkloadBundle
-from repro.simulation.metrics import MetricsCollector, StrategyMetrics
+from repro.simulation.metrics import MetricsCollector
 from repro.simulation.oracle import calibrate_base_price_for_context
 from repro.simulation.pipeline import DecideResult, PeriodPipeline
 from repro.simulation.results import PeriodOutcome, SimulationResult
@@ -113,74 +108,11 @@ class _ShardDispatch:
     halo_taken: List[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _ArenaShardJob:
-    """Everything one shard worker process needs besides the strategy.
-
-    The heavy payload — every period's task/worker columns — lives in the
-    shared-memory arena; this record carries only the picklable handle
-    plus the small market context, so submitting a job moves kilobytes
-    through the queue however large the horizon is.
-    """
-
-    handle: "WorkloadArenaHandle"
-    shard: int
-    grid: object
-    acceptance: object
-    metric: str
-    price_bounds: Tuple[float, float]
-    description: str
-    num_periods: int
-    seed: int
-    matching_backend: str
-    track_memory: bool
-    max_degree: Optional[int]
-
-
-def _execute_shard_horizon_arena(
-    job: _ArenaShardJob, strategy: PricingStrategy
-) -> SimulationResult:
-    """Attach to the arena by handle and run one shard's horizon.
-
-    Top-level (picklable) worker of the zero-copy process-per-shard
-    mode.  The attach maps the owner's segment read-only; the worker
-    never unlinks it (see :mod:`repro.utils.shm`'s ownership protocol),
-    so a crashing worker cannot leak ``/dev/shm`` segments.
-    """
-    from repro.simulation.arena import WorkloadArena
-
-    arena = WorkloadArena.attach(job.handle)
-    try:
-        workload = ChunkedWorkload(
-            grid=job.grid,
-            periods=lambda: (
-                (task_cols.to_tasks(), worker_cols.to_workers())
-                for task_cols, worker_cols in arena.iter_shard(job.shard)
-            ),
-            column_periods=lambda: arena.iter_shard(job.shard),
-            num_periods=job.num_periods,
-            acceptance=job.acceptance,
-            metric=job.metric,
-            price_bounds=job.price_bounds,
-            description=f"{job.description} [shard {job.shard}]",
-        )
-        engine = ShardedEngine(
-            workload,
-            num_shards=1,
-            halo=0,
-            seed=job.seed,
-            matching_backend=job.matching_backend,
-            track_memory=job.track_memory,
-            keep_details=True,
-            max_degree=job.max_degree,
-        )
-        return engine.run(strategy)
-    finally:
-        arena.close()
-
-
 class ShardedEngine:
     """Runs pricing strategies over a spatially sharded workload.
+
+    One run is one in-process period loop over every shard (see the
+    module docstring's "One process").
 
     Args:
         workload: A :class:`WorkloadBundle` or lazily generated
@@ -198,10 +130,6 @@ class ShardedEngine:
         track_memory: Enable peak-memory tracking in the metrics.
         keep_details: Store a :class:`PeriodOutcome` per period (shard
             results merged).
-        shard_jobs: Worker processes for process-per-shard execution
-            (``1`` = sequential in-process shards).  Requires ``halo=0``
-            and takes effect with ``num_shards > 1``, for bundles and
-            chunked workloads alike; see the module docstring.
         max_degree: Optional per-task adjacency cap (nearest workers
             only), applied to shard-local instances *and* the halo
             reconciliation instance.  ``None`` keeps the exact graphs;
@@ -217,14 +145,11 @@ class ShardedEngine:
         matching_backend: str = "matroid",
         track_memory: bool = False,
         keep_details: bool = False,
-        shard_jobs: int = 1,
         max_degree: Optional[int] = None,
     ) -> None:
         workload.validate()
         if halo < 0:
             raise ValueError("halo must be non-negative")
-        if shard_jobs < 1:
-            raise ValueError("shard_jobs must be >= 1")
         self.workload = workload
         self.tiling = GridTiling(workload.grid, num_shards)
         self.halo = int(halo)
@@ -232,14 +157,7 @@ class ShardedEngine:
         self.matching_backend = matching_backend
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
-        self.shard_jobs = int(shard_jobs)
         self.max_degree = checked_degree_cap(max_degree)
-        if self.shard_jobs > 1 and self.num_shards > 1:
-            if self.halo > 0:
-                raise ValueError(
-                    "process-per-shard execution cannot reconcile halo "
-                    "boundaries; construct with halo=0"
-                )
         # Boolean mask over 0-based cell positions of the halo band.
         self._boundary = self.tiling.boundary_cells(self.halo)
 
@@ -291,27 +209,6 @@ class ShardedEngine:
         run.  Task-less periods consume no randomness and record no
         metrics row.
 
-        Returns:
-            A :class:`SimulationResult`: aggregated
-            :class:`~repro.simulation.metrics.StrategyMetrics` (revenue,
-            stage timings, optional peak memory, served / accepted
-            counts, per-period revenue series) plus per-period
-            :class:`PeriodOutcome` details when ``keep_details`` is set.
-        """
-        if self.shard_jobs > 1 and self.num_shards > 1:
-            return self._run_process_per_shard(strategy)
-        return self._run_columnar(strategy)
-
-    def run_many(self, strategies: Sequence[PricingStrategy]) -> Dict[str, SimulationResult]:
-        """Run several strategies over the same workload (same randomness)."""
-        return {strategy.name: self.run(strategy) for strategy in strategies}
-
-    # ------------------------------------------------------------------
-    # columnar shard loop (zero-copy data plane)
-    # ------------------------------------------------------------------
-    def _run_columnar(self, strategy: PricingStrategy) -> SimulationResult:
-        """The in-process shard loop over columnar period chunks.
-
         Per period: the pool absorbs arrivals and drops expired workers,
         every shard with tasks runs quote → decide → match (ascending
         shard id, one shared RNG stream), the halo pass reconciles the
@@ -320,6 +217,13 @@ class ShardedEngine:
         (:mod:`repro.simulation.arena`) and records materialise lazily,
         so the per-period cost scales with the array ops rather than with
         Python object churn.
+
+        Returns:
+            A :class:`SimulationResult`: aggregated
+            :class:`~repro.simulation.metrics.StrategyMetrics` (revenue,
+            stage timings, optional peak memory, served / accepted
+            counts, per-period revenue series) plus per-period
+            :class:`PeriodOutcome` details when ``keep_details`` is set.
         """
         from repro.simulation.arena import ColumnarWorkerPool
 
@@ -439,6 +343,10 @@ class ShardedEngine:
         return SimulationResult(
             metrics=metrics, outcomes=outcomes, description=self.workload.description
         )
+
+    def run_many(self, strategies: Sequence[PricingStrategy]) -> Dict[str, SimulationResult]:
+        """Run several strategies over the same workload (same randomness)."""
+        return {strategy.name: self.run(strategy) for strategy in strategies}
 
     def _dispatch_shards(
         self,
@@ -619,169 +527,6 @@ class ShardedEngine:
             pair for pos, pair in enumerate(leftover) if pos not in leftover_taken
         ]
         return revenue, remaining
-
-    # ------------------------------------------------------------------
-    # process-per-shard execution (zero-copy)
-    # ------------------------------------------------------------------
-    def _split_columns(self):
-        """Partition the horizon's columns spatially, one chunk list per shard."""
-        from repro.simulation.arena import TaskColumns, WorkerColumns
-
-        grid = self.workload.grid
-        num_shards = self.num_shards
-        chunks: Dict[int, List[Tuple[TaskColumns, WorkerColumns]]] = {
-            shard: [] for shard in range(num_shards)
-        }
-        empty = np.zeros(0, dtype=np.int64)
-        for task_cols, worker_cols in self.workload.iter_period_columns():
-            task_shards = (
-                self.tiling.shards_of_cells(task_cols.cells)
-                if len(task_cols)
-                else empty
-            )
-            if len(worker_cols):
-                worker_cells = grid.locate_many(worker_cols.xs, worker_cols.ys)
-                worker_shards = self.tiling.shards_of_cells(worker_cells)
-            else:
-                worker_shards = empty
-            for shard in range(num_shards):
-                chunks[shard].append(
-                    (
-                        task_cols.take(np.flatnonzero(task_shards == shard)),
-                        worker_cols.take(np.flatnonzero(worker_shards == shard)),
-                    )
-                )
-        return chunks
-
-    def _run_process_per_shard(self, strategy: PricingStrategy) -> SimulationResult:
-        """Run each shard's full horizon in its own process and merge.
-
-        The split horizon is materialised **once** into a shared-memory
-        :class:`~repro.simulation.arena.WorkloadArena`; each worker
-        process receives a kilobyte-sized :class:`_ArenaShardJob` handle
-        and maps its shard's columns zero-copy instead of unpickling a
-        per-shard workload.  Every process gets its own strategy replica.
-        This is exact for the shipped strategies (learned state is
-        grid-keyed and grids never cross shards) whenever every task
-        carries a private valuation; valuationless tasks draw from
-        per-shard RNG streams, so their runs are statistically — not
-        bitwise — equivalent to the in-process shard loop.  Hosts that
-        cannot start process pools fall back to running the same
-        per-shard horizons sequentially in-process (against the same
-        arena), producing identical results.  The arena segment is
-        unlinked before returning — worker crashes cannot leak it, since
-        workers only ever attach.
-        """
-        from repro.simulation.arena import WorkloadArena
-
-        arena = WorkloadArena.create(self._split_columns())
-        try:
-            jobs = [
-                _ArenaShardJob(
-                    handle=arena.handle,
-                    shard=shard,
-                    grid=self.workload.grid,
-                    acceptance=self.workload.acceptance,
-                    metric=self.workload.metric,
-                    price_bounds=self.workload.price_bounds,
-                    description=self.workload.description,
-                    num_periods=self.workload.num_periods,
-                    seed=derive_seed(self.seed, "shard", shard),
-                    matching_backend=self.matching_backend,
-                    track_memory=self.track_memory,
-                    max_degree=self.max_degree,
-                )
-                for shard in range(self.num_shards)
-            ]
-            results: Optional[List[SimulationResult]] = None
-            try:
-                pickle.dumps(strategy)
-                pickle.dumps(jobs[0])
-            except Exception as error:
-                warnings.warn(
-                    f"ShardedEngine: job payload is not picklable ({error!r}); "
-                    "running all shards sequentially in-process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                try:
-                    # Never start more processes than there are shards to
-                    # run — an oversized shard_jobs would only fork idle
-                    # workers that still pay interpreter start-up cost.
-                    pool_size = min(self.shard_jobs, self.num_shards)
-                    with ProcessPoolExecutor(max_workers=pool_size) as executor:
-                        results = list(
-                            executor.map(
-                                _execute_shard_horizon_arena,
-                                jobs,
-                                [strategy] * len(jobs),
-                            )
-                        )
-                except (OSError, BrokenExecutor) as error:  # pragma: no cover - host-dependent
-                    warnings.warn(
-                        f"ShardedEngine: process pool unavailable ({error!r}); "
-                        "re-running all shards sequentially in-process",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            if results is None:
-                results = [
-                    _execute_shard_horizon_arena(job, strategy) for job in jobs
-                ]
-        finally:
-            arena.unlink()
-        return self._merge_shard_results(results)
-
-    def _merge_shard_results(
-        self, results: Sequence[SimulationResult]
-    ) -> SimulationResult:
-        """Merge per-shard horizon results into one global result.
-
-        Stage timings are summed across shards (CPU seconds, not wall
-        clock); peak memory is the per-process maximum.
-        """
-        metrics = StrategyMetrics(strategy=results[0].metrics.strategy)
-        outcomes: List[PeriodOutcome] = []
-        for period in range(self.workload.num_periods):
-            rows = [result.outcomes[period] for result in results]
-            num_tasks = sum(row.num_tasks for row in rows)
-            revenue = 0.0
-            served = accepted = 0
-            prices: Dict[int, float] = {}
-            for row in rows:
-                revenue += row.revenue
-                served += row.served_tasks
-                accepted += row.accepted_tasks
-                prices.update(row.prices)
-            if num_tasks:
-                metrics.total_revenue += revenue
-                metrics.revenue_by_period.append(revenue)
-                metrics.served_tasks += served
-                metrics.accepted_tasks += accepted
-                metrics.total_tasks += num_tasks
-            if self.keep_details:
-                outcomes.append(
-                    PeriodOutcome(
-                        period=period,
-                        num_tasks=num_tasks,
-                        num_workers=sum(row.num_workers for row in rows),
-                        prices=prices,
-                        accepted_tasks=accepted,
-                        served_tasks=served,
-                        revenue=revenue,
-                    )
-                )
-        for result in results:
-            metrics.pricing_time_seconds += result.metrics.pricing_time_seconds
-            metrics.decide_time_seconds += result.metrics.decide_time_seconds
-            metrics.matching_time_seconds += result.metrics.matching_time_seconds
-            metrics.peak_memory_bytes = max(
-                metrics.peak_memory_bytes, result.metrics.peak_memory_bytes
-            )
-        return SimulationResult(
-            metrics=metrics, outcomes=outcomes, description=self.workload.description
-        )
 
 
 __all__ = ["ShardedEngine", "ShardableWorkload"]

@@ -1,7 +1,8 @@
 """Named shared-memory segments holding structure-of-arrays payloads.
 
-The zero-copy runtime needs to hand a workload's columnar buffers to
-shard worker processes without pickling the data through the job queue:
+The zero-copy runtime needs to hand columnar buffers to other processes
+(a figure pool's workers) without pickling the data through the job
+queue:
 the owner process packs the arrays into one
 :class:`multiprocessing.shared_memory.SharedMemory` segment, ships the
 tiny picklable :class:`ArenaHandle` (segment name + array schema), and
@@ -223,8 +224,8 @@ class ShmArena:
         self._handle = handle
         self._owner = bool(owner)
         # Indexed once per create/attach: a workload arena holds
-        # shards x periods x fields arrays, so a scan per lookup would
-        # make every shard pay for all the specs packed before its own.
+        # periods x fields arrays, so a scan per lookup would make every
+        # period pay for all the specs packed before its own.
         self._specs: Dict[str, ArraySpec] = {spec.name: spec for spec in handle.specs}
         self._views: Dict[str, np.ndarray] = {}
 

@@ -99,10 +99,8 @@ class TestSubmodularityChecks:
             distances=[1.0] * 6,
             acceptance_ratio=lambda p: {1.0: 1.0, 10.0: 0.05}.get(p, 0.0),
         )
-        violations = diminishing_returns_violations(market, [1.0, 10.0])
-        assert violations >= 0  # counter is well-defined
-        # And the helper agrees with the boolean wrapper.
-        assert (violations == 0) == is_submodular_on_chain(market, [1.0, 10.0])
+        assert diminishing_returns_violations(market, [1.0, 10.0]) == 1
+        assert not is_submodular_on_chain(market, [1.0, 10.0])
 
     def test_max_supply_limits_the_chain(self):
         market = GridMarket(

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+from dataclasses import dataclass
+
 import pytest
 
 from repro.experiments.parallel import ParallelRunner, StrategySpec, StreamSpec
+from repro.pricing.base_price import BasePriceStrategy
 from repro.pricing.registry import create_strategy
 from repro.simulation.config import SyntheticConfig
 from repro.simulation.engine import SimulationEngine
@@ -27,6 +33,35 @@ def small_workload():
 
 
 SHARED = dict(base_price=2.0, p_min=1.0, p_max=5.0)
+
+
+def _arena_segments():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("repro_arena_")}
+
+
+class _DiesInPoolWorker(BasePriceStrategy):
+    """BaseP that kills any process but ``parent_pid`` at period 2."""
+
+    def __init__(self, parent_pid: int, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._parent_pid = parent_pid
+
+    def price_period(self, instance):
+        if instance.period >= 2 and os.getpid() != self._parent_pid:
+            os._exit(1)
+        return super().price_period(instance)
+
+
+@dataclass(frozen=True)
+class _DiesInPoolWorkerSpec(StrategySpec):
+    """A spec whose strategy dies mid-run inside a pool worker only."""
+
+    parent_pid: int = 0
+
+    def build(self):
+        return _DiesInPoolWorker(self.parent_pid, **dict(self.kwargs))
 
 
 class TestParallelRunner:
@@ -60,8 +95,6 @@ class TestParallelRunner:
         shared-memory handle + worker-side rebuild everywhere,
         including fork CI hosts where it would otherwise stay dormant.
         """
-        import os
-
         kwargs = dict(
             specs=["BaseP", "SDR"],
             seeds=[0, 7],
@@ -79,12 +112,84 @@ class TestParallelRunner:
                 == plain[key].metrics.revenue_by_period
             )
             assert arena[key].metrics.served_tasks == plain[key].metrics.served_tasks
-        leftovers = [
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith("repro_arena_")
-        ] if os.path.isdir("/dev/shm") else []
-        assert leftovers == []
+        assert _arena_segments() == set()
+
+    def test_arena_initializer_rebuilds_the_bundle(self, small_workload, monkeypatch):
+        """A pool worker's arena-fed workload equals the owner's bundle."""
+        from repro.experiments import parallel
+        from repro.simulation.arena import WorkloadArena
+
+        monkeypatch.setattr(parallel, "_WORKER_WORKLOAD", None)
+        meta = parallel._ArenaWorkloadMeta(
+            grid=small_workload.grid,
+            acceptance=small_workload.acceptance,
+            metric=small_workload.metric,
+            price_bounds=small_workload.price_bounds,
+            description=small_workload.description,
+        )
+        with WorkloadArena.create(list(small_workload.iter_period_columns())) as arena:
+            parallel._init_worker_from_arena(arena.handle, meta)
+        rebuilt = parallel._WORKER_WORKLOAD
+        assert rebuilt is not None and rebuilt is not small_workload
+        assert rebuilt.num_periods == small_workload.num_periods
+        assert rebuilt.tasks_by_period == small_workload.tasks_by_period
+        assert rebuilt.workers_by_period == small_workload.workers_by_period
+        assert rebuilt.grid is small_workload.grid
+        assert rebuilt.price_bounds == small_workload.price_bounds
+        assert _arena_segments() == set()
+
+    def test_default_max_workers_is_the_effective_cpu_count(self, small_workload):
+        """Sharded cells get the whole pool: a shard runs in its cell's process."""
+        from repro.experiments.parallel import ShardSpec
+        from repro.utils.affinity import effective_cpu_count
+
+        plain = ParallelRunner(small_workload, ["BaseP"], shared_kwargs=SHARED)
+        sharded = ParallelRunner(
+            small_workload,
+            ["BaseP"],
+            shared_kwargs=SHARED,
+            shards=ShardSpec(num_shards=4, halo=1),
+        )
+        assert plain.max_workers == sharded.max_workers == effective_cpu_count()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the dying spec class reaches pool workers by fork inheritance",
+    )
+    def test_dead_pool_worker_falls_back_to_sequential(self, small_workload):
+        """A worker killed mid-run degrades to the in-process path.
+
+        Every cell's worker exits at period 2 without cleanup, so the
+        pool breaks; the run must warn, finish within a bounded time,
+        return exactly the sequential results and unlink its arena.
+        """
+        specs = [_DiesInPoolWorkerSpec("BaseP", dict(SHARED), parent_pid=os.getpid())]
+        runner = ParallelRunner(
+            small_workload, specs, seeds=[0, 3], max_workers=2, workload_via_arena=True
+        )
+        before = _arena_segments()
+
+        def hung(signum, frame):
+            raise TimeoutError("ParallelRunner.run hung after a worker died")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+                results = runner.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        expected = runner.run_sequential()
+        assert list(results) == list(expected) == [("BaseP", 0), ("BaseP", 3)]
+        for key in expected:
+            assert results[key].metrics.total_revenue == expected[key].metrics.total_revenue
+            assert (
+                results[key].metrics.revenue_by_period
+                == expected[key].metrics.revenue_by_period
+            )
+            assert results[key].metrics.served_tasks == expected[key].metrics.served_tasks
+        assert _arena_segments() - before == set()
 
     def test_parallel_equals_run_many(self, small_workload):
         """Acceptance criterion: same results as sequential ``run_many``."""

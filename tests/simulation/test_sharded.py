@@ -10,8 +10,7 @@ Headline guarantees:
   solve on every registered scenario;
 * the halo-exchange pass only ever recovers matches;
 * chunked (lazy) workloads produce exactly the same run as their
-  materialised counterparts;
-* process-per-shard execution equals the sequential shard loop.
+  materialised counterparts.
 """
 
 from __future__ import annotations
@@ -235,40 +234,6 @@ class TestChunkedWorkloads:
         assert result.base_price > 0
 
 
-class TestProcessPerShard:
-    @pytest.mark.parametrize("name", ["BaseP", "MAPS"])
-    def test_process_per_shard_equals_sequential(self, name, tiny_workload, tiny_calibration):
-        sequential = ShardedEngine(tiny_workload, num_shards=4, halo=0, seed=3).run(
-            _strategy(name, tiny_calibration, tiny_workload.price_bounds)
-        )
-        with warnings.catch_warnings():
-            # Hosts that cannot start process pools fall back in-process;
-            # either way the merged result must be identical.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fanned = ShardedEngine(
-                tiny_workload, num_shards=4, halo=0, seed=3, shard_jobs=4
-            ).run(_strategy(name, tiny_calibration, tiny_workload.price_bounds))
-        _assert_identical(sequential, fanned)
-
-    def test_process_per_shard_rejects_halo(self, tiny_workload):
-        with pytest.raises(ValueError, match="halo"):
-            ShardedEngine(tiny_workload, num_shards=4, halo=1, shard_jobs=2)
-
-    def test_process_per_shard_supports_chunked_workloads(self):
-        # The shared-memory arena ships column chunks to shard workers,
-        # so lazily generated workloads fan out exactly like bundles.
-        chunked = get_scenario("city_scale").chunked(scale=0.005, seed=2)
-        sequential = ShardedEngine(chunked, num_shards=4, halo=0, seed=3).run(
-            create_strategy("BaseP", base_price=2.0)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fanned = ShardedEngine(
-                chunked, num_shards=4, halo=0, seed=3, shard_jobs=2
-            ).run(create_strategy("BaseP", base_price=2.0))
-        _assert_identical(sequential, fanned)
-
-
 class TestParallelRunnerIntegration:
     def test_shard_spec_cells_match_direct_engine_runs(self, tiny_workload, tiny_calibration):
         p_min, p_max = tiny_workload.price_bounds
@@ -291,6 +256,32 @@ class TestParallelRunnerIntegration:
                 _strategy(name, tiny_calibration, tiny_workload.price_bounds)
             )
             _assert_identical(direct, results[(name, 3)])
+
+    @pytest.mark.parametrize("name", ["BaseP", "MAPS"])
+    def test_pooled_shard_cells_equal_sequential(self, name, tiny_workload, tiny_calibration):
+        # Sharded runs fan out one (strategy, seed) cell per process, each
+        # with its halo pass intact; an arena-fed pool must change nothing.
+        p_min, p_max = tiny_workload.price_bounds
+        spec = StrategySpec(
+            name, calibrated_kwargs(name, tiny_calibration, p_min=p_min, p_max=p_max)
+        )
+        runner = ParallelRunner(
+            tiny_workload,
+            [spec],
+            seeds=[3, 4],
+            shards=ShardSpec(num_shards=4, halo=1),
+            max_workers=2,
+            workload_via_arena=True,
+        )
+        with warnings.catch_warnings():
+            # Hosts that cannot start process pools fall back in-process;
+            # either way the results must be identical.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pooled = runner.run()
+        sequential = runner.run_sequential()
+        assert list(pooled) == list(sequential) == [(name, 3), (name, 4)]
+        for key in sequential:
+            _assert_identical(sequential[key], pooled[key])
 
     def test_shard_spec_is_batch_only(self, tiny_workload):
         from repro.experiments.parallel import StreamSpec

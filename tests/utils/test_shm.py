@@ -153,31 +153,73 @@ class TestWorkloadArena:
         )
         return task_cols, worker_cols
 
-    def test_shard_chunks_round_trip(self):
-        chunks = {
-            0: [self._columns(0, 5, 3), self._columns(1, 4, 2)],
-            1: [self._columns(0, 2, 6), self._columns(1, 0, 0)],
-        }
+    def test_period_chunks_round_trip(self):
+        chunks = [
+            self._columns(0, 5, 3),
+            self._columns(1, 4, 2),
+            self._columns(2, 2, 6),
+            self._columns(3, 0, 0),
+        ]
         arena = WorkloadArena.create(chunks)
         try:
             view = WorkloadArena.attach(arena.handle)
             try:
-                for shard, periods in chunks.items():
-                    for period, (task_cols, worker_cols) in enumerate(periods):
-                        got_tasks, got_workers = view.chunk(shard, period)
-                        assert got_tasks.to_tasks() == task_cols.to_tasks()
-                        assert got_workers.to_workers() == worker_cols.to_workers()
+                got = list(view.iter_period_columns())
+                assert len(got) == len(chunks)
+                for (task_cols, worker_cols), (got_tasks, got_workers) in zip(chunks, got):
+                    assert got_tasks.to_tasks() == task_cols.to_tasks()
+                    assert got_workers.to_workers() == worker_cols.to_workers()
             finally:
                 view.close()
         finally:
             arena.unlink()
         assert not _segment_exists(arena.handle.arena.segment)
 
-    def test_mismatched_horizons_are_rejected(self):
-        with pytest.raises(ValueError, match="same horizon"):
-            WorkloadArena.create(
-                {0: [self._columns(0, 1, 1)], 1: []}
-            )
+    def test_views_are_stamped_with_their_horizon_period(self):
+        # The arena stores no period column for tasks: a chunk's period
+        # is its position in the horizon, and attached views are
+        # read-only aliases of the segment.
+        arena = WorkloadArena.create([self._columns(p, 3, 2) for p in range(3)])
+        try:
+            view = WorkloadArena.attach(arena.handle)
+            try:
+                got = list(view.iter_period_columns())
+                assert [task_cols.period for task_cols, _ in got] == [0, 1, 2]
+                for task_cols, worker_cols in got:
+                    assert all(task.period == task_cols.period for task in task_cols.to_tasks())
+                    assert not task_cols.xs.flags.writeable
+                    assert not worker_cols.worker_ids.flags.writeable
+            finally:
+                view.close()
+        finally:
+            arena.unlink()
+
+    def test_empty_horizon_round_trips(self):
+        with WorkloadArena.create([]) as arena:
+            assert arena.handle.num_periods == 0
+            assert list(arena.iter_period_columns()) == []
+        assert not _segment_exists(arena.handle.arena.segment)
+
+    def test_handle_pickles_to_an_attachable_reference(self):
+        import pickle
+
+        chunks = [self._columns(0, 4, 2), self._columns(1, 1, 3)]
+        arena = WorkloadArena.create(chunks)
+        try:
+            handle = pickle.loads(pickle.dumps(arena.handle))
+            assert handle == arena.handle
+            assert [f.name for f in dataclasses.fields(handle)] == ["arena", "num_periods"]
+            view = WorkloadArena.attach(handle)
+            try:
+                got = list(view.iter_period_columns())
+                assert len(got) == handle.num_periods == 2
+                for (task_cols, worker_cols), (got_tasks, got_workers) in zip(chunks, got):
+                    assert got_tasks.to_tasks() == task_cols.to_tasks()
+                    assert got_workers.to_workers() == worker_cols.to_workers()
+            finally:
+                view.close()
+        finally:
+            arena.unlink()
 
 
 class TestLeakFreedom:

@@ -51,7 +51,6 @@ from repro.experiments.bench_matching import (  # noqa: E402
     measure_matching_throughput,
 )
 from repro.experiments.bench_runtime import (  # noqa: E402
-    measure_multicore_scaling,
     measure_runtime_throughput,
 )
 from repro.experiments.bench_service import measure_service_latency  # noqa: E402
@@ -136,16 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="[runtime] per-task adjacency cap of the compound "
         "configuration (default 16)",
     )
-    parser.add_argument(
-        "--cores",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="[runtime] also measure process-per-shard scaling at these "
-        "shard_jobs counts (e.g. --cores 1 2 4 8) and attach the curve "
-        "to the recorded run",
-    )
     parser.add_argument("--seed", type=int, default=0, help="workload and engine seed")
     parser.add_argument(
         "--strategy", default="BaseP", help="pricing strategy to drive the runs"
@@ -178,8 +167,6 @@ def load_trajectory(path: Path, benchmark_name: str) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     output = args.output or DEFAULT_OUTPUTS[args.benchmark]
-    if args.cores and args.benchmark != "runtime":
-        raise SystemExit("--cores only applies to --benchmark runtime")
     if args.benchmark == "dynamic":
         scenario = "churn_city"
     elif args.benchmark == "service":
@@ -209,16 +196,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             strategy=args.strategy,
         )
-        if args.cores:
-            print(f"measuring multi-core scaling at shard_jobs {args.cores} ...")
-            run["multicore"] = measure_multicore_scaling(
-                scale=args.scale,
-                core_counts=tuple(args.cores),
-                shards=args.shards[-1] if args.shards else 8,
-                max_degree=args.max_degree,
-                seed=args.seed,
-                strategy=args.strategy,
-            )
     elif args.benchmark == "dynamic":
         run = measure_dynamic_throughput(scale=args.scale, seed=args.seed)
     elif args.benchmark == "service":
@@ -303,15 +280,6 @@ def main(argv=None) -> int:
     else:
         best = max(run["speedup_vs_baseline"].items(), key=lambda item: item[1])
         print(f"best speedup: {best[0]} {best[1]:.2f}x  -> {output}")
-    if "multicore" in run:
-        curve = run["multicore"]
-        for point in curve["results"]:
-            print(
-                f"shard_jobs={point['shard_jobs']}: {point['seconds']:.1f}s  "
-                f"{point['tasks_per_second']:.0f} tasks/s  "
-                f"({curve['speedup_vs_1core'][str(point['shard_jobs'])]:.2f}x)"
-            )
-        print(f"effective cores: {curve['effective_cores']}")
     return 0
 
 
