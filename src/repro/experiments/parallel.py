@@ -43,9 +43,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.pricing.registry import create_strategy
 from repro.utils.affinity import effective_cpu_count
-from repro.simulation.config import WorkloadBundle
+from repro.simulation.config import ChunkedWorkload, WorkloadBundle
 from repro.simulation.results import SimulationResult
-from repro.simulation.sharded import ShardedEngine
+from repro.simulation.sharded import ShardableWorkload, ShardedEngine
 from repro.simulation.streaming import (
     ArrivalStream,
     DynamicStreamingEngine,
@@ -72,7 +72,7 @@ class ShardSpec:
 
     def build_engine(
         self,
-        workload: WorkloadBundle,
+        workload: ShardableWorkload,
         seed: int,
         matching_backend: str,
         track_memory: bool,
@@ -158,7 +158,7 @@ class StrategySpec:
 
 
 def _execute_run(
-    workload: WorkloadBundle,
+    workload: ShardableWorkload,
     spec: StrategySpec,
     seed: int,
     matching_backend: str,
@@ -222,7 +222,7 @@ def _execute_stream_run(
 
 #: Per-worker-process workload, installed once by the pool initializer so
 #: the (potentially multi-megabyte) bundle is not re-pickled per job.
-_WORKER_WORKLOAD: Optional[WorkloadBundle] = None
+_WORKER_WORKLOAD: Optional[ShardableWorkload] = None
 
 
 def _init_worker(workload: WorkloadBundle) -> None:
@@ -246,34 +246,36 @@ class _ArenaWorkloadMeta:
 
 
 def _init_worker_from_arena(handle, meta: _ArenaWorkloadMeta) -> None:
-    """Pool initializer: rebuild the workload from shared-memory columns.
+    """Pool initializer: run the workload straight off shared memory.
 
     The owner process packs the bundle's period columns into one
-    :class:`~repro.simulation.arena.WorkloadArena`; every worker maps the
-    segment read-only and materialises its private object bundle from the
-    views — no per-worker workload pickling, and a worker crash cannot
-    leak the segment (only the owner unlinks).
+    :class:`~repro.simulation.arena.WorkloadArena`.  Every worker maps
+    the segment read-only for the rest of its life and runs a
+    :class:`~repro.simulation.config.ChunkedWorkload` whose
+    ``column_periods`` yields the arena's zero-copy views, so the batch
+    period loop reads the owner's columns with no per-worker pickling
+    and no round trip through ``Task`` / ``Worker`` objects.  A worker
+    crash cannot leak the segment: only the owner unlinks, and a
+    worker's mapping ends with its process.
     """
     from repro.simulation.arena import WorkloadArena
 
     global _WORKER_WORKLOAD
     arena = WorkloadArena.attach(handle)
-    try:
-        tasks_by_period = []
-        workers_by_period = []
+
+    def object_periods():
         for task_cols, worker_cols in arena.iter_period_columns():
-            tasks_by_period.append(task_cols.to_tasks())
-            workers_by_period.append(worker_cols.to_workers())
-    finally:
-        arena.close()
-    _WORKER_WORKLOAD = WorkloadBundle(
+            yield task_cols.to_tasks(), worker_cols.to_workers()
+
+    _WORKER_WORKLOAD = ChunkedWorkload(
         grid=meta.grid,
-        tasks_by_period=tasks_by_period,
-        workers_by_period=workers_by_period,
+        periods=object_periods,
+        num_periods=handle.num_periods,
         acceptance=meta.acceptance,
         metric=meta.metric,
         price_bounds=meta.price_bounds,
         description=meta.description,
+        column_periods=arena.iter_period_columns,
     )
 
 

@@ -5,7 +5,7 @@ Architecture (one connection = one replay session, FIFO end to end)::
     client ──lines──▶ reader ──bounded queue──▶ consumer ──▶ DispatchSession
                         │ stats/reject (inline)     │ quotes/settlements
                         ▼                           ▼
-                      writer  ◀─────────────────────┘
+                      replies ◀─────────────────────┘ ──one write──▶ client
 
 * The **reader** parses lines and enqueues events into a bounded
   :class:`asyncio.Queue`.  Under ``admission="block"`` (default) a full
@@ -26,6 +26,14 @@ Architecture (one connection = one replay session, FIFO end to end)::
   ``greedy=True``; ``DynamicMatcher.insert_task_greedy`` when capped)
   so the exact delta repair cannot bust the SLO — counted, surfaced,
   and off by default (no SLO configured, never degrade).
+* **Replies** leave through one buffer per connection
+  (:class:`_Replies`).  The consumer holds its replies while more
+  events are queued and writes them out as one ``send`` before it could
+  wait (the queue is empty, the ``event_delay`` seam sleeps, the
+  session ends) or once :data:`MAX_HELD_REPLIES` are held; the reader's
+  inline replies and every ``error`` go out at once, behind whatever is
+  held.  The byte stream is unchanged; only the number of socket writes
+  (and of client wake-ups) drops under a backlog.
 * **Observability**: per-stage latency series (queue wait, service time,
   total turnaround, plus the session's settle/quote/decide/match/
   feedback stages), queue depth and drop/degrade counters, served as an
@@ -74,6 +82,13 @@ from repro.simulation.streaming import (
 )
 from repro.spatial.index import checked_degree_cap
 from repro.utils.shm import ShmArena
+
+#: Replies the consumer may hold while more events are queued.  In a
+#: sweep of the ``burst_service`` benchmark (docs/performance.md, "One
+#: socket write per drained backlog") paced quote p99 was no better above
+#: 8 and worse at 256, while a larger bound holds a backlog's first
+#: quotes back longer; 8 is the smallest bound on that plateau.
+MAX_HELD_REPLIES = 8
 
 
 @dataclass
@@ -207,6 +222,41 @@ class ServiceStats:
                 name: series.summary() for name, series in sorted(self.series.items())
             },
         }
+
+
+class _Replies:
+    """One connection's server→client lines, written as few sends.
+
+    :meth:`send` encodes a message and holds its line; :meth:`write`
+    hands every held line to the transport in one ``writer.write``, and
+    :meth:`flush` writes and then drains once.  Lines leave in the order
+    they were sent, so holding changes the number of socket writes,
+    never the byte stream.  Every message bumps the ``replies`` counter
+    and every write ``reply_writes``, so ``/stats`` shows the ratio.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter, stats: ServiceStats) -> None:
+        self._writer = writer
+        self._stats = stats
+        self._held: List[bytes] = []
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def send(self, message: Dict[str, Any]) -> None:
+        self._held.append(encode_message(message))
+        self._stats.bump("replies")
+
+    def write(self) -> None:
+        if self._held:
+            self._writer.write(b"".join(self._held))
+            self._held.clear()
+            self._stats.bump("reply_writes")
+
+    async def flush(self) -> None:
+        if self._held:
+            self.write()
+            await self._writer.drain()
 
 
 class DispatchServer:
@@ -346,14 +396,11 @@ class DispatchServer:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    @staticmethod
-    def _write(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> None:
-        writer.write(encode_message(message))
-
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         session_ran = False
+        replies = _Replies(writer, self.stats)
         try:
             first = await reader.readline()
             if not first:
@@ -365,19 +412,21 @@ class DispatchServer:
             if hello.get("type") != "hello":
                 raise ProtocolError("first message must be 'hello' (or an HTTP GET)")
             if self._busy:
-                self._write(writer, error_message("busy: a session is already active"))
-                await writer.drain()
+                replies.send(error_message("busy: a session is already active"))
+                await replies.flush()
                 return
             self._busy = True
             try:
                 session_ran = True
-                await self._run_session(hello, reader, writer)
+                await self._run_session(hello, reader, replies)
             finally:
                 self._busy = False
         except ProtocolError as exc:
             try:
-                self._write(writer, error_message(str(exc)))
-                await writer.drain()
+                # Behind every reply the consumer still holds: the client
+                # reads the replies of all events before the fault first.
+                replies.send(error_message(str(exc)))
+                await replies.flush()
             except (ConnectionResetError, BrokenPipeError, ProtocolError):
                 # drain() re-raises a consumer failure handed to the
                 # reader; closing the writer below still flushes the reply.
@@ -475,12 +524,11 @@ class DispatchServer:
         self,
         hello: Dict[str, Any],
         reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        replies: _Replies,
     ) -> None:
         session = self._build_session(hello)
         instance = self._universe[0]
-        self._write(
-            writer,
+        replies.send(
             {
                 "type": "ready",
                 "protocol": PROTOCOL_VERSION,
@@ -491,14 +539,14 @@ class DispatchServer:
                 "admission": self.config.admission,
                 "queue_size": self.config.queue_size,
                 "slo_ms": self.config.slo_ms,
-            },
+            }
         )
-        await writer.drain()
+        await replies.flush()
 
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_size)
         self._active_queue = queue
-        consumer = asyncio.create_task(self._consume(session, queue, writer))
+        consumer = asyncio.create_task(self._consume(session, queue, replies))
 
         def _fail_reader(task: asyncio.Task) -> None:
             # The client waits for the reply to the event that killed the
@@ -527,7 +575,10 @@ class DispatchServer:
                 if mtype == "stats":
                     # Served inline so a monitoring probe is never stuck
                     # behind the ingest queue it is trying to observe.
-                    self._write(writer, self.stats_snapshot())
+                    # The reader writes without draining, as it must keep
+                    # reading to shed under reject admission.
+                    replies.send(self.stats_snapshot())
+                    replies.write()
                     continue
                 if mtype not in EVENT_TYPES:
                     raise ProtocolError(f"unexpected message type {mtype!r}")
@@ -549,15 +600,15 @@ class DispatchServer:
                                 "different streams"
                             )
                         self.stats.bump("rejected")
-                        self._write(
-                            writer,
+                        replies.send(
                             {
                                 "type": "reject",
                                 "reason": "backpressure: ingest queue is full",
                                 "task_id": offered_id,
                                 "time": message.get("time"),
-                            },
+                            }
                         )
+                        replies.write()
                         continue
                     item = (loop.time(), task_pos, message)
                 else:
@@ -594,7 +645,7 @@ class DispatchServer:
     # the consumer: events → session, strictly in arrival order
     # ------------------------------------------------------------------
     def _emit_settlements(
-        self, writer: asyncio.StreamWriter, settlements: List[Settlement]
+        self, replies: _Replies, settlements: List[Settlement]
     ) -> None:
         for settlement in settlements:
             if settlement.kind == "commit":
@@ -603,8 +654,7 @@ class DispatchServer:
                 self.stats.bump("expired")
             else:
                 self.stats.bump("departed")
-            self._write(
-                writer,
+            replies.send(
                 {
                     "type": "settle",
                     "kind": settlement.kind,
@@ -612,14 +662,14 @@ class DispatchServer:
                     "task_id": settlement.task_id,
                     "worker_id": settlement.worker_id,
                     "revenue": settlement.revenue,
-                },
+                }
             )
 
     async def _consume(
         self,
         session: DispatchSession,
         queue: asyncio.Queue,
-        writer: asyncio.StreamWriter,
+        replies: _Replies,
     ) -> None:
         loop = asyncio.get_running_loop()
         config = self.config
@@ -629,11 +679,13 @@ class DispatchServer:
         while True:
             item = await queue.get()
             if item is None:
+                await replies.flush()
                 return
             # The reader assigns task positions at ingest (shed arrivals
             # consume theirs too); workers carry None and count here.
             received_at, task_pos, message = item
             if config.event_delay:
+                await replies.flush()
                 await asyncio.sleep(config.event_delay)
             queue_wait = loop.time() - received_at
             mtype = message["type"]
@@ -665,9 +717,8 @@ class DispatchServer:
                     self.stats.observe("queue_wait", queue_wait)
                     self.stats.observe("service", service_seconds)
                     self.stats.observe("total", loop.time() - received_at)
-                    self._emit_settlements(writer, settlements)
-                    self._write(
-                        writer,
+                    self._emit_settlements(replies, settlements)
+                    replies.send(
                         {
                             "type": "quote",
                             "task_id": outcome.task_id,
@@ -679,7 +730,7 @@ class DispatchServer:
                             "deadline": outcome.deadline,
                             "queue_wait_ms": queue_wait * 1e3,
                             "service_ms": service_seconds * 1e3,
-                        },
+                        }
                     )
                 elif mtype == "worker":
                     if next_worker >= len(instance.workers):
@@ -700,14 +751,13 @@ class DispatchServer:
                         worker_pos, float(message["time"])
                     )
                     self.stats.bump("workers_joined" if joined else "workers_expired")
-                    self._emit_settlements(writer, settlements)
-                    self._write(
-                        writer,
+                    self._emit_settlements(replies, settlements)
+                    replies.send(
                         {
                             "type": "joined",
                             "worker_id": offered.worker_id,
                             "joined": joined,
-                        },
+                        }
                     )
                 elif mtype == "depart":
                     worker_id = int(message["worker_id"])
@@ -719,20 +769,18 @@ class DispatchServer:
                     departed, settlements = session.depart_worker(
                         worker_pos, float(message["time"])
                     )
-                    self._emit_settlements(writer, settlements)
-                    self._write(
-                        writer,
+                    self._emit_settlements(replies, settlements)
+                    replies.send(
                         {
                             "type": "departed",
                             "worker_id": worker_id,
                             "departed": departed,
-                        },
+                        }
                     )
                 else:  # flush
                     settlements = session.drain()
-                    self._emit_settlements(writer, settlements)
-                    self._write(
-                        writer,
+                    self._emit_settlements(replies, settlements)
+                    replies.send(
                         {
                             "type": "summary",
                             "revenue": session.revenue,
@@ -743,7 +791,7 @@ class DispatchServer:
                             "expired": session.expired,
                             "departed": session.departed,
                             "rejected": self.stats.counters.get("rejected", 0),
-                        },
+                        }
                     )
             except ProtocolError:
                 raise
@@ -752,7 +800,10 @@ class DispatchServer:
                 raise ProtocolError(f"malformed {mtype} message: {exc}") from exc
             finally:
                 queue.task_done()
-            await writer.drain()
+            # Hold replies only while more events wait: an empty queue
+            # means the next get() may suspend.
+            if queue.empty() or len(replies) >= MAX_HELD_REPLIES:
+                await replies.flush()
 
 
 __all__ = ["DispatchServer", "LatencySeries", "ServiceConfig", "ServiceStats"]

@@ -7,6 +7,7 @@ import os
 import signal
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.experiments.parallel import ParallelRunner, StrategySpec, StreamSpec
@@ -115,9 +116,17 @@ class TestParallelRunner:
         assert _arena_segments() == set()
 
     def test_arena_initializer_rebuilds_the_bundle(self, small_workload, monkeypatch):
-        """A pool worker's arena-fed workload equals the owner's bundle."""
+        """A pool worker's arena-fed workload serves the owner's columns.
+
+        The worker keeps the segment mapped and reads every period as
+        read-only column views, with no ``Task`` / ``Worker`` objects in
+        between, and a run over those views equals a run over the
+        owner's bundle.
+        """
         from repro.experiments import parallel
         from repro.simulation.arena import WorkloadArena
+        from repro.simulation.config import ChunkedWorkload
+        from repro.simulation.sharded import ShardedEngine
 
         monkeypatch.setattr(parallel, "_WORKER_WORKLOAD", None)
         meta = parallel._ArenaWorkloadMeta(
@@ -127,15 +136,31 @@ class TestParallelRunner:
             price_bounds=small_workload.price_bounds,
             description=small_workload.description,
         )
-        with WorkloadArena.create(list(small_workload.iter_period_columns())) as arena:
+        owner_columns = list(small_workload.iter_period_columns())
+        with WorkloadArena.create(owner_columns) as arena:
             parallel._init_worker_from_arena(arena.handle, meta)
-        rebuilt = parallel._WORKER_WORKLOAD
-        assert rebuilt is not None and rebuilt is not small_workload
-        assert rebuilt.num_periods == small_workload.num_periods
-        assert rebuilt.tasks_by_period == small_workload.tasks_by_period
-        assert rebuilt.workers_by_period == small_workload.workers_by_period
-        assert rebuilt.grid is small_workload.grid
-        assert rebuilt.price_bounds == small_workload.price_bounds
+            attached = parallel._WORKER_WORKLOAD
+            assert isinstance(attached, ChunkedWorkload)
+            assert attached.num_periods == small_workload.num_periods
+            assert attached.grid is small_workload.grid
+            assert attached.price_bounds == small_workload.price_bounds
+            served = list(attached.iter_period_columns())
+            assert len(served) == len(owner_columns)
+            for chunk, owner_chunk in zip(served, owner_columns):
+                for columns, owner in zip(chunk, owner_chunk):
+                    for name, value in vars(columns).items():
+                        if isinstance(value, np.ndarray):
+                            assert not value.flags.writeable
+                            np.testing.assert_array_equal(value, vars(owner)[name])
+                        else:
+                            assert value == vars(owner)[name]
+            del served, chunk, columns, value
+            expected = ShardedEngine(small_workload, seed=3).run(
+                create_strategy("BaseP", **SHARED)
+            )
+            result = ShardedEngine(attached, seed=3).run(create_strategy("BaseP", **SHARED))
+            assert result.metrics.total_revenue == expected.metrics.total_revenue
+            assert result.metrics.served_tasks == expected.metrics.served_tasks
         assert _arena_segments() == set()
 
     def test_default_max_workers_is_the_effective_cpu_count(self, small_workload):

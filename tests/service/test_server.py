@@ -44,6 +44,30 @@ async def _with_server(config: ServiceConfig, action):
         await server.stop()
 
 
+def _stream_messages():
+    """The scenario stream's arrivals as wire messages, in replay order."""
+    from repro.service.protocol import task_to_wire, worker_to_wire
+    from repro.simulation.streaming import TaskArrival, _validated_events
+
+    stream = get_scenario(SCENARIO).stream(scale=SCALE, seed=SEED, **PARAMS)
+    messages = []
+    for event in _validated_events(stream):
+        if isinstance(event, TaskArrival):
+            messages.append(
+                {"type": "task", "time": event.time, "task": task_to_wire(event.task)}
+            )
+        else:
+            messages.append(
+                {"type": "worker", "time": event.time, "worker": worker_to_wire(event.worker)}
+            )
+    return messages
+
+
+def _untimed(reply):
+    """A reply without its wall-clock fields (they differ run to run)."""
+    return {k: v for k, v in reply.items() if k not in ("queue_wait_ms", "service_ms")}
+
+
 def _engine_reference(strategy_name: str = "BaseP", task_lifetime: float = 4.0):
     """The offline engine's session on the identical stream."""
     stream = get_scenario(SCENARIO).stream(scale=SCALE, seed=SEED, **PARAMS)
@@ -203,7 +227,26 @@ class TestObservability:
         assert asyncio.run(_with_server(_config(), action)) == 404
 
     def test_stats_snapshot_contents(self):
+        async def lockstep(port):
+            """Worker joins one at a time, each reply read before the next
+            event goes out; the stats snapshot that closes the exchange."""
+            workers = [m for m in _stream_messages() if m["type"] == "worker"][:4]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                messages = [hello_message(SCENARIO, SCALE, SEED, "BaseP", params=PARAMS)]
+                for message in messages + workers + [{"type": "stats"}]:
+                    writer.write(encode_message(message))
+                    await writer.drain()
+                    reply = decode_message(await reader.readline())
+                writer.write(encode_message({"type": "bye"}))
+                await writer.drain()
+                assert await reader.readline() == b""  # the session has ended
+                return reply
+            finally:
+                writer.close()
+
         async def action(server, port):
+            lockstep_stats = await lockstep(port)
             report = await replay(
                 "127.0.0.1", port, SCENARIO, scale=SCALE, seed=SEED,
                 strategy="BaseP", params=PARAMS,
@@ -212,9 +255,15 @@ class TestObservability:
             http_stats = await asyncio.to_thread(
                 lambda: json.loads(urllib.request.urlopen(url, timeout=10).read())
             )
-            return report, http_stats
+            return lockstep_stats, report, http_stats
 
-        report, http_stats = asyncio.run(_with_server(_config(), action))
+        lockstep_stats, report, http_stats = asyncio.run(_with_server(_config(), action))
+        # One event at a time, every reply is its own socket write ...
+        assert lockstep_stats["type"] == "stats"
+        counters = lockstep_stats["counters"]
+        assert counters["replies"] == counters["reply_writes"] == 5
+        # ... and an unpaced replay's backlog shares writes.
+        assert report.stats["counters"]["reply_writes"] < report.stats["counters"]["replies"]
         # In-protocol snapshot (requested after the summary — final).
         stats = report.stats
         assert stats["type"] == "stats"
@@ -371,8 +420,8 @@ class TestConsumerFaults:
     reply to the event that killed the consumer."""
 
     @staticmethod
-    def _exchange(messages):
-        """Send ``hello`` then ``messages``; the replies until EOF."""
+    def _exchange(messages, **config):
+        """Send ``hello`` then ``messages`` in one write; the replies until EOF."""
 
         async def action(server, port):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -394,7 +443,7 @@ class TestConsumerFaults:
             finally:
                 writer.close()
 
-        return asyncio.run(_with_server(_config(), action))
+        return asyncio.run(_with_server(_config(**config), action))
 
     @staticmethod
     def _first_events():
@@ -430,6 +479,101 @@ class TestConsumerFaults:
         )
         assert [reply["type"] for reply in replies] == ["ready", "joined", "error"]
         assert "before" in replies[-1]["reason"]
+
+    @pytest.mark.parametrize("before", [20, 21])
+    def test_fault_behind_a_backlog_follows_every_earlier_reply(self, before):
+        """A refused event deep in a queued backlog, with ten more behind
+        it: the client reads ``ready``, the replies of exactly the events
+        before the fault in their per-event order, one ``error``, then EOF.
+        The server holds replies while events are queued, so those replies
+        must leave ahead of the error.  Two backlog lengths, so the fault
+        lands with replies held in at least one of them."""
+        events = _stream_messages()
+        prefix = events[:before]
+        fault = dict(events[before], time=prefix[-1]["time"] - 1.0)
+        suffix = events[before + 1 : before + 11]
+        assert len(suffix) == 10
+        expected = self._exchange(prefix + [{"type": "bye"}])
+        replies = self._exchange(prefix + [fault] + suffix)
+        assert [_untimed(r) for r in replies[:-1]] == [_untimed(r) for r in expected]
+        assert replies[-1]["type"] == "error"
+        assert "before" in replies[-1]["reason"]
+
+    def test_consumer_failure_under_reject_admission(self):
+        """Under reject admission (a two-slot queue and a per-event stall)
+        a refused worker arrival still reaches the client as an ``error``
+        after every earlier event's reply or ``reject``, and the socket
+        closes within the exchange's read timeout."""
+        events = _stream_messages()
+        before = next(
+            pos for pos in range(20, len(events)) if events[pos]["type"] == "worker"
+        )
+        prefix = events[:before]
+        fault = dict(events[before], time=prefix[-1]["time"] - 1.0)
+        suffix = events[before + 1 : before + 11]
+        replies = self._exchange(
+            prefix + [fault] + suffix, admission="reject", queue_size=2, event_delay=0.01
+        )
+        assert replies[0]["type"] == "ready"
+        assert replies[-1]["type"] == "error"
+        assert "before" in replies[-1]["reason"]
+        answered = replies[1:-1]
+        assert "error" not in {reply["type"] for reply in answered}
+        quoted = [r["task_id"] for r in answered if r["type"] == "quote"]
+        rejected = [r["task_id"] for r in answered if r["type"] == "reject"]
+        assert rejected  # the queue did overflow
+        prefix_tasks = [m["task"]["task_id"] for m in prefix if m["type"] == "task"]
+        suffix_tasks = [m["task"]["task_id"] for m in suffix if m["type"] == "task"]
+        # Every task before the fault was quoted or shed, exactly once;
+        # behind the fault a task can only have been shed at ingest.
+        assert sorted(quoted + [t for t in rejected if t in prefix_tasks]) == sorted(
+            prefix_tasks
+        )
+        assert set(rejected) <= set(prefix_tasks) | set(suffix_tasks)
+        assert [r["worker_id"] for r in answered if r["type"] == "joined"] == [
+            m["worker"]["worker_id"] for m in prefix if m["type"] == "worker"
+        ]
+
+    def test_disconnect_mid_backlog_then_new_hello_replays_exactly(self):
+        """A client that leaves mid-session, its replies unread and a
+        backlog still queued, frees the server: the old session ends
+        without quoting its whole backlog, and the next ``hello`` gets
+        ``ready`` and a replay bit-identical to the offline engine."""
+        events = _stream_messages()
+        backlog_tasks = sum(1 for m in events if m["type"] == "task")
+
+        async def action(server, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                encode_message(hello_message(SCENARIO, SCALE, SEED, "BaseP", params=PARAMS))
+            )
+            await writer.drain()
+            assert decode_message(await reader.readline())["type"] == "ready"
+            writer.write(b"".join(encode_message(m) for m in events))
+            await writer.drain()
+            while not server.stats.counters.get("quoted"):
+                await asyncio.sleep(0.001)
+            writer.transport.abort()  # unread replies: the close is a reset
+            for _ in range(1000):
+                if not server.stats_snapshot()["busy"]:
+                    break
+                await asyncio.sleep(0.01)
+            abandoned_quotes = server.stats.counters["quoted"]
+            report = await replay(
+                "127.0.0.1", port, SCENARIO, scale=SCALE, seed=SEED,
+                strategy="BaseP", params=PARAMS,
+            )
+            return abandoned_quotes, report
+
+        abandoned_quotes, report = asyncio.run(
+            _with_server(_config(event_delay=0.02), action)
+        )
+        assert abandoned_quotes < backlog_tasks
+        session = _engine_reference()
+        assert report.ready["type"] == "ready"
+        assert repr(report.revenue) == repr(session.revenue)
+        assert report.commits == session.commit_log
+        assert report.summary["quoted"] == session.quoted
 
 
 class TestConfigValidation:
