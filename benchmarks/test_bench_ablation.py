@@ -3,8 +3,8 @@
 These are not paper figures; they quantify the contribution of individual
 components of the reproduction:
 
-* ``matching backends`` — the exact matroid-greedy matching vs. the dense
-  Hungarian / SciPy solvers vs. the non-augmenting greedy heuristic;
+* ``matching`` — the exact matroid-greedy matching vs. the dense SciPy
+  solver;
 * ``UCB vs. exploitation`` — MAPS with the UCB confidence radius of
   Algorithm 3 vs. a pure-exploitation variant;
 * ``Eq. (1) approximation quality`` — the planner's L-approximation of the
@@ -24,7 +24,7 @@ from repro.market.curves import revenue_approximation
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import build_bipartite_graph
 from repro.matching.possible_worlds import exact_expected_revenue
-from repro.matching.weighted import max_weight_matching
+from repro.matching.weighted import max_weight_matching, scipy_max_weight_matching
 from repro.pricing.maps_strategy import MAPSStrategy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.generator import SyntheticWorkloadGenerator
@@ -39,7 +39,7 @@ def _workload(scale: float, seed: int = 21):
 
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_matching_backends(benchmark):
-    """Exact backends agree; the greedy heuristic loses weight but is fast."""
+    """The matroid greedy agrees with the dense exact solver."""
     rng = np.random.default_rng(0)
     grid = Grid.square(100.0, 10)
     tasks = [
@@ -64,19 +64,16 @@ def test_ablation_matching_backends(benchmark):
     weights = [task.distance * 2.0 for task in tasks]
 
     def run_matroid():
-        return max_weight_matching(graph, weights, backend="matroid")[1]
+        return max_weight_matching(graph, weights)[1]
 
     matroid_total = benchmark(run_matroid)
-    scipy_total = max_weight_matching(graph, weights, backend="scipy")[1]
-    greedy_total = max_weight_matching(graph, weights, backend="greedy")[1]
+    scipy_total = scipy_max_weight_matching(graph, weights)[1]
 
-    print("\n### Ablation: matching backends (total matched weight)")
+    print("\n### Ablation: matching (total matched weight)")
     print(f"matroid greedy+augmentation : {matroid_total:10.2f}  (exact, used by the engine)")
-    print(f"scipy linear_sum_assignment : {scipy_total:10.2f}  (exact, dense)")
-    print(f"greedy without augmentation : {greedy_total:10.2f}  (heuristic)")
+    print(f"scipy linear_sum_assignment : {scipy_total:10.2f}  (exact, dense oracle)")
 
     assert matroid_total == pytest.approx(scipy_total, rel=1e-9)
-    assert greedy_total <= matroid_total + 1e-9
 
 
 @pytest.mark.benchmark(group="ablation")

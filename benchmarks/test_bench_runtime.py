@@ -5,18 +5,15 @@ partitioning, quote/decide/match, halo reconciliation, feedback) for the
 compound ``--shards 8 --max-degree 16`` configuration across data planes
 and asserts the zero-copy runtime acceptance criteria:
 
-* the fastest compound plane (``columnar-vgreedy``) must beat the frozen
-  object generator (per-cell scipy sampling + object chunks converted
-  to columns, same algorithms) by at least ``REPRO_RUNTIME_SPEEDUP_MIN``
-  (default 2x) — single-core, the win is the data plane, not
-  parallelism; the exact ``columnar`` plane must clear the softer
-  ``REPRO_RUNTIME_EXACT_SPEEDUP_MIN`` (default 1.3x) floor, which widens
-  with the horizon (short CI horizons under-amortise generation);
+* the ``columnar`` plane must beat the frozen object generator
+  (per-cell scipy sampling + object chunks converted to columns, same
+  algorithms) by at least ``REPRO_RUNTIME_EXACT_SPEEDUP_MIN`` (default
+  1.3x) — single-core, the win is the data plane, not parallelism; the
+  floor widens with the horizon (short CI horizons under-amortise
+  generation);
 * ``columnar`` revenue must be **bit-identical** to the baseline (same
   matroid matching over the same capped graphs — the plane must not
-  change one decision);
-* ``columnar-vgreedy`` revenue must stay within
-  ``REPRO_RUNTIME_REVENUE_TOLERANCE`` (default 10%) of the baseline.
+  change one decision).
 
 The committed ``BENCH_runtime.json`` records the same measurement at the
 full 1M-task horizon (``tools/bench_to_json.py --benchmark runtime``);
@@ -35,24 +32,15 @@ from repro.experiments.bench_runtime import measure_runtime_throughput
 #: Horizon scale of the CI-sized measurement (per-period density fixed).
 BENCH_SCALE = float(os.environ.get("REPRO_RUNTIME_BENCH_SCALE", "0.01"))
 
-#: Required end-to-end speedup of the fastest compound plane.
-REQUIRED_SPEEDUP = float(os.environ.get("REPRO_RUNTIME_SPEEDUP_MIN", "2.0"))
-
 #: Floor for the exact (matroid) columnar plane at the CI-sized horizon.
 REQUIRED_EXACT_SPEEDUP = float(
     os.environ.get("REPRO_RUNTIME_EXACT_SPEEDUP_MIN", "1.3")
 )
 
-#: Allowed relative revenue drift of the vgreedy plane vs the baseline.
-REVENUE_TOLERANCE = float(
-    os.environ.get("REPRO_RUNTIME_REVENUE_TOLERANCE", "0.10")
-)
-
-
 
 @pytest.mark.benchmark(group="runtime")
 def test_end_to_end_runtime_on_city_scale(benchmark):
-    """Columnar planes must beat the PR 4 plane >= 2x at bounded drift."""
+    """The columnar plane must beat the PR 4 plane at identical revenue."""
     holder: Dict[str, Dict[str, object]] = {}
 
     def run_once() -> None:
@@ -70,16 +58,8 @@ def test_end_to_end_runtime_on_city_scale(benchmark):
         )
     speedups = payload["speedup_vs_baseline"]
     ratios = payload["revenue_ratio_vs_baseline"]
-    print(
-        f"speedups: columnar {speedups['columnar']:.2f}x, "
-        f"columnar-vgreedy {speedups['columnar-vgreedy']:.2f}x"
-    )
+    print(f"speedup: columnar {speedups['columnar']:.2f}x")
 
-    assert speedups["columnar-vgreedy"] >= REQUIRED_SPEEDUP, (
-        f"columnar-vgreedy end-to-end speedup "
-        f"{speedups['columnar-vgreedy']:.2f}x below the required "
-        f"{REQUIRED_SPEEDUP:.1f}x over the PR 4 baseline"
-    )
     assert speedups["columnar"] >= REQUIRED_EXACT_SPEEDUP, (
         f"columnar end-to-end speedup {speedups['columnar']:.2f}x below the "
         f"required {REQUIRED_EXACT_SPEEDUP:.1f}x over the PR 4 baseline"
@@ -89,8 +69,4 @@ def test_end_to_end_runtime_on_city_scale(benchmark):
     assert ratios["columnar"] == 1.0, (
         f"columnar plane drifted revenue by {abs(1 - ratios['columnar']):.2e}; "
         "the data plane must be bit-identical to the frozen generator's run"
-    )
-    assert abs(1.0 - ratios["columnar-vgreedy"]) <= REVENUE_TOLERANCE, (
-        f"vgreedy revenue drifted {abs(1 - ratios['columnar-vgreedy']):.1%} "
-        f"from the exact baseline (allowed {REVENUE_TOLERANCE:.0%})"
     )

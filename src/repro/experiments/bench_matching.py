@@ -22,8 +22,7 @@ curve:
 * ``vectorized`` — the array-native graph builder (the default path),
   exact matroid matching: same results, less builder time;
 * ``capped-<K>`` — vectorized builder with ``max_degree=K`` (K nearest
-  workers per task), exact matching on the capped graph;
-* ``vgreedy`` — vectorized builder, numpy round-based greedy matching.
+  workers per task), exact matching on the capped graph.
 
 Parts combine with ``+`` (e.g. ``loop+capped-8``).
 """
@@ -42,7 +41,7 @@ from repro.simulation.scenarios import get_scenario
 from repro.simulation.sharded import ShardedEngine
 
 #: Configurations the CI gate measures (baseline first).
-DEFAULT_CONFIGS = ("loop", "vectorized", "capped-16", "capped-8", "vgreedy")
+DEFAULT_CONFIGS = ("loop", "vectorized", "capped-16", "capped-8")
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class MatchingBenchPoint:
     """One measured hot-path configuration."""
 
     config: str
-    backend: str
     max_degree: Optional[int]
     seconds: float
     total_tasks: int
@@ -63,14 +61,12 @@ class MatchingBenchPoint:
 class _ConfigSpec:
     name: str
     loop_builder: bool
-    backend: str
     max_degree: Optional[int]
 
 
 def parse_config(name: str) -> _ConfigSpec:
     """Parse a configuration name like ``loop+capped-8`` (see module doc)."""
     loop_builder = False
-    backend = "matroid"
     max_degree: Optional[int] = None
     for part in name.split("+"):
         part = part.strip()
@@ -78,20 +74,13 @@ def parse_config(name: str) -> _ConfigSpec:
             loop_builder = True
         elif part == "vectorized":
             pass
-        elif part == "vgreedy":
-            backend = "vgreedy"
         elif part.startswith("capped-"):
             max_degree = int(part[len("capped-") :])
         else:
             raise ValueError(
                 f"unknown hot-path configuration part {part!r} in {name!r}"
             )
-    return _ConfigSpec(
-        name=name,
-        loop_builder=loop_builder,
-        backend=backend,
-        max_degree=max_degree,
-    )
+    return _ConfigSpec(name=name, loop_builder=loop_builder, max_degree=max_degree)
 
 
 def measure_matching_throughput(
@@ -130,7 +119,6 @@ def measure_matching_throughput(
             num_shards=1,
             halo=0,
             seed=seed,
-            matching_backend=spec.backend,
             max_degree=spec.max_degree,
         )
         guard = force_loop_builder() if spec.loop_builder else nullcontext()
@@ -141,7 +129,6 @@ def measure_matching_throughput(
         results.append(
             MatchingBenchPoint(
                 config=spec.name,
-                backend=spec.backend,
                 max_degree=spec.max_degree,
                 seconds=elapsed,
                 total_tasks=run.metrics.total_tasks,

@@ -5,7 +5,7 @@ multiplier in isolation; the zero-copy columnar runtime exists to make
 them *compound*.  This protocol measures exactly that: full end-to-end
 ``city_scale`` throughput — lazy generation, partitioning, quoting,
 deciding, matching, halo reconciliation, feedback — for the compound
-configuration ``--shards 8 --max-degree 16`` across three configurations:
+configuration ``--shards 8 --max-degree 16`` across two configurations:
 
 * ``pr4-baseline`` — the frozen pre-columnar generation cost model:
   per-cell scipy valuation sampling and object chunks (the generation
@@ -18,14 +18,11 @@ configuration ``--shards 8 --max-degree 16`` across three configurations:
   are apples-to-apples;
 * ``columnar`` — the same algorithms over the native columnar
   generator (struct-of-arrays chunks, batched valuation sampling);
-  **bit-identical revenue** to the baseline by construction;
-* ``columnar-vgreedy`` — the columnar plane with the round-based
-  ``vgreedy`` matching backend, trading a bounded revenue drift for the
-  fastest end-to-end path.
+  **bit-identical revenue** to the baseline by construction.
 
 Two consumers share it: ``benchmarks/test_bench_runtime.py`` (CI smoke
-gate at a small horizon — the columnar planes must beat the PR 4
-baseline by the required factor at bounded revenue drift) and
+gate at a small horizon — the columnar plane must beat the PR 4
+baseline by the required factor at bit-identical revenue) and
 ``tools/bench_to_json.py --benchmark runtime`` (the full 1M-task
 ``BENCH_runtime.json`` trajectory point).
 """
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +45,10 @@ from repro.spatial.geometry import Point
 from repro.utils.rng import derive_seed
 
 #: Measurement configurations, in presentation order.  Each maps to
-#: ``(frozen object generator?, matching backend)``.
-RUNTIME_CONFIGS: Dict[str, Tuple[bool, str]] = {
-    "pr4-baseline": (True, "matroid"),
-    "columnar": (False, "matroid"),
-    "columnar-vgreedy": (False, "vgreedy"),
+#: whether it runs the frozen object generator.
+RUNTIME_CONFIGS: Dict[str, bool] = {
+    "pr4-baseline": True,
+    "columnar": False,
 }
 
 
@@ -61,7 +57,6 @@ class RuntimeBenchPoint:
     """One measured end-to-end configuration."""
 
     config: str
-    backend: str
     shards: int
     halo: int
     max_degree: Optional[int]
@@ -220,8 +215,7 @@ def measure_runtime_throughput(
     params = {} if num_periods is None else {"num_periods": num_periods}
     results: List[RuntimeBenchPoint] = []
     for name in configs:
-        frozen_generator, backend = RUNTIME_CONFIGS[name]
-        if frozen_generator:
+        if RUNTIME_CONFIGS[name]:
             workload = _pr4_workload(scale, seed, **params)
         else:
             workload = scenario.chunked(scale=scale, seed=seed, **params)
@@ -230,7 +224,6 @@ def measure_runtime_throughput(
             num_shards=shards,
             halo=halo if shards > 1 else 0,
             seed=seed,
-            matching_backend=backend,
             max_degree=max_degree,
         )
         start = time.perf_counter()
@@ -239,7 +232,6 @@ def measure_runtime_throughput(
         results.append(
             RuntimeBenchPoint(
                 config=name,
-                backend=backend,
                 shards=int(shards),
                 halo=int(halo if shards > 1 else 0),
                 max_degree=max_degree,

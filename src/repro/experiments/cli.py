@@ -16,8 +16,7 @@ Figure runs print the same plain-text tables the benchmark harness prints
 (one row per swept parameter value, one column per strategy, one table per
 metric) plus a one-line revenue-winner summary; scenario runs print one
 row per strategy.  The ``--help`` epilog enumerates the registered
-pricing strategies, matching backends and scenarios straight from their
-registries.
+pricing strategies and scenarios straight from their registries.
 """
 
 from __future__ import annotations
@@ -36,14 +35,9 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.report import format_table, format_winner_summary
 from repro.experiments.sweeps import run_sweep
-from repro.matching.registry import available_backends
 from repro.pricing.registry import available_strategies, calibrated_kwargs
 from repro.simulation.scenarios import available_scenarios, get_scenario
 from repro.simulation.sharded import ShardedEngine
-
-# Importing the backend implementations registers them; keep this import
-# even though nothing references the module directly.
-import repro.matching.weighted  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -59,7 +53,6 @@ def _registry_epilog() -> str:
     return "\n".join(
         [
             "registered pricing strategies: " + ", ".join(available_strategies()),
-            "registered matching backends:  " + ", ".join(available_backends()),
             "registered scenarios:          " + ", ".join(available_scenarios()),
         ]
     )
@@ -173,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"strategies to compare (default: {' '.join(available_strategies())})",
     )
     parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="matroid",
-        help="matching backend for the realized matching (default matroid)",
-    )
-    parser.add_argument(
         "--metrics",
         nargs="+",
         default=None,
@@ -286,7 +273,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
     print(f"# workload: {workload.description}")
     print(
         f"# mode = {mode}, scale = {scale:g}, seed = {args.seed}, "
-        f"backend = {args.backend}, base price = {calibration.base_price:.3f}"
+        f"base price = {calibration.base_price:.3f}"
     )
     if use_chunked:
         # Chunk factories are process-local (unpicklable closures), so the
@@ -299,7 +286,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
             num_shards=args.shards,
             halo=halo,
             seed=args.seed,
-            matching_backend=args.backend,
             track_memory=not args.no_memory_tracking,
             max_degree=args.max_degree,
         )
@@ -311,7 +297,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
             workload=None if args.streaming else workload,
             specs=specs,
             seeds=[args.seed],
-            matching_backend=args.backend,
             max_workers=None if args.jobs <= 0 else args.jobs,
             track_memory=not args.no_memory_tracking,
             stream=(
@@ -396,18 +381,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--halo must be non-negative")
     if args.dynamic and not args.streaming:
         parser.error("--dynamic requires --streaming")
-    if args.dynamic and args.backend != "matroid":
-        parser.error(
-            "--dynamic --streaming maintains the matroid-equivalent "
-            "matching; --backend cannot override it"
-        )
     if args.task_lifetime is not None:
         if not args.dynamic:
             parser.error("--task-lifetime requires --dynamic --streaming")
         if not (math.isfinite(args.task_lifetime) and args.task_lifetime > 0):
             parser.error("--task-lifetime must be positive and finite")
-    if args.scenario is None and args.backend != "matroid":
-        parser.error("--backend is only honored with --scenario")
     if args.scenario is not None and args.values is not None:
         parser.error("--values is only honored with --figure")
     if args.scenario is not None and args.metrics is not None:

@@ -74,7 +74,6 @@ class ShardSpec:
         self,
         workload: ShardableWorkload,
         seed: int,
-        matching_backend: str,
         track_memory: bool,
         keep_details: bool,
         max_degree: Optional[int] = None,
@@ -85,7 +84,6 @@ class ShardSpec:
             num_shards=self.num_shards,
             halo=self.halo,
             seed=seed,
-            matching_backend=matching_backend,
             track_memory=track_memory,
             keep_details=keep_details,
             max_degree=max_degree,
@@ -161,7 +159,6 @@ def _execute_run(
     workload: ShardableWorkload,
     spec: StrategySpec,
     seed: int,
-    matching_backend: str,
     track_memory: bool,
     keep_details: bool,
     shards: Optional[ShardSpec] = None,
@@ -172,12 +169,7 @@ def _execute_run(
     Without a shard spec the run is the one-shard batch solve.
     """
     engine = (shards or ShardSpec()).build_engine(
-        workload,
-        seed,
-        matching_backend,
-        track_memory,
-        keep_details,
-        max_degree,
+        workload, seed, track_memory, keep_details, max_degree
     )
     return (spec.key, seed), engine.run(spec.build())
 
@@ -186,7 +178,6 @@ def _execute_stream_run(
     stream_spec: StreamSpec,
     spec: StrategySpec,
     seed: int,
-    matching_backend: str,
     track_memory: bool,
     keep_details: bool,
     max_degree: Optional[int] = None,
@@ -212,7 +203,6 @@ def _execute_stream_run(
             stream_spec.build(),
             seed=seed,
             window=stream_spec.window,
-            matching_backend=matching_backend,
             track_memory=track_memory,
             keep_details=keep_details,
             max_degree=max_degree,
@@ -282,7 +272,6 @@ def _init_worker_from_arena(handle, meta: _ArenaWorkloadMeta) -> None:
 def _execute_run_pooled(
     spec: StrategySpec,
     seed: int,
-    matching_backend: str,
     track_memory: bool,
     keep_details: bool,
     shards: Optional[ShardSpec] = None,
@@ -293,7 +282,6 @@ def _execute_run_pooled(
         _WORKER_WORKLOAD,
         spec,
         seed,
-        matching_backend,
         track_memory,
         keep_details,
         shards,
@@ -312,7 +300,6 @@ class ParallelRunner:
         seeds: Engine seeds; one full strategy sweep runs per seed.
         shared_kwargs: Keyword arguments applied to every promoted string
             spec (e.g. ``base_price`` / ``p_min`` / ``p_max``).
-        matching_backend: Matching backend name for every engine.
         max_workers: Process count.  ``None`` (default) resolves to the
             *effective* core count (the scheduling-affinity mask, so
             container cpusets and ``taskset`` are respected, where raw
@@ -352,7 +339,6 @@ class ParallelRunner:
         specs: Sequence[object],
         seeds: Sequence[int] = (0,),
         shared_kwargs: Optional[Mapping[str, object]] = None,
-        matching_backend: str = "matroid",
         max_workers: Optional[int] = None,
         track_memory: bool = False,
         keep_details: bool = False,
@@ -386,7 +372,6 @@ class ParallelRunner:
         self.seeds = [int(seed) for seed in seeds]
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds would collapse results: {self.seeds}")
-        self.matching_backend = matching_backend
         # One process per *effective* core by default — the affinity mask,
         # not os.cpu_count(), is what a container cpuset or taskset grants.
         self.max_workers = int(
@@ -409,7 +394,6 @@ class ParallelRunner:
                 self.stream,
                 spec,
                 seed,
-                self.matching_backend,
                 self.track_memory,
                 self.keep_details,
                 self.max_degree,
@@ -419,7 +403,6 @@ class ParallelRunner:
             self.workload,
             spec,
             seed,
-            self.matching_backend,
             self.track_memory,
             self.keep_details,
             self.shards,
@@ -486,7 +469,6 @@ class ParallelRunner:
                             [self.stream] * len(jobs),
                             [spec for spec, _ in jobs],
                             [seed for _, seed in jobs],
-                            [self.matching_backend] * len(jobs),
                             [self.track_memory] * len(jobs),
                             [self.keep_details] * len(jobs),
                             [self.max_degree] * len(jobs),
@@ -529,7 +511,6 @@ class ParallelRunner:
                             _execute_run_pooled,
                             [spec for spec, _ in jobs],
                             [seed for _, seed in jobs],
-                            [self.matching_backend] * len(jobs),
                             [self.track_memory] * len(jobs),
                             [self.keep_details] * len(jobs),
                             [self.shards] * len(jobs),

@@ -4,10 +4,9 @@ Once the data plane is columnar (see ``docs/performance.md``) a handful
 of inner loops dominate the single-core profile, and each lives here as
 one function with one implementation:
 
-* :func:`repro.kernels.augmenting.matroid_augment` — the exact
-  ``matroid`` backend's augmenting-path search over CSR;
-* :func:`repro.kernels.vgreedy.vgreedy_rounds` — the ``vgreedy`` round
-  loop;
+* :func:`repro.kernels.augmenting.matroid_augment` — the matroid
+  greedy's augmenting-path search over CSR (the batch matcher,
+  :func:`repro.matching.weighted.max_weight_matching`);
 * :func:`repro.kernels.halo.halo_task_candidates` /
   :func:`repro.kernels.halo.halo_residual_workers` — the sharded
   engine's halo-reconciliation scans;

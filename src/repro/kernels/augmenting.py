@@ -1,7 +1,7 @@
 """Matroid-greedy augmenting-path kernel.
 
-:func:`matroid_augment` is the inner loop of the exact ``matroid``
-matching backend (:func:`repro.matching.weighted.task_weighted_matching`):
+:func:`matroid_augment` is the inner loop of the exact matroid-greedy
+matcher (:func:`repro.matching.weighted.max_weight_matching`):
 given the CSR view and the canonical weight-ordered task sequence, it
 produces the per-task match array.  The
 caller keeps everything float-bearing — weight validation, ordering and

@@ -11,13 +11,9 @@ Modules:
   under the range constraint, with adjacency in both directions;
 * :mod:`repro.matching.maximum_matching` — Hopcroft–Karp maximum
   cardinality matching (used as a reference for the incremental matcher);
-* :mod:`repro.matching.weighted` — maximum-weight bipartite matching with
-  interchangeable backends (exact matroid greedy on the CSR view, own
-  Kuhn–Munkres, SciPy's ``linear_sum_assignment``, and sequential /
-  numpy-vectorised greedy heuristics for very large graphs);
-* :mod:`repro.matching.registry` — the backend registry
-  :func:`max_weight_matching` dispatches through (backends register
-  themselves by name, mirroring :mod:`repro.pricing.registry`);
+* :mod:`repro.matching.weighted` — maximum-weight bipartite matching:
+  the exact matroid greedy on the CSR view, plus SciPy's
+  ``linear_sum_assignment`` as the dense test oracle;
 * :mod:`repro.matching.incremental` — the incremental augmenting-path
   matcher MAPS uses to admit one more worker into a grid's supply;
 * :mod:`repro.matching.possible_worlds` — exact expected-revenue
@@ -27,18 +23,10 @@ Modules:
 
 from repro.matching.bipartite import BipartiteGraph, CSRGraph, build_bipartite_graph
 from repro.matching.maximum_matching import hopcroft_karp_matching
-from repro.matching.registry import (
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.matching.weighted import (
-    greedy_weight_matching,
-    hungarian_matching,
     max_weight_matching,
+    scipy_max_weight_matching,
     scipy_weight_matching,
-    task_weighted_matching,
-    vectorized_greedy_matching,
 )
 from repro.matching.incremental import IncrementalMatcher
 from repro.matching.possible_worlds import (
@@ -52,15 +40,9 @@ __all__ = [
     "CSRGraph",
     "build_bipartite_graph",
     "hopcroft_karp_matching",
-    "hungarian_matching",
-    "scipy_weight_matching",
-    "greedy_weight_matching",
-    "vectorized_greedy_matching",
-    "task_weighted_matching",
     "max_weight_matching",
-    "available_backends",
-    "get_backend",
-    "register_backend",
+    "scipy_max_weight_matching",
+    "scipy_weight_matching",
     "IncrementalMatcher",
     "enumerate_possible_worlds",
     "exact_expected_revenue",

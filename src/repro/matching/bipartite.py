@@ -29,8 +29,8 @@ rounding at the exact radius boundary — see
 An optional **degree cap** keeps only the ``max_degree`` nearest workers
 per task (ties broken by ascending worker position): dense city-scale
 periods produce average task degrees in the dozens, and the augmenting
-search cost scales with edge count.  The cap is *off by default* — exact
-backends stay bit-identical to the uncapped graph — and both builder
+search cost scales with edge count.  The cap is *off by default* — the
+matching stays bit-identical to the uncapped graph's — and both builder
 paths apply the identical capping rule, which the regression tests pin.
 """
 
@@ -65,8 +65,8 @@ class CSRGraph:
     """Compressed-sparse-row view of the task-side adjacency.
 
     The neighbours of task position ``i`` are
-    ``indices[indptr[i]:indptr[i + 1]]`` in ascending worker order.  All
-    maximum-weight matching backends consume this representation (see
+    ``indices[indptr[i]:indptr[i + 1]]`` in ascending worker order.  The
+    maximum-weight matcher and its dense oracle consume this representation (see
     :mod:`repro.matching.weighted`): it is built once per period and avoids
     re-walking Python list-of-list adjacency in the hot loop.
 
@@ -317,7 +317,7 @@ class BipartiteGraph:
         return len(self.worker_neighbors[worker_pos])
 
     def csr(self) -> CSRGraph:
-        """The cached task-side CSR view consumed by matching backends.
+        """The cached task-side CSR view consumed by the matchers.
 
         Either attached directly by the vectorised builder, or built
         lazily from ``task_neighbors`` and invalidated by
@@ -572,7 +572,7 @@ def build_bipartite_graph(
         max_degree: Optional cap on the number of workers kept per task —
             only the ``max_degree`` *nearest* workers survive (ties broken
             by ascending worker position).  ``None`` (the default) keeps
-            every edge, so exact matching backends are unaffected.
+            every edge, so the exact matching is unaffected.
         vectorize: ``None`` (default) picks the array-native builder
             whenever it applies (grid given, ``use_index``, named metric);
             ``False`` forces the scalar loop path (used by the equivalence

@@ -32,8 +32,8 @@ class IncrementalMatcher:
     Algorithm 2.
 
     The augmenting search walks the graph's cached CSR view
-    (:meth:`BipartiteGraph.csr`) — the same arrays the batch matching
-    backends consume — so one period's CSR is built once and shared by
+    (:meth:`BipartiteGraph.csr`) — the same arrays the batch matcher
+    consumes — so one period's CSR is built once and shared by
     the match stage, the halo reconciliation and this matcher, instead of
     re-walking (or re-materialising) list-of-list adjacency per consumer.
     The CSR is snapshotted at construction: the graph must not gain edges
@@ -72,7 +72,7 @@ class IncrementalMatcher:
         # matched, owner neighbourhoods closed within the component), so
         # no later augmenting path can pass through them — the matching
         # only ever grows, which keeps the marking sound.  Mirrors the
-        # batch matroid backend in :mod:`repro.matching.weighted`.
+        # batch matroid greedy in :mod:`repro.matching.weighted`.
         self._visited = [0] * graph.num_workers
         self._dead = bytearray(graph.num_workers)
         self._stamp = 0
@@ -315,7 +315,7 @@ class DynamicMatcher(IncrementalMatcher):
         independent set** of the transversal matroid induced by the live
         workers on the live, positive-weight tasks, under the priority
         order *weight descending, position ascending* — exactly the set
-        the batch matroid backend (:func:`max_weight_matching`) computes
+        the batch matroid greedy (:func:`max_weight_matching`) computes
         from scratch on the same population.
 
     Because that set is intrinsic to the population (not to the path of
@@ -353,7 +353,7 @@ class DynamicMatcher(IncrementalMatcher):
             :class:`IncrementalMatcher`).
         task_weights: Weight per universe task position.  A task whose
             weight is ``<= 0`` can be inserted but never matches,
-            mirroring the batch backends' eligibility filter.
+            mirroring the batch matcher's eligibility filter.
     """
 
     def __init__(
@@ -421,7 +421,7 @@ class DynamicMatcher(IncrementalMatcher):
         """Sum of matched task weights, bit-identical to the batch solve.
 
         The floats are accumulated in priority order (weight descending,
-        position ascending) — the same sequence the matroid backend adds
+        position ascending) — the same sequence the matroid greedy adds
         as it grows the matching over ``eligible_order`` — so the result
         is bitwise equal to a fresh re-solve's total, not merely close.
         """
@@ -474,9 +474,10 @@ class DynamicMatcher(IncrementalMatcher):
         structural reachability proofs behind later repairs do not depend
         on optimality) but the lex-max-basis invariant is deliberately
         abandoned from this call on: a greedy-inserted task may occupy a
-        worker a higher-priority later task needed, exactly like the
-        batch ``vgreedy`` backend's revenue gap.  Callers must not mix
-        this with gates that assert the batch re-solve equivalence.
+        worker a higher-priority later task needed, and with no
+        augmenting search to move it, that revenue is lost to the batch
+        re-solve.  Callers must not mix this with gates that assert the
+        batch re-solve equivalence.
 
         Args:
             task_pos: Universe position; must not currently be live.

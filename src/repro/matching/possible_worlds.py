@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.matching.bipartite import BipartiteGraph
-from repro.matching.weighted import task_weighted_matching
+from repro.matching.weighted import max_weight_matching
 from repro.utils.rng import RandomState, as_generator
 
 
@@ -90,7 +90,7 @@ def enumerate_possible_worlds(
         for accepted, s in zip(outcome, acceptance_probabilities):
             probability *= s if accepted else (1.0 - s)
         accepted_positions = [pos for pos, accepted in enumerate(outcome) if accepted]
-        matching, revenue = task_weighted_matching(graph, weights, accepted_positions)
+        matching, revenue = max_weight_matching(graph, weights, accepted_positions)
         worlds.append(
             PossibleWorld(
                 accepted=outcome,
@@ -143,7 +143,7 @@ def monte_carlo_expected_revenue(
     for i in range(num_samples):
         accepted = generator.random(num_tasks) < probabilities
         accepted_positions = np.flatnonzero(accepted).tolist()
-        _, revenue = task_weighted_matching(graph, weights, accepted_positions)
+        _, revenue = max_weight_matching(graph, weights, accepted_positions)
         samples[i] = revenue
     estimate = float(samples.mean())
     standard_error = float(samples.std(ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0

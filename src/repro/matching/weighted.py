@@ -8,60 +8,56 @@ accepted tasks that can be simultaneously matched — an independent set in
 the transversal matroid of the graph — and the classic matroid greedy
 algorithm (process tasks by non-increasing weight, keep a task if an
 augmenting path exists) is *exact* for this special structure.  That
-greedy-with-augmentation algorithm is :func:`task_weighted_matching` and is
-what the simulation engine uses, since it runs in ``O(|R| * |E|)`` and
-scales to the paper's 500k-node scalability experiment.
+greedy-with-augmentation algorithm is :func:`max_weight_matching`, the
+one matcher every engine runs: it takes ``O(|R| * |E|)`` and scales to
+the paper's 500k-node scalability experiment.
 
-All backends consume the CSR (``indptr``/``indices``) view of the graph
+It consumes the CSR (``indptr``/``indices``) view of the graph
 (:meth:`repro.matching.bipartite.BipartiteGraph.csr`), built once per
 period: eligible tasks are ordered with one ``numpy`` lexsort and the
 augmenting-path search walks the flat CSR arrays iteratively with a
 stamp-based visited array instead of recursing over list-of-list adjacency
 with per-task ``set`` allocations.  The DFS visits workers in exactly the
 order of the original recursive implementation, so the produced matching —
-not just its weight — is unchanged.  The scalar inner loops (the matroid
-augmenting-path search and the ``vgreedy`` round loop) live in
-:mod:`repro.kernels`.
+not just its weight — is unchanged.  The scalar augmenting-path search
+lives in :mod:`repro.kernels.augmenting`.
 
-Backends are registered in :mod:`repro.matching.registry` (mirroring
-:mod:`repro.pricing.registry`) and selected by name through
-:func:`max_weight_matching`:
+:func:`scipy_max_weight_matching` solves the same problem densely with
+``scipy.optimize.linear_sum_assignment``.  It is the exact oracle the
+tests and the ablation benchmark hold the matroid greedy to, not a
+production path.
 
-* ``matroid`` — :func:`task_weighted_matching`, exact, the default;
-* ``hungarian`` — a self-contained Kuhn–Munkres implementation on a dense
-  matrix (edge weights may differ per worker), ``O(n^3)``;
-* ``scipy`` — a thin wrapper over ``scipy.optimize.linear_sum_assignment``;
-* ``greedy`` — a fast heuristic that never augments (lower-bound baseline
-  in the ablation);
-* ``vgreedy`` — a numpy-vectorised round-based greedy (proposals resolved
-  by weight-order priority), the fast approximate backend for huge dense
-  periods where even the flat-list greedy loop is the bottleneck.
-
-Matching under churn (inserts and deletes between solves) is not a
-backend: the dynamic engines maintain one matching with the matchers of
-:mod:`repro.matching.incremental`.
+Matching under churn (inserts and deletes between solves) maintains one
+matching with the matchers of :mod:`repro.matching.incremental` instead.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.kernels.augmenting import matroid_augment
-from repro.kernels.vgreedy import vgreedy_rounds
-from repro.matching.bipartite import BipartiteGraph, CSRGraph
+from repro.matching.bipartite import BipartiteGraph
 from repro.matching.maximum_matching import UNMATCHED
-from repro.matching.registry import (
-    available_backends,
-    get_backend,
-    register_backend,
-)
 
-EdgeWeightFn = Callable[[int, int], float]
 MatchingResult = Tuple[Dict[int, int], float]
+
+
+def check_backend(backend: str) -> None:
+    """Refuse any matching backend name other than ``matroid``.
+
+    The matroid greedy is the only matcher; the name survives as a
+    keyword of :func:`max_weight_matching` and
+    :class:`~repro.simulation.sharded.ShardedEngine` for callers that
+    still spell it out, and selects nothing.
+    """
+    if backend != "matroid":
+        raise ValueError(
+            f"unknown matching backend {backend!r}; the only backend is 'matroid'"
+        )
 
 
 def eligible_order(
@@ -76,8 +72,8 @@ def eligible_order(
     non-positive weight are dropped up front, which is equivalent to the
     greedy skipping them.  Exported because the dynamic streaming
     engines and :class:`~repro.simulation.streaming.DispatchSession`
-    must insert tasks in exactly this order to reproduce the matroid
-    backend's matching bit-for-bit.
+    must insert tasks in exactly this order to reproduce
+    :func:`max_weight_matching` bit-for-bit.
     """
     weights = np.asarray(task_weights, dtype=float)
     if weights.ndim != 1 or weights.shape[0] != num_tasks:
@@ -96,10 +92,12 @@ def eligible_order(
 # ---------------------------------------------------------------------------
 # exact matroid-greedy matching for task-side weights
 # ---------------------------------------------------------------------------
-def task_weighted_matching(
+def max_weight_matching(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
+    *,
+    backend: str = "matroid",
 ) -> MatchingResult:
     """Maximum-weight matching when the weight depends only on the task.
 
@@ -108,6 +106,8 @@ def task_weighted_matching(
         task_weights: Weight (``d_r * p_r``) of each task position.
         allowed_tasks: Optional subset of task positions eligible for
             matching (e.g. only the accepted tasks).
+        backend: Must be ``"matroid"``, the one matcher; any other name
+            raises :class:`ValueError` (see :func:`check_backend`).
 
     Returns:
         ``(task_to_worker, total_weight)``.
@@ -117,6 +117,7 @@ def task_weighted_matching(
     guarantees the result is a maximum-weight matching because feasible
     task sets form a transversal matroid.
     """
+    check_backend(backend)
     csr = graph.csr()
     weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
 
@@ -140,106 +141,7 @@ def task_weighted_matching(
 
 
 # ---------------------------------------------------------------------------
-# Kuhn–Munkres (Hungarian algorithm) on a dense matrix
-# ---------------------------------------------------------------------------
-def hungarian_matching(
-    weight_matrix: np.ndarray,
-) -> MatchingResult:
-    """Maximum-weight bipartite matching of a dense weight matrix.
-
-    ``weight_matrix[i, j]`` is the weight of assigning row ``i`` (task) to
-    column ``j`` (worker); ``-inf`` marks forbidden pairs.  Rows and
-    columns may be left unassigned (weights are treated as profits, and
-    only pairs with positive finite weight contribute).
-
-    Returns:
-        ``(row_to_col, total_weight)``.
-
-    The implementation pads the matrix to a square profit matrix with a
-    zero-profit "dummy" option for every row/column and runs the
-    Jonker-style O(n^3) shortest-augmenting-path Hungarian algorithm on the
-    equivalent minimisation problem.
-    """
-    matrix = np.asarray(weight_matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("weight_matrix must be 2-D")
-    num_rows, num_cols = matrix.shape
-    size = num_rows + num_cols  # room for every row and column to go unmatched
-    # Profit matrix: dummy cells have profit zero; forbidden cells stay -inf
-    # only in the real block, dummies make the problem always feasible.
-    profit = np.zeros((size, size), dtype=float)
-    profit[:num_rows, :num_cols] = np.where(np.isfinite(matrix), matrix, -1e18)
-    best = profit.max() if size else 0.0
-    cost = best - profit  # minimisation problem with non-negative costs
-
-    assignment = _hungarian_min_cost(cost)
-
-    row_to_col: Dict[int, int] = {}
-    total = 0.0
-    for row, col in assignment.items():
-        if row < num_rows and col < num_cols and np.isfinite(matrix[row, col]) and matrix[row, col] > 0:
-            row_to_col[row] = col
-            total += float(matrix[row, col])
-    return row_to_col, total
-
-
-def _hungarian_min_cost(cost: np.ndarray) -> Dict[int, int]:
-    """Square-matrix assignment minimisation (shortest augmenting paths).
-
-    Classic O(n^3) implementation using potentials (a.k.a. the Jonker–
-    Volgenant variant of the Hungarian algorithm).
-    """
-    n = cost.shape[0]
-    if n == 0:
-        return {}
-    INF = math.inf
-    # 1-based arrays as in the standard formulation.
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row assigned to column j (0 = none)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(0, n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assignment = {}
-    for j in range(1, n + 1):
-        if p[j] != 0:
-            assignment[p[j] - 1] = j - 1
-    return assignment
-
-
-# ---------------------------------------------------------------------------
-# SciPy backend
+# the dense exact oracle
 # ---------------------------------------------------------------------------
 def scipy_weight_matching(weight_matrix: np.ndarray) -> MatchingResult:
     """Maximum-weight matching via ``scipy.optimize.linear_sum_assignment``.
@@ -266,97 +168,6 @@ def scipy_weight_matching(weight_matrix: np.ndarray) -> MatchingResult:
     return row_to_col, total
 
 
-# ---------------------------------------------------------------------------
-# greedy heuristic (no augmentation)
-# ---------------------------------------------------------------------------
-def greedy_weight_matching(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
-    """Greedy matching without augmenting paths (heuristic lower bound).
-
-    Tasks are processed by non-increasing weight and grabbed by the first
-    free neighbouring worker.  Used in the ablation benchmark to quantify
-    how much the exact augmentation-based matching gains.
-    """
-    csr = graph.csr()
-    weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
-    weight_list = weights.tolist()
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    worker_used = bytearray(csr.num_workers)
-    task_to_worker: Dict[int, int] = {}
-    total = 0.0
-    for task_pos in order:
-        for ptr in range(indptr[task_pos], indptr[task_pos + 1]):
-            worker_pos = indices[ptr]
-            if not worker_used[worker_pos]:
-                worker_used[worker_pos] = 1
-                task_to_worker[task_pos] = worker_pos
-                total += weight_list[task_pos]
-                break
-    return task_to_worker, total
-
-
-# ---------------------------------------------------------------------------
-# numpy-vectorised greedy (round-based proposals)
-# ---------------------------------------------------------------------------
-def vectorized_greedy_matching(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
-    """Round-based greedy matching over the flat CSR arrays (approximate).
-
-    Each round, every still-unmatched eligible task *proposes* to its
-    first still-free neighbouring worker (lowest worker position); when
-    several tasks propose to the same worker, the task ranked earliest in
-    the canonical weight order wins, and losers re-propose next round.
-    Every round is a handful of numpy passes over the surviving candidate
-    edges with **no Python per-edge work**, and at least one proposal
-    (the globally best-ranked active task's) succeeds per round, so the
-    loop terminates in at most ``min(|R|, |W|)`` rounds — in practice a
-    few, since the candidate set collapses geometrically.
-
-    The result is a *maximal* matching of the eligible tasks: every
-    unmatched eligible task has all its neighbours taken, which bounds
-    the cardinality at no less than half the exact backend's.  The total
-    weight is generally close to, but not the same as, the sequential
-    ``greedy`` heuristic — conflict losers may settle for workers a
-    sequential pass would have given to someone else — which is why this
-    is registered as the separate ``vgreedy`` backend.
-    """
-    csr = graph.csr()
-    weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
-    if not order or not csr.num_edges:
-        return {}, 0.0
-    order_arr = np.asarray(order, dtype=np.int64)
-    # rank[t]: position in the canonical processing order (lower wins).
-    rank = np.full(csr.num_tasks, np.iinfo(np.int64).max, dtype=np.int64)
-    rank[order_arr] = np.arange(order_arr.size, dtype=np.int64)
-
-    eligible = np.zeros(csr.num_tasks, dtype=bool)
-    eligible[order_arr] = True
-    edge_tasks = np.repeat(np.arange(csr.num_tasks, dtype=np.int64), csr.degrees())
-    keep = eligible[edge_tasks]
-    cand_t = edge_tasks[keep]
-    cand_w = csr.indices[keep]
-
-    # The round loop is the kernel; candidate preparation (above) and the
-    # weight total (below) stay here.
-    task_match = vgreedy_rounds(cand_t, cand_w, rank, csr.num_tasks, csr.num_workers)
-
-    matched = np.flatnonzero(task_match != UNMATCHED)
-    task_to_worker = dict(
-        zip(matched.tolist(), task_match[matched].tolist())
-    )
-    return task_to_worker, float(weights[matched].sum())
-
-
-# ---------------------------------------------------------------------------
-# dense-matrix helpers shared by the hungarian / scipy backends
-# ---------------------------------------------------------------------------
 def _task_weight_matrix(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
@@ -389,91 +200,25 @@ def _masked_weights(
     return weights
 
 
-# ---------------------------------------------------------------------------
-# backend registrations + dispatcher
-# ---------------------------------------------------------------------------
-@register_backend("matroid")
-def _matroid_backend(
+def scipy_max_weight_matching(
     graph: BipartiteGraph,
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
 ) -> MatchingResult:
-    return task_weighted_matching(graph, task_weights, allowed_tasks)
+    """The same problem as :func:`max_weight_matching`, solved densely.
 
-
-@register_backend("greedy")
-def _greedy_backend(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
-    return greedy_weight_matching(graph, task_weights, allowed_tasks)
-
-
-@register_backend("vgreedy")
-def _vgreedy_backend(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
-    return vectorized_greedy_matching(graph, task_weights, allowed_tasks)
-
-
-@register_backend("hungarian")
-def _hungarian_backend(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
-    weights = _masked_weights(graph.num_tasks, task_weights, allowed_tasks)
-    return hungarian_matching(_task_weight_matrix(graph, weights))
-
-
-@register_backend("scipy")
-def _scipy_backend(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-) -> MatchingResult:
+    A test oracle: it builds the ``|R| x |W|`` weight matrix and hands it
+    to :func:`scipy_weight_matching`, so the total agrees with the
+    matroid greedy's to float rounding while the pairing may differ.
+    """
     weights = _masked_weights(graph.num_tasks, task_weights, allowed_tasks)
     return scipy_weight_matching(_task_weight_matrix(graph, weights))
 
 
-def max_weight_matching(
-    graph: BipartiteGraph,
-    task_weights: Sequence[float],
-    allowed_tasks: Optional[Sequence[int]] = None,
-    backend: str = "matroid",
-) -> MatchingResult:
-    """Maximum-weight matching with a selectable backend.
-
-    Args:
-        graph: Structural bipartite graph.
-        task_weights: Per-task weights (``d_r * p_r``).
-        allowed_tasks: Optional subset of task positions (accepted tasks).
-        backend: A backend name registered in
-            :mod:`repro.matching.registry` — ``matroid`` (exact, default),
-            ``hungarian`` (exact, dense ``O(n^3)``), ``scipy`` (exact,
-            dense), ``greedy`` (heuristic) or ``vgreedy`` (vectorised
-            heuristic).
-
-    Returns:
-        ``(task_to_worker, total_weight)``.
-
-    Raises:
-        ValueError: for unknown backends; the error lists the registered
-            backend names (see :func:`repro.matching.registry.get_backend`).
-    """
-    return get_backend(backend)(graph, task_weights, allowed_tasks)
-
-
 __all__ = [
+    "check_backend",
     "eligible_order",
-    "task_weighted_matching",
-    "hungarian_matching",
-    "scipy_weight_matching",
-    "greedy_weight_matching",
-    "vectorized_greedy_matching",
     "max_weight_matching",
-    "available_backends",
+    "scipy_max_weight_matching",
+    "scipy_weight_matching",
 ]

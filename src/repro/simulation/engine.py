@@ -52,10 +52,6 @@ class SimulationEngine(ShardedEngine):
             workload).  The stream is derived from ``(seed, "acceptance",
             strategy.name)`` only, so one engine can run many strategies
             with identical randomness.
-        matching_backend: Backend for the realized maximum-weight matching,
-            resolved by name through :mod:`repro.matching.registry`
-            (``matroid`` is exact and the default; see
-            :func:`repro.matching.weighted.max_weight_matching`).
         track_memory: Enable peak-memory tracking in the metrics.
         keep_details: Store a :class:`PeriodOutcome` per period.
         max_degree: Optional cap on each task's adjacency — only its
@@ -68,7 +64,6 @@ class SimulationEngine(ShardedEngine):
         self,
         workload: WorkloadBundle,
         seed: int = 0,
-        matching_backend: str = "matroid",
         track_memory: bool = False,
         keep_details: bool = False,
         max_degree: Optional[int] = None,
@@ -76,7 +71,6 @@ class SimulationEngine(ShardedEngine):
         super().__init__(
             workload,
             seed=seed,
-            matching_backend=matching_backend,
             track_memory=track_memory,
             keep_details=keep_details,
             max_degree=max_degree,

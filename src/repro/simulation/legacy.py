@@ -2,7 +2,7 @@
 
 The engine in :mod:`repro.simulation.engine` was refactored around a
 struct-of-arrays period pipeline (vectorised acceptance decisions, CSR
-matching backends, batched feedback).  This module keeps the original
+matching, batched feedback).  This module keeps the original
 scalar implementation — per-task Python loops, recursive augmenting-path
 matching over list-of-list adjacency, and the double feedback pass that
 re-built every :class:`~repro.pricing.strategy.PriceFeedback` just to set
@@ -42,7 +42,7 @@ def reference_task_weighted_matching(
     task_weights: Sequence[float],
     allowed_tasks: Optional[Sequence[int]] = None,
 ) -> Tuple[Dict[int, int], float]:
-    """The seed's recursive matroid-greedy matching (``matroid`` backend).
+    """The seed's recursive matroid-greedy matching.
 
     Verbatim pre-CSR implementation: Python ``sorted`` ordering, per-task
     ``set`` of visited workers and recursive augmentation over the
@@ -149,8 +149,8 @@ def run_reference(
 ) -> SimulationResult:
     """Run one strategy through the verbatim seed simulation loop.
 
-    Only the ``matroid`` matching backend is supported (it is what the
-    seed engine defaulted to and what the regression tests compare).
+    The matching is the seed's recursive matroid greedy, the oracle of
+    :func:`repro.matching.weighted.max_weight_matching`.
     """
     workload.validate()
     strategy.reset()

@@ -13,7 +13,7 @@ driven by :class:`PeriodPipeline`:
   The RNG consumption is identical to the seed engine's per-task scalar
   draws, so fixed seeds reproduce the exact same decisions;
 * **match** — compute the realized maximum-weight matching
-  (Definition 5) over the CSR graph through the backend registry;
+  (Definition 5) over the CSR graph with the matroid greedy;
 * **feedback** — pack one period's outcomes into a
   :class:`~repro.pricing.strategy.PriceFeedbackBatch` (``served`` is set
   in the same pass, not by rebuilding per-task objects) and hand it to
@@ -84,19 +84,15 @@ class PeriodPipeline:
         price_bounds: The quotable ``(p_min, p_max)`` interval.
         acceptance: Ground-truth acceptance models used for tasks without
             an attached private valuation.
-        matching_backend: Backend name resolved through
-            :mod:`repro.matching.registry` for the realized matching.
     """
 
     def __init__(
         self,
         price_bounds: Tuple[float, float],
         acceptance: PerGridAcceptance,
-        matching_backend: str = "matroid",
     ) -> None:
         self.p_min, self.p_max = (float(price_bounds[0]), float(price_bounds[1]))
         self.acceptance = acceptance
-        self.matching_backend = matching_backend
 
     # ------------------------------------------------------------------
     # stages
@@ -148,10 +144,7 @@ class PeriodPipeline:
         arrays = instance.ensure_arrays()
         weights = arrays.distances * decision.prices
         return max_weight_matching(
-            instance.graph,
-            weights,
-            allowed_tasks=decision.accepted_positions,
-            backend=self.matching_backend,
+            instance.graph, weights, allowed_tasks=decision.accepted_positions
         )
 
     def feedback(

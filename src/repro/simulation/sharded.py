@@ -21,7 +21,7 @@ Per period the :class:`ShardedEngine`:
    tasks left unmatched within ``halo`` cells of a shard border are
    re-offered, together with the residual (still unmatched) workers of
    the halo band, as one small reconciliation instance solved with the
-   same matching backend.  Matches found here recover revenue the
+   same matroid-greedy matcher.  Matches found here recover revenue the
    partition's dropped cross-border edges would otherwise lose;
 4. **feeds back** one batch per shard (halo-served tasks included) and
    lets matched workers leave the pool.
@@ -70,7 +70,7 @@ from repro.core.base_pricing import BasePricingConfig, BasePricingResult
 from repro.core.gdp import PeriodInstance
 from repro.kernels.halo import halo_residual_workers, halo_task_candidates
 from repro.market.entities import Task, Worker
-from repro.matching.weighted import max_weight_matching
+from repro.matching.weighted import check_backend, max_weight_matching
 from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import ChunkedWorkload, WorkloadBundle
 from repro.simulation.metrics import MetricsCollector
@@ -124,9 +124,9 @@ class ShardedEngine:
         seed: Accept/reject randomness seed; the stream is derived from
             ``(seed, "acceptance", strategy.name)`` and consumed in shard
             order within each period (fully deterministic).
-        matching_backend: Matching backend for both the shard-local and
-            the reconciliation matchings, resolved by name through
-            :mod:`repro.matching.registry`.
+        matching_backend: Must be ``"matroid"``, the one matcher of both
+            the shard-local and the reconciliation matchings; any other
+            name raises :class:`ValueError`.  It selects nothing.
         track_memory: Enable peak-memory tracking in the metrics.
         keep_details: Store a :class:`PeriodOutcome` per period (shard
             results merged).
@@ -154,7 +154,7 @@ class ShardedEngine:
         self.tiling = GridTiling(workload.grid, num_shards)
         self.halo = int(halo)
         self.seed = int(seed)
-        self.matching_backend = matching_backend
+        check_backend(matching_backend)
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = checked_degree_cap(max_degree)
@@ -234,7 +234,6 @@ class ShardedEngine:
         pipeline = PeriodPipeline(
             price_bounds=self.workload.price_bounds,
             acceptance=self.workload.acceptance,
-            matching_backend=self.matching_backend,
         )
 
         outcomes: List[PeriodOutcome] = []
@@ -512,9 +511,7 @@ class ShardedEngine:
             metric=self.workload.metric,
             max_degree=self.max_degree,
         )
-        matching, revenue = max_weight_matching(
-            instance.graph, weights, backend=self.matching_backend
-        )
+        matching, revenue = max_weight_matching(instance.graph, weights)
         for reconcile_task, reconcile_worker in matching.items():
             dispatch_pos, task_pos = task_refs[reconcile_task]
             dispatches[dispatch_pos].halo_served.append(task_pos)

@@ -24,7 +24,7 @@ monotone matching over the whole stream instead of re-solving a global
 (whole-horizon) problem: commitment is enforced by the worker pool
 (dispatched workers leave it forever, freezing their pairs for every
 later window), and each window matches only its own accepted tasks over
-the free frontier, through the same registry backend the batch engine
+the free frontier, with the same matroid-greedy matcher the batch engine
 uses (:meth:`~repro.simulation.pipeline.PeriodPipeline.match`).
 
 **Equivalence guarantee.**  For a stream binned at the batch period length
@@ -398,9 +398,6 @@ class StreamingEngine:
             stream.
         window: Dispatch window length in period units.  ``1.0`` (default)
             reproduces the paper's one-minute batching.
-        matching_backend: Realized-matching backend for each window,
-            resolved by name through :mod:`repro.matching.registry`
-            (``matroid``, exact, is the default).
         track_memory: Enable peak-memory tracking in the metrics.
         keep_details: Store a :class:`PeriodOutcome` per dispatched window
             (``period`` holds the window index).  Unlike the batch engine,
@@ -423,7 +420,6 @@ class StreamingEngine:
         stream: ArrivalStream,
         seed: int = 0,
         window: float = 1.0,
-        matching_backend: str = "matroid",
         track_memory: bool = False,
         keep_details: bool = False,
         max_degree: Optional[int] = None,
@@ -431,7 +427,6 @@ class StreamingEngine:
         self.stream = stream
         self.seed = int(seed)
         self.window = checked_duration(window, "window")
-        self.matching_backend = matching_backend
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = None if max_degree is None else int(max_degree)
@@ -542,7 +537,6 @@ class StreamingEngine:
         pipeline = PeriodPipeline(
             price_bounds=self.stream.price_bounds,
             acceptance=self.stream.acceptance,
-            matching_backend=self.matching_backend,
         )
 
         outcomes: List[PeriodOutcome] = []
@@ -947,7 +941,6 @@ class DynamicStreamingEngine(StreamingEngine):
             stream,
             seed=seed,
             window=window,
-            matching_backend="matroid",
             track_memory=track_memory,
             keep_details=keep_details,
             max_degree=max_degree,
@@ -1190,7 +1183,6 @@ class DispatchSession:
         self.pipeline = PeriodPipeline(
             price_bounds=stream.price_bounds,
             acceptance=stream.acceptance,
-            matching_backend="matroid",
         )
         self.matcher = _dynamic_matcher(stream, max_degree, self.universe)
         self.live_weights: Dict[int, float] = {}

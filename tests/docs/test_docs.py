@@ -20,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.matching.registry
 import repro.pricing.registry
 import repro.simulation.scenarios
 from repro.simulation.scenarios import available_scenarios
@@ -116,7 +115,6 @@ class TestDoctests:
         "module",
         [
             repro.pricing.registry,
-            repro.matching.registry,
             repro.simulation.scenarios,
         ],
         ids=lambda module: module.__name__,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.matching.registry import available_backends
 from repro.pricing.registry import available_strategies
 from repro.simulation.scenarios import available_scenarios
 
@@ -34,17 +36,15 @@ class TestParser:
         assert args.metrics is None  # figure mode resolves to revenue/time/memory
         assert args.strategies is None
         assert args.window is None  # resolved to 1.0 in streaming mode
-        assert args.backend == "matroid"
+        assert not hasattr(args, "backend")
         assert not args.streaming
 
     def test_epilog_sources_the_registries(self):
-        """--help lists the actually registered strategies, backends and
-        scenarios (no hardcoded strings)."""
+        """--help lists the actually registered strategies and scenarios
+        (no hardcoded strings)."""
         epilog = build_parser().epilog
         for strategy in available_strategies():
             assert strategy in epilog
-        for backend in available_backends():
-            assert backend in epilog
         for scenario in available_scenarios():
             assert scenario in epilog
 
@@ -116,10 +116,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--scenario", "synthetic", "--window", "0.5"])
 
-    def test_backend_requires_scenario_mode(self):
-        with pytest.raises(SystemExit):
-            main(["--figure", "fig6-W", "--backend", "scipy"])
-
     def test_figure_only_flags_rejected_in_scenario_mode(self):
         with pytest.raises(SystemExit):
             main(["--scenario", "synthetic", "--values", "3", "4"])
@@ -147,7 +143,33 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["--scenario", "synthetic", "--backend", "dynamic"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'dynamic'" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend dynamic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--figure", "fig6-W", "--backend", "matroid"],
+            ["--scenario", "synthetic", "--backend", "matroid"],
+            ["--scenario", "synthetic", "--streaming", "--dynamic",
+             "--backend", "matroid"],
+        ],
+    )
+    def test_there_is_no_backend_flag(self, argv, capsys):
+        # The matroid greedy is the only matcher, so there is nothing to pick.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_profile_tool_has_no_backend_flag(self, capsys):
+        path = Path(__file__).resolve().parents[2] / "tools" / "profile_run.py"
+        spec = importlib.util.spec_from_file_location("profile_run", path)
+        profile_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(profile_run)
+        with pytest.raises(SystemExit) as excinfo:
+            profile_run.build_parser().parse_args(["--backend", "matroid"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_task_lifetime_requires_dynamic_streaming(self):
         with pytest.raises(SystemExit):
@@ -162,7 +184,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(
                 ["--scenario", "synthetic", "--streaming", "--dynamic",
-                 "--backend", "greedy"]
+                 "--shards", "2"]
             )
 
     def test_there_is_no_warm_start_flag(self):

@@ -18,6 +18,7 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.generator import SyntheticWorkloadGenerator
 from repro.simulation.scenarios import get_scenario
 from repro.simulation.streaming import StreamingEngine
+from repro.utils.shm import ShmArena
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,30 @@ def _arena_segments():
     if not os.path.isdir("/dev/shm"):
         return set()
     return {name for name in os.listdir("/dev/shm") if name.startswith("repro_arena_")}
+
+
+@pytest.fixture
+def created_segments(monkeypatch):
+    """Names of the segments this test's ``ShmArena.create`` calls made.
+
+    Leak checks look at these names only, so a segment another process
+    owns at the same time (a running dispatch server, say) is no leak.
+    """
+    names = []
+    create = ShmArena.create.__func__
+
+    def spy(cls, *args, **kwargs):
+        arena = create(cls, *args, **kwargs)
+        names.append(arena.handle.segment)
+        return arena
+
+    monkeypatch.setattr(ShmArena, "create", classmethod(spy))
+    return names
+
+
+def _assert_all_unlinked(names):
+    assert names, "the run created no shared-memory segment"
+    assert not set(names) & _arena_segments(), f"leaked segments: {names}"
 
 
 class _DiesInPoolWorker(BasePriceStrategy):
@@ -88,7 +113,7 @@ class TestParallelRunner:
             )
             assert parallel[key].metrics.served_tasks == sequential[key].metrics.served_tasks
 
-    def test_arena_shipping_equals_pickle_shipping(self, small_workload):
+    def test_arena_shipping_equals_pickle_shipping(self, small_workload, created_segments):
         """The zero-copy workload ship path must change nothing.
 
         ``workload_via_arena`` auto-enables on spawn platforms
@@ -113,9 +138,11 @@ class TestParallelRunner:
                 == plain[key].metrics.revenue_by_period
             )
             assert arena[key].metrics.served_tasks == plain[key].metrics.served_tasks
-        assert _arena_segments() == set()
+        _assert_all_unlinked(created_segments)
 
-    def test_arena_initializer_rebuilds_the_bundle(self, small_workload, monkeypatch):
+    def test_arena_initializer_rebuilds_the_bundle(
+        self, small_workload, monkeypatch, created_segments
+    ):
         """A pool worker's arena-fed workload serves the owner's columns.
 
         The worker keeps the segment mapped and reads every period as
@@ -161,7 +188,7 @@ class TestParallelRunner:
             result = ShardedEngine(attached, seed=3).run(create_strategy("BaseP", **SHARED))
             assert result.metrics.total_revenue == expected.metrics.total_revenue
             assert result.metrics.served_tasks == expected.metrics.served_tasks
-        assert _arena_segments() == set()
+        _assert_all_unlinked(created_segments)
 
     def test_default_max_workers_is_the_effective_cpu_count(self, small_workload):
         """Sharded cells get the whole pool: a shard runs in its cell's process."""
@@ -181,7 +208,9 @@ class TestParallelRunner:
         multiprocessing.get_start_method() != "fork",
         reason="the dying spec class reaches pool workers by fork inheritance",
     )
-    def test_dead_pool_worker_falls_back_to_sequential(self, small_workload):
+    def test_dead_pool_worker_falls_back_to_sequential(
+        self, small_workload, created_segments
+    ):
         """A worker killed mid-run degrades to the in-process path.
 
         Every cell's worker exits at period 2 without cleanup, so the
@@ -192,7 +221,6 @@ class TestParallelRunner:
         runner = ParallelRunner(
             small_workload, specs, seeds=[0, 3], max_workers=2, workload_via_arena=True
         )
-        before = _arena_segments()
 
         def hung(signum, frame):
             raise TimeoutError("ParallelRunner.run hung after a worker died")
@@ -214,7 +242,7 @@ class TestParallelRunner:
                 == expected[key].metrics.revenue_by_period
             )
             assert results[key].metrics.served_tasks == expected[key].metrics.served_tasks
-        assert _arena_segments() - before == set()
+        _assert_all_unlinked(created_segments)
 
     def test_parallel_equals_run_many(self, small_workload):
         """Acceptance criterion: same results as sequential ``run_many``."""

@@ -13,11 +13,9 @@ from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph
 from repro.matching.maximum_matching import hopcroft_karp_matching, maximum_matching_size
 from repro.matching.weighted import (
-    greedy_weight_matching,
-    hungarian_matching,
     max_weight_matching,
+    scipy_max_weight_matching,
     scipy_weight_matching,
-    task_weighted_matching,
 )
 from repro.spatial.geometry import Point
 
@@ -110,7 +108,7 @@ class TestHopcroftKarp:
 class TestTaskWeightedMatching:
     def test_prefers_heavier_task(self):
         graph = _graph(2, 1, [(0, 0), (1, 0)])
-        matching, total = task_weighted_matching(graph, [1.0, 5.0])
+        matching, total = max_weight_matching(graph, [1.0, 5.0])
         assert matching == {1: 0}
         assert total == pytest.approx(5.0)
 
@@ -118,88 +116,69 @@ class TestTaskWeightedMatching:
         # Heavy task 0 shares worker 0 with task 1; worker 1 reaches task 0
         # only.  Optimal: task 0 -> worker 1, task 1 -> worker 0.
         graph = _graph(2, 2, [(0, 0), (0, 1), (1, 0)])
-        matching, total = task_weighted_matching(graph, [10.0, 2.0])
+        matching, total = max_weight_matching(graph, [10.0, 2.0])
         assert total == pytest.approx(12.0)
         assert matching[0] in (0, 1)
         _matching_is_valid(graph, matching)
 
     def test_zero_weight_tasks_skipped(self):
         graph = _graph(2, 2, [(0, 0), (1, 1)])
-        matching, total = task_weighted_matching(graph, [0.0, 3.0])
+        matching, total = max_weight_matching(graph, [0.0, 3.0])
         assert matching == {1: 1}
         assert total == pytest.approx(3.0)
 
     def test_allowed_tasks_subset(self):
         graph = _graph(2, 2, [(0, 0), (1, 1)])
-        matching, total = task_weighted_matching(graph, [4.0, 3.0], allowed_tasks=[1])
+        matching, total = max_weight_matching(graph, [4.0, 3.0], allowed_tasks=[1])
         assert matching == {1: 1}
         assert total == pytest.approx(3.0)
 
     def test_weight_length_mismatch(self):
         graph = _graph(2, 2, [(0, 0)])
         with pytest.raises(ValueError):
-            task_weighted_matching(graph, [1.0])
+            max_weight_matching(graph, [1.0])
 
 
 class TestDenseBackends:
-    def test_hungarian_simple(self):
+    def test_scipy_simple(self):
         matrix = np.array([[3.0, 1.0], [2.0, 4.0]])
-        assignment, total = hungarian_matching(matrix)
+        assignment, total = scipy_weight_matching(matrix)
         assert assignment == {0: 0, 1: 1}
         assert total == pytest.approx(7.0)
 
-    def test_hungarian_with_forbidden_edges(self):
+    def test_scipy_with_forbidden_edges(self):
         matrix = np.array([[-np.inf, 5.0], [2.0, -np.inf]])
-        assignment, total = hungarian_matching(matrix)
+        assignment, total = scipy_weight_matching(matrix)
         assert assignment == {0: 1, 1: 0}
         assert total == pytest.approx(7.0)
 
-    def test_hungarian_rectangular(self):
+    def test_scipy_rectangular(self):
         matrix = np.array([[5.0, 1.0, 2.0]])
-        assignment, total = hungarian_matching(matrix)
+        assignment, total = scipy_weight_matching(matrix)
         assert assignment == {0: 0}
         assert total == pytest.approx(5.0)
 
-    def test_hungarian_empty(self):
-        assignment, total = hungarian_matching(np.zeros((0, 0)))
+    def test_scipy_empty(self):
+        assignment, total = scipy_weight_matching(np.zeros((0, 0)))
         assert assignment == {}
         assert total == 0.0
-
-    def test_scipy_matches_hungarian(self):
-        rng = np.random.default_rng(1)
-        matrix = rng.uniform(0.1, 10.0, size=(6, 5))
-        _, total_h = hungarian_matching(matrix)
-        _, total_s = scipy_weight_matching(matrix)
-        assert total_h == pytest.approx(total_s)
 
 
 class TestBackendAgreement:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
     def test_matroid_equals_dense_backends(self, seed):
-        """All exact backends must produce the same total weight."""
+        """The matroid greedy and the dense oracle agree on the total."""
         rng = np.random.default_rng(seed)
         num_tasks = int(rng.integers(1, 10))
         num_workers = int(rng.integers(1, 10))
         graph = _random_graph(rng, num_tasks, num_workers, 0.4)
         weights = [float(rng.uniform(0.1, 10.0)) for _ in range(num_tasks)]
 
-        matching_m, total_m = max_weight_matching(graph, weights, backend="matroid")
-        _, total_h = max_weight_matching(graph, weights, backend="hungarian")
-        _, total_s = max_weight_matching(graph, weights, backend="scipy")
+        matching_m, total_m = max_weight_matching(graph, weights)
+        _, total_s = scipy_max_weight_matching(graph, weights)
         _matching_is_valid(graph, matching_m)
-        assert total_m == pytest.approx(total_h, rel=1e-9, abs=1e-9)
         assert total_m == pytest.approx(total_s, rel=1e-9, abs=1e-9)
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_greedy_never_beats_exact(self, seed):
-        rng = np.random.default_rng(seed)
-        graph = _random_graph(rng, int(rng.integers(1, 10)), int(rng.integers(1, 10)), 0.4)
-        weights = [float(rng.uniform(0.1, 10.0)) for _ in range(graph.num_tasks)]
-        _, total_greedy = greedy_weight_matching(graph, weights)
-        _, total_exact = task_weighted_matching(graph, weights)
-        assert total_greedy <= total_exact + 1e-9
 
     def test_unknown_backend(self):
         graph = _graph(1, 1, [(0, 0)])
@@ -208,9 +187,7 @@ class TestBackendAgreement:
 
     def test_allowed_tasks_respected_by_dense_backends(self):
         graph = _graph(2, 2, [(0, 0), (1, 1)])
-        _, total = max_weight_matching(graph, [5.0, 3.0], allowed_tasks=[1], backend="scipy")
-        assert total == pytest.approx(3.0)
-        _, total = max_weight_matching(graph, [5.0, 3.0], allowed_tasks=[1], backend="hungarian")
+        _, total = scipy_max_weight_matching(graph, [5.0, 3.0], allowed_tasks=[1])
         assert total == pytest.approx(3.0)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -220,6 +197,6 @@ class TestBackendAgreement:
         rng = np.random.default_rng(seed)
         graph = _random_graph(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)), 0.35)
         weights = [1.0] * graph.num_tasks
-        matching, total = task_weighted_matching(graph, weights)
+        matching, total = max_weight_matching(graph, weights)
         assert len(matching) == maximum_matching_size(graph)
         assert total == pytest.approx(float(len(matching)))

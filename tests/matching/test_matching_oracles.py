@@ -1,20 +1,27 @@
-"""Tests for the matching backend registry and the CSR graph view."""
+"""Tests for the CSR graph view and the matroid matcher against its oracles.
+
+The matroid greedy (:func:`max_weight_matching`) is the only production
+matcher.  SciPy's dense solver is its exact-total oracle, and the seed's
+recursive matroid greedy its exact-pairing oracle.
+"""
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.parallel import ParallelRunner, ShardSpec
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph, CSRGraph
-from repro.matching.registry import (
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.matching.weighted import max_weight_matching, task_weighted_matching
+from repro.matching.weighted import max_weight_matching, scipy_max_weight_matching
+from repro.simulation.engine import SimulationEngine
+from repro.simulation.pipeline import PeriodPipeline
+from repro.simulation.sharded import ShardedEngine
+from repro.simulation.streaming import StreamingEngine, workload_to_stream
 from repro.spatial.geometry import Point
 
 
@@ -43,65 +50,51 @@ def _random_graph(rng, num_tasks, num_workers, edge_probability):
     return _graph(num_tasks, num_workers, edges)
 
 
-class TestRegistry:
-    def test_default_backends_registered(self):
-        assert available_backends() == [
-            "greedy",
-            "hungarian",
-            "matroid",
-            "scipy",
-            "vgreedy",
-        ]
+class TestOneMatchingBackend:
+    """The matroid greedy is the only matcher; no knob selects another."""
 
-    def test_lookup_is_case_insensitive(self):
-        assert get_backend("MATROID") is get_backend("matroid")
+    def test_the_registry_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.matching.registry")
 
-    def test_unknown_backend_lists_registered_names(self):
-        with pytest.raises(ValueError) as excinfo:
-            get_backend("quantum")
-        message = str(excinfo.value)
-        for name in available_backends():
-            assert name in message
-
-    def test_max_weight_matching_unknown_backend_lists_names(self):
+    @pytest.mark.parametrize("name", ["vgreedy", "greedy", "hungarian", "scipy"])
+    def test_backend_keyword_accepts_only_matroid(self, name):
         graph = _graph(1, 1, [(0, 0)])
-        with pytest.raises(ValueError) as excinfo:
-            max_weight_matching(graph, [1.0], backend="quantum")
-        assert "matroid" in str(excinfo.value)
+        assert max_weight_matching(graph, [1.0], backend="matroid") == ({0: 0}, 1.0)
+        with pytest.raises(ValueError, match="only backend is 'matroid'"):
+            max_weight_matching(graph, [1.0], backend=name)
 
-    def test_custom_backend_dispatches(self):
-        calls = []
+    def test_sharded_engine_keyword_accepts_only_matroid(self, tiny_workload):
+        ShardedEngine(tiny_workload, matching_backend="matroid")
+        with pytest.raises(ValueError, match="only backend is 'matroid'"):
+            ShardedEngine(tiny_workload, matching_backend="greedy")
 
-        @register_backend("test-noop")
-        def _noop(graph, task_weights, allowed_tasks=None):
-            calls.append((graph.num_tasks, len(task_weights)))
-            return {}, 0.0
-
-        try:
-            graph = _graph(2, 2, [(0, 0), (1, 1)])
-            matching, total = max_weight_matching(graph, [1.0, 2.0], backend="test-noop")
-            assert matching == {}
-            assert total == 0.0
-            assert calls == [(2, 2)]
-        finally:
-            # Keep the global registry clean for the other tests.
-            from repro.matching import registry as registry_module
-
-            registry_module._BACKENDS.pop("test-noop", None)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("   ")
+    def test_engines_take_no_matching_backend(self, tiny_workload):
+        stream = workload_to_stream(tiny_workload)
+        builders = [
+            lambda **kw: PeriodPipeline(
+                tiny_workload.price_bounds, tiny_workload.acceptance, **kw
+            ),
+            lambda **kw: StreamingEngine(stream, **kw),
+            lambda **kw: SimulationEngine(tiny_workload, **kw),
+            lambda **kw: ShardSpec().build_engine(
+                tiny_workload, 0, False, False, **kw
+            ),
+            lambda **kw: ParallelRunner(tiny_workload, ["BaseP"], **kw),
+        ]
+        for build in builders:
+            with pytest.raises(TypeError, match="matching_backend"):
+                build(matching_backend="matroid")
 
     @pytest.mark.parametrize(
-        "backend", ["matroid", "greedy", "hungarian", "scipy", "vgreedy"]
+        "solve", [max_weight_matching, scipy_max_weight_matching], ids=["matroid", "scipy"]
     )
-    def test_out_of_range_allowed_tasks_rejected_everywhere(self, backend):
+    def test_out_of_range_allowed_tasks_rejected_everywhere(self, solve):
         graph = _graph(2, 2, [(0, 0), (1, 1)])
         with pytest.raises(IndexError):
-            max_weight_matching(graph, [1.0, 2.0], allowed_tasks=[-1], backend=backend)
+            solve(graph, [1.0, 2.0], allowed_tasks=[-1])
         with pytest.raises(IndexError):
-            max_weight_matching(graph, [1.0, 2.0], allowed_tasks=[5], backend=backend)
+            solve(graph, [1.0, 2.0], allowed_tasks=[5])
 
 
 class TestCSRGraph:
@@ -144,7 +137,7 @@ class TestCrossBackendAgreement:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_exact_backends_equal_total_weight(self, seed):
-        """matroid / hungarian / scipy agree on random bipartite instances."""
+        """The matroid greedy and the scipy oracle agree on random instances."""
         rng = np.random.default_rng(seed)
         num_tasks = int(rng.integers(1, 14))
         num_workers = int(rng.integers(1, 14))
@@ -154,14 +147,9 @@ class TestCrossBackendAgreement:
         if rng.random() < 0.5:
             allowed = [t for t in range(num_tasks) if rng.random() < 0.7]
 
-        totals = {
-            backend: max_weight_matching(
-                graph, weights, allowed_tasks=allowed, backend=backend
-            )[1]
-            for backend in ("matroid", "hungarian", "scipy")
-        }
-        assert totals["matroid"] == pytest.approx(totals["hungarian"], rel=1e-9, abs=1e-9)
-        assert totals["matroid"] == pytest.approx(totals["scipy"], rel=1e-9, abs=1e-9)
+        matroid_total = max_weight_matching(graph, weights, allowed_tasks=allowed)[1]
+        scipy_total = scipy_max_weight_matching(graph, weights, allowed_tasks=allowed)[1]
+        assert matroid_total == pytest.approx(scipy_total, rel=1e-9, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -182,7 +170,7 @@ class TestCrossBackendAgreement:
         weights = [float(rng.choice([0.0, 1.0, 2.5, 2.5, 7.0])) for _ in range(num_tasks)]
         allowed = [t for t in range(num_tasks) if rng.random() < 0.8]
 
-        new_matching, new_total = task_weighted_matching(graph, weights, allowed)
+        new_matching, new_total = max_weight_matching(graph, weights, allowed)
         ref_matching, ref_total = reference_task_weighted_matching(graph, weights, allowed)
         assert new_matching == ref_matching
         assert new_total == ref_total

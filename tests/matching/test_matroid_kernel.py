@@ -10,7 +10,7 @@ list plus a ``dead`` bytearray, index pointers into ``indptr``), kept
 verbatim but for its name as a test-only reference.  Hypothesis draws CSR graphs with
 heavily overlapping rows, saturated instances (more tasks than workers)
 and equal weights, and the returned ``match_task`` lists must be equal —
-the pairing, not only the weight.  A second fuzz checks the backend end
+the pairing, not only the weight.  A second fuzz checks the matcher end
 to end: the matroid total equals the dense exact solver's on random
 instances with mixed-sign weights.
 """
@@ -28,7 +28,11 @@ from repro.kernels.augmenting import matroid_augment
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph, CSRGraph
 from repro.matching.maximum_matching import UNMATCHED
-from repro.matching.weighted import eligible_order, max_weight_matching
+from repro.matching.weighted import (
+    eligible_order,
+    max_weight_matching,
+    scipy_max_weight_matching,
+)
 from repro.spatial.geometry import Point
 
 
@@ -208,12 +212,10 @@ def matching_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(instance=matching_instances())
 def test_matroid_total_matches_dense_exact(instance):
-    """The kernelised matroid backend stays exact vs the dense solver."""
+    """The kernelised matroid greedy stays exact vs the dense solver."""
     graph, weights, allowed = instance
-    _matching, total = max_weight_matching(
-        graph, weights, allowed_tasks=allowed, backend="matroid"
-    )
-    _dense, dense_total = max_weight_matching(
-        graph, weights, allowed_tasks=allowed, backend="scipy"
+    _matching, total = max_weight_matching(graph, weights, allowed_tasks=allowed)
+    _dense, dense_total = scipy_max_weight_matching(
+        graph, weights, allowed_tasks=allowed
     )
     assert total == pytest.approx(dense_total, abs=1e-9)

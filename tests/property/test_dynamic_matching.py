@@ -7,13 +7,14 @@ lexicographically-maximal basis a fresh batch re-solve would compute on
 the live population — same set, bitwise the same total weight.  The
 :class:`~hypothesis.stateful.RuleBasedStateMachine` here fuzzes that
 claim directly: every rule mutates the live population through the
-matcher, and the invariant re-solves the population from scratch through
-the registered backends after every single step —
+matcher, and the invariant re-solves the population from scratch after
+every single step —
 
-* ``matroid`` (the reference): matched *set* and bitwise total;
-* ``scipy`` / ``hungarian``: optimal total agreement (to float
-  tolerance — different accumulation order);
-* ``greedy`` / ``vgreedy``: heuristic totals never exceed the optimum.
+* :func:`~repro.matching.weighted.max_weight_matching` (the reference):
+  matched *set* and bitwise total;
+* :func:`~repro.matching.weighted.scipy_max_weight_matching` (the dense
+  oracle): optimal total agreement (to float tolerance — different
+  accumulation order).
 
 The machine also draws a ``--max-degree``-style cap on the universe
 adjacency, so the differential gate covers bounded-degree graphs.  Matched pairs are deliberately *not* part of
@@ -45,15 +46,14 @@ from hypothesis.stateful import (
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph
 from repro.matching.incremental import DynamicMatcher
-from repro.matching.weighted import max_weight_matching
+from repro.matching.weighted import max_weight_matching, scipy_max_weight_matching
 from repro.spatial.geometry import Point
 
 #: Mixed-sign weights with deliberate ties: non-positive insertions must
 #: stay unmatchable, and ties exercise the position tiebreak.
 WEIGHT_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.25, 2.0, 3.75, 5.5])
 
-EXACT_BACKENDS = ("scipy", "hungarian")
-HEURISTIC_BACKENDS = ("greedy", "vgreedy")
+EXACT_BACKENDS = (scipy_max_weight_matching,)
 
 
 def build_universe(
@@ -208,7 +208,7 @@ class DynamicMatchingMachine(RuleBasedStateMachine):
         population = live_subgraph(self.graph, self.adjacency, self.live_workers)
 
         oracle_matching, oracle_total = max_weight_matching(
-            population, weights, allowed_tasks=allowed, backend="matroid"
+            population, weights, allowed_tasks=allowed
         )
         got_matched = {
             pos for pos in range(self.num_tasks) if self.matcher.is_task_matched(pos)
@@ -216,16 +216,9 @@ class DynamicMatchingMachine(RuleBasedStateMachine):
         assert got_matched == set(oracle_matching)
         assert repr(self.matcher.total_weight()) == repr(oracle_total)
 
-        for backend in EXACT_BACKENDS:
-            _, total = max_weight_matching(
-                population, weights, allowed_tasks=allowed, backend=backend
-            )
+        for solve in EXACT_BACKENDS:
+            _, total = solve(population, weights, allowed_tasks=allowed)
             assert total == pytest.approx(oracle_total, abs=1e-9)
-        for backend in HEURISTIC_BACKENDS:
-            _, total = max_weight_matching(
-                population, weights, allowed_tasks=allowed, backend=backend
-            )
-            assert total <= oracle_total + 1e-9
 
 
 TestDynamicMatching = DynamicMatchingMachine.TestCase

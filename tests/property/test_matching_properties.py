@@ -1,20 +1,18 @@
-"""Property-based tests of the matching invariants, across all backends.
+"""Property-based tests of the matching invariants.
 
 Random bipartite graphs — including empty sides, single nodes, isolated
-vertices and disconnected components — must satisfy, for every registered
-backend:
+vertices and disconnected components — must satisfy, for the matroid
+greedy and its dense scipy oracle:
 
 * **validity** — no task or worker is used twice, every matched pair is
   an actual edge, and only eligible tasks (allowed, positive weight) are
   matched;
-* **exactness agreement** — the three exact backends (``matroid``,
-  ``hungarian``, ``scipy``) report the same total weight;
-* **greedy bound** — the no-augmentation ``greedy`` heuristic stays
-  within its 1/2-approximation guarantee of the exact optimum;
+* **exactness agreement** — the matroid greedy and the scipy oracle
+  report the same total weight;
 * **incremental equivalence** — inserting eligible tasks in
   :func:`~repro.matching.weighted.eligible_order` through
   :class:`~repro.matching.incremental.IncrementalMatcher` reproduces the
-  ``matroid`` backend's matching exactly (the claim the streaming
+  matroid greedy's matching exactly (the claim the streaming
   engine's cross-window matcher rests on, now also exercising the
   matcher's saturation pruning).
 """
@@ -30,11 +28,14 @@ from hypothesis import strategies as st
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph
 from repro.matching.incremental import IncrementalMatcher
-from repro.matching.registry import available_backends
-from repro.matching.weighted import eligible_order, max_weight_matching
+from repro.matching.weighted import (
+    eligible_order,
+    max_weight_matching,
+    scipy_max_weight_matching,
+)
 from repro.spatial.geometry import Point
 
-EXACT_BACKENDS = ("matroid", "hungarian", "scipy")
+EXACT_BACKENDS = {"matroid": max_weight_matching, "scipy": scipy_max_weight_matching}
 
 
 def build_graph(num_tasks: int, num_workers: int, edges: Sequence[Tuple[int, int]]) -> BipartiteGraph:
@@ -123,38 +124,22 @@ class TestBackendInvariants:
     @given(bipartite_instances())
     def test_every_backend_returns_a_valid_matching(self, instance):
         graph, weights, allowed = instance
-        for backend in available_backends():
-            matching, total = max_weight_matching(
-                graph, weights, allowed_tasks=allowed, backend=backend
-            )
+        for solve in EXACT_BACKENDS.values():
+            matching, total = solve(graph, weights, allowed_tasks=allowed)
             assert_valid_matching(graph, weights, allowed, matching, total)
 
     @given(bipartite_instances())
     def test_exact_backends_agree_on_total_weight(self, instance):
         graph, weights, allowed = instance
         totals = {
-            backend: max_weight_matching(
-                graph, weights, allowed_tasks=allowed, backend=backend
-            )[1]
-            for backend in EXACT_BACKENDS
+            backend: solve(graph, weights, allowed_tasks=allowed)[1]
+            for backend, solve in EXACT_BACKENDS.items()
         }
         reference = totals["matroid"]
         for backend, total in totals.items():
             assert np.isclose(total, reference, rtol=1e-9, atol=1e-9), (
                 f"{backend} disagrees with matroid: {total} vs {reference}"
             )
-
-    @given(bipartite_instances())
-    def test_greedy_is_within_its_half_approximation_bound(self, instance):
-        graph, weights, allowed = instance
-        _, optimum = max_weight_matching(
-            graph, weights, allowed_tasks=allowed, backend="matroid"
-        )
-        _, heuristic = max_weight_matching(
-            graph, weights, allowed_tasks=allowed, backend="greedy"
-        )
-        assert heuristic >= 0.5 * optimum - 1e-9
-        assert heuristic <= optimum + 1e-9
 
 
 class TestIncrementalEquivalence:
@@ -164,11 +149,11 @@ class TestIncrementalEquivalence:
 
         Also exercises the iterative search and the saturation pruning:
         infeasible insertions mark workers dead, and the final matching
-        must still be bit-identical to the batch matroid backend's.
+        must still be bit-identical to the batch matroid greedy's.
         """
         graph, weights, allowed = instance
         expected_matching, expected_total = max_weight_matching(
-            graph, weights, allowed_tasks=allowed, backend="matroid"
+            graph, weights, allowed_tasks=allowed
         )
         weight_arr, order = eligible_order(graph.num_tasks, weights, allowed)
         matcher = IncrementalMatcher(graph)

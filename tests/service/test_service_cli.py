@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import glob
 import os
 import re
 import subprocess
@@ -11,6 +10,7 @@ import time
 
 import pytest
 
+from repro.service import cli as service_cli
 from repro.service.cli import build_service_parser, service_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -83,10 +83,17 @@ class TestParser:
 
 
 class TestEndToEnd:
-    def test_serve_once_and_replay(self, capsys):
+    def test_serve_once_and_replay(self, capsys, monkeypatch):
         """Boot ``serve --once`` in a subprocess, replay in-process, and
-        assert the server exits cleanly with zero leaked segments."""
-        before = set(glob.glob("/dev/shm/repro_arena_*"))
+        assert the server exits cleanly and unlinks its segment."""
+        reports = []
+        run_replay = service_cli.run_replay
+
+        def spy(*args, **kwargs):
+            reports.append(run_replay(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(service_cli, "run_replay", spy)
         child = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.service", "serve",
@@ -120,9 +127,10 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "revenue" in out
         assert "p99" in out
-        # A --once exit must not strand its arena in /dev/shm: whatever
-        # segments existed before the child are the most that may exist
-        # after it.
+        # A --once exit must not strand its arena in /dev/shm.  The final
+        # stats reply names the child's own segment, so a segment another
+        # process owns at the same time is not mistaken for a leak.
+        segment = reports[0].stats["segment"]
+        assert segment and segment.startswith("repro_arena_")
         time.sleep(0.2)
-        after = set(glob.glob("/dev/shm/repro_arena_*"))
-        assert after <= before
+        assert not os.path.exists(os.path.join("/dev/shm", segment))

@@ -191,7 +191,7 @@ class _GatedEngine(DynamicStreamingEngine):
         for task_pos, weight in live_weights.items():
             weights[task_pos] = weight
         oracle_matching, oracle_total = max_weight_matching(
-            population, weights, allowed_tasks=sorted(live_weights), backend="matroid"
+            population, weights, allowed_tasks=sorted(live_weights)
         )
         matched = {
             task_pos for task_pos in live_weights if matcher.is_task_matched(task_pos)

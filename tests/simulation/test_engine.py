@@ -156,7 +156,7 @@ class TestOneBatchLoop:
         engine = SimulationEngine(tiny_workload, seed=4, keep_details=True)
         assert isinstance(engine, ShardedEngine)
         assert engine.num_shards == 1
-        assert (engine.seed, engine.matching_backend, engine.max_degree) == (4, "matroid", None)
+        assert (engine.seed, engine.max_degree) == (4, None)
         assert engine.keep_details and not engine.track_memory
 
     @pytest.mark.parametrize("cap", [0, -2])
@@ -256,11 +256,9 @@ class TestBatchPins:
             "CappedUCB": ("1737.9169532362816", 14, 19),
         },
     }
-    #: ``city_scale`` BaseP runs off the default exact ``matroid`` path.
+    #: ``city_scale`` BaseP runs off the default uncapped graph.
     VARIANT_PINS = {
         "max_degree=2": ({"max_degree": 2}, ("2663.847638279497", 240, 417)),
-        "greedy": ({"matching_backend": "greedy"}, ("3006.878866518398", 273, 417)),
-        "vgreedy": ({"matching_backend": "vgreedy"}, ("2900.8134069432294", 271, 417)),
     }
 
     @pytest.mark.parametrize("scenario", sorted(PINS))
@@ -273,7 +271,7 @@ class TestBatchPins:
             assert _pinned_run(workload, name) == self.PINS[scenario][name], name
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_PINS))
-    def test_capped_and_non_matroid_runs_are_pinned(self, variant):
+    def test_capped_runs_are_pinned(self, variant):
         engine_kwargs, expected = self.VARIANT_PINS[variant]
         workload = _pin_workload("city_scale")
         assert _pinned_run(workload, "BaseP", **engine_kwargs) == expected

@@ -3,8 +3,8 @@
 The acceptance bar of the hot-path work: with the degree cap off, the
 vectorised graph builder must leave every simulation result
 **bit-identical** to the pre-vectorisation path —
-across all five pricing strategies and every registered matching
-backend.  At finite caps, the revenue loss must stay inside the
+across all five pricing strategies, for the matroid matcher and its
+dense scipy oracle alike.  At finite caps, the revenue loss must stay inside the
 documented tolerance band, checked over a battery of fuzzed dense
 instances (seeded, so failures reproduce).
 """
@@ -17,8 +17,7 @@ import pytest
 from repro.core.gdp import PeriodInstance
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import force_loop_builder
-from repro.matching.registry import available_backends
-from repro.matching.weighted import max_weight_matching
+from repro.matching.weighted import max_weight_matching, scipy_max_weight_matching
 from repro.pricing.registry import available_strategies, calibrated_kwargs, create_strategy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.sharded import ShardedEngine
@@ -116,15 +115,11 @@ class TestVectorizedPathBitIdentity:
         with force_loop_builder():
             loop = build()
         weights = vectorized.ensure_arrays().distances * 2.0
-        for backend in available_backends():
-            matching_v, total_v = max_weight_matching(
-                vectorized.graph, weights, backend=backend
-            )
-            matching_l, total_l = max_weight_matching(
-                loop.graph, weights, backend=backend
-            )
-            assert matching_v == matching_l, backend
-            assert total_v == total_l, backend
+        for solve in (max_weight_matching, scipy_max_weight_matching):
+            matching_v, total_v = solve(vectorized.graph, weights)
+            matching_l, total_l = solve(loop.graph, weights)
+            assert matching_v == matching_l, solve.__name__
+            assert total_v == total_l, solve.__name__
 
 
 class TestDegreeCapToleranceGate:

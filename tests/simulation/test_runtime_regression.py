@@ -76,13 +76,6 @@ class TestColumnarPlaneBitIdentity:
             10075,
             (13241.103184290127, 13017.843001486699, 12835.162721941551, 12952.781497262371),
         ),
-        (8, 0, 16, "vgreedy"): (
-            48819.61571393294,
-            4669,
-            7824,
-            10075,
-            (12366.677970795274, 12256.75504324373, 12025.975452853174, 12170.207247040766),
-        ),
         (4, 2, 8, "matroid"): (
             51428.92198054298,
             4706,
@@ -148,7 +141,6 @@ class TestCompoundConfigurationPins:
     PINNED = {
         # backend -> (total_revenue, served, accepted, total_tasks)
         "matroid": (103236.2894387597, 9463, 15637, 20132),
-        "vgreedy": (97498.13868512452, 9437, 15637, 20132),
     }
 
     @pytest.mark.parametrize("backend", sorted(PINNED))

@@ -72,18 +72,6 @@ class TestBatchEquivalence:
             )
             _assert_metrics_identical(batch, stream)
 
-    def test_equivalence_holds_for_non_matroid_backend(
-        self, tiny_workload, tiny_calibration
-    ):
-        """The per-window re-solve fallback is batch-equivalent too."""
-        batch = SimulationEngine(tiny_workload, seed=3, matching_backend="greedy").run(
-            _strategy("BaseP", tiny_calibration, tiny_workload.price_bounds)
-        )
-        stream = StreamingEngine(
-            workload_to_stream(tiny_workload), seed=3, matching_backend="greedy"
-        ).run(_strategy("BaseP", tiny_calibration, tiny_workload.price_bounds))
-        _assert_metrics_identical(batch, stream)
-
 
 class TestWindows:
     @pytest.mark.parametrize("window", [0.0, float("inf"), float("nan")])

@@ -18,7 +18,7 @@ are compared against::
     PYTHONPATH=src python tools/bench_to_json.py --scale 0.05        # quick look
     PYTHONPATH=src python tools/bench_to_json.py --shards 1 8 --halo 2
     PYTHONPATH=src python tools/bench_to_json.py --benchmark matching \
-        --configs vectorized capped-16 vgreedy
+        --configs vectorized capped-16 capped-8
 
 Output schema: ``{"benchmark": ..., "runs": [run, run, ...]}`` where each
 run carries the measurement payload plus ``host`` and ``created``
@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CONFIG",
         help="[matching] hot-path configurations (e.g. loop vectorized "
-        "capped-16 vgreedy loop+capped-8); [runtime] data-plane "
-        "configurations (pr4-baseline columnar columnar-vgreedy)",
+        "capped-16 loop+capped-8); [runtime] data-plane "
+        "configurations (pr4-baseline columnar)",
     )
     parser.add_argument(
         "--max-degree",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""cProfile harness over any scenario / strategy / backend combination.
+"""cProfile harness over any scenario / strategy / dispatch mode combination.
 
 Perf PRs should start from evidence, not intuition: this tool runs one
 simulation under ``cProfile`` and prints the top-N hotspots, so "where
@@ -37,14 +37,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.matching.registry import available_backends  # noqa: E402
 from repro.pricing.registry import available_strategies, create_strategy  # noqa: E402
 from repro.simulation.scenarios import available_scenarios, get_scenario  # noqa: E402
 from repro.simulation.sharded import ShardedEngine  # noqa: E402
 from repro.simulation.streaming import EventStreamingEngine, StreamingEngine  # noqa: E402
-
-# Importing the backend implementations registers them.
-import repro.matching.weighted  # noqa: E402,F401
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="BaseP",
         help="pricing strategy (default BaseP: cheap quoting keeps the "
         "profile dominated by the dispatch hot path)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="matroid",
-        help="matching backend (default matroid)",
     )
     parser.add_argument(
         "--scale", type=float, default=0.01, help="scenario scale (default 0.01)"
@@ -162,7 +152,6 @@ def main(argv=None) -> int:
             stream,
             seed=args.seed,
             window=args.window,
-            matching_backend=args.backend,
             max_degree=args.max_degree,
         )
         mode = f"streaming (window={args.window:g})"
@@ -176,14 +165,13 @@ def main(argv=None) -> int:
             num_shards=args.shards,
             halo=args.halo if args.shards > 1 else 0,
             seed=args.seed,
-            matching_backend=args.backend,
             max_degree=args.max_degree,
         )
         mode = f"sharded (shards={args.shards})" if args.shards > 1 else "batch"
 
     print(
         f"# profiling {args.scenario} [{mode}] strategy={args.strategy} "
-        f"backend={args.backend} scale={args.scale:g} seed={args.seed} "
+        f"scale={args.scale:g} seed={args.seed} "
         f"max_degree={args.max_degree}"
     )
     profiler = cProfile.Profile()
