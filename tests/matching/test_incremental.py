@@ -263,4 +263,32 @@ class TestGreedyInsert:
         assert matcher.remove_task(1) is None
         assert matcher.is_worker_live(1)
         assert matcher.task_of(1) is None
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_greedy_inserts_are_maximal_and_never_beat_exact(self, seed):
+        """Greedy inserts build a maximal matching worth at most the optimum."""
+        from repro.matching.weighted import scipy_max_weight_matching
+
+        rng = np.random.default_rng(seed)
+        num_tasks = int(rng.integers(1, 10))
+        num_workers = int(rng.integers(1, 10))
+        edges = [
+            (t, w)
+            for t in range(num_tasks)
+            for w in range(num_workers)
+            if rng.random() < 0.35
+        ]
+        weights = [float(rng.uniform(0.1, 10.0)) for _ in range(num_tasks)]
+        matcher = self._dynamic(edges, num_tasks, num_workers)
+        for worker in range(num_workers):
+            matcher.insert_worker(worker)
+        for task in rng.permutation(num_tasks):
+            matcher.insert_task_greedy(int(task), weight=weights[task])
+
+        assert matcher.is_valid_matching()
+        for task, worker in edges:
+            assert matcher.worker_of(task) is not None or matcher.task_of(worker) is not None
+        _, exact = scipy_max_weight_matching(matcher.graph, weights)
+        assert matcher.total_weight() <= exact + 1e-9
         assert matcher.is_valid_matching()

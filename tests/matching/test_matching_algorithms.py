@@ -163,6 +163,21 @@ class TestDenseBackends:
         assert assignment == {}
         assert total == 0.0
 
+    def test_graph_oracle_empty_graph(self):
+        assert scipy_max_weight_matching(_graph(0, 0, []), []) == ({}, 0.0)
+
+    def test_graph_oracle_skips_zero_weight_and_isolated_tasks(self):
+        # Task 0 weighs nothing, task 2 has no edge: only task 1 is matched.
+        graph = _graph(3, 2, [(0, 0), (1, 0), (1, 1)])
+        assignment, total = scipy_max_weight_matching(graph, [0.0, 3.0, 9.0])
+        assert assignment in ({1: 0}, {1: 1})
+        assert total == pytest.approx(3.0)
+
+    def test_graph_oracle_weight_length_mismatch(self):
+        graph = _graph(2, 2, [(0, 0)])
+        with pytest.raises(ValueError):
+            scipy_max_weight_matching(graph, [1.0])
+
 
 class TestBackendAgreement:
     @given(st.integers(min_value=0, max_value=10**6))

@@ -64,27 +64,34 @@ class TestOneMatchingBackend:
         with pytest.raises(ValueError, match="only backend is 'matroid'"):
             max_weight_matching(graph, [1.0], backend=name)
 
-    def test_sharded_engine_keyword_accepts_only_matroid(self, tiny_workload):
+    @pytest.mark.parametrize("name", ["vgreedy", "greedy", "hungarian", "scipy"])
+    def test_sharded_engine_keyword_accepts_only_matroid(self, tiny_workload, name):
         ShardedEngine(tiny_workload, matching_backend="matroid")
         with pytest.raises(ValueError, match="only backend is 'matroid'"):
-            ShardedEngine(tiny_workload, matching_backend="greedy")
+            ShardedEngine(tiny_workload, matching_backend=name)
 
-    def test_engines_take_no_matching_backend(self, tiny_workload):
-        stream = workload_to_stream(tiny_workload)
-        builders = [
-            lambda **kw: PeriodPipeline(
-                tiny_workload.price_bounds, tiny_workload.acceptance, **kw
-            ),
-            lambda **kw: StreamingEngine(stream, **kw),
-            lambda **kw: SimulationEngine(tiny_workload, **kw),
-            lambda **kw: ShardSpec().build_engine(
-                tiny_workload, 0, False, False, **kw
-            ),
-            lambda **kw: ParallelRunner(tiny_workload, ["BaseP"], **kw),
-        ]
-        for build in builders:
-            with pytest.raises(TypeError, match="matching_backend"):
-                build(matching_backend="matroid")
+    BUILDERS = {
+        "PeriodPipeline": lambda workload, **kw: PeriodPipeline(
+            workload.price_bounds, workload.acceptance, **kw
+        ),
+        "StreamingEngine": lambda workload, **kw: StreamingEngine(
+            workload_to_stream(workload), **kw
+        ),
+        "SimulationEngine": lambda workload, **kw: SimulationEngine(workload, **kw),
+        "ShardSpec.build_engine": lambda workload, **kw: ShardSpec().build_engine(
+            workload, 0, False, False, **kw
+        ),
+        "ParallelRunner": lambda workload, **kw: ParallelRunner(
+            workload, ["BaseP"], **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_engines_take_no_matching_backend(self, tiny_workload, builder):
+        build = self.BUILDERS[builder]
+        build(tiny_workload)
+        with pytest.raises(TypeError, match="matching_backend"):
+            build(tiny_workload, matching_backend="matroid")
 
     @pytest.mark.parametrize(
         "solve", [max_weight_matching, scipy_max_weight_matching], ids=["matroid", "scipy"]
