@@ -46,7 +46,7 @@ from repro.matching.maximum_matching import UNMATCHED
 MatchingResult = Tuple[Dict[int, int], float]
 
 
-def check_backend(backend: str) -> None:
+def _check_backend(backend: str) -> None:
     """Refuse any matching backend name other than ``matroid``.
 
     The matroid greedy is the only matcher; the name survives as a
@@ -107,7 +107,7 @@ def max_weight_matching(
         allowed_tasks: Optional subset of task positions eligible for
             matching (e.g. only the accepted tasks).
         backend: Must be ``"matroid"``, the one matcher; any other name
-            raises :class:`ValueError` (see :func:`check_backend`).
+            raises :class:`ValueError` (see :func:`_check_backend`).
 
     Returns:
         ``(task_to_worker, total_weight)``.
@@ -117,7 +117,7 @@ def max_weight_matching(
     guarantees the result is a maximum-weight matching because feasible
     task sets form a transversal matroid.
     """
-    check_backend(backend)
+    _check_backend(backend)
     csr = graph.csr()
     weights, order = eligible_order(csr.num_tasks, task_weights, allowed_tasks)
 
@@ -216,7 +216,6 @@ def scipy_max_weight_matching(
 
 
 __all__ = [
-    "check_backend",
     "eligible_order",
     "max_weight_matching",
     "scipy_max_weight_matching",

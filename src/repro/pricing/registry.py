@@ -7,9 +7,8 @@ single factory the harness uses; :func:`available_strategies` lists the
 names of the five strategies compared in the paper (Section 5.1), in the
 paper's plotting order.
 
-This registry predates the decorator-based ones
-(:mod:`repro.matching.registry`, :mod:`repro.simulation.scenarios`) and
-keeps an explicit factory instead, because the five strategies share a
+This registry predates the decorator-based scenario registry
+(:mod:`repro.simulation.scenarios`) and keeps an explicit factory instead, because the five strategies share a
 calibration hand-off: ``create_strategy`` threads the Algorithm 1 result
 into MAPS as a UCB warm start while the heuristics only consume its base
 price.  Name matching is case-insensitive and tolerant of common aliases

@@ -4,9 +4,9 @@ The repository grew three workload families wired up ad hoc — the
 synthetic Table-3 generator, the Beijing-style taxi generator and the
 hand-assembled food-delivery example.  This module puts them (plus a
 natively streaming flash-crowd scenario) behind one decorator-based
-registry, mirroring :mod:`repro.matching.registry` and
-:mod:`repro.pricing.registry`: the CLI, :class:`ParallelRunner` and the
-docs all enumerate the same single source of truth.
+registry, mirroring :mod:`repro.pricing.registry`: the CLI,
+:class:`ParallelRunner` and the docs all enumerate the same single
+source of truth.
 
 Every scenario produces **both** execution modes:
 

@@ -70,7 +70,7 @@ from repro.core.base_pricing import BasePricingConfig, BasePricingResult
 from repro.core.gdp import PeriodInstance
 from repro.kernels.halo import halo_residual_workers, halo_task_candidates
 from repro.market.entities import Task, Worker
-from repro.matching.weighted import check_backend, max_weight_matching
+from repro.matching.weighted import _check_backend, max_weight_matching
 from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import ChunkedWorkload, WorkloadBundle
 from repro.simulation.metrics import MetricsCollector
@@ -154,7 +154,7 @@ class ShardedEngine:
         self.tiling = GridTiling(workload.grid, num_shards)
         self.halo = int(halo)
         self.seed = int(seed)
-        check_backend(matching_backend)
+        _check_backend(matching_backend)
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = checked_degree_cap(max_degree)

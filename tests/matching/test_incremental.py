@@ -263,6 +263,7 @@ class TestGreedyInsert:
         assert matcher.remove_task(1) is None
         assert matcher.is_worker_live(1)
         assert matcher.task_of(1) is None
+        assert matcher.is_valid_matching()
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -291,4 +292,3 @@ class TestGreedyInsert:
             assert matcher.worker_of(task) is not None or matcher.task_of(worker) is not None
         _, exact = scipy_max_weight_matching(matcher.graph, weights)
         assert matcher.total_weight() <= exact + 1e-9
-        assert matcher.is_valid_matching()
