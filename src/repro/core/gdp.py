@@ -180,26 +180,39 @@ class PeriodArrays:
 
 
 class _LazyBipartiteGraph:
-    """Materialise-on-first-touch stand-in for :class:`BipartiteGraph`.
+    """A period graph built on first need, over every task or some rows.
 
-    The warm-shard engine matches off the incremental adjacency plane and
-    never reads the period graph, but the instance it dispatches still
-    flows through stages that *may* (halo reconciliation never does;
-    ``pipeline.match`` would).  The proxy defers the full graph build to
-    the first attribute access, so the common warm path skips it entirely
-    while any consumer that genuinely needs the graph still gets the
-    exact batch-built one.
+    The batch engine's instances carry one (:meth:`PeriodInstance.from_columns`
+    with ``build_graph=False``): the match stage only needs the rows of
+    the accepted tasks and asks for those through :meth:`rows`, while a
+    strategy that reads the graph while quoting (MAPS's planner) builds
+    the full graph on its first attribute access, which the match stage
+    then reuses as is.  The streaming universe
+    (:meth:`PeriodInstance.build` with ``build_graph=False``) defers its
+    full graph the same way and offers no row builder.
     """
 
-    __slots__ = ("_factory", "_graph")
+    __slots__ = ("_factory", "_row_factory", "_graph")
 
-    def __init__(self, factory) -> None:
+    def __init__(self, factory, row_factory=None) -> None:
         self._factory = factory
+        self._row_factory = row_factory
         self._graph = None
 
     @property
     def materialised(self) -> bool:
         return self._graph is not None
+
+    def rows(self, positions: np.ndarray) -> Optional[BipartiteGraph]:
+        """The graph over task rows ``positions`` only, or ``None``.
+
+        Row ``i`` of the result is task position ``positions[i]``; the
+        worker side is unchanged.  ``None`` when the full graph is
+        already built (use it) or there is no row builder.
+        """
+        if self._graph is not None or self._row_factory is None:
+            return None
+        return self._row_factory(positions)
 
     def __getattr__(self, name):
         graph = self._graph
@@ -207,6 +220,7 @@ class _LazyBipartiteGraph:
             graph = self._factory()
             self._graph = graph
             self._factory = None
+            self._row_factory = None
         return getattr(graph, name)
 
 
@@ -219,7 +233,10 @@ class PeriodInstance:
         grid: The pricing grid.
         tasks: Tasks issued in the period, annotated with ``grid_index``.
         workers: Workers available in the period.
-        graph: Range-constrained bipartite graph between them.
+        graph: Range-constrained bipartite graph between them.  It may
+            be deferred (a proxy built on first attribute access): the
+            batch engine's instances defer it so the match stage can
+            build only the accepted tasks' rows (:meth:`rows_graph`).
         tasks_by_grid: Mapping grid index -> task positions (in ``tasks``).
         workers_by_grid: Mapping grid index -> number of workers located in
             the grid (used by the SDR/SDE/CappedUCB baselines, which reason
@@ -317,6 +334,7 @@ class PeriodInstance:
         worker_x: Optional[np.ndarray] = None,
         worker_y: Optional[np.ndarray] = None,
         worker_radii: Optional[np.ndarray] = None,
+        build_graph: bool = True,
     ) -> "PeriodInstance":
         """Build an instance straight from columnar task buffers.
 
@@ -342,6 +360,10 @@ class PeriodInstance:
                 worker coordinate arrays (extracted from ``workers`` when
                 omitted); callers that partition one pool across shards
                 pass slices so extraction happens once per period.
+            build_graph: As in :meth:`build`; ``False`` defers the graph
+                behind a proxy that can also build just some task rows
+                (:meth:`rows_graph`).  Both deferred builds run through
+                this method again, with the same arguments.
         """
         from repro.matching.bipartite import build_graph_from_arrays
         from repro.simulation.arena import LazyTasks
@@ -370,18 +392,36 @@ class PeriodInstance:
             worker_grids=worker_grids,
         )
         tasks = LazyTasks(task_columns)
-        graph = build_graph_from_arrays(
-            tasks,
-            workers,
-            task_columns.xs,
-            task_columns.ys,
-            worker_x,
-            worker_y,
-            worker_radii,
-            metric,
-            grid,
-            max_degree,
-        )
+        if build_graph:
+            graph = build_graph_from_arrays(
+                tasks,
+                workers,
+                task_columns.xs,
+                task_columns.ys,
+                worker_x,
+                worker_y,
+                worker_radii,
+                metric,
+                grid,
+                max_degree,
+            )
+        else:
+
+            def graph_of(positions=None):
+                return cls.from_columns(
+                    period,
+                    grid,
+                    task_columns if positions is None else task_columns.take(positions),
+                    workers,
+                    metric=metric,
+                    max_degree=max_degree,
+                    worker_grids=worker_grids,
+                    worker_x=worker_x,
+                    worker_y=worker_y,
+                    worker_radii=worker_radii,
+                ).graph
+
+            graph = _LazyBipartiteGraph(graph_of, graph_of)
         return cls(
             period=period,
             grid=grid,
@@ -408,6 +448,22 @@ class PeriodInstance:
 
     def grid_indices_with_tasks(self) -> List[int]:
         return sorted(self.tasks_by_grid.keys())
+
+    def rows_graph(self, positions: np.ndarray) -> Optional[BipartiteGraph]:
+        """The graph over task rows ``positions`` (ascending), if deferred.
+
+        Row ``i`` of the result is task position ``positions[i]``; the
+        worker side is the instance's.  Returns ``None`` when
+        :attr:`graph` is already built, by the constructor or by an
+        earlier reader, or cannot be built per row: match on
+        :attr:`graph` with ``allowed_tasks`` then.  Each task's row
+        (degree cap included) depends on that task alone, so the rows
+        equal the full graph's rows at ``positions``.
+        """
+        graph = self.graph
+        if isinstance(graph, _LazyBipartiteGraph):
+            return graph.rows(positions)
+        return None
 
     def ensure_arrays(self) -> PeriodArrays:
         """The :class:`PeriodArrays` view, built lazily if missing.

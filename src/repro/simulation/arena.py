@@ -12,8 +12,8 @@ per-task detour through objects, and shareable across processes through
 :class:`~repro.utils.shm.ShmArena` segments (see
 :class:`WorkloadArena`).
 
-Objects do not disappear — the halo-exchange pass and the public
-``PeriodInstance.tasks`` API still speak ``Task`` — they become *lazy*:
+Objects do not disappear — the public ``PeriodInstance.tasks`` API and
+the scalar loop builder still speak ``Task`` — they become *lazy*:
 :class:`LazyTasks` / :class:`LazyWorkers` materialise (and cache) a
 record only when some consumer actually indexes it, and materialised
 records are value-identical to the ones the object pipeline would have
@@ -23,7 +23,7 @@ built, which is what keeps columnar runs bit-identical to object runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,8 +108,11 @@ class TaskColumns:
             cells=cells,
         )
 
-    def take(self, positions: np.ndarray) -> "TaskColumns":
-        """Columns restricted to ``positions`` (fancy-indexed copy)."""
+    def take(self, positions: Union[np.ndarray, slice]) -> "TaskColumns":
+        """Columns restricted to ``positions``.
+
+        An index array gives a fancy-indexed copy; a slice gives views.
+        """
         return TaskColumns(
             period=self.period,
             task_ids=self.task_ids[positions],
@@ -306,10 +309,11 @@ class ColumnarWorkerPool:
 
     def __init__(self) -> None:
         self._columns = WorkerColumns.from_workers([])
-        self._cache: List[Optional[Worker]] = []
+        # Materialised records by pool position; a columnar run reads none.
+        self._cache: Dict[int, Worker] = {}
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._columns)
 
     @property
     def columns(self) -> WorkerColumns:
@@ -320,12 +324,19 @@ class ColumnarWorkerPool:
         if not len(arriving):
             return
         self._columns = WorkerColumns.concatenate([self._columns, arriving])
-        self._cache.extend([None] * len(arriving))
 
     def retain(self, positions: np.ndarray) -> None:
-        """Keep exactly ``positions`` (ascending), dropping the rest."""
+        """Keep exactly ``positions``, in that order, dropping the rest."""
+        if self._cache:
+            new_position = np.full(len(self._columns), -1, dtype=np.int64)
+            new_position[positions] = np.arange(positions.shape[0])
+            moved = new_position[list(self._cache)].tolist()
+            self._cache = {
+                new: record
+                for new, record in zip(moved, self._cache.values())
+                if new >= 0
+            }
         self._columns = self._columns.take(positions)
-        self._cache = [self._cache[pos] for pos in positions.tolist()]
 
     def retain_available(self, period: int) -> None:
         """The object pool's ``[w for w in pool if w.available_in(period)]``."""
@@ -334,7 +345,7 @@ class ColumnarWorkerPool:
             self.retain(np.flatnonzero(mask))
 
     def worker(self, pos: int) -> Worker:
-        record = self._cache[pos]
+        record = self._cache.get(pos)
         if record is None:
             record = self._cache[pos] = self._columns.worker_at(pos)
         return record

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -87,6 +86,29 @@ class StrategyMetrics:
         }
 
 
+class _Stopwatch:
+    """Adds the wall time of a ``with`` block to one metrics field.
+
+    A plain class rather than a generator context manager: the batch
+    loop opens several per shard and period.
+    """
+
+    __slots__ = ("_metrics", "_field", "_start")
+
+    def __init__(self, metrics: StrategyMetrics, field_name: str) -> None:
+        self._metrics = metrics
+        self._field = field_name
+        self._start = 0.0
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        elapsed = time.perf_counter() - self._start
+        total = getattr(self._metrics, self._field) + elapsed
+        setattr(self._metrics, self._field, total)
+
+
 class MetricsCollector:
     """Accumulates :class:`StrategyMetrics` during a simulation run.
 
@@ -121,29 +143,14 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # timed sections
     # ------------------------------------------------------------------
-    @contextmanager
-    def time_pricing(self) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.metrics.pricing_time_seconds += time.perf_counter() - start
+    def time_pricing(self) -> "_Stopwatch":
+        return _Stopwatch(self.metrics, "pricing_time_seconds")
 
-    @contextmanager
-    def time_decide(self) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.metrics.decide_time_seconds += time.perf_counter() - start
+    def time_decide(self) -> "_Stopwatch":
+        return _Stopwatch(self.metrics, "decide_time_seconds")
 
-    @contextmanager
-    def time_matching(self) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.metrics.matching_time_seconds += time.perf_counter() - start
+    def time_matching(self) -> "_Stopwatch":
+        return _Stopwatch(self.metrics, "matching_time_seconds")
 
     # ------------------------------------------------------------------
     # per-period accounting

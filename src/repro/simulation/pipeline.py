@@ -13,7 +13,8 @@ driven by :class:`PeriodPipeline`:
   The RNG consumption is identical to the seed engine's per-task scalar
   draws, so fixed seeds reproduce the exact same decisions;
 * **match** — compute the realized maximum-weight matching
-  (Definition 5) over the CSR graph with the matroid greedy;
+  (Definition 5) over the CSR graph with the matroid greedy; a deferred
+  period graph is built over the accepted tasks' rows only;
 * **feedback** — pack one period's outcomes into a
   :class:`~repro.pricing.strategy.PriceFeedbackBatch` (``served`` is set
   in the same pass, not by rebuilding per-task objects) and hand it to
@@ -140,12 +141,24 @@ class PeriodPipeline:
         instance: PeriodInstance,
         decision: DecideResult,
     ) -> Tuple[Dict[int, int], float]:
-        """Maximum-weight matching of the accepted tasks (Definition 5)."""
+        """Maximum-weight matching of the accepted tasks (Definition 5).
+
+        A deferred graph is built over the accepted rows only; a graph
+        already built (say by MAPS's planner while quoting) is matched
+        as is with the rejected rows masked out.
+        """
         arrays = instance.ensure_arrays()
         weights = arrays.distances * decision.prices
-        return max_weight_matching(
-            instance.graph, weights, allowed_tasks=decision.accepted_positions
-        )
+        accepted = decision.accepted_positions
+        graph = instance.rows_graph(accepted)
+        if graph is None:
+            return max_weight_matching(instance.graph, weights, allowed_tasks=accepted)
+        # Row k is task accepted[k].  The renumbering is monotone, so the
+        # greedy's order, its ties and its float sum are those of the
+        # full graph, and the matching maps back bit-identically.
+        rows_matching, revenue = max_weight_matching(graph, weights[accepted])
+        rows = accepted.tolist()
+        return {rows[row]: worker for row, worker in rows_matching.items()}, revenue
 
     def feedback(
         self,

@@ -863,11 +863,13 @@ class CityScaleScenario(Scenario):
                     # Scalar math.hypot per task: np.hypot drifts by 1 ulp
                     # from the libm hypot Task.__post_init__ would call,
                     # and the distances feed matching weights that must be
-                    # bit-identical to the object path.
+                    # bit-identical to the object path.  The differences
+                    # are exact float64 either way; only hypot is scalar.
                     distances=np.fromiter(
-                        (
-                            math.hypot(xs[pos] - dest_xs[pos], ys[pos] - dest_ys[pos])
-                            for pos in range(num_tasks)
+                        map(
+                            math.hypot,
+                            (xs - dest_xs).tolist(),
+                            (ys - dest_ys).tolist(),
                         ),
                         dtype=np.float64,
                         count=num_tasks,

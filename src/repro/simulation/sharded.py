@@ -16,13 +16,16 @@ Per period the :class:`ShardedEngine`:
    shard owning its location cell);
 2. **dispatches** each shard with tasks through the
    :class:`~repro.simulation.pipeline.PeriodPipeline` stages — quote →
-   decide → match — over the shard-local instance;
+   decide → match — over the shard-local instance, whose graph is
+   deferred so the match stage builds only the accepted tasks' rows;
 3. **reconciles** across boundaries with one halo-exchange pass: accepted
    tasks left unmatched within ``halo`` cells of a shard border are
    re-offered, together with the residual (still unmatched) workers of
    the halo band, as one small reconciliation instance solved with the
-   same matroid-greedy matcher.  Matches found here recover revenue the
-   partition's dropped cross-border edges would otherwise lose;
+   same matroid-greedy matcher.  The pass stays columnar: it gathers
+   task columns and pool positions and materialises no record.  Matches
+   found here recover revenue the partition's dropped cross-border edges
+   would otherwise lose;
 4. **feeds back** one batch per shard (halo-served tasks included) and
    lets matched workers leave the pool.
 
@@ -62,14 +65,13 @@ gives the measured case).  Runs parallelise across processes through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.base_pricing import BasePricingConfig, BasePricingResult
 from repro.core.gdp import PeriodInstance
 from repro.kernels.halo import halo_residual_workers, halo_task_candidates
-from repro.market.entities import Task, Worker
 from repro.matching.weighted import _check_backend, max_weight_matching
 from repro.pricing.strategy import PricingStrategy
 from repro.simulation.config import ChunkedWorkload, WorkloadBundle
@@ -99,6 +101,11 @@ class _ShardDispatch:
     decision: DecideResult
     matching: Dict[int, int]
     revenue: float
+    #: Period positions of the shard's tasks (the local task position
+    #: ``i`` is period position ``task_positions[i]``; ``None`` in a
+    #: one-shard run, whose one shard holds every task and which has no
+    #: halo pass).
+    task_positions: Optional[np.ndarray]
     #: Pool positions of the shard's workers (the local worker position
     #: ``i`` is pool position ``worker_positions[i]``).
     worker_positions: np.ndarray
@@ -106,6 +113,19 @@ class _ShardDispatch:
     halo_served: List[int] = field(default_factory=list)
     #: Worker positions taken from this shard by the halo-exchange pass.
     halo_taken: List[int] = field(default_factory=list)
+
+
+def _group_by_shard(
+    shards: np.ndarray, num_shards: int
+) -> Tuple[np.ndarray, List[int]]:
+    """Positions grouped by shard, ascending within each, and the bounds.
+
+    Shard ``s`` owns ``order[bounds[s]:bounds[s + 1]]`` (one stable sort
+    instead of one mask per shard).
+    """
+    order = np.argsort(shards, kind="stable")
+    bounds = np.searchsorted(shards[order], np.arange(num_shards + 1))
+    return order, bounds.tolist()
 
 
 class ShardedEngine:
@@ -260,7 +280,7 @@ class ShardedEngine:
                 continue
 
             num_workers = len(pool)
-            dispatches, leftover = self._dispatch_shards(
+            dispatches, leftover, leftover_cells = self._dispatch_shards(
                 period, task_cols, pool, strategy, rng, pipeline, collector
             )
 
@@ -268,13 +288,14 @@ class ShardedEngine:
             if self.num_shards > 1 and self.halo > 0:
                 with collector.time_matching():
                     halo_revenue, leftover = self._reconcile_halo(
-                        period, dispatches, leftover, pool.worker
+                        period, task_cols, pool, dispatches, leftover, leftover_cells
                     )
 
             for dispatch in dispatches:
-                served_map = dict(dispatch.matching)
-                for task_pos in dispatch.halo_served:
-                    served_map[task_pos] = _HALO_SERVED
+                served_map = dispatch.matching
+                if dispatch.halo_served:
+                    served_map = dict(served_map)
+                    served_map.update(dict.fromkeys(dispatch.halo_served, _HALO_SERVED))
                 with collector.time_decide():
                     batch = pipeline.feedback(
                         dispatch.instance, dispatch.decision, served_map
@@ -286,23 +307,16 @@ class ShardedEngine:
             # keep shard order, then the leftover workers.
             kept: List[np.ndarray] = []
             for dispatch in dispatches:
-                taken = set(dispatch.matching.values())
-                taken.update(dispatch.halo_taken)
+                taken = [*dispatch.matching.values(), *dispatch.halo_taken]
                 positions = dispatch.worker_positions
                 if taken:
                     keep_mask = np.ones(positions.shape[0], dtype=bool)
-                    keep_mask[np.fromiter(taken, dtype=np.int64, count=len(taken))] = False
+                    keep_mask[taken] = False
                     kept.append(positions[keep_mask])
                 else:
                     kept.append(positions)
-            if leftover:
-                kept.append(
-                    np.fromiter(
-                        (pos for pos, _cell in leftover),
-                        dtype=np.int64,
-                        count=len(leftover),
-                    )
-                )
+            if leftover.size:
+                kept.append(leftover)
             pool.retain(
                 np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
             )
@@ -356,13 +370,13 @@ class ShardedEngine:
         rng: np.random.Generator,
         pipeline: PeriodPipeline,
         collector: MetricsCollector,
-    ) -> Tuple[List[_ShardDispatch], List[Tuple[int, int]]]:
+    ) -> Tuple[List[_ShardDispatch], np.ndarray, np.ndarray]:
         """Columnar quote → decide → match over every shard with tasks.
 
         The partition is pure array work: tasks split by their (already
         annotated) cells, pool workers by one vectorised ``locate_many``.
-        Returns the dispatch states plus ``(pool_position, cell)`` pairs
-        of workers whose shard had no tasks this period.
+        Returns the dispatch states plus the pool positions and cells of
+        the workers whose shard had no tasks this period (the leftover).
         """
         grid = self.workload.grid
         num_shards = self.num_shards
@@ -374,36 +388,35 @@ class ShardedEngine:
             worker_cells = np.zeros(0, dtype=np.int64)
 
         if num_shards == 1:
-            shard_task_positions: Dict[int, Optional[np.ndarray]] = {0: None}
-            shard_worker_positions = {0: np.arange(num_workers, dtype=np.int64)}
+            # The one shard holds every task and worker as they are.
+            sorted_cols = task_cols
+            task_order = None
+            task_bounds = [0, len(task_cols)]
+            worker_order = np.arange(num_workers, dtype=np.int64)
+            worker_bounds = [0, num_workers]
         else:
-            task_shards = self.tiling.shards_of_cells(task_cols.cells)
-            shard_task_positions = {
-                shard: np.flatnonzero(task_shards == shard)
-                for shard in np.unique(task_shards).tolist()
-            }
-            shard_worker_positions = {}
-            if num_workers:
-                worker_shards = self.tiling.shards_of_cells(worker_cells)
-                shard_worker_positions = {
-                    shard: np.flatnonzero(worker_shards == shard)
-                    for shard in np.unique(worker_shards).tolist()
-                }
+            # Group each side by shard once; a shard's tasks are then a
+            # contiguous slice of the shard-sorted columns.
+            task_order, task_bounds = _group_by_shard(
+                self.tiling.shards_of_cells(task_cols.cells), num_shards
+            )
+            sorted_cols = task_cols.take(task_order)
+            worker_order, worker_bounds = _group_by_shard(
+                self.tiling.shards_of_cells(worker_cells), num_shards
+            )
 
         dispatches: List[_ShardDispatch] = []
-        leftover: List[Tuple[int, int]] = []
+        leftover_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
         for shard in range(num_shards):
-            worker_positions = shard_worker_positions.get(
-                shard, np.zeros(0, dtype=np.int64)
-            )
-            if shard not in shard_task_positions:
-                for pool_pos in worker_positions.tolist():
-                    leftover.append((pool_pos, int(worker_cells[pool_pos])))
+            worker_positions = worker_order[
+                worker_bounds[shard] : worker_bounds[shard + 1]
+            ]
+            start, stop = task_bounds[shard], task_bounds[shard + 1]
+            if start == stop:
+                leftover_parts.append(worker_positions)
                 continue
-            task_positions = shard_task_positions[shard]
-            shard_cols = (
-                task_cols if task_positions is None else task_cols.take(task_positions)
-            )
+            shard_cols = sorted_cols.take(slice(start, stop))
+            task_positions = None if task_order is None else task_order[start:stop]
             instance = PeriodInstance.from_columns(
                 period=period,
                 grid=grid,
@@ -415,6 +428,7 @@ class ShardedEngine:
                 worker_x=columns.xs[worker_positions],
                 worker_y=columns.ys[worker_positions],
                 worker_radii=columns.radii[worker_positions],
+                build_graph=False,
             )
             with collector.time_pricing():
                 grid_prices = pipeline.quote(strategy, instance)
@@ -430,18 +444,22 @@ class ShardedEngine:
                     decision=decision,
                     matching=matching,
                     revenue=revenue,
+                    task_positions=task_positions,
                     worker_positions=worker_positions,
                 )
             )
-        return dispatches, leftover
+        leftover = np.concatenate(leftover_parts)
+        return dispatches, leftover, worker_cells[leftover]
 
     def _reconcile_halo(
         self,
         period: int,
+        task_cols,
+        pool,
         dispatches: List[_ShardDispatch],
-        leftover: List[Tuple[int, int]],
-        worker_of: Callable[[int], Worker],
-    ) -> Tuple[float, List[Tuple[int, int]]]:
+        leftover: np.ndarray,
+        leftover_cells: np.ndarray,
+    ) -> Tuple[float, np.ndarray]:
         """One halo-exchange pass over the boundary band.
 
         Accepted-but-unmatched tasks in halo cells are re-offered to the
@@ -449,20 +467,20 @@ class ShardedEngine:
         across the border is the common case; an own-shard worker freed
         differently by the reconciliation matching is a harmless bonus).
         Mutates the dispatch states (``halo_served`` / ``halo_taken``) and
-        returns the recovered revenue plus the leftover workers that
-        remain unmatched.
+        returns the recovered revenue plus the pool positions of the
+        leftover workers that remain unmatched.
 
-        ``leftover`` pairs are ``(pool_position, cell)``; ``worker_of``
-        resolves a pool position to its record on demand.
+        The pass is columnar: candidate tasks are gathered from the
+        period's ``task_cols`` by position and workers as pool positions,
+        so the reconciliation instance reads coordinate slices and
+        materialises no ``Task`` or ``Worker`` record.
         """
         boundary = self._boundary
-        tasks: List[Task] = []
+        task_positions: List[np.ndarray] = []
+        weights: List[np.ndarray] = []
         task_refs: List[Tuple[int, int]] = []
-        weights: List[float] = []
         for dispatch_pos, dispatch in enumerate(dispatches):
             arrays = dispatch.instance.ensure_arrays()
-            prices = dispatch.decision.prices
-            distances = arrays.distances
             # Accepted-but-unmatched boundary tasks, ascending — selected
             # by the halo kernel.
             candidates = halo_task_candidates(
@@ -473,45 +491,48 @@ class ShardedEngine:
             )
             if not candidates.size:
                 continue
-            instance_tasks = dispatch.instance.tasks
-            for task_pos in candidates.tolist():
-                tasks.append(instance_tasks[task_pos])
-                task_refs.append((dispatch_pos, task_pos))
-                weights.append(float(distances[task_pos] * prices[task_pos]))
-        if not tasks:
+            task_positions.append(dispatch.task_positions[candidates])
+            weights.append(
+                arrays.distances[candidates] * dispatch.decision.prices[candidates]
+            )
+            task_refs.extend((dispatch_pos, pos) for pos in candidates.tolist())
+        if not task_refs:
             return 0.0, leftover
 
-        workers: List[Worker] = []
+        pool_positions: List[np.ndarray] = []
+        worker_cells: List[np.ndarray] = []
         worker_refs: List[Tuple[int, int]] = []
         for dispatch_pos, dispatch in enumerate(dispatches):
-            residual = halo_residual_workers(
-                dispatch.matching,
-                dispatch.instance.ensure_arrays().worker_grids,
-                boundary,
-            )
-            # Index rather than iterate: lazy columnar views then only
-            # materialise the residual boundary workers actually appended.
-            instance_workers = dispatch.instance.workers
-            for worker_pos in residual.tolist():
-                workers.append(instance_workers[worker_pos])
-                worker_refs.append((dispatch_pos, worker_pos))
-        leftover_taken: set = set()
-        for leftover_pos, (pool_pos, cell) in enumerate(leftover):
-            if boundary[cell - 1]:
-                workers.append(worker_of(pool_pos))
-                worker_refs.append((-1, leftover_pos))
-        if not workers:
+            worker_grids = dispatch.instance.ensure_arrays().worker_grids
+            residual = halo_residual_workers(dispatch.matching, worker_grids, boundary)
+            pool_positions.append(dispatch.worker_positions[residual])
+            worker_cells.append(worker_grids[residual])
+            worker_refs.extend((dispatch_pos, pos) for pos in residual.tolist())
+        # Leftover workers belong to no dispatch (owner -1); their
+        # position is their index into ``leftover``.
+        in_band = np.flatnonzero(boundary[leftover_cells - 1])
+        pool_positions.append(leftover[in_band])
+        worker_cells.append(leftover_cells[in_band])
+        worker_refs.extend((-1, index) for index in in_band.tolist())
+        if not worker_refs:
             return 0.0, leftover
 
-        instance = PeriodInstance.build(
+        positions = np.concatenate(pool_positions)
+        columns = pool.columns
+        instance = PeriodInstance.from_columns(
             period=period,
             grid=self.workload.grid,
-            tasks=tasks,
-            workers=workers,
+            task_columns=task_cols.take(np.concatenate(task_positions)),
+            workers=pool.view(positions),
             metric=self.workload.metric,
             max_degree=self.max_degree,
+            worker_grids=np.concatenate(worker_cells),
+            worker_x=columns.xs[positions],
+            worker_y=columns.ys[positions],
+            worker_radii=columns.radii[positions],
         )
-        matching, revenue = max_weight_matching(instance.graph, weights)
+        matching, revenue = max_weight_matching(instance.graph, np.concatenate(weights))
+        leftover_taken: List[int] = []
         for reconcile_task, reconcile_worker in matching.items():
             dispatch_pos, task_pos = task_refs[reconcile_task]
             dispatches[dispatch_pos].halo_served.append(task_pos)
@@ -519,11 +540,8 @@ class ShardedEngine:
             if owner >= 0:
                 dispatches[owner].halo_taken.append(worker_pos)
             else:
-                leftover_taken.add(worker_pos)
-        remaining = [
-            pair for pos, pair in enumerate(leftover) if pos not in leftover_taken
-        ]
-        return revenue, remaining
+                leftover_taken.append(worker_pos)
+        return revenue, np.delete(leftover, leftover_taken)
 
 
 __all__ = ["ShardedEngine", "ShardableWorkload"]

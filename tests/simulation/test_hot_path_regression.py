@@ -80,8 +80,9 @@ class TestVectorizedPathBitIdentity:
     def test_loop_builder_flag_reaches_the_period_loop(
         self, tiny_workload, monkeypatch, num_shards
     ):
-        """The period loop builds its graphs from columns; the flag must
-        still route them through the scalar loop builder, or the
+        """The period loop builds its graphs from columns, over the
+        accepted tasks' rows; the flag must still route those builds
+        through the scalar loop builder (with real task records), or the
         comparison above would run the vectorised builder twice."""
         inserts = []
         original = GridSpatialIndex.insert
@@ -95,10 +96,12 @@ class TestVectorizedPathBitIdentity:
         engine.run(create_strategy("BaseP", base_price=2.0))
         assert not inserts
         with force_loop_builder():
-            engine.run(create_strategy("BaseP", base_price=2.0))
-        # Every task of a period with workers enters the loop builder's
-        # spatial index (shards without workers short-circuit).
-        assert 0 < len(inserts) <= tiny_workload.total_tasks
+            result = engine.run(create_strategy("BaseP", base_price=2.0))
+        # Every accepted task of a period with workers enters the loop
+        # builder's spatial index (shards without workers short-circuit);
+        # rejected tasks get no row.
+        assert 0 < len(inserts) <= result.metrics.accepted_tasks
+        assert result.metrics.accepted_tasks < tiny_workload.total_tasks
 
     def test_all_backends_identical_pairs_across_builders(self, tiny_workload):
         """Per-period matchings (pairs, not just weight) coincide."""

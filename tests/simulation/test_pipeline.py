@@ -273,6 +273,54 @@ class TestMatchStage:
             assert revenue == ref_revenue
 
 
+class TestDeferredPeriodGraph:
+    """The batch loop builds each period's graph once, through the builder
+    the benchmark traces, and only over the rows it needs."""
+
+    @staticmethod
+    def _spy_builds(monkeypatch):
+        from repro.matching import bipartite
+
+        built = []
+        original = bipartite.build_graph_from_arrays
+
+        def spy(*args, **kwargs):
+            graph = original(*args, **kwargs)
+            built.append(graph.num_tasks)
+            return graph
+
+        monkeypatch.setattr(bipartite, "build_graph_from_arrays", spy)
+        return built
+
+    @staticmethod
+    def _periods_with_tasks(workload):
+        return sum(1 for tasks in workload.tasks_by_period if tasks)
+
+    def test_maps_builds_one_full_graph_per_period(
+        self, tiny_workload, tiny_calibration, monkeypatch
+    ):
+        """MAPS's planner reads the graph while quoting; the match stage
+        reuses that graph instead of building the accepted rows again."""
+        from repro.pricing.registry import calibrated_kwargs
+
+        built = self._spy_builds(monkeypatch)
+        low, high = tiny_workload.price_bounds
+        strategy = create_strategy(
+            "MAPS", **calibrated_kwargs("MAPS", tiny_calibration, p_min=low, p_max=high)
+        )
+        result = SimulationEngine(tiny_workload, seed=3).run(strategy)
+        assert len(built) == self._periods_with_tasks(tiny_workload)
+        assert sum(built) == result.metrics.total_tasks
+
+    def test_basep_builds_only_the_accepted_rows(self, tiny_workload, monkeypatch):
+        built = self._spy_builds(monkeypatch)
+        result = SimulationEngine(tiny_workload, seed=3).run(
+            create_strategy("BaseP", base_price=2.0)
+        )
+        assert len(built) == self._periods_with_tasks(tiny_workload)
+        assert sum(built) == result.metrics.accepted_tasks < result.metrics.total_tasks
+
+
 class TestEngineRegression:
     @pytest.mark.parametrize("strategy_name", PAPER_STRATEGIES)
     def test_pipeline_engine_identical_to_seed_engine(

@@ -203,6 +203,39 @@ class TestHaloPairingGoldenPins:
         assert metrics.accepted_tasks == accepted
 
 
+    def test_halo_run_materialises_no_record(self, monkeypatch):
+        """The shard loop and the halo pass stay columnar: no ``Task`` or
+        ``Worker`` record is built, and the pinned totals hold."""
+        from repro.simulation import arena, sharded
+
+        materialised = []
+        monkeypatch.setattr(
+            arena.TaskColumns, "task_at", lambda self, pos: materialised.append(pos)
+        )
+        monkeypatch.setattr(
+            arena.WorkerColumns, "worker_at", lambda self, pos: materialised.append(pos)
+        )
+        candidates = []
+        original = sharded.halo_task_candidates
+
+        def counting_candidates(*args):
+            found = original(*args)
+            candidates.append(found.size)
+            return found
+
+        monkeypatch.setattr(sharded, "halo_task_candidates", counting_candidates)
+        workload = get_scenario("city_scale").chunked(
+            scale=0.02, seed=1, tasks_per_period=600, workers_per_period=300
+        )
+        engine = ShardedEngine(workload, num_shards=8, halo=1, max_degree=16, seed=1)
+        metrics = engine.run(create_strategy("BaseP", base_price=2.0)).metrics
+        assert sum(candidates) > 0
+        assert materialised == []
+        revenue, served, accepted = self.PINS[1]
+        assert repr(metrics.total_revenue) == revenue
+        assert (metrics.served_tasks, metrics.accepted_tasks) == (served, accepted)
+
+
 class TestChunkedWorkloads:
     def test_chunked_run_equals_materialised_run(self):
         chunked = get_scenario("city_scale").chunked(scale=0.005, seed=2)
