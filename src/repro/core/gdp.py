@@ -224,6 +224,36 @@ class _LazyBipartiteGraph:
         return getattr(graph, name)
 
 
+class _DerivedFromArrays:
+    """A :class:`PeriodInstance` field computed from ``arrays`` on first read.
+
+    A descriptor-typed dataclass field: its class-level value ``None`` is
+    the field's default, and an instance holding ``None`` derives the
+    value from its :class:`PeriodArrays` (``{}`` without arrays) when the
+    field is first read, then keeps it.  Batch instances whose only use
+    is the graph (accepted rows, the halo pass) never pay for it.
+    """
+
+    def __init__(self, derive) -> None:
+        self._derive = derive
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return None
+        value = instance.__dict__.get(self._slot)
+        if value is None:
+            arrays = instance.arrays
+            value = {} if arrays is None else self._derive(arrays)
+            instance.__dict__[self._slot] = value
+        return value
+
+    def __set__(self, instance, value) -> None:
+        instance.__dict__[self._slot] = value
+
+
 @dataclass
 class PeriodInstance:
     """The observable state of one time period.
@@ -241,6 +271,7 @@ class PeriodInstance:
         workers_by_grid: Mapping grid index -> number of workers located in
             the grid (used by the SDR/SDE/CappedUCB baselines, which reason
             per grid rather than through the bipartite graph).
+            Both default to a copy derived from ``arrays`` on first read.
         arrays: Struct-of-arrays view (:class:`PeriodArrays`) consumed by
             the vectorised simulation pipeline and the MAPS planner; built
             once by :meth:`build` (or lazily via :meth:`ensure_arrays`).
@@ -251,8 +282,14 @@ class PeriodInstance:
     tasks: List[Task]
     workers: List[Worker]
     graph: BipartiteGraph
-    tasks_by_grid: Dict[int, List[int]] = field(default_factory=dict)
-    workers_by_grid: Dict[int, int] = field(default_factory=dict)
+    # Instance-owned copies: the public dicts stay mutable without
+    # writing through to the arrays' internal caches.
+    tasks_by_grid: Dict[int, List[int]] = _DerivedFromArrays(
+        lambda arrays: {g: list(positions) for g, positions in arrays.tasks_by_grid.items()}
+    )
+    workers_by_grid: Dict[int, int] = _DerivedFromArrays(
+        lambda arrays: dict(arrays.workers_by_grid)
+    )
     # compare=False keeps PeriodInstance equality defined by the object
     # fields, as before the cached view existed.
     arrays: Optional[PeriodArrays] = field(default=None, compare=False)
@@ -312,12 +349,6 @@ class PeriodInstance:
             tasks=annotated,
             workers=worker_list,
             graph=graph,
-            # Instance-owned copies: the public dicts stay mutable without
-            # writing through to the arrays' internal caches.
-            tasks_by_grid={
-                g: list(positions) for g, positions in arrays.tasks_by_grid.items()
-            },
-            workers_by_grid=dict(arrays.workers_by_grid),
             arrays=arrays,
         )
 
@@ -428,10 +459,6 @@ class PeriodInstance:
             tasks=tasks,
             workers=workers,
             graph=graph,
-            tasks_by_grid={
-                g: list(positions) for g, positions in arrays.tasks_by_grid.items()
-            },
-            workers_by_grid=dict(arrays.workers_by_grid),
             arrays=arrays,
         )
 

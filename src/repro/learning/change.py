@@ -45,14 +45,24 @@ def binomial_deviation_bounds(expected_ratio: float, window: int, z: float = 2.0
 
 @dataclass
 class _PriceWindow:
-    """Sliding window of recent accept/reject outcomes for one price."""
+    """Sliding window of recent accept/reject outcomes for one price.
+
+    ``acceptances`` is kept as a running count, updated when an outcome
+    enters the window and when the bounded deque evicts its oldest one,
+    so each observation costs ``O(1)`` instead of a pass over the window.
+    """
 
     outcomes: Deque[bool]
     reference_ratio: Optional[float] = None
+    acceptances: int = 0
 
-    @property
-    def acceptances(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome)
+    def append(self, accepted: bool) -> None:
+        outcomes = self.outcomes
+        if len(outcomes) == outcomes.maxlen and outcomes[0]:
+            self.acceptances -= 1
+        outcomes.append(accepted)
+        if accepted:
+            self.acceptances += 1
 
 
 class BinomialChangeDetector:
@@ -90,7 +100,7 @@ class BinomialChangeDetector:
         state = self._windows.setdefault(
             float(price), _PriceWindow(outcomes=deque(maxlen=self.window))
         )
-        state.outcomes.append(bool(accepted))
+        state.append(bool(accepted))
 
         if state.reference_ratio is None:
             if len(state.outcomes) >= self.min_observations:

@@ -40,8 +40,11 @@ from repro.spatial.grid import Grid
 from repro.utils.rng import derive_seed
 
 #: Approximate kilometres per degree of longitude at Beijing's latitude
-#: (40° N) and per degree of latitude, used to convert the 3 km radius into
-#: degrees for the haversine-free fast path in tests.
+#: (40° N) and per degree of latitude.  The generator uses them to place
+#: hotspot spreads and trip destinations given in kilometres.  They are
+#: planar approximations, not bounds on the haversine metric: range
+#: queries size their cell rectangles with
+#: :func:`repro.spatial.geometry.coordinate_spans` instead.
 KM_PER_DEGREE_LAT = 111.32
 KM_PER_DEGREE_LON = 111.32 * math.cos(math.radians(40.0))
 

@@ -122,6 +122,11 @@ def haversine_distances_batch(
     evaluations there.  Randomly placed points land on that knife edge
     with probability ~0, but bit-exactness should not be *relied on*
     for this metric the way it can be for euclidean/manhattan.
+
+    Radii are kilometres while coordinates are degrees, so the grid
+    range queries cannot use a radius as a coordinate half-width; they
+    bound each query's cells with :func:`coordinate_spans`, widened so
+    that every pair this function keeps lies inside the rectangle.
     """
     lon1, lat1 = np.radians(ax), np.radians(ay)
     lon2, lat2 = np.radians(bx), np.radians(by)
@@ -129,6 +134,65 @@ def haversine_distances_batch(
     dlat = lat2 - lat1
     h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+#: Widening of the haversine spans: a relative part for the float error
+#: of the batch metric's trigonometry and an absolute part (degrees,
+#: about 0.1 mm) for rounding in the coordinates themselves, so a pair
+#: the metric keeps always lies inside its query's rectangle.
+_SPAN_RELATIVE_MARGIN = 1e-9
+_SPAN_ABSOLUTE_MARGIN_DEG = 1e-9
+
+
+def on_globe(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Whether every ``(x, y)`` is a lon/lat pair in ``[-180, 180] x [-90, 90]``."""
+    return bool(np.all(np.abs(xs) <= 180.0) and np.all(np.abs(ys) <= 90.0))
+
+
+def coordinate_spans(
+    metric: Union[str, DistanceMetric],
+    cx: Union[np.ndarray, float],
+    cy: Union[np.ndarray, float],
+    radii: Union[np.ndarray, float],
+    points_on_globe: bool = True,
+) -> Tuple[Union[np.ndarray, float], Union[np.ndarray, float]]:
+    """Half-widths ``(dx, dy)`` in coordinate units of each query's range.
+
+    Every point within ``radii`` of ``(cx, cy)`` under ``metric`` lies in
+    ``[cx - dx, cx + dx] x [cy - dy, cy + dy]``; the grid-bucketed range
+    queries turn that rectangle into their candidate cells.
+
+    Euclidean and manhattan radii are already coordinate lengths, so both
+    spans are ``radii`` itself.  Haversine radii are kilometres on
+    lon/lat degrees: with ``d = r / EARTH_RADIUS_KM`` the latitude span
+    is ``degrees(d)`` and the longitude span ``degrees(asin(sin d /
+    cos(|lat| + dy)))``, the widest longitude offset of the spherical
+    cap, both widened by a small margin.  A span is ``inf`` (the full
+    grid) where the cap's rectangle does not bound it: the cap reaches a
+    pole (``|lat| + dy >= 90``, which includes ``d >= pi/2``), or the
+    longitude range touches the +-180 degree seam, or a coordinate lies
+    off the globe (the query's here, the points' via ``points_on_globe``).
+
+    Scalars in give scalars out; arrays give arrays.
+    """
+    if metric != "haversine":
+        return radii, radii
+    delta = np.asarray(radii, dtype=np.float64) / EARTH_RADIUS_KM
+    delta = delta * (1.0 + _SPAN_RELATIVE_MARGIN)
+    dy = np.degrees(delta) + _SPAN_ABSOLUTE_MARGIN_DEG
+    edge = np.abs(cy) + dy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.sin(delta) / np.cos(np.radians(np.minimum(edge, 90.0)))
+        dx = np.degrees(np.arcsin(np.minimum(ratio, 1.0)))
+    dx = dx * (1.0 + _SPAN_RELATIVE_MARGIN) + _SPAN_ABSOLUTE_MARGIN_DEG
+    # `not <` keeps NaN radii or coordinates on the full-grid side.
+    full_x = ~(edge < 90.0) | ~(ratio < 1.0) | ~(cx - dx > -180.0) | ~(cx + dx < 180.0)
+    full_y = ~(np.abs(cy) <= 90.0) | ~(np.abs(cx) <= 180.0) | (not points_on_globe)
+    dx = np.where(full_x | full_y, np.inf, dx)
+    dy = np.where(full_y, np.inf, dy)
+    if np.ndim(radii) == 0:
+        return float(dx), float(dy)
+    return dx, dy
 
 
 _METRICS: dict = {
@@ -236,5 +300,7 @@ __all__ = [
     "haversine_distances_batch",
     "resolve_metric",
     "resolve_batch_metric",
+    "coordinate_spans",
+    "on_globe",
     "EARTH_RADIUS_KM",
 ]

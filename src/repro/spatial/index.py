@@ -37,6 +37,8 @@ import numpy as np
 from repro.spatial.geometry import (
     DistanceMetric,
     Point,
+    coordinate_spans,
+    on_globe,
     resolve_batch_metric,
     resolve_metric,
 )
@@ -73,9 +75,10 @@ _SCRATCH = _BuilderScratch()
 #: Chunk bounds for the batched query's two ragged expansions.  Peak
 #: transient memory is proportional to these (a few numpy rows per
 #: candidate), independent of how many candidate pairs the whole batch
-#: would generate — which matters for metrics whose candidate rectangles
-#: are loose (haversine radii are kilometres against degree coordinates,
-#: so its rectangles can span the whole grid).
+#: would generate — which matters when candidate rectangles are large:
+#: radii wide against the cell size, or haversine queries whose
+#: rectangle falls back to the full longitude range (near a pole, on
+#: the +-180 degree seam; see :func:`coordinate_spans`).
 _CELL_CHUNK = 1 << 20
 _POINT_CHUNK = 4 << 20
 
@@ -93,11 +96,15 @@ def _batched_circle_query(
     metric: Union[str, DistanceMetric],
     point_radii: Optional[np.ndarray] = None,
     points_first: bool = False,
+    points_on_globe: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared chunked candidate expansion behind the batched circle queries.
 
     Gathers, for every query center, the points bucketed in the cell
-    rectangle covering the disc of radius ``rr`` around it, computes the
+    rectangle covering the disc of radius ``rr`` around it (its
+    coordinate half-widths come from :func:`coordinate_spans`, so a
+    haversine query in kilometres scans only its neighbourhood's cells
+    of a lon/lat grid), computes the
     exact metric distance per (center, point) candidate and keeps the
     pairs within range.  ``cell_starts[cell]`` / ``cell_counts[cell]``
     describe each cell's segment inside ``slot_order`` — the contiguous
@@ -116,6 +123,8 @@ def _batched_circle_query(
             symmetric bit-for-bit, but keeping the argument roles of
             :func:`repro.matching.bipartite.build_graph_from_arrays`
             (workers first) makes the bitwise contract self-evident.
+        points_on_globe: ``False`` when some point is not a lon/lat pair
+            on the globe; haversine rectangles then cover the full grid.
 
     Returns:
         ``(center_idx, point_idx, distance)`` flat arrays ordered by
@@ -137,19 +146,23 @@ def _batched_circle_query(
 
     region = grid.region
     # Candidate cells: the axis-aligned cell rectangle covering the
-    # query disc (a superset of Grid.cells_intersecting_circle; the
-    # exact metric filter below makes the result identical).
+    # query disc, a superset of every cell holding an in-range point.
+    # The exact metric filter below makes the result independent of the
+    # rectangle: extra cells add no pair, and the cells that do keep
+    # their row-major order.  Euclidean and manhattan spans are ``rr``
+    # itself; an infinite span clips to the whole row or column.
+    dx, dy = coordinate_spans(metric, cx, cy, rr, points_on_globe)
     min_col = np.clip(
-        np.floor((cx - rr - region.min_x) / grid.cell_width), 0, grid.cols - 1
+        np.floor((cx - dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
     ).astype(np.int64)
     max_col = np.clip(
-        np.floor((cx + rr - region.min_x) / grid.cell_width), 0, grid.cols - 1
+        np.floor((cx + dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
     ).astype(np.int64)
     min_row = np.clip(
-        np.floor((cy - rr - region.min_y) / grid.cell_height), 0, grid.rows - 1
+        np.floor((cy - dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
     ).astype(np.int64)
     max_row = np.clip(
-        np.floor((cy + rr - region.min_y) / grid.cell_height), 0, grid.rows - 1
+        np.floor((cy + dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
     ).astype(np.int64)
     col_span = max_col - min_col + 1
     ncells = (max_row - min_row + 1) * col_span
@@ -355,6 +368,9 @@ class GridBuckets:
         self._cell_counts = np.bincount(cells, minlength=grid.num_cells)
         self._cell_ptr = np.zeros(grid.num_cells + 1, dtype=np.int64)
         np.cumsum(self._cell_counts, out=self._cell_ptr[1:])
+        # Whether every point is a lon/lat pair, checked on the first
+        # haversine query (see coordinate_spans).
+        self._on_globe: Optional[bool] = None
 
     def __len__(self) -> int:
         return int(self._xs.shape[0])
@@ -408,7 +424,15 @@ class GridBuckets:
             cy,
             rr,
             metric,
+            points_on_globe=self._points_on_globe(metric),
         )
+
+    def _points_on_globe(self, metric: Union[str, DistanceMetric]) -> bool:
+        if metric != "haversine":
+            return True
+        if self._on_globe is None:
+            self._on_globe = on_globe(self._xs, self._ys)
+        return self._on_globe
 
 
 class DynamicGridBuckets:
@@ -457,6 +481,10 @@ class DynamicGridBuckets:
         # bound on live radii that sizes candidate rectangles without
         # having to maintain an exact max under removals.
         self._max_radius = 0.0
+        # Whether slots [0, _globe_checked) are all lon/lat pairs,
+        # extended on each haversine query (see coordinate_spans).
+        self._on_globe = True
+        self._globe_checked = 0
 
     def __len__(self) -> int:
         return self._live
@@ -620,6 +648,7 @@ class DynamicGridBuckets:
             cy,
             rr,
             metric,
+            points_on_globe=self._points_on_globe(metric),
         )
 
     def query_own_radius(
@@ -669,7 +698,17 @@ class DynamicGridBuckets:
             metric,
             point_radii=self._radii,
             points_first=True,
+            points_on_globe=self._points_on_globe(metric),
         )
+
+    def _points_on_globe(self, metric: Union[str, DistanceMetric]) -> bool:
+        if metric != "haversine":
+            return True
+        if self._globe_checked < self._next_slot:
+            fresh = slice(self._globe_checked, self._next_slot)
+            self._on_globe = self._on_globe and on_globe(self._xs[fresh], self._ys[fresh])
+            self._globe_checked = self._next_slot
+        return self._on_globe
 
     def _single_circle_query(
         self,
@@ -704,12 +743,18 @@ class DynamicGridBuckets:
         )
         grid = self._grid
         region = grid.region
-        # Same float expressions as the batched rectangle (bit-identical
-        # cell bounds), clipped to the grid.
-        min_col = int(min(max(math.floor((x - r - region.min_x) / grid.cell_width), 0), grid.cols - 1))
-        max_col = int(min(max(math.floor((x + r - region.min_x) / grid.cell_width), 0), grid.cols - 1))
-        min_row = int(min(max(math.floor((y - r - region.min_y) / grid.cell_height), 0), grid.rows - 1))
-        max_row = int(min(max(math.floor((y + r - region.min_y) / grid.cell_height), 0), grid.rows - 1))
+        # The batched rectangle's spans and float expressions (for
+        # euclidean and manhattan bit-identical cell bounds; any haversine
+        # rectangle holds every in-range cell, so results agree anyway).
+        # Clipping before the floor gives the same integers and lets an
+        # infinite span clip to the grid.
+        dx, dy = coordinate_spans(metric, x, y, r, self._points_on_globe(metric))
+        last_col = grid.cols - 1
+        last_row = grid.rows - 1
+        min_col = math.floor(min(max((x - dx - region.min_x) / grid.cell_width, 0), last_col))
+        max_col = math.floor(min(max((x + dx - region.min_x) / grid.cell_width, 0), last_col))
+        min_row = math.floor(min(max((y - dy - region.min_y) / grid.cell_height, 0), last_row))
+        max_row = math.floor(min(max((y + dy - region.min_y) / grid.cell_height, 0), last_row))
         candidates: List[int] = []
         storage = self._storage
         starts = self._cell_start

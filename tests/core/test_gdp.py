@@ -169,3 +169,48 @@ class TestHandConstructedInstance:
         second = PeriodInstance.build(period=0, grid=grid, tasks=tasks, workers=workers)
         assert first == second
         assert first != PeriodInstance.build(period=1, grid=grid, tasks=tasks, workers=workers)
+
+
+class TestDerivedGridBuckets:
+    """``tasks_by_grid`` / ``workers_by_grid`` are derived on first read."""
+
+    def _columns_instance(self, build_graph=False):
+        from repro.simulation.arena import TaskColumns
+
+        tasks = PeriodInstance.build(0, _grid(), _tasks(), _workers()).tasks
+        return PeriodInstance.from_columns(
+            0, _grid(), TaskColumns.from_tasks(tasks), _workers(), build_graph=build_graph
+        )
+
+    @pytest.mark.parametrize("build_graph", [False, True])
+    def test_graph_only_instances_never_bucket(self, build_graph):
+        instance = self._columns_instance(build_graph)
+        instance.graph.num_edges
+        assert "tasks_by_grid" not in instance.arrays.__dict__
+        assert "workers_by_grid" not in instance.arrays.__dict__
+
+    def test_derived_buckets_equal_the_eager_ones(self):
+        instance = self._columns_instance()
+        built = PeriodInstance.build(0, _grid(), _tasks(), _workers())
+        assert instance.tasks_by_grid == built.tasks_by_grid == {
+            g: list(p) for g, p in built.arrays.tasks_by_grid.items()
+        }
+        assert instance.workers_by_grid == dict(built.arrays.workers_by_grid)
+        assert sum(instance.workers_by_grid.values()) == 3
+
+    def test_derived_buckets_are_instance_owned_and_kept(self):
+        instance = self._columns_instance()
+        buckets = instance.tasks_by_grid
+        assert instance.tasks_by_grid is buckets
+        buckets.clear()
+        assert instance.arrays.tasks_by_grid  # the arrays' cache is untouched
+        instance.workers_by_grid = {1: 9}
+        assert instance.workers_by_grid == {1: 9}
+
+    def test_default_without_arrays_is_empty(self):
+        from repro.matching.bipartite import BipartiteGraph
+
+        instance = PeriodInstance(
+            period=0, grid=_grid(), tasks=[], workers=[], graph=BipartiteGraph([], [])
+        )
+        assert instance.tasks_by_grid == {} and instance.workers_by_grid == {}

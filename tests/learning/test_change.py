@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.learning.change import BinomialChangeDetector, binomial_deviation_bounds
 
@@ -94,3 +96,58 @@ class TestChangeDetector:
             BinomialChangeDetector(window=0)
         with pytest.raises(ValueError):
             BinomialChangeDetector(min_observations=0)
+
+
+class TestRunningAcceptanceCount:
+    """The per-price count kept on append and eviction equals a re-sum."""
+
+    @given(
+        window=st.integers(min_value=1, max_value=12),
+        min_observations=st.integers(min_value=1, max_value=12),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([1.0, 2.0, 3.5]),
+                st.booleans(),
+                st.booleans(),  # reset the price before observing
+            ),
+            max_size=120,
+        ),
+    )
+    @settings(deadline=None)
+    def test_count_equals_sum_of_window(self, window, min_observations, steps):
+        detector = BinomialChangeDetector(window=window, min_observations=min_observations)
+        for price, accepted, reset in steps:
+            if reset:
+                detector.reset_price(price)
+            detector.observe(price, accepted)
+            for state in detector._windows.values():
+                assert len(state.outcomes) <= window
+                assert state.acceptances == sum(state.outcomes)
+
+    def test_flags_match_a_full_window_recount(self):
+        """Same flags as re-summing the deque on every observation."""
+        rng = np.random.default_rng(5)
+        window, min_observations = 20, 10
+        detector = BinomialChangeDetector(window=window, min_observations=min_observations)
+        history = {}
+        reference = {}
+        flags = 0
+        for step in range(3000):
+            price = float(rng.choice([1.0, 2.0]))
+            accepted = bool(rng.random() < (0.9 if (step // 400) % 2 else 0.2))
+            outcomes = history.setdefault(price, [])
+            outcomes.append(accepted)
+            del outcomes[:-window]
+            expected = False
+            if price not in reference:
+                if len(outcomes) >= min_observations:
+                    reference[price] = sum(outcomes) / len(outcomes)
+            elif len(outcomes) >= window:
+                lower, upper = binomial_deviation_bounds(reference[price], window)
+                count = sum(outcomes)
+                expected = count < lower - 1e-9 or count > upper + 1e-9
+            if expected:
+                del history[price], reference[price]
+                flags += 1
+            assert detector.observe(price, accepted) == expected, f"step {step}"
+        assert flags  # the drifting stream does trip the detector
