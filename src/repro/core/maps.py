@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -247,10 +248,13 @@ class MAPSPlanner:
         * the per-grid supply coefficients ``D_n`` are prefix sums of the
           sorted distance profile, precomputed per grid (Python-``sum``
           associativity preserved, so the floats match the loop exactly);
-        * the heap's comparison is the strict total order (priority
-          descending, insertion counter ascending) — popping is an
-          argmax over a masked priority array with the same tie-break,
-          and per-grid state lives in flat arrays instead of dicts.
+        * the queue is a plain :mod:`heapq` min-heap of ``(-Delta,
+          insertion counter, grid position, supply, price)`` tuples:
+          the unique counter makes its order the addressable heap's
+          strict total order (priority descending, insertion ascending,
+          so equal gains — ``+inf``, or ``0.0`` against ``-0.0`` —
+          pop first-in first-out) without ever comparing the payload,
+          and per-grid state lives in flat lists instead of dicts.
 
         Evaluations are memoised per ``(grid, supply)`` within the round
         (the index is a pure function of them once the tables are fixed);
@@ -334,39 +338,20 @@ class MAPSPlanner:
             delta = demand_c[gi] * (new_index - old_index)
             return new_price, delta if delta > 0.0 else 0.0
 
-        # Heap state as arrays: -inf marks "not queued"; ties break by
-        # ascending insertion counter, the heap's exact total order.
-        priority = np.full(count, -math.inf, dtype=np.float64)
-        insertion = np.zeros(count, dtype=np.int64)
-        payload_supply = [0] * count
-        payload_price = [base_price] * count
+        # A grid is queued at most once at a time: every pop is followed
+        # by at most one push of the same grid.
+        queue = [(-math.inf, gi, gi, 0, base_price) for gi in range(count)]
+        counter = count
         supply = [0] * count
         prices = [base_price] * count
         approx = [0.0] * count
-        counter = 0
-        active = 0
-        for gi in range(count):
-            priority[gi] = math.inf
-            insertion[gi] = counter
-            counter += 1
-            active += 1
 
         iterations = 0
-        while active:
+        while queue:
             iterations += 1
-            top = float(priority.max())
-            candidates = np.flatnonzero(priority == top)
-            gi = (
-                int(candidates[0])
-                if candidates.shape[0] == 1
-                else int(candidates[np.argmin(insertion[candidates])])
-            )
-            priority[gi] = -math.inf
-            active -= 1
+            key, _, gi, candidate_supply, candidate_price = heappop(queue)
             g = gs[gi]
-            delta = top
-            candidate_supply = payload_supply[gi]
-            candidate_price = payload_price[gi]
+            delta = -key
 
             if not math.isinf(delta):
                 if delta <= 1e-12:
@@ -381,12 +366,8 @@ class MAPSPlanner:
                     else:
                         price, _ = scaled_best(gi, supply[gi])
                     price = price if supply[gi] > 0 else base_price
-                    priority[gi] = 0.0
-                    insertion[gi] = counter
+                    heappush(queue, (0.0, counter, gi, supply[gi], price))
                     counter += 1
-                    active += 1
-                    payload_supply[gi] = supply[gi]
-                    payload_price[gi] = price
                     continue
                 supply[gi] = candidate_supply
                 prices[gi] = min(candidate_price, p_max)
@@ -395,22 +376,15 @@ class MAPSPlanner:
             # Lines 15-21: propose the next supply increase.
             if not lengths[gi] or not matcher.can_augment_grid(g):
                 current_price = prices[gi] if supply[gi] > 0 else base_price
-                priority[gi] = 0.0
-                payload_supply[gi] = supply[gi]
-                payload_price[gi] = current_price
+                entry = (0.0, counter, gi, supply[gi], current_price)
             elif supply[gi] >= lengths[gi]:
-                priority[gi] = 0.0
-                payload_supply[gi] = supply[gi]
-                payload_price[gi] = prices[gi]
+                entry = (0.0, counter, gi, supply[gi], prices[gi])
             else:
                 new_supply = supply[gi] + 1
                 price, delta = evaluate(gi, new_supply, supply[gi])
-                priority[gi] = delta
-                payload_supply[gi] = new_supply
-                payload_price[gi] = price
-            insertion[gi] = counter
+                entry = (-delta, counter, gi, new_supply, price)
+            heappush(queue, entry)
             counter += 1
-            active += 1
 
         prices_out: Dict[int, float] = {
             cell.index: base_price for cell in grid.cells()

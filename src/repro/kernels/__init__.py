@@ -4,9 +4,11 @@ Once the data plane is columnar (see ``docs/performance.md``) a handful
 of inner loops dominate the single-core profile, and each lives here as
 one function with one implementation:
 
-* :func:`repro.kernels.augmenting.matroid_augment` — the matroid
-  greedy's augmenting-path search over CSR (the batch matcher,
-  :func:`repro.matching.weighted.max_weight_matching`);
+* :func:`repro.kernels.augmenting.augmenting_path` — the insert-only
+  augmenting-path search over CSR, run by the matroid greedy
+  (:func:`repro.kernels.augmenting.matroid_augment`, the batch matcher
+  :func:`repro.matching.weighted.max_weight_matching`) and by MAPS's
+  pre-matching (:class:`repro.matching.incremental.IncrementalMatcher`);
 * :func:`repro.kernels.halo.halo_task_candidates` /
   :func:`repro.kernels.halo.halo_residual_workers` — the sharded
   engine's halo-reconciliation scans;

@@ -97,9 +97,11 @@ class BinomialChangeDetector:
         re-learning the post-change behaviour (callers should also reset
         the corresponding :class:`~repro.learning.estimator.PriceStats`).
         """
-        state = self._windows.setdefault(
-            float(price), _PriceWindow(outcomes=deque(maxlen=self.window))
-        )
+        key = float(price)
+        state = self._windows.get(key)
+        if state is None:
+            state = _PriceWindow(outcomes=deque(maxlen=self.window))
+            self._windows[key] = state
         state.append(bool(accepted))
 
         if state.reference_ratio is None:

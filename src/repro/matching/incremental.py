@@ -15,10 +15,11 @@ when the planner admits the supply increase.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.kernels.augmenting import augmenting_path, csr_rows, flip_path
 from repro.kernels.dynamic import dynamic_augment, dynamic_reach
 from repro.matching.bipartite import BipartiteGraph
 from repro.matching.maximum_matching import UNMATCHED
@@ -31,11 +32,13 @@ class IncrementalMatcher:
     one augmenting path at a time, which mirrors lines 10 and 16 of
     Algorithm 2.
 
-    The augmenting search walks the graph's cached CSR view
-    (:meth:`BipartiteGraph.csr`) — the same arrays the batch matcher
-    consumes — so one period's CSR is built once and shared by
-    the match stage, the halo reconciliation and this matcher, instead of
-    re-walking (or re-materialising) list-of-list adjacency per consumer.
+    The augmenting search is the batch matcher's
+    (:func:`repro.kernels.augmenting.augmenting_path`) and walks the
+    graph's cached CSR view (:meth:`BipartiteGraph.csr`) — the same
+    arrays the batch matcher consumes — so one period's CSR is built
+    once and shared by the match stage, the halo reconciliation and this
+    matcher, instead of re-walking (or re-materialising) list-of-list
+    adjacency per consumer.
     The CSR is snapshotted at construction: the graph must not gain edges
     while the matcher is alive.
 
@@ -52,11 +55,9 @@ class IncrementalMatcher:
         grid_tasks: Optional[Mapping[int, Sequence[int]]] = None,
     ) -> None:
         self._graph = graph
-        csr = graph.csr()
         # Plain lists: the interpreted DFS indexes them measurably faster
         # than ndarrays.
-        self._indptr = csr.indptr_list
-        self._indices = csr.indices_list
+        self._rows = csr_rows(graph.csr())
         self._match_task = [UNMATCHED] * graph.num_tasks
         self._match_worker = [UNMATCHED] * graph.num_workers
         # Task positions grouped by grid; taken from the caller when
@@ -66,26 +67,21 @@ class IncrementalMatcher:
             if grid_tasks is not None
             else None
         )
-        # Stamp-based visited array for the iterative augmenting-path
-        # search plus saturation pruning: when a search fails, every
-        # worker it visited lies in a frozen alternating component (all
-        # matched, owner neighbourhoods closed within the component), so
-        # no later augmenting path can pass through them — the matching
-        # only ever grows, which keeps the marking sound.  Mirrors the
-        # batch matroid greedy in :mod:`repro.matching.weighted`.
-        self._visited = [0] * graph.num_workers
-        self._dead = bytearray(graph.num_workers)
+        # Search stamps and saturation marks of the shared augmenting-path
+        # search (:func:`repro.kernels.augmenting.augmenting_path`); the
+        # matching only ever grows, which keeps the dead marks sound.
+        self._mark = [0] * graph.num_workers
         self._stamp = 0
         # Check-then-commit cache: the MAPS planner probes
         # ``can_augment_grid(g)`` when proposing a supply increase and
         # commits with ``augment_grid(g)`` only when the proposal wins the
-        # heap.  The matching only changes through ``_apply_path``, so a
-        # path found at version ``v`` is still augmenting at version ``v``
-        # — committing it verbatim skips the second search.
+        # heap.  The matching only changes through ``_flip``, so a path
+        # found at version ``v`` is still augmenting at version ``v`` —
+        # committing it verbatim skips the second search.
         self._version = 0
         self._cached_grid: Optional[int] = None
         self._cached_version = -1
-        self._cached_result: Optional[Tuple[int, List[Tuple[int, int]]]] = None
+        self._cached_result: Optional[Tuple[List[int], int]] = None
 
     # ------------------------------------------------------------------
     # read-only views
@@ -157,13 +153,12 @@ class IncrementalMatcher:
         result = self._grid_augmenting_path_cached(grid_index)
         if result is None:
             return None
-        start_task, path = result
-        self._apply_path(path)
-        return start_task
+        self._flip(result)
+        return result[0][0]
 
     def _grid_augmenting_path_cached(
         self, grid_index: int
-    ) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
+    ) -> Optional[Tuple[List[int], int]]:
         if self._cached_grid == grid_index and self._cached_version == self._version:
             return self._cached_result
         result = self._find_grid_augmenting_path(grid_index)
@@ -180,10 +175,10 @@ class IncrementalMatcher:
         """
         if self.is_task_matched(task_pos):
             return True
-        path = self._find_augmenting_path(task_pos)
-        if path is None:
+        found = self._search(task_pos)
+        if found is None:
             return False
-        self._apply_path(path)
+        self._flip(found)
         return True
 
     # ------------------------------------------------------------------
@@ -202,80 +197,25 @@ class IncrementalMatcher:
 
     def _find_grid_augmenting_path(
         self, grid_index: int
-    ) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
+    ) -> Optional[Tuple[List[int], int]]:
+        match_task = self._match_task
         for task_pos in self._tasks_of_grid(grid_index):
-            if self.is_task_matched(task_pos):
+            if match_task[task_pos] != UNMATCHED:
                 continue
-            path = self._find_augmenting_path(task_pos)
-            if path is not None:
-                return task_pos, path
+            found = self._search(task_pos)
+            if found is not None:
+                return found
         return None
 
-    def _find_augmenting_path(self, start_task: int) -> Optional[List[Tuple[int, int]]]:
-        """Iterative DFS for an augmenting path.
-
-        Returns the (task, worker) pairs to set, deepest first, so that
-        applying every pair (in order) flips matched/unmatched edges
-        correctly.  Visits workers in exactly the order the original
-        recursive search did (hence the same path), but walks an explicit
-        stack: city-scale dispatch windows produce augmenting chains far
-        deeper than the interpreter's recursion limit, which used to blow
-        the stack with ``RecursionError``.  Failed searches additionally
-        mark every visited worker as saturated (see ``__init__``), which
-        keeps repeated infeasible queries — e.g. a saturated grid probed
-        every period — near-linear instead of quadratic.
-        """
-        indptr = self._indptr
-        indices = self._indices
-        match_worker = self._match_worker
-        visited = self._visited
-        dead = self._dead
+    def _search(self, start_task: int) -> Optional[Tuple[List[int], int]]:
+        """One augmenting-path search from ``start_task`` under a new stamp."""
         self._stamp += 1
-        stamp = self._stamp
+        return augmenting_path(
+            self._rows, self._match_worker, self._mark, self._stamp, start_task
+        )
 
-        tasks_stack = [start_task]
-        iters = [indptr[start_task]]
-        chosen = [UNMATCHED]
-        touched: List[int] = []
-        while tasks_stack:
-            depth = len(tasks_stack) - 1
-            task_pos = tasks_stack[depth]
-            end = indptr[task_pos + 1]
-            pointer = iters[depth]
-            descended = False
-            while pointer < end:
-                worker_pos = indices[pointer]
-                pointer += 1
-                if dead[worker_pos] or visited[worker_pos] == stamp:
-                    continue
-                visited[worker_pos] = stamp
-                touched.append(worker_pos)
-                iters[depth] = pointer
-                chosen[depth] = worker_pos
-                owner = match_worker[worker_pos]
-                if owner == UNMATCHED:
-                    # Deepest pair first, matching the recursive unwind.
-                    return [
-                        (tasks_stack[level], chosen[level])
-                        for level in range(depth, -1, -1)
-                    ]
-                tasks_stack.append(owner)
-                iters.append(indptr[owner])
-                chosen.append(UNMATCHED)
-                descended = True
-                break
-            if not descended:
-                tasks_stack.pop()
-                iters.pop()
-                chosen.pop()
-        for worker_pos in touched:
-            dead[worker_pos] = 1
-        return None
-
-    def _apply_path(self, path: Iterable[Tuple[int, int]]) -> None:
-        for task_pos, worker_pos in path:
-            self._match_task[task_pos] = worker_pos
-            self._match_worker[worker_pos] = task_pos
+    def _flip(self, found: Tuple[List[int], int]) -> None:
+        flip_path(self._match_task, self._match_worker, *found)
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -629,10 +569,12 @@ class DynamicMatcher(IncrementalMatcher):
         )
 
     def _apply_kernel_path(self, length: int) -> None:
-        self._apply_path(
-            (int(self._path_tasks[level]), int(self._path_workers[level]))
-            for level in range(length)
-        )
+        for level in range(length):
+            task_pos = int(self._path_tasks[level])
+            worker_pos = int(self._path_workers[level])
+            self._match_task[task_pos] = worker_pos
+            self._match_worker[worker_pos] = task_pos
+        self._version += 1
 
     def _match_or_evict(self, task_pos: int) -> bool:
         """Insert-repair: augment ``task_pos`` or evict its circuit minimum."""

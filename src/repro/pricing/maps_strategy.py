@@ -193,10 +193,10 @@ class MAPSStrategy(PricingStrategy):
             price = self._snap_to_ladder(price)
         estimator.record(price, accepted)
         if self._change_detection:
-            detector = self._detectors.setdefault(
-                grid_index,
-                BinomialChangeDetector(window=self._change_window),
-            )
+            detector = self._detectors.get(grid_index)
+            if detector is None:
+                detector = BinomialChangeDetector(window=self._change_window)
+                self._detectors[grid_index] = detector
             if detector.observe(price, accepted):
                 # Demand shift detected: forget this price's history so
                 # the UCB index re-explores it.

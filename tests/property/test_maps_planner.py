@@ -8,6 +8,16 @@ approximate revenue, iteration count) must be **exactly** equal under
 fuzzed grids, markets and estimator states, including the awkward
 corners (untested ladder prices, grids with zero observations,
 zero-distance tasks, supply saturation).
+
+The queue's tie-break decides plans only when equal gains compete for
+the same workers, so the fuzz also builds markets full of ties: up to
+144 grids, task distances drawn from a pool of three values, tasks
+duplicated in place, and estimators that are either all untested (every
+gain is ``+inf`` or ``0.0``) or share one history with offers at a
+single rung.  Then every untested rung has an infinite confidence
+radius, Algorithm 3 quotes the top rung at the supply cap, and a unit's
+gain is ``p_max * d_n`` — equal across grids and supply levels whenever
+the distances are.
 """
 
 from __future__ import annotations
@@ -30,24 +40,36 @@ def planner_instances(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     side = 10.0
-    grid_side = draw(st.integers(min_value=1, max_value=4))
+    grid_side = draw(st.integers(min_value=1, max_value=12))
     grid = Grid(BoundingBox.square(side), grid_side, grid_side)
 
-    num_tasks = draw(st.integers(min_value=0, max_value=30))
-    num_workers = draw(st.integers(min_value=0, max_value=20))
+    num_tasks = draw(st.integers(min_value=0, max_value=60))
+    num_workers = draw(st.integers(min_value=0, max_value=30))
     zero_distance = draw(st.booleans())
+    # Equal distances (within and across grids) make equal finite gains.
+    pooled_distance = draw(st.booleans())
+    duplicates = draw(st.integers(min_value=1, max_value=3))
     tasks = []
-    for pos in range(num_tasks):
+    while len(tasks) < num_tasks:
         origin = Point(float(rng.uniform(0, side)), float(rng.uniform(0, side)))
-        if zero_distance and pos % 5 == 0:
+        destination = Point(float(rng.uniform(0, side)), float(rng.uniform(0, side)))
+        if zero_distance and len(tasks) % 5 == 0:
             destination = origin
-        else:
-            destination = Point(
-                float(rng.uniform(0, side)), float(rng.uniform(0, side))
-            )
-        tasks.append(
-            Task(task_id=pos, period=0, origin=origin, destination=destination)
+        distance = (
+            float(rng.choice([0.5, 1.0, 2.0]))
+            if pooled_distance
+            else origin.distance_to(destination)
         )
+        for _ in range(min(duplicates, num_tasks - len(tasks))):
+            tasks.append(
+                Task(
+                    task_id=len(tasks),
+                    period=0,
+                    origin=origin,
+                    destination=destination,
+                    distance=distance,
+                )
+            )
     workers = [
         Worker(
             worker_id=pos,
@@ -60,13 +82,19 @@ def planner_instances(draw):
     instance = PeriodInstance.build(0, grid, tasks, workers)
 
     ladder = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    maturity = draw(st.sampled_from(["mixed", "untested", "one_rung"]))
+    shared_offers = int(rng.integers(1, 8))
+    shared_acceptances = int(rng.integers(0, shared_offers + 1))
     estimators = {}
     for g in instance.grid_indices_with_tasks():
         estimator = GridAcceptanceEstimator(g, ladder)
-        # Mixed estimator maturity: some grids stay completely untested
-        # (total N = 0), some have untested ladder rungs (N(p) = 0, the
-        # +inf confidence radius), some are well explored.
-        if draw(st.booleans()):
+        if maturity == "one_rung":
+            # The same history in every grid, at the lowest rung only.
+            estimator.record_batch(ladder[0], shared_offers, shared_acceptances)
+        elif maturity == "mixed" and draw(st.booleans()):
+            # Mixed estimator maturity: some grids stay completely untested
+            # (total N = 0), some have untested ladder rungs (N(p) = 0, the
+            # +inf confidence radius), some are well explored.
             for price in ladder:
                 offers = int(rng.integers(0, 8))
                 if offers:
