@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import effective_scale
-from repro.core.maximizer import exploitation_maximizer
+from repro.core.maximizer import exploitation_demand_table
 from repro.experiments.figures import scaled_synthetic_config
 from repro.market.curves import revenue_approximation
 from repro.market.entities import Task, Worker
@@ -76,17 +76,24 @@ def test_ablation_matching_backends(benchmark):
     assert matroid_total == pytest.approx(scipy_total, rel=1e-9)
 
 
+#: (UCB, exploitation) revenue of the ablation at its default scale.
+ABLATION_PIN = (4283.202595259875, 4230.516699941374)
+
+
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_ucb_vs_exploitation(benchmark):
     """The UCB exploration term of Algorithm 3 vs. pure exploitation."""
-    workload = _workload(effective_scale(0.01))
+    scale = effective_scale(0.01)
+    workload = _workload(scale)
     engine = SimulationEngine(workload, seed=3)
     calibration = engine.calibrate_base_price()
 
     def run_both():
         ucb = engine.run(MAPSStrategy.from_calibration(calibration))
         greedy = engine.run(
-            MAPSStrategy.from_calibration(calibration, maximizer=exploitation_maximizer)
+            MAPSStrategy.from_calibration(
+                calibration, demand_table=exploitation_demand_table
+            )
         )
         return ucb.total_revenue, greedy.total_revenue
 
@@ -98,6 +105,9 @@ def test_ablation_ucb_vs_exploitation(benchmark):
     # Exploitation-only can get stuck on stale estimates; it must not be
     # dramatically better than the UCB variant (and is usually worse).
     assert ucb_revenue >= 0.9 * greedy_revenue
+    if scale == 0.01:
+        # Exact: swapping the demand table must not move one plan.
+        assert (ucb_revenue, greedy_revenue) == ABLATION_PIN
 
 
 @pytest.mark.benchmark(group="ablation")

@@ -11,7 +11,9 @@ constraint.  The key ingredients are:
 * an incrementally grown *pre-matching* that certifies an extra supply unit
   for a grid is actually feasible (Algorithm 2 lines 10/16);
 * the UCB-scored maximizer of Algorithm 3 that picks the best ladder price
-  for a given supply level without knowing the true acceptance ratios.
+  for a given supply level without knowing the true acceptance ratios,
+  run over each grid's demand table
+  (:func:`~repro.core.maximizer.ucb_demand_table`).
 
 The planner is stateless across periods except for the acceptance
 statistics, which live in the per-grid
@@ -22,22 +24,15 @@ the caller (the :class:`~repro.pricing.maps_strategy.MAPSStrategy`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.gdp import PeriodInstance
-from repro.core.maximizer import MaximizerResult, calculate_maximizer
+from repro.core.maximizer import DemandTableFn, ucb_demand_table
 from repro.learning.estimator import GridAcceptanceEstimator
 from repro.matching.incremental import IncrementalMatcher
-from repro.utils.heap import AddressableMaxHeap
-
-#: Signature of the per-grid maximizer; swap in
-#: :func:`repro.core.maximizer.exploitation_maximizer` for the ablation.
-MaximizerFn = Callable[[GridAcceptanceEstimator, Sequence[float], int, Optional[int]], MaximizerResult]
 
 
 @dataclass
@@ -73,7 +68,10 @@ class MAPSPlanner:
         p_min: Minimum quotable unit price.
         p_max: Maximum quotable unit price (prices are capped at it, line
             13–14 of Algorithm 2).
-        maximizer: The per-grid price maximizer (Algorithm 3 by default).
+        demand_table: Builds a grid's Algorithm 3 demand table from its
+            estimator: :func:`~repro.core.maximizer.ucb_demand_table`
+            (default), or ``exploitation_demand_table`` for the
+            no-exploration ablation.
     """
 
     def __init__(
@@ -81,8 +79,7 @@ class MAPSPlanner:
         base_price: float,
         p_min: float,
         p_max: float,
-        maximizer: MaximizerFn = calculate_maximizer,
-        vectorized: Optional[bool] = None,
+        demand_table: DemandTableFn = ucb_demand_table,
     ) -> None:
         if p_min <= 0 or p_max < p_min:
             raise ValueError("need 0 < p_min <= p_max")
@@ -91,17 +88,7 @@ class MAPSPlanner:
         self.base_price = float(base_price)
         self.p_min = float(p_min)
         self.p_max = float(p_max)
-        self._maximizer = maximizer
-        if vectorized is None:
-            # The array path inlines Algorithm 3, so it only replaces the
-            # stock maximizer; custom maximizers keep the generic loop.
-            vectorized = maximizer is calculate_maximizer
-        elif vectorized and maximizer is not calculate_maximizer:
-            raise ValueError(
-                "vectorized planning inlines calculate_maximizer; pass "
-                "vectorized=False (or drop the custom maximizer)"
-            )
-        self.vectorized = bool(vectorized)
+        self.demand_table = demand_table
 
     # ------------------------------------------------------------------
     # planning
@@ -111,139 +98,20 @@ class MAPSPlanner:
         instance: PeriodInstance,
         estimators: Mapping[int, GridAcceptanceEstimator],
     ) -> MAPSPlan:
-        """Run Algorithm 2 for one period.
+        """Run Algorithm 2 for one period over flat arrays.
 
-        Dispatches to the array-native planner (the default; see
-        :meth:`_plan_vectorized`) or the reference per-grid loop — the
-        two are bit-identical, which the property suite fuzzes and the
-        regression tests pin across whole simulations.
+        The plan equals, field for field, that of the per-grid loop with an
+        addressable heap and one Algorithm 3 call per proposal, kept as
+        :func:`repro.simulation.legacy.reference_maps_plan`; the property
+        suite fuzzes the two and the regression tests pin them across whole
+        simulations.  Three observations make the hot loop cheap without
+        changing one extraction's semantics:
 
-        Args:
-            instance: The period's tasks, workers and bipartite graph.
-            estimators: Per-grid acceptance statistics (must contain an
-                estimator for every grid that has tasks this period).
-
-        Returns:
-            The :class:`MAPSPlan` with prices, supply and the pre-matching.
-        """
-        if self.vectorized:
-            return self._plan_vectorized(instance, estimators)
-        return self._plan_loop(instance, estimators)
-
-    def _plan_loop(
-        self,
-        instance: PeriodInstance,
-        estimators: Mapping[int, GridAcceptanceEstimator],
-    ) -> MAPSPlan:
-        """Reference implementation: per-grid dicts, Python heap."""
-        grid = instance.grid
-        # Sharing the instance's grid buckets (and, inside the matcher,
-        # the graph's cached CSR view) keeps the pre-matching from
-        # re-deriving per-period structure the pipeline already built.
-        matcher = IncrementalMatcher(
-            instance.graph, grid_tasks=instance.tasks_by_grid
-        )
-
-        # Every grid starts at the base price; grids with demand may be
-        # re-priced below.
-        prices: Dict[int, float] = {
-            cell.index: self.base_price for cell in grid.cells()
-        }
-        supply: Dict[int, int] = {cell.index: 0 for cell in grid.cells()}
-        approx_revenue: Dict[int, float] = {cell.index: 0.0 for cell in grid.cells()}
-
-        # Per-grid demand profiles: instances built by the engine serve
-        # these from the cached, pre-sorted PeriodArrays view, so the
-        # descending distance sort happens once per period rather than
-        # once per planning query.
-        distances: Dict[int, List[float]] = {
-            g: instance.distances_in_grid(g) for g in instance.grid_indices_with_tasks()
-        }
-
-        heap = AddressableMaxHeap()
-        # Initialisation (lines 3-4): one entry per grid with demand.  Grids
-        # without tasks keep the base price and never enter the competition,
-        # which is what lines 16-17 reduce to for them.
-        for g in distances:
-            estimator = estimators.get(g)
-            if estimator is None:
-                raise KeyError(f"no acceptance estimator for grid {g}")
-            heap.push(g, math.inf, payload=(0, self.base_price))
-
-        iterations = 0
-        while heap:
-            iterations += 1
-            entry = heap.pop()
-            g = entry.key
-            delta = entry.priority
-            candidate_supply, candidate_price = entry.payload
-
-            if not math.isinf(delta):
-                if delta <= 1e-12:
-                    # Lines 11-14: no further gain; finalise the grid's price.
-                    prices[g] = min(candidate_price, self.p_max)
-                    continue
-                # Lines 8-10: admit the supply increase if it is still
-                # feasible (other grids may have consumed the needed worker
-                # since the gain was computed).
-                matched_task = matcher.augment_grid(g)
-                if matched_task is None:
-                    # The gain is stale; re-evaluate the grid at its current
-                    # supply and finalise it on the next extraction.
-                    result = self._maximizer(
-                        estimators[g], distances[g], supply[g], supply[g]
-                    )
-                    price = result.price if supply[g] > 0 else self.base_price
-                    heap.push(g, 0.0, payload=(supply[g], price))
-                    continue
-                supply[g] = candidate_supply
-                prices[g] = min(candidate_price, self.p_max)
-                approx_revenue[g] += delta
-
-            # Lines 15-21: propose the next supply increase for the grid.
-            if not distances[g] or not matcher.can_augment_grid(g):
-                # No demand left to serve or no feasible worker: freeze at
-                # the current price (zero further gain).
-                current_price = prices[g] if supply[g] > 0 else self.base_price
-                heap.push(g, 0.0, payload=(supply[g], current_price))
-                continue
-            if supply[g] >= len(distances[g]):
-                # Supply already covers every task; more workers cannot help.
-                heap.push(g, 0.0, payload=(supply[g], prices[g]))
-                continue
-            new_supply = supply[g] + 1
-            result = self._maximizer(estimators[g], distances[g], new_supply, supply[g])
-            heap.push(g, result.delta, payload=(new_supply, result.price))
-
-        total_approx = sum(approx_revenue.values())
-        return MAPSPlan(
-            prices=prices,
-            supply=supply,
-            pre_matching=matcher.matching(),
-            approx_revenue=total_approx,
-            iterations=iterations,
-        )
-
-    # ------------------------------------------------------------------
-    # array-native planning
-    # ------------------------------------------------------------------
-    def _plan_vectorized(
-        self,
-        instance: PeriodInstance,
-        estimators: Mapping[int, GridAcceptanceEstimator],
-    ) -> MAPSPlan:
-        """Algorithm 2 over flat arrays, bit-identical to the loop planner.
-
-        Three observations make the hot loop cheap without changing one
-        extraction's semantics:
-
-        * the UCB *demand* side of Algorithm 3's index — ``p S_hat(p) +
-          c(p)`` — depends only on the estimator state, which is frozen
-          during planning, so it is computed **once per grid per period**
-          (via the estimators' cached :meth:`snapshot_table` arrays, one
-          batched query instead of one snapshot list per maximizer call);
-          each candidate evaluation then only applies the supply cap
-          ``(D_n / C) p`` and the descending first-strict-improvement
+        * the demand side of Algorithm 3's index depends only on the
+          estimator state, which is frozen during planning, so each grid's
+          demand table (:attr:`demand_table`) is built **once per grid per
+          period**; each candidate evaluation then only applies the supply
+          cap ``(D_n / C) p`` and the descending first-strict-improvement
           scan;
         * the per-grid supply coefficients ``D_n`` are prefix sums of the
           sorted distance profile, precomputed per grid (Python-``sum``
@@ -261,6 +129,14 @@ class MAPSPlanner:
         the ``Delta^g`` arithmetic replicates
         :func:`~repro.core.maximizer.calculate_maximizer` operation for
         operation.
+
+        Args:
+            instance: The period's tasks, workers and bipartite graph.
+            estimators: Per-grid acceptance statistics (must contain an
+                estimator for every grid that has tasks this period).
+
+        Returns:
+            The :class:`MAPSPlan` with prices, supply and the pre-matching.
         """
         grid = instance.grid
         matcher = IncrementalMatcher(
@@ -276,7 +152,7 @@ class MAPSPlanner:
         demand_c: List[float] = []  # C = sum of distances
         prefix_d: List[List[float]] = []  # D_n = sum of n largest
         prices_desc: List[List[float]] = []
-        optimistic: List[List[float]] = []  # p * S_hat(p) + c(p), desc
+        demand_values: List[List[float]] = []  # demand side, desc
         zero_price: List[float] = []  # Algorithm 3's zero-demand fallback
         for g in gs:
             estimator = estimators.get(g)
@@ -287,20 +163,10 @@ class MAPSPlanner:
             prefix = list(accumulate(profile))
             prefix_d.append(prefix)
             demand_c.append(prefix[-1] if prefix else 0.0)
-            ladder, means, offers, total = estimator.snapshot_table()
-            if total == 0:
-                # No offers anywhere: zero radius, and untested prices
-                # score p * 0 = 0 on the demand side.
-                demand_side = ladder * means
-            else:
-                ln_total = math.log(total)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    radius = ladder * np.sqrt(2.0 * ln_total / offers)
-                radius[offers == 0.0] = math.inf
-                demand_side = ladder * means + radius
-            prices_desc.append(ladder[::-1].tolist())
-            optimistic.append(demand_side[::-1].tolist())
-            zero_price.append(float(ladder[0]) if ladder.size else 0.0)
+            table_prices, table_values = self.demand_table(estimator)
+            prices_desc.append(table_prices)
+            demand_values.append(table_values)
+            zero_price.append(table_prices[-1] if table_prices else 0.0)
 
         # (price, index) of Algorithm 3's scan at one supply level,
         # memoised per (grid position, supply).
@@ -315,7 +181,7 @@ class MAPSPlanner:
             ratio = (prefix_d[gi][k - 1] if k > 0 else 0.0) / demand_c[gi]
             best_value = -math.inf
             best_p = 0.0
-            for p, demand_value in zip(prices_desc[gi], optimistic[gi]):
+            for p, demand_value in zip(prices_desc[gi], demand_values[gi]):
                 cap = ratio * p
                 value = demand_value if demand_value <= cap else cap
                 if value > best_value + 1e-12:
@@ -402,4 +268,4 @@ class MAPSPlanner:
         )
 
 
-__all__ = ["MAPSPlanner", "MAPSPlan", "MaximizerFn"]
+__all__ = ["MAPSPlanner", "MAPSPlan"]

@@ -18,17 +18,25 @@ improvement, and reports both the chosen price and the marginal gain
 
 This module exposes the computation as a pure function so it can be tested
 in isolation and reused by the CappedUCB baseline (which is the special
-case ``n = |W^{tg}|`` with all distances set to 1).
+case ``n = |W^{tg}|`` with all distances set to 1).  The MAPS planner runs
+the same scan over each grid's demand table, built once per period by
+:func:`ucb_demand_table` (or the ablation's :func:`exploitation_demand_table`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.learning.estimator import AcceptanceEstimate, GridAcceptanceEstimator
 from repro.learning.ucb import ucb_score
+
+#: Ladder prices in descending order, and the index's demand side at each.
+DemandTable = Tuple[List[float], List[float]]
+DemandTableFn = Callable[[GridAcceptanceEstimator], DemandTable]
 
 
 @dataclass(frozen=True)
@@ -50,23 +58,61 @@ class MaximizerResult:
     delta: float
 
 
-def _best_index(
-    estimates: Sequence[AcceptanceEstimate],
-    total_offers: int,
-    demand_coefficient: float,
-    supply_coefficient: float,
-) -> Tuple[float, float]:
-    """Scan ladder prices from large to small, keep the best index."""
-    best_price: Optional[float] = None
-    best_value = -math.inf
-    for estimate in sorted(estimates, key=lambda e: e.price, reverse=True):
-        value = ucb_score(estimate, total_offers, demand_coefficient, supply_coefficient)
-        if value > best_value + 1e-12:
-            best_value = value
-            best_price = estimate.price
-    if best_price is None:
-        raise ValueError("no candidate prices to score")
-    return best_price, max(0.0, best_value)
+def _maximize(
+    estimator: GridAcceptanceEstimator,
+    sorted_distances: Sequence[float],
+    new_supply: int,
+    previous_supply: Optional[int],
+    score: Callable[[AcceptanceEstimate, int, float, float], float],
+) -> MaximizerResult:
+    """Algorithm 3 with ``score(estimate, N, C, D)`` as the price index."""
+    if new_supply < 0:
+        raise ValueError("new_supply must be non-negative")
+    if previous_supply is None:
+        previous_supply = max(0, new_supply - 1)
+    if previous_supply > new_supply:
+        raise ValueError("previous_supply cannot exceed new_supply")
+    distances = [float(d) for d in sorted_distances]
+    if any(b > a + 1e-9 for a, b in zip(distances, distances[1:])):
+        raise ValueError("sorted_distances must be non-increasing")
+
+    demand_coefficient = float(sum(distances))
+    estimates = estimator.snapshots()
+    total_offers = estimator.total_offers
+
+    if demand_coefficient <= 0.0:
+        # Grid without demand: any price yields zero revenue.
+        price = estimates[0].price if estimates else 0.0
+        return MaximizerResult(price=price, index_value=0.0, approx_revenue=0.0, delta=0.0)
+
+    # Scan ladder prices from large to small, keep the first strict best.
+    descending = sorted(estimates, key=lambda e: e.price, reverse=True)
+
+    def scaled_best(supply: int) -> Tuple[float, float]:
+        supply_coefficient = float(sum(distances[: min(supply, len(distances))]))
+        best_price: Optional[float] = None
+        best_value = -math.inf
+        for estimate in descending:
+            value = score(estimate, total_offers, demand_coefficient, supply_coefficient)
+            if value > best_value + 1e-12:
+                best_value = value
+                best_price = estimate.price
+        if best_price is None:
+            raise ValueError("no candidate prices to score")
+        return best_price, max(0.0, best_value)
+
+    new_price, new_index = scaled_best(new_supply)
+    new_revenue = demand_coefficient * new_index
+    if previous_supply == new_supply:
+        delta = 0.0
+    elif previous_supply == 0:
+        delta = new_revenue
+    else:
+        _, old_index = scaled_best(previous_supply)
+        delta = max(0.0, demand_coefficient * (new_index - old_index))
+    return MaximizerResult(
+        price=new_price, index_value=new_index, approx_revenue=new_revenue, delta=delta
+    )
 
 
 def calculate_maximizer(
@@ -91,46 +137,19 @@ def calculate_maximizer(
     Raises:
         ValueError: on inconsistent supply levels or unsorted distances.
     """
-    if new_supply < 0:
-        raise ValueError("new_supply must be non-negative")
-    if previous_supply is None:
-        previous_supply = max(0, new_supply - 1)
-    if previous_supply > new_supply:
-        raise ValueError("previous_supply cannot exceed new_supply")
-    distances = [float(d) for d in sorted_distances]
-    if any(b > a + 1e-9 for a, b in zip(distances, distances[1:])):
-        raise ValueError("sorted_distances must be non-increasing")
+    return _maximize(estimator, sorted_distances, new_supply, previous_supply, ucb_score)
 
-    demand_coefficient = float(sum(distances))
-    estimates = estimator.snapshots()
-    total_offers = estimator.total_offers
 
-    if demand_coefficient <= 0.0:
-        # Grid without demand: any price yields zero revenue.
-        price = estimates[0].price if estimates else 0.0
-        return MaximizerResult(price=price, index_value=0.0, approx_revenue=0.0, delta=0.0)
-
-    def scaled_best(supply: int) -> Tuple[float, float]:
-        supply_coefficient = float(sum(distances[: min(supply, len(distances))]))
-        price, index_value = _best_index(
-            estimates, total_offers, demand_coefficient, supply_coefficient
-        )
-        return price, index_value
-
-    new_price, new_index = scaled_best(new_supply)
-    new_revenue = demand_coefficient * new_index
-    if previous_supply == new_supply:
-        delta = 0.0
-    elif previous_supply == 0:
-        delta = new_revenue
-    else:
-        _, old_index = scaled_best(previous_supply)
-        delta = max(0.0, demand_coefficient * (new_index - old_index))
-    return MaximizerResult(
-        price=new_price,
-        index_value=new_index,
-        approx_revenue=new_revenue,
-        delta=delta,
+def _exploitation_score(
+    estimate: AcceptanceEstimate,
+    total_offers: int,
+    demand_coefficient: float,
+    supply_coefficient: float,
+) -> float:
+    """``min(p * S_hat(p), (D / C) p)``: the UCB index without ``c(p)``."""
+    return min(
+        estimate.price * estimate.sample_mean,
+        (supply_coefficient / demand_coefficient) * estimate.price,
     )
 
 
@@ -145,46 +164,49 @@ def exploitation_maximizer(
     Scores every ladder price with ``min(p * S_hat(p), (D/C) p)`` — pure
     exploitation of the current estimates.  Untested prices score zero, so
     this variant can lock onto an initially lucky price and never explore;
-    the ablation benchmark quantifies the revenue this loses.
+    the ablation benchmark quantifies the revenue this loses.  Arguments,
+    result and validation are those of :func:`calculate_maximizer`.
     """
-    if new_supply < 0:
-        raise ValueError("new_supply must be non-negative")
-    if previous_supply is None:
-        previous_supply = max(0, new_supply - 1)
-    distances = [float(d) for d in sorted_distances]
-    demand_coefficient = float(sum(distances))
-    estimates = estimator.snapshots()
-    if demand_coefficient <= 0.0:
-        price = estimates[0].price if estimates else 0.0
-        return MaximizerResult(price=price, index_value=0.0, approx_revenue=0.0, delta=0.0)
-
-    def best(supply: int) -> Tuple[float, float]:
-        supply_coefficient = float(sum(distances[: min(supply, len(distances))]))
-        best_price: Optional[float] = None
-        best_value = -math.inf
-        for estimate in sorted(estimates, key=lambda e: e.price, reverse=True):
-            value = min(
-                estimate.price * estimate.sample_mean,
-                (supply_coefficient / demand_coefficient) * estimate.price,
-            )
-            if value > best_value + 1e-12:
-                best_value = value
-                best_price = estimate.price
-        assert best_price is not None
-        return best_price, max(0.0, best_value)
-
-    new_price, new_index = best(new_supply)
-    new_revenue = demand_coefficient * new_index
-    if previous_supply == new_supply:
-        delta = 0.0
-    elif previous_supply == 0:
-        delta = new_revenue
-    else:
-        _, old_index = best(previous_supply)
-        delta = max(0.0, demand_coefficient * (new_index - old_index))
-    return MaximizerResult(
-        price=new_price, index_value=new_index, approx_revenue=new_revenue, delta=delta
+    return _maximize(
+        estimator, sorted_distances, new_supply, previous_supply, _exploitation_score
     )
 
 
-__all__ = ["MaximizerResult", "calculate_maximizer", "exploitation_maximizer"]
+def ucb_demand_table(estimator: GridAcceptanceEstimator) -> DemandTable:
+    """Algorithm 3's demand side ``p S_hat(p) + c(p)``, descending.
+
+    The table form of :func:`calculate_maximizer`, from the cached
+    :meth:`~repro.learning.estimator.GridAcceptanceEstimator.snapshot_table`.
+    """
+    ladder, means, offers, total = estimator.snapshot_table()
+    if total == 0:
+        # No offers anywhere: zero radius, and untested prices score
+        # p * 0 = 0 on the demand side.
+        demand_side = ladder * means
+    else:
+        ln_total = math.log(total)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radius = ladder * np.sqrt(2.0 * ln_total / offers)
+        radius[offers == 0.0] = math.inf
+        demand_side = ladder * means + radius
+    return ladder[::-1].tolist(), demand_side[::-1].tolist()
+
+
+def exploitation_demand_table(estimator: GridAcceptanceEstimator) -> DemandTable:
+    """The radius-free demand side ``p S_hat(p)``, descending.
+
+    The table form of :func:`exploitation_maximizer`.
+    """
+    ladder, means, _, _ = estimator.snapshot_table()
+    return ladder[::-1].tolist(), (ladder * means)[::-1].tolist()
+
+
+__all__ = [
+    "DemandTable",
+    "DemandTableFn",
+    "MaximizerResult",
+    "calculate_maximizer",
+    "exploitation_demand_table",
+    "exploitation_maximizer",
+    "ucb_demand_table",
+]

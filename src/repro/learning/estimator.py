@@ -146,9 +146,9 @@ class GridAcceptanceEstimator:
     def snapshot_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Batched snapshot ``(prices, sample_means, offers, N)``, ascending.
 
-        The array view the vectorised MAPS planner reads: one call per
-        grid per planning round replaces one :class:`AcceptanceEstimate`
-        list per maximizer invocation.  Cached until the next recorded
+        The array view MAPS's demand tables read: one call per grid per
+        planning round replaces one :class:`AcceptanceEstimate` list per
+        maximizer invocation.  Cached until the next recorded
         observation (the estimator tracks a version counter), so repeated
         planning against unchanged statistics is free.  Sample means are
         computed exactly as :attr:`PriceStats.sample_mean` does.

@@ -9,19 +9,20 @@ engine:
 * a :class:`~repro.learning.change.BinomialChangeDetector` per grid that
   resets a price's statistics when the demand distribution shifts,
 * the :class:`~repro.core.maps.MAPSPlanner` that runs Algorithm 2 every
-  period to allocate supply and set prices.
+  period to allocate supply and set prices, scoring each grid's ladder
+  with Algorithm 3 over the grid's demand table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.base_pricing import BasePricingResult
 from repro.core.gdp import PeriodInstance
-from repro.core.maps import MAPSPlan, MAPSPlanner, MaximizerFn
-from repro.core.maximizer import calculate_maximizer
+from repro.core.maps import MAPSPlan, MAPSPlanner
+from repro.core.maximizer import DemandTableFn, ucb_demand_table
 from repro.learning.change import BinomialChangeDetector
 from repro.learning.estimator import GridAcceptanceEstimator
 from repro.learning.sampling import price_ladder
@@ -45,14 +46,12 @@ class MAPSStrategy(PricingStrategy):
         change_detection: Enable the binomial change detector of
             Section 4.2.2.
         change_window: Window size ``m`` of the change detector.
-        maximizer: Per-grid price maximizer; swap in
-            :func:`repro.core.maximizer.exploitation_maximizer` for the
-            no-UCB ablation.
-        vectorized_planner: Planner implementation switch forwarded to
-            :class:`~repro.core.maps.MAPSPlanner` — ``None`` (default)
-            picks the array-native planner whenever the stock maximizer
-            is in use; ``False`` forces the reference loop (used by the
-            equivalence tests).  Both produce bit-identical plans.
+        demand_table: The demand side of Algorithm 3's index, forwarded
+            to the one planner, :class:`~repro.core.maps.MAPSPlanner`:
+            :func:`~repro.core.maximizer.ucb_demand_table` (default) or,
+            for the no-UCB ablation, ``exploitation_demand_table``.  The
+            planner's test oracle is
+            :func:`repro.simulation.legacy.reference_maps_plan`.
     """
 
     name = "MAPS"
@@ -66,8 +65,7 @@ class MAPSStrategy(PricingStrategy):
         warm_start: Optional[BasePricingResult] = None,
         change_detection: bool = True,
         change_window: int = 60,
-        maximizer: MaximizerFn = calculate_maximizer,
-        vectorized_planner: Optional[bool] = None,
+        demand_table: DemandTableFn = ucb_demand_table,
     ) -> None:
         if p_min <= 0 or p_max < p_min:
             raise ValueError("need 0 < p_min <= p_max")
@@ -83,8 +81,7 @@ class MAPSStrategy(PricingStrategy):
             base_price=self.base_price,
             p_min=self.p_min,
             p_max=self.p_max,
-            maximizer=maximizer,
-            vectorized=vectorized_planner,
+            demand_table=demand_table,
         )
         self._warm_start = warm_start
         self._change_detection = bool(change_detection)

@@ -8,32 +8,41 @@ matching over list-of-list adjacency, and the double feedback pass that
 re-built every :class:`~repro.pricing.strategy.PriceFeedback` just to set
 ``served`` — exactly as the seed shipped it.
 
-It exists for two purposes only:
+It exists for three purposes only:
 
 * the regression tests assert that the vectorised pipeline reproduces the
   seed engine's revenue / served / accepted metrics bit-for-bit for fixed
   seeds across all shipped strategies;
 * ``benchmarks/test_bench_pipeline.py`` measures the pipeline's speedup
-  against this implementation on the fig8-scale workload.
+  against this implementation on the fig8-scale workload;
+* :func:`reference_maps_plan`, MAPS's per-grid loop planner, is the
+  oracle the array planner of :class:`~repro.core.maps.MAPSPlanner` is
+  tested against.
 
 It is not part of the public API and should not grow features.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.gdp import PeriodInstance
+from repro.core.maps import MAPSPlan
+from repro.core.maximizer import MaximizerResult, calculate_maximizer
+from repro.learning.estimator import GridAcceptanceEstimator
 from repro.market.acceptance import PerGridAcceptance
 from repro.market.entities import Worker
 from repro.matching.bipartite import BipartiteGraph
+from repro.matching.incremental import IncrementalMatcher
 from repro.matching.maximum_matching import UNMATCHED
 from repro.pricing.strategy import PriceFeedback, PricingStrategy
 from repro.simulation.config import WorkloadBundle
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.results import SimulationResult
+from repro.utils.heap import AddressableMaxHeap
 from repro.utils.rng import derive_seed
 
 
@@ -142,6 +151,105 @@ def reference_set_served(
     ]
 
 
+def reference_maps_plan(
+    base_price: float,
+    p_min: float,
+    p_max: float,
+    instance: PeriodInstance,
+    estimators: Mapping[int, GridAcceptanceEstimator],
+    maximizer: Callable[..., MaximizerResult] = calculate_maximizer,
+) -> MAPSPlan:
+    """Algorithm 2 as a loop over per-grid dicts and an addressable heap.
+
+    The oracle of :meth:`repro.core.maps.MAPSPlanner.plan`, with one
+    ``maximizer`` call per proposal: ``calculate_maximizer`` plans as the
+    planner over ``ucb_demand_table`` does, and ``exploitation_maximizer``
+    as it does over ``exploitation_demand_table``.
+    """
+    base_price = float(min(p_max, max(p_min, base_price)))  # as the planner clamps
+    grid = instance.grid
+    # Sharing the instance's grid buckets (and, inside the matcher,
+    # the graph's cached CSR view) keeps the pre-matching from
+    # re-deriving per-period structure the pipeline already built.
+    matcher = IncrementalMatcher(instance.graph, grid_tasks=instance.tasks_by_grid)
+
+    # Every grid starts at the base price; grids with demand may be
+    # re-priced below.
+    prices: Dict[int, float] = {cell.index: base_price for cell in grid.cells()}
+    supply: Dict[int, int] = {cell.index: 0 for cell in grid.cells()}
+    approx_revenue: Dict[int, float] = {cell.index: 0.0 for cell in grid.cells()}
+
+    # Per-grid demand profiles: instances built by the engine serve
+    # these from the cached, pre-sorted PeriodArrays view, so the
+    # descending distance sort happens once per period rather than
+    # once per planning query.
+    distances: Dict[int, List[float]] = {
+        g: instance.distances_in_grid(g) for g in instance.grid_indices_with_tasks()
+    }
+
+    heap = AddressableMaxHeap()
+    # Initialisation (lines 3-4): one entry per grid with demand.  Grids
+    # without tasks keep the base price and never enter the competition,
+    # which is what lines 16-17 reduce to for them.
+    for g in distances:
+        estimator = estimators.get(g)
+        if estimator is None:
+            raise KeyError(f"no acceptance estimator for grid {g}")
+        heap.push(g, math.inf, payload=(0, base_price))
+
+    iterations = 0
+    while heap:
+        iterations += 1
+        entry = heap.pop()
+        g = entry.key
+        delta = entry.priority
+        candidate_supply, candidate_price = entry.payload
+
+        if not math.isinf(delta):
+            if delta <= 1e-12:
+                # Lines 11-14: no further gain; finalise the grid's price.
+                prices[g] = min(candidate_price, p_max)
+                continue
+            # Lines 8-10: admit the supply increase if it is still
+            # feasible (other grids may have consumed the needed worker
+            # since the gain was computed).
+            matched_task = matcher.augment_grid(g)
+            if matched_task is None:
+                # The gain is stale; re-evaluate the grid at its current
+                # supply and finalise it on the next extraction.
+                result = maximizer(estimators[g], distances[g], supply[g], supply[g])
+                price = result.price if supply[g] > 0 else base_price
+                heap.push(g, 0.0, payload=(supply[g], price))
+                continue
+            supply[g] = candidate_supply
+            prices[g] = min(candidate_price, p_max)
+            approx_revenue[g] += delta
+
+        # Lines 15-21: propose the next supply increase for the grid.
+        if not distances[g] or not matcher.can_augment_grid(g):
+            # No demand left to serve or no feasible worker: freeze at
+            # the current price (zero further gain).
+            current_price = prices[g] if supply[g] > 0 else base_price
+            heap.push(g, 0.0, payload=(supply[g], current_price))
+            continue
+        if supply[g] >= len(distances[g]):
+            # Supply already covers every task; more workers cannot help.
+            heap.push(g, 0.0, payload=(supply[g], prices[g]))
+            continue
+        new_supply = supply[g] + 1
+        result = maximizer(estimators[g], distances[g], new_supply, supply[g])
+        heap.push(g, result.delta, payload=(new_supply, result.price))
+
+    total_approx = sum(approx_revenue.values())
+    return MAPSPlan(
+        prices=prices,
+        supply=supply,
+        pre_matching=matcher.matching(),
+        approx_revenue=total_approx,
+        iterations=iterations,
+    )
+
+
 def run_reference(
     workload: WorkloadBundle,
     strategy: PricingStrategy,
@@ -220,5 +328,6 @@ __all__ = [
     "reference_task_weighted_matching",
     "reference_decide",
     "reference_set_served",
+    "reference_maps_plan",
     "run_reference",
 ]

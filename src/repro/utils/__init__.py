@@ -3,8 +3,9 @@
 These helpers back the algorithmic components of the library:
 
 * :class:`repro.utils.heap.AddressableMaxHeap` implements the max-heap of
-  per-grid marginal gains used by the MAPS planner (Algorithm 2 of the
-  paper), with support for re-inserting a key for the same grid.
+  per-grid marginal gains of the reference MAPS planner (Algorithm 2's
+  test oracle in :mod:`repro.simulation.legacy`), with support for
+  re-inserting a key for the same grid.
 * :mod:`repro.utils.rng` centralises seeded random number generation so
   that every experiment in the benchmark harness is reproducible.
 * :mod:`repro.utils.statistics` provides running means/variances and

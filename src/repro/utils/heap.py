@@ -1,10 +1,12 @@
 """Addressable binary max-heap.
 
-The MAPS planner (Algorithm 2 of the paper) repeatedly extracts the grid
-with the largest marginal revenue increase ``delta`` and later re-inserts
-an updated entry for the same grid.  The standard library ``heapq`` module
-only offers a min-heap without decrease-key support, so this module
-implements a small, dependency-free binary max-heap with:
+The reference MAPS planner
+(:func:`repro.simulation.legacy.reference_maps_plan`, the oracle of
+Algorithm 2's array planner) repeatedly extracts the grid with the largest
+marginal revenue increase ``delta`` and later re-inserts an updated entry
+for the same grid; it is the only user of this heap (the production
+planner runs a plain :mod:`heapq` with the same total order).  The
+module implements a small, dependency-free binary max-heap with:
 
 * ``push`` / ``pop`` in ``O(log n)``;
 * ``update`` (change the priority of an existing key) in ``O(log n)``;

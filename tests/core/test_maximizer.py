@@ -110,3 +110,20 @@ class TestExploitationAblation:
         estimator = _converged_estimator(TABLE_1)
         result = exploitation_maximizer(estimator, [], new_supply=1)
         assert result.approx_revenue == 0.0
+
+
+@pytest.mark.parametrize(
+    "maximizer", [calculate_maximizer, exploitation_maximizer], ids=["ucb", "exploitation"]
+)
+class TestSharedValidation:
+    """Both variants refuse the same inconsistent inputs."""
+
+    def test_rejects_previous_supply_above_new_supply(self, maximizer):
+        estimator = _converged_estimator(TABLE_1)
+        with pytest.raises(ValueError, match="previous_supply"):
+            maximizer(estimator, [1.0], new_supply=1, previous_supply=2)
+
+    def test_rejects_increasing_distances(self, maximizer):
+        estimator = _converged_estimator(TABLE_1)
+        with pytest.raises(ValueError, match="non-increasing"):
+            maximizer(estimator, [1.0, 2.0], new_supply=1)

@@ -1,13 +1,16 @@
-"""Property test: the array-native MAPS planner equals the loop planner.
+"""Property test: the array-native MAPS planner equals the loop oracle.
 
-The vectorised planner re-derives Algorithm 2's state — per-grid dicts,
-the addressable max-heap, one Algorithm 3 maximizer invocation per
-proposal — as flat arrays with batched estimator snapshots.  The claim
-is not "close": every plan field (prices, supply levels, pre-matching,
-approximate revenue, iteration count) must be **exactly** equal under
-fuzzed grids, markets and estimator states, including the awkward
-corners (untested ladder prices, grids with zero observations,
-zero-distance tasks, supply saturation).
+:class:`~repro.core.maps.MAPSPlanner` re-derives Algorithm 2's state —
+per-grid dicts, the addressable max-heap, one Algorithm 3 maximizer
+invocation per proposal, kept as
+:func:`~repro.simulation.legacy.reference_maps_plan` — as flat arrays over
+per-grid demand tables.  The claim is not "close": for both table /
+maximizer pairs (the UCB index and the no-exploration ablation) every
+plan field (prices, supply levels, pre-matching, approximate revenue,
+iteration count) must be **exactly** equal under fuzzed grids, markets
+and estimator states, including the awkward corners (untested ladder
+prices, grids with zero observations, zero-distance tasks, supply
+saturation).
 
 The queue's tie-break decides plans only when equal gains compete for
 the same workers, so the fuzz also builds markets full of ties: up to
@@ -23,15 +26,33 @@ the distances are.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.gdp import PeriodInstance
 from repro.core.maps import MAPSPlanner
+from repro.core.maximizer import (
+    calculate_maximizer,
+    exploitation_demand_table,
+    exploitation_maximizer,
+    ucb_demand_table,
+)
 from repro.learning.estimator import GridAcceptanceEstimator
 from repro.market.entities import Task, Worker
 from repro.spatial.geometry import BoundingBox, Point
+from repro.simulation.legacy import reference_maps_plan
 from repro.spatial.grid import Grid
+
+#: (planner demand table, oracle maximizer) pairs that must plan alike.
+PAIRS = pytest.mark.parametrize(
+    "demand_table, maximizer",
+    [
+        (ucb_demand_table, calculate_maximizer),
+        (exploitation_demand_table, exploitation_maximizer),
+    ],
+    ids=["ucb", "exploitation"],
+)
 
 
 @st.composite
@@ -109,37 +130,40 @@ def planner_instances(draw):
     return instance, estimators, float(base_price)
 
 
-class TestVectorizedPlannerEquality:
-    @given(planner_instances())
-    def test_plans_are_exactly_equal(self, case):
+def _assert_same_plan(a, b):
+    assert a.prices == b.prices
+    assert a.supply == b.supply
+    assert a.pre_matching == b.pre_matching
+    assert a.approx_revenue == b.approx_revenue  # exact, not approx
+    assert a.iterations == b.iterations
+
+
+class TestPlannerMatchesOracle:
+    @PAIRS
+    @given(case=planner_instances())
+    def test_plans_are_exactly_equal(self, demand_table, maximizer, case):
         instance, estimators, base_price = case
-        loop = MAPSPlanner(base_price, 1.0, 4.0, vectorized=False)
-        vectorized = MAPSPlanner(base_price, 1.0, 4.0, vectorized=True)
+        planner = MAPSPlanner(base_price, 1.0, 4.0, demand_table=demand_table)
+        reference = reference_maps_plan(
+            base_price, 1.0, 4.0, instance, estimators, maximizer=maximizer
+        )
+        _assert_same_plan(planner.plan(instance, estimators), reference)
 
-        a = loop.plan(instance, estimators)
-        b = vectorized.plan(instance, estimators)
-
-        assert a.prices == b.prices
-        assert a.supply == b.supply
-        assert a.pre_matching == b.pre_matching
-        assert a.approx_revenue == b.approx_revenue  # exact, not approx
-        assert a.iterations == b.iterations
-
-    @given(planner_instances())
-    def test_planning_is_repeatable_on_live_estimators(self, case):
+    @PAIRS
+    @given(case=planner_instances())
+    def test_planning_is_repeatable_on_live_estimators(
+        self, demand_table, maximizer, case
+    ):
         """Cached snapshot tables must not go stale across re-planning."""
         instance, estimators, base_price = case
-        planner = MAPSPlanner(base_price, 1.0, 4.0, vectorized=True)
-        first = planner.plan(instance, estimators)
+        planner = MAPSPlanner(base_price, 1.0, 4.0, demand_table=demand_table)
+        planner.plan(instance, estimators)
         # Mutate every estimator (as a feedback round would) and re-plan:
         # the cached tables must refresh via the version counters.
         for estimator in estimators.values():
             estimator.record(1.5, accepted=True)
         second = planner.plan(instance, estimators)
-        reference = MAPSPlanner(base_price, 1.0, 4.0, vectorized=False).plan(
-            instance, estimators
+        reference = reference_maps_plan(
+            base_price, 1.0, 4.0, instance, estimators, maximizer=maximizer
         )
-        assert second.prices == reference.prices
-        assert second.supply == reference.supply
-        assert second.approx_revenue == reference.approx_revenue
-        assert first.iterations >= 0
+        _assert_same_plan(second, reference)

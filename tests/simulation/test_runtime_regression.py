@@ -8,7 +8,8 @@ Two pinned guarantees:
   (:func:`repro.simulation.legacy.run_reference`) across all five
   pricing strategies on one uncapped shard; capped multi-shard runs,
   which that loop cannot express, are pinned to exact metrics, and the
-  vectorised MAPS planner must match the loop planner through whole
+  MAPS planner must match its loop oracle
+  (:func:`repro.simulation.legacy.reference_maps_plan`) through whole
   engine runs;
 * **compound configuration pins** — the benchmarked
   ``--shards 8 --max-degree 16`` configuration (the BENCH_runtime.json
@@ -24,8 +25,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.maps import MAPSPlanner
 from repro.pricing.registry import available_strategies, calibrated_kwargs, create_strategy
-from repro.simulation.legacy import run_reference
+from repro.simulation.legacy import reference_maps_plan, run_reference
 from repro.simulation.scenarios import get_scenario
 from repro.simulation.sharded import ShardedEngine
 
@@ -118,15 +120,28 @@ class TestColumnarPlaneBitIdentity:
         result = engine.run(create_strategy("BaseP", base_price=2.0))
         assert repr(_metrics_tuple(result)) == repr(self.CAPPED_PINS[config])
 
-    def test_vectorized_maps_planner_matches_loop_through_engine(self, city_calibration):
-        results = {}
-        for vectorized in (False, True):
+    def test_maps_planner_matches_oracle_through_engine(
+        self, city_calibration, monkeypatch
+    ):
+        kwargs = calibrated_kwargs("MAPS", city_calibration, p_min=1.0, p_max=5.0)
+
+        def run():
             workload = get_scenario("city_scale").chunked(scale=0.01, seed=0)
             engine = ShardedEngine(workload, num_shards=8, halo=1, seed=0, max_degree=16)
-            kwargs = calibrated_kwargs("MAPS", city_calibration, p_min=1.0, p_max=5.0)
-            strategy = create_strategy(name="MAPS", vectorized_planner=vectorized, **kwargs)
-            results[vectorized] = engine.run(strategy)
-        assert _metrics_tuple(results[False]) == _metrics_tuple(results[True])
+            return engine.run(create_strategy(name="MAPS", **kwargs))
+
+        production = run()
+        oracle_calls = []
+
+        def oracle_plan(planner, instance, estimators):
+            oracle_calls.append(instance.period)
+            return reference_maps_plan(
+                planner.base_price, planner.p_min, planner.p_max, instance, estimators
+            )
+
+        monkeypatch.setattr(MAPSPlanner, "plan", oracle_plan)
+        assert _metrics_tuple(run()) == _metrics_tuple(production)
+        assert oracle_calls
 
 
 class TestCompoundConfigurationPins:
