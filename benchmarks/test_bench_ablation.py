@@ -139,7 +139,7 @@ def test_ablation_revenue_approximation_quality(benchmark):
                 Worker(worker_id=j, period=0, location=Point(0.0, 0.0), radius=10.0)
                 for j in range(supply)
             ]
-            graph = build_bipartite_graph(tasks, workers, use_index=False)
+            graph = build_bipartite_graph(tasks, workers)
             exact = exact_expected_revenue(graph, [price] * num_tasks, [ratio] * num_tasks)
             approx = revenue_approximation(distances, supply, price, ratio)
             errors.append(abs(approx - exact) / max(exact, 1e-9))

@@ -1,23 +1,23 @@
-"""Benchmark: array-native matching hot path vs the pre-vectorisation path.
+"""Benchmark: degree-capped matching hot path vs the exact path.
 
 Measures end-to-end single-shard ``city_scale`` throughput (lazy
 generation, graph build, matching, feedback all included) for the
 configurations of :mod:`repro.experiments.bench_matching` and asserts the
 hot-path acceptance criteria:
 
-* the exact ``vectorized`` configuration must produce **identical**
-  revenue and served counts to the ``loop`` baseline (the builders emit
-  the same graph, so the whole simulation coincides bit-for-bit);
 * the degree-capped configuration must be at least
-  ``REPRO_MATCHING_SPEEDUP_MIN`` (default 2x) faster than the baseline —
-  the speedup is algorithmic (fewer edges to search), not parallel, so it
-  holds on a single core;
+  ``REPRO_MATCHING_SPEEDUP_MIN`` (default 2x) faster than the exact
+  ``vectorized`` baseline — the speedup is algorithmic (fewer edges to
+  search), not parallel, so it holds on a single core;
 * the capped revenue must stay within
   ``REPRO_MATCHING_REVENUE_TOLERANCE`` (default 5%) of the exact solve.
 
 The committed ``BENCH_matching.json`` records the same measurement at the
 full 1M-task horizon (``tools/bench_to_json.py --benchmark matching``);
 this test runs a CI-sized horizon with identical per-period density.
+That the exact path's graph equals the all-pairs oracle's, so whole
+simulations coincide, is pinned in
+``tests/simulation/test_hot_path_regression.py``.
 """
 
 from __future__ import annotations
@@ -48,38 +48,27 @@ REVENUE_TOLERANCE = float(
 
 @pytest.mark.benchmark(group="matching")
 def test_matching_hot_path_on_city_scale(benchmark):
-    """Capped hot path must beat the loop baseline >= 2x, exact path must tie."""
+    """Capped hot path must beat the exact path >= 2x at bounded revenue loss."""
     holder: Dict[str, Dict[str, object]] = {}
 
     def run_once() -> None:
         holder["payload"] = measure_matching_throughput(
             scale=BENCH_SCALE,
-            configs=("loop", "vectorized", GATED_CONFIG),
+            configs=("vectorized", GATED_CONFIG),
             seed=0,
         )
 
     benchmark.pedantic(run_once, rounds=1, iterations=1)
     payload = holder["payload"]
     print()
-    print("### matching hot path vs loop baseline (city_scale, 1 shard)")
+    print("### matching hot path vs exact baseline (city_scale, 1 shard)")
     for point in payload["results"]:
         print(
             f"{point['config']:>12s}: {point['seconds']:.2f}s  "
             f"{point['tasks_per_second']:.0f} tasks/s  "
             f"revenue={point['revenue']:.0f}  served={point['served']}"
         )
-    by_config = {point["config"]: point for point in payload["results"]}
-    loop = by_config["loop"]
-    vectorized = by_config["vectorized"]
-    capped = by_config[GATED_CONFIG]
-
-    # Exactness: the vectorised builder changes how the graph is built,
-    # never what it contains — the whole simulation must coincide.
-    assert vectorized["revenue"] == loop["revenue"], (
-        "vectorized builder drifted from the loop builder: "
-        f"{vectorized['revenue']} vs {loop['revenue']}"
-    )
-    assert vectorized["served"] == loop["served"]
+    assert payload["baseline_config"] == "vectorized"
 
     speedup = payload["speedup_vs_baseline"][GATED_CONFIG]
     revenue_ratio = payload["revenue_ratio_vs_baseline"][GATED_CONFIG]

@@ -302,7 +302,6 @@ class PeriodInstance:
         tasks: Sequence[Task],
         workers: Sequence[Worker],
         metric: Union[str, DistanceMetric] = "euclidean",
-        use_index: bool = True,
         max_degree: Optional[int] = None,
         build_graph: bool = True,
     ) -> "PeriodInstance":
@@ -328,7 +327,6 @@ class PeriodInstance:
                 worker_list,
                 metric=metric,
                 grid=grid,
-                use_index=use_index,
                 max_degree=max_degree,
             )
         else:
@@ -338,7 +336,6 @@ class PeriodInstance:
                     worker_list,
                     metric=metric,
                     grid=grid,
-                    use_index=use_index,
                     max_degree=max_degree,
                 )
             )

@@ -17,10 +17,13 @@ improvement, and reports both the chosen price and the marginal gain
 ``Delta^g`` of moving from the previous supply level to the new one.
 
 This module exposes the computation as a pure function so it can be tested
-in isolation and reused by the CappedUCB baseline (which is the special
-case ``n = |W^{tg}|`` with all distances set to 1).  The MAPS planner runs
-the same scan over each grid's demand table, built once per period by
-:func:`ucb_demand_table` (or the ablation's :func:`exploitation_demand_table`).
+in isolation.  The descending scan itself is
+:func:`repro.learning.ucb.first_best`, which this module shares with
+:func:`repro.learning.ucb.ucb_index`; the CappedUCB baseline reaches it
+through ``ucb_index`` (the special case ``n = |W^{tg}|`` with all
+distances set to 1).  The MAPS planner inlines the same scan over each
+grid's demand table, built once per period by :func:`ucb_demand_table`
+(or the ablation's :func:`exploitation_demand_table`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.learning.estimator import AcceptanceEstimate, GridAcceptanceEstimator
-from repro.learning.ucb import ucb_score
+from repro.learning.ucb import first_best, ucb_score
 
 #: Ladder prices in descending order, and the index's demand side at each.
 DemandTable = Tuple[List[float], List[float]]
@@ -90,15 +93,13 @@ def _maximize(
 
     def scaled_best(supply: int) -> Tuple[float, float]:
         supply_coefficient = float(sum(distances[: min(supply, len(distances))]))
-        best_price: Optional[float] = None
-        best_value = -math.inf
-        for estimate in descending:
-            value = score(estimate, total_offers, demand_coefficient, supply_coefficient)
-            if value > best_value + 1e-12:
-                best_value = value
-                best_price = estimate.price
-        if best_price is None:
-            raise ValueError("no candidate prices to score")
+        best_price, best_value = first_best(
+            (estimate.price for estimate in descending),
+            (
+                score(estimate, total_offers, demand_coefficient, supply_coefficient)
+                for estimate in descending
+            ),
+        )
         return best_price, max(0.0, best_value)
 
     new_price, new_index = scaled_best(new_supply)

@@ -3,8 +3,8 @@
 One measurement protocol feeds two consumers:
 
 * ``benchmarks/test_bench_matching.py`` — the tier-1 gate asserting the
-  array-native hot path beats the pre-vectorisation baseline by the
-  required factor at bounded revenue loss (small horizon, CI-sized);
+  degree-capped hot path beats the exact path by the required factor at
+  bounded revenue loss (small horizon, CI-sized);
 * ``tools/bench_to_json.py --benchmark matching`` — the writer that
   records the full-size trajectory point (``BENCH_matching.json``), so
   future perf PRs have a baseline to be measured against.
@@ -17,31 +17,28 @@ speedups multiply the per-shard constants measured here.
 Each measured *configuration* names one point on the exactness/speed
 curve:
 
-* ``loop`` — scalar loop graph builder, exact matroid matching: the
-  pre-vectorisation baseline (bit-identical results to ``vectorized``);
-* ``vectorized`` — the array-native graph builder (the default path),
-  exact matroid matching: same results, less builder time;
+* ``vectorized`` — the array-native graph builder (the engines' only
+  builder), exact matroid matching: the baseline;
 * ``capped-<K>`` — vectorized builder with ``max_degree=K`` (K nearest
   workers per task), exact matching on the capped graph.
 
-Parts combine with ``+`` (e.g. ``loop+capped-8``).
+Parts combine with ``+`` (e.g. ``vectorized+capped-8``).  Points recorded
+before the scalar loop builder was deleted also carry a ``loop`` row.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.host import host_fingerprint
-from repro.matching.bipartite import force_loop_builder
 from repro.pricing.registry import create_strategy
 from repro.simulation.scenarios import get_scenario
 from repro.simulation.sharded import ShardedEngine
 
 #: Configurations the CI gate measures (baseline first).
-DEFAULT_CONFIGS = ("loop", "vectorized", "capped-16", "capped-8")
+DEFAULT_CONFIGS = ("vectorized", "capped-16", "capped-8")
 
 
 @dataclass(frozen=True)
@@ -60,19 +57,15 @@ class MatchingBenchPoint:
 @dataclass(frozen=True)
 class _ConfigSpec:
     name: str
-    loop_builder: bool
     max_degree: Optional[int]
 
 
 def parse_config(name: str) -> _ConfigSpec:
-    """Parse a configuration name like ``loop+capped-8`` (see module doc)."""
-    loop_builder = False
+    """Parse a configuration name like ``vectorized+capped-8`` (see module doc)."""
     max_degree: Optional[int] = None
     for part in name.split("+"):
         part = part.strip()
-        if part == "loop":
-            loop_builder = True
-        elif part == "vectorized":
+        if part == "vectorized":
             pass
         elif part.startswith("capped-"):
             max_degree = int(part[len("capped-") :])
@@ -80,7 +73,7 @@ def parse_config(name: str) -> _ConfigSpec:
             raise ValueError(
                 f"unknown hot-path configuration part {part!r} in {name!r}"
             )
-    return _ConfigSpec(name=name, loop_builder=loop_builder, max_degree=max_degree)
+    return _ConfigSpec(name=name, max_degree=max_degree)
 
 
 def measure_matching_throughput(
@@ -95,9 +88,8 @@ def measure_matching_throughput(
 
     Args:
         scale: ``city_scale`` horizon scale (1.0 = the 1M-task horizon).
-        configs: Configuration names (see :func:`parse_config`); when a
-            ``loop`` configuration is present it is the speedup baseline,
-            otherwise the first configuration is.
+        configs: Configuration names (see :func:`parse_config`); the
+            first one is the speedup baseline.
         seed: Workload and engine seed.
         strategy: Pricing strategy name (a cheap non-learning strategy
             keeps the measurement graph/matching-dominated).
@@ -121,11 +113,9 @@ def measure_matching_throughput(
             seed=seed,
             max_degree=spec.max_degree,
         )
-        guard = force_loop_builder() if spec.loop_builder else nullcontext()
-        with guard:
-            start = time.perf_counter()
-            run = engine.run(create_strategy(strategy, base_price=base_price))
-            elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        run = engine.run(create_strategy(strategy, base_price=base_price))
+        elapsed = time.perf_counter() - start
         results.append(
             MatchingBenchPoint(
                 config=spec.name,
@@ -138,9 +128,7 @@ def measure_matching_throughput(
             )
         )
 
-    baseline = next(
-        (point for point in results if point.config == "loop"), results[0]
-    )
+    baseline = results[0]
     speedups = {
         point.config: point.tasks_per_second / baseline.tasks_per_second
         for point in results

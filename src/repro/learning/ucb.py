@@ -24,7 +24,7 @@ exceeding what the allocated supply could deliver.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.learning.estimator import AcceptanceEstimate
 
@@ -77,26 +77,49 @@ def ucb_score(
     return min(optimistic_demand, supply_cap)
 
 
+def first_best(
+    prices: Iterable[float], values: Iterable[float]
+) -> Tuple[float, float]:
+    """Algorithm 3's scan: the first strict improvement, prices descending.
+
+    Walks ``(price, value)`` pairs in the given order (the ladder from big
+    to small) and keeps a pair only when its value beats the best so far
+    by more than ``1e-12``, so ties resolve in favour of the larger price.
+
+    Returns:
+        ``(best_price, best_value)``.
+
+    Raises:
+        ValueError: if no pair is given.
+    """
+    best_price: Optional[float] = None
+    best_value = -math.inf
+    for price, value in zip(prices, values):
+        if value > best_value + 1e-12:
+            best_value = value
+            best_price = price
+    if best_price is None:
+        raise ValueError("no candidate prices to score")
+    return best_price, best_value
+
+
 def ucb_index(
     estimates: Sequence[AcceptanceEstimate],
     total_offers: int,
     demand_coefficient: float,
     supply_coefficient: float,
-    prefer_larger_price: bool = True,
 ) -> Tuple[float, float]:
     """Choose the candidate price with the maximum UCB index (Algorithm 3).
 
     Algorithm 3 iterates prices "from big to small" and keeps the first
-    strict improvement, which means ties are effectively resolved in favour
-    of the larger price; ``prefer_larger_price`` reproduces that behaviour
-    (set it to False to prefer the smaller price instead).
+    strict improvement (:func:`first_best`), so ties are resolved in
+    favour of the larger price.
 
     Args:
         estimates: Snapshots of every candidate price.
         total_offers: ``N`` for the grid.
         demand_coefficient: ``C``.
         supply_coefficient: ``D``.
-        prefer_larger_price: Tie-breaking direction.
 
     Returns:
         ``(best_price, best_index_value)``.
@@ -106,16 +129,14 @@ def ucb_index(
     """
     if not estimates:
         raise ValueError("estimates must be non-empty")
-    ordered = sorted(estimates, key=lambda e: e.price, reverse=prefer_larger_price)
-    best_price: Optional[float] = None
-    best_value = -math.inf
-    for estimate in ordered:
-        value = ucb_score(estimate, total_offers, demand_coefficient, supply_coefficient)
-        if value > best_value + 1e-12:
-            best_value = value
-            best_price = estimate.price
-    assert best_price is not None
-    return best_price, best_value
+    descending = sorted(estimates, key=lambda e: e.price, reverse=True)
+    return first_best(
+        (estimate.price for estimate in descending),
+        (
+            ucb_score(estimate, total_offers, demand_coefficient, supply_coefficient)
+            for estimate in descending
+        ),
+    )
 
 
-__all__ = ["confidence_radius", "ucb_score", "ucb_index"]
+__all__ = ["confidence_radius", "first_best", "ucb_score", "ucb_index"]

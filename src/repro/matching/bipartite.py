@@ -7,39 +7,36 @@ lies within worker ``w``'s service radius.  The instantiation of the graph
 with the structural graph, which is what MAPS needs for its pre-matching
 and what the simulator needs to compute realized revenue.
 
-Edges can be built three ways, all producing the identical edge set
-(for the ``haversine`` metric, identical up to platform transcendental
-rounding at the exact radius boundary — see
+Edges are built two ways, producing the identical edge set (for the
+``haversine`` metric, identical up to platform transcendental rounding at
+the exact radius boundary — see
 :func:`repro.spatial.geometry.haversine_distances_batch`):
 
-* **vectorised** (the default when a grid and a named metric are given) —
-  tasks are bucketed per grid cell once
+* **array-native** (whenever a grid and a named metric are given; every
+  engine runs it) — tasks are bucketed per grid cell once
   (:class:`repro.spatial.index.GridBuckets`), every worker's candidate
   cells are enumerated with one ragged numpy expansion, and a single
   batched distance filter keeps the true edges.  The builder emits the
   CSR arrays **directly** — the Python list-of-list adjacency is only
   materialised lazily if some consumer asks for it — and reuses grow-only
   scratch buffers across periods;
-* **indexed scalar** — per-worker :meth:`GridSpatialIndex.query_circle`
-  loops (the pre-vectorisation behaviour, kept as the fallback for
-  caller-supplied metric callables and as the reference implementation
-  the property tests compare against);
-* **brute force** — an all-pairs scan (fine for tests and tiny instances).
+* **all-pairs scan** (no grid, or a caller-supplied metric callable) —
+  every worker against every task.  It is the oracle the tests compare
+  the array-native builder against, and fine for tiny instances.
 
 An optional **degree cap** keeps only the ``max_degree`` nearest workers
 per task (ties broken by ascending worker position): dense city-scale
 periods produce average task degrees in the dozens, and the augmenting
 search cost scales with edge count.  The cap is *off by default* — the
-matching stays bit-identical to the uncapped graph's — and both builder
-paths apply the identical capping rule, which the regression tests pin.
+matching stays bit-identical to the uncapped graph's — and both paths
+apply the identical capping rule, which the regression tests pin.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +49,6 @@ from repro.spatial.geometry import (
 from repro.spatial.grid import Grid
 from repro.spatial.index import (
     GridBuckets,
-    GridSpatialIndex,
     cap_edges_per_center,
     checked_degree_cap,
 )
@@ -392,36 +388,12 @@ class BipartiteGraph:
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
-#: When True, ``vectorize=None`` resolves to the scalar loop path.  Only
-#: flipped through :func:`force_loop_builder`.
-_FORCE_LOOP_BUILDER = False
-
-
-@contextmanager
-def force_loop_builder() -> Iterator[None]:
-    """Temporarily make ``vectorize=None`` resolve to the scalar loop path.
-
-    Used by the hot-path benchmark (to measure the pre-vectorisation
-    baseline through unmodified engine code) and by the equivalence tests
-    (to run whole simulations on both builders).  The columnar builder
-    :func:`build_graph_from_arrays` honours the flag too.  Explicit
-    ``vectorize=True`` still wins inside the block.
-    """
-    global _FORCE_LOOP_BUILDER
-    previous = _FORCE_LOOP_BUILDER
-    _FORCE_LOOP_BUILDER = True
-    try:
-        yield
-    finally:
-        _FORCE_LOOP_BUILDER = previous
-
-
 def _cap_adjacency(
     graph: BipartiteGraph,
     metric_fn: DistanceMetric,
     max_degree: int,
 ) -> None:
-    """Scalar-path degree cap, identical in semantics to the array one."""
+    """All-pairs-path degree cap, identical in semantics to the array one."""
     new_task_neighbors: List[List[int]] = []
     for task_pos, adjacency in enumerate(graph.task_neighbors):
         if len(adjacency) <= max_degree:
@@ -461,33 +433,11 @@ def build_graph_from_arrays(
 
     The columnar engine path calls this directly with its struct-of-array
     buffers (``tasks`` / ``workers`` may be lazy record views — the graph
-    only stores them); :func:`_build_vectorized` extracts the same arrays
-    from objects first.  Empty sides short-circuit to an edgeless graph.
-    Inside :func:`force_loop_builder` the graph comes from the scalar
-    loop path of :func:`build_bipartite_graph` instead.
+    only stores them); :func:`build_bipartite_graph` extracts the same
+    arrays from objects first.  Empty sides short-circuit to an edgeless
+    graph.  ``metric`` must be a named metric (see
+    :func:`~repro.spatial.geometry.resolve_batch_metric`).
     """
-    if _FORCE_LOOP_BUILDER:
-        return build_bipartite_graph(
-            tasks, workers, metric, grid, max_degree=max_degree, vectorize=False
-        )
-    return _graph_from_arrays(
-        tasks, workers, task_x, task_y, worker_x, worker_y, radii, metric, grid, max_degree
-    )
-
-
-def _graph_from_arrays(
-    tasks: Sequence[Task],
-    workers: Sequence[Worker],
-    task_x: np.ndarray,
-    task_y: np.ndarray,
-    worker_x: np.ndarray,
-    worker_y: np.ndarray,
-    radii: np.ndarray,
-    metric: Union[str, DistanceMetric],
-    grid: Grid,
-    max_degree: Optional[int],
-) -> BipartiteGraph:
-    """The vectorised builder behind :func:`build_graph_from_arrays`."""
     max_degree = checked_degree_cap(max_degree)
     num_tasks = len(tasks)
     num_workers = len(workers)
@@ -516,114 +466,82 @@ def _graph_from_arrays(
     return BipartiteGraph.from_csr(tasks, workers, csr)
 
 
-def _build_vectorized(
-    tasks: List[Task],
-    workers: List[Worker],
-    metric: Union[str, DistanceMetric],
-    grid: Grid,
-    max_degree: Optional[int],
-) -> BipartiteGraph:
-    """Array-native graph construction emitting the CSR view directly."""
-    task_x = np.fromiter((task.origin.x for task in tasks), dtype=np.float64, count=len(tasks))
-    task_y = np.fromiter((task.origin.y for task in tasks), dtype=np.float64, count=len(tasks))
-    worker_x = np.fromiter(
-        (worker.location.x for worker in workers), dtype=np.float64, count=len(workers)
-    )
-    worker_y = np.fromiter(
-        (worker.location.y for worker in workers), dtype=np.float64, count=len(workers)
-    )
-    radii = np.fromiter(
-        (worker.radius for worker in workers), dtype=np.float64, count=len(workers)
-    )
-    return _graph_from_arrays(
-        tasks,
-        workers,
-        task_x,
-        task_y,
-        worker_x,
-        worker_y,
-        radii,
-        metric,
-        grid,
-        max_degree,
-    )
-
-
 def build_bipartite_graph(
     tasks: Sequence[Task],
     workers: Sequence[Worker],
     metric: Union[str, DistanceMetric] = "euclidean",
     grid: Optional[Grid] = None,
-    use_index: bool = True,
     max_degree: Optional[int] = None,
-    vectorize: Optional[bool] = None,
 ) -> BipartiteGraph:
     """Build the range-constrained bipartite graph.
+
+    With a grid and a named metric the graph comes from the array-native
+    builder (:func:`build_graph_from_arrays`); without a grid, or with a
+    caller-supplied metric callable, from the all-pairs scan, which is
+    also the oracle the builder is tested against.  Both give the same
+    graph:
+
+    >>> from repro.spatial.geometry import Point
+    >>> tasks = [
+    ...     Task(task_id=i, period=0, origin=Point(x, y), destination=Point(x, y))
+    ...     for i, (x, y) in enumerate([(1.0, 1.0), (4.0, 4.0), (9.0, 2.0)])
+    ... ]
+    >>> workers = [
+    ...     Worker(worker_id=j, period=0, location=Point(x, y), radius=r)
+    ...     for j, (x, y, r) in enumerate([(2.0, 2.0, 4.0), (8.0, 3.0, 1.5)])
+    ... ]
+    >>> indexed = build_bipartite_graph(tasks, workers, grid=Grid.square(10.0, 3))
+    >>> scanned = build_bipartite_graph(tasks, workers, grid=None)
+    >>> indexed.csr().indptr.tolist() == scanned.csr().indptr.tolist()
+    True
+    >>> indexed.csr().indices.tolist() == scanned.csr().indices.tolist()
+    True
+    >>> indexed.task_neighbors
+    [[0], [0], [1]]
 
     Args:
         tasks: Tasks of the period (left side).
         workers: Available workers of the period (right side).
-        metric: Distance metric for the range constraint.
-        grid: Optional grid for spatial-index acceleration.  Required when
-            ``use_index`` is True and there is at least one task.
-        use_index: When True (and ``grid`` is given) tasks are bucketed by
-            grid cell and workers issue circular range queries; otherwise
-            an all-pairs scan is used.
+        metric: Distance metric for the range constraint: a name, or a
+            callable (which takes the all-pairs scan).
+        grid: Grid that buckets the tasks for the array-native builder;
+            ``None`` selects the all-pairs scan.
         max_degree: Optional cap on the number of workers kept per task —
             only the ``max_degree`` *nearest* workers survive (ties broken
             by ascending worker position).  ``None`` (the default) keeps
             every edge, so the exact matching is unaffected.
-        vectorize: ``None`` (default) picks the array-native builder
-            whenever it applies (grid given, ``use_index``, named metric);
-            ``False`` forces the scalar loop path (used by the equivalence
-            tests and the benchmark baseline); ``True`` insists on the
-            vectorised path and raises :class:`ValueError` when it cannot
-            be used.
 
     Returns:
         The :class:`BipartiteGraph` with an edge for every
         ``(task, worker)`` pair satisfying the range constraint (capped
-        per task when ``max_degree`` is given).  Both builder paths
-        produce the identical graph, which the property tests fuzz.
+        per task when ``max_degree`` is given).  Both paths produce the
+        identical graph, which the property tests fuzz.
     """
     max_degree = checked_degree_cap(max_degree)
     task_list = list(tasks)
     worker_list = list(workers)
-    vector_ok = (
-        use_index
-        and grid is not None
-        and resolve_batch_metric(metric) is not None
-        and bool(task_list)
-        and bool(worker_list)
-    )
-    if vectorize is True and not vector_ok:
-        raise ValueError(
-            "vectorize=True requires use_index, a grid, a named metric and "
-            "non-empty tasks and workers"
+    if grid is not None and resolve_batch_metric(metric) is not None:
+        return build_graph_from_arrays(
+            task_list,
+            worker_list,
+            np.fromiter((t.origin.x for t in task_list), np.float64, len(task_list)),
+            np.fromiter((t.origin.y for t in task_list), np.float64, len(task_list)),
+            np.fromiter((w.location.x for w in worker_list), np.float64, len(worker_list)),
+            np.fromiter((w.location.y for w in worker_list), np.float64, len(worker_list)),
+            np.fromiter((w.radius for w in worker_list), np.float64, len(worker_list)),
+            metric,
+            grid,
+            max_degree,
         )
-    if vector_ok and (
-        vectorize is True or (vectorize is None and not _FORCE_LOOP_BUILDER)
-    ):
-        assert grid is not None
-        return _build_vectorized(task_list, worker_list, metric, grid, max_degree)
 
     graph = BipartiteGraph(tasks=task_list, workers=worker_list)
     if not task_list or not worker_list:
         return graph
     metric_fn = resolve_metric(metric)
-
-    if use_index and grid is not None:
-        index: GridSpatialIndex[int] = GridSpatialIndex(grid, metric=metric_fn)
-        for pos, task in enumerate(graph.tasks):
-            index.insert(pos, task.origin)
-        for worker_pos, worker in enumerate(graph.workers):
-            for task_pos, _distance in index.query_circle(worker.location, worker.radius):
+    for worker_pos, worker in enumerate(graph.workers):
+        for task_pos, task in enumerate(graph.tasks):
+            if metric_fn(worker.location, task.origin) <= worker.radius:
                 graph.add_edge(task_pos, worker_pos)
-    else:
-        for worker_pos, worker in enumerate(graph.workers):
-            for task_pos, task in enumerate(graph.tasks):
-                if metric_fn(worker.location, task.origin) <= worker.radius:
-                    graph.add_edge(task_pos, worker_pos)
 
     # Keep adjacency deterministic regardless of construction order.
     for adjacency in graph.task_neighbors:
@@ -640,5 +558,4 @@ __all__ = [
     "CSRGraph",
     "build_bipartite_graph",
     "build_graph_from_arrays",
-    "force_loop_builder",
 ]

@@ -13,7 +13,7 @@ per-task detour through objects, and shareable across processes through
 :class:`WorkloadArena`).
 
 Objects do not disappear — the public ``PeriodInstance.tasks`` API and
-the scalar loop builder still speak ``Task`` — they become *lazy*:
+the all-pairs graph scan still speak ``Task`` — they become *lazy*:
 :class:`LazyTasks` / :class:`LazyWorkers` materialise (and cache) a
 record only when some consumer actually indexes it, and materialised
 records are value-identical to the ones the object pipeline would have

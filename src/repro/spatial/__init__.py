@@ -12,9 +12,9 @@ This subpackage provides:
   Manhattan, haversine for latitude/longitude data) and bounding boxes;
 * :mod:`repro.spatial.grid` — the rectangular grid partitioning with the
   bottom-left-to-top-right indexing used in the paper's running example;
-* :mod:`repro.spatial.index` — a grid-bucketed spatial index that answers
-  the circular range queries needed to build the task–worker bipartite
-  graph without an all-pairs scan.
+* :mod:`repro.spatial.index` — grid-bucketed, array-native point sets
+  that answer the batched circular range queries needed to build the
+  task–worker bipartite graph without an all-pairs scan.
 """
 
 from repro.spatial.geometry import (
@@ -26,7 +26,7 @@ from repro.spatial.geometry import (
     resolve_metric,
 )
 from repro.spatial.grid import Grid, GridCell
-from repro.spatial.index import GridBuckets, GridSpatialIndex
+from repro.spatial.index import GridBuckets
 
 __all__ = [
     "Point",
@@ -38,5 +38,4 @@ __all__ = [
     "Grid",
     "GridCell",
     "GridBuckets",
-    "GridSpatialIndex",
 ]

@@ -96,7 +96,7 @@ def euclidean_distances_batch(
     ``np.hypot`` and ``math.hypot`` both defer to the platform's C
     ``hypot``, so each element is bit-identical to the scalar metric —
     which is what lets the vectorised graph builder reproduce the
-    loop-based builder's edge set exactly at the radius boundary.
+    all-pairs scan's edge set exactly at the radius boundary.
     """
     return np.hypot(ax - bx, ay - by)
 
@@ -226,7 +226,8 @@ def resolve_batch_metric(
     """Resolve the vectorised counterpart of a named metric, if one exists.
 
     Returns ``None`` for caller-supplied metric callables (which have no
-    array form); consumers fall back to the scalar path in that case.
+    array form); :func:`repro.matching.bipartite.build_bipartite_graph`
+    then takes its all-pairs scan.
     """
     if callable(metric):
         return None
@@ -272,11 +273,6 @@ class BoundingBox:
             min(self.max_x, max(self.min_x, point.x)),
             min(self.max_y, max(self.min_y, point.y)),
         )
-
-    def intersects_circle(self, center: Point, radius: float) -> bool:
-        """Whether the disc of ``radius`` around ``center`` intersects the box."""
-        nearest = self.clamp(center)
-        return euclidean_distance(nearest, center) <= radius
 
     @classmethod
     def square(cls, side: float, origin: Point = Point(0.0, 0.0)) -> "BoundingBox":

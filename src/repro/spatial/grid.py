@@ -12,7 +12,7 @@ for internal use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,48 +214,6 @@ class Grid:
             if 0 <= row < self._rows and 0 <= col < self._cols:
                 result.append(row * self._cols + col + 1)
         return result
-
-    def cells_intersecting_circle(self, center: Point, radius: float) -> List[int]:
-        """Indices of cells whose rectangle intersects the given disc.
-
-        Used by the spatial index to restrict candidate cells when building
-        the task–worker bipartite graph under the range constraint.
-        """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        min_col = int((center.x - radius - self._region.min_x) / self._cell_width)
-        max_col = int((center.x + radius - self._region.min_x) / self._cell_width)
-        min_row = int((center.y - radius - self._region.min_y) / self._cell_height)
-        max_row = int((center.y + radius - self._region.min_y) / self._cell_height)
-        min_col = max(0, min_col)
-        min_row = max(0, min_row)
-        max_col = min(self._cols - 1, max_col)
-        max_row = min(self._rows - 1, max_row)
-        result = []
-        for row in range(min_row, max_row + 1):
-            for col in range(min_col, max_col + 1):
-                index = row * self._cols + col + 1
-                if self._cells[index - 1].box.intersects_circle(center, radius):
-                    result.append(index)
-        return result
-
-    # ------------------------------------------------------------------
-    # aggregation helpers
-    # ------------------------------------------------------------------
-    def group_by_cell(self, points: Iterable[Tuple[object, Point]]) -> Dict[int, List[object]]:
-        """Group labelled points by the cell containing them.
-
-        Args:
-            points: Iterable of ``(label, point)`` pairs.
-
-        Returns:
-            Mapping from 1-based cell index to the list of labels whose
-            point falls in that cell.  Cells without points are omitted.
-        """
-        buckets: Dict[int, List[object]] = {}
-        for label, point in points:
-            buckets.setdefault(self.locate(point), []).append(label)
-        return buckets
 
 
 class GridTiling:

@@ -7,10 +7,8 @@ distance evaluations per time period; the scalability experiment of the
 paper runs up to 500k tasks and workers, where that becomes the dominant
 cost.
 
-Three implementations share the grid-bucketing idea:
+Two structures share the grid-bucketing idea:
 
-* :class:`GridSpatialIndex` — a mutable, label-keyed index answering one
-  circular query at a time (inserts, moves, nearest-neighbour search).
 * :class:`GridBuckets` — a read-only, array-native bucketing of a point
   set that answers *batches* of circular queries with numpy broadcasting
   (candidate cells → ragged gather → one vectorised distance filter).
@@ -30,21 +28,17 @@ Three implementations share the grid-bucketing idea:
 from __future__ import annotations
 
 import math
-from typing import Dict, Generic, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.spatial.geometry import (
     DistanceMetric,
-    Point,
     coordinate_spans,
     on_globe,
     resolve_batch_metric,
-    resolve_metric,
 )
 from repro.spatial.grid import Grid
-
-T = TypeVar("T", bound=Hashable)
 
 
 class _BuilderScratch:
@@ -134,7 +128,7 @@ def _batched_circle_query(
     if batch_metric is None:
         raise ValueError(
             f"metric {metric!r} has no vectorised implementation; "
-            "use GridSpatialIndex.query_circle instead"
+            "build the graph with build_bipartite_graph(grid=None) instead"
         )
     empty = (
         np.zeros(0, dtype=np.int64),
@@ -362,8 +356,7 @@ class GridBuckets:
         if self._xs.shape != self._ys.shape or self._xs.ndim != 1:
             raise ValueError("xs and ys must be 1-D arrays of equal length")
         cells = grid.locate_many(self._xs, self._ys) - 1
-        # Stable sort keeps same-cell points in insertion order, mirroring
-        # how GridSpatialIndex buckets preserve insertion order.
+        # Stable sort keeps same-cell points in insertion order.
         self._order = np.argsort(cells, kind="stable")
         self._cell_counts = np.bincount(cells, minlength=grid.num_cells)
         self._cell_ptr = np.zeros(grid.num_cells + 1, dtype=np.int64)
@@ -734,7 +727,7 @@ class DynamicGridBuckets:
         if batch_metric is None:
             raise ValueError(
                 f"metric {metric!r} has no vectorised implementation; "
-                "use GridSpatialIndex.query_circle instead"
+                "build the graph with build_bipartite_graph(grid=None) instead"
             )
         empty = (
             np.zeros(0, dtype=np.int64),
@@ -946,147 +939,9 @@ class IncrementalAdjacencyIndex:
         return rows
 
 
-class GridSpatialIndex(Generic[T]):
-    """A spatial index over labelled points, bucketed by grid cell.
-
-    Args:
-        grid: The grid used for bucketing.  It does not need to match the
-            pricing grid, but re-using it is convenient and cache-friendly.
-        metric: Distance metric name or callable (default Euclidean).
-
-    Example:
-        >>> from repro.spatial import Grid, Point
-        >>> grid = Grid.square(100.0, 10)
-        >>> index = GridSpatialIndex(grid)
-        >>> index.insert("a", Point(10.0, 10.0))
-        >>> index.insert("b", Point(90.0, 90.0))
-        >>> sorted(label for label, _ in index.query_circle(Point(12, 12), 5.0))
-        ['a']
-    """
-
-    def __init__(self, grid: Grid, metric: Union[str, DistanceMetric] = "euclidean") -> None:
-        self._grid = grid
-        self._metric = resolve_metric(metric)
-        self._buckets: Dict[int, Dict[T, Point]] = {}
-        self._locations: Dict[T, Point] = {}
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def insert(self, label: T, point: Point) -> None:
-        """Insert a labelled point.
-
-        Raises:
-            KeyError: if ``label`` is already present (use :meth:`move`).
-        """
-        if label in self._locations:
-            raise KeyError(f"label {label!r} already indexed; use move()")
-        cell = self._grid.locate(point)
-        self._buckets.setdefault(cell, {})[label] = point
-        self._locations[label] = point
-
-    def bulk_insert(self, items: Iterable[Tuple[T, Point]]) -> None:
-        """Insert many labelled points at once."""
-        for label, point in items:
-            self.insert(label, point)
-
-    def remove(self, label: T) -> Point:
-        """Remove a labelled point and return its last location."""
-        point = self._locations.pop(label)
-        cell = self._grid.locate(point)
-        bucket = self._buckets.get(cell)
-        if bucket is not None:
-            bucket.pop(label, None)
-            if not bucket:
-                del self._buckets[cell]
-        return point
-
-    def move(self, label: T, new_point: Point) -> None:
-        """Relocate an existing labelled point (e.g. a moving worker)."""
-        self.remove(label)
-        self.insert(label, new_point)
-
-    def clear(self) -> None:
-        self._buckets.clear()
-        self._locations.clear()
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._locations)
-
-    def __contains__(self, label: T) -> bool:
-        return label in self._locations
-
-    def location_of(self, label: T) -> Point:
-        return self._locations[label]
-
-    def labels(self) -> List[T]:
-        return list(self._locations)
-
-    def query_circle(self, center: Point, radius: float) -> List[Tuple[T, float]]:
-        """Return ``(label, distance)`` pairs within ``radius`` of ``center``.
-
-        The boundary is inclusive, matching the paper's range constraint
-        "located within the circle centered at ``l_w`` with radius ``a_w``".
-        Results are sorted by distance, then by label for determinism.
-        """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        result: List[Tuple[T, float]] = []
-        for cell in self._grid.cells_intersecting_circle(center, radius):
-            bucket = self._buckets.get(cell)
-            if not bucket:
-                continue
-            for label, point in bucket.items():
-                distance = self._metric(center, point)
-                if distance <= radius:
-                    result.append((label, distance))
-        result.sort(key=lambda pair: (pair[1], str(pair[0])))
-        return result
-
-    def query_cell(self, cell_index: int) -> List[T]:
-        """Return the labels bucketed in the given grid cell."""
-        bucket = self._buckets.get(cell_index, {})
-        return list(bucket.keys())
-
-    def nearest(self, center: Point, max_radius: Optional[float] = None) -> Optional[Tuple[T, float]]:
-        """Return the closest labelled point (expanding ring search).
-
-        Args:
-            center: Query location.
-            max_radius: Optional cap on the search radius; ``None`` searches
-                the full region.
-
-        Returns:
-            ``(label, distance)`` or ``None`` when the index is empty or no
-            point lies within ``max_radius``.
-        """
-        if not self._locations:
-            return None
-        region = self._grid.region
-        limit = max_radius if max_radius is not None else (region.width + region.height)
-        radius = min(self._grid.cell_width, self._grid.cell_height)
-        while radius <= limit * 2:
-            hits = self.query_circle(center, min(radius, limit))
-            if hits:
-                return hits[0]
-            if radius >= limit:
-                break
-            radius *= 2
-        hits = self.query_circle(center, limit)
-        return hits[0] if hits else None
-
-    def counts_per_cell(self) -> Dict[int, int]:
-        """Number of indexed points in each non-empty cell."""
-        return {cell: len(bucket) for cell, bucket in self._buckets.items() if bucket}
-
-
 __all__ = [
     "DynamicGridBuckets",
     "GridBuckets",
-    "GridSpatialIndex",
     "IncrementalAdjacencyIndex",
     "cap_edges_per_center",
     "checked_degree_cap",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learning.estimator import AcceptanceEstimate, GridAcceptanceEstimator
-from repro.learning.ucb import confidence_radius, ucb_index, ucb_score
+from repro.learning.ucb import confidence_radius, first_best, ucb_index, ucb_score
 
 
 class TestConfidenceRadius:
@@ -113,11 +113,9 @@ class TestUcbIndex:
             AcceptanceEstimate(price=1.0, sample_mean=1.0, offers=100),
             AcceptanceEstimate(price=2.0, sample_mean=0.5, offers=100),
         ]
-        # Zero supply: every index is 0 -> tie.
-        price_large, _ = ucb_index(estimates, 200, 1.0, 0.0, prefer_larger_price=True)
-        price_small, _ = ucb_index(estimates, 200, 1.0, 0.0, prefer_larger_price=False)
-        assert price_large == 2.0
-        assert price_small == 1.0
+        # Zero supply: every index is 0 -> tie, won by the larger price.
+        price, _ = ucb_index(estimates, 200, 1.0, 0.0)
+        assert price == 2.0
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
@@ -132,3 +130,19 @@ class TestUcbIndex:
         price, value = ucb_index(estimator.snapshots(), estimator.total_offers, demand, supply)
         assert value <= (supply / demand) * max(estimator.candidate_prices) + 1e-9
         assert price in estimator.candidate_prices
+
+
+class TestFirstBest:
+    def test_first_strict_improvement_wins(self):
+        # Descending prices; 3.0 ties 4.0 and 1.0 is within 1e-12 of 2.0.
+        assert first_best([4.0, 3.0, 2.0, 1.0], [1.0, 1.0, 5.0, 5.0 + 1e-13]) == (2.0, 5.0)
+
+    def test_improvement_beyond_tolerance_wins(self):
+        assert first_best([2.0, 1.0], [1.0, 1.0 + 1e-9]) == (1.0, 1.0 + 1e-9)
+
+    def test_negative_values_are_not_clamped(self):
+        assert first_best([2.0, 1.0], [-3.0, -2.0]) == (1.0, -2.0)
+
+    def test_empty_scan_rejected(self):
+        with pytest.raises(ValueError):
+            first_best([], [])

@@ -59,7 +59,7 @@ class TestRangeConstraintConstruction:
     def test_brute_force_edges(self):
         tasks = [_task(1, 0, 0), _task(2, 10, 0), _task(3, 3, 4)]
         workers = [_worker(1, 0, 0, 5.0), _worker(2, 10, 1, 2.0)]
-        graph = build_bipartite_graph(tasks, workers, use_index=False)
+        graph = build_bipartite_graph(tasks, workers)
         # worker 1 reaches tasks 1 and 3; worker 2 reaches task 2 only.
         assert graph.task_neighbors[0] == [0]
         assert graph.task_neighbors[1] == [1]
@@ -68,7 +68,7 @@ class TestRangeConstraintConstruction:
     def test_boundary_is_inclusive(self):
         tasks = [_task(1, 3, 4)]
         workers = [_worker(1, 0, 0, 5.0)]
-        graph = build_bipartite_graph(tasks, workers, use_index=False)
+        graph = build_bipartite_graph(tasks, workers)
         assert graph.num_edges == 1
 
     def test_empty_inputs(self):
@@ -86,8 +86,8 @@ class TestRangeConstraintConstruction:
             _worker(j, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), float(rng.uniform(3, 25)))
             for j in range(25)
         ]
-        indexed = build_bipartite_graph(tasks, workers, grid=grid, use_index=True)
-        brute = build_bipartite_graph(tasks, workers, use_index=False)
+        indexed = build_bipartite_graph(tasks, workers, grid=grid)
+        brute = build_bipartite_graph(tasks, workers)
         assert indexed.task_neighbors == brute.task_neighbors
         assert indexed.worker_neighbors == brute.worker_neighbors
 
@@ -103,7 +103,7 @@ class TestRangeConstraintConstruction:
             _worker(j, float(rng.uniform(0, 50)), float(rng.uniform(0, 50)), float(rng.uniform(1, 20)))
             for j in range(10)
         ]
-        graph = build_bipartite_graph(tasks, workers, grid=grid, use_index=True)
+        graph = build_bipartite_graph(tasks, workers, grid=grid)
         for task_pos, worker_pos in graph.edges():
             task, worker = graph.tasks[task_pos], graph.workers[worker_pos]
             assert euclidean_distance(worker.location, task.origin) <= worker.radius + 1e-9
@@ -117,21 +117,21 @@ class TestGridViews:
             _task(2, 9, 9, grid=grid.locate(Point(9, 9))),
             _task(3, 2, 2, grid=grid.locate(Point(2, 2))),
         ]
-        graph = build_bipartite_graph(tasks, [_worker(1, 5, 5, 20)], use_index=False)
+        graph = build_bipartite_graph(tasks, [_worker(1, 5, 5, 20)])
         buckets = graph.tasks_by_grid()
         assert buckets[1] == [0, 2]
         assert buckets[4] == [1]
         assert graph.tasks_in_grid(1) == [0, 2]
 
     def test_tasks_by_grid_requires_annotation(self):
-        graph = build_bipartite_graph([_task(1, 0, 0)], [_worker(1, 0, 0, 5)], use_index=False)
+        graph = build_bipartite_graph([_task(1, 0, 0)], [_worker(1, 0, 0, 5)])
         with pytest.raises(ValueError):
             graph.tasks_by_grid()
 
     def test_subgraph_for_tasks(self):
         tasks = [_task(1, 0, 0), _task(2, 1, 0), _task(3, 2, 0)]
         workers = [_worker(1, 0, 0, 10), _worker(2, 5, 0, 1)]
-        graph = build_bipartite_graph(tasks, workers, use_index=False)
+        graph = build_bipartite_graph(tasks, workers)
         sub = graph.subgraph_for_tasks([0, 2])
         assert sub.num_tasks == 2
         assert sub.num_workers == 2
@@ -141,3 +141,15 @@ class TestGridViews:
         original = {(graph.tasks[t].task_id, w) for t, w in graph.edges()}
         for t, w in sub.edges():
             assert (sub.tasks[t].task_id, w) in original
+
+
+def test_module_doctests_pass():
+    """The builder-rule doctest (grid and ``grid=None`` give the same CSR)
+    runs in the tier-1 suite as well as in the docs job."""
+    import doctest
+
+    import repro.matching.bipartite as bipartite
+
+    result = doctest.testmod(bipartite)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -2,8 +2,8 @@
 
 The vectorised builder changes *how* the range-constrained graph is
 built, never *what* it contains: across fuzzed radii, densities, metrics
-and grids it must produce an edge-identical CSR to the loop-based
-builder, with and without the degree cap.  The lazy CSR-backed
+and grids it must produce an edge-identical CSR to the all-pairs scan
+(``grid=None``, the oracle), with and without the degree cap.  The lazy CSR-backed
 :class:`BipartiteGraph` views must in turn agree with the materialised
 adjacency lists.
 """
@@ -21,7 +21,6 @@ from repro.matching.bipartite import (
     CSRGraph,
     build_bipartite_graph,
     build_graph_from_arrays,
-    force_loop_builder,
 )
 from repro.spatial.geometry import Point
 from repro.spatial.grid import Grid
@@ -60,20 +59,18 @@ class TestBuilderEquivalence:
         metric=st.sampled_from(["euclidean", "manhattan", "haversine"]),
     )
     @settings(deadline=None)
-    def test_vectorized_csr_is_edge_identical_to_loop_builder(
+    def test_vectorized_csr_is_edge_identical_to_all_pairs_scan(
         self, seed, num_tasks, num_workers, cells, max_radius, metric
     ):
-        """The tentpole claim: identical ``indptr``/``indices`` arrays."""
+        """Identical ``indptr``/``indices`` arrays to the oracle's."""
         rng = np.random.default_rng(seed)
         side = 50.0
         grid = Grid.square(side, cells)
         tasks, workers = _entities(rng, side, num_tasks, num_workers, max_radius)
         vectorized = build_bipartite_graph(tasks, workers, metric=metric, grid=grid)
-        loop = build_bipartite_graph(
-            tasks, workers, metric=metric, grid=grid, vectorize=False
-        )
-        assert vectorized.csr().indptr.tolist() == loop.csr().indptr.tolist()
-        assert vectorized.csr().indices.tolist() == loop.csr().indices.tolist()
+        scan = build_bipartite_graph(tasks, workers, metric=metric, grid=None)
+        assert vectorized.csr().indptr.tolist() == scan.csr().indptr.tolist()
+        assert vectorized.csr().indices.tolist() == scan.csr().indices.tolist()
 
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
@@ -81,7 +78,7 @@ class TestBuilderEquivalence:
     )
     @settings(deadline=None)
     def test_degree_cap_parity_between_builders(self, seed, max_degree):
-        """Both builder paths apply the identical k-nearest capping rule."""
+        """Both paths apply the identical k-nearest capping rule."""
         rng = np.random.default_rng(seed)
         side = 30.0
         grid = Grid.square(side, 4)
@@ -89,11 +86,25 @@ class TestBuilderEquivalence:
         vectorized = build_bipartite_graph(
             tasks, workers, grid=grid, max_degree=max_degree
         )
-        loop = build_bipartite_graph(
-            tasks, workers, grid=grid, max_degree=max_degree, vectorize=False
-        )
-        assert vectorized.task_neighbors == loop.task_neighbors
-        assert vectorized.worker_neighbors == loop.worker_neighbors
+        scan = build_bipartite_graph(tasks, workers, grid=None, max_degree=max_degree)
+        assert vectorized.task_neighbors == scan.task_neighbors
+        assert vectorized.worker_neighbors == scan.worker_neighbors
+
+    def test_metric_callable_takes_the_all_pairs_scan(self):
+        """A callable has no array form, so even with a grid it is scanned."""
+        rng = np.random.default_rng(3)
+        tasks, workers = _entities(rng, 30.0, 40, 25, 12.0)
+        grid = Grid.square(30.0, 4)
+        calls = []
+
+        def metric(a, b):
+            calls.append(1)
+            return a.distance_to(b)
+
+        scanned = build_bipartite_graph(tasks, workers, metric=metric, grid=grid)
+        assert len(calls) == len(tasks) * len(workers)
+        named = build_bipartite_graph(tasks, workers, grid=grid)
+        assert scanned.task_neighbors == named.task_neighbors
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None)
@@ -173,12 +184,6 @@ class TestCSRBackedGraph:
         with pytest.raises(ValueError):
             BipartiteGraph.from_csr(graph.tasks[:1], graph.workers, graph.csr())
 
-    def test_vectorize_true_without_grid_rejected(self):
-        tasks = [Task(task_id=0, period=0, origin=Point(0, 0), destination=Point(1, 1))]
-        workers = [Worker(worker_id=0, period=0, location=Point(0, 0), radius=5.0)]
-        with pytest.raises(ValueError):
-            build_bipartite_graph(tasks, workers, vectorize=True)
-
     def test_max_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             build_bipartite_graph([], [], max_degree=0)
@@ -195,15 +200,6 @@ class TestCSRBackedGraph:
                 tasks, workers, one, one, one, one, 5.0 * one, "euclidean",
                 Grid.square(10.0, 2), max_degree=max_degree,
             )
-
-    def test_force_loop_builder_is_scoped(self):
-        tasks = [Task(task_id=0, period=0, origin=Point(1, 1), destination=Point(2, 2))]
-        workers = [Worker(worker_id=0, period=0, location=Point(1, 1), radius=5.0)]
-        grid = Grid.square(10.0, 2)
-        with force_loop_builder():
-            inside = build_bipartite_graph(tasks, workers, grid=grid)
-        outside = build_bipartite_graph(tasks, workers, grid=grid)
-        assert inside.task_neighbors == outside.task_neighbors == [[0]]
 
 
 class TestGridBuckets:

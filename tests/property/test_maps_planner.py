@@ -167,3 +167,59 @@ class TestPlannerMatchesOracle:
             base_price, 1.0, 4.0, instance, estimators, maximizer=maximizer
         )
         _assert_same_plan(second, reference)
+
+
+@st.composite
+def one_grid_markets(draw):
+    """One grid whose workers all reach all of its tasks, so the plan's
+    supply walks up one unit at a time; some estimators tie on the demand
+    side (``p S_hat(p) = 1`` at every tested rung)."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    grid = Grid(BoundingBox.square(10.0), 1, 1)
+    tasks = []
+    for pos in range(draw(st.integers(min_value=0, max_value=12))):
+        origin = Point(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
+        destination = Point(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
+        tasks.append(Task(task_id=pos, period=0, origin=origin, destination=destination))
+    workers = [
+        Worker(worker_id=pos, period=0, location=Point(5.0, 5.0), radius=20.0)
+        for pos in range(draw(st.integers(min_value=0, max_value=12)))
+    ]
+    instance = PeriodInstance.build(0, grid, tasks, workers)
+    ladder = [1.0, 2.0, 4.0]
+    estimator = GridAcceptanceEstimator(1, ladder)
+    if draw(st.booleans()):
+        for price in ladder[: draw(st.integers(min_value=0, max_value=3))]:
+            estimator.record_batch(price, 4, int(4 / price))
+    else:
+        for price in ladder:
+            offers = int(rng.integers(0, 8))
+            if offers:
+                estimator.record_batch(price, offers, int(rng.integers(0, offers + 1)))
+    return instance, estimator
+
+
+class TestInlineScanMatchesSharedScan:
+    """The planner inlines Algorithm 3's scan over its demand tables;
+    :func:`~repro.core.maximizer.calculate_maximizer` runs the shared
+    :func:`~repro.learning.ucb.first_best`.  On one grid the plan is the
+    walk of maximizer calls up the supply levels."""
+
+    @PAIRS
+    @given(case=one_grid_markets())
+    def test_one_grid_plan_is_the_maximizer_walk(self, demand_table, maximizer, case):
+        instance, estimator = case
+        planner = MAPSPlanner(2.0, 1.0, 3.0, demand_table=demand_table)
+        plan = planner.plan(instance, {1: estimator} if instance.tasks else {})
+        distances = instance.distances_in_grid(1) if instance.tasks else []
+        price, supply, approx = planner.base_price, 0, 0.0
+        for level in range(1, min(len(distances), len(instance.workers)) + 1):
+            result = maximizer(estimator, distances, level, level - 1)
+            price = min(result.price, planner.p_max)
+            if result.delta <= 1e-12:
+                break
+            supply, approx = level, approx + result.delta
+        assert plan.prices[1] == price
+        assert plan.supply[1] == supply
+        assert plan.approx_revenue == approx

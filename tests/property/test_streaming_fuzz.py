@@ -173,7 +173,7 @@ class TestDeepChainRegression:
         num_pairs = 1500
 
         def chain_graph(
-            tasks, workers, metric="euclidean", grid=None, use_index=True, **kwargs
+            tasks, workers, metric="euclidean", grid=None, **kwargs
         ):
             graph = BipartiteGraph(tasks=list(tasks), workers=list(workers))
             for pos in range(len(tasks)):

@@ -1,10 +1,11 @@
 """Regression pins for the array-native matching hot path.
 
 The acceptance bar of the hot-path work: with the degree cap off, the
-vectorised graph builder must leave every simulation result
-**bit-identical** to the pre-vectorisation path —
-across all five pricing strategies, for the matroid matcher and its
-dense scipy oracle alike.  At finite caps, the revenue loss must stay inside the
+array-native graph builder must leave every simulation result
+**bit-identical** to runs whose graphs come from the all-pairs scan
+(``build_bipartite_graph(grid=None)``, the oracle) — across all five
+pricing strategies, for the matroid matcher and its dense scipy oracle
+alike.  At finite caps, the revenue loss must stay inside the
 documented tolerance band, checked over a battery of fuzzed dense
 instances (seeded, so failures reproduce).
 """
@@ -14,16 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.gdp as gdp
+import repro.matching.bipartite as bipartite
 from repro.core.gdp import PeriodInstance
 from repro.market.entities import Task, Worker
-from repro.matching.bipartite import force_loop_builder
 from repro.matching.weighted import max_weight_matching, scipy_max_weight_matching
 from repro.pricing.registry import available_strategies, calibrated_kwargs, create_strategy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.sharded import ShardedEngine
 from repro.spatial.geometry import Point
 from repro.spatial.grid import Grid
-from repro.spatial.index import GridSpatialIndex
 
 
 def _metrics_tuple(result):
@@ -64,65 +65,93 @@ class TestVectorizedPathBitIdentity:
             for name in available_strategies()
         ]
 
+    @pytest.fixture
+    def route_through_all_pairs(self, monkeypatch):
+        """Calling the fixture's value routes every later graph build,
+        from task objects or from task columns, through the all-pairs scan
+        (``grid=None``); it returns the task-row count of each build."""
+
+        def route():
+            rows = []
+            scan = bipartite.build_bipartite_graph
+
+            def scan_objects(tasks, workers, metric="euclidean", grid=None, max_degree=None):
+                rows.append(len(tasks))
+                return scan(tasks, workers, metric, None, max_degree=max_degree)
+
+            def scan_columns(
+                tasks, workers, task_x, task_y, worker_x, worker_y, radii, metric, grid,
+                max_degree=None,
+            ):
+                return scan_objects(tasks, workers, metric, grid, max_degree)
+
+            monkeypatch.setattr(bipartite, "build_graph_from_arrays", scan_columns)
+            monkeypatch.setattr(gdp, "build_bipartite_graph", scan_objects)
+            return rows
+
+        return route
+
     def test_all_strategies_identical_across_builders(
-        self, tiny_workload, strategy_specs
+        self, tiny_workload, strategy_specs, route_through_all_pairs
     ):
         """Whole-horizon runs coincide for every shipped strategy."""
+        engine = SimulationEngine(tiny_workload, seed=3, keep_details=True)
+        vectorized = {
+            name: engine.run(create_strategy(name, **kwargs))
+            for name, kwargs in strategy_specs
+        }
+        rows = route_through_all_pairs()
         for name, kwargs in strategy_specs:
-            engine = SimulationEngine(tiny_workload, seed=3, keep_details=True)
-            vectorized = engine.run(create_strategy(name, **kwargs))
-            with force_loop_builder():
-                loop = engine.run(create_strategy(name, **kwargs))
-            assert _metrics_tuple(vectorized) == _metrics_tuple(loop), name
-            assert _outcome_tuples(vectorized) == _outcome_tuples(loop), name
+            rows.clear()
+            oracle = engine.run(create_strategy(name, **kwargs))
+            assert _metrics_tuple(vectorized[name]) == _metrics_tuple(oracle), name
+            assert _outcome_tuples(vectorized[name]) == _outcome_tuples(oracle), name
+            # The scan really served the period loop's builds.
+            assert sum(rows) > 0, name
 
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_loop_builder_flag_reaches_the_period_loop(
-        self, tiny_workload, monkeypatch, num_shards
+    @pytest.mark.parametrize("num_shards, halo", [(1, 0), (4, 0), (4, 1)])
+    def test_sharded_runs_identical_across_builders(
+        self, tiny_workload, route_through_all_pairs, num_shards, halo
     ):
-        """The period loop builds its graphs from columns, over the
-        accepted tasks' rows; the flag must still route those builds
-        through the scalar loop builder (with real task records), or the
-        comparison above would run the vectorised builder twice."""
-        inserts = []
-        original = GridSpatialIndex.insert
+        """Shards build their graphs from column slices; the scan must
+        serve those builds too and leave the run unchanged."""
+        engine = ShardedEngine(
+            tiny_workload, num_shards=num_shards, halo=halo, seed=3, keep_details=True
+        )
+        vectorized = engine.run(create_strategy("BaseP", base_price=2.0))
+        rows = route_through_all_pairs()
+        oracle = engine.run(create_strategy("BaseP", base_price=2.0))
+        assert sum(rows) > 0
+        if not halo:
+            # Without the halo pass, graphs cover accepted tasks only.
+            assert sum(rows) <= oracle.metrics.accepted_tasks
+            assert oracle.metrics.accepted_tasks < tiny_workload.total_tasks
+        assert _metrics_tuple(vectorized) == _metrics_tuple(oracle)
+        assert _outcome_tuples(vectorized) == _outcome_tuples(oracle)
 
-        def counting_insert(index, item, point):
-            inserts.append(item)
-            return original(index, item, point)
-
-        monkeypatch.setattr(GridSpatialIndex, "insert", counting_insert)
-        engine = ShardedEngine(tiny_workload, num_shards=num_shards, halo=0, seed=3)
-        engine.run(create_strategy("BaseP", base_price=2.0))
-        assert not inserts
-        with force_loop_builder():
-            result = engine.run(create_strategy("BaseP", base_price=2.0))
-        # Every accepted task of a period with workers enters the loop
-        # builder's spatial index (shards without workers short-circuit);
-        # rejected tasks get no row.
-        assert 0 < len(inserts) <= result.metrics.accepted_tasks
-        assert result.metrics.accepted_tasks < tiny_workload.total_tasks
-
-    def test_all_backends_identical_pairs_across_builders(self, tiny_workload):
+    def test_all_backends_identical_pairs_across_builders(
+        self, tiny_workload, route_through_all_pairs
+    ):
         """Per-period matchings (pairs, not just weight) coincide."""
-        tasks = tiny_workload.tasks_by_period[0]
-        workers = tiny_workload.workers_by_period[0]
-        build = lambda: PeriodInstance.build(
-            period=0,
+        periods = range(len(tiny_workload.tasks_by_period))
+        build = lambda period: PeriodInstance.build(
+            period=period,
             grid=tiny_workload.grid,
-            tasks=tasks,
-            workers=workers,
+            tasks=tiny_workload.tasks_by_period[period],
+            workers=tiny_workload.workers_by_period[period],
             metric=tiny_workload.metric,
         )
-        vectorized = build()
-        with force_loop_builder():
-            loop = build()
-        weights = vectorized.ensure_arrays().distances * 2.0
-        for solve in (max_weight_matching, scipy_max_weight_matching):
-            matching_v, total_v = solve(vectorized.graph, weights)
-            matching_l, total_l = solve(loop.graph, weights)
-            assert matching_v == matching_l, solve.__name__
-            assert total_v == total_l, solve.__name__
+        vectorized = [build(period) for period in periods]
+        rows = route_through_all_pairs()
+        oracle = [build(period) for period in periods]
+        assert rows == [len(instance.tasks) for instance in oracle]
+        for fast, scan in zip(vectorized, oracle):
+            weights = fast.ensure_arrays().distances * 2.0
+            for solve in (max_weight_matching, scipy_max_weight_matching):
+                matching_v, total_v = solve(fast.graph, weights)
+                matching_o, total_o = solve(scan.graph, weights)
+                assert matching_v == matching_o, (fast.period, solve.__name__)
+                assert total_v == total_o, (fast.period, solve.__name__)
 
 
 class TestDegreeCapToleranceGate:

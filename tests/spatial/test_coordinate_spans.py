@@ -270,11 +270,9 @@ class TestAllPairsIdentity:
 
     @given(case=lonlat_cases())
     @settings(deadline=None, max_examples=100)
-    def test_vectorised_builder_matches_the_scalar_loop_builder(self, case):
+    def test_vectorised_builder_matches_the_all_pairs_scan(self, case):
         """The graph builder (tasks bucketed, workers query) against the
-        scalar all-pairs loop.  The scalar indexed loop sizes its cells as
-        +-radius coordinate units, which misses in-range pairs near a pole
-        or the seam, so it is no oracle on these boxes."""
+        all-pairs scan (``grid=None``)."""
         grid, px, py, _, qx, qy, qr = case
         tasks = [
             Task(task_id=i, period=0, origin=Point(x, y), destination=Point(x, y))
@@ -285,8 +283,6 @@ class TestAllPairsIdentity:
             for i, (x, y, r) in enumerate(zip(qx.tolist(), qy.tolist(), qr.tolist()))
         ]
         vectorised = build_bipartite_graph(tasks, workers, "haversine", grid)
-        loop = build_bipartite_graph(
-            tasks, workers, "haversine", grid, use_index=False, vectorize=False
-        )
-        assert vectorised.task_neighbors == loop.task_neighbors
-        assert vectorised.worker_neighbors == loop.worker_neighbors
+        scan = build_bipartite_graph(tasks, workers, "haversine", grid=None)
+        assert vectorised.task_neighbors == scan.task_neighbors
+        assert vectorised.worker_neighbors == scan.worker_neighbors

@@ -112,12 +112,6 @@ class TestBoundingBox:
         assert box.clamp(Point(15.0, 12.0)) == Point(10.0, 10.0)
         assert box.clamp(Point(3.0, 3.0)) == Point(3.0, 3.0)
 
-    def test_intersects_circle(self):
-        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        assert box.intersects_circle(Point(0.5, 0.5), 0.1)
-        assert box.intersects_circle(Point(2.0, 0.5), 1.0)
-        assert not box.intersects_circle(Point(3.0, 3.0), 1.0)
-
     def test_square_constructor(self):
         box = BoundingBox.square(100.0)
         assert box.width == 100.0

@@ -118,44 +118,6 @@ class TestNeighbors:
         assert sorted(grid.neighbors(5, diagonal=True)) == [1, 2, 3, 4, 6, 7, 8, 9]
 
 
-class TestCircleIntersection:
-    def test_small_circle_hits_one_cell(self):
-        grid = Grid.square(100.0, 10)
-        cells = grid.cells_intersecting_circle(Point(5.0, 5.0), 1.0)
-        assert cells == [1]
-
-    def test_large_circle_hits_all_cells(self):
-        grid = Grid.square(100.0, 4)
-        cells = grid.cells_intersecting_circle(Point(50.0, 50.0), 200.0)
-        assert len(cells) == 16
-
-    def test_negative_radius_rejected(self):
-        grid = Grid.square(100.0, 4)
-        with pytest.raises(ValueError):
-            grid.cells_intersecting_circle(Point(0, 0), -1.0)
-
-    @given(
-        st.floats(min_value=0, max_value=100),
-        st.floats(min_value=0, max_value=100),
-        st.floats(min_value=0.5, max_value=40.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_cell_of_center_always_included(self, x, y, radius):
-        grid = Grid.square(100.0, 8)
-        cells = grid.cells_intersecting_circle(Point(x, y), radius)
-        assert grid.locate(Point(x, y)) in cells
-
-
-class TestGroupByCell:
-    def test_grouping(self):
-        grid = Grid.square(10.0, 2)
-        points = [("a", Point(1, 1)), ("b", Point(9, 9)), ("c", Point(1, 2))]
-        buckets = grid.group_by_cell(points)
-        assert buckets[1] == ["a", "c"]
-        assert buckets[4] == ["b"]
-        assert 2 not in buckets
-
-
 class TestGridTiling:
     def test_single_shard_covers_everything(self):
         from repro.spatial.grid import GridTiling

@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="CONFIG",
-        help="[matching] hot-path configurations (e.g. loop vectorized "
-        "capped-16 loop+capped-8); [runtime] data-plane "
+        help="[matching] hot-path configurations (e.g. vectorized "
+        "capped-16 capped-8); [runtime] data-plane "
         "configurations (pr4-baseline columnar)",
     )
     parser.add_argument(
