@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.learning.estimator import AcceptanceEstimate, GridAcceptanceEstimator
 from repro.learning.ucb import first_best, ucb_score
 
@@ -176,21 +174,27 @@ def exploitation_maximizer(
 def ucb_demand_table(estimator: GridAcceptanceEstimator) -> DemandTable:
     """Algorithm 3's demand side ``p S_hat(p) + c(p)``, descending.
 
-    The table form of :func:`calculate_maximizer`, from the cached
-    :meth:`~repro.learning.estimator.GridAcceptanceEstimator.snapshot_table`.
+    The table form of :func:`calculate_maximizer`, in one plain-Python
+    pass over :attr:`~repro.learning.estimator.GridAcceptanceEstimator.ladder`
+    (a ladder has a few rungs, too few to repay array overhead).
     """
-    ladder, means, offers, total = estimator.snapshot_table()
-    if total == 0:
-        # No offers anywhere: zero radius, and untested prices score
-        # p * 0 = 0 on the demand side.
-        demand_side = ladder * means
-    else:
-        ln_total = math.log(total)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radius = ladder * np.sqrt(2.0 * ln_total / offers)
-        radius[offers == 0.0] = math.inf
-        demand_side = ladder * means + radius
-    return ladder[::-1].tolist(), demand_side[::-1].tolist()
+    ladder = estimator.ladder
+    total = sum([stats.offers for stats in ladder])
+    # No offers anywhere: zero radius, and untested prices score
+    # p * 0 = 0 on the demand side.  Otherwise an untested price's
+    # radius is infinite.
+    two_ln_total = 2.0 * math.log(total) if total else 0.0
+    prices: List[float] = []
+    values: List[float] = []
+    for stats in reversed(ladder):
+        price = stats.price
+        value = price * stats.sample_mean
+        if total:
+            offers = stats.offers
+            value += price * math.sqrt(two_ln_total / offers) if offers else math.inf
+        prices.append(price)
+        values.append(value)
+    return prices, values
 
 
 def exploitation_demand_table(estimator: GridAcceptanceEstimator) -> DemandTable:
@@ -198,8 +202,11 @@ def exploitation_demand_table(estimator: GridAcceptanceEstimator) -> DemandTable
 
     The table form of :func:`exploitation_maximizer`.
     """
-    ladder, means, _, _ = estimator.snapshot_table()
-    return ladder[::-1].tolist(), (ladder * means)[::-1].tolist()
+    ladder = estimator.ladder[::-1]
+    return (
+        [stats.price for stats in ladder],
+        [stats.price * stats.sample_mean for stats in ladder],
+    )
 
 
 __all__ = [

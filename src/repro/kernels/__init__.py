@@ -4,20 +4,20 @@ Once the data plane is columnar (see ``docs/performance.md``) a handful
 of inner loops dominate the single-core profile, and each lives here as
 one function with one implementation:
 
-* :func:`repro.kernels.augmenting.augmenting_path` — the insert-only
-  augmenting-path search over CSR, run by the matroid greedy
+* :func:`repro.kernels.augmenting.augmenting_path` — the augmenting-path
+  search over task rows, run by the matroid greedy
   (:func:`repro.kernels.augmenting.matroid_augment`, the batch matcher
-  :func:`repro.matching.weighted.max_weight_matching`) and by MAPS's
-  pre-matching (:class:`repro.matching.incremental.IncrementalMatcher`);
+  :func:`repro.matching.weighted.max_weight_matching`), by MAPS's
+  pre-matching (:class:`repro.matching.incremental.IncrementalMatcher`)
+  and by the live plane's dynamic matcher
+  (:class:`repro.matching.incremental.LazyDynamicMatcher`);
 * :func:`repro.kernels.halo.halo_task_candidates` /
   :func:`repro.kernels.halo.halo_residual_workers` — the sharded
   engine's halo-reconciliation scans;
 * :func:`repro.kernels.dynamic.dynamic_augment` /
   :func:`repro.kernels.dynamic.dynamic_reach` — the delete/repair loops
   of :class:`repro.matching.incremental.DynamicMatcher`, the universe
-  matcher a degree-capped dynamic engine or session runs (uncapped ones
-  run the live plane's
-  :class:`~repro.matching.incremental.LazyDynamicMatcher`).
+  matcher a degree-capped dynamic engine or session runs.
 
 Every one is pure index selection: weight validation, ordering and the
 float accumulation stay in the callers.

@@ -1,27 +1,36 @@
-"""Augmenting-path search shared by the batch matcher and the pre-matching.
+"""The one augmenting-path search, shared by every matcher over task rows.
 
-:func:`augmenting_path` is the one augmenting-path DFS of the insert-only
-matchers: :func:`matroid_augment`, the inner loop of the exact
-matroid-greedy matcher
-(:func:`repro.matching.weighted.max_weight_matching`), runs it once per
-task in weight order, and
+:func:`augmenting_path` is the augmenting-path DFS of three callers:
+:func:`matroid_augment`, the inner loop of the exact matroid-greedy
+matcher (:func:`repro.matching.weighted.max_weight_matching`), runs it
+once per task in weight order;
 :class:`~repro.matching.incremental.IncrementalMatcher`, MAPS's
-pre-matching, runs it for its probe-then-commit grid queries.  The
+pre-matching, runs it for its probe-then-commit grid queries; and
+:class:`~repro.matching.incremental.LazyDynamicMatcher`, the live
+plane's dynamic matcher, runs it for every insert and repair.  The
 callers keep everything float-bearing — weight validation, ordering and
-the total accumulation.
+the total accumulation — and decide what a failed search means.
 
-The search is the stamp-visited augmenting-path DFS with saturation
-pruning.  One ``mark`` list holds both kinds of skip: a worker visited
-by the current search carries its stamp, a saturated ("dead") worker
+One ``mark`` list holds every kind of skip: a worker visited by the
+current search carries its stamp, a worker no search may enter
 :data:`DEAD`, a sentinel above every stamp, so the per-entry test is
-``mark[w] >= stamp``.  Each DFS level keeps an iterator over its task's
-row, which resumes exactly where that level left off.  Rows are scanned
-in ascending worker order, the same workers are skipped and the
-saturation rule is unchanged, so the search visits workers in the order
-of the classic recursive DFS and ``match_task`` is identical element for
-element (``tests/matching/test_matroid_kernel.py`` and
-``tests/matching/test_prematching_search.py`` pin both callers to oracle
-copies of their earlier searches).
+``mark[w] >= stamp``.  The dynamic matcher marks its departed workers
+dead, and reads a failed search's visited workers as the circuit it
+evicts from.  The insert-only callers instead mark those workers dead
+(saturation pruning): they lie in a frozen alternating component — all
+matched, their owners' neighbourhoods inside the component — so while
+the matching only grows no later path can succeed (or usefully pass)
+through them, which turns the classic ``O(|R| * |E|)`` worst case into
+near-``O(|E|)`` amortised on saturated instances without changing any
+result.
+
+Each DFS level keeps an iterator over its task's row, which resumes
+exactly where that level left off, so the search visits workers in the
+order of the classic recursive DFS
+(``tests/matching/test_matroid_kernel.py``,
+``tests/matching/test_prematching_search.py`` and
+``tests/matching/test_lazy_search.py`` pin the callers to oracle copies
+of their earlier searches).
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ def augmenting_path(
     mark: List[int],
     stamp: int,
     start: int,
+    touched: List[int],
 ) -> Optional[Tuple[List[int], int]]:
     """Search an augmenting path from the unmatched task ``start``.
 
@@ -56,21 +66,15 @@ def augmenting_path(
     iterator per level, so workers are visited in the same order and the
     same path is found.  Does not change the matching.
 
-    Saturation pruning: when a search fails, every worker it visited lies
-    in a frozen alternating component — all of them are matched and their
-    owners' neighbourhoods stay inside the component — so no later
-    augmenting path can succeed (or even usefully pass) through them as
-    long as the matching only grows.  They are marked :data:`DEAD`, which
-    turns the classic ``O(|R| * |E|)`` worst case into near-``O(|E|)``
-    amortised on saturated instances without changing any result.
-
     Args:
         rows: Per-task neighbour lists (:func:`csr_rows`).
         match_worker: Task matched to each worker, or :data:`UNMATCHED`.
         mark: Per-worker stamp of the last search that visited it, or
-            :data:`DEAD`; updated in place.
+            :data:`DEAD`; visited workers get ``stamp``.
         stamp: This search's stamp, larger than every earlier one.
         start: Task position to augment from.
+        touched: Caller-owned list; every worker the search visits is
+            appended to it, in visit order.
 
     Returns:
         ``(tasks, worker)`` — the path's tasks from ``start`` down and the
@@ -81,7 +85,6 @@ def augmenting_path(
     """
     tasks = [start]
     iters = [iter(rows[start])]
-    touched: List[int] = []
     while iters:
         for worker_pos in iters[-1]:
             if mark[worker_pos] >= stamp:
@@ -97,8 +100,6 @@ def augmenting_path(
         else:
             tasks.pop()
             iters.pop()
-    for worker_pos in touched:
-        mark[worker_pos] = DEAD
     return None
 
 
@@ -141,8 +142,12 @@ def matroid_augment(
     stamp = 0
     for start in order:
         stamp += 1
-        found = augmenting_path(rows, match_worker, mark, stamp, start)
-        if found is not None:
+        touched: List[int] = []
+        found = augmenting_path(rows, match_worker, mark, stamp, start, touched)
+        if found is None:
+            for worker_pos in touched:
+                mark[worker_pos] = DEAD
+        else:
             # flip_path, inlined: most searches here succeed, and a call
             # per augmentation is a measurable share of the batch match.
             tasks, worker_pos = found

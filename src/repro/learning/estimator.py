@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass
 class PriceStats:
@@ -82,14 +80,11 @@ class GridAcceptanceEstimator:
         self._stats: Dict[float, PriceStats] = {
             float(price): PriceStats(price=float(price)) for price in candidate_prices
         }
-        # The ladder is fixed at construction; cache it sorted once so the
-        # batched snapshot below never re-sorts dict keys.
+        # The ladder is fixed at construction; cache it sorted once so
+        # ``ladder`` never re-sorts dict keys.
         self._ladder: List[PriceStats] = [
             self._stats[price] for price in sorted(self._stats)
         ]
-        self._version = 0
-        self._table_version = -1
-        self._table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = None
 
     # ------------------------------------------------------------------
     # recording
@@ -97,21 +92,17 @@ class GridAcceptanceEstimator:
     def record(self, price: float, accepted: bool, count: int = 1) -> None:
         """Record an accept/reject observation at a ladder price."""
         self._stats_for(price).record(accepted, count)
-        self._version += 1
 
     def record_batch(self, price: float, offers: int, acceptances: int) -> None:
         self._stats_for(price).record_batch(offers, acceptances)
-        self._version += 1
 
     def reset_price(self, price: float) -> None:
         """Forget the history of one price (after a detected demand change)."""
         self._stats_for(price).reset()
-        self._version += 1
 
     def reset_all(self) -> None:
         for stats in self._stats.values():
             stats.reset()
-        self._version += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -143,33 +134,14 @@ class GridAcceptanceEstimator:
         """Snapshots for every ladder price, in increasing price order."""
         return [self.snapshot(price) for price in self.candidate_prices]
 
-    def snapshot_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Batched snapshot ``(prices, sample_means, offers, N)``, ascending.
+    @property
+    def ladder(self) -> Sequence[PriceStats]:
+        """The live per-price records, in increasing price order.
 
-        The array view MAPS's demand tables read: one call per grid per
-        planning round replaces one :class:`AcceptanceEstimate` list per
-        maximizer invocation.  Cached until the next recorded
-        observation (the estimator tracks a version counter), so repeated
-        planning against unchanged statistics is free.  Sample means are
-        computed exactly as :attr:`PriceStats.sample_mean` does.
+        The read MAPS's demand tables make once per grid per planning
+        round; callers must not mutate the records.
         """
-        if self._table is None or self._table_version != self._version:
-            count = len(self._ladder)
-            prices = np.fromiter(
-                (stats.price for stats in self._ladder), dtype=np.float64, count=count
-            )
-            offers = np.fromiter(
-                (stats.offers for stats in self._ladder), dtype=np.float64, count=count
-            )
-            means = np.fromiter(
-                (stats.sample_mean for stats in self._ladder),
-                dtype=np.float64,
-                count=count,
-            )
-            total = int(offers.sum())
-            self._table = (prices, means, offers, total)
-            self._table_version = self._version
-        return self._table
+        return self._ladder
 
     def best_revenue_price(self) -> Tuple[float, float]:
         """``argmax_p p * S_hat(p)`` with ties broken towards smaller prices.

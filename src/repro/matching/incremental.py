@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.kernels.augmenting import augmenting_path, csr_rows, flip_path
+from repro.kernels.augmenting import DEAD, augmenting_path, csr_rows, flip_path
 from repro.kernels.dynamic import dynamic_augment, dynamic_reach
 from repro.matching.bipartite import BipartiteGraph
 from repro.matching.maximum_matching import UNMATCHED
@@ -210,9 +210,14 @@ class IncrementalMatcher:
     def _search(self, start_task: int) -> Optional[Tuple[List[int], int]]:
         """One augmenting-path search from ``start_task`` under a new stamp."""
         self._stamp += 1
-        return augmenting_path(
-            self._rows, self._match_worker, self._mark, self._stamp, start_task
+        touched: List[int] = []
+        found = augmenting_path(
+            self._rows, self._match_worker, self._mark, self._stamp, start_task, touched
         )
+        if found is None:
+            for worker_pos in touched:  # saturation pruning
+                self._mark[worker_pos] = DEAD
+        return found
 
     def _flip(self, found: Tuple[List[int], int]) -> None:
         flip_path(self._match_task, self._match_worker, *found)
@@ -694,8 +699,16 @@ class LazyDynamicMatcher:
     appended for arriving workers (pass ``task_row`` to
     :meth:`new_worker`).
 
+    The augmenting search is the batch matcher's
+    (:func:`repro.kernels.augmenting.augmenting_path`); a failed
+    search's visited workers are the circuit :meth:`new_task` evicts
+    from.  Departed workers and ineligible tasks carry the
+    :data:`~repro.kernels.augmenting.DEAD` sentinel in their visit-stamp
+    slots, so both searches skip them with the same ``>= stamp`` test
+    that skips an entry visited by the current search.
+
     State lives in plain Python lists (markedly faster to index than
-    ndarray scalars in the interpreted DFS/BFS): one worker row per task
+    ndarray scalars in the interpreted searches): one worker row per task
     and one task row per worker.
     """
 
@@ -774,12 +787,19 @@ class LazyDynamicMatcher:
         return total
 
     def is_valid_matching(self) -> bool:
-        """Check mutual consistency, liveness and edge feasibility.
+        """Check mutual consistency, liveness, edges and sentinels.
 
         Every matched task must be eligible (hence live), its worker
         live, matched back to it and on the task's row; no worker may
-        claim a task that does not claim it back.
+        claim a task that does not claim it back.  Exactly the departed
+        workers and the ineligible tasks carry the search sentinel.
         """
+        for live, mark in zip(self._worker_live, self._visited):
+            if (mark == DEAD) == bool(live):
+                return False
+        for eligible, mark in zip(self._task_eligible, self._task_visited):
+            if (mark == DEAD) == bool(eligible):
+                return False
         pairs = self.matching()
         owners = sum(1 for task_id in self._match_worker if task_id != UNMATCHED)
         if not len(pairs) == owners == self._num_matched:
@@ -800,69 +820,32 @@ class LazyDynamicMatcher:
         """Augment from ``start``; ``None`` on success (path applied), else
         the visited workers in visit order."""
         self._stamp += 1
-        stamp = self._stamp
-        # Inlined DFS over list rows, in the visit order of the universe
-        # matcher's kernel (per-op wrapper dispatch costs more than the DFS).
-        rows = self._rows
-        match_task = self._match_task
-        match_worker = self._match_worker
-        worker_live = self._worker_live
-        visited = self._visited
-        tasks_stack = [start]
-        iters = [0]
-        chosen = [UNMATCHED]
-        visited_seq: List[int] = []
-        while tasks_stack:
-            depth = len(tasks_stack) - 1
-            row = rows[tasks_stack[depth]]
-            pointer = iters[depth]
-            end = len(row)
-            descended = False
-            while pointer < end:
-                worker_id = row[pointer]
-                pointer += 1
-                if not worker_live[worker_id] or visited[worker_id] == stamp:
-                    continue
-                visited[worker_id] = stamp
-                visited_seq.append(worker_id)
-                iters[depth] = pointer
-                chosen[depth] = worker_id
-                owner = match_worker[worker_id]
-                if owner == UNMATCHED:
-                    for level in range(depth + 1):
-                        task_id = tasks_stack[level]
-                        match_task[task_id] = chosen[level]
-                        match_worker[chosen[level]] = task_id
-                    return None
-                tasks_stack.append(owner)
-                iters.append(0)
-                chosen.append(UNMATCHED)
-                descended = True
-                break
-            if not descended:
-                tasks_stack.pop()
-                iters.pop()
-                chosen.pop()
-        return visited_seq
+        touched: List[int] = []
+        found = augmenting_path(
+            self._rows, self._match_worker, self._visited, self._stamp, start, touched
+        )
+        if found is None:
+            return touched
+        flip_path(self._match_task, self._match_worker, *found)
+        return None
 
     def _reach(self, worker_id: int) -> List[int]:
-        """Unmatched eligible tasks alternating-reachable from ``worker_id``."""
+        """Unmatched eligible tasks alternating-reachable from ``worker_id``.
+
+        ``worker_id`` is free, so no task leads back to it: only the
+        matched workers the search enters are stamped.
+        """
         self._stamp += 1
         stamp = self._stamp
         wrows = self._wrows
         match_task = self._match_task
-        task_eligible = self._task_eligible
         task_visited = self._task_visited
         worker_visited = self._visited
         queue = [worker_id]
-        worker_visited[worker_id] = stamp
-        head = 0
         out: List[int] = []
-        while head < len(queue):
-            current = queue[head]
-            head += 1
+        for current in queue:
             for task_id in wrows[current]:
-                if not task_eligible[task_id] or task_visited[task_id] == stamp:
+                if task_visited[task_id] >= stamp:
                     continue
                 task_visited[task_id] = stamp
                 matched = match_task[task_id]
@@ -876,27 +859,28 @@ class LazyDynamicMatcher:
     # ------------------------------------------------------------------
     # repair internals
     # ------------------------------------------------------------------
-    def _priority_key(self, task_id: int) -> Tuple[float, int]:
-        return (-float(self._weights[task_id]), task_id)
+    # Priority is weight descending, then id ascending; both repairs
+    # compare it inline.
 
     def _match_or_evict(self, task_id: int) -> bool:
-        visited_seq = self._try_augment(task_id)
-        if visited_seq is None:
+        circuit = self._try_augment(task_id)
+        if circuit is None:
             self._num_matched += 1
             return True
         match_task = self._match_task
         match_worker = self._match_worker
+        weights = self._weights
         evict = task_id
-        evict_key = self._priority_key(task_id)
-        for worker_id in visited_seq:
-            owner = int(match_worker[worker_id])
-            key = self._priority_key(owner)
-            if key > evict_key:
+        evict_weight = weights[task_id]
+        for worker_id in circuit:
+            owner = match_worker[worker_id]
+            weight = weights[owner]
+            if weight < evict_weight or (weight == evict_weight and owner > evict):
                 evict = owner
-                evict_key = key
+                evict_weight = weight
         if evict == task_id:
             return False
-        freed = int(match_task[evict])
+        freed = match_task[evict]
         match_task[evict] = UNMATCHED
         match_worker[freed] = UNMATCHED
         if self._try_augment(task_id) is not None:
@@ -910,13 +894,14 @@ class LazyDynamicMatcher:
         candidates = self._reach(worker_id)
         if not candidates:
             return None
+        weights = self._weights
         best = candidates[0]
-        best_key = self._priority_key(best)
-        for task_id in candidates[1:]:
-            key = self._priority_key(task_id)
-            if key < best_key:
+        best_weight = weights[best]
+        for task_id in candidates:
+            weight = weights[task_id]
+            if weight > best_weight or (weight == best_weight and task_id < best):
                 best = task_id
-                best_key = key
+                best_weight = weight
         if self._try_augment(best) is not None:
             raise RuntimeError(
                 "lazy dynamic matcher invariant violated: task "
@@ -986,9 +971,10 @@ class LazyDynamicMatcher:
         self._task_live.append(1)
         self._task_eligible.append(0)
         self._match_task.append(UNMATCHED)
-        self._task_visited.append(0)
         if value <= 0.0:
+            self._task_visited.append(DEAD)
             return task_id, False
+        self._task_visited.append(0)
         self._task_eligible[task_id] = 1
         wrows = self._wrows
         for worker_id in row:
@@ -1017,6 +1003,7 @@ class LazyDynamicMatcher:
             raise ValueError(f"task id {task_id} is not live")
         self._task_live[task_id] = 0
         self._task_eligible[task_id] = 0
+        self._task_visited[task_id] = DEAD
         worker_id = int(self._match_task[task_id])
         if worker_id == UNMATCHED:
             return None
@@ -1035,6 +1022,7 @@ class LazyDynamicMatcher:
         if not self._worker_live[worker_id]:
             raise ValueError(f"worker id {worker_id} is not live")
         self._worker_live[worker_id] = 0
+        self._visited[worker_id] = DEAD
         task_id = int(self._match_worker[worker_id])
         if task_id == UNMATCHED:
             return True
@@ -1054,7 +1042,9 @@ class LazyDynamicMatcher:
             raise ValueError(f"task id {task_id} is not live and matched")
         self._task_live[task_id] = 0
         self._task_eligible[task_id] = 0
+        self._task_visited[task_id] = DEAD
         self._worker_live[worker_id] = 0
+        self._visited[worker_id] = DEAD
         self._match_task[task_id] = UNMATCHED
         self._match_worker[worker_id] = UNMATCHED
         self._num_matched -= 1
