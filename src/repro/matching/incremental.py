@@ -705,7 +705,9 @@ class LazyDynamicMatcher:
     from.  Departed workers and ineligible tasks carry the
     :data:`~repro.kernels.augmenting.DEAD` sentinel in their visit-stamp
     slots, so both searches skip them with the same ``>= stamp`` test
-    that skips an entry visited by the current search.
+    that skips an entry visited by the current search.  The sentinel is
+    the one record of a worker's liveness and of a task's eligibility
+    (live with a positive weight).
 
     State lives in plain Python lists (markedly faster to index than
     ndarray scalars in the interpreted searches): one worker row per task
@@ -718,10 +720,8 @@ class LazyDynamicMatcher:
         self._weights: List[float] = []
         self._rows: List[List[int]] = []
         self._task_live = bytearray()
-        self._task_eligible = bytearray()
         self._match_task: List[int] = []
         self._match_worker: List[int] = []
-        self._worker_live = bytearray()
         self._visited: List[int] = []
         self._task_visited: List[int] = []
         self._wrows: List[List[int]] = []
@@ -747,7 +747,7 @@ class LazyDynamicMatcher:
         return bool(self._task_live[task_id])
 
     def is_worker_live(self, worker_id: int) -> bool:
-        return bool(self._worker_live[worker_id])
+        return self._visited[worker_id] != DEAD
 
     def weight_of(self, task_id: int) -> float:
         return float(self._weights[task_id])
@@ -791,21 +791,18 @@ class LazyDynamicMatcher:
 
         Every matched task must be eligible (hence live), its worker
         live, matched back to it and on the task's row; no worker may
-        claim a task that does not claim it back.  Exactly the departed
-        workers and the ineligible tasks carry the search sentinel.
+        claim a task that does not claim it back.  Exactly the tasks no
+        longer live or of non-positive weight carry the search sentinel.
         """
-        for live, mark in zip(self._worker_live, self._visited):
-            if (mark == DEAD) == bool(live):
-                return False
-        for eligible, mark in zip(self._task_eligible, self._task_visited):
-            if (mark == DEAD) == bool(eligible):
+        for live, weight, mark in zip(self._task_live, self._weights, self._task_visited):
+            if (mark == DEAD) == bool(live and weight > 0.0):
                 return False
         pairs = self.matching()
         owners = sum(1 for task_id in self._match_worker if task_id != UNMATCHED)
         if not len(pairs) == owners == self._num_matched:
             return False
         for task_id, worker_id in pairs.items():
-            if not self._task_eligible[task_id] or not self.is_worker_live(worker_id):
+            if self._task_visited[task_id] == DEAD or not self.is_worker_live(worker_id):
                 return False
             if self.task_of(worker_id) != task_id:
                 return False
@@ -931,7 +928,6 @@ class LazyDynamicMatcher:
         """
         worker_id = len(self._match_worker)
         self._match_worker.append(UNMATCHED)
-        self._worker_live.append(1)
         self._visited.append(0)
         self._wrows.append([])
         if not task_row:
@@ -969,23 +965,21 @@ class LazyDynamicMatcher:
         self._weights.append(value)
         self._rows.append(list(row))
         self._task_live.append(1)
-        self._task_eligible.append(0)
         self._match_task.append(UNMATCHED)
         if value <= 0.0:
             self._task_visited.append(DEAD)
             return task_id, False
         self._task_visited.append(0)
-        self._task_eligible[task_id] = 1
         wrows = self._wrows
         for worker_id in row:
             wrows[worker_id].append(task_id)
         if greedy:
             match_task = self._match_task
             match_worker = self._match_worker
-            worker_live = self._worker_live
+            visited = self._visited
             for worker_id in row:
                 candidate = int(worker_id)
-                if worker_live[candidate] and int(match_worker[candidate]) == UNMATCHED:
+                if visited[candidate] != DEAD and int(match_worker[candidate]) == UNMATCHED:
                     match_task[task_id] = candidate
                     match_worker[candidate] = task_id
                     self._num_matched += 1
@@ -1002,7 +996,6 @@ class LazyDynamicMatcher:
         if not self._task_live[task_id]:
             raise ValueError(f"task id {task_id} is not live")
         self._task_live[task_id] = 0
-        self._task_eligible[task_id] = 0
         self._task_visited[task_id] = DEAD
         worker_id = int(self._match_task[task_id])
         if worker_id == UNMATCHED:
@@ -1019,9 +1012,8 @@ class LazyDynamicMatcher:
             Whether the orphan (if any) was re-matched; ``True`` for free
             workers.
         """
-        if not self._worker_live[worker_id]:
+        if self._visited[worker_id] == DEAD:
             raise ValueError(f"worker id {worker_id} is not live")
-        self._worker_live[worker_id] = 0
         self._visited[worker_id] = DEAD
         task_id = int(self._match_worker[worker_id])
         if task_id == UNMATCHED:
@@ -1041,9 +1033,7 @@ class LazyDynamicMatcher:
         if not self._task_live[task_id] or worker_id == UNMATCHED:
             raise ValueError(f"task id {task_id} is not live and matched")
         self._task_live[task_id] = 0
-        self._task_eligible[task_id] = 0
         self._task_visited[task_id] = DEAD
-        self._worker_live[worker_id] = 0
         self._visited[worker_id] = DEAD
         self._match_task[task_id] = UNMATCHED
         self._match_worker[worker_id] = UNMATCHED

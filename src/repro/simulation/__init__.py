@@ -50,7 +50,7 @@ from repro.simulation.taxi import BeijingTaxiGenerator
 from repro.simulation.oracle import SimulatedProbeOracle
 from repro.simulation.engine import SimulationEngine, SimulationResult, PeriodOutcome
 from repro.simulation.sharded import ShardedEngine
-from repro.simulation.pipeline import DecideResult, PeriodPipeline, PeriodResult
+from repro.simulation.pipeline import DecideResult, PeriodPipeline
 from repro.simulation.metrics import MetricsCollector, StrategyMetrics
 from repro.simulation.streaming import (
     ArrivalStream,
@@ -80,7 +80,6 @@ __all__ = [
     "ShardedEngine",
     "PeriodOutcome",
     "PeriodPipeline",
-    "PeriodResult",
     "DecideResult",
     "MetricsCollector",
     "StrategyMetrics",

@@ -20,14 +20,16 @@ driven by :class:`PeriodPipeline`:
   in the same pass, not by rebuilding per-task objects) and hand it to
   the strategy.
 
-Each stage is independently callable, which is what the equivalence tests
-and ``benchmarks/test_bench_pipeline.py`` rely on.
+The batch period loop (:class:`~repro.simulation.sharded.ShardedEngine`)
+and the dynamic dispatch session call the stages one by one; each stage
+is independently callable, which is what the equivalence tests and
+``benchmarks/test_bench_pipeline.py`` rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -35,11 +37,10 @@ from repro.core.gdp import PeriodInstance
 from repro.market.acceptance import PerGridAcceptance
 from repro.matching.weighted import max_weight_matching
 from repro.pricing.strategy import PriceFeedbackBatch, PricingStrategy
-from repro.simulation.metrics import MetricsCollector
 
 
-# eq=False on both result holders: ndarray fields would make the generated
-# __eq__ raise; results are identity-compared.
+# eq=False: ndarray fields would make the generated __eq__ raise; results
+# are identity-compared.
 @dataclass(frozen=True, eq=False)
 class DecideResult:
     """Output of the decide stage.
@@ -56,26 +57,6 @@ class DecideResult:
     def accepted_positions(self) -> np.ndarray:
         """Positions of accepted tasks, ascending."""
         return np.flatnonzero(self.accepted)
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodResult:
-    """Everything one pipeline pass produces for a period."""
-
-    instance: PeriodInstance
-    grid_prices: Dict[int, float]
-    decision: DecideResult
-    matching: Dict[int, int]
-    revenue: float
-    batch: PriceFeedbackBatch
-
-    @property
-    def accepted_tasks(self) -> int:
-        return int(self.decision.accepted.sum())
-
-    @property
-    def served_tasks(self) -> int:
-        return len(self.matching)
 
 
 class PeriodPipeline:
@@ -182,52 +163,8 @@ class PeriodPipeline:
             served=served,
         )
 
-    # ------------------------------------------------------------------
-    # composition
-    # ------------------------------------------------------------------
-    def run_period(
-        self,
-        strategy: PricingStrategy,
-        instance: PeriodInstance,
-        rng: np.random.Generator,
-        collector: Optional[MetricsCollector] = None,
-    ) -> PeriodResult:
-        """Run all four stages for one period.
-
-        Timing attribution matches the seed engine: quoting and feedback
-        learning count as pricing time, the realized matching as matching
-        time; the decide stage gets its own timer.
-
-        Args:
-            strategy: The pricing strategy to quote with.
-            instance: The period's instance.
-            rng: Accept/reject randomness (consumed only by decide).
-            collector: Metrics sink; a throwaway one is created if absent.
-        """
-        if collector is None:
-            collector = MetricsCollector(strategy.name)
-        with collector.time_pricing():
-            grid_prices = self.quote(strategy, instance)
-        with collector.time_decide():
-            decision = self.decide(instance, grid_prices, rng)
-        with collector.time_matching():
-            matching, revenue = self.match(instance, decision)
-        with collector.time_decide():
-            batch = self.feedback(instance, decision, matching)
-        with collector.time_pricing():
-            strategy.observe_feedback_batch(batch)
-        return PeriodResult(
-            instance=instance,
-            grid_prices=dict(grid_prices),
-            decision=decision,
-            matching=matching,
-            revenue=revenue,
-            batch=batch,
-        )
-
 
 __all__ = [
     "PeriodPipeline",
-    "PeriodResult",
     "DecideResult",
 ]

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, List, Optional, Type
 
 import numpy as np
 
@@ -921,20 +921,6 @@ class CityScaleScenario(Scenario):
         """Unroll the chunks into timestamped arrivals, staying lazy."""
         chunked = self.chunked(scale=scale, seed=seed, **params)
 
-        def _events() -> Iterator[ArrivalEvent]:
-            for period, (tasks, workers) in enumerate(chunked.iter_periods()):
-                count = len(workers) + len(tasks)
-                if not count:
-                    continue
-                step = 1.0 / count
-                offset = 0
-                for worker in workers:
-                    yield WorkerArrival(time=period + offset * step, worker=worker)
-                    offset += 1
-                for task in tasks:
-                    yield TaskArrival(time=period + offset * step, task=task)
-                    offset += 1
-
         def _demand_grids() -> List[int]:
             # Columnar pass: cells come straight off the generated
             # arrays, so the scan never materialises task objects.
@@ -943,16 +929,7 @@ class CityScaleScenario(Scenario):
                 seen.update(int(cell) for cell in np.unique(task_cols.cells))
             return sorted(seen)
 
-        return ArrivalStream(
-            grid=chunked.grid,
-            acceptance=chunked.acceptance,
-            events=_events,
-            metric=chunked.metric,
-            price_bounds=chunked.price_bounds,
-            description=chunked.description,
-            horizon=float(chunked.num_periods),
-            demand_grids=_demand_grids,
-        )
+        return replace(workload_to_stream(chunked), demand_grids=_demand_grids)
 
 
 __all__ = [

@@ -24,16 +24,22 @@ monotone matching over the whole stream instead of re-solving a global
 (whole-horizon) problem: commitment is enforced by the worker pool
 (dispatched workers leave it forever, freezing their pairs for every
 later window), and each window matches only its own accepted tasks over
-the free frontier, with the same matroid-greedy matcher the batch engine
-uses (:meth:`~repro.simulation.pipeline.PeriodPipeline.match`).
+the free frontier.  That is the batch period loop with windows for
+periods, and :class:`StreamingEngine` runs exactly that loop (the
+one-shard :class:`~repro.simulation.sharded.ShardedEngine`) over the
+stream's windows.
 
-**Equivalence guarantee.**  For a stream binned at the batch period length
-(``window=1.0`` with events ordered as the batch lists, e.g. via
-:func:`workload_to_stream`), the engine reproduces the batch engine's
-revenue / served / accepted metrics *bit-identically* for fixed seeds: the
-RNG stream, the per-window instances, the worker-pool evolution and the
-matching all coincide.  ``tests/simulation/test_streaming.py`` asserts
-this across all five pricing strategies.
+**One binning rule.**  A worker arriving in window ``k`` stays in the
+pool at every later window start ``j * window`` with ``j * window <
+period + duration`` (:func:`_windows_available`), and
+:func:`stream_to_workload` bins by the same windows and rule, so the
+window engine equals the batch engine over the binned stream bit for
+bit at any window length.  For a stream of a batch workload
+(:func:`workload_to_stream`) at ``window=1.0`` the bins are the
+workload's own periods: the engine reproduces the batch engine's
+revenue / served / accepted metrics *bit-identically* for fixed seeds.
+``tests/simulation/test_streaming.py`` asserts both across all five
+pricing strategies.
 
 **Dynamic dispatch: one session core, two drivers.**  Where
 :class:`StreamingEngine` matches or loses a task in its own window, the
@@ -76,11 +82,13 @@ from repro.market.entities import Task, Worker
 from repro.matching.incremental import DynamicMatcher, LazyDynamicMatcher
 from repro.matching.weighted import eligible_order
 from repro.pricing.strategy import PricingStrategy
-from repro.simulation.config import WorkloadBundle
+from repro.simulation.arena import NO_DURATION, TaskColumns, WorkerColumns
+from repro.simulation.config import ChunkedWorkload, WorkloadBundle
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.oracle import calibrate_base_price_for_context
 from repro.simulation.pipeline import DecideResult, PeriodPipeline
 from repro.simulation.results import PeriodOutcome, SimulationResult
+from repro.simulation.sharded import ShardedEngine
 from repro.spatial.grid import Grid
 from repro.spatial.index import IncrementalAdjacencyIndex
 from repro.utils.rng import derive_seed
@@ -248,20 +256,22 @@ def window_index(time: float, length: float) -> int:
     return index
 
 
-def workload_to_stream(workload: WorkloadBundle) -> ArrivalStream:
-    """Unroll a pre-materialised workload into an arrival stream.
+def workload_to_stream(
+    workload: Union[WorkloadBundle, ChunkedWorkload],
+) -> ArrivalStream:
+    """Unroll a period-chunked workload into an arrival stream.
 
     Within each period the period's workers arrive first, then its tasks,
     at evenly spaced timestamps inside ``[p, p + 1)`` that preserve the
     batch lists' order — so binning the stream back at ``window=1.0``
     reproduces the batch engine's per-period lists exactly, while
-    non-integer windows still see genuinely spread arrivals.
+    non-integer windows still see genuinely spread arrivals.  A
+    :class:`ChunkedWorkload` stays lazy; its stream carries no
+    ``demand_grids`` (finding them takes a pass over the horizon).
     """
 
     def _events() -> Iterator[ArrivalEvent]:
-        for period in range(workload.num_periods):
-            workers = workload.workers_by_period[period]
-            tasks = workload.tasks_by_period[period]
+        for period, (tasks, workers) in enumerate(workload.iter_periods()):
             count = len(workers) + len(tasks)
             if not count:
                 continue
@@ -284,8 +294,87 @@ def workload_to_stream(workload: WorkloadBundle) -> ArrivalStream:
         horizon=float(workload.num_periods),
         # The scan the batch engine calibrates, so both calibrations see
         # the identical grid set.
-        demand_grids=workload.demand_grids,
+        demand_grids=(
+            workload.demand_grids if isinstance(workload, WorkloadBundle) else None
+        ),
     )
+
+
+def _windows(
+    stream: ArrivalStream, length: float
+) -> Iterator[Tuple[int, List[Task], List[Worker]]]:
+    """Group the event stream into ``(window_index, tasks, workers)``.
+
+    Window ``k`` holds the events at ``k * length <= time < (k + 1) *
+    length`` (:func:`window_index`), in stream order.  Windows without
+    any event are skipped.
+    """
+    current_index: Optional[int] = None
+    tasks: List[Task] = []
+    workers: List[Worker] = []
+    for event in _validated_events(stream):
+        index = window_index(event.time, length)
+        if current_index is not None and index != current_index:
+            yield current_index, tasks, workers
+            tasks, workers = [], []
+        current_index = index
+        if isinstance(event, TaskArrival):
+            tasks.append(event.task)
+        else:
+            workers.append(event.worker)
+    if current_index is not None:
+        yield current_index, tasks, workers
+
+
+def _windows_available(worker: Worker, window: int, length: float) -> Optional[int]:
+    """How many window starts, from its arrival window on, find ``worker``.
+
+    The one worker-expiry rule of windowed dispatch: a worker arriving in
+    window ``window`` is in the pool at every window start ``k * length``
+    (``k >= window``) with ``k * length < worker.period +
+    worker.duration`` — :meth:`~repro.market.entities.Worker.available_in`
+    read on the continuous axis and checked once per window, at its
+    start.  So a worker whose availability ends mid-window can still be
+    committed to a task arriving later in that window; the event-at-a-time
+    path (:class:`DispatchSession`) settles departures at event time
+    instead (``docs/service.md``).  At ``length == 1.0`` the count is the
+    worker's ``duration`` whenever it arrives in its own period.
+
+    Returns:
+        The count (``0``: gone before its own window starts), or ``None``
+        for a worker available until matched.
+    """
+    if worker.duration is None:
+        return None
+    end = worker.period + worker.duration
+    # ``window_index`` puts ``end`` in ``[k * length, (k + 1) * length)``,
+    # so window ``k`` starts before ``end`` unless it starts exactly there.
+    first_closed = window_index(end, length)
+    if first_closed * length < end:
+        first_closed += 1
+    return max(0, first_closed - window)
+
+
+def _binned_windows(
+    stream: ArrivalStream, length: float
+) -> Iterator[Tuple[int, List[Task], List[Worker], List[Optional[int]]]]:
+    """:func:`_windows` with each worker's availability counted in windows.
+
+    Yields ``(window_index, tasks, workers, durations)``: ``durations[i]``
+    is :func:`_windows_available` of ``workers[i]``, and workers available
+    at no window start are dropped.  The one grouping both
+    :class:`StreamingEngine` and :func:`stream_to_workload` read, so the
+    window engine is the batch loop over the binned workload.
+    """
+    for index, tasks, workers in _windows(stream, length):
+        kept: List[Worker] = []
+        durations: List[Optional[int]] = []
+        for worker in workers:
+            duration = _windows_available(worker, index, length)
+            if duration != 0:
+                kept.append(worker)
+                durations.append(duration)
+        yield index, tasks, kept, durations
 
 
 def stream_to_workload(
@@ -295,35 +384,32 @@ def stream_to_workload(
 
     Events landing in ``[k * period_length, (k + 1) * period_length)`` form
     period ``k``; entities are re-labelled with their bin so the bundle
-    validates.  Worker ``duration`` is carried in *stream* period units, so
-    for ``period_length != 1`` it is rescaled to ``ceil(duration /
-    period_length)`` bins — the availability wall-time is preserved up to
-    one bin of rounding (exact at the default ``period_length=1.0``).
-    This is how natively streaming scenarios (e.g. ``hotspot_burst``)
-    expose a batch workload.
+    validates.  A worker's ``duration`` becomes the number of bins whose
+    start it is available at (:func:`_windows_available`), and a worker
+    available at none is dropped — the rule :class:`StreamingEngine`
+    dispatches by, so ``StreamingEngine(stream, window=L)`` and the batch
+    engine over ``stream_to_workload(stream, L)`` agree bit for bit.  At
+    the default ``period_length=1.0`` durations are unchanged.  This is
+    how natively streaming scenarios (e.g. ``hotspot_burst``) expose a
+    batch workload.
     """
     if period_length <= 0:
         raise ValueError("period_length must be positive")
     tasks_by_period: Dict[int, List[Task]] = {}
     workers_by_period: Dict[int, List[Worker]] = {}
-    max_bin = -1
-    for event in _validated_events(stream):
-        bin_index = window_index(event.time, period_length)
-        max_bin = max(max_bin, bin_index)
-        if isinstance(event, TaskArrival):
-            task = event.task
-            if task.period != bin_index:
-                task = replace(task, period=bin_index)
-            tasks_by_period.setdefault(bin_index, []).append(task)
-        else:
-            worker = event.worker
-            duration = worker.duration
-            if duration is not None and period_length != 1.0:
-                duration = max(1, int(math.ceil(duration / period_length)))
-            if worker.period != bin_index or duration != worker.duration:
-                worker = replace(worker, period=bin_index, duration=duration)
-            workers_by_period.setdefault(bin_index, []).append(worker)
-    num_periods = max_bin + 1
+    num_periods = 0
+    for index, tasks, workers, durations in _binned_windows(stream, period_length):
+        tasks_by_period[index] = [
+            task if task.period == index else replace(task, period=index)
+            for task in tasks
+        ]
+        workers_by_period[index] = [
+            worker
+            if worker.period == index and worker.duration == duration
+            else replace(worker, period=index, duration=duration)
+            for worker, duration in zip(workers, durations)
+        ]
+        num_periods = index + 1
     if stream.horizon is not None:
         num_periods = max(num_periods, int(math.ceil(stream.horizon / period_length)))
     if num_periods <= 0:
@@ -387,8 +473,66 @@ def build_universe(
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
+class _WindowColumns:
+    """A stream's windows as a columnar workload of the batch period loop.
+
+    Window ``k`` is period ``k``: the tasks and workers that arrived in it
+    (:func:`_binned_windows`), as :class:`~repro.simulation.arena.TaskColumns`
+    / :class:`~repro.simulation.arena.WorkerColumns` whose periods read
+    ``k`` and whose worker durations count windows.  Windows without
+    events are fed empty; :attr:`event_windows` lists the others, in
+    order, once a pass is done.  Reading the columns reads the stream, so
+    a one-shot stream backs one pass, and the horizon is known only at its
+    end — why this is not a :class:`ChunkedWorkload`, which states
+    ``num_periods`` up front.
+    """
+
+    def __init__(self, stream: ArrivalStream, window: float) -> None:
+        self.stream = stream
+        self.window = window
+        self.grid = stream.grid
+        self.acceptance = stream.acceptance
+        self.metric = stream.metric
+        self.price_bounds = stream.price_bounds
+        self.description = stream.description
+        self.event_windows: List[int] = []
+
+    def validate(self) -> None:
+        """Nothing to check before the stream is read."""
+
+    def iter_period_columns(self) -> Iterator[Tuple[TaskColumns, WorkerColumns]]:
+        empty = (TaskColumns.from_tasks([]), WorkerColumns.from_workers([]))
+        self.event_windows = []
+        next_period = 0
+        for index, tasks, workers, durations in _binned_windows(
+            self.stream, self.window
+        ):
+            for _ in range(next_period, index):
+                yield empty
+            next_period = index + 1
+            self.event_windows.append(index)
+            worker_cols = WorkerColumns.from_workers(workers)
+            yield (
+                replace(TaskColumns.from_tasks(tasks, self.grid), period=index),
+                replace(
+                    worker_cols,
+                    periods=np.full(len(workers), index, dtype=np.int64),
+                    durations=np.array(
+                        [NO_DURATION if d is None else d for d in durations],
+                        dtype=np.int64,
+                    ),
+                ),
+            )
+
+
 class StreamingEngine:
     """Dispatches an arrival stream in fixed-length windows.
+
+    :meth:`run` is the one-shard
+    :class:`~repro.simulation.sharded.ShardedEngine` fed window ``k`` as
+    period ``k`` (:class:`_WindowColumns`), so
+    ``StreamingEngine(stream, window=L)`` equals the batch engine over
+    ``stream_to_workload(stream, L)`` bit for bit.
 
     Args:
         stream: The arrival stream (events plus market context).
@@ -399,15 +543,15 @@ class StreamingEngine:
         window: Dispatch window length in period units.  ``1.0`` (default)
             reproduces the paper's one-minute batching.
         track_memory: Enable peak-memory tracking in the metrics.
-        keep_details: Store a :class:`PeriodOutcome` per dispatched window
-            (``period`` holds the window index).  Unlike the batch engine,
-            which emits an empty outcome for every period of its fixed
-            horizon, the streaming engine cannot see event-less windows
-            (there is no horizon, only events), so those are absent from
-            ``outcomes`` — join batch and streaming outcome lists on their
-            ``period`` field, not by position.  The *metrics* are
-            unaffected: both engines record metric rows only for
-            task-bearing periods/windows.
+        keep_details: Store a :class:`PeriodOutcome` per window holding
+            an event (``period`` holds the window index).  Unlike the
+            batch engine, which emits an empty outcome for every period
+            of its fixed horizon, the streaming engine reports no
+            event-less window (there is no horizon, only events), so
+            those are absent from ``outcomes`` — join batch and streaming
+            outcome lists on their ``period`` field, not by position.
+            The *metrics* are unaffected: both engines record metric rows
+            only for task-bearing periods/windows.
         max_degree: Optional per-task adjacency cap (nearest workers
             only) for the window instances; ``None`` keeps exact graphs.
 
@@ -430,58 +574,6 @@ class StreamingEngine:
         self.track_memory = bool(track_memory)
         self.keep_details = bool(keep_details)
         self.max_degree = None if max_degree is None else int(max_degree)
-
-    # ------------------------------------------------------------------
-    # window formation
-    # ------------------------------------------------------------------
-    def _windows(self) -> Iterator[Tuple[int, List[Task], List[Worker]]]:
-        """Group the event stream into ``(window_index, tasks, workers)``.
-
-        Windows without any event are skipped: worker-pool expiry is a
-        monotone filter, so applying it lazily at the next dispatched
-        window leaves the pool identical.
-        """
-        current_index: Optional[int] = None
-        tasks: List[Task] = []
-        workers: List[Worker] = []
-        for event in _validated_events(self.stream):
-            index = window_index(event.time, self.window)
-            if current_index is not None and index != current_index:
-                yield current_index, tasks, workers
-                tasks, workers = [], []
-            current_index = index
-            if isinstance(event, TaskArrival):
-                tasks.append(event.task)
-            else:
-                workers.append(event.worker)
-        if current_index is not None:
-            yield current_index, tasks, workers
-
-    @staticmethod
-    def _worker_active(worker: Worker, time: float) -> bool:
-        """Whether the worker's availability covers period-time ``time``.
-
-        Mirrors :meth:`repro.market.entities.Worker.available_in` on the
-        continuous axis: a worker arriving at period ``p`` with duration
-        ``d`` is active while ``time < p + d`` (forever when ``d`` is
-        ``None``).  Evaluated at window *start*, which coincides with the
-        batch engine's per-period check when ``window == 1.0``.
-
-        **Pinned window-mode semantics.**  Because the check runs once
-        per window at its start, a worker whose availability expires
-        *mid-window* can still be committed to a task arriving later in
-        the same window — the batch approximation treats the whole window
-        as one instant.  This is deliberate (changing it would break the
-        bit-identical batch equivalence at ``window == 1.0``) and is
-        pinned by a regression test; the event-at-a-time path
-        (:class:`DispatchSession` / :class:`EventStreamingEngine` and the
-        ``repro.service`` front end) settles departures at *event* time
-        instead, so there the same worker is gone before the quote.  See
-        ``docs/service.md`` for the divergence write-up.
-        """
-        if worker.duration is None:
-            return True
-        return time < worker.period + worker.duration
 
     # ------------------------------------------------------------------
     # calibration
@@ -523,87 +615,26 @@ class StreamingEngine:
     def run(self, strategy: PricingStrategy) -> SimulationResult:
         """Dispatch the full stream with one pricing strategy.
 
-        Window loop (same stage order and timing attribution as the batch
-        engine): new workers join the pool, expired workers leave, the
-        window's tasks and the free pool form a :class:`PeriodInstance`
-        (``period`` = window index), the pipeline quotes and realises
-        accept/reject decisions, the accepted tasks augment the committed
-        matching, and matched workers leave the pool for good.
+        One pass of the one-shard batch loop over the windows: new
+        workers join the pool, expired workers leave, the window's tasks
+        are quoted, decided and matched against the free pool, and
+        matched workers leave the pool for good, so the committed
+        matching only grows.
         """
-        strategy.reset()
-        collector = MetricsCollector(strategy.name, track_memory=self.track_memory)
-        collector.start()
-        rng = np.random.default_rng(derive_seed(self.seed, "acceptance", strategy.name))
-        pipeline = PeriodPipeline(
-            price_bounds=self.stream.price_bounds,
-            acceptance=self.stream.acceptance,
-        )
-
-        outcomes: List[PeriodOutcome] = []
-        pool: List[Worker] = []
-
-        for window_index, tasks, arriving_workers in self._windows():
-            window_start = window_index * self.window
-            pool.extend(arriving_workers)
-            pool = [worker for worker in pool if self._worker_active(worker, window_start)]
-            if not tasks:
-                if self.keep_details:
-                    outcomes.append(
-                        PeriodOutcome(
-                            period=window_index,
-                            num_tasks=0,
-                            num_workers=len(pool),
-                            prices={},
-                            accepted_tasks=0,
-                            served_tasks=0,
-                            revenue=0.0,
-                        )
-                    )
-                continue
-
-            instance = PeriodInstance.build(
-                period=window_index,
-                grid=self.stream.grid,
-                tasks=tasks,
-                workers=pool,
-                metric=self.stream.metric,
-                max_degree=self.max_degree,
-            )
-
-            result = pipeline.run_period(strategy, instance, rng, collector)
-
-            # Dispatched workers leave the pool forever: the committed
-            # matching only ever grows across windows.
-            matched_worker_positions = set(result.matching.values())
-            pool = [
-                worker
-                for worker_pos, worker in enumerate(instance.workers)
-                if worker_pos not in matched_worker_positions
+        windows = _WindowColumns(self.stream, self.window)
+        result = ShardedEngine(
+            windows,
+            seed=self.seed,
+            track_memory=self.track_memory,
+            keep_details=self.keep_details,
+            max_degree=self.max_degree,
+        ).run(strategy)
+        if self.keep_details:
+            event_windows = set(windows.event_windows)
+            result.outcomes = [
+                outcome for outcome in result.outcomes if outcome.period in event_windows
             ]
-
-            collector.record_period(
-                revenue=result.revenue,
-                served_tasks=result.served_tasks,
-                accepted_tasks=result.accepted_tasks,
-                total_tasks=len(tasks),
-            )
-            if self.keep_details:
-                outcomes.append(
-                    PeriodOutcome(
-                        period=window_index,
-                        num_tasks=len(tasks),
-                        num_workers=len(instance.workers),
-                        prices=result.grid_prices,
-                        accepted_tasks=result.accepted_tasks,
-                        served_tasks=result.served_tasks,
-                        revenue=result.revenue,
-                    )
-                )
-
-        metrics = collector.finish()
-        return SimulationResult(
-            metrics=metrics, outcomes=outcomes, description=self.stream.description
-        )
+        return result
 
     def run_many(self, strategies: Sequence[PricingStrategy]) -> Dict[str, SimulationResult]:
         """Run several strategies over the same stream (same randomness).
@@ -1001,7 +1032,7 @@ class DynamicStreamingEngine(StreamingEngine):
         outcomes: List[PeriodOutcome] = []
         next_task = 0
         next_worker = 0
-        for widx, tasks, workers in self._windows():
+        for widx, tasks, workers in _windows(self.stream, self.window):
             outcome = session.on_window(
                 widx,
                 widx * self.window,

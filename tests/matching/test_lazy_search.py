@@ -8,7 +8,9 @@ slots.  ``_EarlierSearches`` below is the matcher as it was before: its
 own index-pointer DFS (``_try_augment``), which tests liveness and the
 visit stamp separately, its index-loop BFS (``_reach``), which tests
 eligibility and the stamp separately, and the eviction and absorb scans
-that compared ``_priority_key`` tuples, all kept verbatim.
+that compared ``_priority_key`` tuples, all kept verbatim.  The matcher
+no longer stores liveness flags beside the sentinel, so the earlier
+searches derive them from it on entry.
 
 A hypothesis state machine drives one matcher of each kind through the
 same random ``new_task`` / ``new_worker`` / ``remove_task`` /
@@ -32,6 +34,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.kernels.augmenting import DEAD
 from repro.matching.incremental import LazyDynamicMatcher
 from repro.matching.maximum_matching import UNMATCHED
 
@@ -50,8 +53,9 @@ class _EarlierSearches(LazyDynamicMatcher):
         rows = self._rows
         match_task = self._match_task
         match_worker = self._match_worker
-        worker_live = self._worker_live
         visited = self._visited
+        # Liveness is the sentinel now; derive the earlier flag array.
+        worker_live = [mark != DEAD for mark in visited]
         tasks_stack = [start]
         iters = [0]
         chosen = [UNMATCHED]
@@ -94,8 +98,8 @@ class _EarlierSearches(LazyDynamicMatcher):
         stamp = self._stamp
         wrows = self._wrows
         match_task = self._match_task
-        task_eligible = self._task_eligible
         task_visited = self._task_visited
+        task_eligible = [mark != DEAD for mark in task_visited]
         worker_visited = self._visited
         queue = [worker_id]
         worker_visited[worker_id] = stamp

@@ -172,9 +172,7 @@ class TestDeepChainRegression:
 
         num_pairs = 1500
 
-        def chain_graph(
-            tasks, workers, metric="euclidean", grid=None, **kwargs
-        ):
+        def chain_graph(tasks, workers, *columns):
             graph = BipartiteGraph(tasks=list(tasks), workers=list(workers))
             for pos in range(len(tasks)):
                 if pos + 1 < len(workers):
@@ -183,9 +181,10 @@ class TestDeepChainRegression:
             return graph
 
         # The chain topology is what matters, not the geometry: pin the
-        # graph builder so the window's edge set is exactly the chain.
+        # columnar graph builder so the window's edge set is exactly the
+        # chain.
         monkeypatch.setattr(
-            "repro.core.gdp.build_bipartite_graph", chain_graph
+            "repro.matching.bipartite.build_graph_from_arrays", chain_graph
         )
         stream = ArrivalStream(
             grid=Grid(BoundingBox.square(1.0), 1, 1),

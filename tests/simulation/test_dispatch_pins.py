@@ -1,4 +1,4 @@
-"""Golden pins of the two dynamic dispatch drivers.
+"""Golden pins of the window engine and the two dynamic dispatch drivers.
 
 ``DynamicStreamingEngine`` (windowed) and ``EventStreamingEngine``
 (event at a time) both drive one :class:`DispatchSession`.  The service
@@ -9,6 +9,12 @@ there.  These pins fix every other strategy across window lengths, the
 degree cap and both resolve modes: committed revenue ``repr``, served
 and accepted counts, a digest of the ``keep_details`` outcomes and, for
 the event replay, a digest of the commit log.
+
+``StreamingEngine`` (match or lose each task in its own window) runs the
+one-shard batch loop over its windows.  Its pins cover all five
+strategies at windows 0.5, 1.0 and 2.0, capped and uncapped: revenue
+``repr``, served and accepted counts, the outcomes digest and the result
+description.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ STREAMS = {
 }
 TASK_LIFETIME = 3.0
 WINDOWED_STRATEGIES = ("MAPS", "SDR", "SDE", "CappedUCB")
+STREAMING_STRATEGIES = ("BaseP", "MAPS", "SDR", "SDE", "CappedUCB")
 EVENT_STRATEGIES = ("BaseP", "SDR", "SDE", "CappedUCB")
 
 
@@ -94,6 +101,26 @@ def windowed_case(scenario, strategy, window, cap, resolve):
     )
 
 
+def streaming_case(scenario, strategy, window, cap):
+    stream, calibration = _stream_and_calibration(scenario)
+    engine = StreamingEngine(
+        stream,
+        seed=STREAMS[scenario][1],
+        window=window,
+        max_degree=cap,
+        keep_details=True,
+    )
+    result = engine.run(_strategy(strategy, calibration, stream))
+    metrics = result.metrics
+    return (
+        repr(metrics.total_revenue),
+        metrics.served_tasks,
+        metrics.accepted_tasks,
+        _outcomes_digest(result.outcomes),
+        result.description,
+    )
+
+
 def event_case(scenario, strategy, cap):
     stream, calibration = _stream_and_calibration(scenario)
     engine = EventStreamingEngine(
@@ -124,6 +151,13 @@ WINDOWED_CASES = [
     (scenario, strategy, 1.0, cap, "rewindow")
     for scenario in STREAMS
     for strategy in WINDOWED_STRATEGIES
+    for cap in (None, 2)
+]
+STREAMING_CASES = [
+    (scenario, strategy, window, cap)
+    for scenario in STREAMS
+    for strategy in STREAMING_STRATEGIES
+    for window in (0.5, 1.0, 2.0)
     for cap in (None, 2)
 ]
 EVENT_CASES = [
@@ -201,6 +235,71 @@ WINDOWED_PINS = {
     ('hotspot_burst', 'CappedUCB', 1.0, None, 'rewindow'): ('5221.972437288918', 31, 103, '5fc2709aa7eebee3'),
     ('hotspot_burst', 'CappedUCB', 1.0, 2, 'rewindow'): ('3272.9448109575346', 19, 103, '6c17a6dbbfc0ab4d'),
 }
+#: Recorded from the window engine while it still ran its own object
+#: period loop; the one-shard batch loop over its windows must reproduce
+#: them bit for bit.
+STREAMING_PINS = {
+    ('churn_city', 'BaseP', 0.5, None): ('10130.201324970041', 119, 161, '8605252e20ca34f4', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'BaseP', 0.5, 2): ('9830.002709927923', 115, 161, '2074949a34de5d2b', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'BaseP', 1.0, None): ('10278.37679330507', 121, 161, 'b8d467c69c7a2ef6', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'BaseP', 1.0, 2): ('9893.979255731838', 116, 161, 'aceb614fa812f0ce', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'BaseP', 2.0, None): ('10849.759447064345', 125, 161, '2e81ef0a006f2bbc', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'BaseP', 2.0, 2): ('10064.037081338627', 113, 161, 'febb721507a63368', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'MAPS', 0.5, None): ('10264.515509846326', 119, 158, '2eefde24f48bfde0', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'MAPS', 0.5, 2): ('9887.747752111998', 114, 158, 'd9cf72c9d75e766b', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'MAPS', 1.0, None): ('10520.737108713678', 121, 159, '58b26d86a9d1a291', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'MAPS', 1.0, 2): ('9872.40992255118', 113, 151, 'ed08f9fded5e13ad', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'MAPS', 2.0, None): ('11115.699138855876', 124, 147, 'd38e105a96d99502', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'MAPS', 2.0, 2): ('10341.83481127143', 112, 144, '32eef9ed09da32f3', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDR', 0.5, None): ('5967.313967708648', 74, 74, 'd97a8a5c9ca4a9f6', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDR', 0.5, 2): ('5556.585788030174', 68, 69, '2f7b592543ae8ed4', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDR', 1.0, None): ('5902.51059464599', 74, 74, 'f97a775cae6d1cbd', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDR', 1.0, 2): ('5645.467977494188', 68, 68, '97e53c9849291ccd', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDR', 2.0, None): ('6487.711176617087', 79, 79, '6aa9fc0ec6654eee', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDR', 2.0, 2): ('6388.323656738725', 74, 74, 'c16ed8f825f05517', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDE', 0.5, None): ('7522.941003207135', 82, 86, '227fdd3610dfcca8', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDE', 0.5, 2): ('7080.2139320679635', 78, 83, 'c83afc404142e06f', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDE', 1.0, None): ('7434.511517656902', 81, 85, '00c5b3a202fb5a5e', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDE', 1.0, 2): ('7420.228621313717', 79, 89, '8be57ef6ca9231c1', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDE', 2.0, None): ('8962.014644414056', 94, 100, 'd9658c0148586266', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'SDE', 2.0, 2): ('8128.7709899313', 84, 98, '222d3dbf35f7795b', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'CappedUCB', 0.5, None): ('6861.891077259181', 60, 64, '293347d63cb6dc2c', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'CappedUCB', 0.5, 2): ('6861.891077259181', 60, 64, '363d23cb7c6eb4f6', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'CappedUCB', 1.0, None): ('6861.891077259182', 60, 64, '9b64524b299627c5', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'CappedUCB', 1.0, 2): ('6861.891077259182', 60, 64, '2c43651e02281372', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'CappedUCB', 2.0, None): ('7315.464869671757', 65, 65, 'f17630ca4d047973', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('churn_city', 'CappedUCB', 2.0, 2): ('7040.957797636593', 63, 65, 'd4da69230451bed2', 'churn-city(T=20, rate=12.0/period, lifetime~8, shift~6)'),
+    ('hotspot_burst', 'BaseP', 0.5, None): ('6653.24021348266', 70, 291, '3730770e57bf171d', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'BaseP', 0.5, 2): ('6432.454368602482', 68, 291, 'da41be51cc5611ef', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'BaseP', 1.0, None): ('6871.3419435233145', 70, 291, 'f6de7e9f659a2d96', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'BaseP', 1.0, 2): ('6650.556098643137', 68, 291, '6e9101a3a7f0cfb7', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'BaseP', 2.0, None): ('7069.6252737695095', 71, 291, 'f0788713ee06e863', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'BaseP', 2.0, 2): ('7101.199799833748', 71, 291, '71d82ab14b0df480', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'MAPS', 0.5, None): ('6599.558510682418', 66, 284, '39e10f80605a55fb', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'MAPS', 0.5, 2): ('6304.8293317176895', 63, 284, 'cc5f29edcb579777', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'MAPS', 1.0, None): ('7022.065223147064', 67, 275, 'e4a78752d25c6132', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'MAPS', 1.0, 2): ('6727.336044182335', 64, 275, '27f03f54b0303646', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'MAPS', 2.0, None): ('7242.512753976564', 67, 266, '6bd0eccb7a7c78c8', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'MAPS', 2.0, 2): ('7172.437420573564', 66, 266, '87a7826701c5619d', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDR', 0.5, None): ('4583.788449208994', 49, 57, '955ab3aa4f07cf15', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDR', 0.5, 2): ('4457.094386368715', 49, 57, 'a89d92f0d8fad7e1', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDR', 1.0, None): ('4958.307326917096', 50, 55, 'e7b95dbd9ce87f19', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDR', 1.0, 2): ('4682.710960924105', 49, 54, '78f4ced4b6455aec', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDR', 2.0, None): ('4864.4704894698725', 51, 55, '72b788de58e2b0c3', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDR', 2.0, 2): ('4420.522476839409', 49, 54, '0dc019edafaee00d', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDE', 0.5, None): ('5677.512278294354', 53, 191, 'ac12a83f993d41a5', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDE', 0.5, 2): ('5815.569727246162', 53, 191, '211d269d50cef532', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDE', 1.0, None): ('5923.461891208209', 54, 211, '4019f10b22c8907c', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDE', 1.0, 2): ('6061.519340160017', 54, 211, '61be0475270e429a', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDE', 2.0, None): ('5318.103486692312', 50, 214, '2091dc2bd628aa55', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'SDE', 2.0, 2): ('5438.772470562628', 50, 214, '52469319eab0e05b', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'CappedUCB', 0.5, None): ('4293.930438414594', 26, 103, 'd25885e87a7813f7', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'CappedUCB', 0.5, 2): ('4293.930438414594', 26, 103, 'edb7b39e5607fb7c', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'CappedUCB', 1.0, None): ('4750.645202479623', 29, 103, '80cb3142f2101f83', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'CappedUCB', 1.0, 2): ('4750.645202479623', 29, 103, '8bd05c390763389c', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'CappedUCB', 2.0, None): ('4853.495777145064', 30, 105, '801f024a346f3d45', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+    ('hotspot_burst', 'CappedUCB', 2.0, 2): ('4853.495777145064', 30, 105, 'bf50c8e0f55f5e6d', 'hotspot-burst(T=60, rate=3.0/period, burst x6)'),
+}
 EVENT_PINS = {
     ('churn_city', 'BaseP', None): ('6211.261176973683', 58, 161, 'f1477385c58d7dda', '2f84c326d4572ce1'),
     ('churn_city', 'BaseP', 2): ('2296.8024677003277', 23, 161, 'f25a83c9aaf5f3c6', 'aacb51318c1ae14a'),
@@ -226,6 +325,13 @@ EVENT_PINS = {
 )
 def test_windowed_engine_is_pinned(case):
     assert windowed_case(*case) == WINDOWED_PINS[case]
+
+
+@pytest.mark.parametrize(
+    "case", STREAMING_CASES, ids=["-".join(map(str, case)) for case in STREAMING_CASES]
+)
+def test_streaming_engine_is_pinned(case):
+    assert streaming_case(*case) == STREAMING_PINS[case]
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,8 @@ at a time through :class:`DispatchSession` — the settle → quote → decide
 → insert core the socket service runs — produces the *identical* result
 to the window-batched :class:`DynamicStreamingEngine` at ``window=1.0``:
 ``repr``-identical settled revenue and identical commit pairs.  Plus the
-two streaming-engine bugfix satellites: the pinned window-mode
-``_worker_active`` semantics, and demand-cell calibration metadata.
+two streaming-engine bugfix satellites: the pinned window-mode worker
+expiry (checked at window starts), and demand-cell calibration metadata.
 """
 
 from __future__ import annotations
@@ -343,9 +343,10 @@ class TestRepeatedPositions:
 class TestWorkerExpirySemantics:
     """Satellite 1: the window-vs-event divergence, pinned from both sides.
 
-    ``StreamingEngine._worker_active`` evaluates availability once per
-    window at its *start*, so a worker expiring mid-window still serves a
-    task arriving later in that window — the batch approximation, kept
+    The window engine (``streaming._windows_available``) evaluates
+    availability once per window at its *start*, so a worker expiring
+    mid-window still serves a task arriving later in that window — the
+    batch approximation, kept
     deliberately (it is what makes ``window == 1.0`` bit-identical to
     the batch engine).  The event path settles the expiry before the
     quote.  One stream, both answers, both asserted.

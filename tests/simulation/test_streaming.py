@@ -7,6 +7,8 @@ reproduces the batch engine's revenue / served / accepted metrics
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.market.entities import Task, Worker
@@ -216,8 +218,8 @@ class TestConverters:
             stream_to_workload(stream)
 
     def test_binning_rescales_worker_duration(self, tiny_workload):
-        """Non-unit period lengths preserve availability wall-time (up to
-        one bin), instead of silently inflating worker lifetimes."""
+        """A worker's duration counts the bins whose start it is available
+        at, the rule the window engine dispatches by."""
         worker = Worker(
             worker_id=7, period=5, location=Point(1, 1), radius=5.0, duration=4
         )
@@ -230,7 +232,73 @@ class TestConverters:
         binned = stream_to_workload(stream, period_length=2.0)
         rebinned = binned.workers_by_period[2][0]
         assert rebinned.period == 2
-        assert rebinned.duration == 2  # ceil(4 / 2.0)
+        # Available until 5 + 4 = 9: bins 2, 3 and 4 start at 4, 6 and 8.
+        assert rebinned.duration == 3
         # Default unit period length keeps durations untouched.
         unit = stream_to_workload(stream, period_length=1.0)
         assert unit.workers_by_period[5][0].duration == 4
+
+    def test_binning_drops_a_worker_gone_by_its_bin_start(self, tiny_workload):
+        """A worker whose availability ends by the start of the window it
+        arrives in is in no pool: the bundle drops it."""
+        gone = Worker(
+            worker_id=7, period=0, location=Point(1, 1), radius=5.0, duration=2
+        )
+        stays = Worker(
+            worker_id=8, period=2, location=Point(1, 1), radius=5.0, duration=1
+        )
+        stream = ArrivalStream(
+            grid=tiny_workload.grid,
+            acceptance=tiny_workload.acceptance,
+            events=[
+                WorkerArrival(time=2.5, worker=gone),  # gone at 2.0
+                WorkerArrival(time=2.6, worker=stays),
+            ],
+        )
+        for length in (1.0, 2.0):
+            binned = stream_to_workload(stream, period_length=length)
+            assert [w.worker_id for w in binned.workers_by_period[-1]] == [8]
+            assert binned.workers_by_period[-1][0].duration == 1
+
+
+#: scenario -> (scenario parameters, seed) of the binning-fork streams.
+FORK_STREAMS = {
+    "churn_city": ({"scale": 0.3, "num_periods": 20}, 0),
+    "beijing_night": ({"scale": 0.005}, 9),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FORK_STREAMS))
+def fork_stream(request):
+    params, seed = FORK_STREAMS[request.param]
+    scenario = get_scenario(request.param)
+    if request.param == "churn_city":
+        stream = scenario.stream(seed=seed, **params)
+    else:
+        stream = workload_to_stream(scenario.bundle(seed=seed, **params))
+    stream = replace(stream, events=list(stream.iter_events()))
+    return stream, StreamingEngine(stream, seed=seed).calibrate_base_price()
+
+
+class TestOneBinningRule:
+    """The window engine is the batch engine over the binned stream.
+
+    Worker expiry used to fork: the window engine checked availability at
+    each window start, while binning rounded durations up to
+    ``ceil(duration / length)`` bins.  At non-unit windows the two served
+    different task counts.
+    """
+
+    @pytest.mark.parametrize("window", [0.3, 2.0, 3.7])
+    @pytest.mark.parametrize("name", PAPER_STRATEGIES)
+    def test_window_engine_equals_batch_engine_over_the_bins(
+        self, fork_stream, name, window
+    ):
+        stream, calibration = fork_stream
+        streamed = StreamingEngine(stream, seed=4, window=window).run(
+            _strategy(name, calibration, stream.price_bounds)
+        )
+        batch = SimulationEngine(stream_to_workload(stream, window), seed=4).run(
+            _strategy(name, calibration, stream.price_bounds)
+        )
+        _assert_metrics_identical(batch, streamed)
