@@ -24,10 +24,10 @@ the caller (the :class:`~repro.pricing.maps_strategy.MAPSStrategy`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.gdp import PeriodInstance
 from repro.core.maximizer import DemandTableFn, ucb_demand_table
@@ -44,19 +44,31 @@ class MAPSPlan:
             gets a price; grids without demand or supply fall back to the
             base price).
         supply: Planned number of workers per grid (``n^{tg}``).
-        pre_matching: The pre-matching ``M'`` as ``{task_position:
-            worker_position}`` over the period's bipartite graph.
         approx_revenue: The planner's estimate ``sum_g L^g(n^{tg}, p^{tg})``
             (optimistic, since it uses UCB-scored acceptance ratios).
         iterations: Number of heap extractions performed (for complexity
             experiments).
+        matcher: The pre-matching's matcher, read by :attr:`pre_matching`
+            (``None``: an empty pre-matching).
     """
 
     prices: Dict[int, float]
     supply: Dict[int, int]
-    pre_matching: Dict[int, int]
     approx_revenue: float
     iterations: int
+    matcher: Optional[IncrementalMatcher] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def pre_matching(self) -> Dict[int, int]:
+        """The pre-matching ``M'`` as ``{task_position: worker_position}``
+        over the period's bipartite graph.
+
+        Built on demand: no engine reads it, so planning does not pay for
+        a dict over every task each period.
+        """
+        return {} if self.matcher is None else self.matcher.matching()
 
 
 class MAPSPlanner:
@@ -262,9 +274,9 @@ class MAPSPlanner:
         return MAPSPlan(
             prices=prices_out,
             supply=supply_out,
-            pre_matching=matcher.matching(),
             approx_revenue=sum(approx),
             iterations=iterations,
+            matcher=matcher,
         )
 
 

@@ -24,13 +24,21 @@ through them, which turns the classic ``O(|R| * |E|)`` worst case into
 near-``O(|E|)`` amortised on saturated instances without changing any
 result.
 
-Each DFS level keeps an iterator over its task's row, which resumes
-exactly where that level left off, so the search visits workers in the
-order of the classic recursive DFS
-(``tests/matching/test_matroid_kernel.py``,
+Every search follows one pairing rule, *free neighbour first*: on
+entering a task it scans the task's row, in row order, for a free worker
+that is not marked, and ends the path there; only when there is none
+does it descend into the row's matched workers, one iterator per DFS
+level.  The weights depend only on the task (Definition 5), so the
+matched task set — and every failed search, which finds no free worker
+and therefore visits the same workers in the same order — is that of the
+plain recursive DFS; the rule picks *which* worker serves a task so as
+to reassign as few drivers as possible, which also keeps the successful
+paths short (MC21's lookahead).  ``tests/property/test_free_neighbour_rule.py``
+holds it to a copy of the plain DFS, and
+``tests/matching/test_matroid_kernel.py``,
 ``tests/matching/test_prematching_search.py`` and
 ``tests/matching/test_lazy_search.py`` pin the callers to oracle copies
-of their earlier searches).
+of their earlier searches with the rule added.
 """
 
 from __future__ import annotations
@@ -62,9 +70,10 @@ def augmenting_path(
 ) -> Optional[Tuple[List[int], int]]:
     """Search an augmenting path from the unmatched task ``start``.
 
-    Iterative DFS replicating the classic recursive search: one row
-    iterator per level, so workers are visited in the same order and the
-    same path is found.  Does not change the matching.
+    Iterative DFS, free neighbour first: each task it enters first takes
+    the first free unmarked worker of its row, and only otherwise does
+    the search descend into the row's matched workers, one row iterator
+    per level.  Does not change the matching.
 
     Args:
         rows: Per-task neighbour lists (:func:`csr_rows`).
@@ -82,20 +91,39 @@ def augmenting_path(
         worker chosen at level ``i`` is the one matched to ``tasks[i + 1]``,
         so :func:`flip_path` reads the rest of the path back from
         ``match_task``.
+
+    Task 1's row holds worker 0, which serves task 0, before the free
+    worker 1; the path ends at worker 1 without re-routing task 0:
+
+    >>> rows, match_worker = [[0, 1], [0, 1]], [0, UNMATCHED]
+    >>> augmenting_path(rows, match_worker, [0, 0], 1, 1, [])
+    ([1], 1)
     """
+    row = rows[start]
+    for worker_pos in row:
+        if match_worker[worker_pos] == UNMATCHED and mark[worker_pos] < stamp:
+            mark[worker_pos] = stamp
+            touched.append(worker_pos)
+            return [start], worker_pos
     tasks = [start]
-    iters = [iter(rows[start])]
+    iters = [iter(row)]
     while iters:
         for worker_pos in iters[-1]:
             if mark[worker_pos] >= stamp:
                 continue
             mark[worker_pos] = stamp
             touched.append(worker_pos)
+            # Matched: the lookahead found no free unmarked worker in
+            # this row, and marks only grow.
             owner = match_worker[worker_pos]
-            if owner == UNMATCHED:
-                return tasks, worker_pos
             tasks.append(owner)
-            iters.append(iter(rows[owner]))
+            row = rows[owner]
+            for free_pos in row:
+                if match_worker[free_pos] == UNMATCHED and mark[free_pos] < stamp:
+                    mark[free_pos] = stamp
+                    touched.append(free_pos)
+                    return tasks, free_pos
+            iters.append(iter(row))
             break
         else:
             tasks.pop()

@@ -5,7 +5,11 @@ lexicographically-maximal matched task set under arbitrary insertions and
 deletions.  Its two inner loops live here:
 
 ``dynamic_augment``
-    The augmenting-path DFS of the insert-only matcher, with the two
+    The augmenting-path DFS of the insert-only matcher — free neighbour
+    first, the one pairing rule of every augmenting search (see
+    :mod:`repro.kernels.augmenting`): a task takes the first free live
+    unvisited worker of its row before re-routing a matched one, to
+    reassign as few drivers as possible — with the two
     changes deletions force.  Saturation pruning (the ``dead`` marks)
     is unsound once the matching can shrink, so workers are filtered by a
     ``worker_live`` mask instead; and a *failed* search must report every
@@ -45,7 +49,7 @@ def dynamic_augment(
     path_workers: np.ndarray,
     visited_out: np.ndarray,
 ) -> int:
-    """Augmenting DFS from ``start`` over live workers.
+    """Augmenting DFS from ``start`` over live workers, free neighbour first.
 
     Returns the path length (written deepest-first into ``path_tasks`` /
     ``path_workers``) on success, or ``-(n_visited + 1)`` on failure with
@@ -55,10 +59,29 @@ def dynamic_augment(
     iters = [int(indptr[start])]
     chosen = [UNMATCHED]
     n_visited = 0
+    entered = True
     while tasks_stack:
         depth = len(tasks_stack) - 1
         task_pos = tasks_stack[depth]
         end = indptr[task_pos + 1]
+        if entered:
+            # Free neighbour first: end the path at the row's first free
+            # unvisited worker before re-routing any matched one.
+            entered = False
+            for pointer in range(iters[depth], end):
+                worker_pos = int(indices[pointer])
+                if (
+                    match_worker[worker_pos] == UNMATCHED
+                    and worker_live[worker_pos] != 0
+                    and visited[worker_pos] != stamp
+                ):
+                    visited[worker_pos] = stamp
+                    chosen[depth] = worker_pos
+                    length = depth + 1
+                    for level in range(length):
+                        path_tasks[level] = tasks_stack[depth - level]
+                        path_workers[level] = chosen[depth - level]
+                    return length
         pointer = iters[depth]
         descended = False
         while pointer < end:
@@ -66,22 +89,18 @@ def dynamic_augment(
             pointer += 1
             if worker_live[worker_pos] == 0 or visited[worker_pos] == stamp:
                 continue
+            # Matched: the lookahead found no free live unvisited worker
+            # in this row, and the visited marks only grow.
             visited[worker_pos] = stamp
             visited_out[n_visited] = worker_pos
             n_visited += 1
             iters[depth] = pointer
             chosen[depth] = worker_pos
             owner = int(match_worker[worker_pos])
-            if owner == UNMATCHED:
-                length = depth + 1
-                for level in range(length):
-                    path_tasks[level] = tasks_stack[depth - level]
-                    path_workers[level] = chosen[depth - level]
-                return length
             tasks_stack.append(owner)
             iters.append(int(indptr[owner]))
             chosen.append(UNMATCHED)
-            descended = True
+            descended = entered = True
             break
         if not descended:
             tasks_stack.pop()

@@ -17,10 +17,15 @@ It consumes the CSR (``indptr``/``indices``) view of the graph
 period: eligible tasks are ordered with one ``numpy`` lexsort and the
 augmenting-path search walks the flat CSR arrays iteratively with a
 stamp-based visited array instead of recursing over list-of-list adjacency
-with per-task ``set`` allocations.  The DFS visits workers in exactly the
-order of the original recursive implementation, so the produced matching —
-not just its weight — is unchanged.  The scalar augmenting-path search
-lives in :mod:`repro.kernels.augmenting`.
+with per-task ``set`` allocations.  The greedy fixes *which* tasks are
+served; the pairing — which worker serves each — follows one named rule,
+*free neighbour first*: a search takes the first free worker of a task's
+row before it re-routes a matched one, to reassign as few drivers as
+possible.  The recursive oracle
+(:func:`repro.simulation.legacy.reference_task_weighted_matching`) takes
+the same rule, so the produced matching — not just its weight — equals
+it.  The scalar augmenting-path search lives in
+:mod:`repro.kernels.augmenting`.
 
 :func:`scipy_max_weight_matching` solves the same problem densely with
 ``scipy.optimize.linear_sum_assignment``.  It is the exact oracle the

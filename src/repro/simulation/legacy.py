@@ -53,9 +53,12 @@ def reference_task_weighted_matching(
 ) -> Tuple[Dict[int, int], float]:
     """The seed's recursive matroid-greedy matching.
 
-    Verbatim pre-CSR implementation: Python ``sorted`` ordering, per-task
+    The pre-CSR implementation: Python ``sorted`` ordering, per-task
     ``set`` of visited workers and recursive augmentation over the
-    list-of-list adjacency.
+    list-of-list adjacency.  It takes the one pairing rule of every
+    augmenting search (:func:`repro.kernels.augmenting.augmenting_path`):
+    a task takes the first free unvisited worker of its row before it
+    re-routes a matched one.
     """
     if len(task_weights) != graph.num_tasks:
         raise ValueError("task_weights length must match number of tasks")
@@ -68,7 +71,14 @@ def reference_task_weighted_matching(
     match_worker: List[int] = [UNMATCHED] * graph.num_workers
 
     def try_augment(task_pos: int, visited_workers: set) -> bool:
-        for worker_pos in graph.task_neighbors[task_pos]:
+        neighbors = graph.task_neighbors[task_pos]
+        for worker_pos in neighbors:  # free neighbour first
+            if match_worker[worker_pos] == UNMATCHED and worker_pos not in visited_workers:
+                visited_workers.add(worker_pos)
+                match_task[task_pos] = worker_pos
+                match_worker[worker_pos] = task_pos
+                return True
+        for worker_pos in neighbors:
             if worker_pos in visited_workers:
                 continue
             visited_workers.add(worker_pos)
@@ -244,9 +254,9 @@ def reference_maps_plan(
     return MAPSPlan(
         prices=prices,
         supply=supply,
-        pre_matching=matcher.matching(),
         approx_revenue=total_approx,
         iterations=iterations,
+        matcher=matcher,
     )
 
 

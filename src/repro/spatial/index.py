@@ -297,11 +297,12 @@ def cap_edges_per_center(
     set keeps the expensive three-key sort to one pass over the full
     edge list.
 
-    Both sorts are chains of stable ``argsort`` passes, least significant
-    key first — the order ``np.lexsort`` gives — over index keys cast to
-    the narrowest unsigned type that holds them: numpy radix-sorts 8- and
-    16-bit keys, so the usual small shard rows sort in linear time, and
-    wider keys cost what ``lexsort`` does.
+    The ranking sort packs the center, the distance's dense rank and the
+    point into one ``int64`` key (:func:`_ranking_order`).  The canonical
+    sort is a chain of stable ``argsort`` passes, least significant key
+    first — the order ``np.lexsort`` gives — over index keys cast to the
+    narrowest unsigned type that holds them: numpy radix-sorts 8- and
+    16-bit keys, so the capped rows sort in linear time.
 
     This is the degree-cap rule of the batch graph builder
     (:func:`repro.matching.bipartite.build_graph_from_arrays` delegates
@@ -310,7 +311,7 @@ def cap_edges_per_center(
     """
     centers = _narrow(center_idx)
     points = _narrow(point_idx)
-    order = _stable_order(points, distances, centers)
+    order = _ranking_order(centers, points, distances)
     sorted_centers = center_idx[order]
     counts = np.bincount(sorted_centers, minlength=num_centers)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
@@ -324,6 +325,39 @@ def cap_edges_per_center(
 def _narrow(idx: np.ndarray) -> np.ndarray:
     """Non-negative index keys in the narrowest unsigned type holding them."""
     return idx.astype(np.min_scalar_type(int(idx.max(initial=0))), copy=False)
+
+
+def _ranking_order(
+    centers: np.ndarray, points: np.ndarray, distances: np.ndarray
+) -> np.ndarray:
+    """Edges by ``(center, distance, point)``: ``np.lexsort`` of the three.
+
+    A stable float sort is the slow pass of the three-key chain, so the
+    distances are replaced by their dense rank (equal distances share a
+    rank, so an unstable sort finds the same ranks) and the three keys
+    are packed into one ``int64`` whose values order exactly like the
+    tuples.  Sorting those is one unstable pass; keys that tie are equal
+    ``(center, point)`` pairs, which leave the caller's gathered values
+    unchanged.  Keys too wide for 63 bits take the chain of stable sorts.
+    """
+    by_distance = np.argsort(distances)
+    if not by_distance.size:
+        return by_distance
+    ordered = distances[by_distance]
+    dense = np.empty(ordered.size, dtype=np.int64)
+    dense[0] = 0
+    np.cumsum(ordered[1:] != ordered[:-1], out=dense[1:])
+    point_bits = int(points.max()).bit_length()
+    rank_bits = int(dense[-1]).bit_length()
+    center_bits = int(centers.max()).bit_length()
+    if center_bits + rank_bits + point_bits > 63:
+        return _stable_order(points, distances, centers)
+    rank = np.empty_like(dense)
+    rank[by_distance] = dense
+    key = centers.astype(np.int64) << (rank_bits + point_bits)
+    key |= rank << point_bits
+    key |= points.astype(np.int64)
+    return np.argsort(key)
 
 
 def _stable_order(*keys: np.ndarray) -> np.ndarray:

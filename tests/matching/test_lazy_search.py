@@ -8,7 +8,8 @@ slots.  ``_EarlierSearches`` below is the matcher as it was before: its
 own index-pointer DFS (``_try_augment``), which tests liveness and the
 visit stamp separately, its index-loop BFS (``_reach``), which tests
 eligibility and the stamp separately, and the eviction and absorb scans
-that compared ``_priority_key`` tuples, all kept verbatim.  The matcher
+that compared ``_priority_key`` tuples, all kept verbatim but for the
+augmenting DFS's free-neighbour-first lookahead.  The matcher
 no longer stores liveness flags beside the sentinel, so the earlier
 searches derive them from it on entry.
 
@@ -65,6 +66,21 @@ class _EarlierSearches(LazyDynamicMatcher):
             row = rows[tasks_stack[depth]]
             pointer = iters[depth]
             end = len(row)
+            if pointer == 0:
+                # Entering the task: free neighbour first.
+                for worker_id in row:
+                    if (
+                        match_worker[worker_id] == UNMATCHED
+                        and worker_live[worker_id]
+                        and visited[worker_id] != stamp
+                    ):
+                        visited[worker_id] = stamp
+                        chosen[depth] = worker_id
+                        for level in range(depth + 1):
+                            task_id = tasks_stack[level]
+                            match_task[task_id] = chosen[level]
+                            match_worker[chosen[level]] = task_id
+                        return None
             descended = False
             while pointer < end:
                 worker_id = row[pointer]

@@ -1,13 +1,14 @@
 """Element-for-element parity of the matroid kernel with its oracle.
 
 :func:`repro.kernels.augmenting.matroid_augment` promises more than a
-maximum-weight matching: with the visiting order of the classic
-recursive augmenting-path DFS it returns one *specific* pairing, and
-that pairing is observable downstream (halo reconciliation on the
-sharded engine reuses the workers it leaves free).  The oracle below is
-the earlier two-array implementation of the kernel (a ``visited`` stamp
-list plus a ``dead`` bytearray, index pointers into ``indptr``), kept
-verbatim but for its name as a test-only reference.  Hypothesis draws CSR graphs with
+maximum-weight matching: with the free-neighbour-first visiting order
+it returns one *specific* pairing, and that pairing is observable
+downstream (halo reconciliation on the sharded engine reuses the
+workers it leaves free).  The oracle below is the earlier two-array
+implementation of the kernel (a ``visited`` stamp list plus a ``dead``
+bytearray, index pointers into ``indptr``), kept verbatim as a
+test-only reference but for its name and the lookahead that takes a
+task's first free worker on entry.  Hypothesis draws CSR graphs with
 heavily overlapping rows, saturated instances (more tasks than workers)
 and equal weights, and the returned ``match_task`` lists must be equal —
 the pairing, not only the weight.  A second fuzz checks the matcher end
@@ -53,8 +54,8 @@ def _oracle_matroid(csr, order: Sequence[int]) -> List[int]:
     stamp = 0
 
     def augment(start: int) -> bool:
-        # Iterative DFS replicating the classic recursive augmenting-path
-        # search (same worker visiting order, hence the same matching).
+        # Iterative DFS: a free neighbour first, else the classic
+        # recursive augmenting-path order.
         tasks_stack = [start]
         ptrs = [indptr[start]]
         chosen = [UNMATCHED]
@@ -64,6 +65,20 @@ def _oracle_matroid(csr, order: Sequence[int]) -> List[int]:
             task_pos = tasks_stack[depth]
             ptr = ptrs[depth]
             end = indptr[task_pos + 1]
+            if ptr == indptr[task_pos]:
+                # Entering the task: free neighbour first.
+                for look in range(ptr, end):
+                    worker_pos = indices[look]
+                    if (
+                        match_worker[worker_pos] == UNMATCHED
+                        and not dead[worker_pos]
+                        and visited[worker_pos] != stamp
+                    ):
+                        chosen[depth] = worker_pos
+                        for i in range(depth + 1):
+                            match_task[tasks_stack[i]] = chosen[i]
+                            match_worker[chosen[i]] = tasks_stack[i]
+                        return True
             descended = False
             while ptr < end:
                 worker_pos = indices[ptr]
@@ -149,14 +164,15 @@ class TestMatroidKernelOracle:
         assert result == _oracle_matroid(csr, order)
         assert sum(w != UNMATCHED for w in result) == 8
 
-    def test_pairing_follows_the_recursive_dfs(self):
-        """Task 1 takes worker 0 and pushes task 0 on to worker 1.
+    def test_pairing_takes_the_free_neighbour_first(self):
+        """Task 1 takes the free worker 1 and leaves task 0 on worker 0.
 
-        A search that tried free workers first would keep ``[0, 1]``:
-        same size, same weight, different pairing.
+        The recursive DFS without the lookahead would take worker 0 and
+        push task 0 on to worker 1 (``[1, 0]``): same size, same weight,
+        different pairing.
         """
         csr = CSRGraph.from_adjacency([[0, 1], [0, 1]], 2)
-        assert matroid_augment(csr, [0, 1]) == [1, 0]
+        assert matroid_augment(csr, [0, 1]) == [0, 1]
 
 
 def _make_graph(num_tasks: int, num_workers: int, adjacency) -> BipartiteGraph:

@@ -8,7 +8,8 @@ probe finds, so the search must visit workers in the order of the
 matcher's earlier one.  ``_OracleMatcher`` below is that earlier matcher:
 its ``_find_augmenting_path`` (a ``visited`` stamp list, a ``dead``
 bytearray, an index pointer and a chosen worker per level) is kept
-verbatim, with the grid probe, the probe-then-commit cache and the path
+verbatim but for the lookahead that takes an entered task's first free
+worker, with the grid probe, the probe-then-commit cache and the path
 application it ran under.
 
 Hypothesis draws graphs whose rows come from a small pool of shared
@@ -109,9 +110,9 @@ class _OracleMatcher:
 
         Returns the (task, worker) pairs to set, deepest first, so that
         applying every pair (in order) flips matched/unmatched edges
-        correctly.  Visits workers in exactly the order the original
-        recursive search did (hence the same path), but walks an explicit
-        stack: city-scale dispatch windows produce augmenting chains far
+        correctly.  Takes an entered task's first free worker, else
+        visits workers in the order of the recursive search, but walks an
+        explicit stack: city-scale dispatch windows produce augmenting chains far
         deeper than the interpreter's recursion limit, which used to blow
         the stack with ``RecursionError``.  Failed searches additionally
         mark every visited worker as saturated (see ``__init__``), which
@@ -135,6 +136,20 @@ class _OracleMatcher:
             task_pos = tasks_stack[depth]
             end = indptr[task_pos + 1]
             pointer = iters[depth]
+            if pointer == indptr[task_pos]:
+                # Entering the task: free neighbour first.
+                for look in range(pointer, end):
+                    worker_pos = indices[look]
+                    if (
+                        match_worker[worker_pos] == UNMATCHED
+                        and not dead[worker_pos]
+                        and visited[worker_pos] != stamp
+                    ):
+                        chosen[depth] = worker_pos
+                        return [
+                            (tasks_stack[level], chosen[level])
+                            for level in range(depth, -1, -1)
+                        ]
             descended = False
             while pointer < end:
                 worker_pos = indices[pointer]
@@ -271,11 +286,12 @@ class TestPrematchingSearchOracle:
     def test_saturated_grid_reroutes_then_fails(self):
         """Three tasks on two shared workers: the third probe fails.
 
-        Task 1 takes worker 0 and pushes task 0 on to worker 1, after
-        which every worker is matched; the failed search for task 2
-        marks both dead, and a repeated probe still answers ``False``.
+        Task 1's only worker is worker 0, so it pushes task 0 on to its
+        free worker 1, after which every worker is matched; the failed
+        search for task 2 marks both dead, and a repeated probe still
+        answers ``False``.
         """
-        rows = [[0, 1], [0, 1], [0, 1]]
+        rows = [[0, 1], [0], [0, 1]]
         graph = _graph(rows, [0, 1, 2], 2)
         matcher = IncrementalMatcher(graph)
         oracle = _OracleMatcher(graph, _grid_tasks([0, 1, 2]))

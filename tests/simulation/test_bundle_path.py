@@ -14,7 +14,9 @@ through a dedicated object loop:
 * per-period outcomes, a degree cap and mid-horizon worker churn keep
   their pinned values.
 
-Every pin was recorded with the object loop, before it was deleted.
+Every pin was recorded with the object loop, before it was deleted; the
+ones the free-neighbour-first pairing rule moved were re-recorded under
+it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class TestEveryScenarioBundle:
         "churn_city": (0.1, ("4468.061411269392", 66, 153)),
         "city_scale": (0.005, ("26353.333006520785", 2370, 3793)),
         "food_delivery": (0.05, ("39.39094481852032", 10, 58)),
-        "hotspot_burst": (0.05, ("5197.305655297596", 51, 270)),
+        "hotspot_burst": (0.05, ("5051.261918342903", 50, 270)),
         "synthetic": (0.008, ("2634.9183223679925", 31, 83)),
     }
 
@@ -87,9 +89,9 @@ class TestPerStrategyBundle:
     PINS = {
         "MAPS": ("13738.10246904503", 117, 209, 480),
         "BaseP": ("10328.90258668017", 118, 377, 480),
-        "SDR": ("9914.413477333695", 116, 146, 480),
+        "SDR": ("9607.001080384442", 116, 142, 480),
         "SDE": ("10800.82759929319", 117, 348, 480),
-        "CappedUCB": ("9675.289076522931", 79, 84, 480),
+        "CappedUCB": ("9675.289076522931", 79, 85, 480),
     }
 
     @pytest.mark.parametrize("name", PAPER_STRATEGIES)
@@ -122,9 +124,9 @@ class TestPerStrategyBundle:
             (0, 15, 2, 0, 0, "0.0"),
             (1, 37, 9, 3, 2, "113.58046469986874"),
             (2, 78, 33, 42, 28, "2357.5913595131315"),
-            (3, 115, 33, 30, 26, "2298.570607961578"),
-            (4, 119, 35, 23, 21, "2203.882345334321"),
-            (5, 68, 33, 32, 25, "1953.6952344199012"),
+            (3, 115, 33, 30, 28, "2362.577258170964"),
+            (4, 119, 33, 18, 17, "1882.919626840826"),
+            (5, 68, 35, 33, 27, "1903.238905754758"),
             (6, 33, 16, 12, 10, "713.9813380351598"),
             (7, 15, 8, 4, 4, "273.11212736973476"),
         ]
@@ -141,10 +143,10 @@ class TestBundleEdgeCases:
         metrics = ShardedEngine(
             workload, num_shards=4, halo=1, seed=5, max_degree=4
         ).run(create_strategy("BaseP", base_price=2.0)).metrics
-        assert _totals(metrics) == ("23346.7175242307", 2249, 3850, 4981)
+        assert _totals(metrics) == ("23344.662329559695", 2250, 3850, 4981)
         assert list(map(repr, metrics.revenue_by_period)) == [
-            "11377.881878187445",
-            "11968.835646043255",
+            "11379.983774031416",
+            "11964.67855552828",
         ]
 
     def test_worker_churn_run_is_pinned(self):

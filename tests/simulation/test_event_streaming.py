@@ -83,28 +83,52 @@ class TestEventEngineEquivalence:
         assert evented.metrics.served_tasks == windowed.metrics.served_tasks
         assert evented.metrics.accepted_tasks == windowed.metrics.accepted_tasks
 
-    def test_event_time_semantics_diverge_from_window_batching(self):
-        """Satellite 1, seen from the engines: on a stream whose workers
-        expire mid-window (``hotspot_burst``), quoting at event time
-        settles those expiries before later quotes, so the two modes
-        produce different servings — the window mode's start-of-window
-        availability check is the documented approximation."""
-        stream = get_scenario("hotspot_burst").stream(scale=0.05, seed=0)
-        calibration = StreamingEngine(stream, seed=0).calibrate_base_price()
+    def test_event_time_semantics_diverge_from_window_batching(self, tiny_workload):
+        """Mid-window worker expiry, seen from the engines, on a hand-built
+        stream: a worker arrives at 0.6 and expires at 1.0, inside the
+        window ``[0, 2)``; a task arrives at 0.1 and its deadline passes
+        at 0.4.
+        The window engine checks availability at the window start, where
+        the worker is live, so the task is matched and commits at its
+        deadline.  Quoting at event time settles that deadline before the
+        worker arrives, so the task expires unserved — the window mode's
+        start-of-window availability check is the documented
+        approximation."""
+        worker = Worker(
+            worker_id=1, period=0, location=Point(1, 1), radius=50.0, duration=1
+        )
+        task = Task(
+            task_id=7,
+            period=0,
+            origin=Point(1, 1),
+            destination=Point(2, 2),
+            valuation=100.0,
+            grid_index=1,
+        )
+        stream = _manual_stream(
+            tiny_workload,
+            [
+                TaskArrival(time=0.1, task=task),
+                WorkerArrival(time=0.6, worker=worker),
+            ],
+        )
 
         def strategy():
-            return create_strategy("BaseP", **calibrated_kwargs("BaseP", calibration))
+            return create_strategy("BaseP", base_price=2.0)
 
         windowed = DynamicStreamingEngine(
-            stream, seed=0, window=1.0, resolve="delta"
+            stream, seed=0, window=2.0, task_lifetime=0.3, resolve="delta"
         ).run(strategy())
-        evented = EventStreamingEngine(stream, seed=0).run(strategy())
+        engine = EventStreamingEngine(stream, seed=0, task_lifetime=0.3)
+        evented = engine.run(strategy())
         assert evented.metrics.total_tasks == windowed.metrics.total_tasks
         assert (
             evented.metrics.served_tasks != windowed.metrics.served_tasks
             or repr(evented.metrics.total_revenue)
             != repr(windowed.metrics.total_revenue)
         )
+        assert (windowed.metrics.served_tasks, evented.metrics.served_tasks) == (1, 0)
+        assert engine.last_session.expired == 1
 
     def test_session_counters_reconcile(self):
         stream = _stream()

@@ -171,13 +171,14 @@ class TestHaloPairingGoldenPins:
     just its weight) decides which workers are left for the halo pass,
     so these totals move if the kernel's visiting order does — which the
     one-shard ``run_reference`` gate cannot see.  Values recorded before
-    the kernel's mark-array rewrite.  The materialised bundle reaches
+    the kernel's mark-array rewrite, and re-recorded when the kernel took
+    the free-neighbour-first pairing rule.  The materialised bundle reaches
     the same loop through its column conversion and must keep them too.
     """
 
     PINS = {
-        1: ("25042.365018089662", 2446, 3694),
-        4: ("24454.923985959205", 2353, 3743),
+        1: ("25053.765170947503", 2445, 3694),
+        4: ("24456.936421300503", 2353, 3743),
     }
 
     @pytest.mark.parametrize("form", ["chunked", "bundle"])

@@ -1,11 +1,13 @@
 """The vectorised degree cap against its ``np.lexsort`` oracle.
 
-:func:`repro.spatial.index.cap_edges_per_center` ranks edges with chained
-stable ``argsort`` passes over index keys narrowed to the smallest
-unsigned type that holds them.  The oracle is the earlier two-``lexsort``
-formulation; outputs must be array-equal (values and dtype) across
-distance ties, empty input, caps above every degree and index keys on
-both sides of the 8-, 16- and 32-bit boundaries.
+:func:`repro.spatial.index.cap_edges_per_center` ranks edges by one
+packed ``int64`` key (center, dense distance rank, point), or by chained
+stable ``argsort`` passes when the keys are too wide to pack, over index
+keys narrowed to the smallest unsigned type that holds them.  The oracle
+is the earlier two-``lexsort`` formulation; outputs must be array-equal
+(values and dtype) across distance ties, empty input, caps above every
+degree, index keys on both sides of the 8-, 16- and 32-bit boundaries
+and keys too wide to pack.
 """
 
 from __future__ import annotations
@@ -98,3 +100,10 @@ class TestDegreeCapOracle:
         _assert_same_cap(
             pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64), distances, num_centers, 5
         )
+
+    @pytest.mark.parametrize("point_base", [2**50, 2**58])
+    def test_wide_point_ids(self, point_base):
+        """Ids near 2**50 still pack; near 2**58 the chained sorts rank."""
+        rng = np.random.default_rng(11)
+        centers, points, distances = _edges(rng, 400, 12, 60, 4)
+        _assert_same_cap(centers, points + point_base, distances, 12, 3)
