@@ -22,7 +22,12 @@ matched, their owners' neighbourhoods inside the component — so while
 the matching only grows no later path can succeed (or usefully pass)
 through them, which turns the classic ``O(|R| * |E|)`` worst case into
 near-``O(|E|)`` amortised on saturated instances without changing any
-result.
+result.  :func:`matroid_augment` also stops at saturation: a matched
+worker never becomes free again, so once every worker that has an edge
+is matched every remaining search must fail and the marks it would leave
+are never read.  It counts those workers once (the distinct
+``csr.indices``), counts one down per success and returns at zero; on
+``city_batch`` that skips about a quarter of the searches.
 
 Every search follows one pairing rule, *free neighbour first*: on
 entering a task it scans the task's row, in row order, for a free worker
@@ -46,6 +51,8 @@ from __future__ import annotations
 import sys
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.matching.maximum_matching import UNMATCHED
 
@@ -161,10 +168,16 @@ def matroid_augment(
 
     Returns:
         ``match_task`` as a plain list: ``match_task[t]`` is the matched
-        worker position or :data:`UNMATCHED`.
+        worker position or :data:`UNMATCHED`.  The loop returns as soon
+        as every worker with an edge is matched (the saturation stop),
+        with the result the full loop would give.
     """
     match_task: List[int] = [UNMATCHED] * csr.num_tasks
     match_worker: List[int] = [UNMATCHED] * csr.num_workers
+    # Saturation stop: workers that have an edge and are still free.
+    free = int(np.count_nonzero(np.bincount(csr.indices, minlength=csr.num_workers)))
+    if not free:
+        return match_task
     rows = csr_rows(csr)
     mark: List[int] = [0] * csr.num_workers
     stamp = 0
@@ -184,6 +197,9 @@ def matroid_augment(
                 match_task[task_pos] = worker_pos
                 match_worker[worker_pos] = task_pos
                 worker_pos = previous
+            free -= 1
+            if not free:
+                break
     return match_task
 
 

@@ -15,8 +15,9 @@ the exact radius boundary — see
 * **array-native** (whenever a grid and a named metric are given; every
   engine runs it) — tasks are bucketed per grid cell once
   (:class:`repro.spatial.index.GridBuckets`), every worker's candidate
-  cells are enumerated with one ragged numpy expansion, and a single
-  batched distance filter keeps the true edges.  The builder emits the
+  tasks are enumerated with one ragged numpy expansion of contiguous
+  runs, one per cell row of its rectangle, and a single batched
+  distance filter keeps the true edges.  The builder emits the
   CSR arrays **directly** — the Python list-of-list adjacency is only
   materialised lazily if some consumer asks for it — and reuses grow-only
   scratch buffers across periods;
@@ -49,6 +50,7 @@ from repro.spatial.geometry import (
 from repro.spatial.grid import Grid
 from repro.spatial.index import (
     GridBuckets,
+    canonical_edge_order,
     cap_edges_per_center,
     checked_degree_cap,
 )
@@ -459,7 +461,7 @@ def build_graph_from_arrays(
         )
     else:
         # Canonical CSR order: ascending (task, worker).
-        order = np.lexsort((worker_idx, task_idx))
+        order = canonical_edge_order(task_idx, worker_idx)
         task_idx = task_idx[order]
         worker_idx = worker_idx[order]
     csr = CSRGraph.from_edge_arrays(task_idx, worker_idx, num_tasks, num_workers)

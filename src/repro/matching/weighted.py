@@ -17,7 +17,9 @@ It consumes the CSR (``indptr``/``indices``) view of the graph
 period: eligible tasks are ordered with one ``numpy`` lexsort and the
 augmenting-path search walks the flat CSR arrays iteratively with a
 stamp-based visited array instead of recursing over list-of-list adjacency
-with per-task ``set`` allocations.  The greedy fixes *which* tasks are
+with per-task ``set`` allocations.  The greedy stops once every worker
+with an edge is matched (the *saturation stop*): a matched worker never
+becomes free again, so every later search would fail and change nothing.  The greedy fixes *which* tasks are
 served; the pairing — which worker serves each — follows one named rule,
 *free neighbour first*: a search takes the first free worker of a task's
 row before it re-routes a matched one, to reassign as few drivers as

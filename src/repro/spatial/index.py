@@ -11,7 +11,8 @@ Two structures share the grid-bucketing idea:
 
 * :class:`GridBuckets` — a read-only, array-native bucketing of a point
   set that answers *batches* of circular queries with numpy broadcasting
-  (candidate cells → ragged gather → one vectorised distance filter).
+  (candidate rectangle → one contiguous run of cell-ordered storage per
+  cell row → ragged gather → one vectorised distance filter).
   This is what the vectorised bipartite-graph builder runs on: it emits
   flat candidate arrays instead of per-query Python lists, and reuses
   grow-only scratch buffers across periods so the hot loop allocates a
@@ -68,22 +69,56 @@ _SCRATCH = _BuilderScratch()
 
 #: Chunk bounds for the batched query's two ragged expansions.  Peak
 #: transient memory is proportional to these (a few numpy rows per
-#: candidate), independent of how many candidate pairs the whole batch
-#: would generate — which matters when candidate rectangles are large:
-#: radii wide against the cell size, or haversine queries whose
-#: rectangle falls back to the full longitude range (near a pole, on
-#: the +-180 degree seam; see :func:`coordinate_spans`).
+#: (query, run) row or candidate point), independent of how many
+#: candidate pairs the whole batch would generate — which matters when
+#: candidate rectangles are large: radii wide against the cell size, or
+#: haversine queries whose rectangle falls back to the full longitude
+#: range (near a pole, on the +-180 degree seam; see
+#: :func:`coordinate_spans`).
 _CELL_CHUNK = 1 << 20
 _POINT_CHUNK = 4 << 20
 
+#: A batch of query rectangles: ``(min_row, max_row, min_col, max_col)``
+#: cell bounds per query, inclusive.
+_Rectangles = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cell_rectangles(
+    grid: Grid,
+    metric: Union[str, DistanceMetric],
+    cx: np.ndarray,
+    cy: np.ndarray,
+    rr: np.ndarray,
+    points_on_globe: bool,
+) -> _Rectangles:
+    """Per query, the cell rectangle covering its disc of radius ``rr``.
+
+    A superset of every cell holding an in-range point; the exact metric
+    filter of :func:`_batched_circle_query` makes the result independent
+    of the rectangle.  The half-widths come from :func:`coordinate_spans`:
+    euclidean and manhattan spans are ``rr`` itself, a haversine query in
+    kilometres scans only its neighbourhood's cells of a lon/lat grid,
+    and an infinite span clips to the whole row or column.
+    """
+    region = grid.region
+    dx, dy = coordinate_spans(metric, cx, cy, rr, points_on_globe)
+    min_col = np.clip(
+        np.floor((cx - dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
+    ).astype(np.int64)
+    max_col = np.clip(
+        np.floor((cx + dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
+    ).astype(np.int64)
+    min_row = np.clip(
+        np.floor((cy - dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
+    ).astype(np.int64)
+    max_row = np.clip(
+        np.floor((cy + dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
+    ).astype(np.int64)
+    return min_row, max_row, min_col, max_col
+
 
 def _batched_circle_query(
-    grid: Grid,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cell_starts: np.ndarray,
-    cell_counts: np.ndarray,
-    slot_order: np.ndarray,
+    layout: Union["GridBuckets", "DynamicGridBuckets"],
     cx: np.ndarray,
     cy: np.ndarray,
     rr: np.ndarray,
@@ -92,22 +127,24 @@ def _batched_circle_query(
     points_first: bool = False,
     points_on_globe: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared chunked candidate expansion behind the batched circle queries.
+    """Shared chunked run expansion behind the batched circle queries.
 
     Gathers, for every query center, the points bucketed in the cell
-    rectangle covering the disc of radius ``rr`` around it (its
-    coordinate half-widths come from :func:`coordinate_spans`, so a
-    haversine query in kilometres scans only its neighbourhood's cells
-    of a lon/lat grid), computes the
+    rectangle covering its disc (:func:`_cell_rectangles`), computes the
     exact metric distance per (center, point) candidate and keeps the
-    pairs within range.  ``cell_starts[cell]`` / ``cell_counts[cell]``
-    describe each cell's segment inside ``slot_order`` — the contiguous
-    cumsum layout of :class:`GridBuckets` and the grow-only segmented
-    layout of :class:`DynamicGridBuckets` both fit this shape.
+    pairs within range.  The rectangle's points come as *runs*: slices
+    ``[start, start + count)`` of the layout's cell-ordered storage,
+    which the layout supplies (``_run_counts`` / ``_run_bounds``).
+    :class:`GridBuckets` stores whole cell rows contiguously, so each
+    (query, cell row) is one run; the per-cell segments of
+    :class:`DynamicGridBuckets` give one run per (query, cell).  Storage
+    positions map to coordinate keys (``_entry_keys``) and, for the pairs
+    in range only, to point ids (``_point_ids``).
 
     Args:
+        layout: The bucketing whose points are queried.
         point_radii: When given, the inclusive filter is
-            ``distance <= point_radii[point]`` (each *point* carries the
+            ``distance <= point_radii[key]`` (each *point* carries the
             radius, e.g. a worker's service range) while ``rr`` only
             sizes the candidate rectangles — callers pass a per-query
             upper bound such as the plane's maximum live radius.
@@ -122,7 +159,8 @@ def _batched_circle_query(
 
     Returns:
         ``(center_idx, point_idx, distance)`` flat arrays ordered by
-        center, then candidate cell, then within-cell storage order.
+        center, then row-major candidate cell, then within-cell storage
+        order — the same for either run shape.
     """
     batch_metric = resolve_batch_metric(metric)
     if batch_metric is None:
@@ -135,33 +173,12 @@ def _batched_circle_query(
         np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.float64),
     )
-    if not cx.size or not slot_order.size:
+    if not cx.size or not len(layout):
         return empty
 
-    region = grid.region
-    # Candidate cells: the axis-aligned cell rectangle covering the
-    # query disc, a superset of every cell holding an in-range point.
-    # The exact metric filter below makes the result independent of the
-    # rectangle: extra cells add no pair, and the cells that do keep
-    # their row-major order.  Euclidean and manhattan spans are ``rr``
-    # itself; an infinite span clips to the whole row or column.
-    dx, dy = coordinate_spans(metric, cx, cy, rr, points_on_globe)
-    min_col = np.clip(
-        np.floor((cx - dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
-    ).astype(np.int64)
-    max_col = np.clip(
-        np.floor((cx + dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
-    ).astype(np.int64)
-    min_row = np.clip(
-        np.floor((cy - dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
-    ).astype(np.int64)
-    max_row = np.clip(
-        np.floor((cy + dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
-    ).astype(np.int64)
-    col_span = max_col - min_col + 1
-    ncells = (max_row - min_row + 1) * col_span
-    if not int(ncells.sum()):
-        return empty
+    rectangles = _cell_rectangles(layout.grid, metric, cx, cy, rr, points_on_globe)
+    nruns = layout._run_counts(rectangles)
+    xs, ys = layout._xs, layout._ys
 
     # Both ragged expansions run in bounded chunks (see _CELL_CHUNK /
     # _POINT_CHUNK): peak transient memory stays proportional to the
@@ -171,37 +188,33 @@ def _batched_circle_query(
     out_centers: list = []
     out_points: list = []
     out_distances: list = []
-    cell_cum = np.cumsum(ncells)
+    run_cum = np.cumsum(nruns)
     center_start = 0
     while center_start < cx.size:
-        base = int(cell_cum[center_start - 1]) if center_start else 0
+        base = int(run_cum[center_start - 1]) if center_start else 0
         center_end = max(
-            int(np.searchsorted(cell_cum, base + _CELL_CHUNK, side="right")),
+            int(np.searchsorted(run_cum, base + _CELL_CHUNK, side="right")),
             center_start + 1,
         )
-        chunk_ncells = ncells[center_start:center_end]
-        chunk_total = int(chunk_ncells.sum())
+        chunk_nruns = nruns[center_start:center_end]
+        chunk_total = int(run_cum[center_end - 1]) - base
         center_start_next = center_end
         if not chunk_total:
             center_start = center_start_next
             continue
 
-        # Ragged expansion: one row per (query, candidate cell).
+        # Ragged expansion: one row per (query, run).
         center_rep = np.repeat(
-            np.arange(center_start, center_end, dtype=np.int64), chunk_ncells
+            np.arange(center_start, center_end, dtype=np.int64), chunk_nruns
         )
         local = _SCRATCH.iota(chunk_total) - np.repeat(
-            np.cumsum(chunk_ncells) - chunk_ncells, chunk_ncells
+            np.cumsum(chunk_nruns) - chunk_nruns, chunk_nruns
         )
-        span = col_span[center_rep]
-        cell = (min_row[center_rep] + local // span) * grid.cols + (
-            min_col[center_rep] + local % span
-        )
-        counts = cell_counts[cell]
+        starts, counts = layout._run_bounds(rectangles, center_rep, local)
         nonempty = counts > 0
-        center_rep, cell, counts = (
+        center_rep, starts, counts = (
             center_rep[nonempty],
-            cell[nonempty],
+            starts[nonempty],
             counts[nonempty],
         )
         if not counts.size:
@@ -209,7 +222,7 @@ def _batched_circle_query(
             continue
 
         # Second ragged expansion: one row per (query, candidate
-        # point), again in bounded chunks of (query, cell) pairs.
+        # point), again in bounded chunks of (query, run) rows.
         point_cum = np.cumsum(counts)
         pair_start = 0
         while pair_start < counts.size:
@@ -223,37 +236,31 @@ def _batched_circle_query(
                 pair_start + 1,
             )
             sub_counts = counts[pair_start:pair_end]
-            sub_total = int(sub_counts.sum())
-            ends = np.cumsum(sub_counts)
-            offsets = _SCRATCH.iota(sub_total) - np.repeat(
-                ends - sub_counts, sub_counts
+            sub_total = int(point_cum[pair_end - 1]) - pair_base
+            # Storage position of candidate i of run j: its offset in the
+            # flat expansion, shifted by (run start - run's first offset).
+            shift = starts[pair_start:pair_end] - (
+                point_cum[pair_start:pair_end] - pair_base - sub_counts
             )
-            point_idx = slot_order[
-                np.repeat(cell_starts[cell[pair_start:pair_end]], sub_counts)
-                + offsets
-            ]
+            keys = layout._entry_keys(
+                _SCRATCH.iota(sub_total) + np.repeat(shift, sub_counts)
+            )
             center_idx = np.repeat(center_rep[pair_start:pair_end], sub_counts)
 
             if points_first:
                 distances = batch_metric(
-                    xs[point_idx],
-                    ys[point_idx],
-                    cx[center_idx],
-                    cy[center_idx],
+                    xs[keys], ys[keys], cx[center_idx], cy[center_idx]
                 )
             else:
                 distances = batch_metric(
-                    cx[center_idx],
-                    cy[center_idx],
-                    xs[point_idx],
-                    ys[point_idx],
+                    cx[center_idx], cy[center_idx], xs[keys], ys[keys]
                 )
             if point_radii is not None:
-                within = distances <= point_radii[point_idx]
+                within = np.flatnonzero(distances <= point_radii[keys])
             else:
-                within = distances <= rr[center_idx]
+                within = np.flatnonzero(distances <= rr[center_idx])
             out_centers.append(center_idx[within])
-            out_points.append(point_idx[within])
+            out_points.append(layout._point_ids(keys[within]))
             out_distances.append(distances[within])
             pair_start = pair_end
         center_start = center_start_next
@@ -322,6 +329,17 @@ def cap_edges_per_center(
     return center_idx[keep], point_idx[keep]
 
 
+def canonical_edge_order(center_idx: np.ndarray, point_idx: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((point_idx, center_idx))``.
+
+    Edges in ascending ``(center, point)`` order, ties in input order, as
+    two stable passes over the (non-negative) keys cast to the narrowest
+    unsigned type that holds them, which numpy radix-sorts when they fit
+    in 16 bits.
+    """
+    return _stable_order(_narrow(point_idx), _narrow(center_idx))
+
+
 def _narrow(idx: np.ndarray) -> np.ndarray:
     """Non-negative index keys in the narrowest unsigned type holding them."""
     return idx.astype(np.min_scalar_type(int(idx.max(initial=0))), copy=False)
@@ -377,24 +395,33 @@ class GridBuckets:
         xs: x coordinates of the points.
         ys: y coordinates of the points (same length).
 
-    The constructor sorts point positions by their (0-based) grid cell
-    once; :meth:`query_circles` then answers a whole batch of circular
-    range queries — one per (center, radius) pair — with a handful of
-    numpy passes and **no Python per-point work**.
+    The constructor sorts the points by their (0-based) grid cell once,
+    stably, and keeps their coordinates in that cell order.  Cells are
+    numbered row-major, so the cells ``min_col..max_col`` of one cell row
+    are one contiguous slice of the storage,
+    ``cell_ptr[row * cols + min_col] : cell_ptr[row * cols + max_col + 1]``:
+    :meth:`query_circles` scans one such *row run* per (query, cell row)
+    of its rectangle, reads the coordinates by storage position, and maps
+    storage positions to point ids only for the pairs in range — a whole
+    batch of circular range queries in a handful of numpy passes with
+    **no Python per-point work**.
     """
 
     def __init__(self, grid: Grid, xs: Sequence[float], ys: Sequence[float]) -> None:
         self._grid = grid
-        self._xs = np.ascontiguousarray(xs, dtype=np.float64)
-        self._ys = np.ascontiguousarray(ys, dtype=np.float64)
-        if self._xs.shape != self._ys.shape or self._xs.ndim != 1:
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        ys = np.ascontiguousarray(ys, dtype=np.float64)
+        if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be 1-D arrays of equal length")
-        cells = grid.locate_many(self._xs, self._ys) - 1
+        cells = grid.locate_many(xs, ys) - 1
         # Stable sort keeps same-cell points in insertion order.
         self._order = np.argsort(cells, kind="stable")
-        self._cell_counts = np.bincount(cells, minlength=grid.num_cells)
+        self._xs = xs[self._order]
+        self._ys = ys[self._order]
         self._cell_ptr = np.zeros(grid.num_cells + 1, dtype=np.int64)
-        np.cumsum(self._cell_counts, out=self._cell_ptr[1:])
+        np.cumsum(
+            np.bincount(cells, minlength=grid.num_cells), out=self._cell_ptr[1:]
+        )
         # Whether every point is a lon/lat pair, checked on the first
         # haversine query (see coordinate_spans).
         self._on_globe: Optional[bool] = None
@@ -432,6 +459,21 @@ class GridBuckets:
         Raises:
             ValueError: for negative radii or a metric without a batch
                 implementation.
+
+        The row runs find exactly the pairs of an all-pairs filter:
+
+        >>> grid = Grid.square(10.0, 3)
+        >>> xs = np.array([1.0, 5.0, 9.0, 2.0, 8.0, 4.0, 3.0])
+        >>> ys = np.array([1.0, 5.0, 9.0, 8.0, 2.0, 6.0, 4.0])
+        >>> cx, cy, rr = np.array([4.0, 9.0]), np.array([5.0, 1.0]), np.array([3.0, 2.0])
+        >>> centers, points, _ = GridBuckets(grid, xs, ys).query_circles(cx, cy, rr)
+        >>> list(zip(centers.tolist(), points.tolist()))
+        [(0, 6), (0, 1), (0, 5), (1, 4)]
+        >>> within = np.hypot(cx[:, None] - xs, cy[:, None] - ys) <= rr[:, None]
+        >>> sorted(zip(centers.tolist(), points.tolist())) == sorted(
+        ...     zip(*(side.tolist() for side in np.nonzero(within)))
+        ... )
+        True
         """
         cx = np.ascontiguousarray(centers_x, dtype=np.float64)
         cy = np.ascontiguousarray(centers_y, dtype=np.float64)
@@ -441,18 +483,28 @@ class GridBuckets:
         if rr.size and float(rr.min()) < 0:
             raise ValueError("radius must be non-negative")
         return _batched_circle_query(
-            self._grid,
-            self._xs,
-            self._ys,
-            self._cell_ptr,
-            self._cell_counts,
-            self._order,
-            cx,
-            cy,
-            rr,
-            metric,
-            points_on_globe=self._points_on_globe(metric),
+            self, cx, cy, rr, metric, points_on_globe=self._points_on_globe(metric)
         )
+
+    # Storage layout of _batched_circle_query: one run per (query, cell
+    # row); storage positions index the cell-ordered coordinates.
+    def _run_counts(self, rectangles: _Rectangles) -> np.ndarray:
+        min_row, max_row, _, _ = rectangles
+        return max_row - min_row + 1
+
+    def _run_bounds(
+        self, rectangles: _Rectangles, center_rep: np.ndarray, local: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        min_row, _, min_col, max_col = rectangles
+        row_base = (min_row[center_rep] + local) * self._grid.cols
+        starts = self._cell_ptr[row_base + min_col[center_rep]]
+        return starts, self._cell_ptr[row_base + max_col[center_rep] + 1] - starts
+
+    def _entry_keys(self, positions: np.ndarray) -> np.ndarray:
+        return positions
+
+    def _point_ids(self, keys: np.ndarray) -> np.ndarray:
+        return self._order[keys]
 
     def _points_on_globe(self, metric: Union[str, DistanceMetric]) -> bool:
         if metric != "haversine":
@@ -474,9 +526,10 @@ class DynamicGridBuckets:
     window of one flat array, doubled by relocation when it fills, with
     abandoned windows kept in per-capacity free lists for reuse.  Inserts
     and removes are ``O(1)`` amortised, and the batched circle query runs
-    the exact same chunked numpy expansion as :class:`GridBuckets` over
-    the live population — no per-update rebucketing, no Python per-point
-    work at query time.
+    the same chunked numpy run expansion as :class:`GridBuckets` over the
+    live population — no per-update rebucketing, no Python per-point work
+    at query time.  The segments of neighbouring cells are not adjacent,
+    so its runs are one per (query, cell), not one per cell row.
 
     Args:
         grid: The grid used for bucketing and candidate-cell enumeration.
@@ -665,17 +718,7 @@ class DynamicGridBuckets:
                 float(cx[0]), float(cy[0]), float(rr[0]), metric, own_radius=False
             )
         return _batched_circle_query(
-            self._grid,
-            self._xs,
-            self._ys,
-            self._cell_start,
-            self._cell_count,
-            self._storage,
-            cx,
-            cy,
-            rr,
-            metric,
-            points_on_globe=self._points_on_globe(metric),
+            self, cx, cy, rr, metric, points_on_globe=self._points_on_globe(metric)
         )
 
     def query_own_radius(
@@ -713,12 +756,7 @@ class DynamicGridBuckets:
             )
         rr = np.full(cx.shape[0], self._max_radius, dtype=np.float64)
         return _batched_circle_query(
-            self._grid,
-            self._xs,
-            self._ys,
-            self._cell_start,
-            self._cell_count,
-            self._storage,
+            self,
             cx,
             cy,
             rr,
@@ -727,6 +765,30 @@ class DynamicGridBuckets:
             points_first=True,
             points_on_globe=self._points_on_globe(metric),
         )
+
+    # Storage layout of _batched_circle_query: cells own separate
+    # segments, so one run per (query, cell); storage entries are slots,
+    # which index the coordinates and are the point ids.
+    def _run_counts(self, rectangles: _Rectangles) -> np.ndarray:
+        min_row, max_row, min_col, max_col = rectangles
+        return (max_row - min_row + 1) * (max_col - min_col + 1)
+
+    def _run_bounds(
+        self, rectangles: _Rectangles, center_rep: np.ndarray, local: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        min_row, _, min_col, max_col = rectangles
+        first_col = min_col[center_rep]
+        span = max_col[center_rep] - first_col + 1
+        cell = (min_row[center_rep] + local // span) * self._grid.cols + (
+            first_col + local % span
+        )
+        return self._cell_start[cell], self._cell_count[cell]
+
+    def _entry_keys(self, positions: np.ndarray) -> np.ndarray:
+        return self._storage[positions]
+
+    def _point_ids(self, keys: np.ndarray) -> np.ndarray:
+        return keys
 
     def _points_on_globe(self, metric: Union[str, DistanceMetric]) -> bool:
         if metric != "haversine":
@@ -909,7 +971,7 @@ class IncrementalAdjacencyIndex:
             task_x / task_y: Query task coordinates (the tasks need not
                 be inserted in the task plane).
             worker_keys: Optional ``int64`` array mapping worker slot →
-                caller id (e.g. a period-local position); the cap's
+                non-negative caller id (e.g. a period-local position); the cap's
                 distance-tie rule and the canonical output order both use
                 the caller id, mirroring the batch builder capping over
                 period-local worker positions.  Defaults to the identity
@@ -929,7 +991,7 @@ class IncrementalAdjacencyIndex:
             return cap_edges_per_center(
                 task_idx, ids, distances, cx.shape[0], self._max_degree
             )
-        order = np.lexsort((ids, task_idx))
+        order = canonical_edge_order(task_idx, ids)
         return task_idx[order], ids[order]
 
     def task_rows(
@@ -965,7 +1027,7 @@ class IncrementalAdjacencyIndex:
         worker_idx, task_slots, _ = self._tasks.query_circles(
             workers._xs[slots], workers._ys[slots], workers._radii[slots], self._metric
         )
-        order = np.lexsort((task_slots, worker_idx))
+        order = canonical_edge_order(worker_idx, task_slots)
         rows: List[List[int]] = [[] for _ in range(slots.shape[0])]
         ordered_tasks = task_slots[order].tolist()
         for at, worker in enumerate(worker_idx[order].tolist()):
@@ -977,6 +1039,7 @@ __all__ = [
     "DynamicGridBuckets",
     "GridBuckets",
     "IncrementalAdjacencyIndex",
+    "canonical_edge_order",
     "cap_edges_per_center",
     "checked_degree_cap",
 ]

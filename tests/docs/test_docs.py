@@ -22,6 +22,7 @@ import pytest
 
 import repro.pricing.registry
 import repro.simulation.scenarios
+import repro.spatial.index
 from repro.simulation.scenarios import available_scenarios
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -116,6 +117,7 @@ class TestDoctests:
         [
             repro.pricing.registry,
             repro.simulation.scenarios,
+            repro.spatial.index,
         ],
         ids=lambda module: module.__name__,
     )

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import augmenting
 from repro.kernels.augmenting import matroid_augment
 from repro.market.entities import Task, Worker
 from repro.matching.bipartite import BipartiteGraph, CSRGraph
@@ -155,14 +156,65 @@ class TestMatroidKernelOracle:
         csr, order = instance
         assert matroid_augment(csr, order) == _oracle_matroid(csr, order)
 
-    def test_saturated_overlapping_instance(self):
-        """Forty tasks on eight workers, every row a shifted window."""
+    def test_saturated_overlapping_instance(self, monkeypatch):
+        """Forty tasks on eight workers, every row a shifted window.
+
+        Once the eighth search succeeds every worker is matched, so the
+        saturation stop runs no further search.
+        """
+        successes: List[int] = []
+        searches_after_saturation: List[int] = []
+        search = augmenting.augmenting_path
+
+        def counting(rows, match_worker, mark, stamp, start, touched):
+            if len(successes) == 8:
+                searches_after_saturation.append(start)
+            found = search(rows, match_worker, mark, stamp, start, touched)
+            if found is not None:
+                successes.append(start)
+            return found
+
+        monkeypatch.setattr(augmenting, "augmenting_path", counting)
         rows = [sorted({(t + k) % 8 for k in range(5)}) for t in range(40)]
         csr = CSRGraph.from_adjacency(rows, 8)
         order = list(range(40))
         result = matroid_augment(csr, order)
         assert result == _oracle_matroid(csr, order)
         assert sum(w != UNMATCHED for w in result) == 8
+        assert len(successes) == 8
+        assert searches_after_saturation == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances(), st.integers(min_value=0, max_value=5), st.data())
+    def test_saturation_stop_with_isolated_workers(self, instance, isolated, data):
+        """Workers without an edge never count towards saturation.
+
+        The instance gains ``isolated`` edgeless workers, at drawn
+        positions among the others (an order-preserving renumbering), and
+        is matched over a drawn subset of its eligible tasks; the stop must
+        leave the oracle's ``match_task`` unchanged.
+        """
+        csr, order = instance
+        num_workers = csr.num_workers + isolated
+        gaps = data.draw(
+            st.sets(
+                st.integers(min_value=0, max_value=num_workers - 1),
+                min_size=isolated,
+                max_size=isolated,
+            ),
+            label="isolated workers",
+        )
+        renumber = np.array([pos for pos in range(num_workers) if pos not in gaps])
+        widened = CSRGraph(
+            indptr=csr.indptr,
+            indices=renumber[csr.indices].astype(np.int64),
+            num_tasks=csr.num_tasks,
+            num_workers=num_workers,
+        )
+        subset = [
+            pos for pos in order if data.draw(st.booleans(), label=f"allow {pos}")
+        ]
+        assert matroid_augment(widened, subset) == _oracle_matroid(widened, subset)
 
     def test_pairing_takes_the_free_neighbour_first(self):
         """Task 1 takes the free worker 1 and leaves task 0 on worker 0.

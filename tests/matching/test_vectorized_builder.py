@@ -6,9 +6,19 @@ and grids it must produce an edge-identical CSR to the all-pairs scan
 (``grid=None``, the oracle), with and without the degree cap.  The lazy CSR-backed
 :class:`BipartiteGraph` views must in turn agree with the materialised
 adjacency lists.
+
+The batched range query under the builder scans one contiguous storage
+run per (query, cell row) of :class:`GridBuckets`, and one per (query,
+cell) of :class:`DynamicGridBuckets`.  :func:`_per_cell_query` is the
+earlier expansion — one row per (query, cell), coordinates read by point
+id — kept as the oracle both must equal in pairs, order and distance
+bytes.
 """
 
 from __future__ import annotations
+
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +32,16 @@ from repro.matching.bipartite import (
     build_bipartite_graph,
     build_graph_from_arrays,
 )
-from repro.spatial.geometry import Point
+import repro.spatial.index as index_module
+from repro.spatial.geometry import (
+    BoundingBox,
+    Point,
+    coordinate_spans,
+    on_globe,
+    resolve_batch_metric,
+)
 from repro.spatial.grid import Grid
-from repro.spatial.index import GridBuckets
+from repro.spatial.index import DynamicGridBuckets, GridBuckets
 
 
 def _entities(rng, side, num_tasks, num_workers, max_radius):
@@ -47,6 +64,110 @@ def _entities(rng, side, num_tasks, num_workers, max_radius):
         for j in range(num_workers)
     ]
     return tasks, workers
+
+
+def _per_cell_query(
+    grid,
+    xs,
+    ys,
+    cell_starts,
+    cell_counts,
+    slot_order,
+    cx,
+    cy,
+    rr,
+    metric,
+    point_radii=None,
+    points_first=False,
+    points_on_globe=True,
+):
+    """The per-cell batched circle query: the oracle of the row runs.
+
+    One expansion row per (query, candidate cell) of the query's cell
+    rectangle, empty cells dropped, then one row per candidate point,
+    read by point id through ``slot_order``; monolithic, no chunks.
+    ``cell_starts[cell]`` / ``cell_counts[cell]`` locate each cell's
+    segment of ``slot_order``.
+    """
+    batch_metric = resolve_batch_metric(metric)
+    empty = (
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.float64),
+    )
+    if not cx.size or not slot_order.size:
+        return empty
+    region = grid.region
+    dx, dy = coordinate_spans(metric, cx, cy, rr, points_on_globe)
+    min_col = np.clip(
+        np.floor((cx - dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
+    ).astype(np.int64)
+    max_col = np.clip(
+        np.floor((cx + dx - region.min_x) / grid.cell_width), 0, grid.cols - 1
+    ).astype(np.int64)
+    min_row = np.clip(
+        np.floor((cy - dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
+    ).astype(np.int64)
+    max_row = np.clip(
+        np.floor((cy + dy - region.min_y) / grid.cell_height), 0, grid.rows - 1
+    ).astype(np.int64)
+    col_span = max_col - min_col + 1
+    ncells = (max_row - min_row + 1) * col_span
+    center_rep = np.repeat(np.arange(cx.size, dtype=np.int64), ncells)
+    local = np.arange(int(ncells.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(ncells) - ncells, ncells
+    )
+    span = col_span[center_rep]
+    cell = (min_row[center_rep] + local // span) * grid.cols + (
+        min_col[center_rep] + local % span
+    )
+    counts = cell_counts[cell]
+    nonempty = counts > 0
+    center_rep, cell, counts = center_rep[nonempty], cell[nonempty], counts[nonempty]
+    if not counts.size:
+        return empty
+    ends = np.cumsum(counts)
+    offsets = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(ends - counts, counts)
+    point_idx = slot_order[np.repeat(cell_starts[cell], counts) + offsets]
+    center_idx = np.repeat(center_rep, counts)
+    if points_first:
+        distances = batch_metric(xs[point_idx], ys[point_idx], cx[center_idx], cy[center_idx])
+    else:
+        distances = batch_metric(cx[center_idx], cy[center_idx], xs[point_idx], ys[point_idx])
+    if point_radii is not None:
+        within = distances <= point_radii[point_idx]
+    else:
+        within = distances <= rr[center_idx]
+    return center_idx[within], point_idx[within], distances[within]
+
+
+def _static_oracle(grid, xs, ys, cx, cy, rr, metric="euclidean"):
+    """:func:`_per_cell_query` over the cell-sorted storage of ``(xs, ys)``."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    cells = grid.locate_many(xs, ys) - 1
+    counts = np.bincount(cells, minlength=grid.num_cells)
+    globe = metric != "haversine" or on_globe(xs, ys)
+    return _per_cell_query(
+        grid,
+        xs,
+        ys,
+        np.cumsum(counts) - counts,
+        counts,
+        np.argsort(cells, kind="stable"),
+        np.asarray(cx, dtype=np.float64),
+        np.asarray(cy, dtype=np.float64),
+        np.asarray(rr, dtype=np.float64),
+        metric,
+        points_on_globe=globe,
+    )
+
+
+def _assert_identical(got, want):
+    """Same pairs, same order, same dtypes and distance bytes."""
+    for got_part, want_part in zip(got, want):
+        assert got_part.dtype == want_part.dtype
+        assert got_part.tobytes() == want_part.tobytes()
 
 
 class TestBuilderEquivalence:
@@ -234,9 +355,8 @@ class TestGridBuckets:
 
     def test_chunked_expansion_matches_monolithic(self, monkeypatch):
         """Tiny chunk bounds force both chunk loops through many rounds
-        and must not change the results or their ordering."""
-        import repro.spatial.index as index_module
-
+        and must not change the results or their ordering, which equal
+        the per-cell oracle's."""
         rng = np.random.default_rng(7)
         side = 40.0
         grid = Grid.square(side, 4)
@@ -250,6 +370,9 @@ class TestGridBuckets:
         chunked = buckets.query_circles(cx, cy, radii)
         for ref, got in zip(reference, chunked):
             assert ref.tolist() == got.tolist()
+        oracle = _static_oracle(grid, xs, ys, cx, cy, radii)
+        _assert_identical(reference, oracle)
+        _assert_identical(chunked, oracle)
 
     def test_negative_radius_rejected(self):
         buckets = GridBuckets(Grid.square(10.0, 2), [1.0], [1.0])
@@ -260,3 +383,135 @@ class TestGridBuckets:
         buckets = GridBuckets(Grid.square(10.0, 2), [1.0], [1.0])
         with pytest.raises(ValueError):
             buckets.query_circles([1.0], [1.0], [1.0], metric=lambda a, b: 0.0)
+
+
+# ----------------------------------------------------------------------
+# row runs against the per-cell oracle
+# ----------------------------------------------------------------------
+_PLANAR_REGION = BoundingBox(0.0, 0.0, 100.0, 60.0)
+_LONLAT_REGIONS = [
+    BoundingBox(116.2, 39.8, 116.6, 40.1),  # central Beijing
+    BoundingBox(-30.0, 80.0, 30.0, 90.0),  # up to the north pole
+    BoundingBox(170.0, -10.0, 180.0, 10.0),  # on the +-180 degree seam
+    BoundingBox(-180.0, -90.0, 180.0, 90.0),  # the whole globe
+]
+_INF = float("inf")
+
+
+@st.composite
+def row_run_cases(draw):
+    """A metric, a grid, points and queries in and around its region.
+
+    Coordinates fall inside the region, on a cell boundary (the region's
+    edges included) or up to a quarter of its size outside it — off the
+    globe, for the polar and the whole-globe boxes, which makes every
+    haversine span infinite.  Radii include zero and infinity; at most
+    forty points over up to nine rows leave many rows and cells empty.
+    """
+    metric = draw(st.sampled_from(["euclidean", "manhattan", "haversine"]))
+    if metric == "haversine":
+        region = draw(st.sampled_from(_LONLAT_REGIONS))
+        radius = st.one_of(st.floats(0.0, 60.0), st.floats(0.0, 20_100.0), st.just(_INF))
+    else:
+        region = _PLANAR_REGION
+        radius = st.one_of(st.floats(0.0, 40.0), st.just(0.0), st.just(_INF))
+    grid = Grid(region, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    width = region.max_x - region.min_x
+    height = region.max_y - region.min_y
+    x = st.one_of(
+        st.floats(region.min_x, region.max_x),
+        st.sampled_from(
+            [region.min_x + col * grid.cell_width for col in range(grid.cols)]
+            + [region.max_x]
+        ),
+        st.floats(region.min_x - width / 4, region.max_x + width / 4),
+    )
+    y = st.one_of(
+        st.floats(region.min_y, region.max_y),
+        st.sampled_from(
+            [region.min_y + row * grid.cell_height for row in range(grid.rows)]
+            + [region.max_y]
+        ),
+        st.floats(region.min_y - height / 4, region.max_y + height / 4),
+    )
+    points = draw(st.lists(st.tuples(x, y, radius), max_size=40))
+    queries = draw(st.lists(st.tuples(x, y, radius), max_size=8))
+    px, py, pr = (np.array([p[k] for p in points], dtype=np.float64) for k in range(3))
+    qx, qy, qr = (np.array([q[k] for q in queries], dtype=np.float64) for k in range(3))
+    return metric, grid, px, py, pr, qx, qy, qr
+
+
+#: Chunk bounds to run under: the defaults, or tiny ones that split the
+#: expansions into many rounds.
+_CHUNKS = st.tuples(
+    st.sampled_from([None, 1, 2, 3, 7]), st.sampled_from([None, 1, 2, 5, 13])
+)
+
+
+def _under(chunks, query):
+    """Run ``query`` with ``_CELL_CHUNK`` / ``_POINT_CHUNK`` patched to
+    ``chunks`` (``None`` keeps a bound)."""
+    with ExitStack() as stack:
+        for name, value in zip(("_CELL_CHUNK", "_POINT_CHUNK"), chunks):
+            if value is not None:
+                stack.enter_context(mock.patch.object(index_module, name, value))
+        return query()
+
+
+class TestRowRunsEqualPerCellOracle:
+    @given(case=row_run_cases(), chunks=_CHUNKS)
+    @settings(deadline=None, max_examples=200)
+    def test_grid_buckets_equal_per_cell_oracle(self, case, chunks):
+        metric, grid, px, py, _, qx, qy, qr = case
+        buckets = GridBuckets(grid, px, py)
+        got = _under(chunks, lambda: buckets.query_circles(qx, qy, qr, metric))
+        _assert_identical(got, _static_oracle(grid, px, py, qx, qy, qr, metric))
+
+    @given(
+        case=row_run_cases(),
+        chunks=_CHUNKS,
+        removals=st.lists(st.integers(0, 39), max_size=12),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_live_plane_per_cell_runs_equal_oracle(self, case, chunks, removals):
+        metric, grid, px, py, pr, qx, qy, qr = case
+        plane = DynamicGridBuckets(grid, track_radii=True)
+        half = px.shape[0] // 2
+        plane.insert(px[:half], py[:half], pr[:half])
+        plane.insert(px[half:], py[half:], pr[half:])
+        for slot in sorted(set(removals)):
+            if plane.is_live(slot):
+                plane.remove(slot)
+        globe = plane._points_on_globe(metric)
+        layout = (plane._xs, plane._ys, plane._cell_start, plane._cell_count, plane._storage)
+        got = _under(chunks, lambda: plane.query_circles(qx, qy, qr, metric))
+        want = _per_cell_query(grid, *layout, qx, qy, qr, metric, points_on_globe=globe)
+        _assert_identical(got, want)
+        got = _under(chunks, lambda: plane.query_own_radius(qx, qy, metric))
+        want = _per_cell_query(
+            grid,
+            *layout,
+            qx,
+            qy,
+            np.full(qx.shape, plane.max_radius),
+            metric,
+            point_radii=plane._radii,
+            points_first=True,
+            points_on_globe=globe,
+        )
+        _assert_identical(got, want)
+
+    def test_row_run_spans_empty_rows_and_cells(self):
+        """Points in two cells of one row; a query over the whole grid
+        scans one run per row, most of them empty."""
+        grid = Grid.square(40.0, 4)
+        xs = [1.0, 25.0, 2.0, 26.0, 39.0]
+        ys = [21.0, 22.0, 23.0, 21.5, 1.0]
+        cx, cy, rr = [20.0, 20.0, 5.0], [20.0, 20.0, 35.0], [_INF, 10.0, 3.0]
+        got = GridBuckets(grid, xs, ys).query_circles(cx, cy, rr)
+        want = _static_oracle(grid, xs, ys, cx, cy, rr)
+        _assert_identical(got, want)
+        # Row-major cell order, insertion order within a cell.
+        assert list(zip(got[0].tolist(), got[1].tolist())) == [
+            (0, 4), (0, 0), (0, 2), (0, 1), (0, 3), (1, 1), (1, 3),
+        ]

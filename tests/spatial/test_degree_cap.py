@@ -7,7 +7,9 @@ keys narrowed to the smallest unsigned type that holds them.  The oracle
 is the earlier two-``lexsort`` formulation; outputs must be array-equal
 (values and dtype) across distance ties, empty input, caps above every
 degree, index keys on both sides of the 8-, 16- and 32-bit boundaries
-and keys too wide to pack.
+and keys too wide to pack.  :func:`canonical_edge_order`, the uncapped
+builders' canonical sort over the same narrowed keys, is held to
+``np.lexsort`` the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial.index import cap_edges_per_center
+from repro.spatial.index import canonical_edge_order, cap_edges_per_center
 
 
 def _lexsort_cap(center_idx, point_idx, distances, num_centers, max_degree):
@@ -107,3 +109,26 @@ class TestDegreeCapOracle:
         rng = np.random.default_rng(11)
         centers, points, distances = _edges(rng, 400, 12, 60, 4)
         _assert_same_cap(centers, points + point_base, distances, 12, 3)
+
+
+class TestCanonicalEdgeOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_edges=st.integers(0, 300),
+        center_bound=st.sampled_from([1, 40, 256, 65536, 2**40]),
+        point_bound=st.sampled_from([1, 40, 256, 65536, 2**40]),
+    )
+    def test_equals_lexsort(self, seed, num_edges, center_bound, point_bound):
+        """The same permutation, duplicate pairs included (input order
+        breaks their ties), for keys on both sides of every width."""
+        rng = np.random.default_rng(seed)
+        centers = rng.integers(0, center_bound, size=num_edges)
+        points = rng.integers(0, point_bound, size=num_edges)
+        if num_edges:
+            centers[rng.integers(0, num_edges, size=num_edges // 3)] = centers[0]
+            points[rng.integers(0, num_edges, size=num_edges // 3)] = points[0]
+        got = canonical_edge_order(centers, points)
+        want = np.lexsort((points, centers))
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
