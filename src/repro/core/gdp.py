@@ -122,6 +122,25 @@ class PeriodArrays:
             worker_grids=worker_grids,
         )
 
+    def take(
+        self, task_positions: Sequence[int], worker_positions: Sequence[int]
+    ) -> "PeriodArrays":
+        """The arrays of some task and worker positions, in the given order.
+
+        Byte-equal to :meth:`build` over the same tasks and workers
+        (every column is per position), without re-walking the objects
+        or re-locating the workers.
+        """
+        tasks = np.asarray(task_positions, dtype=np.intp)
+        workers = np.asarray(worker_positions, dtype=np.intp)
+        return PeriodArrays(
+            task_grids=self.task_grids[tasks],
+            distances=self.distances[tasks],
+            valuations=self.valuations[tasks],
+            has_valuation=self.has_valuation[tasks],
+            worker_grids=self.worker_grids[workers],
+        )
+
     @property
     def num_tasks(self) -> int:
         return int(self.task_grids.shape[0])
@@ -188,8 +207,9 @@ class _LazyBipartiteGraph:
     strategy that reads the graph while quoting (MAPS's planner) builds
     the full graph on its first attribute access, which the match stage
     then reuses as is.  The streaming universe
-    (:meth:`PeriodInstance.build` with ``build_graph=False``) defers its
-    full graph the same way and offers no row builder.
+    (:meth:`PeriodInstance.build` with ``build_graph=False``) and the
+    dispatch session's instances (:meth:`PeriodInstance.from_arrays`)
+    defer their full graph the same way and offer no row builder.
     """
 
     __slots__ = ("_factory", "_row_factory", "_graph")
@@ -321,31 +341,59 @@ class PeriodInstance:
                 task = task.with_grid(grid.locate(task.origin))
             annotated.append(task)
         worker_list = list(workers)
-        if build_graph:
-            graph = build_bipartite_graph(
-                annotated,
-                worker_list,
-                metric=metric,
-                grid=grid,
-                max_degree=max_degree,
-            )
-        else:
-            graph = _LazyBipartiteGraph(
-                lambda: build_bipartite_graph(
-                    annotated,
-                    worker_list,
-                    metric=metric,
-                    grid=grid,
-                    max_degree=max_degree,
-                )
-            )
         arrays = PeriodArrays.build(annotated, workers, grid)
+        if not build_graph:
+            return cls.from_arrays(
+                period, grid, annotated, worker_list, arrays, metric, max_degree
+            )
         return cls(
             period=period,
             grid=grid,
             tasks=annotated,
             workers=worker_list,
-            graph=graph,
+            graph=build_bipartite_graph(
+                annotated,
+                worker_list,
+                metric=metric,
+                grid=grid,
+                max_degree=max_degree,
+            ),
+            arrays=arrays,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        period: int,
+        grid: Grid,
+        tasks: List[Task],
+        workers: List[Worker],
+        arrays: PeriodArrays,
+        metric: Union[str, DistanceMetric] = "euclidean",
+        max_degree: Optional[int] = None,
+    ) -> "PeriodInstance":
+        """An instance over annotated tasks and workers whose arrays exist.
+
+        What :meth:`build` returns with ``build_graph=False``, for a
+        caller that already holds the :class:`PeriodArrays` of these
+        tasks and workers (e.g. :meth:`PeriodArrays.take` of a larger
+        instance's): the graph stays deferred behind a
+        :class:`_LazyBipartiteGraph` proxy.
+        """
+        return cls(
+            period=period,
+            grid=grid,
+            tasks=tasks,
+            workers=workers,
+            graph=_LazyBipartiteGraph(
+                lambda: build_bipartite_graph(
+                    tasks,
+                    workers,
+                    metric=metric,
+                    grid=grid,
+                    max_degree=max_degree,
+                )
+            ),
             arrays=arrays,
         )
 

@@ -15,6 +15,7 @@ when the planner admits the supply increase.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -697,7 +698,14 @@ class LazyDynamicMatcher:
     Worker arrivals absorb the best reachable unmatched task and matched
     task removals repair through the freed worker, so task rows must be
     appended for arriving workers (pass ``task_row`` to
-    :meth:`new_worker`).
+    :meth:`new_worker`).  A free worker searches only while some
+    eligible task waits unmatched (a count of the eligible tasks against
+    :attr:`num_matched` says so), and its search stops at the best
+    waiting task, the top of a heap of the waiting tasks: it is the best
+    of every waiting task, hence of the reachable ones.  The heap is
+    validated lazily: a task is pushed each time it starts waiting, and
+    an entry whose task is matched or no longer eligible is popped when
+    it reaches the top.
 
     The augmenting search is the batch matcher's
     (:func:`repro.kernels.augmenting.augmenting_path`); a failed
@@ -717,6 +725,11 @@ class LazyDynamicMatcher:
     def __init__(self) -> None:  # noqa: D107 — documented on the class
         self._stamp = 0
         self._num_matched = 0
+        # Live tasks of positive weight; the difference to _num_matched
+        # is the number of waiting tasks.
+        self._num_eligible = 0
+        # (-weight, task id) per start of a wait, popped once stale.
+        self._waiting: List[Tuple[float, int]] = []
         self._weights: List[float] = []
         self._rows: List[List[int]] = []
         self._task_live = bytearray()
@@ -792,11 +805,22 @@ class LazyDynamicMatcher:
         Every matched task must be eligible (hence live), its worker
         live, matched back to it and on the task's row; no worker may
         claim a task that does not claim it back.  Exactly the tasks no
-        longer live or of non-positive weight carry the search sentinel.
+        longer live or of non-positive weight carry the search sentinel;
+        the eligible count is theirs, and every waiting (eligible,
+        unmatched) task has its entry in the waiting heap.
         """
+        eligible = 0
         for live, weight, mark in zip(self._task_live, self._weights, self._task_visited):
             if (mark == DEAD) == bool(live and weight > 0.0):
                 return False
+            eligible += mark != DEAD
+        if eligible != self._num_eligible:
+            return False
+        entries = set(self._waiting)
+        for task_id, (worker_id, mark) in enumerate(zip(self._match_task, self._task_visited)):
+            if worker_id == UNMATCHED and mark != DEAD:
+                if (-self._weights[task_id], task_id) not in entries:
+                    return False
         pairs = self.matching()
         owners = sum(1 for task_id in self._match_worker if task_id != UNMATCHED)
         if not len(pairs) == owners == self._num_matched:
@@ -826,11 +850,13 @@ class LazyDynamicMatcher:
         flip_path(self._match_task, self._match_worker, *found)
         return None
 
-    def _reach(self, worker_id: int) -> List[int]:
+    def _reach(self, worker_id: int, target: int) -> List[int]:
         """Unmatched eligible tasks alternating-reachable from ``worker_id``.
 
         ``worker_id`` is free, so no task leads back to it: only the
-        matched workers the search enters are stamped.
+        matched workers the search enters are stamped.  Meeting
+        ``target``, the best waiting task, ends the search with
+        ``[target]``: no other reachable task can beat it.
         """
         self._stamp += 1
         stamp = self._stamp
@@ -847,17 +873,39 @@ class LazyDynamicMatcher:
                 task_visited[task_id] = stamp
                 matched = match_task[task_id]
                 if matched == UNMATCHED:
+                    if task_id == target:
+                        return [target]
                     out.append(task_id)
                 elif worker_visited[matched] != stamp:
                     worker_visited[matched] = stamp
                     queue.append(matched)
         return out
 
+    def _wait(self, task_id: int) -> None:
+        """Record that eligible ``task_id`` starts waiting unmatched."""
+        heapq.heappush(self._waiting, (-self._weights[task_id], task_id))
+
+    def _best_waiting(self) -> int:
+        """The best waiting task; pops the stale entries above it.
+
+        Call only while some task waits.
+        """
+        waiting = self._waiting
+        match_task = self._match_task
+        task_visited = self._task_visited
+        while True:
+            task_id = waiting[0][1]
+            if match_task[task_id] == UNMATCHED and task_visited[task_id] != DEAD:
+                return task_id
+            heapq.heappop(waiting)
+
     # ------------------------------------------------------------------
     # repair internals
     # ------------------------------------------------------------------
     # Priority is weight descending, then id ascending; both repairs
-    # compare it inline.
+    # compare it inline.  A task starts waiting only where
+    # _match_or_evict gives up on it or evicts it, or where a greedy
+    # insert finds no free worker.
 
     def _match_or_evict(self, task_id: int) -> bool:
         circuit = self._try_augment(task_id)
@@ -876,10 +924,12 @@ class LazyDynamicMatcher:
                 evict = owner
                 evict_weight = weight
         if evict == task_id:
+            self._wait(task_id)
             return False
         freed = match_task[evict]
         match_task[evict] = UNMATCHED
         match_worker[freed] = UNMATCHED
+        self._wait(evict)
         if self._try_augment(task_id) is not None:
             raise RuntimeError(
                 "lazy dynamic matcher invariant violated: re-augmentation "
@@ -888,7 +938,9 @@ class LazyDynamicMatcher:
         return True
 
     def _absorb_free_worker(self, worker_id: int) -> Optional[int]:
-        candidates = self._reach(worker_id)
+        if self._num_eligible == self._num_matched:
+            return None  # nothing waits, so nothing is reachable
+        candidates = self._reach(worker_id, self._best_waiting())
         if not candidates:
             return None
         weights = self._weights
@@ -925,6 +977,23 @@ class LazyDynamicMatcher:
 
         Returns:
             ``(worker_id, absorbed_task_id_or_None)``.
+
+        A join searches only while some task waits, and absorbs the best
+        task it reaches:
+
+        >>> matcher = LazyDynamicMatcher()
+        >>> matcher.new_worker()
+        (0, None)
+        >>> matcher.new_task([0], 2.0)  # worker 0 takes task 0
+        (0, True)
+        >>> matcher.new_worker([0])  # nothing waits: no search
+        (1, None)
+        >>> matcher.new_task([], 1.0)  # no worker in range: task 1 waits
+        (1, False)
+        >>> matcher.new_worker([1])  # worker 2 joins next to task 1
+        (2, 1)
+        >>> matcher.matching()
+        {0: 0, 1: 2}
         """
         worker_id = len(self._match_worker)
         self._match_worker.append(UNMATCHED)
@@ -970,6 +1039,7 @@ class LazyDynamicMatcher:
             self._task_visited.append(DEAD)
             return task_id, False
         self._task_visited.append(0)
+        self._num_eligible += 1
         wrows = self._wrows
         for worker_id in row:
             wrows[worker_id].append(task_id)
@@ -984,6 +1054,7 @@ class LazyDynamicMatcher:
                     match_worker[candidate] = task_id
                     self._num_matched += 1
                     return task_id, True
+            self._wait(task_id)
             return task_id, False
         return task_id, self._match_or_evict(task_id)
 
@@ -996,6 +1067,8 @@ class LazyDynamicMatcher:
         if not self._task_live[task_id]:
             raise ValueError(f"task id {task_id} is not live")
         self._task_live[task_id] = 0
+        if self._task_visited[task_id] != DEAD:
+            self._num_eligible -= 1
         self._task_visited[task_id] = DEAD
         worker_id = int(self._match_task[task_id])
         if worker_id == UNMATCHED:
@@ -1038,6 +1111,7 @@ class LazyDynamicMatcher:
         self._match_task[task_id] = UNMATCHED
         self._match_worker[worker_id] = UNMATCHED
         self._num_matched -= 1
+        self._num_eligible -= 1
         return worker_id
 
 

@@ -1341,6 +1341,29 @@ class DispatchSession:
         self.live_workers.update(joined)
         return joined
 
+    def _instance(
+        self,
+        period: int,
+        task_positions: Sequence[int],
+        worker_positions: Sequence[int],
+    ) -> PeriodInstance:
+        """The instance over universe positions, sliced from the universe arrays.
+
+        Its tasks and workers are the universe's (annotated when it was
+        built), its arrays a :meth:`~repro.core.gdp.PeriodArrays.take` of
+        the universe's.  Only the MAPS planner reads an instance graph,
+        so it stays deferred: the matchers keep their own adjacency.
+        """
+        return PeriodInstance.from_arrays(
+            period,
+            self.stream.grid,
+            [self._tasks[pos] for pos in task_positions],
+            [self._workers[pos] for pos in worker_positions],
+            self.universe.ensure_arrays().take(task_positions, worker_positions),
+            metric=self.stream.metric,
+            max_degree=self.max_degree,
+        )
+
     def _lifetime(self, task: Task) -> float:
         return float(task.duration if task.duration is not None else self.task_lifetime)
 
@@ -1428,17 +1451,7 @@ class DispatchSession:
                 if self.matcher.task_of(pos) is None
             ]
             num_free = len(free)
-            instance = PeriodInstance.build(
-                period=period,
-                grid=self.stream.grid,
-                tasks=[self._tasks[pos] for pos in task_positions],
-                workers=[self._workers[pos] for pos in free],
-                metric=self.stream.metric,
-                max_degree=self.max_degree,
-                # Only the MAPS planner reads an instance graph; the
-                # matchers keep their own adjacency.
-                build_graph=False,
-            )
+            instance = self._instance(period, task_positions, free)
             grid_prices, decision, _ = self._dispatch(
                 instance,
                 task_positions,
@@ -1534,14 +1547,7 @@ class DispatchSession:
         with self._staged("settle", "time_matching"):
             settlements = self.settle_until(at)
         task = self._tasks[task_pos]
-        instance = PeriodInstance.build(
-            period=window_index(at, 1.0),
-            grid=self.stream.grid,
-            tasks=[task],
-            workers=[],
-            metric=self.stream.metric,
-            build_graph=False,
-        )
+        instance = self._instance(window_index(at, 1.0), (task_pos,), ())
         _, decision, tentative = self._dispatch(instance, [task_pos], [at], degrade)
         inserted = task_pos in self.live_weights
         outcome = QuoteOutcome(

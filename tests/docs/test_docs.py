@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.matching.incremental
 import repro.pricing.registry
 import repro.simulation.scenarios
 import repro.spatial.index
@@ -115,6 +116,7 @@ class TestDoctests:
     @pytest.mark.parametrize(
         "module",
         [
+            repro.matching.incremental,
             repro.pricing.registry,
             repro.simulation.scenarios,
             repro.spatial.index,

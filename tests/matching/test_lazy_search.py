@@ -20,11 +20,17 @@ same random ``new_task`` / ``new_worker`` / ``remove_task`` /
 non-positive ones (live but ineligible tasks) and ties; inserts may be
 greedy; removals may pick a matched worker.  After every operation:
 
-* every search both matchers ran, in order, is equal: the start and the
-  visited workers of each failed augmenting search (the eviction
-  circuit), and each reach list;
+* every search and absorb both matchers ran, in order, is equal: the
+  start and the visited workers of each failed augmenting search (the
+  eviction circuit), and the worker and absorbed task (or ``None``) of
+  each free-worker absorb;
 * the return values, ``matching()`` and ``num_matched`` are equal;
-* ``is_valid_matching()`` holds, which includes the sentinel check.
+* ``is_valid_matching()`` holds, which includes the sentinel check, the
+  eligible count and the waiting heap.
+
+The reach lists themselves are not compared: the matcher skips the
+reach while no task waits and stops it at the best waiting task, so
+its lists are shorter by design; the absorbed task is what they decide.
 """
 
 from __future__ import annotations
@@ -181,21 +187,21 @@ class _EarlierSearches(LazyDynamicMatcher):
 
 
 def _logged(matcher: LazyDynamicMatcher, log: list) -> LazyDynamicMatcher:
-    """Record every search ``matcher`` runs into ``log``, in call order."""
-    try_augment, reach = matcher._try_augment, matcher._reach
+    """Record every search and absorb ``matcher`` runs into ``log``, in order."""
+    try_augment, absorb = matcher._try_augment, matcher._absorb_free_worker
 
     def logged_augment(start):
         visited = try_augment(start)
         log.append(("augment", start, None if visited is None else list(visited)))
         return visited
 
-    def logged_reach(worker_id):
-        out = reach(worker_id)
-        log.append(("reach", worker_id, list(out)))
-        return out
+    def logged_absorb(worker_id):
+        task_id = absorb(worker_id)
+        log.append(("absorb", worker_id, task_id))
+        return task_id
 
     matcher._try_augment = logged_augment
-    matcher._reach = logged_reach
+    matcher._absorb_free_worker = logged_absorb
     return matcher
 
 
@@ -212,14 +218,14 @@ class LazySearchMachine(RuleBasedStateMachine):
         self.worker_zones: List[Set[int]] = []
         self.live_tasks: Set[int] = set()
         self.live_workers: Set[int] = set()
-        self.searches = 0
+        self.seen: list = []
 
     def _both(self, method: str, *args, **kwargs):
         got = getattr(self.matcher, method)(*args, **kwargs)
         want = getattr(self.oracle, method)(*args, **kwargs)
         assert got == want, method
         assert self.log == self.oracle_log, method
-        self.searches += len(self.log)
+        self.seen.extend(self.log)
         self.log.clear()
         self.oracle_log.clear()
         return got
@@ -310,11 +316,13 @@ class _Draw:
 
 
 def test_machine_runs_failed_searches_and_reaches():
-    """A fixed run exercises every search kind the machine compares."""
+    """A fixed run exercises every search and absorb kind the machine compares."""
     machine = LazySearchMachine()
     for zone, weight in [(0, 2.0), (0, 1.25), (0, 0.0), (1, 3.75)]:
         machine.new_task(zone, weight, False)
+    # Task 3 waits out of reach: the full reach picks task 0.
     machine.new_worker({0})
+    # Task 3 is the best waiting task and in the row: the reach stops there.
     machine.new_worker({0, 1})
     # Task 4's search fails over workers 0 and 1; it evicts task 0.
     machine.new_task(0, 5.0, False)
@@ -322,9 +330,15 @@ def test_machine_runs_failed_searches_and_reaches():
     machine.commit_task(_Draw(4))
     machine.new_worker({0})  # absorbs task 0, the best reachable one
     assert machine.oracle.matching() == {0: 2, 3: 1}
+    machine.remove_task(_Draw(1))  # the last waiting task leaves
+    machine.new_worker({1})  # nothing waits: absorbs nothing
     assert machine.matcher.matching() == machine.oracle.matching()
     assert machine.matcher.is_valid_matching()
-    assert machine.searches >= 6
+    assert ("absorb", 0, 0) in machine.seen
+    assert ("absorb", 1, 3) in machine.seen
+    assert ("absorb", 3, None) in machine.seen
+    assert ("augment", 4, [0, 1]) in machine.seen
+    assert ("augment", 3, None) in machine.seen
     machine.same_matched_state()
     machine.teardown()
 
