@@ -10,12 +10,10 @@
   fans (strategy, seed) simulation runs across processes with results
   identical to a sequential sweep;
 * :mod:`repro.experiments.report` — plain-text table/series rendering used
-  by the benchmark harness and the experiment CLI;
-* :mod:`repro.experiments.bench_sharded` /
-  :mod:`repro.experiments.bench_matching` — the measurement protocols
-  behind ``benchmarks/test_bench_sharded.py`` /
-  ``benchmarks/test_bench_matching.py`` and the ``BENCH_*.json``
-  trajectory files written by ``tools/bench_to_json.py``.
+  by the benchmark harness and the experiment CLI.
+
+The system's own speed from one commit to the next is judged by the
+repository benchmark in ``perf/`` (see ``perf/README.md``).
 """
 
 from repro.experiments.parallel import ParallelRunner, StrategySpec, StreamSpec

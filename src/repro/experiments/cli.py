@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run under cProfile and print the top N cumulative hotspots "
-        "after the tables (default N=25; see also tools/profile_run.py)",
+        "after the tables (default N=25; requires --jobs 1, since a pool's "
+        "worker processes are not profiled)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="root random seed for the run"
@@ -399,6 +400,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--max-degree must be a positive integer")
     if args.profile is not None and args.profile < 1:
         parser.error("--profile must be a positive integer")
+    if args.profile is not None and args.jobs != 1:
+        # cProfile sees only this process, which would spend the run
+        # waiting on its pool instead of running the engines.
+        parser.error("--profile requires --jobs 1")
 
     if args.scenario is not None:
         runner = _run_scenario

@@ -1,8 +1,8 @@
 """Wire protocol of the dispatch service: newline-delimited JSON.
 
 One JSON object per line in both directions.  JSON is the repo's
-bitwise-safe interchange format already (every ``BENCH_*.json`` relies
-on it): Python serialises floats with ``repr`` shortest round-trip, so a
+bitwise-safe interchange format already (``perf/``'s results rely on
+it): Python serialises floats with ``repr`` shortest round-trip, so a
 price or revenue travels the socket and comes back the identical double
 — which is what lets the client-side differential gate compare revenue
 ``repr``-exactly against the offline engine.

@@ -942,8 +942,9 @@ class DynamicStreamingEngine(StreamingEngine):
             ``Task.duration`` overrides it.
         resolve: ``"delta"`` (default) repairs the maintained matching
             incrementally; ``"rewindow"`` rebuilds it from scratch every
-            dispatched window — the baseline the delta mode is benchmarked
-            against.  Both modes settle deadlines/departures identically.
+            dispatched window, a test oracle that the delta mode must
+            equal window for window.  Both modes settle
+            deadlines/departures identically.
         max_degree: Optional per-task adjacency cap on the *universe*
             graph (nearest live-or-future workers); selects the universe
             matcher.

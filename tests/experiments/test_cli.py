@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -161,15 +158,21 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    def test_profile_tool_has_no_backend_flag(self, capsys):
-        path = Path(__file__).resolve().parents[2] / "tools" / "profile_run.py"
-        spec = importlib.util.spec_from_file_location("profile_run", path)
-        profile_run = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(profile_run)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "churn_city", "--scale", "0.1", "--jobs", "2"],
+            ["--figure", "fig6-W", "--scale", "0.005", "--jobs", "2"],
+            ["--scenario", "synthetic", "--jobs", "0"],
+        ],
+    )
+    def test_profile_requires_one_job(self, argv, capsys):
+        # A pool's worker processes run the engines; cProfile would see
+        # only the parent waiting on them.
         with pytest.raises(SystemExit) as excinfo:
-            profile_run.build_parser().parse_args(["--backend", "matroid"])
+            main(argv + ["--profile", "6"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        assert "--profile requires --jobs 1" in capsys.readouterr().err
 
     def test_task_lifetime_requires_dynamic_streaming(self):
         with pytest.raises(SystemExit):
@@ -242,6 +245,17 @@ class TestExecution:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "0.5" in output
+
+
+class TestProfile:
+    def test_profile_prints_the_engine_hotspots(self, capsys):
+        exit_code = main(
+            ["--scenario", "synthetic", "--scale", "0.01", "--profile", "5"]
+        )
+        assert exit_code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index("# top 5 hotspots (cumulative time)")
+        assert any("repro/" in line for line in lines[header + 1 :])
 
 
 class TestScenarioExecution:

@@ -94,6 +94,11 @@ class TestDifferentialGate:
 
         report = asyncio.run(_with_server(_config(strategy=strategy), action))
         session = _engine_reference(strategy)
+        assert session.quoted > 0
+        if strategy == "BaseP":
+            # Real settlements, not an empty log (SDR's quotes on this
+            # short stream are all refused, so it commits nothing).
+            assert session.committed > 0
         assert repr(report.revenue) == repr(session.revenue)
         assert report.commits == session.commit_log
         assert report.summary["committed"] == session.committed

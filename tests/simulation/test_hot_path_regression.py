@@ -7,7 +7,8 @@ array-native graph builder must leave every simulation result
 pricing strategies, for the matroid matcher and its dense scipy oracle
 alike.  At finite caps, the revenue loss must stay inside the
 documented tolerance band, checked over a battery of fuzzed dense
-instances (seeded, so failures reproduce).
+instances (seeded, so failures reproduce), and on a whole ``city_scale``
+run.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.market.entities import Task, Worker
 from repro.matching.weighted import max_weight_matching, scipy_max_weight_matching
 from repro.pricing.registry import available_strategies, calibrated_kwargs, create_strategy
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.scenarios import get_scenario
 from repro.simulation.sharded import ShardedEngine
 from repro.spatial.geometry import Point
 from repro.spatial.grid import Grid
@@ -215,3 +217,30 @@ class TestDegreeCapToleranceGate:
             # monotone in the cap.
             assert capped_total >= previous - 1e-9
             previous = capped_total
+
+
+class TestCityScaleDegreeCap:
+    """The degree cap's revenue cost on a whole ``city_scale`` run.
+
+    One shard, seed 0, ``BaseP`` at 2.0, scale 0.01: the run at
+    ``max_degree=16`` (the compound configuration's cap) must earn within
+    5% of the exact uncapped run.
+    """
+
+    #: Allowed relative revenue loss of the capped run.
+    REVENUE_TOLERANCE = 0.05
+
+    def test_capped_16_revenue_within_tolerance_of_exact(self):
+        def revenue(max_degree):
+            workload = get_scenario("city_scale").chunked(scale=0.01, seed=0)
+            engine = ShardedEngine(
+                workload, num_shards=1, halo=0, seed=0, max_degree=max_degree
+            )
+            return engine.run(create_strategy("BaseP", base_price=2.0)).metrics.total_revenue
+
+        exact, capped = revenue(None), revenue(16)
+        assert exact > 0
+        assert abs(1.0 - capped / exact) <= self.REVENUE_TOLERANCE, (
+            f"capped revenue drifted {abs(1.0 - capped / exact):.1%} from the "
+            f"exact solve (allowed {self.REVENUE_TOLERANCE:.0%})"
+        )

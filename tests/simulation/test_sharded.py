@@ -9,12 +9,15 @@ Headline guarantees:
 * ``num_shards>1`` stays within a tested revenue tolerance of the global
   solve on every registered scenario;
 * the halo-exchange pass only ever recovers matches;
+* on ``city_scale``, 8 shards run at least twice the tasks/s of the
+  global solve and stay within 10% of its revenue;
 * chunked (lazy) workloads produce exactly the same run as their
   materialised counterparts.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
@@ -162,6 +165,46 @@ class TestShardedTolerance:
         )
         assert result.metrics.total_tasks == workload.total_tasks
         assert 0 < result.metrics.served_tasks <= result.metrics.accepted_tasks
+
+
+class TestShardedThroughput:
+    """Eight shards against the global solve on ``city_scale``.
+
+    Scale 0.01, seed 0, ``BaseP`` at 2.0, halo 1, no degree cap.  The
+    speed-up is algorithmic, not parallel: shard-local graphs drop
+    cross-region edges and confine augmenting paths, so it holds on one
+    core (about 6x on a 2-vCPU host).  Lazy generation is inside the
+    timed run.
+    """
+
+    #: Minimum tasks/s of 8 shards over 1.
+    MIN_SPEEDUP = 2.0
+    #: Allowed relative revenue gap of 8 shards against the global solve.
+    REVENUE_TOLERANCE = 0.10
+
+    @staticmethod
+    def _run(num_shards):
+        workload = get_scenario("city_scale").chunked(scale=0.01, seed=0)
+        engine = ShardedEngine(
+            workload, num_shards=num_shards, halo=1 if num_shards > 1 else 0, seed=0
+        )
+        start = time.perf_counter()
+        metrics = engine.run(create_strategy("BaseP", base_price=2.0)).metrics
+        return metrics.total_tasks / (time.perf_counter() - start), metrics.total_revenue
+
+    def test_eight_shards_beat_the_global_solve(self):
+        global_rate, global_revenue = self._run(1)
+        sharded_rate, sharded_revenue = self._run(8)
+        speedup = sharded_rate / global_rate
+        assert speedup >= self.MIN_SPEEDUP, (
+            f"8 shards ran {speedup:.2f}x the global solve's tasks/s "
+            f"(required {self.MIN_SPEEDUP:.1f}x)"
+        )
+        drift = abs(1.0 - sharded_revenue / global_revenue)
+        assert drift <= self.REVENUE_TOLERANCE, (
+            f"sharded revenue drifted {drift:.1%} from the global solve "
+            f"(allowed {self.REVENUE_TOLERANCE:.0%})"
+        )
 
 
 class TestHaloPairingGoldenPins:
